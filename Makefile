@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test test-short verify serve bench-pair bench-mesh profile trace bench-obs shards chaos servicechaos scaling ledger bench-ledger
+.PHONY: build test test-short verify bench serve bench-pair bench-mesh profile trace ledger
 
 build:
 	$(GO) build ./...
@@ -11,10 +11,16 @@ test:
 test-short:
 	$(GO) test -short ./...
 
-# Static analysis + race detector over the packages with parallel
-# mutable state (see scripts/verify.sh).
+# Static analysis, the race detector over every package, the long
+# concurrency tests, and the benchmark's own gate (see scripts/verify.sh).
 verify:
 	sh scripts/verify.sh
+
+# The one producer of performance numbers: the four workloads and the
+# named end-to-end and per-layer metrics of BENCHMARK.json, behind a
+# correctness gate (see bench/README.md).
+bench:
+	bash bench/run.sh
 
 # Run the simulation daemon with durable job state under ./antond-state.
 # Submit jobs with curl (see README "Service quickstart"); kill and rerun
@@ -37,36 +43,8 @@ trace:
 		-trace trace.json -trace-nodes -watch
 	$(GO) run scripts/validate_trace.go trace.json
 
-# Regenerate the committed structured profile record (BENCH_obs.json).
-bench-obs:
-	$(GO) run ./cmd/antonbench -profile-json BENCH_obs.json
-
-# Shard-scaling run: throughput and measured message traffic of the
-# sharded virtual-node pipeline at 1/8/64/512 shards, regenerating the
-# committed BENCH_shards.json record.
-shards:
-	$(GO) run ./cmd/antonbench -experiment shards -full
-	$(GO) run ./cmd/antonbench -shards-json BENCH_shards.json -full
-
-# Chaos soak: the full fault-injection campaign (message faults, stalls,
-# a shard crash with checkpoint rollback) at 1/8/64 shards, regenerating
-# the committed BENCH_chaos.json record. Every row must report a bitwise
-# match against the fault-free monolithic run.
-chaos:
-	$(GO) run ./cmd/antonbench -experiment chaos
-	$(GO) run ./cmd/antonbench -chaos-json BENCH_chaos.json
-
-# Service chaos: antond jobs on a hostile disk — seeded ENOSPC/EIO/torn
-# writes/stalls plus scheduled crashes at rotating persist points, with
-# the daemon killed and rebooted after every crash. Regenerates the
-# committed BENCH_servicechaos.json record; every surviving job must
-# report a bitwise match against the undisturbed run and a verifying
-# ledger.
-servicechaos:
-	$(GO) run ./cmd/antonbench -experiment servicechaos
-	$(GO) run ./cmd/antonbench -servicechaos-json BENCH_servicechaos.json
-
-# The pair-kernel benchmarks backing BENCH_pairkernel.json.
+# The pair-kernel microbenchmarks (the recorded numbers are
+# htis.pairforce_ns and the dhfr_mono workload of `make bench`).
 bench-pair:
 	$(GO) test -run '^$$' -bench 'BenchmarkRangeLimitedForces|BenchmarkStepDHFRScale' \
 		-benchtime 3x ./internal/core
@@ -86,17 +64,3 @@ ledger:
 	$(GO) run ./cmd/antonsim -system small -steps 200 \
 		-checkpoint run.ckpt -ledger run.ledger
 	$(GO) run ./cmd/antonaudit -ledger run.ledger -replay -1
-
-# Ledger-overhead run: baseline vs per-record-committed vs
-# Merkle-batched provenance on the DHFR hot path, regenerating the
-# committed BENCH_ledger.json record. The batched row's overhead is the
-# acceptance number.
-bench-ledger:
-	$(GO) run ./cmd/antonbench -ledger-json BENCH_ledger.json
-
-# Mesh strong-scaling run: steps/sec of the long-range mesh path across
-# GOMAXPROCS and shard counts at DHFR scale, regenerating the committed
-# BENCH_meshscaling.json record.
-scaling:
-	$(GO) run ./cmd/antonbench -experiment scaling
-	$(GO) run ./cmd/antonbench -meshscaling-json BENCH_meshscaling.json

@@ -13,48 +13,16 @@ package main
 import (
 	"flag"
 	"fmt"
-	"log/slog"
 	"os"
 	"strings"
 
 	"anton/internal/experiments"
-	"anton/internal/obs"
 )
 
 type experiment struct {
 	name      string
 	expensive bool
 	run       func(full bool) (string, error)
-}
-
-// benchRecord is one structured BENCH_*.json generator: a -*-json flag
-// value, its short/full step counts, and the experiment function that
-// produces the marshaled record.
-type benchRecord struct {
-	name             string
-	file             string
-	steps, fullSteps int
-	gen              func(steps int) ([]byte, error)
-}
-
-// writeRecord generates and atomically-enough writes one structured
-// record, exiting non-zero on any failure so CI cannot mistake a
-// half-regenerated BENCH file for a fresh one.
-func writeRecord(logger *slog.Logger, r benchRecord, full bool) {
-	steps := r.steps
-	if full {
-		steps = r.fullSteps
-	}
-	b, err := r.gen(steps)
-	if err != nil {
-		logger.Error(r.name, "err", err)
-		os.Exit(1)
-	}
-	if err := os.WriteFile(r.file, b, 0o644); err != nil {
-		logger.Error("write "+r.name, "file", r.file, "err", err)
-		os.Exit(1)
-	}
-	logger.Info("wrote "+r.name, "file", r.file, "steps", steps)
 }
 
 var registry = []experiment{
@@ -132,41 +100,6 @@ var registry = []experiment{
 		}
 		return experiments.BPTI(steps)
 	}},
-	{"shards", true, func(full bool) (string, error) {
-		steps := 24
-		if full {
-			steps = 120
-		}
-		return experiments.ShardScaling(steps)
-	}},
-	{"scaling", true, func(full bool) (string, error) {
-		steps := 6
-		if full {
-			steps = 24
-		}
-		return experiments.MeshScaling(steps)
-	}},
-	{"chaos", true, func(full bool) (string, error) {
-		steps := 60
-		if full {
-			steps = 200
-		}
-		return experiments.Chaos(steps)
-	}},
-	{"ledger", true, func(full bool) (string, error) {
-		steps := 24
-		if full {
-			steps = 120
-		}
-		return experiments.LedgerBench(steps)
-	}},
-	{"servicechaos", true, func(full bool) (string, error) {
-		steps := 40
-		if full {
-			steps = 120
-		}
-		return experiments.ServiceChaos(steps)
-	}},
 	{"water", true, func(full bool) (string, error) {
 		steps, every := 160, 8
 		if full {
@@ -177,48 +110,10 @@ var registry = []experiment{
 }
 
 func main() {
-	var (
-		which       = flag.String("experiment", "cheap", "experiment name, 'all', or 'cheap' (skip dynamics runs)")
-		full        = flag.Bool("full", false, "use full-length runs for the expensive experiments")
-		profileJSON = flag.String("profile-json", "", "run the profile experiment and write its structured record to this file (the BENCH_obs.json generator)")
-		shardsJSON  = flag.String("shards-json", "", "run the shard-scaling experiment and write its structured record to this file (the BENCH_shards.json generator)")
-		chaosJSON   = flag.String("chaos-json", "", "run the chaos-soak experiment and write its structured record to this file (the BENCH_chaos.json generator)")
-		scalingJSON = flag.String("meshscaling-json", "", "run the mesh strong-scaling experiment and write its structured record to this file (the BENCH_meshscaling.json generator)")
-		ledgerJSON  = flag.String("ledger-json", "", "run the ledger-overhead experiment and write its structured record to this file (the BENCH_ledger.json generator)")
-		svcJSON     = flag.String("servicechaos-json", "", "run the service-chaos campaign and write its structured record to this file (the BENCH_servicechaos.json generator)")
-		logFormat   = flag.String("log", "text", "log format: text or json")
-	)
+	which := flag.String("experiment", "cheap", "experiment name, 'all', or 'cheap' (skip dynamics runs)")
+	full := flag.Bool("full", false, "use full-length runs for the expensive experiments")
 	flag.Parse()
-	logger := obs.NewLogger(os.Stderr, *logFormat, false)
 
-	// Structured BENCH record generators. One shared write path: each
-	// record is generated, written, and verified through writeRecord, so
-	// a failed marshal or write always exits non-zero — CI regenerating
-	// the committed BENCH_*.json files can never silently lose one.
-	records := []benchRecord{
-		{"structured profile", *profileJSON, 40, 400, experiments.ProfileJSON},
-		{"shard scaling record", *shardsJSON, 24, 120, experiments.ShardScalingJSON},
-		{"mesh scaling record", *scalingJSON, 6, 24, experiments.MeshScalingJSON},
-		{"chaos soak record", *chaosJSON, 60, 200, experiments.ChaosJSON},
-		{"ledger overhead record", *ledgerJSON, 24, 120, experiments.LedgerBenchJSON},
-		{"service chaos record", *svcJSON, 40, 120, experiments.ServiceChaosJSON},
-	}
-	ranRecord := false
-	for _, r := range records {
-		if r.file == "" {
-			continue
-		}
-		writeRecord(logger, r, *full)
-		ranRecord = true
-	}
-	if ranRecord {
-		return
-	}
-
-	names := map[string]bool{}
-	for _, e := range registry {
-		names[e.name] = true
-	}
 	var selected []experiment
 	switch *which {
 	case "all":

@@ -35,7 +35,6 @@ import (
 	"flag"
 	"fmt"
 	"log/slog"
-	"math/rand"
 	"net/http"
 	_ "net/http/pprof"
 	"os"
@@ -111,59 +110,39 @@ func main() {
 		return
 	}
 
-	var s *system.System
-	var err error
-	if *name == "small" {
-		s, err = system.Small(true, 1)
-	} else {
-		s, err = system.ByName(*name)
-	}
-	if err != nil {
-		logger.Error("load system", "err", err)
-		os.Exit(1)
-	}
-	fmt.Printf("system %s: %d particles, %d waters, %d protein atoms, box %.1f Å\n",
-		s.Name, s.NAtoms(), s.Waters, s.ProteinAtoms, s.Box.L.X)
-
+	// The run is described once, as the job spec antond would be handed,
+	// and built by the daemon's constructor: the spec the ledger genesis
+	// embeds is the one the engine came from, so antonaudit -replay
+	// rebuilds exactly what ran. antonsim seeds velocities with the fixed
+	// seed 2. The sharded pipeline wraps the engine: same state, same
+	// trajectory, but each virtual node runs as its own goroutine
+	// exchanging messages, and Comm() gains a measured-transport section.
 	if *shards > 0 {
 		*nodes = *shards
 	}
-	cfg := core.DefaultConfig(*nodes)
+	spec := service.JobSpec{
+		System: *name, Steps: *steps, Shards: *shards, Nodes: *nodes,
+		Ensemble: "nvt", Temperature: *temp, Seed: 2, Chaos: *chaosSpec,
+		Overlap: *overlap,
+	}
 	if *temp <= 0 {
-		cfg.TauT = 0
-	} else {
-		cfg.TargetT = *temp
+		spec.Ensemble, spec.Temperature = "nve", 0
 	}
-	// The sharded pipeline wraps the engine: same state, same trajectory,
-	// but each virtual node runs as its own goroutine exchanging messages,
-	// and Comm() gains a measured-transport section.
-	var eng *core.Engine
-	var sh *core.Sharded
-	if *shards > 0 {
-		sh, err = core.NewSharded(s, cfg)
-		if err != nil {
-			logger.Error("build sharded engine", "err", err)
-			os.Exit(1)
-		}
+	if err := spec.Normalize(); err != nil {
+		logger.Error("invalid run", "err", err)
+		os.Exit(1)
+	}
+	sim, eng, sh, err := service.BuildSim(spec)
+	if err != nil {
+		logger.Error("build simulation", "err", err)
+		os.Exit(1)
+	}
+	if sh != nil {
 		defer sh.Close()
-		switch *overlap {
-		case "on", "":
-		case "off":
-			sh.SetOverlap(false)
-		default:
-			logger.Error("-overlap must be 'on' or 'off'", "got", *overlap)
-			os.Exit(1)
-		}
-		eng = sh.Engine()
-	} else {
-		eng, err = core.NewEngine(s, cfg)
-		if err != nil {
-			logger.Error("build engine", "err", err)
-			os.Exit(1)
-		}
 	}
-	rng := rand.New(rand.NewSource(2))
-	eng.SetVelocities(system.InitVelocities(s.Top, 300, rng))
+	s := eng.Sys
+	fmt.Printf("system %s: %d particles, %d waters, %d protein atoms, box %.1f Å\n",
+		s.Name, s.NAtoms(), s.Waters, s.ProteinAtoms, s.Box.L.X)
 
 	// Resume: restore the checkpoint before anything (fault plane,
 	// observability) attaches. The restore is validate-before-mutate — a
@@ -174,11 +153,7 @@ func main() {
 	// seeded initialization above, exactly as an uninterrupted run would
 	// have evolved them.
 	if *resumePath != "" {
-		restore := eng.RestoreCheckpointFile
-		if sh != nil {
-			restore = sh.RestoreCheckpointFile
-		}
-		if err := restore(*resumePath); err != nil {
+		if err := sim.RestoreCheckpointFile(*resumePath); err != nil {
 			switch {
 			case errors.Is(err, core.ErrCheckpointConfig):
 				logger.Error("resume refused: checkpoint was written under a different configuration",
@@ -225,20 +200,13 @@ func main() {
 				logger.Error("create ledger", "file", *ledgerPath, "err", err)
 				os.Exit(1)
 			}
-			// The genesis spec is a service.JobSpec so antonaudit -replay
-			// can rebuild this run through the same constructor the daemon
-			// uses. antonsim seeds velocities with the fixed seed 2.
-			ens := "nvt"
-			if *temp <= 0 {
-				ens = "nve"
+			genesis, err := json.Marshal(spec)
+			if err != nil {
+				logger.Error("ledger genesis", "err", err)
+				os.Exit(1)
 			}
-			spec, _ := json.Marshal(service.JobSpec{
-				System: *name, Steps: *steps, Shards: *shards, Nodes: *nodes,
-				Ensemble: ens, Temperature: *temp, Seed: 2, Chaos: *chaosSpec,
-				Overlap: *overlap,
-			})
 			if err := lw.AppendGenesis(ledger.Genesis{
-				Spec:        spec,
+				Spec:        genesis,
 				Fingerprint: eng.FingerprintHex(),
 				System:      s.Name,
 				Atoms:       s.NAtoms(),
@@ -259,13 +227,9 @@ func main() {
 	// Fault injection: the chaos plane and the supervised recovery loop
 	// wrap the sharded pipeline (the monolithic engine has no transport to
 	// fault). The trajectory contract holds regardless of the campaign.
-	chaos := *chaosSpec != ""
+	chaos := spec.Chaos != ""
 	if chaos {
-		if sh == nil {
-			logger.Error("-chaos requires -shards")
-			os.Exit(1)
-		}
-		sp, err := faults.ParseSpec(*chaosSpec)
+		sp, err := faults.ParseSpec(spec.Chaos) // validated by Normalize
 		if err != nil {
 			logger.Error("parse chaos spec", "err", err)
 			os.Exit(1)
@@ -323,7 +287,7 @@ func main() {
 	if *traceOut != "" || *listenAt != "" {
 		tracer = obs.NewTracer(*traceCap)
 		if *traceNodes {
-			tracer.EnableNodeLanes(cfg.MigrationInterval)
+			tracer.EnableNodeLanes(eng.Cfg.MigrationInterval)
 		}
 		eng.Trace(tracer)
 	}
@@ -376,13 +340,11 @@ func main() {
 		}
 	}
 
-	step := eng.Step
 	remaining := *steps - eng.StepCount()
 	if remaining < 0 {
 		remaining = 0
 	}
 	if sh != nil {
-		step = sh.Step
 		fmt.Printf("running %d steps across %d virtual node shards (torus %v)\n",
 			remaining, *shards, eng.Mach.Dims)
 	} else {
@@ -399,7 +361,7 @@ func main() {
 		if done+n > *steps {
 			n = *steps - done
 		}
-		step(n)
+		sim.Step(n)
 		done += n
 		if sh != nil {
 			if err := sh.Err(); err != nil {
@@ -435,11 +397,7 @@ func main() {
 	// crash-consistent checkpoint, then drain the telemetry server so
 	// in-flight scrapes finish before the listener dies.
 	if *ckptPath != "" {
-		writeCkpt := eng.WriteCheckpointFile
-		if sh != nil {
-			writeCkpt = sh.WriteCheckpointFile
-		}
-		if err := writeCkpt(*ckptPath); err != nil {
+		if err := sim.WriteCheckpointFile(*ckptPath); err != nil {
 			logger.Error("final checkpoint", "err", err)
 		} else {
 			logger.Info("final checkpoint flushed", "file", *ckptPath, "step", eng.StepCount())

@@ -55,7 +55,9 @@ func TestStreamChaosReorder(t *testing.T) {
 
 // TestStreamChaosReorder64: the same scrambling at 64 shards, where most
 // shards have several dependency groups per exchange, for a shorter
-// window that still crosses migrations and refreshes.
+// window that still crosses migrations and refreshes — plus one
+// scheduled shard crash, so crash -> rollback -> replay at 64 shards is
+// held to the same bitwise contract.
 func TestStreamChaosReorder64(t *testing.T) {
 	skipShort(t)
 	const steps = 60
@@ -63,7 +65,7 @@ func TestStreamChaosReorder64(t *testing.T) {
 	ref := smallWaterEngine(t, 1, nil)
 	ref.Step(steps)
 
-	sp, err := faults.ParseSpec("seed=13,delay=0.15,dup=0.05,stall=0.004,maxstall=2ms")
+	sp, err := faults.ParseSpec("seed=13,delay=0.15,dup=0.05,stall=0.004,maxstall=2ms,crashes=1,horizon=45")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -74,6 +76,9 @@ func TestStreamChaosReorder64(t *testing.T) {
 	}
 	sh.Step(steps)
 	assertBitwise(t, sh, ref, "stream reorder 64 shards")
+	if got := sh.FaultReport().Recoveries; got < 1 {
+		t.Fatalf("recoveries = %d, want >= 1 (the scheduled crash never fired)", got)
+	}
 
 	ts := sh.TransportStats()
 	if bound := ts.Sends * int64(sp.SafeAttempt+1); ts.Retransmits > bound {

@@ -1,7 +1,6 @@
 package experiments
 
 import (
-	"encoding/json"
 	"fmt"
 	"math/rand"
 	"os"
@@ -19,53 +18,46 @@ import (
 // PhaseGroupProfile is one row of the measured-vs-model comparison: a
 // group of engine pipeline phases matched to one machine-model task row.
 type PhaseGroupProfile struct {
-	Name        string  `json:"name"`
-	MeasuredNs  int64   `json:"measured_ns"`
-	MeasuredPct float64 `json:"measured_pct"`
-	ModelUs     float64 `json:"model_us"`
-	ModelPct    float64 `json:"model_pct"`
+	Name        string
+	MeasuredNs  int64
+	MeasuredPct float64
+	ModelUs     float64
+	ModelPct    float64
 }
 
-// ProfileData is the structured result of the profile experiment — the
-// same numbers the text report prints, in the committed BENCH_obs.json
-// record. Schema follows the observability wire version so trace and
-// profile artifacts version together.
+// ProfileData is the structured result of the profile experiment: the
+// numbers the text report prints.
 type ProfileData struct {
-	Schema string `json:"schema"`
-	System string `json:"system"`
-	Atoms  int    `json:"atoms"`
-	Steps  int    `json:"steps"`
-	Nodes  int    `json:"nodes"`
-	// StateDigest is the run's final state digest (%016x of
-	// core.Sim.StateDigest): the trajectory identity of the exact run
-	// this record profiles, auditable against a run ledger.
-	StateDigest string `json:"state_digest"`
+	System string
+	Atoms  int
+	Steps  int
+	Nodes  int
 
-	Groups []PhaseGroupProfile `json:"phase_groups"`
+	Groups []PhaseGroupProfile
 
-	MatchEfficiencyMeasured float64 `json:"match_efficiency_measured"`
-	MatchEfficiencyModel    float64 `json:"match_efficiency_model"`
-	Subdiv                  int     `json:"subdiv"`
-	MeanBatchOccupancy      float64 `json:"mean_batch_occupancy"`
+	MatchEfficiencyMeasured float64
+	MatchEfficiencyModel    float64
+	Subdiv                  int
+	MeanBatchOccupancy      float64
 
-	MigrationDriftA   float64 `json:"migration_drift_a"`
-	MigrationInterval int     `json:"migration_interval"`
-	ResidencySlackA   float64 `json:"residency_slack_a"`
+	MigrationDriftA   float64
+	MigrationInterval int
+	ResidencySlackA   float64
 
-	ForcedMigrations int64 `json:"forced_migrations"`
-	TotalMigrations  int64 `json:"total_migrations"`
+	ForcedMigrations int64
+	TotalMigrations  int64
 
 	// Ledger counters from the run's attached provenance ledger
-	// (DESIGN §15): the profiled run is itself ledgered, so the record
+	// (DESIGN §15): the profiled run is itself ledgered, so the report
 	// carries what its own provenance cost in records, commits and
 	// bytes.
-	LedgerRecords int64 `json:"ledger_records"`
-	LedgerCommits int64 `json:"ledger_commits"`
-	LedgerBytes   int64 `json:"ledger_bytes"`
+	LedgerRecords int64
+	LedgerCommits int64
+	LedgerBytes   int64
 
-	MemTracked     bool    `json:"mem_tracked"`
-	MallocsPerStep float64 `json:"mallocs_per_step,omitempty"`
-	NumGC          int64   `json:"num_gc,omitempty"`
+	MemTracked     bool
+	MallocsPerStep float64
+	NumGC          int64
 }
 
 // ProfileMeasured runs the fixed-point core engine with the observability
@@ -76,40 +68,11 @@ type ProfileData struct {
 // 512 ASICs), so the comparison is over phase *shares* of the force
 // pipeline, where the workload ratios should agree to first order.
 func ProfileMeasured(steps int) (string, error) {
-	d, err := defaultProfileData(steps)
+	s, err := system.Small(true, 77)
 	if err != nil {
 		return "", err
 	}
-	return renderProfile(d), nil
-}
-
-// ProfileJSON runs the profile experiment and returns the structured
-// record as indented JSON — the generator of the committed
-// BENCH_obs.json artifact (make bench-obs).
-func ProfileJSON(steps int) ([]byte, error) {
-	d, err := defaultProfileData(steps)
-	if err != nil {
-		return nil, err
-	}
-	b, err := json.MarshalIndent(d, "", "  ")
-	if err != nil {
-		return nil, err
-	}
-	return append(b, '\n'), nil
-}
-
-func defaultProfileData(steps int) (*ProfileData, error) {
-	s, err := system.Small(true, 77)
-	if err != nil {
-		return nil, err
-	}
-	return profileData(s, steps, 8)
-}
-
-// profileMeasured is the system-parameterized worker behind
-// ProfileMeasured, shared with the package tests.
-func profileMeasured(s *system.System, steps, nodes int) (string, error) {
-	d, err := profileData(s, steps, nodes)
+	d, err := profileData(s, steps, 8)
 	if err != nil {
 		return "", err
 	}
@@ -220,13 +183,11 @@ func profileData(s *system.System, steps, nodes int) (*ProfileData, error) {
 	}
 
 	d := &ProfileData{
-		Schema:      obs.SchemaVersion,
-		System:      s.Name,
-		Atoms:       s.NAtoms(),
-		Steps:       steps,
-		Nodes:       nodes,
-		StateDigest: fmt.Sprintf("%016x", e.StateDigest()),
-		Groups:      groups,
+		System: s.Name,
+		Atoms:  s.NAtoms(),
+		Steps:  steps,
+		Nodes:  nodes,
+		Groups: groups,
 
 		MatchEfficiencyMeasured: snap.MatchEfficiency,
 		MatchEfficiencyModel:    pred.MatchEfficiency,

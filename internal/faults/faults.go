@@ -120,6 +120,111 @@ func (sp Spec) normalized() Spec {
 	return sp
 }
 
+// specKey is one key of a campaign grammar, bound to a field of the spec
+// its table was built over: set parses a value into the field, show
+// renders it ("" at the default, which String omits).
+type specKey struct {
+	name string
+	set  func(v string) error
+	show func() string
+}
+
+func seedKey(p *int64) specKey {
+	return specKey{"seed",
+		func(v string) (err error) { *p, err = strconv.ParseInt(v, 10, 64); return },
+		func() string { return strconv.FormatInt(*p, 10) }}
+}
+
+func probKey(name string, p *float64) specKey {
+	return specKey{name,
+		func(v string) (err error) { *p, err = strconv.ParseFloat(v, 64); return },
+		func() string {
+			if *p == 0 {
+				return ""
+			}
+			return strconv.FormatFloat(*p, 'g', -1, 64)
+		}}
+}
+
+func intKey(name string, p *int, def int) specKey {
+	return specKey{name,
+		func(v string) (err error) { *p, err = strconv.Atoi(v); return },
+		func() string {
+			if *p == def {
+				return ""
+			}
+			return strconv.Itoa(*p)
+		}}
+}
+
+func durKey(name string, p *time.Duration, def time.Duration) specKey {
+	return specKey{name,
+		func(v string) (err error) { *p, err = time.ParseDuration(v); return },
+		func() string {
+			if *p == def {
+				return ""
+			}
+			return p.String()
+		}}
+}
+
+// parseKeys walks a comma-separated key=value list, setting each field
+// through the key table. what names the grammar in error texts.
+func parseKeys(what, s string, keys []specKey) error {
+	for _, field := range strings.Split(s, ",") {
+		field = strings.TrimSpace(field)
+		if field == "" {
+			continue
+		}
+		k, v, ok := strings.Cut(field, "=")
+		if !ok {
+			return fmt.Errorf("faults: bad %s field %q (want key=value)", what, field)
+		}
+		k, v = strings.TrimSpace(k), strings.TrimSpace(v)
+		i := 0
+		for i < len(keys) && keys[i].name != k {
+			i++
+		}
+		if i == len(keys) {
+			return fmt.Errorf("faults: unknown %s key %q", what, k)
+		}
+		if err := keys[i].set(v); err != nil {
+			return fmt.Errorf("faults: bad value for %s: %v", k, err)
+		}
+	}
+	return nil
+}
+
+// renderKeys is parseKeys' inverse: every key whose field is off its
+// default, in table order.
+func renderKeys(keys []specKey) string {
+	var parts []string
+	for _, k := range keys {
+		if v := k.show(); v != "" {
+			parts = append(parts, k.name+"="+v)
+		}
+	}
+	return strings.Join(parts, ",")
+}
+
+// keys is the message-plane grammar over sp's fields.
+func (sp *Spec) keys() []specKey {
+	def := DefaultSpec()
+	return []specKey{
+		seedKey(&sp.Seed),
+		probKey("drop", &sp.Drop),
+		probKey("dup", &sp.Dup),
+		probKey("delay", &sp.Delay),
+		probKey("corrupt", &sp.Corrupt),
+		probKey("stall", &sp.Stall),
+		durKey("maxdelay", &sp.MaxDelay, def.MaxDelay),
+		durKey("maxstall", &sp.MaxStall, def.MaxStall),
+		intKey("crashes", &sp.Crashes, def.Crashes),
+		intKey("horizon", &sp.CrashHorizon, def.CrashHorizon),
+		intKey("safe", &sp.SafeAttempt, def.SafeAttempt),
+	}
+}
+
 // ParseSpec parses a comma-separated key=value campaign description, e.g.
 //
 //	"seed=7,drop=0.02,dup=0.01,delay=0.02,corrupt=0.005,stall=0.01,crashes=2,horizon=120"
@@ -129,74 +234,15 @@ func (sp Spec) normalized() Spec {
 // keep the DefaultSpec values.
 func ParseSpec(s string) (Spec, error) {
 	sp := DefaultSpec()
-	if strings.TrimSpace(s) == "" {
-		return sp, nil
-	}
-	for _, field := range strings.Split(s, ",") {
-		field = strings.TrimSpace(field)
-		if field == "" {
-			continue
-		}
-		k, v, ok := strings.Cut(field, "=")
-		if !ok {
-			return sp, fmt.Errorf("faults: bad spec field %q (want key=value)", field)
-		}
-		k, v = strings.TrimSpace(k), strings.TrimSpace(v)
-		var err error
-		switch k {
-		case "seed":
-			sp.Seed, err = strconv.ParseInt(v, 10, 64)
-		case "drop":
-			sp.Drop, err = strconv.ParseFloat(v, 64)
-		case "dup":
-			sp.Dup, err = strconv.ParseFloat(v, 64)
-		case "delay":
-			sp.Delay, err = strconv.ParseFloat(v, 64)
-		case "corrupt":
-			sp.Corrupt, err = strconv.ParseFloat(v, 64)
-		case "stall":
-			sp.Stall, err = strconv.ParseFloat(v, 64)
-		case "crashes":
-			sp.Crashes, err = strconv.Atoi(v)
-		case "horizon":
-			sp.CrashHorizon, err = strconv.Atoi(v)
-		case "safe":
-			sp.SafeAttempt, err = strconv.Atoi(v)
-		case "maxdelay":
-			sp.MaxDelay, err = time.ParseDuration(v)
-		case "maxstall":
-			sp.MaxStall, err = time.ParseDuration(v)
-		default:
-			return sp, fmt.Errorf("faults: unknown spec key %q", k)
-		}
-		if err != nil {
-			return sp, fmt.Errorf("faults: bad value for %s: %v", k, err)
-		}
+	if err := parseKeys("spec", s, sp.keys()); err != nil {
+		return sp, err
 	}
 	return sp.normalized(), nil
 }
 
-// String renders the spec in ParseSpec's format (only non-default fields).
-func (sp Spec) String() string {
-	var parts []string
-	add := func(k, v string) { parts = append(parts, k+"="+v) }
-	add("seed", strconv.FormatInt(sp.Seed, 10))
-	f := func(k string, p float64) {
-		if p > 0 {
-			add(k, strconv.FormatFloat(p, 'g', -1, 64))
-		}
-	}
-	f("drop", sp.Drop)
-	f("dup", sp.Dup)
-	f("delay", sp.Delay)
-	f("corrupt", sp.Corrupt)
-	f("stall", sp.Stall)
-	if sp.Crashes > 0 {
-		add("crashes", strconv.Itoa(sp.Crashes))
-		add("horizon", strconv.Itoa(sp.CrashHorizon))
-	}
-	return strings.Join(parts, ",")
-}
+// String renders the spec in ParseSpec's format: the seed and every
+// field off its default, so a parsed spec's rendering parses back to it.
+func (sp Spec) String() string { return renderKeys(sp.keys()) }
 
 // Counts are the plane's injected-fault tallies. Drops, dups, delays and
 // corruptions count per faulted attempt; attempts beyond the first exist

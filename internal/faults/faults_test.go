@@ -21,12 +21,23 @@ func TestParseSpecRoundTrip(t *testing.T) {
 	if sp.MaxDelay != 2*time.Millisecond || sp.SafeAttempt != 3 {
 		t.Fatalf("defaults not applied: %+v", sp)
 	}
-	sp2, err := ParseSpec(sp.String())
+	// Non-default bounds must survive too: safe changes which attempts
+	// are refused, so a rendering that drops it names another campaign.
+	bounded, err := ParseSpec(in + ",maxdelay=7ms,maxstall=5ms,safe=5")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if sp2 != sp {
-		t.Fatalf("round trip changed the spec:\n%+v\nvs\n%+v", sp, sp2)
+	if bounded.MaxDelay != 7*time.Millisecond || bounded.MaxStall != 5*time.Millisecond || bounded.SafeAttempt != 5 {
+		t.Fatalf("parsed bounds: %+v", bounded)
+	}
+	for _, sp := range []Spec{sp, bounded, DefaultSpec()} {
+		sp2, err := ParseSpec(sp.String())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if sp2 != sp {
+			t.Fatalf("round trip through %q changed the spec:\n%#v\nvs\n%#v", sp.String(), sp, sp2)
+		}
 	}
 }
 

@@ -29,7 +29,6 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -155,6 +154,23 @@ func (sp FSSpec) normalized() FSSpec {
 	return sp
 }
 
+// keys is the storage-plane grammar over sp's fields.
+func (sp *FSSpec) keys() []specKey {
+	def := DefaultFSSpec()
+	return []specKey{
+		seedKey(&sp.Seed),
+		probKey("enospc", &sp.ENOSPC),
+		probKey("eio", &sp.EIO),
+		probKey("torn", &sp.Torn),
+		probKey("fsyncdrop", &sp.FsyncDrop),
+		probKey("stall", &sp.Stall),
+		durKey("maxstall", &sp.MaxStall, def.MaxStall),
+		intKey("crashes", &sp.Crashes, def.Crashes),
+		intKey("horizon", &sp.CrashHorizon, def.CrashHorizon),
+		intKey("safe", &sp.SafeAttempt, def.SafeAttempt),
+	}
+}
+
 // ParseFSSpec parses a comma-separated key=value campaign description —
 // the storage twin of ParseSpec, e.g.
 //
@@ -165,72 +181,15 @@ func (sp FSSpec) normalized() FSSpec {
 // keep the DefaultFSSpec values.
 func ParseFSSpec(s string) (FSSpec, error) {
 	sp := DefaultFSSpec()
-	if strings.TrimSpace(s) == "" {
-		return sp, nil
-	}
-	for _, field := range strings.Split(s, ",") {
-		field = strings.TrimSpace(field)
-		if field == "" {
-			continue
-		}
-		k, v, ok := strings.Cut(field, "=")
-		if !ok {
-			return sp, fmt.Errorf("faults: bad fs spec field %q (want key=value)", field)
-		}
-		k, v = strings.TrimSpace(k), strings.TrimSpace(v)
-		var err error
-		switch k {
-		case "seed":
-			sp.Seed, err = strconv.ParseInt(v, 10, 64)
-		case "enospc":
-			sp.ENOSPC, err = strconv.ParseFloat(v, 64)
-		case "eio":
-			sp.EIO, err = strconv.ParseFloat(v, 64)
-		case "torn":
-			sp.Torn, err = strconv.ParseFloat(v, 64)
-		case "fsyncdrop":
-			sp.FsyncDrop, err = strconv.ParseFloat(v, 64)
-		case "stall":
-			sp.Stall, err = strconv.ParseFloat(v, 64)
-		case "crashes":
-			sp.Crashes, err = strconv.Atoi(v)
-		case "horizon":
-			sp.CrashHorizon, err = strconv.Atoi(v)
-		case "safe":
-			sp.SafeAttempt, err = strconv.Atoi(v)
-		case "maxstall":
-			sp.MaxStall, err = time.ParseDuration(v)
-		default:
-			return sp, fmt.Errorf("faults: unknown fs spec key %q", k)
-		}
-		if err != nil {
-			return sp, fmt.Errorf("faults: bad value for %s: %v", k, err)
-		}
+	if err := parseKeys("fs spec", s, sp.keys()); err != nil {
+		return sp, err
 	}
 	return sp.normalized(), nil
 }
 
-// String renders the spec in ParseFSSpec's format (non-default fields).
-func (sp FSSpec) String() string {
-	var parts []string
-	add := func(k, v string) { parts = append(parts, k+"="+v) }
-	add("seed", strconv.FormatInt(sp.Seed, 10))
-	f := func(k string, p float64) {
-		if p > 0 {
-			add(k, strconv.FormatFloat(p, 'g', -1, 64))
-		}
-	}
-	f("enospc", sp.ENOSPC)
-	f("eio", sp.EIO)
-	f("torn", sp.Torn)
-	f("fsyncdrop", sp.FsyncDrop)
-	f("stall", sp.Stall)
-	if sp.Crashes > 0 {
-		add("crashes", strconv.Itoa(sp.Crashes))
-		add("horizon", strconv.Itoa(sp.CrashHorizon))
-	}
-	return strings.Join(parts, ",")
-}
+// String renders the spec in ParseFSSpec's format: the seed and every
+// field off its default, so a parsed spec's rendering parses back to it.
+func (sp FSSpec) String() string { return renderKeys(sp.keys()) }
 
 // FSCounts are the storage plane's injected-fault tallies.
 type FSCounts struct {

@@ -21,15 +21,14 @@ func TestFSSpecParseRoundTrip(t *testing.T) {
 		sp.Crashes != 6 || sp.CrashHorizon != 40 || sp.SafeAttempt != 4 {
 		t.Fatalf("parsed spec: %+v", sp)
 	}
-	// String renders enough to round-trip the fault schedule.
+	// String round-trips the whole campaign, the maxstall and safe
+	// bounds included.
 	back, err := ParseFSSpec(sp.String())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if back.Seed != sp.Seed || back.ENOSPC != sp.ENOSPC || back.EIO != sp.EIO ||
-		back.Torn != sp.Torn || back.FsyncDrop != sp.FsyncDrop ||
-		back.Crashes != sp.Crashes || back.CrashHorizon != sp.CrashHorizon {
-		t.Fatalf("round trip: %+v vs %+v", back, sp)
+	if back != sp {
+		t.Fatalf("round trip through %q: %#v vs %#v", sp.String(), back, sp)
 	}
 	if _, err := ParseFSSpec("nonsense"); err == nil {
 		t.Fatal("bare token accepted")

@@ -10,13 +10,11 @@ import (
 )
 
 // SchemaVersion names the wire schema shared by every observability
-// artifact: the trace exporter's otherData block, the committed
-// BENCH_obs.json profile record, and the telemetry endpoints. Bump it
-// when a field changes meaning. v4 adds the run-ledger counters
-// (ledger-records/-commits/-bytes) and the state_digest field in the
-// structured BENCH records. v5 adds the streaming shard-pipeline
-// counters (stream-overlap-ns/-blocked-ns, pos-/force-raw/wire-bytes)
-// and the overlap A/B + compression columns in BENCH_shards.json.
+// artifact: the trace exporter's otherData block, the metrics snapshot,
+// and the telemetry endpoints. Bump it when a field changes meaning. v4
+// adds the run-ledger counters (ledger-records/-commits/-bytes). v5 adds
+// the streaming shard-pipeline counters (stream-overlap-ns/-blocked-ns,
+// pos-/force-raw/wire-bytes).
 const SchemaVersion = "anton-obs/v5"
 
 // The step tracer records per-step, per-phase spans from the engine plus

@@ -419,12 +419,14 @@ func TestServiceChaosAdmissionAndMetrics(t *testing.T) {
 	}
 }
 
-// TestServiceChaosScheduledCampaign is the in-test twin of the
-// antonbench servicechaos experiment, scaled down: a seeded campaign of
-// transient faults plus scheduled crashes at rotating persist points,
-// driven through kill/reboot/restart cycles until every job lands. The
-// surviving jobs' digests must be bitwise equal to the undisturbed
-// reference and their ledgers must verify.
+// TestServiceChaosScheduledCampaign is the whole hostile-disk campaign
+// end to end: seeded transient faults plus scheduled crashes at rotating
+// persist points, driven through kill/reboot/restart cycles until every
+// job lands. The surviving jobs' digests must be bitwise equal to the
+// undisturbed reference and their ledgers must verify. After the first
+// reboot each spec is resubmitted under its idempotency key and must
+// land on the original job: the key index is rebuilt from the faulty
+// store's scan.
 func TestServiceChaosScheduledCampaign(t *testing.T) {
 	skipShort(t)
 	dir := t.TempDir()
@@ -434,8 +436,8 @@ func TestServiceChaosScheduledCampaign(t *testing.T) {
 	}
 	fs := faults.NewFS(fspec)
 	specs := []JobSpec{
-		{System: "small", Steps: 50, CheckpointEvery: 10, Seed: 5},
-		{System: "small", Steps: 50, CheckpointEvery: 10, Seed: 9, Shards: 2},
+		{System: "small", Steps: 50, CheckpointEvery: 10, Seed: 5, IdempotencyKey: "campaign-seed5"},
+		{System: "small", Steps: 50, CheckpointEvery: 10, Seed: 9, Shards: 8, IdempotencyKey: "campaign-seed9"},
 	}
 	cfg := func() Config {
 		return Config{
@@ -473,6 +475,15 @@ func TestServiceChaosScheduledCampaign(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
+			if restarts == 1 {
+				for i, sp := range specs {
+					js, created, err := d.Submit(sp)
+					if err != nil || created || js.ID != ids[i] {
+						t.Fatalf("resubmit of %s: job %s created=%v err=%v, want the original %s",
+							sp.IdempotencyKey, js.ID, created, err, ids[i])
+					}
+				}
+			}
 			d.Start()
 			continue
 		}
@@ -490,6 +501,9 @@ func TestServiceChaosScheduledCampaign(t *testing.T) {
 		time.Sleep(5 * time.Millisecond)
 	}
 	defer d.Kill()
+	if restarts == 0 {
+		t.Fatal("no scheduled crash fired: the resubmit-after-reboot cell never ran")
+	}
 
 	for i, id := range ids {
 		final, _ := d.Job(id)

@@ -26,7 +26,7 @@ func (st *Store) LedgerPath(id string) string {
 
 // LedgerPath exposes the job's run-ledger file path on the daemon, for
 // audit tooling that verifies ledgers out-of-band (antonaudit, the
-// servicechaos experiment).
+// benchmark's correctness gate).
 func (d *Daemon) LedgerPath(id string) string { return d.store.LedgerPath(id) }
 
 // openJobLedger opens the job's provenance chain. A fresh job creates

@@ -26,6 +26,7 @@ import (
 	"fmt"
 
 	"anton/internal/faults"
+	"anton/internal/machine"
 	"anton/internal/system"
 )
 
@@ -63,8 +64,8 @@ type JobSpec struct {
 	// shards (power of two); 0 runs the monolithic engine on Nodes nodes.
 	Shards int `json:"shards,omitempty"`
 
-	// Nodes is the monolithic engine's simulated node count (default 8;
-	// ignored when Shards > 0).
+	// Nodes is the monolithic engine's simulated node count, a power of
+	// two (default 8; ignored when Shards > 0).
 	Nodes int `json:"nodes,omitempty"`
 
 	// Seed seeds the initial velocity draw (default 2). Same spec + same
@@ -144,8 +145,8 @@ func (j *JobSpec) Normalize() error {
 	if j.Nodes == 0 {
 		j.Nodes = DefaultNodes
 	}
-	if j.Nodes < 0 {
-		return fmt.Errorf("service: job spec: negative nodes %d", j.Nodes)
+	if _, err := machine.New(j.Nodes); err != nil {
+		return fmt.Errorf("service: job spec: nodes: %w", err)
 	}
 	if j.Seed == 0 {
 		j.Seed = DefaultSeed

@@ -48,7 +48,7 @@ func (s JobState) terminal() bool {
 }
 
 // Terminal reports whether a state can never change again — exported
-// for clients (and the servicechaos experiment) that poll for job
+// for clients (and the benchmark's closed loop) that poll for job
 // completion.
 func (s JobState) Terminal() bool { return s.terminal() }
 
