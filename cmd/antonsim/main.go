@@ -58,7 +58,6 @@ func main() {
 		name    = flag.String("system", "gpW", "named system (see -list) or 'small'")
 		nodes   = flag.Int("nodes", 8, "Anton node count to simulate (power of two)")
 		shards  = flag.Int("shards", 0, "run the sharded virtual-node pipeline with this many shards (power of two, overrides -nodes; 0 = monolithic engine)")
-		overlap = flag.String("overlap", "on", "sharded pipeline mode: 'on' streams per-subbox dependency groups with compressed frames, 'off' is the barrier escape hatch (trajectory identical either way)")
 		steps   = flag.Int("steps", 20, "time steps to run")
 		temp    = flag.Float64("temp", 300, "thermostat target temperature, K (0 = NVE)")
 		list    = flag.Bool("list", false, "list available systems and exit")
@@ -123,7 +122,6 @@ func main() {
 	spec := service.JobSpec{
 		System: *name, Steps: *steps, Shards: *shards, Nodes: *nodes,
 		Ensemble: "nvt", Temperature: *temp, Seed: 2, Chaos: *chaosSpec,
-		Overlap: *overlap,
 	}
 	if *temp <= 0 {
 		spec.Ensemble, spec.Temperature = "nve", 0

@@ -509,7 +509,11 @@ func (e *Engine) obsPhase(p obs.Phase, t0 int64) {
 	if e.rec == nil && e.trc == nil {
 		return
 	}
-	ns := e.obsNow() - t0
+	e.obsPhaseNs(p, e.obsNow()-t0)
+}
+
+// obsPhaseNs books ns of already-measured time to a phase.
+func (e *Engine) obsPhaseNs(p obs.Phase, ns int64) {
 	if e.rec != nil {
 		e.rec.AddPhase(p, ns)
 	}

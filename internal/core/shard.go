@@ -58,9 +58,8 @@ type Sharded struct {
 
 	comm *measuredComm
 
-	// overlap selects the streaming pipeline (per-subbox readiness with
-	// compute/communication overlap and compressed frames; default) over
-	// the PR 4 barrier-staged pipeline kept as a bisection escape hatch.
+	// overlap lets stage A fill receive gaps with ready work (default);
+	// off is the no-fill schedule (see SetOverlap).
 	overlap bool
 	// lastStream snapshots the summed per-shard stream tallies so each
 	// evaluation's delta can feed the obs counters.
@@ -112,12 +111,10 @@ type shardMsg struct {
 	kind    uint8
 	epoch   uint32 // recovery epoch the message belongs to
 	xid     uint32 // exchange id (driver-minted, globally unique)
-	crc     uint32 // CRC32 (IEEE) over the payload (remote sends only)
+	crc     uint32 // CRC32 (IEEE) over the frame (remote sends only)
 	attempt uint8  // transmission attempt (1 = first send)
 	flags   uint8  // msgLoopback etc.
-	pos     []fixp.Vec3
-	f       []Force3
-	frame   []byte // compressed payload (streaming pipeline; pos/f nil)
+	frame   []byte // compressed payload (shardcodec.go)
 }
 
 // shardCmd is one broadcast work item: the stage closure plus the
@@ -151,7 +148,6 @@ type shardState struct {
 	gotPos  []uint32       // per-sender xid stamps: position import applied
 	gotF    []uint32       // per-sender xid stamps: short-force export applied
 	gotFL   []uint32       // per-sender xid stamps: long-force export applied
-	crcBuf  []byte         // payload serialization scratch for CRC32
 	tstats  transportTally // transport accounting (driver-read between stages)
 
 	// Static work assignment (NT pair node; set once at construction).
@@ -220,6 +216,8 @@ type shardState struct {
 	footFrames   [][]byte    // per impSrcs entry: encoded short-force frame
 	exclFrames   [][]byte    // per exclFootDst entry: encoded long-force frame
 	stream       streamTally // overlap/compression accounting (driver-read)
+	bodyNs       int64       // wall of the last stage A/B body (driver-read)
+	meshNs       int64       // of which spread (stage A) / interpolate (stage B)
 
 	// Constraint scratch (group-local, maxGroupLen).
 	shakeCur, shakeRef, rattleVel []vec.V3
@@ -392,38 +390,14 @@ func (s *Sharded) runEach(stage uint8, send, body func(*shardState)) *stageFail 
 // Engine exposes the underlying engine for read-only reporting.
 func (s *Sharded) Engine() *Engine { return s.E }
 
-// SetOverlap selects between the streaming pipeline (true, the default:
-// per-subbox readiness, compute/communication overlap, compressed
-// frames) and the barrier-staged pipeline (false: PR 4 semantics, no
-// compression). Both produce bitwise-identical trajectories; the flag
-// exists so a streaming regression can be bisected against the barrier
-// path. Driver-serial: call between Step calls (or before the first).
-func (s *Sharded) SetOverlap(on bool) {
-	if s.overlap == on {
-		return
-	}
-	s.overlap = on
-	if !on {
-		return
-	}
-	// Re-entering the streaming path: the barrier legs exchanged full
-	// positions without advancing the senders' codec state, so resync
-	// both sides of every predictor base from the canonical state — the
-	// same reset rebuildViews performs.
-	e := s.E
-	for _, st := range s.shards {
-		for oi, a := range st.owned {
-			st.prevPosOut[oi] = e.Pos[a]
-			st.prevDeltaOut[oi] = fixp.Vec3{}
-		}
-		for _, a := range st.needAll {
-			st.lpos[a] = e.Pos[a]
-			st.ldelta[a] = fixp.Vec3{}
-		}
-	}
-}
+// SetOverlap(false) selects the no-fill schedule of stage A: wait for
+// every import, then compute — the barrier schedule over the same frames,
+// transport and results. It is the A/B hook that prices the readiness
+// ledger (bench's core.shard.barrier_step_ms), not a user option.
+// Driver-serial: call between Step calls (or before the first).
+func (s *Sharded) SetOverlap(on bool) { s.overlap = on }
 
-// Overlap reports whether the streaming pipeline is selected.
+// Overlap reports whether stage A fills receive gaps with ready work.
 func (s *Sharded) Overlap() bool { return s.overlap }
 
 // Shards returns the virtual node count.

@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"reflect"
 	"testing"
+	"time"
 
 	"anton/internal/obs"
 	"anton/internal/obs/health"
@@ -173,6 +174,35 @@ func TestShardZeroPerturbation(t *testing.T) {
 	}
 	if w.Registry().Worst() > health.SevWarn {
 		t.Errorf("watchdogs latched %v on a healthy sharded run", w.Registry().Worst())
+	}
+}
+
+// TestShardPhaseAttribution: a sharded run books mesh time where it is
+// spent — spreading and interpolation happen inside the shard stages and
+// must still surface under the monolithic engine's mesh phases — and the
+// phases close the books: their sum is the wall of the steps.
+func TestShardPhaseAttribution(t *testing.T) {
+	skipShort(t)
+	sh := smallWaterSharded(t, 8, nil)
+	sh.Step(4) // prime and warm up outside the measured window
+	rec := obs.NewRecorder()
+	sh.Observe(rec)
+	const steps = 40
+	start := time.Now()
+	sh.Step(steps)
+	wall := time.Since(start).Nanoseconds()
+	snap := rec.Snapshot()
+
+	refreshes := int64(steps / sh.E.Cfg.MTSInterval)
+	for _, p := range []obs.Phase{obs.PhaseMeshSpread, obs.PhaseMeshInterp} {
+		ps := snap.Phases[p]
+		if ps.Ns == 0 || ps.Calls < refreshes {
+			t.Errorf("%s: %d ns over %d calls, want non-zero on each of %d refresh steps", ps.Name, ps.Ns, ps.Calls, refreshes)
+		}
+	}
+	if d := wall - snap.PhaseWallNs; d < 0 || float64(d) > 0.02*float64(wall) {
+		t.Errorf("phases sum to %d ns of %d ns step wall (%.2f%% unaccounted, want within 2%%)",
+			snap.PhaseWallNs, wall, 100*float64(d)/float64(wall))
 	}
 }
 

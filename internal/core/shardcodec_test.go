@@ -1,6 +1,7 @@
 package core
 
 import (
+	"encoding/binary"
 	"math"
 	"math/rand"
 	"testing"
@@ -145,4 +146,114 @@ func TestCodecDeltaChaining(t *testing.T) {
 			}
 		}
 	}
+}
+
+// Fuzz targets for the one wire format shards exchange. Each input is
+// used twice: as a hostile frame (decoding arbitrary bytes must fail
+// cleanly — errShortFrame or nothing, never a panic or an index out of
+// range) and as a payload (every bit pattern, wraparound included, must
+// survive encode → decode, and the frame must reject truncation and
+// trailing bytes). The seeds are the extremes TestCodecRoundTrip draws
+// from and a TestCodecDeltaChaining-style small walk.
+
+func fuzzSeeds(f *testing.F) {
+	var extremes, walk []byte
+	for _, v := range []uint64{0, 1, math.MaxUint64, math.MaxInt64, 1 << 63, math.MaxInt32, 1 << 31, math.MaxUint32, math.MaxInt64 - 1} {
+		extremes = binary.LittleEndian.AppendUint64(extremes, v)
+	}
+	for i := uint32(0); i < 36; i++ {
+		walk = binary.LittleEndian.AppendUint32(walk, 1<<20+i*1024)
+	}
+	f.Add([]byte(nil), uint8(0))
+	f.Add([]byte{0x80}, uint8(1))                                                       // unterminated varint
+	f.Add([]byte{0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x7f}, uint8(1)) // varint overflow
+	f.Add(extremes, uint8(3))
+	f.Add(walk, uint8(4))
+}
+
+func FuzzPosFrame(f *testing.F) {
+	fuzzSeeds(f)
+	f.Fuzz(func(t *testing.T, data []byte, n uint8) {
+		atoms := make([]int32, n)
+		for i := range atoms {
+			atoms[i] = int32(i)
+		}
+		if err := decodePosFrame(data, atoms, make([]fixp.Vec3, n), make([]fixp.Vec3, n)); err != nil && err != errShortFrame {
+			t.Fatalf("hostile frame: %v", err)
+		}
+
+		// Payload view: 36-byte records of (prev, prevDelta, cur).
+		vec := func(b []byte) fixp.Vec3 {
+			return fixp.Vec3{
+				X: fixp.F32(binary.LittleEndian.Uint32(b)),
+				Y: fixp.F32(binary.LittleEndian.Uint32(b[4:])),
+				Z: fixp.F32(binary.LittleEndian.Uint32(b[8:])),
+			}
+		}
+		m := len(data) / 36
+		prev, prevDelta, cur := make([]fixp.Vec3, m), make([]fixp.Vec3, m), make([]fixp.Vec3, m)
+		atoms = atoms[:0]
+		for i := 0; i < m; i++ {
+			r := data[i*36:]
+			prev[i], prevDelta[i], cur[i] = vec(r), vec(r[12:]), vec(r[24:])
+			atoms = append(atoms, int32(i))
+		}
+		lpos := append([]fixp.Vec3(nil), prev...)
+		ldelta := append([]fixp.Vec3(nil), prevDelta...)
+		frame := appendPosFrame(nil, cur, prev, prevDelta)
+		if err := decodePosFrame(frame, atoms, lpos, ldelta); err != nil {
+			t.Fatalf("own frame: %v", err)
+		}
+		for i := range cur {
+			if lpos[i] != cur[i] || ldelta[i] != prevDelta[i] {
+				t.Fatalf("atom %d round-trips to %+v (delta %+v), want %+v (delta %+v)", i, lpos[i], ldelta[i], cur[i], prevDelta[i])
+			}
+		}
+		if m > 0 {
+			if err := decodePosFrame(frame[:len(frame)-1], atoms, lpos, ldelta); err != errShortFrame {
+				t.Fatalf("truncated frame: got %v, want errShortFrame", err)
+			}
+			if err := decodePosFrame(append(frame, 0), atoms, lpos, ldelta); err != errShortFrame {
+				t.Fatalf("trailing byte: got %v, want errShortFrame", err)
+			}
+		}
+	})
+}
+
+func FuzzForceFrame(f *testing.F) {
+	fuzzSeeds(f)
+	f.Fuzz(func(t *testing.T, data []byte, n uint8) {
+		if err := decodeForceFrame(data, int(n), func(int, Force3) {}); err != nil && err != errShortFrame {
+			t.Fatalf("hostile frame: %v", err)
+		}
+
+		// Payload view: 24-byte int64 triples.
+		forces := make([]Force3, len(data)/24)
+		for i := range forces {
+			r := data[i*24:]
+			forces[i] = Force3{
+				X: int64(binary.LittleEndian.Uint64(r)),
+				Y: int64(binary.LittleEndian.Uint64(r[8:])),
+				Z: int64(binary.LittleEndian.Uint64(r[16:])),
+			}
+		}
+		frame := appendForceFrame(nil, forces)
+		got := make([]Force3, len(forces))
+		if err := decodeForceFrame(frame, len(forces), func(i int, v Force3) { got[i] = v }); err != nil {
+			t.Fatalf("own frame: %v", err)
+		}
+		for i := range forces {
+			if got[i] != forces[i] {
+				t.Fatalf("force %d round-trips to %+v, want %+v", i, got[i], forces[i])
+			}
+		}
+		if len(forces) > 0 {
+			if err := decodeForceFrame(frame[:len(frame)-1], len(forces), func(int, Force3) {}); err != errShortFrame {
+				t.Fatalf("truncated frame: got %v, want errShortFrame", err)
+			}
+			if err := decodeForceFrame(append(frame, 0), len(forces), func(int, Force3) {}); err != errShortFrame {
+				t.Fatalf("trailing byte: got %v, want errShortFrame", err)
+			}
+		}
+	})
 }

@@ -168,11 +168,11 @@ type MeasuredComm struct {
 	Mesh      torus.Stats
 	Migration torus.Stats
 
-	// Wire compression of the streaming pipeline, per traffic class (zero
-	// on the barrier path): raw is the uncompressed payload the torus
-	// model routes, wire is the varint frame bytes actually sent
-	// (loopback deliveries excluded). Deterministic for a fixed config —
-	// frame sizes are a function of the trajectory alone.
+	// Wire compression of the shard frames, per traffic class: raw is the
+	// uncompressed payload the torus model routes, wire is the varint
+	// frame bytes actually sent (loopback deliveries excluded).
+	// Deterministic for a fixed config — frame sizes are a function of the
+	// trajectory alone.
 	PosRawBytes    int64 `json:"pos_raw_bytes"`
 	PosWireBytes   int64 `json:"pos_wire_bytes"`
 	ForceRawBytes  int64 `json:"force_raw_bytes"`

@@ -9,36 +9,34 @@ import (
 // shard through its command channel; the driver's wait between stages is
 // the barrier. Within a stage a shard first performs all its sends, then
 // receives its expected message count — the inboxes are buffered to hold
-// a full exchange, so sends never block and a stage cannot deadlock.
+// a whole evaluation's message set, so sends never block and a stage
+// cannot deadlock.
 //
 // Stage map (driver-serial collectives marked *):
 //
 //	S1  integratePre     half-kick, drift (owned atoms)
 //	S2  constrainPre     SHAKE + virtual-site placement (owned groups)
 //	 *  decode/residency position cache refresh, early-migration check
-//	S3  exchangePositions   position import messages; local views refresh
-//	S4  compute          range-limited pairs, bonded, 1-4; on refresh:
-//	                     exclusion corrections + mesh charge spreading
+//	A   streamBody       position frames out, then the readiness loop
+//	                     over the imports: range-limited pairs per
+//	                     dependency group, bonded, 1-4; on refresh
+//	                     exclusion corrections + mesh charge spreading;
+//	                     force frames out
 //	 *  mergeMesh        wrapping merge of shard mesh counts; FFT convolve
-//	S5  interpolate      (refresh) long-range force interpolation (owned)
-//	S6  mergeForces      force export messages; owner merges + vsite spread
+//	B   finishForces     (refresh) long-range interpolation (owned);
+//	                     owner merges force frames + vsite spread
 //	 *  diagnostics      float energy/tally merge in ascending shard order
 //	S7  integratePost    half-kick (owned atoms)
 //	S8  constrainPost    RATTLE (owned groups); * Berendsen collective
 //	 *  migration        deferred migration + view rebuild when due
 //
-// With overlap on (the default) the force evaluation S3..S6 collapses
-// into the two streaming stages of shardstream.go, sharing one exchange
-// id: stage A sends compressed position frames and runs the readiness
-// loop (dependency groups execute on arrival, mesh spread fills waits,
-// force frames export before the spread tail), the mesh collective runs
-// between, and stage B merges force frames (buffered early arrivals
-// first). SetOverlap(false) restores the barrier stages below verbatim.
-//
-// The phases reported to the observability layer are the monolithic
-// engine's (no new phase enums): S1/S7 time as Integration, S2/S8 as
-// Constraints, S3 as PairGather, S4 as PairMatch, S6 as PairReduce, and
-// the collectives keep their monolithic phases.
+// Stages A and B are the force evaluation (shardstream.go) and share one
+// exchange id. The phases reported to the observability layer are the
+// monolithic engine's (no new phase enums): S1/S7 time as Integration,
+// S2/S8 as Constraints, stage A's wall splits between PairMatch and
+// MeshSpread and stage B's between PairReduce and MeshInterp in
+// proportion to the shards' own timers (see obsStageSplit), and the
+// collectives keep their monolithic phases.
 //
 // Under fault injection every stage can fail: a shard goroutine may have
 // been crashed by the fault plane, leaving the stage barrier incomplete.
@@ -53,16 +51,16 @@ import (
 
 // Pipeline stage identifiers — the "phase" key of the fault plane's
 // deterministic draws (stalls are keyed by (step, stage, shard); crashes
-// fire at the position exchange, before or after its send half).
+// fire at the position exchange, before or after its send half). The
+// values are part of every recorded campaign: 3 and 4 belonged to stages
+// that no longer exist and stay unused so the others keep their draws.
 const (
-	stIntegratePre uint8 = iota
-	stConstrainPre
-	stExchangePos
-	stCompute
-	stInterpolate
-	stMergeForces
-	stIntegratePost
-	stConstrainPost
+	stIntegratePre  uint8 = 0
+	stConstrainPre  uint8 = 1
+	stExchangePos   uint8 = 2 // stage A
+	stMergeForces   uint8 = 5 // stage B
+	stIntegratePost uint8 = 6
+	stConstrainPost uint8 = 7
 )
 
 // stageFail reports an incomplete stage barrier: the executors that never
@@ -147,10 +145,13 @@ func (s *Sharded) stepOnce() *stageFail {
 	return nil
 }
 
-// computeForces runs one force evaluation, dispatching between the
-// streaming pipeline (default; see shardstream.go) and the barrier
-// pipeline kept as the bisection escape hatch (SetOverlap(false)). Both
-// produce bitwise-identical trajectories.
+// computeForces runs one force evaluation through the two streaming
+// stages (one exchange id shared by both): stage A sends the position
+// frames, computes per dependency group as imports arrive and ends with
+// the force exports, the driver runs the mesh collectives, and stage B
+// assembles the canonical forces. Stage A keeps the stExchangePos
+// fault-plane identity (crash points fire there), stage B keeps
+// stMergeForces.
 func (s *Sharded) computeForces(refresh bool) *stageFail {
 	e := s.E
 
@@ -165,30 +166,15 @@ func (s *Sharded) computeForces(refresh bool) *stageFail {
 		s.migrate()
 	}
 
-	if s.overlap {
-		return s.computeForcesStream(refresh)
-	}
-	return s.computeForcesBarrier(refresh)
-}
-
-// computeForcesStream runs the evaluation through the two streaming
-// stages (one exchange id shared by both): stage A overlaps per-group
-// compute with the import flight and ends with the force exports, the
-// driver runs the mesh collectives, and stage B assembles the canonical
-// forces. Stage A keeps the stExchangePos fault-plane identity (crash
-// points fire there), stage B keeps stMergeForces; the intermediate
-// barrier-path stage ids simply draw no stalls on this path.
-func (s *Sharded) computeForcesStream(refresh bool) *stageFail {
-	e := s.E
-
-	t0 := e.obsNow()
+	t0 = e.obsNow()
 	x := s.newExchange()
+	fill := s.overlap
 	if f := s.runEach(stExchangePos,
 		func(st *shardState) { st.sendPositionsStream(x) },
-		func(st *shardState) { st.streamBody(x, refresh) }); f != nil {
+		func(st *shardState) { st.streamBody(x, refresh, fill) }); f != nil {
 		return f
 	}
-	e.obsPhase(obs.PhasePairMatch, t0)
+	s.obsStageSplit(t0, obs.PhaseMeshSpread, obs.PhasePairMatch)
 	s.comm.noteImport(e.rec)
 
 	if refresh {
@@ -203,12 +189,37 @@ func (s *Sharded) computeForcesStream(refresh bool) *stageFail {
 		func(st *shardState) { st.finishForces(x, refresh) }); f != nil {
 		return f
 	}
-	e.obsPhase(obs.PhasePairReduce, t0)
+	s.obsStageSplit(t0, obs.PhaseMeshInterp, obs.PhasePairReduce)
 	s.comm.noteExport(e.rec, refresh)
 
 	s.mergeDiagnostics(refresh)
 	s.noteStream()
 	return nil
+}
+
+// obsStageSplit closes a stage opened at t0 = obsNow(), booking its wall
+// to two phases: the share of their stage bodies the shards spent in mesh
+// work (summed meshNs over summed bodyNs, both stamped by the body) goes
+// to mesh, the remainder to rest. A sharded run thereby reports spreading
+// and interpolation under the monolithic engine's phases, and the phases
+// still sum to the stage wall.
+func (s *Sharded) obsStageSplit(t0 int64, mesh, rest obs.Phase) {
+	e := s.E
+	if e.rec == nil && e.trc == nil {
+		return
+	}
+	wall := e.obsNow() - t0
+	var meshNs, bodyNs int64
+	for _, st := range s.shards {
+		meshNs += st.meshNs
+		bodyNs += st.bodyNs
+	}
+	var share int64
+	if meshNs > 0 { // refresh evaluations only
+		share = int64(float64(wall) * float64(meshNs) / float64(bodyNs))
+		e.obsPhaseNs(mesh, share)
+	}
+	e.obsPhaseNs(rest, wall-share)
 }
 
 // noteStream folds the evaluation's overlap/compression deltas into the
@@ -228,54 +239,6 @@ func (s *Sharded) noteStream() {
 	e.rec.Add(obs.CtrPosWireBytes, d.PosWireB)
 	e.rec.Add(obs.CtrForceRawBytes, d.ForceRawB)
 	e.rec.Add(obs.CtrForceWireBytes, d.ForceWireB)
-}
-
-// computeForcesBarrier is the PR 4 barrier-staged evaluation, mirroring
-// Engine.computeForces stage for stage.
-func (s *Sharded) computeForcesBarrier(refresh bool) *stageFail {
-	e := s.E
-
-	t0 := e.obsNow()
-	x := s.newExchange()
-	if f := s.runEach(stExchangePos,
-		func(st *shardState) { st.sendPositions(x) },
-		func(st *shardState) { st.recvPositions(x) }); f != nil {
-		return f
-	}
-	e.obsPhase(obs.PhasePairGather, t0)
-	s.comm.noteImport(e.rec)
-
-	t0 = e.obsNow()
-	if f := s.runEach(stCompute, nil, func(st *shardState) { st.compute(refresh) }); f != nil {
-		return f
-	}
-	e.obsPhase(obs.PhasePairMatch, t0)
-
-	if refresh {
-		s.mergeMesh()
-		t0 = e.obsNow()
-		e.mesh.convolve(e.workers())
-		e.obsPhase(obs.PhaseFFT, t0)
-		t0 = e.obsNow()
-		if f := s.runEach(stInterpolate, nil, func(st *shardState) { st.interpolate() }); f != nil {
-			return f
-		}
-		e.obsPhase(obs.PhaseMeshInterp, t0)
-	}
-
-	t0 = e.obsNow()
-	xf := s.newExchange()
-	if f := s.runEach(stMergeForces,
-		func(st *shardState) { st.sendForces(xf, refresh) },
-		func(st *shardState) { st.recvForces(xf, refresh) }); f != nil {
-		return f
-	}
-	e.obsPhase(obs.PhasePairReduce, t0)
-	s.comm.noteExport(e.rec, refresh)
-
-	s.mergeDiagnostics(refresh)
-	s.noteStream() // byte deltas are zero here; blocked ns is the A/B baseline
-	return nil
 }
 
 // mergeMesh merges the shards' fixed-point mesh contributions into the
@@ -416,6 +379,7 @@ func (s *Sharded) migrate() {
 	s.comm.fold()
 	copy(s.prevBoxOf, e.boxOf)
 	e.migrate()
+	t0 := e.obsNow()
 	var moved int64
 	for i := range e.boxOf {
 		if e.boxOf[i] != s.prevBoxOf[i] {
@@ -432,6 +396,7 @@ func (s *Sharded) migrate() {
 	if e.trc != nil && e.trc.NodeLanesEnabled() {
 		e.refreshNodeLanes()
 	}
+	e.obsPhase(obs.PhaseMigration, t0)
 }
 
 // --- Shard stage bodies. Each runs on the shard's goroutine and touches
@@ -472,112 +437,6 @@ func (st *shardState) constrainPre(dt float64) {
 	}
 }
 
-// sendPositions: multicast the home box's atoms to every importer (the
-// send half of the position exchange).
-func (st *shardState) sendPositions(x *xchg) {
-	e := st.s.E
-	for oi, a := range st.owned {
-		st.posOut[oi] = e.Pos[a]
-	}
-	st.beginSend()
-	for _, dst := range st.expDsts {
-		st.sendMsg(x, dst, msgPos, st.posOut, nil)
-	}
-}
-
-// recvPositions: receive the imports, refresh the local float/slot views,
-// and zero the local accumulators for this evaluation.
-func (st *shardState) recvPositions(x *xchg) {
-	e := st.s.E
-	shards := st.s.shards
-	for _, a := range st.owned {
-		st.lpos[a] = e.Pos[a]
-	}
-	ok := st.runProtocol(x, len(st.impSrcs), func(m *shardMsg) bool {
-		if m.kind != msgPos {
-			return false
-		}
-		if x.reliable() {
-			if st.gotPos[m.from] == x.xid {
-				return false
-			}
-			st.gotPos[m.from] = x.xid
-		}
-		for oi, a := range shards[m.from].owned {
-			st.lpos[a] = m.pos[oi]
-		}
-		return true
-	})
-	if !ok {
-		return // aborted: recovery restores everything from the checkpoint
-	}
-	k := &e.pk
-	for _, a := range st.needAll {
-		st.lposF[a] = e.Coder.Decode(st.lpos[a])
-		st.lfShort[a] = Force3{}
-	}
-	for _, sb := range st.touchedSubs {
-		for slot := k.subStart[sb]; slot < k.subStart[sb+1]; slot++ {
-			a := k.atomOf[slot]
-			st.spos[slot] = st.lpos[a]
-			st.sbuf[slot] = Force3{}
-		}
-	}
-}
-
-// compute: the shard's share of every force class. Range-limited pairs go
-// through the shared pair kernel against the shard's slot views; bonded,
-// 1-4 and (on refresh) exclusion terms run on the local position views;
-// refresh steps also spread the owned atoms' charges onto the private
-// mesh buffer.
-func (st *shardState) compute(refresh bool) {
-	e := st.s.E
-	k := &e.pk
-	top := e.Sys.Top
-
-	st.energyRL, st.energyBonded, st.energyP14 = 0, 0, 0
-	st.energyExcl, st.energyMesh = 0, 0
-	st.tally = tally{}
-	st.virial = htis.Virial{}
-	st.spreadTally, st.interpTally = 0, 0
-
-	e.pairScan(st.myPairs, st.spos, st.sbuf, &st.batch,
-		&st.energyRL, &st.tally, &st.virial)
-	for _, sb := range st.touchedSubs {
-		for slot := k.subStart[sb]; slot < k.subStart[sb+1]; slot++ {
-			if f := st.sbuf[slot]; f != (Force3{}) {
-				a := k.atomOf[slot]
-				st.lfShort[a] = st.lfShort[a].Add(f)
-			}
-		}
-	}
-
-	for _, t := range st.bondTerms {
-		st.energyBonded += e.bondedTerm(int(t), st.lposF, st.scratch, st.lfShort)
-	}
-	for _, pi := range st.pair14Idx {
-		st.energyP14 += e.pair14One(&e.pair14[pi], st.lpos, st.lfShort)
-	}
-
-	if refresh {
-		for _, a := range st.exclTouch {
-			st.lfLong[a] = Force3{}
-		}
-		st.energyExcl = e.exclScan(st.exclTerms, st.lpos, st.lfLong)
-		ms := e.mesh
-		for i := range st.meshCounts {
-			st.meshCounts[i] = 0
-		}
-		for _, a := range st.owned {
-			q := top.Atoms[a].Charge
-			if q == 0 {
-				continue
-			}
-			st.spreadTally += ms.spreadAtom(q, st.lposF[a], st.meshCounts)
-		}
-	}
-}
-
 // interpolate (refresh steps): zero the owned long-range forces and add
 // the mesh interpolation for owned charged atoms. Reads only the shared
 // post-convolution mesh.
@@ -597,93 +456,6 @@ func (st *shardState) interpolate() {
 		st.energyMesh += en
 		e.fLong[a] = e.fLong[a].AddRaw(fx, fy, fz)
 		st.interpTally += n
-	}
-}
-
-// sendForces: export force contributions to the home boxes (the send half
-// of the force merge).
-func (st *shardState) sendForces(x *xchg, refresh bool) {
-	st.beginSend()
-	for di, dst := range st.impSrcs {
-		out := st.footOut[di]
-		for oi, a := range st.footAtoms[di] {
-			out[oi] = st.lfShort[a]
-		}
-		st.sendMsg(x, dst, msgForce, nil, out)
-	}
-	if refresh {
-		for di, dst := range st.exclFootDst {
-			out := st.exclFootOut[di]
-			for oi, a := range st.exclFootAtoms[di] {
-				out[oi] = st.lfLong[a]
-			}
-			st.sendMsg(x, dst, msgForceLong, nil, out)
-		}
-	}
-}
-
-// recvForces: assemble the owned atoms' canonical forces from the local
-// accumulation plus received messages, and finally spread virtual-site
-// forces (only after the site's force is fully merged — the spread
-// rounding is nonlinear in the total).
-func (st *shardState) recvForces(x *xchg, refresh bool) {
-	e := st.s.E
-	for _, a := range st.owned {
-		e.fShort[a] = st.lfShort[a]
-	}
-	if refresh {
-		// Only the entries this shard's exclusion terms touched are valid
-		// in lfLong (it is sparse-zeroed); the rest would be stale.
-		for _, a := range st.exclTouchOwned {
-			e.fLong[a] = e.fLong[a].Add(st.lfLong[a])
-		}
-	}
-
-	expect := st.inFoot
-	if refresh {
-		expect += st.inExclFoot
-	}
-	ok := st.runProtocol(x, expect, func(m *shardMsg) bool {
-		switch m.kind {
-		case msgForce:
-			if x.reliable() {
-				if st.gotF[m.from] == x.xid {
-					return false
-				}
-				st.gotF[m.from] = x.xid
-			}
-			for oi, a := range st.inFootFrom[m.from] {
-				e.fShort[a] = e.fShort[a].Add(m.f[oi])
-			}
-			return true
-		case msgForceLong:
-			if !refresh {
-				return false
-			}
-			if x.reliable() {
-				if st.gotFL[m.from] == x.xid {
-					return false
-				}
-				st.gotFL[m.from] = x.xid
-			}
-			for oi, a := range st.inExclFootFrom[m.from] {
-				e.fLong[a] = e.fLong[a].Add(m.f[oi])
-			}
-			return true
-		}
-		return false
-	})
-	if !ok {
-		return // aborted: recovery restores everything from the checkpoint
-	}
-
-	if refresh {
-		for _, vi := range st.vsites {
-			spreadVSiteForce(e.fLong, &e.Sys.Top.VSites[vi])
-		}
-	}
-	for _, vi := range st.vsites {
-		spreadVSiteForce(e.fShort, &e.Sys.Top.VSites[vi])
 	}
 }
 

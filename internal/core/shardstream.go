@@ -7,19 +7,18 @@ import (
 	"anton/internal/htis"
 )
 
-// The streaming shard pipeline (Anton 3-style compute/communication
-// overlap). The barrier pipeline in shardstep.go waits for every halo
-// import before touching a single pair; here each shard instead keeps a
-// readiness ledger over sender-keyed dependency groups: the pair list is
-// partitioned by the exact set of import sources whose slot atoms the
-// pair reads, the receive loop decrements each group's countdown as its
-// senders arrive, and groups run the moment their count hits zero —
-// while later imports are still in flight. Mesh charge spreading (which
-// needs only owned positions) doubles as filler work for receive gaps,
-// and force exports are sent before the spread tail so their flight
-// overlaps the remaining compute.
+// The shard force evaluation: a streaming pipeline (Anton 3-style
+// compute/communication overlap). Each shard keeps a readiness ledger
+// over sender-keyed dependency groups: the pair list is partitioned by
+// the exact set of import sources whose slot atoms the pair reads, the
+// receive loop decrements each group's countdown as its senders arrive,
+// and groups run the moment their count hits zero — while later imports
+// are still in flight. Mesh charge spreading (which needs only owned
+// positions) doubles as filler work for receive gaps, and force exports
+// are sent before the spread tail so their flight overlaps the remaining
+// compute.
 //
-// The force evaluation runs as two stages sharing one exchange id:
+// The evaluation runs as two stages sharing one exchange id:
 //
 //	A  sendPositionsStream   delta-compressed position frames out
 //	   streamBody            readiness-driven compute; early force
@@ -29,6 +28,12 @@ import (
 //	B  finishForces          interpolate, owner force assembly, buffered
 //	                         + remaining force frames applied, vsites
 //
+// No-fill: SetOverlap(false) runs the same stages with stage A's loop
+// only receiving, so every group, then the spread, runs in the serial
+// tail after the last import — the barrier schedule as the degenerate
+// case of the ledger. Frames, transport and results are identical; only
+// OverlapNs stays zero. It exists as the A/B baseline of the ledger.
+//
 // Two stages are the minimum under crash adoption: an executor running
 // several adopted states runs all send halves before all bodies, so a
 // body may only wait for data sent in a send half or an *earlier*
@@ -36,8 +41,8 @@ import (
 // consuming them must happen in a later stage — stage B.
 //
 // Bitwise contract: arrival order varies, accumulation does not matter.
-// Every force/mesh/virial accumulator is wrapping fixed-point (the PR 4
-// invariant: associative and commutative), each slot/atom is refreshed
+// Every force/mesh/virial accumulator is wrapping fixed-point
+// (associative and commutative), each slot/atom is refreshed
 // by exactly one sender, and each interaction is computed once from
 // bit-copied positions — so any interleaving of group execution and
 // frame application produces identical bits. The only order-sensitive
@@ -178,6 +183,11 @@ func (st *shardState) sendStream(x *xchg, dst int32, kind uint8, frame []byte, r
 	m := shardMsg{from: st.id, kind: kind, epoch: x.epoch, xid: x.xid, frame: frame}
 	sup := st.s.sup
 	if sup.execOf[dst] == sup.execOf[st.id] {
+		// Co-located: the receiving state runs on this goroutine later in
+		// the stage, so the protocol loop could never ack our send — mark
+		// the envelope pre-acked and deliver directly. The pending queue
+		// makes delivery infallible even with a flooded inbox (only the
+		// owning executor — us — touches it).
 		m.flags = msgLoopback
 		st.tstats.Loopbacks++
 		d := st.s.shards[dst]
@@ -202,11 +212,13 @@ func (st *shardState) sendStream(x *xchg, dst int32, kind uint8, frame []byte, r
 // readiness ledger, refresh the shard's own contribution, then drive the
 // import wait loop (running ready work in the gaps), and finish with the
 // serial compute tail, the force exports and the spread remainder.
-func (st *shardState) streamBody(x *xchg, refresh bool) {
+func (st *shardState) streamBody(x *xchg, refresh, fill bool) {
 	e := st.s.E
 	k := &e.pk
+	t0 := streamNow()
 
-	// Per-evaluation reset (the barrier path does this in compute()).
+	// Per-evaluation reset.
+	st.meshNs = 0
 	st.energyRL, st.energyBonded, st.energyP14 = 0, 0, 0
 	st.energyExcl, st.energyMesh = 0, 0
 	st.tally = tally{}
@@ -241,7 +253,7 @@ func (st *shardState) streamBody(x *xchg, refresh bool) {
 		st.sbuf[slot] = Force3{}
 	}
 
-	if !st.streamLoop(x, refresh, true, func() int { return len(st.impSrcs) - st.arrived }) {
+	if !st.streamLoop(x, refresh, fill, func() int { return len(st.impSrcs) - st.arrived }) {
 		return // aborted: recovery restores everything from the checkpoint
 	}
 
@@ -283,6 +295,7 @@ func (st *shardState) streamBody(x *xchg, refresh bool) {
 	if refresh && !st.spreadDone {
 		st.runSpread()
 	}
+	st.bodyNs = streamNow() - t0
 }
 
 // runGroup computes one dependency group's pairs. The batch is empty at
@@ -300,6 +313,7 @@ func (st *shardState) runGroup(gi int32) {
 // buffer — the guaranteed-ready filler work for receive gaps (it reads
 // only owned positions, refreshed at stage entry).
 func (st *shardState) runSpread() {
+	t0 := streamNow()
 	e := st.s.E
 	ms := e.mesh
 	top := e.Sys.Top
@@ -314,6 +328,7 @@ func (st *shardState) runSpread() {
 		st.spreadTally += ms.spreadAtom(q, st.lposF[a], st.meshCounts)
 	}
 	st.spreadDone = true
+	st.meshNs = streamNow() - t0
 }
 
 // runOneReady executes one unit of ready work — the next runnable group,
@@ -442,19 +457,22 @@ func (st *shardState) applyStream(x *xchg, m *shardMsg, refresh bool) bool {
 }
 
 // handleStream runs one received envelope through the staleness,
-// integrity and idempotence layers, then applyStream. The layering is
-// runProtocol's handleData with kind-dispatch instead of a single apply.
+// integrity and idempotence layers, then applyStream.
 func (st *shardState) handleStream(x *xchg, m *shardMsg, refresh bool) {
 	if !x.reliable() {
 		st.applyStream(x, m, refresh)
 		return
 	}
 	if m.epoch != x.epoch || m.xid != x.xid {
+		// From an earlier exchange or recovery epoch: the sender may
+		// already be refilling the frame's backing buffer — discard
+		// without touching it.
 		st.tstats.StaleDiscards++
 		return
 	}
 	loopback := m.flags&msgLoopback != 0
 	if !loopback && crc32.ChecksumIEEE(m.frame) != m.crc {
+		// Corrupted in flight. No ack: the sender's timeout retransmits.
 		st.tstats.CrcDiscards++
 		return
 	}
@@ -469,10 +487,24 @@ func (st *shardState) handleStream(x *xchg, m *shardMsg, refresh bool) {
 }
 
 // streamLoop drives one streaming stage to completion: receive until
-// pending() reaches zero and (reliable mode) every send is settled,
+// pending() reaches zero and (reliable mode) every send is *settled*,
 // filling receive gaps with ready work when fill is set. Work run inside
 // the loop counts as overlap; waits with nothing ready count as blocked.
-// Returns false if the supervisor aborted the stage.
+// Returns false if the supervisor aborted the stage — the shard's local
+// state is then garbage, and recovery restores everything from the
+// checkpoint.
+//
+// Settled means acked, OR transmitted beyond the plane's safe attempt
+// (which the plane guarantees to deliver). The second arm matters: the
+// exchange must not *require* acks to complete, because the final ack of
+// an exchange has no retransmission backstop — the receiver that sent it
+// moves on and parks, and a parked shard cannot re-ack. Waiting on a
+// dropped final ack would wedge the sender in the old stage until the
+// heartbeat aborts it, turning a routine ack drop into a full rollback.
+// With settle-by-attempt, acks only stop retransmission early; delivery
+// itself is guaranteed by the safe-attempt rule (a full-inbox drop at the
+// safe attempt is the one residual loss, and the heartbeat rollback is
+// the backstop for that).
 func (st *shardState) streamLoop(x *xchg, refresh, fill bool, pending func() int) bool {
 	if !x.reliable() {
 		for pending() > 0 {
@@ -496,10 +528,9 @@ func (st *shardState) streamLoop(x *xchg, refresh, fill bool, pending func() int
 		return true
 	}
 
-	// Reliable mode: the runProtocol settle/retransmit machinery with a
-	// work-filling idle branch. Loopback envelopes diverted by a full
-	// inbox are consumed first; they carry the current xid, so ordinary
-	// handling applies.
+	// Reliable mode: settle/retransmit with a work-filling idle branch.
+	// Loopback envelopes diverted by a full inbox are consumed first;
+	// they carry the current xid, so ordinary handling applies.
 	for i := range st.pending {
 		st.handleStream(x, &st.pending[i], refresh)
 	}
@@ -633,8 +664,11 @@ func (st *shardState) sendForcesStream(x *xchg, refresh bool) {
 // the spread rounding is nonlinear in the total.
 func (st *shardState) finishForces(x *xchg, refresh bool) {
 	e := st.s.E
+	t0 := streamNow()
+	st.meshNs = 0
 	if refresh {
 		st.interpolate()
+		st.meshNs = streamNow() - t0
 	}
 	for _, a := range st.owned {
 		e.fShort[a] = st.lfShort[a]
@@ -668,4 +702,5 @@ func (st *shardState) finishForces(x *xchg, refresh bool) {
 	for _, vi := range st.vsites {
 		spreadVSiteForce(e.fShort, &e.Sys.Top.VSites[vi])
 	}
+	st.bodyNs = streamNow() - t0
 }

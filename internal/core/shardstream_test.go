@@ -13,11 +13,14 @@ import (
 // is still bitwise the monolithic one, with the retransmit volume inside
 // the bound the settle rule implies.
 
-// TestStreamChaosReorder: a delay/stall campaign at 8 shards reorders
-// frame arrival across dependency groups for 150 steps (migrations and
-// long-range refreshes inside the window). Bitwise invariance plus a
-// hard retransmit bound: every envelope settles by attempt
-// SafeAttempt+2, so retransmits can never exceed Sends*(SafeAttempt+1).
+// TestStreamChaosReorder: 150 steps at 8 shards (migrations and
+// long-range refreshes inside the window) under two planes — a
+// delay/stall campaign that reorders frame arrival across dependency
+// groups, and a lossy one (drops, corruption, duplicates, one crash) that
+// drives the CRC/ack/retransmit/rollback machinery — each on both
+// schedules of stage A. Bitwise invariance plus a hard retransmit bound:
+// every envelope settles by attempt SafeAttempt+2, so retransmits can
+// never exceed Sends*(SafeAttempt+1).
 func TestStreamChaosReorder(t *testing.T) {
 	skipShort(t)
 	const steps = 150
@@ -25,31 +28,53 @@ func TestStreamChaosReorder(t *testing.T) {
 	ref := smallWaterEngine(t, 1, nil)
 	ref.Step(steps)
 
-	sp, err := faults.ParseSpec("seed=11,delay=0.25,stall=0.01,maxstall=3ms")
-	if err != nil {
-		t.Fatal(err)
+	planes := []struct{ name, spec string }{
+		{"reorder", "seed=11,delay=0.25,stall=0.01,maxstall=3ms"},
+		{"lossy", "seed=17,drop=0.03,corrupt=0.01,dup=0.02,crashes=1,horizon=100"},
 	}
-	sh := smallWaterSharded(t, 8, nil)
-	plane := faults.New(sp, sh.Shards())
-	if err := sh.EnableFaults(chaosConfig(plane)); err != nil {
-		t.Fatal(err)
-	}
-	sh.Step(steps)
-	assertBitwise(t, sh, ref, "stream reorder 8 shards")
+	for _, pl := range planes {
+		for _, fill := range []bool{true, false} {
+			name := pl.name + "-fill"
+			if !fill {
+				name = pl.name + "-nofill"
+			}
+			t.Run(name, func(t *testing.T) {
+				sp, err := faults.ParseSpec(pl.spec)
+				if err != nil {
+					t.Fatal(err)
+				}
+				sh := smallWaterSharded(t, 8, nil)
+				sh.SetOverlap(fill)
+				plane := faults.New(sp, sh.Shards())
+				if err := sh.EnableFaults(chaosConfig(plane)); err != nil {
+					t.Fatal(err)
+				}
+				sh.Step(steps)
+				assertBitwise(t, sh, ref, name)
 
-	ts := sh.TransportStats()
-	if ts.Sends == 0 {
-		t.Fatal("campaign carried no remote traffic")
-	}
-	if bound := ts.Sends * int64(sp.SafeAttempt+1); ts.Retransmits > bound {
-		t.Fatalf("retransmits %d exceed the settle bound %d (sends %d, safe attempt %d)",
-			ts.Retransmits, bound, ts.Sends, sp.SafeAttempt)
-	}
-	if ts.BlockedNs == 0 && ts.OverlapNs == 0 {
-		t.Fatal("streaming loop recorded no overlap/blocked time at all")
-	}
-	if ts.PosWireBytes == 0 || ts.ForceWireBytes == 0 {
-		t.Fatalf("compressed frames carried no bytes: %+v", ts)
+				rep := sh.FaultReport()
+				if rep.Recoveries < int64(sp.Crashes) {
+					t.Fatalf("recoveries = %d, want >= %d (the scheduled crash never fired)", rep.Recoveries, sp.Crashes)
+				}
+				ts := rep.Transport
+				if ts.Sends == 0 {
+					t.Fatal("campaign carried no remote traffic")
+				}
+				if bound := ts.Sends * int64(sp.SafeAttempt+1); ts.Retransmits > bound {
+					t.Fatalf("retransmits %d exceed the settle bound %d (sends %d, safe attempt %d)",
+						ts.Retransmits, bound, ts.Sends, sp.SafeAttempt)
+				}
+				if ts.BlockedNs == 0 && ts.OverlapNs == 0 {
+					t.Fatal("streaming loop recorded no overlap/blocked time at all")
+				}
+				if !fill && ts.OverlapNs != 0 {
+					t.Fatalf("no-fill schedule ran %d ns of work inside the receive loop", ts.OverlapNs)
+				}
+				if ts.PosWireBytes == 0 || ts.ForceWireBytes == 0 {
+					t.Fatalf("compressed frames carried no bytes: %+v", ts)
+				}
+			})
+		}
 	}
 }
 
@@ -87,8 +112,10 @@ func TestStreamChaosReorder64(t *testing.T) {
 	}
 }
 
-// TestStreamBarrierEscapeHatch: SetOverlap(false) is the barrier escape
-// hatch — bitwise the same trajectory, no compressed frames on the wire.
+// TestStreamBarrierEscapeHatch: SetOverlap(false) is the no-fill schedule
+// of the same stages — bitwise the same trajectory and, because frame
+// sizes are a function of the trajectory and not the schedule, exactly
+// the bytes of a fill run; only the overlap accounting stays zero.
 func TestStreamBarrierEscapeHatch(t *testing.T) {
 	skipShort(t)
 	const steps = 80
@@ -96,20 +123,30 @@ func TestStreamBarrierEscapeHatch(t *testing.T) {
 	ref := smallWaterEngine(t, 1, nil)
 	ref.Step(steps)
 
+	fill := smallWaterSharded(t, 8, nil)
+	fill.Step(steps)
+	assertBitwise(t, fill, ref, "fill schedule 8 shards")
+	want := fill.TransportStats()
+
 	sh := smallWaterSharded(t, 8, nil)
 	sh.SetOverlap(false)
 	if sh.Overlap() {
 		t.Fatal("SetOverlap(false) did not stick")
 	}
 	sh.Step(steps)
-	assertBitwise(t, sh, ref, "barrier path 8 shards")
+	assertBitwise(t, sh, ref, "no-fill schedule 8 shards")
 
 	ts := sh.TransportStats()
-	if ts.PosWireBytes != 0 || ts.ForceWireBytes != 0 || ts.OverlapNs != 0 {
-		t.Fatalf("barrier path recorded streaming accounting: %+v", ts)
+	if ts.OverlapNs != 0 {
+		t.Fatalf("no-fill schedule recorded %d ns of overlap", ts.OverlapNs)
 	}
 	if ts.BlockedNs == 0 {
-		t.Fatal("barrier path recorded no blocked-on-recv time (the A/B baseline)")
+		t.Fatal("no-fill schedule recorded no blocked-on-recv time (the A/B baseline)")
+	}
+	if ts.PosWireBytes == 0 || ts.ForceWireBytes == 0 ||
+		ts.PosRawBytes != want.PosRawBytes || ts.PosWireBytes != want.PosWireBytes ||
+		ts.ForceRawBytes != want.ForceRawBytes || ts.ForceWireBytes != want.ForceWireBytes {
+		t.Fatalf("wire accounting depends on the schedule:\n  fill:    %+v\n  no-fill: %+v", want, ts)
 	}
 }
 
@@ -149,9 +186,9 @@ func TestStreamWireDeterminism(t *testing.T) {
 	}
 }
 
-// TestStreamOverlapToggleMidRun: flipping the pipeline between Step
-// calls must not disturb the trajectory — the two paths share all engine
-// state and differ only in exchange scheduling.
+// TestStreamOverlapToggleMidRun: flipping the schedule between Step
+// calls must not disturb the trajectory — both advance the same codec
+// state over the same frames, so the toggle needs no resync.
 func TestStreamOverlapToggleMidRun(t *testing.T) {
 	skipShort(t)
 	const steps = 120 // 3 × 40, toggling each leg

@@ -1,22 +1,21 @@
 package core
 
 import (
-	"encoding/binary"
-	"hash/crc32"
 	"time"
 
 	"anton/internal/faults"
-	"anton/internal/fixp"
 )
 
-// The reliable shard transport. In plain runs (no fault plane attached)
-// the transport is exactly PR 4's: blocking buffered-channel sends and
-// counted receives, with no per-message overhead. With a supervisor
-// attached (EnableFaults) every remote message becomes an envelope
-// carrying a recovery epoch, the exchange id, and a payload CRC32; the
-// receiver acks each accepted or duplicate envelope, and the sender
-// retransmits unacked messages on a bounded-exponential-backoff timer.
-// Delivery becomes exactly-once at the application layer:
+// The reliable shard transport. Every message is one compressed frame
+// (shardcodec.go) sent by sendStream and consumed by streamLoop
+// (shardstream.go). In plain runs (no fault plane attached) that is a
+// blocking buffered-channel send and a counted receive, with no
+// per-message overhead. With a supervisor attached (EnableFaults) every
+// remote message becomes an envelope carrying a recovery epoch, the
+// exchange id, and a CRC32 of the frame; the receiver acks each accepted
+// or duplicate envelope, and the sender retransmits unacked messages on
+// a bounded-exponential-backoff timer. Delivery becomes exactly-once at
+// the application layer:
 //
 //   - staleness: an envelope whose (epoch, xid) is not the current
 //     exchange is discarded before its payload is touched — its backing
@@ -138,13 +137,12 @@ type TransportStats struct {
 	FullDrops     int64 `json:"full_drops"`
 
 	// Streaming-pipeline accounting. The ns fields measure the overlap
-	// ratio: compute-while-waiting (streaming only) vs blocked on recv
-	// (recorded on both pipelines — the barrier path's blocked time is
-	// the A/B baseline the overlap win is measured against). The byte
-	// fields measure the wire compression per traffic class (raw payload
-	// vs varint frame; loopbacks excluded; zero on the barrier path,
-	// which sends uncompressed). The byte counts are deterministic for a
-	// fixed config, the ns counts are wall clock.
+	// ratio: compute-while-waiting (zero on the no-fill schedule, whose
+	// blocked time is the A/B baseline the overlap win is measured
+	// against) vs blocked on recv. The byte fields measure the wire
+	// compression per traffic class (raw payload vs varint frame;
+	// loopbacks excluded). The byte counts are a function of the
+	// trajectory alone, the ns counts are wall clock.
 	OverlapNs      int64 `json:"overlap_ns"`
 	BlockedNs      int64 `json:"blocked_ns"`
 	PosRawBytes    int64 `json:"pos_raw_bytes"`
@@ -189,36 +187,6 @@ func (s *Sharded) TransportCounts() (sends, retransmits int64) {
 // beginSend resets the shard's in-flight send tracking for one exchange.
 func (st *shardState) beginSend() {
 	st.out = st.out[:0]
-}
-
-// sendMsg transmits one data message, dispatching on transport mode.
-func (st *shardState) sendMsg(x *xchg, dst int32, kind uint8, pos []fixp.Vec3, f []Force3) {
-	if !x.reliable() {
-		st.s.shards[dst].inbox <- shardMsg{from: st.id, kind: kind, pos: pos, f: f}
-		return
-	}
-	m := shardMsg{from: st.id, kind: kind, epoch: x.epoch, xid: x.xid, pos: pos, f: f}
-	sup := st.s.sup
-	if sup.execOf[dst] == sup.execOf[st.id] {
-		// Co-located: the receiving state runs on this goroutine later in
-		// the stage, so the protocol loop could never ack our send — mark
-		// the envelope pre-acked and deliver directly. The pending queue
-		// makes delivery infallible even with a flooded inbox (only the
-		// owning executor — us — touches it).
-		m.flags = msgLoopback
-		st.tstats.Loopbacks++
-		d := st.s.shards[dst]
-		select {
-		case d.inbox <- m:
-		default:
-			d.pending = append(d.pending, m)
-		}
-		return
-	}
-	m.crc = st.payloadCRC(pos, f)
-	st.out = append(st.out, outMsg{dst: dst, kind: kind, attempt: 1, m: m})
-	st.tstats.Sends++
-	st.deliver(x, &st.out[len(st.out)-1])
 }
 
 // deliver pushes one attempt of an in-flight message through the fault
@@ -300,208 +268,16 @@ func (st *shardState) sendAck(x *xchg, m *shardMsg) {
 	}
 }
 
-// runProtocol drives one exchange to completion: apply `expect` distinct
-// messages (apply returns false for duplicates and foreign kinds) and, in
-// reliable mode, retransmit every send on the backoff timer until it is
-// *settled*. Returns false if the supervisor aborted the stage — the
-// shard's local state is then garbage, and recovery restores everything
-// from the checkpoint.
-//
-// Settled means acked, OR transmitted beyond the plane's safe attempt
-// (which the plane guarantees to deliver). The second arm matters: the
-// exchange must not *require* acks to complete, because the final ack of
-// an exchange has no retransmission backstop — the receiver that sent it
-// moves on and parks, and a parked shard cannot re-ack. Waiting on a
-// dropped final ack would wedge the sender in the old stage until the
-// heartbeat aborts it, turning a routine ack drop into a full rollback.
-// With settle-by-attempt, acks only stop retransmission early; delivery
-// itself is guaranteed by the safe-attempt rule (a full-inbox drop at the
-// safe attempt is the one residual loss, and the heartbeat rollback is
-// the backstop for that).
-func (st *shardState) runProtocol(x *xchg, expect int, apply func(*shardMsg) bool) bool {
-	if !x.reliable() {
-		for applied := 0; applied < expect; {
-			var m shardMsg
-			select {
-			case m = <-st.inbox:
-			default:
-				// Nothing queued: this wait is the barrier path's
-				// blocked-on-recv time, the baseline the streaming
-				// pipeline's overlap is measured against.
-				t0 := streamNow()
-				m = <-st.inbox
-				st.stream.BlockedNs += streamNow() - t0
-			}
-			if apply(&m) {
-				applied++
-			}
-		}
-		return true
-	}
-	applied := 0
-	// Loopback envelopes diverted by a full inbox are consumed first;
-	// they carry the current xid, so ordinary handling applies.
-	for i := range st.pending {
-		st.handleData(x, &st.pending[i], apply, &applied)
-	}
-	st.pending = st.pending[:0]
-	settle := x.plane.Spec().SafeAttempt + 2
-	unsettled := 0
-	for i := range st.out {
-		if o := &st.out[i]; !o.acked && o.attempt < settle {
-			unsettled++
-		}
-	}
-	rto := rtoBase
-	timer := time.NewTimer(rto)
-	defer timer.Stop()
-	for applied < expect || unsettled > 0 {
-		progressed := false
-		// The select wait is the barrier path's blocked-on-recv time (an
-		// already-queued message returns immediately and adds ~nothing).
-		t0 := streamNow()
-		select {
-		case m := <-st.inbox:
-			st.handleData(x, &m, apply, &applied)
-			progressed = true
-		case a := <-st.acks:
-			if a.epoch == x.epoch && a.xid == x.xid {
-				for i := range st.out {
-					o := &st.out[i]
-					if !o.acked && o.dst == a.from && o.kind == a.kind {
-						o.acked = true
-						if o.attempt < settle {
-							unsettled--
-						}
-						break
-					}
-				}
-			}
-			progressed = true
-		case <-x.abort:
-			return false
-		case <-timer.C:
-			// Quiescence timeout: retransmit everything unsettled and back
-			// off. The plane never faults attempts >= SafeAttempt, so every
-			// message reaches its inbox within a bounded attempt count.
-			for i := range st.out {
-				o := &st.out[i]
-				if o.acked || o.attempt >= settle {
-					continue
-				}
-				o.attempt++
-				st.tstats.Retransmits++
-				st.deliver(x, o)
-				if o.attempt >= settle {
-					unsettled--
-				}
-			}
-			if rto < rtoMax {
-				rto *= 2
-			}
-			timer.Reset(rto)
-		}
-		st.stream.BlockedNs += streamNow() - t0
-		if progressed {
-			if !timer.Stop() {
-				select {
-				case <-timer.C:
-				default:
-				}
-			}
-			timer.Reset(rto)
-		}
-	}
-	return true
-}
-
-// handleData runs one received envelope through the staleness, integrity
-// and idempotence layers, then the apply closure.
-func (st *shardState) handleData(x *xchg, m *shardMsg, apply func(*shardMsg) bool, applied *int) {
-	if m.epoch != x.epoch || m.xid != x.xid {
-		// From an earlier exchange or recovery epoch: the sender may
-		// already be refilling the payload's backing buffer — discard
-		// without touching it.
-		st.tstats.StaleDiscards++
-		return
-	}
-	loopback := m.flags&msgLoopback != 0
-	if !loopback && st.payloadCRC(m.pos, m.f) != m.crc {
-		// Corrupted in flight. No ack: the sender's timeout retransmits.
-		st.tstats.CrcDiscards++
-		return
-	}
-	if apply(m) {
-		*applied++
-	} else {
-		st.tstats.DupDiscards++
-	}
-	if !loopback {
-		// Ack duplicates too — a duplicate usually means the first ack
-		// was lost or is still in flight.
-		st.sendAck(x, m)
-	}
-}
-
-// payloadCRC checksums an envelope payload (exactly one of pos/f is
-// non-nil) into the shard's scratch buffer.
-func (st *shardState) payloadCRC(pos []fixp.Vec3, f []Force3) uint32 {
-	buf := st.crcBuf[:0]
-	for _, p := range pos {
-		buf = binary.LittleEndian.AppendUint32(buf, uint32(p.X))
-		buf = binary.LittleEndian.AppendUint32(buf, uint32(p.Y))
-		buf = binary.LittleEndian.AppendUint32(buf, uint32(p.Z))
-	}
-	for _, v := range f {
-		buf = binary.LittleEndian.AppendUint64(buf, uint64(v.X))
-		buf = binary.LittleEndian.AppendUint64(buf, uint64(v.Y))
-		buf = binary.LittleEndian.AppendUint64(buf, uint64(v.Z))
-	}
-	st.crcBuf = buf
-	return crc32.ChecksumIEEE(buf)
-}
-
 // corruptMsg returns the envelope with one payload bit flipped in a
 // private copy (the original buffer belongs to the sender and may be
 // retransmitted intact).
 func corruptMsg(m shardMsg, raw uint64) shardMsg {
-	switch {
-	case len(m.frame) > 0:
+	if len(m.frame) > 0 {
 		cp := make([]byte, len(m.frame))
 		copy(cp, m.frame)
 		bit := raw % uint64(len(cp)*8)
 		cp[bit/8] ^= 1 << (bit % 8)
 		m.frame = cp
-	case len(m.pos) > 0:
-		cp := make([]fixp.Vec3, len(m.pos))
-		copy(cp, m.pos)
-		bit := raw % uint64(len(cp)*96)
-		i, rem := bit/96, bit%96
-		mask := fixp.F32(1) << (rem % 32)
-		switch rem / 32 {
-		case 0:
-			cp[i].X ^= mask
-		case 1:
-			cp[i].Y ^= mask
-		default:
-			cp[i].Z ^= mask
-		}
-		m.pos = cp
-	case len(m.f) > 0:
-		cp := make([]Force3, len(m.f))
-		copy(cp, m.f)
-		bit := raw % uint64(len(cp)*192)
-		i, rem := bit/192, bit%192
-		mask := int64(1) << (rem % 64)
-		switch rem / 64 {
-		case 0:
-			cp[i].X ^= mask
-		case 1:
-			cp[i].Y ^= mask
-		default:
-			cp[i].Z ^= mask
-		}
-		m.f = cp
 	}
 	return m
 }

@@ -124,8 +124,8 @@ const (
 	CtrLedgerCommits // Merkle batch commits sealed (each is one fsync)
 	CtrLedgerBytes   // bytes appended to the ledger file
 
-	// Streaming shard-pipeline counters (zero on the barrier path and in
-	// monolithic runs). The overlap ratio is stream-overlap-ns over
+	// Streaming shard-pipeline counters (zero in monolithic runs;
+	// stream-overlap-ns also on the no-fill schedule). The overlap ratio is stream-overlap-ns over
 	// (stream-overlap-ns + stream-blocked-ns): time a shard spent computing
 	// while imports were still in flight vs time it sat blocked on a
 	// receive. The byte counters measure the wire compression per traffic

@@ -1,6 +1,7 @@
 package service
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"fmt"
@@ -9,6 +10,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 	"time"
@@ -74,8 +76,7 @@ func TestJobSpecNormalize(t *testing.T) {
 		t.Fatal(err)
 	}
 	if good.Ensemble != "nvt" || good.Temperature != 300 || good.Seed != DefaultSeed ||
-		good.Nodes != DefaultNodes || good.CheckpointEvery != DefaultCheckpointEvery ||
-		good.Overlap != "on" {
+		good.Nodes != DefaultNodes || good.CheckpointEvery != DefaultCheckpointEvery {
 		t.Fatalf("defaults not applied: %+v", good)
 	}
 	bad := []JobSpec{
@@ -90,7 +91,6 @@ func TestJobSpecNormalize(t *testing.T) {
 		{System: "small", Steps: 10, Chaos: "drop=0.1"}, // chaos without shards
 		{System: "small", Steps: 10, Shards: 2, Chaos: "bogus"},
 		{System: "small", Steps: 10, CheckpointEvery: -5},
-		{System: "small", Steps: 10, Shards: 2, Overlap: "maybe"},
 	}
 	for i, s := range bad {
 		if err := s.Normalize(); err == nil {
@@ -109,7 +109,7 @@ func TestServiceHTTP(t *testing.T) {
 		Workers:    2,
 		Tokens:     []string{"s3cret"},
 		RatePerMin: 1, // refills too slowly to matter in-test
-		Burst:      3,
+		Burst:      4,
 	})
 	d.Start()
 	defer d.Kill()
@@ -156,6 +156,11 @@ func TestServiceHTTP(t *testing.T) {
 	}
 	if resp, _ := do("POST", "/api/v1/jobs", "s3cret", `{"system":"small","steps":5,"bogus":1}`); resp.StatusCode != http.StatusBadRequest {
 		t.Fatalf("unknown-field submit: %d, want 400", resp.StatusCode)
+	}
+	// The retired pipeline knob is an unknown field like any other.
+	if resp, body := do("POST", "/api/v1/jobs", "s3cret", `{"system":"small","steps":5,"shards":2,"overlap":"off"}`); resp.StatusCode != http.StatusBadRequest ||
+		!strings.Contains(string(body), `unknown field \"overlap\"`) {
+		t.Fatalf("overlap submit: %d %s, want 400 naming the field", resp.StatusCode, body)
 	}
 
 	// A real submission: 201, Location header, then poll it to done.
@@ -298,6 +303,25 @@ func TestDaemonKillRestartDurability(t *testing.T) {
 	}
 	if onDisk.Step < 30 || onDisk.Step >= spec.Steps {
 		t.Fatalf("killed at step %d, outside [30, %d)", onDisk.Step, spec.Steps)
+	}
+
+	// The record a pre-removal daemon left behind still names the retired
+	// "overlap" spec field; the recovery scan must keep loading it.
+	statusPath := filepath.Join(dir, "jobs", js.ID, "status.json")
+	b, err := os.ReadFile(statusPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var rec map[string]json.RawMessage
+	if err := json.Unmarshal(b, &rec); err != nil {
+		t.Fatal(err)
+	}
+	rec["spec"] = append([]byte(`{"overlap":"on",`), bytes.TrimSpace(rec["spec"])[1:]...)
+	if b, err = json.Marshal(rec); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(statusPath, b, 0o644); err != nil {
+		t.Fatal(err)
 	}
 
 	// Restart over the same state directory: recovery re-queues, the

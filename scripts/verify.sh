@@ -32,13 +32,15 @@ echo "== race: long concurrency tests =="
 # sharded pipeline (one goroutine per shard exchanging messages every
 # step) at its densest interleavings — invariance across shard counts,
 # concurrent mesh solves across engines, checkpoint restore across shard
-# counts (in memory and from a file), the streaming reorder campaigns at
-# 8 and 64 shards (the latter through a crash, rollback and replay), the
-# mid-run pipeline toggle, the quiet reliable transport and single-shard
+# counts (in memory and from a file), the streaming chaos campaigns at 8
+# shards (reorder and lossy-with-crash planes, each on the fill and the
+# no-fill schedule) and 64 shards (through a crash, rollback and replay),
+# the mid-run schedule toggle, the per-shard stage timers the driver reads
+# for phase attribution, the quiet reliable transport and single-shard
 # crash recovery. service: the HTTP surface, cancel, kill/restart and
 # graceful-stop durability, per-job ledgers, worker metrics, and the
 # whole hostile-disk campaign. Every one asserts a bitwise trajectory.
-long='TestConcurrentShardMeshSolves|TestShardInvariance|TestShardCheckpointCrossShardCount|TestCheckpointFileCrossShardResume|TestStreamChaosReorder|TestStreamOverlapToggleMidRun|TestChaosReliableNoFaults|TestChaosSingleShard|TestServiceHTTP|TestCancel|TestDaemonKillRestartDurability|TestGracefulStopPersistsBoundary|TestJobLedger|TestDaemonWorkerMetrics|TestServiceChaos'
+long='TestConcurrentShardMeshSolves|TestShardInvariance|TestShardCheckpointCrossShardCount|TestCheckpointFileCrossShardResume|TestStreamChaosReorder|TestStreamOverlapToggleMidRun|TestShardPhaseAttribution|TestChaosReliableNoFaults|TestChaosSingleShard|TestServiceHTTP|TestCancel|TestDaemonKillRestartDurability|TestGracefulStopPersistsBoundary|TestJobLedger|TestDaemonWorkerMetrics|TestServiceChaos'
 go test -race -timeout 30m -run "$long" ./internal/core ./internal/service
 
 echo "== determinism: repeated runs =="
@@ -51,6 +53,14 @@ echo "== determinism: repeated runs =="
 det='TestCodecRoundTrip|TestCodecDeltaChaining|TestFSLiveness|Deterministic|Determinism|Bitwise|Invariance'
 go test -count=2 -timeout 30m -run "$det" ./internal/core ./internal/fft \
 	./internal/torus ./internal/obs ./internal/ledger ./internal/faults
+
+echo "== fuzz: shard wire frames, 5 s per target =="
+# The frame decoders are the one place shard bytes are parsed; a short
+# native-fuzz burst from the seeded corpus catches a decoder that panics
+# or stops rejecting truncated/trailing bytes.
+for target in FuzzPosFrame FuzzForceFrame; do
+	go test -run '^$' -fuzz "^${target}\$" -fuzztime 5s ./internal/core
+done
 
 echo "== trace export: generate + validate =="
 # Drive a short instrumented run, then validate the exported Chrome
