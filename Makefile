@@ -35,12 +35,12 @@ profile:
 		-metrics metrics.json -pprof localhost:6060
 	$(GO) run ./cmd/antonbench -experiment profile
 
-# Step-level timeline: run an instrumented simulation with simulated
-# node lanes and health watchdogs, validate the export, and leave
-# trace.json ready to load at https://ui.perfetto.dev.
+# Step-level timeline: run an instrumented simulation with the health
+# watchdogs reported, validate the export, and leave trace.json ready to
+# load at https://ui.perfetto.dev.
 trace:
 	$(GO) run ./cmd/antonsim -system small -steps 200 \
-		-trace trace.json -trace-nodes -watch
+		-trace trace.json -watch
 	$(GO) run scripts/validate_trace.go trace.json
 
 # The pair-kernel microbenchmarks (the recorded numbers are

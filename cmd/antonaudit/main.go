@@ -17,15 +17,15 @@
 // residue of a crash mid-append, not tampering.
 //
 // Replay is the strong audit: the genesis record embeds the job spec,
-// so the simulation is rebuilt through the same constructor the service
-// daemon uses, restored from the nearest recorded checkpoint at or
-// before the target step (the checkpoint file is resolved next to the
-// ledger, or under -dir), stepped to the target, and its state digest
-// compared bitwise against the one the ledger recorded during the
-// original run. Ledgers from chaos campaigns replay without re-running
-// the faults: the engine's fault-tolerance contract makes the faulted
-// trajectory bitwise identical to the fault-free one, which is exactly
-// what a passing replay re-proves.
+// so the simulation is re-opened through the same service.Run the
+// daemon and antonsim drive, restored from the nearest recorded
+// checkpoint at or before the target step (the checkpoint file is
+// resolved next to the ledger, or under -dir), stepped to the target,
+// and its state digest compared bitwise against the one the ledger
+// recorded during the original run. Ledgers from chaos campaigns replay
+// without re-running the faults: the engine's fault-tolerance contract
+// makes the faulted trajectory bitwise identical to the fault-free one,
+// which is exactly what a passing replay re-proves.
 package main
 
 import (
@@ -143,50 +143,45 @@ func replayAudit(recs []ledger.Record, target int64, dir string) error {
 	if err := json.Unmarshal(g.Spec, &spec); err != nil {
 		return fmt.Errorf("decoding genesis spec: %w", err)
 	}
-	sim, eng, sh, err := service.BuildSim(spec)
-	if err != nil {
-		return err
-	}
-	if sh != nil {
-		defer sh.Close()
-	}
-	if fp := eng.FingerprintHex(); g.Fingerprint != "" && fp != g.Fingerprint {
-		return fmt.Errorf("rebuilt engine fingerprint %s, ledger recorded %s", fp, g.Fingerprint)
-	}
+	spec.Chaos = "" // the faulted trajectory is bitwise the fault-free one; replay proves it
 
-	from := int64(0)
-	if ck, ok := ledger.CheckpointAt(recs, target); ok {
-		ckptPath := filepath.Join(dir, ck.Checkpoint.File)
+	ckptPath, from := "", int64(0)
+	ck, restored := ledger.CheckpointAt(recs, target)
+	if restored {
+		ckptPath, from = filepath.Join(dir, ck.Checkpoint.File), ck.Step
 		if crc, err := core.CheckpointFileCRC(ckptPath); err != nil {
 			return fmt.Errorf("checkpoint %s: %w", ckptPath, err)
 		} else if crc != ck.Checkpoint.CRC {
 			return fmt.Errorf("checkpoint %s: crc %#08x on disk, ledger recorded %#08x",
 				ckptPath, crc, ck.Checkpoint.CRC)
 		}
-		if err := sim.RestoreCheckpointFile(ckptPath); err != nil {
-			return fmt.Errorf("restoring %s: %w", ckptPath, err)
+		if from > target {
+			return fmt.Errorf("checkpoint step %d is past the target %d", from, target)
 		}
-		if got := fmt.Sprintf("%016x", sim.StateDigest()); ck.Checkpoint.Digest != "" && got != ck.Checkpoint.Digest {
+	}
+	r, err := service.OpenRun(spec, ckptPath, "", "", nil, nil)
+	if err != nil {
+		return err
+	}
+	defer r.Close()
+	if fp := r.Eng.FingerprintHex(); g.Fingerprint != "" && fp != g.Fingerprint {
+		return fmt.Errorf("rebuilt engine fingerprint %s, ledger recorded %s", fp, g.Fingerprint)
+	}
+	if restored {
+		if got := fmt.Sprintf("%016x", r.Sim.StateDigest()); ck.Checkpoint.Digest != "" && got != ck.Checkpoint.Digest {
 			return fmt.Errorf("restored digest %s at step %d, checkpoint record says %s",
-				got, ck.Step, ck.Checkpoint.Digest)
+				got, from, ck.Checkpoint.Digest)
 		}
-		from = ck.Step
 		fmt.Printf("restored %s at step %d\n", ckptPath, from)
 	} else {
 		fmt.Println("no checkpoint at or before the target; replaying from step 0")
 	}
-	if from > target {
-		return fmt.Errorf("checkpoint step %d is past the target %d", from, target)
-	}
 
 	fmt.Printf("re-integrating %d steps (%d -> %d)...\n", target-from, from, target)
-	sim.Step(int(target - from))
-	if sh != nil {
-		if err := sh.Err(); err != nil {
-			return fmt.Errorf("sharded engine parked: %w", err)
-		}
+	if err := r.Advance(int(target - from)); err != nil {
+		return err
 	}
-	got := fmt.Sprintf("%016x", sim.StateDigest())
+	got := fmt.Sprintf("%016x", r.Sim.StateDigest())
 	if got != want {
 		return fmt.Errorf("digest at step %d = %s, ledger recorded %s — trajectories diverge",
 			target, got, want)

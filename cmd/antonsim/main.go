@@ -8,7 +8,7 @@
 //
 //	antonsim -system gpW -nodes 8 -steps 50
 //	antonsim -system small -steps 200 -metrics metrics.json -pprof localhost:6060
-//	antonsim -system small -steps 500 -trace trace.json -trace-nodes -watch
+//	antonsim -system small -steps 500 -trace trace.json -watch
 //	antonsim -system small -steps 100000 -listen localhost:8777 -watch
 //	antonsim -system small -shards 8 -steps 200 -chaos 'seed=7,drop=0.02,crashes=1'
 //	antonsim -system small -steps 1000 -checkpoint run.ckpt
@@ -26,14 +26,19 @@
 // SIGINT/SIGTERM stop the run gracefully: the current report chunk
 // finishes, a final checkpoint is flushed (with -checkpoint), and the
 // telemetry server drains before exit.
+//
+// The run itself — build, resume, ledger, fault campaign, observers, and
+// how the final boundary is made durable — is a service.Run, the same one
+// antond's workers drive; this file is flags, the report loop and the
+// summary printers.
 package main
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"log/slog"
 	"net/http"
 	_ "net/http/pprof"
@@ -42,9 +47,6 @@ import (
 	"syscall"
 	"time"
 
-	"anton/internal/core"
-	"anton/internal/faults"
-	"anton/internal/ledger"
 	"anton/internal/machine"
 	"anton/internal/obs"
 	"anton/internal/obs/health"
@@ -53,41 +55,48 @@ import (
 	"anton/internal/trace"
 )
 
-func main() {
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
+
+// run is main with its process state passed in: the exit code is 2 for a
+// flag error, 1 for a run that could not be opened or reported, else 0.
+func run(args []string, stdout, stderr io.Writer) int {
+	fl := flag.NewFlagSet("antonsim", flag.ContinueOnError)
+	fl.SetOutput(stderr)
 	var (
-		name    = flag.String("system", "gpW", "named system (see -list) or 'small'")
-		nodes   = flag.Int("nodes", 8, "Anton node count to simulate (power of two)")
-		shards  = flag.Int("shards", 0, "run the sharded virtual-node pipeline with this many shards (power of two, overrides -nodes; 0 = monolithic engine)")
-		steps   = flag.Int("steps", 20, "time steps to run")
-		temp    = flag.Float64("temp", 300, "thermostat target temperature, K (0 = NVE)")
-		list    = flag.Bool("list", false, "list available systems and exit")
-		every   = flag.Int("report", 10, "report energies every N steps")
-		pdb     = flag.String("pdb", "", "write the final snapshot as a PDB file")
-		comm    = flag.Bool("comm", false, "print the per-step communication report")
-		metrics = flag.String("metrics", "", "write the observability snapshot as JSON to this file (and print the text report)")
-		pprofAt = flag.String("pprof", "", "serve net/http/pprof on this address (e.g. localhost:6060) while running")
+		name    = fl.String("system", "gpW", "named system (see -list) or 'small'")
+		nodes   = fl.Int("nodes", 8, "Anton node count to simulate (power of two)")
+		shards  = fl.Int("shards", 0, "run the sharded virtual-node pipeline with this many shards (power of two, overrides -nodes; 0 = monolithic engine)")
+		steps   = fl.Int("steps", 20, "time steps to run")
+		temp    = fl.Float64("temp", 300, "thermostat target temperature, K (0 = NVE)")
+		list    = fl.Bool("list", false, "list available systems and exit")
+		every   = fl.Int("report", 10, "report energies every N steps")
+		pdb     = fl.String("pdb", "", "write the final snapshot as a PDB file")
+		comm    = fl.Bool("comm", false, "print the per-step communication report")
+		metrics = fl.String("metrics", "", "write the observability snapshot as JSON to this file (and print the text report)")
+		pprofAt = fl.String("pprof", "", "serve net/http/pprof on this address (e.g. localhost:6060) while running")
 
-		traceOut   = flag.String("trace", "", "write a Chrome trace-event JSON timeline to this file (load in Perfetto)")
-		traceNodes = flag.Bool("trace-nodes", false, "include simulated per-node lanes in the trace (runs the comm model at migrations)")
-		traceCap   = flag.Int("trace-ring", 65536, "step tracer ring capacity, spans")
-		watch      = flag.Bool("watch", false, "run the health watchdogs (energy, momentum, overflow headroom, migration slack)")
-		watchEvery = flag.Int("watch-every", 10, "watchdog sampling cadence, steps")
-		listenAt   = flag.String("listen", "", "serve live telemetry (/metrics, /healthz, /trace) on this address")
-		logFormat  = flag.String("log", "text", "log format: text or json")
-		verbose    = flag.Bool("v", false, "debug-level logging")
+		traceOut  = fl.String("trace", "", "write a Chrome trace-event JSON timeline to this file (load in Perfetto)")
+		watch     = fl.Bool("watch", false, "report the health watchdogs (energy, momentum, overflow headroom, migration slack)")
+		listenAt  = fl.String("listen", "", "serve live telemetry (/metrics, /healthz, /trace) on this address")
+		logFormat = fl.String("log", "text", "log format: text or json")
+		verbose   = fl.Bool("v", false, "debug-level logging")
 
-		chaosSpec      = flag.String("chaos", "", "fault-injection spec, e.g. 'seed=7,drop=0.02,crashes=1' (requires -shards; see internal/faults)")
-		chaosHeartbeat = flag.Duration("chaos-heartbeat", 0, "crash-detection heartbeat timeout (0 = library default)")
-		chaosRestarts  = flag.Int("chaos-restarts", 0, "max restarts per crashed shard before its boxes fold into a survivor (0 = library default, negative = adopt on first crash)")
-		ckptPath       = flag.String("checkpoint", "", "write crash-consistent checkpoints to this file (periodic under -chaos, always flushed on exit)")
-		ckptEvery      = flag.Int("checkpoint-every", 0, "supervised checkpoint cadence in steps under -chaos (0 = library default)")
-		resumePath     = flag.String("resume", "", "resume from this checkpoint file (-steps becomes the total step target)")
-
-		ledgerPath  = flag.String("ledger", "", "append a hash-chained run ledger (digests, checkpoints, faults, alerts) to this file; audit it with antonaudit")
-		ledgerEvery = flag.Int("ledger-every", 0, "ledger digest cadence in steps (0 = library default, rounded to the MTS interval)")
+		chaosSpec  = fl.String("chaos", "", "fault-injection spec, e.g. 'seed=7,drop=0.02,crashes=1' (requires -shards; see internal/faults)")
+		ckptPath   = fl.String("checkpoint", "", "write a crash-consistent checkpoint to this file on exit (and every 25 steps under -chaos)")
+		resumePath = fl.String("resume", "", "resume from this checkpoint file (-steps becomes the total step target)")
+		ledgerPath = fl.String("ledger", "", "append a hash-chained run ledger (digests, checkpoints, faults, alerts) to this file; audit it with antonaudit")
 	)
-	flag.Parse()
-	logger := obs.NewLogger(os.Stderr, *logFormat, *verbose)
+	if err := fl.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
+		}
+		return 2
+	}
+	logger := obs.NewLogger(stderr, *logFormat, *verbose)
+	fail := func(msg string, err error) int {
+		logger.Error(msg, "err", err)
+		return 1
+	}
 
 	if *pprofAt != "" {
 		go func() {
@@ -95,30 +104,27 @@ func main() {
 				logger.Error("pprof server", "err", err)
 			}
 		}()
-		fmt.Printf("pprof listening on http://%s/debug/pprof/\n", *pprofAt)
+		fmt.Fprintf(stdout, "pprof listening on http://%s/debug/pprof/\n", *pprofAt)
 	}
 
 	if *list {
-		fmt.Println("available systems:")
+		fmt.Fprintln(stdout, "available systems:")
 		for _, n := range system.Names() {
 			spec, _ := system.SpecFor(n)
-			fmt.Printf("  %-8s %8d atoms, %6.1f Å box, cutoff %5.1f Å, mesh %d³\n",
+			fmt.Fprintf(stdout, "  %-8s %8d atoms, %6.1f Å box, cutoff %5.1f Å, mesh %d³\n",
 				n, spec.TotalAtoms, spec.Side, spec.Cutoff, spec.Mesh)
 		}
-		fmt.Println("  small       645 atoms (fast demo)")
-		return
+		fmt.Fprintln(stdout, "  small       645 atoms (fast demo)")
+		return 0
 	}
 
-	// The run is described once, as the job spec antond would be handed,
-	// and built by the daemon's constructor: the spec the ledger genesis
-	// embeds is the one the engine came from, so antonaudit -replay
-	// rebuilds exactly what ran. antonsim seeds velocities with the fixed
-	// seed 2. The sharded pipeline wraps the engine: same state, same
-	// trajectory, but each virtual node runs as its own goroutine
-	// exchanging messages, and Comm() gains a measured-transport section.
-	if *shards > 0 {
-		*nodes = *shards
-	}
+	// The run is described once, as the job spec antond would be handed:
+	// the spec the ledger genesis embeds is the one the engine came from,
+	// so antonaudit -replay rebuilds exactly what ran. antonsim seeds
+	// velocities with the fixed seed 2. The sharded pipeline wraps the
+	// engine: same state, same trajectory, but each virtual node runs as
+	// its own goroutine exchanging messages, and Comm() gains a
+	// measured-transport section.
 	spec := service.JobSpec{
 		System: *name, Steps: *steps, Shards: *shards, Nodes: *nodes,
 		Ensemble: "nvt", Temperature: *temp, Seed: 2, Chaos: *chaosSpec,
@@ -127,178 +133,37 @@ func main() {
 		spec.Ensemble, spec.Temperature = "nve", 0
 	}
 	if err := spec.Normalize(); err != nil {
-		logger.Error("invalid run", "err", err)
-		os.Exit(1)
+		return fail("invalid run", err)
 	}
-	sim, eng, sh, err := service.BuildSim(spec)
-	if err != nil {
-		logger.Error("build simulation", "err", err)
-		os.Exit(1)
-	}
-	if sh != nil {
-		defer sh.Close()
-	}
-	s := eng.Sys
-	fmt.Printf("system %s: %d particles, %d waters, %d protein atoms, box %.1f Å\n",
-		s.Name, s.NAtoms(), s.Waters, s.ProteinAtoms, s.Box.L.X)
-
-	// Resume: restore the checkpoint before anything (fault plane,
-	// observability) attaches. The restore is validate-before-mutate — a
-	// checkpoint written under a different configuration (system, dt,
-	// cutoff, mesh, edited topology) or a damaged file refuses cleanly
-	// with the engine state untouched, and we exit rather than silently
-	// start a different trajectory. The restored velocities overwrite the
-	// seeded initialization above, exactly as an uninterrupted run would
-	// have evolved them.
+	// A daemon job resumes whenever its checkpoint exists; -resume names a
+	// file the operator expects to be there. One written under a different
+	// configuration, a damaged one, or a tampered ledger refuses in OpenRun
+	// before any state is touched: exit rather than silently start a
+	// different trajectory.
 	if *resumePath != "" {
-		if err := sim.RestoreCheckpointFile(*resumePath); err != nil {
-			switch {
-			case errors.Is(err, core.ErrCheckpointConfig):
-				logger.Error("resume refused: checkpoint was written under a different configuration",
-					"file", *resumePath, "err", err)
-			case errors.Is(err, core.ErrCheckpointCorrupt), errors.Is(err, core.ErrCheckpointTruncated):
-				logger.Error("resume refused: checkpoint file is damaged",
-					"file", *resumePath, "err", err)
-			default:
-				logger.Error("resume checkpoint", "file", *resumePath, "err", err)
-			}
-			os.Exit(1)
-		}
-		logger.Info("resumed from checkpoint", "file", *resumePath, "step", eng.StepCount())
-		if eng.StepCount() >= *steps {
-			logger.Info("checkpoint already at or past the step target; nothing to run",
-				"step", eng.StepCount(), "target", *steps)
+		if _, err := os.Stat(*resumePath); err != nil {
+			return fail("resume checkpoint", err)
 		}
 	}
-
-	// Run ledger: an append-only, hash-chained provenance record of the
-	// run — config fingerprint, cadenced state digests, checkpoint writes,
-	// fault campaigns, recoveries, health alerts. A resumed run re-opens
-	// the existing chain, which audits it end to end first (a tampered
-	// ledger refuses cleanly); a fresh run opens with a genesis record.
-	// Attaching the ledger never perturbs the trajectory.
-	var lw *ledger.Writer
-	var tap *core.LedgerTap
-	if *ledgerPath != "" {
-		resuming := *resumePath != ""
-		if _, statErr := os.Stat(*ledgerPath); resuming && statErr == nil {
-			lw, err = ledger.Open(*ledgerPath, ledger.Options{})
-			if err != nil {
-				logger.Error("ledger audit on resume failed", "file", *ledgerPath, "err", err)
-				os.Exit(1)
-			}
-			if err := lw.AppendResume(eng.StepCount(), 1); err != nil {
-				logger.Error("ledger resume record", "err", err)
-				os.Exit(1)
-			}
-			logger.Info("ledger audited on resume", "file", *ledgerPath, "step", eng.StepCount())
-		} else {
-			lw, err = ledger.Create(*ledgerPath, ledger.Options{})
-			if err != nil {
-				logger.Error("create ledger", "file", *ledgerPath, "err", err)
-				os.Exit(1)
-			}
-			genesis, err := json.Marshal(spec)
-			if err != nil {
-				logger.Error("ledger genesis", "err", err)
-				os.Exit(1)
-			}
-			if err := lw.AppendGenesis(ledger.Genesis{
-				Spec:        genesis,
-				Fingerprint: eng.FingerprintHex(),
-				System:      s.Name,
-				Atoms:       s.NAtoms(),
-			}); err != nil {
-				logger.Error("ledger genesis", "err", err)
-				os.Exit(1)
-			}
-		}
-		defer func() {
-			if err := lw.Close(); err != nil {
-				logger.Error("close ledger", "err", err)
-			}
-		}()
-		tap = core.AttachLedger(eng, lw, *ledgerEvery)
-		logger.Info("run ledger attached", "file", *ledgerPath, "cadence", tap.Cadence())
+	r, err := service.OpenRun(spec, *resumePath, *ckptPath, *ledgerPath, nil, nil)
+	if err != nil {
+		return fail("open run", err)
 	}
-
-	// Fault injection: the chaos plane and the supervised recovery loop
-	// wrap the sharded pipeline (the monolithic engine has no transport to
-	// fault). The trajectory contract holds regardless of the campaign.
-	chaos := spec.Chaos != ""
-	if chaos {
-		sp, err := faults.ParseSpec(spec.Chaos) // validated by Normalize
-		if err != nil {
-			logger.Error("parse chaos spec", "err", err)
-			os.Exit(1)
+	defer func() {
+		if err := r.Close(); err != nil {
+			logger.Error("close ledger", "err", err)
 		}
-		plane := faults.New(sp, sh.Shards())
-		fcfg := core.FaultConfig{
-			Plane:           plane,
-			CheckpointEvery: *ckptEvery,
-			MaxRestarts:     *chaosRestarts,
-			Heartbeat:       *chaosHeartbeat,
-			CheckpointPath:  *ckptPath,
-			OnRecovery: func(ev core.RecoveryEvent) {
-				if lw != nil {
-					if err := lw.AppendRecovery(ledger.Recovery{
-						DetectedStep: ev.DetectedStep, RestoredStep: ev.RestoredStep,
-						Crashed: ev.Crashed, Adopted: ev.Adopted, Spurious: ev.Spurious,
-					}); err != nil {
-						logger.Error("ledger recovery record", "err", err)
-					}
-				}
-				if ev.Spurious {
-					logger.Warn("spurious recovery (stall outlasted the heartbeat)",
-						"step", ev.DetectedStep, "restored", ev.RestoredStep)
-					return
-				}
-				logger.Warn("shard crash recovered",
-					"step", ev.DetectedStep, "restored", ev.RestoredStep,
-					"crashed", ev.Crashed, "adopted", ev.Adopted)
-			},
-		}
-		if err := sh.EnableFaults(fcfg); err != nil {
-			logger.Error("enable faults", "err", err)
-			os.Exit(1)
-		}
-		logger.Info("fault injection armed", "spec", plane.Spec().String(),
-			"crashes", len(plane.Schedule()))
-		if lw != nil {
-			if err := lw.AppendFaults(int64(eng.StepCount()), sp.String(), sp.Seed); err != nil {
-				logger.Error("ledger faults record", "err", err)
-				os.Exit(1)
-			}
-		}
+	}()
+	eng, s := r.Eng, r.Eng.Sys
+	fmt.Fprintf(stdout, "system %s: %d particles, %d waters, %d protein atoms, box %.1f Å\n",
+		s.Name, s.NAtoms(), s.Waters, s.ProteinAtoms, s.Box.L.X)
+	if r.ResumedFrom >= 0 {
+		logger.Info("resumed from checkpoint", "file", *resumePath, "step", r.ResumedFrom, "target", *steps)
 	}
-
-	// Observability attachments. Everything below is read-only with
-	// respect to the dynamics: the trajectory is bitwise identical with
-	// or without it.
-	var rec *obs.Recorder
 	if *metrics != "" || *listenAt != "" {
-		rec = obs.NewRecorder()
-		rec.EnableMemStats()
-		eng.Observe(rec)
+		r.Rec.EnableMemStats()
 	}
-	var tracer *obs.Tracer
-	if *traceOut != "" || *listenAt != "" {
-		tracer = obs.NewTracer(*traceCap)
-		if *traceNodes {
-			tracer.EnableNodeLanes(eng.Cfg.MigrationInterval)
-		}
-		eng.Trace(tracer)
-	}
-	var watchdog *core.Watch
-	if *watch || *listenAt != "" {
-		watchdog = core.NewWatch(eng, health.DefaultConfig(), *watchEvery)
-		if sh != nil && chaos {
-			// Feed the transport counters to the retry-storm monitor: a
-			// lossy campaign that pushes the retransmit ratio past the
-			// thresholds surfaces as a watchdog alert.
-			watchdog.WatchTransport(sh.TransportCounts)
-		}
-	}
+	watching := *watch || *listenAt != ""
 
 	var tel *obs.Telemetry
 	if *listenAt != "" {
@@ -318,100 +183,58 @@ func main() {
 	ctx, stopSignals := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stopSignals()
 
-	// publish pushes fresh copies of the observability state to the
-	// telemetry surface (the HTTP handlers only ever read those copies).
-	publish := func() {
-		if tel == nil {
-			return
+	remaining := max(*steps-eng.StepCount(), 0)
+	if *shards > 0 {
+		fmt.Fprintf(stdout, "running %d steps across %d virtual node shards (torus %v)\n",
+			remaining, *shards, eng.Mach.Dims)
+	} else {
+		fmt.Fprintf(stdout, "running %d steps on a %d-node machine (torus %v)\n", remaining, *nodes, eng.Mach.Dims)
+	}
+	for done := eng.StepCount(); done < *steps; done = eng.StepCount() {
+		if ctx.Err() != nil {
+			logger.Info("signal received, stopping", "completed", done, "requested", *steps)
+			break
 		}
-		if rec != nil {
-			tel.PublishSnapshot(rec.Snapshot())
+		if err := r.Advance(min(*every, *steps-done)); err != nil {
+			logger.Error("run stopped", "err", err)
+			break
 		}
-		tel.PublishSample(eng.TelemetrySample())
-		if watchdog != nil {
-			tel.PublishHealth(watchdog.Registry().Status(obs.SchemaVersion))
+		fmt.Fprintf(stdout, "step %5d: T = %6.1f K   PE = %12.2f   E = %12.2f kcal/mol\n",
+			eng.StepCount(), eng.Temperature(), eng.PotentialEnergy, eng.TotalEnergy())
+		alerts, err := r.DrainAlerts()
+		if err != nil {
+			logger.Error("run ledger", "err", err)
 		}
-		if tracer != nil {
-			if err := tel.PublishTrace(tracer); err != nil {
+		if !watching {
+			alerts = nil // ledgered by DrainAlerts; reported only on request
+		}
+		for _, a := range alerts {
+			lvl := slog.LevelWarn
+			if a.Severity >= health.SevCrit {
+				lvl = slog.LevelError
+			}
+			logger.Log(context.Background(), lvl, "watchdog alert",
+				"monitor", a.Monitor, "severity", a.Severity.String(),
+				"step", a.Step, "value", a.Value, "threshold", a.Threshold)
+		}
+		if tel != nil {
+			if err := r.Publish(tel); err != nil {
 				logger.Error("publish trace", "err", err)
 			}
 		}
 	}
 
-	remaining := *steps - eng.StepCount()
-	if remaining < 0 {
-		remaining = 0
+	// Exit path (normal, interrupted, or parked): make the final boundary
+	// durable, then drain the telemetry server so in-flight scrapes finish
+	// before the listener dies.
+	if err := r.Persist(); err != nil {
+		logger.Error("final checkpoint", "err", err)
+	} else if *ckptPath != "" {
+		logger.Info("final checkpoint flushed", "file", *ckptPath, "step", eng.StepCount())
 	}
-	if sh != nil {
-		fmt.Printf("running %d steps across %d virtual node shards (torus %v)\n",
-			remaining, *shards, eng.Mach.Dims)
-	} else {
-		fmt.Printf("running %d steps on a %d-node machine (torus %v)\n", remaining, *nodes, eng.Mach.Dims)
-	}
-	interrupted := false
-	for done := eng.StepCount(); done < *steps; {
-		if ctx.Err() != nil {
-			interrupted = true
-			logger.Info("signal received, stopping", "completed", done, "requested", *steps)
-			break
-		}
-		n := *every
-		if done+n > *steps {
-			n = *steps - done
-		}
-		sim.Step(n)
-		done += n
-		if sh != nil {
-			if err := sh.Err(); err != nil {
-				logger.Error("sharded engine parked", "err", err)
-				break
-			}
-		}
-		fmt.Printf("step %5d: T = %6.1f K   PE = %12.2f   E = %12.2f kcal/mol\n",
-			eng.StepCount(), eng.Temperature(), eng.PotentialEnergy, eng.TotalEnergy())
-		if watchdog != nil {
-			for _, a := range watchdog.Drain() {
-				lvl := slog.LevelWarn
-				if a.Severity >= health.SevCrit {
-					lvl = slog.LevelError
-				}
-				logger.Log(context.Background(), lvl, "watchdog alert",
-					"monitor", a.Monitor, "severity", a.Severity.String(),
-					"step", a.Step, "value", a.Value, "threshold", a.Threshold)
-				if lw != nil {
-					if err := lw.AppendAlert(a.Step, ledger.Alert{
-						Monitor: a.Monitor, Severity: a.Severity.String(),
-						Value: a.Value, Threshold: a.Threshold, Message: a.Message,
-					}); err != nil {
-						logger.Error("ledger alert record", "err", err)
-					}
-				}
-			}
-		}
-		publish()
-	}
-
-	// Exit path (normal, interrupted, or parked): flush a final
-	// crash-consistent checkpoint, then drain the telemetry server so
-	// in-flight scrapes finish before the listener dies.
-	if *ckptPath != "" {
-		if err := sim.WriteCheckpointFile(*ckptPath); err != nil {
-			logger.Error("final checkpoint", "err", err)
-		} else {
-			logger.Info("final checkpoint flushed", "file", *ckptPath, "step", eng.StepCount())
-			if tap != nil {
-				if err := tap.RecordCheckpoint(*ckptPath); err != nil {
-					logger.Error("ledger checkpoint record", "err", err)
-				}
-			}
-		}
-	}
-	if tap != nil {
-		if err := tap.Err(); err != nil {
-			logger.Error("ledger append failed during the run", "err", err)
-		}
-		st := lw.Stats()
-		fmt.Printf("\nrun ledger %s: %d records, %d commits, %d bytes (audit with antonaudit)\n",
+	if r.Ledger != nil {
+		st := r.Ledger.Stats()
+		fmt.Fprintf(stdout, "\nrun ledger %s: %d records, %d commits, %d bytes (audit with antonaudit)\n",
 			*ledgerPath, st.Records, st.Commits, st.Bytes)
 	}
 	if tel != nil {
@@ -421,119 +244,102 @@ func main() {
 		}
 		cancel()
 	}
-	if interrupted {
-		logger.Info("stopped early on signal", "steps", eng.StepCount())
-	}
 
 	// The state digest identifies the trajectory: an interrupted-and-
 	// resumed run must print the same digest at the same step as an
 	// uninterrupted one.
-	fmt.Printf("\nstate digest at step %d: %016x\n", eng.StepCount(), eng.StateDigest())
+	fmt.Fprintf(stdout, "\nstate digest at step %d: %016x\n", eng.StepCount(), eng.StateDigest())
 
 	st := eng.Stats
-	fmt.Printf("\nhardware statistics over %d steps:\n", st.Steps)
-	fmt.Printf("  pairs considered by match units: %d\n", st.PairsConsidered)
-	fmt.Printf("  pairs passing low-precision check: %d\n", st.PairsMatched)
-	fmt.Printf("  pairs computed by PPIPs: %d\n", st.PairsComputed)
-	fmt.Printf("  match efficiency: %.1f%%\n", st.MatchEfficiency()*100)
-	fmt.Printf("  atom-mesh interactions: %d\n", st.MeshInteractions)
-	fmt.Printf("  migrations: %d\n", st.Migrations)
-	if watchdog != nil {
-		reg := watchdog.Registry()
-		fmt.Printf("  watchdog: worst severity %s (%d warn, %d critical alerts)\n",
+	fmt.Fprintf(stdout, "\nhardware statistics over %d steps:\n", st.Steps)
+	fmt.Fprintf(stdout, "  pairs considered by match units: %d\n", st.PairsConsidered)
+	fmt.Fprintf(stdout, "  pairs passing low-precision check: %d\n", st.PairsMatched)
+	fmt.Fprintf(stdout, "  pairs computed by PPIPs: %d\n", st.PairsComputed)
+	fmt.Fprintf(stdout, "  match efficiency: %.1f%%\n", st.MatchEfficiency()*100)
+	fmt.Fprintf(stdout, "  atom-mesh interactions: %d\n", st.MeshInteractions)
+	fmt.Fprintf(stdout, "  migrations: %d\n", st.Migrations)
+	if watching {
+		reg := r.Watch.Registry()
+		fmt.Fprintf(stdout, "  watchdog: worst severity %s (%d warn, %d critical alerts)\n",
 			reg.Worst(), reg.Fired(health.SevWarn), reg.Fired(health.SevCrit))
 	}
-	if chaos {
-		rep := sh.FaultReport()
-		fmt.Printf("\nfault campaign over %d steps:\n", st.Steps)
-		fmt.Printf("  injected: %d drops, %d dups, %d delays, %d corruptions, %d stalls, %d crashes\n",
+	if spec.Chaos != "" {
+		rep := r.Sharded.FaultReport()
+		fmt.Fprintf(stdout, "\nfault campaign over %d steps:\n", st.Steps)
+		fmt.Fprintf(stdout, "  injected: %d drops, %d dups, %d delays, %d corruptions, %d stalls, %d crashes\n",
 			rep.Injected.Drops, rep.Injected.Dups, rep.Injected.Delays,
 			rep.Injected.Corrupts, rep.Injected.Stalls, rep.Injected.CrashesFired)
-		fmt.Printf("  recoveries: %d (%d replayed steps", rep.Recoveries, rep.ReplaySteps)
+		fmt.Fprintf(stdout, "  recoveries: %d (%d replayed steps", rep.Recoveries, rep.ReplaySteps)
 		if rep.Recoveries > 0 {
-			fmt.Printf(", mean %.1f ms", float64(rep.RecoveryNs)/float64(rep.Recoveries)/1e6)
+			fmt.Fprintf(stdout, ", mean %.1f ms", float64(rep.RecoveryNs)/float64(rep.Recoveries)/1e6)
 		}
-		fmt.Printf("); adoptions: %d; dead shards: %v\n", rep.Adoptions, rep.DeadShards)
-		fmt.Printf("  transport: %d sends, %d retransmits, %d dup discards, %d crc discards\n",
+		fmt.Fprintf(stdout, "); adoptions: %d; dead shards: %v\n", rep.Adoptions, rep.DeadShards)
+		fmt.Fprintf(stdout, "  transport: %d sends, %d retransmits, %d dup discards, %d crc discards\n",
 			rep.Transport.Sends, rep.Transport.Retransmits,
 			rep.Transport.DupDiscards, rep.Transport.CrcDiscards)
 	}
 
-	if rec != nil && *metrics != "" {
-		snap := rec.Snapshot()
-		fmt.Printf("\n%s", snap)
-		f, err := os.Create(*metrics)
-		if err != nil {
-			logger.Error("write metrics", "err", err)
-			os.Exit(1)
+	if *metrics != "" {
+		snap := r.Rec.Snapshot()
+		fmt.Fprintf(stdout, "\n%s", snap)
+		if err := writeFile(*metrics, snap.WriteJSON); err != nil {
+			return fail("write metrics", err)
 		}
-		if err := snap.WriteJSON(f); err != nil {
-			logger.Error("write metrics", "err", err)
-			os.Exit(1)
-		}
-		if err := f.Close(); err != nil {
-			logger.Error("write metrics", "err", err)
-			os.Exit(1)
-		}
-		fmt.Printf("wrote metrics to %s\n", *metrics)
+		fmt.Fprintf(stdout, "wrote metrics to %s\n", *metrics)
 	}
 
-	if tracer != nil && *traceOut != "" {
-		f, err := os.Create(*traceOut)
-		if err != nil {
-			logger.Error("write trace", "err", err)
-			os.Exit(1)
+	if *traceOut != "" {
+		if err := writeFile(*traceOut, r.Tracer.Export); err != nil {
+			return fail("write trace", err)
 		}
-		if err := tracer.Export(f); err != nil {
-			logger.Error("write trace", "err", err)
-			os.Exit(1)
-		}
-		if err := f.Close(); err != nil {
-			logger.Error("write trace", "err", err)
-			os.Exit(1)
-		}
-		fmt.Printf("wrote trace to %s (%d spans, %d dropped; open in Perfetto)\n",
-			*traceOut, len(tracer.Spans()), tracer.Dropped())
+		fmt.Fprintf(stdout, "wrote trace to %s (%d spans, %d dropped; open in Perfetto)\n",
+			*traceOut, len(r.Tracer.Spans()), r.Tracer.Dropped())
 	}
 
 	if *comm {
 		commFn := eng.Comm
-		if sh != nil {
-			commFn = sh.Comm // includes the measured transport section
+		if *shards > 0 {
+			commFn = r.Sharded.Comm // includes the measured transport section
 		}
 		rep, err := commFn()
 		if err != nil {
-			logger.Error("comm report", "err", err)
-			os.Exit(1)
+			return fail("comm report", err)
 		}
-		fmt.Printf("\n%s", rep)
+		fmt.Fprintf(stdout, "\n%s", rep)
 	}
 
 	if *pdb != "" {
-		f, err := os.Create(*pdb)
-		if err != nil {
-			logger.Error("write pdb", "err", err)
-			os.Exit(1)
-		}
 		labels := make([]trace.AtomLabel, s.NAtoms())
 		for i, a := range s.Top.Atoms {
 			labels[i] = trace.AtomLabel{Name: a.Name, Residue: a.Residue}
 		}
-		if err := trace.WritePDB(f, labels, eng.Positions(), s.Box, 1); err != nil {
-			logger.Error("write pdb", "err", err)
-			os.Exit(1)
+		if err := writeFile(*pdb, func(w io.Writer) error {
+			return trace.WritePDB(w, labels, eng.Positions(), s.Box, 1)
+		}); err != nil {
+			return fail("write pdb", err)
 		}
-		if err := f.Close(); err != nil {
-			logger.Error("write pdb", "err", err)
-			os.Exit(1)
-		}
-		fmt.Printf("\nwrote snapshot to %s\n", *pdb)
+		fmt.Fprintf(stdout, "\nwrote snapshot to %s\n", *pdb)
 	}
 
 	w := machine.WorkloadFromSystem(s)
 	p := machine.DefaultModel.Estimate(eng.Mach, w)
-	fmt.Printf("\nperformance model for this configuration:\n")
-	fmt.Printf("  per-step (long-range): %.1f us; (short): %.1f us; average %.1f us\n",
+	fmt.Fprintf(stdout, "\nperformance model for this configuration:\n")
+	fmt.Fprintf(stdout, "  per-step (long-range): %.1f us; (short): %.1f us; average %.1f us\n",
 		p.TotalLongRange*1e6, p.TotalShort*1e6, p.Average*1e6)
-	fmt.Printf("  projected simulation rate: %.2f us/day\n", p.RatePerDay)
+	fmt.Fprintf(stdout, "  projected simulation rate: %.2f us/day\n", p.RatePerDay)
+	return 0
+}
+
+// writeFile creates path, hands it to write, and closes it, reporting the
+// first failure.
+func writeFile(path string, write func(io.Writer) error) error {
+	f, err := os.Create(path)
+	if err != nil {
+		return err
+	}
+	if err := write(f); err != nil {
+		f.Close()
+		return err
+	}
+	return f.Close()
 }

@@ -35,7 +35,8 @@ import (
 //     ErrCheckpointTruncated and corrupted ones with
 //     ErrCheckpointCorrupt, before any engine state is modified.
 //
-// Version-1 files (no fingerprint, no checksum) remain readable.
+// Any other version, the retired version 1 included, is refused with
+// ErrCheckpointVersion.
 
 const (
 	checkpointMagic   = 0x414e5443 // "ANTC"
@@ -242,10 +243,9 @@ func (e *Engine) WriteCheckpoint(w io.Writer) error {
 // engine constructed over the same system and configuration, then
 // rebuilds the (position-derived) spatial assignment.
 //
-// Version-2 files are fully validated — length, checksum, and
+// The file is fully validated — version, length, checksum, and
 // configuration fingerprint — before any engine field is touched, so a
-// failed restore leaves the engine exactly as it was. Version-1 files
-// take the legacy streaming path (no such guarantee, no checksum).
+// failed restore leaves the engine exactly as it was.
 func (e *Engine) RestoreCheckpoint(r io.Reader) error {
 	br := bufio.NewReader(r)
 	var magicVer [2]uint32
@@ -257,14 +257,10 @@ func (e *Engine) RestoreCheckpoint(r io.Reader) error {
 	if magicVer[0] != checkpointMagic {
 		return fmt.Errorf("%w: %#x", ErrCheckpointMagic, magicVer[0])
 	}
-	switch magicVer[1] {
-	case 1:
-		return e.restoreV1(br)
-	case checkpointVersion:
-		return e.restoreV2(br)
-	default:
+	if magicVer[1] != checkpointVersion {
 		return fmt.Errorf("%w: %d", ErrCheckpointVersion, magicVer[1])
 	}
+	return e.restoreV2(br)
 }
 
 func (e *Engine) restoreV2(br *bufio.Reader) error {
@@ -339,7 +335,7 @@ func (e *Engine) restoreV2(br *bufio.Reader) error {
 		if err := binary.Read(body, binary.LittleEndian, &p); err != nil {
 			return err
 		}
-		pos[i] = fixp.Vec3{X: fixF32(p[0]), Y: fixF32(p[1]), Z: fixF32(p[2])}
+		pos[i] = fixp.Vec3{X: fixp.F32(p[0]), Y: fixp.F32(p[1]), Z: fixp.F32(p[2])}
 	}
 	for i := range vel {
 		var v [3]int64
@@ -371,56 +367,3 @@ func (e *Engine) restoreV2(br *bufio.Reader) error {
 	e.migrate()
 	return nil
 }
-
-// restoreV1 reads the legacy version-1 layout: no fingerprint, no
-// checksum, state streamed directly.
-func (e *Engine) restoreV1(br *bufio.Reader) error {
-	var natoms uint32
-	if err := binary.Read(br, binary.LittleEndian, &natoms); err != nil {
-		return fmt.Errorf("core: bad checkpoint header: %w", err)
-	}
-	if int(natoms) != len(e.Pos) {
-		return fmt.Errorf("%w: checkpoint has %d atoms, engine %d",
-			ErrCheckpointConfig, natoms, len(e.Pos))
-	}
-	var step int64
-	if err := binary.Read(br, binary.LittleEndian, &step); err != nil {
-		return err
-	}
-	if err := binary.Read(br, binary.LittleEndian, &e.longRangeEnergy); err != nil {
-		return err
-	}
-	for i := range e.Pos {
-		var p [3]int32
-		if err := binary.Read(br, binary.LittleEndian, &p); err != nil {
-			return err
-		}
-		e.Pos[i].X, e.Pos[i].Y, e.Pos[i].Z = fixF32(p[0]), fixF32(p[1]), fixF32(p[2])
-	}
-	for i := range e.Vel {
-		var v [3]int64
-		if err := binary.Read(br, binary.LittleEndian, &v); err != nil {
-			return err
-		}
-		e.Vel[i] = Vel3{X: v[0], Y: v[1], Z: v[2]}
-	}
-	for i := range e.fShort {
-		var f [3]int64
-		if err := binary.Read(br, binary.LittleEndian, &f); err != nil {
-			return err
-		}
-		e.fShort[i] = Force3{X: f[0], Y: f[1], Z: f[2]}
-	}
-	for i := range e.fLong {
-		var f [3]int64
-		if err := binary.Read(br, binary.LittleEndian, &f); err != nil {
-			return err
-		}
-		e.fLong[i] = Force3{X: f[0], Y: f[1], Z: f[2]}
-	}
-	e.step = int(step)
-	e.migrate()
-	return nil
-}
-
-func fixF32(raw int32) fixp.F32 { return fixp.F32(raw) }

@@ -61,8 +61,8 @@ func TestCheckpointRejectsMismatch(t *testing.T) {
 
 // TestCheckpointCorruptionMatrix exercises every distinct rejection
 // path of the version-2 format: truncation at each field boundary,
-// single-bit corruption, trailing garbage, an unknown version, and a
-// configuration drift — and checks that every failed restore leaves the
+// single-bit corruption, trailing garbage, an unknown or retired version,
+// and a configuration drift — and checks that every failed restore leaves the
 // engine state untouched.
 func TestCheckpointCorruptionMatrix(t *testing.T) {
 	e := smallWaterEngine(t, 8, nil)
@@ -140,15 +140,19 @@ func TestCheckpointCorruptionMatrix(t *testing.T) {
 		checkUntouched(t)
 	})
 
-	t.Run("future-version", func(t *testing.T) {
-		data := append([]byte(nil), good...)
-		binary.LittleEndian.PutUint32(data[4:], 99)
-		err := target.RestoreCheckpoint(bytes.NewReader(data))
-		if !errors.Is(err, ErrCheckpointVersion) {
-			t.Errorf("got %v, want ErrCheckpointVersion", err)
-		}
-		checkUntouched(t)
-	})
+	// Version 1 (no fingerprint, no checksum) is no longer read: nothing
+	// writes it, and its decoder could not validate before mutating.
+	for name, ver := range map[string]uint32{"version-1": 1, "future-version": 99} {
+		t.Run(name, func(t *testing.T) {
+			data := append([]byte(nil), good...)
+			binary.LittleEndian.PutUint32(data[4:], ver)
+			err := target.RestoreCheckpoint(bytes.NewReader(data))
+			if !errors.Is(err, ErrCheckpointVersion) {
+				t.Errorf("got %v, want ErrCheckpointVersion", err)
+			}
+			checkUntouched(t)
+		})
+	}
 
 	t.Run("wrong-dt", func(t *testing.T) {
 		other := smallWaterEngine(t, 8, func(c *Config) { c.Dt = c.Dt / 2 })
@@ -157,50 +161,4 @@ func TestCheckpointCorruptionMatrix(t *testing.T) {
 			t.Errorf("got %v, want ErrCheckpointConfig", err)
 		}
 	})
-}
-
-// TestCheckpointReadsVersion1 hand-crafts a legacy version-1 file (no
-// fingerprint, no checksum) and checks it still restores exactly.
-func TestCheckpointReadsVersion1(t *testing.T) {
-	src := smallWaterEngine(t, 8, nil)
-	src.Step(7)
-
-	var buf bytes.Buffer
-	w := func(v interface{}) {
-		if err := binary.Write(&buf, binary.LittleEndian, v); err != nil {
-			t.Fatal(err)
-		}
-	}
-	w([]uint32{checkpointMagic, 1, uint32(len(src.Pos))})
-	w(int64(src.step))
-	w(src.longRangeEnergy)
-	for _, p := range src.Pos {
-		w([3]int32{int32(p.X), int32(p.Y), int32(p.Z)})
-	}
-	for _, v := range src.Vel {
-		w([3]int64{v.X, v.Y, v.Z})
-	}
-	for _, f := range src.fShort {
-		w([3]int64{f.X, f.Y, f.Z})
-	}
-	for _, f := range src.fLong {
-		w([3]int64{f.X, f.Y, f.Z})
-	}
-
-	dst := smallWaterEngine(t, 8, nil)
-	if err := dst.RestoreCheckpoint(&buf); err != nil {
-		t.Fatalf("version-1 restore: %v", err)
-	}
-	if dst.StepCount() != 7 {
-		t.Fatalf("restored step count %d, want 7", dst.StepCount())
-	}
-	src.Step(5)
-	dst.Step(5)
-	pa, va := src.Snapshot()
-	pb, vb := dst.Snapshot()
-	for i := range pa {
-		if pa[i] != pb[i] || va[i] != vb[i] {
-			t.Fatalf("v1-restored trajectory diverged at atom %d", i)
-		}
-	}
 }

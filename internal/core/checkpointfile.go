@@ -71,10 +71,9 @@ func (e *Engine) RestoreCheckpointFile(path string) error {
 }
 
 // CheckpointFileCRC reads the checkpoint at path, validates its
-// trailing CRC32 (format v2 only — v1 files carry no checksum), and
-// returns the stored value. The run ledger records it alongside each
-// checkpoint write, so an audit can prove the file on disk is the one
-// the ledger describes without re-deriving any state.
+// trailing CRC32, and returns the stored value. The run ledger records
+// it alongside each checkpoint write, so an audit can prove the file on
+// disk is the one the ledger describes without re-deriving any state.
 func CheckpointFileCRC(path string) (uint32, error) {
 	b, err := os.ReadFile(path)
 	if err != nil {
@@ -87,7 +86,7 @@ func CheckpointFileCRC(path string) (uint32, error) {
 		return 0, fmt.Errorf("%w: %#x", ErrCheckpointMagic, magic)
 	}
 	if ver := binary.LittleEndian.Uint32(b[4:]); ver != checkpointVersion {
-		return 0, fmt.Errorf("%w: %d (no CRC trailer)", ErrCheckpointVersion, ver)
+		return 0, fmt.Errorf("%w: %d", ErrCheckpointVersion, ver)
 	}
 	stored := binary.LittleEndian.Uint32(b[len(b)-ckptCRCLen:])
 	if crc := crc32.ChecksumIEEE(b[:len(b)-ckptCRCLen]); crc != stored {

@@ -198,11 +198,6 @@ type Engine struct {
 	// and vice versa.
 	stepHooks []func()
 
-	// laneFn overrides the tracer's per-node lane refresh (nil = the
-	// analytic model of tracewire.go). The sharded runtime installs its
-	// measured-schedule builder here.
-	laneFn func()
-
 	Stats Stats
 
 	// Energies of the last force evaluation (diagnostic, float).
@@ -426,30 +421,14 @@ func (e *Engine) Observe(r *obs.Recorder) { e.rec = r }
 // Recorder returns the attached observability registry (nil if detached).
 func (e *Engine) Recorder() *obs.Recorder { return e.rec }
 
-// Trace attaches a step tracer (nil to detach), installs its virtual
-// step layout from the machine performance model, and — when node lanes
-// are enabled — computes the initial simulated-node schedule. Must be
-// called between Step calls; attaching never perturbs the trajectory.
+// Trace attaches a step tracer (nil to detach) and installs its virtual
+// step layout from the machine performance model. Must be called between
+// Step calls; attaching never perturbs the trajectory.
 func (e *Engine) Trace(t *obs.Tracer) {
 	e.trc = t
-	if t == nil {
-		return
+	if t != nil {
+		t.SetStepLayout(e.tracePhaseWeights())
 	}
-	t.SetStepLayout(e.tracePhaseWeights())
-	if t.NodeLanesEnabled() {
-		e.refreshNodeLanes()
-	}
-}
-
-// refreshNodeLanes recomputes the tracer's per-node lane schedule. A
-// sharded driver installs its measured builder through laneFn; the
-// default is the analytic machine-model schedule.
-func (e *Engine) refreshNodeLanes() {
-	if e.laneFn != nil {
-		e.laneFn()
-		return
-	}
-	e.refreshTraceNodeLanes()
 }
 
 // Tracer returns the attached step tracer (nil if detached).
@@ -575,9 +554,6 @@ func (e *Engine) migrate() {
 		e.rec.Add(obs.CtrMigrations, 1)
 	}
 	e.obsPhase(obs.PhaseMigration, t0)
-	if e.trc != nil && e.trc.NeedNodeRefresh(int64(e.step)) {
-		e.refreshNodeLanes()
-	}
 }
 
 // Step advances n time steps.

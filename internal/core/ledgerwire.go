@@ -66,9 +66,6 @@ func (t *LedgerTap) Err() error {
 	return t.w.Err()
 }
 
-// Writer returns the tap's underlying ledger writer.
-func (t *LedgerTap) Writer() *ledger.Writer { return t.w }
-
 // RecordCheckpoint appends a checkpoint record for a file the driver
 // just wrote: the checkpoint's own CRC32 trailer is read back (which
 // also validates it) and recorded with the digest at the current step.

@@ -9,10 +9,10 @@ import (
 )
 
 // Sim is the uniform run/resume lifecycle shared by the monolithic Engine
-// and the sharded pipeline. It is the surface a job driver (cmd/antonsim,
-// cmd/antond's worker pool) needs to own a simulation end to end: advance
-// it, persist it crash-consistently, restore it, and prove two runs
-// reached the same state without shipping the state itself.
+// and the sharded pipeline. It is the surface a run driver (service.Run)
+// needs to own a simulation end to end: advance it, persist it
+// crash-consistently, restore it, and prove two runs reached the same
+// state without shipping the state itself.
 type Sim interface {
 	// Step advances the trajectory n steps.
 	Step(n int)
@@ -27,9 +27,9 @@ type Sim interface {
 	// checkpoint, leaving the state untouched on any failure.
 	RestoreCheckpointFile(path string) error
 	// WriteCheckpoint / RestoreCheckpoint are the stream forms of the
-	// same format — drivers that own the file I/O (e.g. antond's worker
-	// persisting through a fault-injecting filesystem) serialize once
-	// and write the bytes themselves.
+	// same format — a driver that owns the file I/O (service.Run
+	// persisting through a fault-injecting filesystem) serializes once
+	// and writes the bytes itself.
 	WriteCheckpoint(w io.Writer) error
 	RestoreCheckpoint(r io.Reader) error
 	// StateDigest fingerprints the dynamic state; equal digests at equal

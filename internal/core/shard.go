@@ -325,7 +325,6 @@ func NewSharded(s *system.System, cfg Config) (*Sharded, error) {
 	if err != nil {
 		return nil, err
 	}
-	e.laneFn = sh.measuredLanes
 
 	sh.rebuildViews()
 	return sh, nil

@@ -131,9 +131,8 @@ func TestShardCheckpointCrossShardCount(t *testing.T) {
 }
 
 // TestShardZeroPerturbation: the full observability stack — recorder,
-// tracer with node lanes (which exercises the measured lane builder), and
-// the health watch — attached to a sharded run must not change a bit of
-// the trajectory.
+// tracer, and the health watch — attached to a sharded run must not
+// change a bit of the trajectory.
 func TestShardZeroPerturbation(t *testing.T) {
 	skipShort(t)
 	plain := smallWaterSharded(t, 8, nil)
@@ -145,7 +144,6 @@ func TestShardZeroPerturbation(t *testing.T) {
 	rec.EnableMemStats()
 	observed.Observe(rec)
 	tr := obs.NewTracer(8192)
-	tr.EnableNodeLanes(10)
 	observed.Trace(tr)
 	w := NewWatch(observed.E, health.DefaultConfig(), 5)
 	observed.Step(60)

@@ -240,69 +240,6 @@ func (s *Sharded) Comm() (*CommReport, error) {
 	return rep, nil
 }
 
-// measuredLanes is the sharded driver's node-lane builder (installed as
-// Engine.laneFn): per-node schedules derived from measured quantities —
-// imported atom counts, pair-consideration tallies, exported force counts
-// — all deterministic, never wall clocks. ModelNs carries the raw count
-// that produced each span.
-func (s *Sharded) measuredLanes() {
-	e := s.E
-	t := e.trc
-	if t == nil || !t.NodeLanesEnabled() {
-		return
-	}
-	n := len(s.shards)
-	names := make([]string, n)
-	spans := make([]obs.NodeSpan, 0, 3*n)
-	type cost struct{ imp, comp, exp int64 }
-	costs := make([]cost, n)
-	maxTotal := int64(1)
-	for i, st := range s.shards {
-		c := e.grid.Coord(i)
-		names[i] = fmt.Sprintf("shard (%d,%d,%d)", c.X, c.Y, c.Z)
-		var imp, exp int64
-		for _, src := range st.impSrcs {
-			imp += int64(len(s.shards[src].owned))
-		}
-		for _, fa := range st.footAtoms {
-			exp += int64(len(fa))
-		}
-		comp := st.tally.Considered
-		if comp == 0 {
-			// Before the first evaluation: size by assignment instead.
-			comp = int64(len(st.myPairs) + len(st.owned) + 1)
-		}
-		costs[i] = cost{imp, comp, exp}
-		if tot := imp + comp + exp; tot > maxTotal {
-			maxTotal = tot
-		}
-	}
-	window := int64(float64(obs.StepVirtualNs) * 0.95)
-	for i, c := range costs {
-		scale := func(v int64) int64 { return v * window / maxTotal }
-		off := int64(0)
-		if c.imp > 0 {
-			spans = append(spans, obs.NodeSpan{
-				Name: "position-import", Node: int32(i), Tid: obs.TidNodeComm,
-				OffsetNs: off, DurNs: scale(c.imp), ModelNs: c.imp,
-			})
-			off += scale(c.imp)
-		}
-		spans = append(spans, obs.NodeSpan{
-			Name: "shard-compute", Node: int32(i), Tid: obs.TidNodeCompute,
-			OffsetNs: off, DurNs: scale(c.comp), ModelNs: c.comp,
-		})
-		off += scale(c.comp)
-		if c.exp > 0 {
-			spans = append(spans, obs.NodeSpan{
-				Name: "force-export", Node: int32(i), Tid: obs.TidNodeComm,
-				OffsetNs: off, DurNs: scale(c.exp), ModelNs: c.exp,
-			})
-		}
-	}
-	t.SetNodeSchedule(names, spans, int64(e.step))
-}
-
 // WriteCheckpoint delegates to the engine: the canonical arrays are the
 // deterministically gathered image (owner writes only, merged at stage
 // barriers), so the monolithic encoder already sees exactly the bytes a

@@ -391,11 +391,6 @@ func (s *Sharded) migrate() {
 		e.rec.Add(obs.CtrShardMigrationMsgs, moved)
 	}
 	s.rebuildViews()
-	// The lane refresh inside Engine.migrate ran against the old views;
-	// recompute against the fresh ones.
-	if e.trc != nil && e.trc.NodeLanesEnabled() {
-		e.refreshNodeLanes()
-	}
 	e.obsPhase(obs.PhaseMigration, t0)
 }
 

@@ -9,13 +9,12 @@ import (
 )
 
 // attachFullObservability wires every observability layer to an engine:
-// recorder, tracer with simulated node lanes, and the health watch.
+// recorder, tracer, and the health watch.
 func attachFullObservability(e *Engine) (*obs.Recorder, *obs.Tracer, *Watch) {
 	rec := obs.NewRecorder()
 	rec.EnableMemStats()
 	e.Observe(rec)
 	tr := obs.NewTracer(8192)
-	tr.EnableNodeLanes(10)
 	e.Trace(tr)
 	w := NewWatch(e, health.DefaultConfig(), 5)
 	return rec, tr, w
@@ -23,8 +22,7 @@ func attachFullObservability(e *Engine) (*obs.Recorder, *obs.Tracer, *Watch) {
 
 // TestTraceWatchBitwiseInvariance extends the zero-perturbation contract
 // to the full observability stack: a 120-step run with the recorder, the
-// step tracer (node lanes on, so Comm() and the machine model run
-// mid-flight) and the health watchdogs all attached must be bitwise
+// step tracer and the health watchdogs all attached must be bitwise
 // identical to a bare run.
 func TestTraceWatchBitwiseInvariance(t *testing.T) {
 	plain := smallWaterEngine(t, 8, nil)
@@ -54,12 +52,10 @@ func TestTraceWatchBitwiseInvariance(t *testing.T) {
 
 // TestEngineTraceExportValid drives a real engine and validates the
 // exported Chrome trace: parses, monotonic non-negative timestamps, and
-// stable pid/tid lanes for the engine, its force workers, and every
-// simulated node.
+// stable pid/tid lanes for the engine and its force workers.
 func TestEngineTraceExportValid(t *testing.T) {
 	e := smallWaterEngine(t, 8, nil)
 	tr := obs.NewTracer(8192)
-	tr.EnableNodeLanes(10)
 	e.Trace(tr)
 	e.Step(40)
 
@@ -85,7 +81,6 @@ func TestEngineTraceExportValid(t *testing.T) {
 		t.Errorf("schemaVersion %q", doc.OtherData["schemaVersion"])
 	}
 	lastTS := -1.0
-	nodePids := map[int64]bool{}
 	workerLanes := map[int64]bool{}
 	phaseNames := map[string]bool{}
 	for _, ev := range doc.TraceEvents {
@@ -97,16 +92,13 @@ func TestEngineTraceExportValid(t *testing.T) {
 		}
 		lastTS = ev.TS
 		switch {
-		case ev.Pid >= obs.PidNodeBase:
-			nodePids[ev.Pid] = true
-		case ev.Pid == obs.PidEngine && ev.Tid >= obs.TidWorkerBase:
+		case ev.Pid != obs.PidEngine:
+			t.Fatalf("span %q on pid %d, want the engine pid only", ev.Name, ev.Pid)
+		case ev.Tid >= obs.TidWorkerBase:
 			workerLanes[ev.Tid] = true
-		case ev.Pid == obs.PidEngine && ev.Tid == obs.TidPhases:
+		case ev.Tid == obs.TidPhases:
 			phaseNames[ev.Name] = true
 		}
-	}
-	if len(nodePids) != e.grid.NumBoxes() {
-		t.Errorf("node lanes for %d pids, want %d", len(nodePids), e.grid.NumBoxes())
 	}
 	if len(workerLanes) == 0 {
 		t.Error("no force-worker lanes in the export")
@@ -127,7 +119,6 @@ func TestTraceDeterministicTimeline(t *testing.T) {
 	run := func() []obs.Span {
 		e := smallWaterEngine(t, 8, nil)
 		tr := obs.NewTracer(8192)
-		tr.EnableNodeLanes(10)
 		e.Trace(tr)
 		e.Step(30)
 		return tr.Spans()
@@ -139,7 +130,7 @@ func TestTraceDeterministicTimeline(t *testing.T) {
 	for i := range a {
 		if a[i].Name != b[i].Name || a[i].Pid != b[i].Pid || a[i].Tid != b[i].Tid ||
 			a[i].TS != b[i].TS || a[i].Dur != b[i].Dur ||
-			a[i].Step != b[i].Step || a[i].ModelNs != b[i].ModelNs {
+			a[i].Step != b[i].Step {
 			t.Fatalf("span %d structurally differs:\n  %+v\n  %+v", i, a[i], b[i])
 		}
 	}

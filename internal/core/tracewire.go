@@ -1,26 +1,17 @@
 package core
 
 import (
-	"fmt"
-
 	"anton/internal/machine"
 	"anton/internal/obs"
 )
 
-// This file maps the engine onto the step tracer's virtual timeline.
-//
-// Two lane families are produced. The engine lanes replay the live step
-// loop: each of the 14 pipeline phases gets a fixed virtual slot inside
-// the step window, sized from the machine performance model's predicted
-// phase shares so the timeline's shape mirrors the paper's Table 2
-// execution profile (measured wall times ride in span args). The
-// simulated node lanes replay, for every node of the modelled torus, the
-// per-step schedule the performance model and the Comm() traffic
-// accounting predict — per-node compute spans scaled by the node's
-// resident-atom load (the straggler is the longest bar) and comm spans
-// sized from the torus phase-time estimates. Everything here is derived
-// from positions, the decomposition, and analytic models: two runs of
-// the same configuration produce bitwise-identical virtual timelines.
+// This file maps the engine onto the step tracer's virtual timeline: each
+// of the 14 pipeline phases gets a fixed virtual slot inside the step
+// window, sized from the machine performance model's predicted phase
+// shares so the timeline's shape mirrors the paper's Table 2 execution
+// profile (measured wall times ride in span args). The layout is derived
+// from the configuration alone: two runs of the same configuration
+// produce bitwise-identical virtual timelines.
 
 // tracePhaseWeights distributes the machine model's predicted task times
 // over the engine's pipeline phases. The within-group splits are fixed
@@ -52,128 +43,4 @@ func (e *Engine) traceModelProfile() machine.StepProfile {
 	w.Dt = e.Cfg.Dt
 	w.MTSInterval = e.Cfg.MTSInterval
 	return machine.DefaultModel.Estimate(e.Mach, w)
-}
-
-// refreshTraceNodeLanes recomputes the simulated-node span schedule from
-// the current decomposition and installs it in the tracer. Called when a
-// tracer with node lanes attaches and again after migrations (rate-
-// limited by the tracer's refresh cadence). Strictly read-only.
-func (e *Engine) refreshTraceNodeLanes() {
-	if e.trc == nil {
-		return
-	}
-	rep, err := e.Comm()
-	if err != nil {
-		return
-	}
-	p := e.traceModelProfile()
-	n := e.grid.NumBoxes()
-
-	// Per-node resident-atom load factors (the model's times are
-	// per-node averages; the load factor surfaces the straggler).
-	atoms := make([]int, n)
-	total := 0
-	for i := 0; i < n; i++ {
-		atoms[i] = len(e.boxAtoms[i])
-		total += atoms[i]
-	}
-	mean := float64(total) / float64(n)
-	if mean <= 0 {
-		mean = 1
-	}
-
-	// Comm phase estimates (ns) are whole-machine phase times — the
-	// synchronized choreography every node participates in.
-	importNs := rep.ImportStats.PhaseTimeNs
-	exportNs := rep.ExportStats.PhaseTimeNs
-	bondNs := rep.BondStats.PhaseTimeNs
-	fftNs := rep.FFTStats.PhaseTimeNs
-
-	type tmplSpan struct {
-		name    string
-		tid     int32
-		modelNs float64
-	}
-	names := make([]string, n)
-	var spans []obs.NodeSpan
-	longest := 0.0
-	schedules := make([][]struct {
-		s     tmplSpan
-		start float64
-	}, n)
-	for i := 0; i < n; i++ {
-		c := e.grid.Coord(i)
-		names[i] = fmt.Sprintf("node (%d,%d,%d)", c.X, c.Y, c.Z)
-		load := float64(atoms[i]) / mean
-		compute := []tmplSpan{
-			{"range-limited", obs.TidNodeCompute, p.RangeLimited * 1e9 * load},
-			{"bonded", obs.TidNodeCompute, p.Bonded * 1e9 * load},
-			{"correction", obs.TidNodeCompute, p.Correction * 1e9},
-			{"mesh-spread", obs.TidNodeCompute, p.MeshInterp / 2 * 1e9},
-			{"fft", obs.TidNodeCompute, p.FFT * 1e9},
-			{"mesh-interp", obs.TidNodeCompute, p.MeshInterp / 2 * 1e9},
-			{"integration", obs.TidNodeCompute, p.Integration * 1e9 * load},
-		}
-		comm := []tmplSpan{
-			{"position-import", obs.TidNodeComm, importNs},
-			{"bond-positions", obs.TidNodeComm, bondNs},
-			{"fft-exchange", obs.TidNodeComm, fftNs},
-			{"force-export", obs.TidNodeComm, exportNs},
-		}
-		// The comm lane leads (imports gate compute), compute follows the
-		// import, and the export trails the compute chain.
-		var sched []struct {
-			s     tmplSpan
-			start float64
-		}
-		t := 0.0
-		for _, s := range comm[:3] {
-			sched = append(sched, struct {
-				s     tmplSpan
-				start float64
-			}{s, t})
-			t += s.modelNs
-		}
-		commEnd := t
-		t = importNs
-		for _, s := range compute {
-			sched = append(sched, struct {
-				s     tmplSpan
-				start float64
-			}{s, t})
-			t += s.modelNs
-		}
-		sched = append(sched, struct {
-			s     tmplSpan
-			start float64
-		}{comm[3], t})
-		t += exportNs
-		if t > longest {
-			longest = t
-		}
-		if commEnd > longest {
-			longest = commEnd
-		}
-		schedules[i] = sched
-	}
-	if longest <= 0 {
-		longest = 1
-	}
-	// Scale the busiest node to 95% of the virtual step window so the
-	// straggler is visible as the longest bar without overrunning the
-	// next step.
-	scale := 0.95 * float64(obs.StepVirtualNs) / longest
-	for i := 0; i < n; i++ {
-		for _, es := range schedules[i] {
-			spans = append(spans, obs.NodeSpan{
-				Name:     es.s.name,
-				Node:     int32(i),
-				Tid:      es.s.tid,
-				OffsetNs: int64(es.start * scale),
-				DurNs:    int64(es.s.modelNs * scale),
-				ModelNs:  int64(es.s.modelNs),
-			})
-		}
-	}
-	e.trc.SetNodeSchedule(names, spans, int64(e.step))
 }

@@ -3,12 +3,9 @@ package experiments
 import (
 	"fmt"
 	"math/rand"
-	"os"
-	"path/filepath"
 	"strings"
 
 	"anton/internal/core"
-	"anton/internal/ledger"
 	"anton/internal/machine"
 	"anton/internal/obs"
 	"anton/internal/system"
@@ -46,14 +43,6 @@ type ProfileData struct {
 
 	ForcedMigrations int64
 	TotalMigrations  int64
-
-	// Ledger counters from the run's attached provenance ledger
-	// (DESIGN §15): the profiled run is itself ledgered, so the report
-	// carries what its own provenance cost in records, commits and
-	// bytes.
-	LedgerRecords int64
-	LedgerCommits int64
-	LedgerBytes   int64
 
 	MemTracked     bool
 	MallocsPerStep float64
@@ -94,28 +83,6 @@ func profileData(s *system.System, steps, nodes int) (*ProfileData, error) {
 	rec.EnableMemStats()
 	e.Observe(rec)
 
-	// The profiled run carries its own provenance ledger (batched mode,
-	// discarded afterwards) so the obs ledger counters in the record are
-	// measured, not zero.
-	ldir, err := os.MkdirTemp("", "profileledger")
-	if err != nil {
-		return nil, err
-	}
-	defer os.RemoveAll(ldir)
-	lw, err := ledger.Create(filepath.Join(ldir, "profile.ledger"), ledger.Options{})
-	if err != nil {
-		return nil, err
-	}
-	defer lw.Close()
-	if err := lw.AppendGenesis(ledger.Genesis{
-		Fingerprint: e.FingerprintHex(),
-		System:      s.Name,
-		Atoms:       s.NAtoms(),
-	}); err != nil {
-		return nil, err
-	}
-	core.AttachLedger(e, lw, 0)
-
 	// Record one frame per migration interval, so the trajectory's
 	// per-frame minimum-image displacement is exactly the drift the
 	// residency slack must absorb.
@@ -134,10 +101,6 @@ func profileData(s *system.System, steps, nodes int) (*ProfileData, error) {
 			return nil, err
 		}
 	}
-	if err := lw.Close(); err != nil {
-		return nil, err
-	}
-	lst := lw.Stats()
 	snap := rec.Snapshot()
 
 	// The machine model's prediction for the same workload on a small
@@ -201,10 +164,6 @@ func profileData(s *system.System, steps, nodes int) (*ProfileData, error) {
 		ForcedMigrations: snap.Counters[obs.CtrResidencyMigrations].Value,
 		TotalMigrations:  snap.Counters[obs.CtrMigrations].Value,
 
-		LedgerRecords: lst.Records,
-		LedgerCommits: lst.Commits,
-		LedgerBytes:   lst.Bytes,
-
 		MemTracked: snap.Mem.Tracked,
 	}
 	if snap.Mem.Tracked {
@@ -236,8 +195,6 @@ func renderProfile(d *ProfileData) string {
 		d.MigrationDriftA, d.MigrationInterval, d.ResidencySlackA,
 		100*(d.ResidencySlackA-d.MigrationDriftA)/d.ResidencySlackA)
 	fmt.Fprintf(&b, "forced early migrations: %d of %d\n", d.ForcedMigrations, d.TotalMigrations)
-	fmt.Fprintf(&b, "provenance: %d ledger records, %d commits, %d bytes (batched mode)\n",
-		d.LedgerRecords, d.LedgerCommits, d.LedgerBytes)
 	if d.MemTracked {
 		fmt.Fprintf(&b, "allocations: %.1f/step (%d GCs over the run)\n",
 			d.MallocsPerStep, d.NumGC)

@@ -17,10 +17,9 @@ import (
 // pos-/force-raw/wire-bytes).
 const SchemaVersion = "anton-obs/v5"
 
-// The step tracer records per-step, per-phase spans from the engine plus
-// simulated per-node lanes derived from the machine performance model and
-// the Comm() traffic accounting, into a bounded ring exportable as Chrome
-// trace-event JSON (loadable in Perfetto / chrome://tracing).
+// The step tracer records per-step, per-phase spans from the engine into
+// a bounded ring exportable as Chrome trace-event JSON (loadable in
+// Perfetto / chrome://tracing).
 //
 // Virtual time. Wall clocks are nondeterministic, so span timestamps use
 // a deterministic step-indexed virtual clock instead: every step owns a
@@ -33,9 +32,7 @@ const SchemaVersion = "anton-obs/v5"
 //
 // Lanes. pid/tid assignment is stable: the engine is pid 1 with a step
 // lane (tid 0), a phase lane (tid 1) and one lane per force worker
-// (tid 10+w); each simulated node n is pid 100+n with a compute lane
-// (tid 0) and a comm lane (tid 1) replaying the model-predicted per-node
-// schedule every step.
+// (tid 10+w).
 //
 // Like the Recorder, a Tracer is owned by the engine's coordinating
 // goroutine and is strictly read-only with respect to dynamics state.
@@ -46,43 +43,25 @@ const StepVirtualNs = 1_000_000
 
 // Stable pid/tid lane assignment of the exported trace.
 const (
-	PidEngine   = 1 // the engine process lane group
-	PidNodeBase = 100
+	PidEngine = 1 // the engine process lane group
 
 	TidStep       = 0
 	TidPhases     = 1
 	TidWorkerBase = 10
-
-	TidNodeCompute = 0
-	TidNodeComm    = 1
 )
 
 // Span is one recorded trace span. TS and Dur are virtual nanoseconds
-// (deterministic); WallNs is the measured wall time when the span came
-// from a live engine phase (0 for model-derived node spans, where ModelNs
-// carries the analytic estimate instead).
+// (deterministic); WallNs is the measured wall time of the live engine
+// phase the span came from.
 type Span struct {
-	Name    string
-	Pid     int32
-	Tid     int32
-	TS      int64
-	Dur     int64
-	Step    int64
-	WallNs  int64
-	Calls   int32
-	ModelNs int64
-}
-
-// NodeSpan is one entry of the per-step simulated-node schedule template:
-// a span replayed for node Node every step at the given offset inside the
-// step window.
-type NodeSpan struct {
-	Name     string
-	Node     int32
-	Tid      int32
-	OffsetNs int64
-	DurNs    int64
-	ModelNs  int64 // unscaled model estimate, ns
+	Name   string
+	Pid    int32
+	Tid    int32
+	TS     int64
+	Dur    int64
+	Step   int64
+	WallNs int64
+	Calls  int32
 }
 
 // Tracer is the bounded-ring step tracer. The zero value is not usable;
@@ -104,14 +83,6 @@ type Tracer struct {
 	workerNs []int64
 	workerFl []int64
 	maxWork  int
-
-	nodeLanes   bool
-	nodeEvery   int64
-	nodeFresh   int64 // step of last schedule refresh (-1 = never)
-	nodeNames   []string
-	schedule    []NodeSpan
-	lastStep    int64
-	flushedStep int64
 }
 
 // NewTracer builds a tracer with the given ring capacity (minimum 64)
@@ -121,9 +92,8 @@ func NewTracer(capacity int) *Tracer {
 		capacity = 64
 	}
 	t := &Tracer{
-		start:     time.Now(),
-		ring:      make([]Span, capacity),
-		nodeFresh: -1,
+		start: time.Now(),
+		ring:  make([]Span, capacity),
 	}
 	var uniform [NumPhases]float64
 	for p := Phase(0); p < NumPhases; p++ {
@@ -174,37 +144,6 @@ func (t *Tracer) SetStepLayout(weights [NumPhases]float64) {
 	t.slots[PhasePairPPIP] = t.slots[PhasePairMatch]
 }
 
-// EnableNodeLanes turns on the simulated per-node lanes. refreshEvery is
-// the minimum number of steps between schedule refreshes (0 = refresh at
-// every migration).
-func (t *Tracer) EnableNodeLanes(refreshEvery int) {
-	t.nodeLanes = true
-	t.nodeEvery = int64(refreshEvery)
-}
-
-// NodeLanesEnabled reports whether node lanes are on.
-func (t *Tracer) NodeLanesEnabled() bool { return t.nodeLanes }
-
-// NeedNodeRefresh reports whether the node schedule should be recomputed
-// at the given step (rate-limited by EnableNodeLanes's refreshEvery).
-func (t *Tracer) NeedNodeRefresh(step int64) bool {
-	if !t.nodeLanes {
-		return false
-	}
-	if t.nodeFresh < 0 {
-		return true
-	}
-	return step-t.nodeFresh >= t.nodeEvery
-}
-
-// SetNodeSchedule installs the per-step simulated-node span template and
-// the node display names (index = node id).
-func (t *Tracer) SetNodeSchedule(names []string, spans []NodeSpan, step int64) {
-	t.nodeNames = names
-	t.schedule = spans
-	t.nodeFresh = step
-}
-
 // AddPhase accumulates one timed call into the current step (same call
 // convention as Recorder.AddPhase; the engine feeds both).
 func (t *Tracer) AddPhase(p Phase, ns int64) {
@@ -238,8 +177,8 @@ func (t *Tracer) push(s Span) {
 }
 
 // StepDone flushes the accumulated phase and worker times of completed
-// step `step` (1-based) as spans in the step's virtual window, replays
-// the simulated-node schedule, and resets the per-step accumulators.
+// step `step` (1-based) as spans in the step's virtual window and resets
+// the per-step accumulators.
 func (t *Tracer) StepDone(step int64) {
 	base := (step - 1) * StepVirtualNs
 	if base < 0 {
@@ -295,19 +234,6 @@ func (t *Tracer) StepDone(step int64) {
 		t.workerNs[w] = 0
 		t.workerFl[w] = 0
 	}
-	for _, ns := range t.schedule {
-		t.push(Span{
-			Name:    ns.Name,
-			Pid:     PidNodeBase + ns.Node,
-			Tid:     ns.Tid,
-			TS:      base + ns.OffsetNs,
-			Dur:     ns.DurNs,
-			Step:    step,
-			ModelNs: ns.ModelNs,
-		})
-	}
-	t.lastStep = step
-	t.flushedStep = step
 }
 
 // Spans returns the ring contents oldest-first (copied).
@@ -378,11 +304,6 @@ func (t *Tracer) ExportJSON() ([]byte, error) {
 	for w := 0; w < t.maxWorkerSeen(spans); w++ {
 		meta(PidEngine, int64(TidWorkerBase+w), "thread_name", fmt.Sprintf("worker %d", w))
 	}
-	for i, name := range t.nodeNames {
-		meta(int64(PidNodeBase+i), 0, "process_name", name)
-		meta(int64(PidNodeBase+i), TidNodeCompute, "thread_name", "compute")
-		meta(int64(PidNodeBase+i), TidNodeComm, "thread_name", "comm")
-	}
 	for _, s := range spans {
 		args := map[string]any{"step": s.Step}
 		if s.WallNs > 0 {
@@ -390,9 +311,6 @@ func (t *Tracer) ExportJSON() ([]byte, error) {
 		}
 		if s.Calls > 0 {
 			args["calls"] = s.Calls
-		}
-		if s.ModelNs > 0 {
-			args["model_ns"] = s.ModelNs
 		}
 		f.TraceEvents = append(f.TraceEvents, traceEvent{
 			Name: s.Name,

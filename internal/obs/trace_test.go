@@ -120,13 +120,6 @@ func TestTracerPPIPSharesMatchSlot(t *testing.T) {
 // timestamps and the schema version in otherData.
 func TestTracerExportValid(t *testing.T) {
 	tr := NewTracer(512)
-	tr.EnableNodeLanes(10)
-	tr.SetNodeSchedule(
-		[]string{"node (0,0,0)", "node (1,0,0)"},
-		[]NodeSpan{
-			{Name: "compute", Node: 0, Tid: TidNodeCompute, OffsetNs: 0, DurNs: 400_000, ModelNs: 123},
-			{Name: "comm", Node: 1, Tid: TidNodeComm, OffsetNs: 100_000, DurNs: 200_000, ModelNs: 456},
-		}, 1)
 	fillSteps(tr, 20)
 
 	raw, err := tr.ExportJSON()
@@ -153,7 +146,6 @@ func TestTracerExportValid(t *testing.T) {
 	}
 	lastTS := -1.0
 	xEvents, mEvents := 0, 0
-	nodePids := map[int64]bool{}
 	for _, ev := range doc.TraceEvents {
 		switch ev.Ph {
 		case "M":
@@ -171,15 +163,12 @@ func TestTracerExportValid(t *testing.T) {
 			t.Fatalf("timestamps not monotonic: %f after %f", ev.TS, lastTS)
 		}
 		lastTS = ev.TS
-		if ev.Pid >= PidNodeBase {
-			nodePids[ev.Pid] = true
+		if ev.Pid != PidEngine {
+			t.Fatalf("span %q on pid %d, want the engine pid only", ev.Name, ev.Pid)
 		}
 	}
 	if xEvents == 0 || mEvents == 0 {
 		t.Fatalf("export missing events: %d X, %d M", xEvents, mEvents)
-	}
-	if len(nodePids) != 2 {
-		t.Errorf("node lanes present for %d pids, want 2", len(nodePids))
 	}
 	// Round-trip: re-marshal and parse again (verify.sh automates this on
 	// the shipped artifact too).

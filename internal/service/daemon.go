@@ -88,12 +88,6 @@ type Config struct {
 // job (the bounded queue is at capacity).
 var ErrQueueFull = errors.New("service: queue full")
 
-// errPoisoned marks a failure cause whose artifact can no longer be
-// trusted — the job must be quarantined, not retried.
-var errPoisoned = errors.New("poisoned artifact")
-
-func poisonedErr(err error) error { return fmt.Errorf("%w: %w", errPoisoned, err) }
-
 // transientFault reports whether err is worth retrying: an injected
 // storage fault, or the real errno it models.
 func transientFault(err error) bool {
@@ -158,6 +152,12 @@ func New(cfg Config) (*Daemon, error) {
 	}
 	if cfg.JobRetries <= 0 {
 		cfg.JobRetries = 5
+	}
+	if cfg.RetryBase <= 0 {
+		cfg.RetryBase = 50 * time.Millisecond
+	}
+	if cfg.PersistAttempts <= 0 {
+		cfg.PersistAttempts = 10
 	}
 	if cfg.Logger == nil {
 		cfg.Logger = slog.Default()
@@ -369,6 +369,11 @@ func (d *Daemon) BusyWorkers() int { return int(d.busy.Load()) }
 // Stats exposes the supervision counters (for tests and experiments).
 func (d *Daemon) Stats() *obs.ServiceStats { return d.stats }
 
+// LedgerPath exposes the job's run-ledger file path, for audit tooling
+// that verifies ledgers out-of-band (antonaudit, the benchmark's
+// correctness gate).
+func (d *Daemon) LedgerPath(id string) string { return d.store.LedgerPath(id) }
+
 // FS returns the attached storage fault plane (nil when quiet) — the
 // chaos harness reboots and re-shares it across daemon restarts.
 func (d *Daemon) FS() *faults.FS { return d.fs }
@@ -379,25 +384,11 @@ func (d *Daemon) FS() *faults.FS { return d.fs }
 // dir.
 func (d *Daemon) StorageCrashed() bool { return d.fs.Crashed() }
 
-// jobRetries is the consecutive-failure quarantine threshold.
-func (d *Daemon) jobRetries() int { return d.cfg.JobRetries }
-
-// persistAttempts bounds op-level persist retries.
-func (d *Daemon) persistAttempts() int {
-	if d.cfg.PersistAttempts > 0 {
-		return d.cfg.PersistAttempts
-	}
-	return 10
-}
-
 // backoffDelay is the retry backoff: exponential in the attempt number
 // with deterministic per-(job, attempt) jitter, so colliding retries
 // de-synchronize identically on every replay of a campaign.
 func (d *Daemon) backoffDelay(id string, attempt int) time.Duration {
 	base := d.cfg.RetryBase
-	if base <= 0 {
-		base = 50 * time.Millisecond
-	}
 	if attempt < 1 {
 		attempt = 1
 	}
@@ -415,7 +406,6 @@ func (d *Daemon) backoffDelay(id string, attempt int) time.Duration {
 // for transient storage faults. Crashes and non-transient errors
 // surface immediately; exhaustion surfaces the last fault.
 func (d *Daemon) retryPersist(id string, op func() error) error {
-	attempts := d.persistAttempts()
 	for a := 1; ; a++ {
 		err := op()
 		if err == nil {
@@ -424,7 +414,7 @@ func (d *Daemon) retryPersist(id string, op func() error) error {
 		if transientFault(err) && !faults.IsCrash(err) {
 			d.stats.StorageFaults.Add(1)
 		}
-		if faults.IsCrash(err) || !transientFault(err) || a >= attempts {
+		if faults.IsCrash(err) || !transientFault(err) || a >= d.cfg.PersistAttempts {
 			return err
 		}
 		d.stats.PersistRetries.Add(1)
@@ -436,18 +426,21 @@ func (d *Daemon) retryPersist(id string, op func() error) error {
 //
 //   - injected crash: the process is "dead" — abandon the job silently;
 //     the next daemon's recovery scan owns it;
-//   - poisoned artifact: quarantine (failed_poisoned), never re-run;
 //   - transient storage fault: requeue with backoff, bounded by the
 //     consecutive-failure budget;
+//   - otherwise a damaged artifact (ErrDamaged: a checkpoint that reads
+//     fine but fails validation, a ledger that fails its resume audit):
+//     quarantine (failed_poisoned), never re-run — restarting from step 0
+//     or extending a history that can no longer be trusted is worse;
 //   - anything else: permanent failure.
 func (d *Daemon) supervise(js *JobStatus, cause error) {
 	switch {
 	case faults.IsCrash(cause):
 		d.log.Error("storage crash; abandoning job to recovery", "job", js.ID, "err", cause)
-	case errors.Is(cause, errPoisoned):
-		d.quarantine(js, cause)
 	case transientFault(cause):
 		d.requeue(js, cause)
+	case errors.Is(cause, ErrDamaged):
+		d.quarantine(js, cause)
 	default:
 		d.finish(js, StateFailed, cause)
 	}
@@ -458,7 +451,7 @@ func (d *Daemon) supervise(js *JobStatus, cause error) {
 // quarantine once the retry budget is spent.
 func (d *Daemon) requeue(js *JobStatus, cause error) {
 	js.Failures++
-	if js.Failures >= d.jobRetries() {
+	if js.Failures >= d.cfg.JobRetries {
 		d.quarantine(js, fmt.Errorf("%d consecutive failures, last: %w", js.Failures, cause))
 		return
 	}

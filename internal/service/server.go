@@ -4,7 +4,9 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
+	"os"
 )
 
 // Handler returns the daemon's HTTP API:
@@ -159,4 +161,21 @@ func (d *Daemon) handleHealthz(w http.ResponseWriter, _ *http.Request) {
 func (d *Daemon) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4")
 	d.writeDaemonMetrics(w)
+}
+
+// serveLedger streams the job's raw ledger file (JSON lines). The bytes
+// are the provenance artifact itself — clients run antonaudit against
+// exactly what this endpoint returns, so it is served verbatim, not
+// re-rendered.
+func (d *Daemon) serveLedger(w http.ResponseWriter, id string) {
+	f, err := os.Open(d.store.LedgerPath(id))
+	if err != nil {
+		writeErr(w, http.StatusNotFound, "job %s has no ledger", id)
+		return
+	}
+	defer f.Close()
+	w.Header().Set("Content-Type", "application/x-ndjson")
+	if _, err := io.Copy(w, f); err != nil {
+		d.log.Error("serve ledger", "job", id, "err", err)
+	}
 }

@@ -207,6 +207,13 @@ func (st *Store) CheckpointPath(id string) string {
 	return filepath.Join(st.Dir(id), "job.ckpt")
 }
 
+// LedgerPath returns the job's run-ledger file path: the hash-chained
+// provenance record of the trajectory, next to status.json and job.ckpt.
+// antonaudit verifies and replays it offline.
+func (st *Store) LedgerPath(id string) string {
+	return filepath.Join(st.Dir(id), "run.ledger")
+}
+
 // seqOf parses the numeric tail of "job-000042"; 0 for foreign names.
 func seqOf(id string) int {
 	s, ok := strings.CutPrefix(id, "job-")

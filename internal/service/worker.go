@@ -1,68 +1,9 @@
 package service
 
 import (
-	"bytes"
 	"fmt"
-	"math/rand"
-	"os"
 	"time"
-
-	"anton/internal/core"
-	"anton/internal/faults"
-	"anton/internal/ledger"
-	"anton/internal/obs"
-	"anton/internal/obs/health"
-	"anton/internal/system"
 )
-
-// BuildSim constructs the execution engine a job spec describes: the
-// system, the (optionally sharded) engine, and the deterministic initial
-// velocities. A resumed job calls this too — the checkpoint restore then
-// overwrites the seeded state, exactly as the uninterrupted run would
-// have evolved it. Exported for antonaudit: a replay audit rebuilds the
-// simulation from the spec a ledger's genesis record embeds.
-func BuildSim(spec JobSpec) (core.Sim, *core.Engine, *core.Sharded, error) {
-	var s *system.System
-	var err error
-	if spec.System == "small" {
-		s, err = system.Small(true, 1)
-	} else {
-		s, err = system.ByName(spec.System)
-	}
-	if err != nil {
-		return nil, nil, nil, fmt.Errorf("service: building system: %w", err)
-	}
-	nodes := spec.Nodes
-	if spec.Shards > 0 {
-		nodes = spec.Shards
-	}
-	cfg := core.DefaultConfig(nodes)
-	if spec.Ensemble == "nve" {
-		cfg.TauT = 0
-	} else {
-		cfg.TargetT = spec.Temperature
-	}
-	var eng *core.Engine
-	var sh *core.Sharded
-	if spec.Shards > 0 {
-		sh, err = core.NewSharded(s, cfg)
-		if err != nil {
-			return nil, nil, nil, fmt.Errorf("service: building sharded engine: %w", err)
-		}
-		eng = sh.Engine()
-	} else {
-		eng, err = core.NewEngine(s, cfg)
-		if err != nil {
-			return nil, nil, nil, fmt.Errorf("service: building engine: %w", err)
-		}
-	}
-	rng := rand.New(rand.NewSource(spec.Seed))
-	eng.SetVelocities(system.InitVelocities(s.Top, 300, rng))
-	if sh != nil {
-		return sh, eng, sh, nil
-	}
-	return eng, eng, nil, nil
-}
 
 // worker is one pool goroutine: it drains the queue until the queue
 // closes (daemon stop).
@@ -94,14 +35,14 @@ func (d *Daemon) deadlineFor(js *JobStatus) time.Time {
 	return js.StartedAt.Add(budget)
 }
 
-// runJob owns one job attempt end to end: build, resume, chunked
-// stepping with durable checkpoints, telemetry publishing, and the
-// terminal status write. The durability contract is enforced here: every
-// chunk boundary persists checkpoint → ledger commit → status (in that
-// order — a status record never points past its checkpoint, and a
-// committed ledger never trails its checkpoint), so a daemon death OR an
-// injected storage crash at any instant leaves a resumable job that
-// finishes bitwise identical to an uninterrupted run.
+// runJob owns one job attempt end to end. The simulation itself — build,
+// resume, ledger, chaos, observers, and how a boundary is made durable —
+// is a Run; what stays here is the daemon's: queue state, the cancel,
+// drain and deadline checks, and the status record. Every chunk boundary
+// persists checkpoint → ledger commit (Run.Persist) → status, in that
+// order: a status record never points past its checkpoint, so a daemon
+// death OR an injected storage crash at any instant leaves a resumable
+// job that finishes bitwise identical to an uninterrupted run.
 //
 // Failures route through supervise: storage crashes abandon the job to
 // the next daemon's recovery scan, transient storage faults requeue it
@@ -129,103 +70,30 @@ func (d *Daemon) runJob(id string) {
 		js.StartedAt = time.Now().UTC()
 	}
 	js.Attempts++
-	if err := d.retryPersist(id, func() error { return d.store.Put(js) }); err != nil {
+	retry := func(op func() error) error { return d.retryPersist(id, op) }
+	if err := retry(func() error { return d.store.Put(js) }); err != nil {
 		d.supervise(&js, fmt.Errorf("persisting running state: %w", err))
 		return
 	}
 	deadline := d.deadlineFor(&js)
 
-	sim, eng, sh, err := BuildSim(js.Spec)
-	if err != nil {
-		d.finish(&js, StateFailed, err)
-		return
-	}
-	if sh != nil {
-		defer sh.Close()
-	}
-
-	// Resume: a persisted checkpoint means this job was interrupted (or
-	// the daemon was). The read goes through the fault plane (with
-	// retries — a flaky disk must not forfeit a resumable job); the
-	// restore validates fingerprint + CRC before mutating anything. A
-	// file that reads fine but fails validation is damaged at rest:
-	// quarantine, never silently restart from step 0 — that would burn
-	// the wall-clock budget re-computing a trajectory the operator
-	// believes is half done.
+	// A persisted checkpoint means this job was interrupted (or the daemon
+	// was): the run resumes from it.
 	ckptPath := d.store.CheckpointPath(id)
-	resumed := false
-	if _, statErr := os.Stat(ckptPath); statErr == nil {
-		var blob []byte
-		err := d.retryPersist(id, func() error {
-			var rerr error
-			blob, rerr = d.fs.ReadFile(ckptPath)
-			return rerr
-		})
-		if err != nil {
-			d.supervise(&js, fmt.Errorf("reading checkpoint: %w", err))
-			return
-		}
-		if err := sim.RestoreCheckpoint(bytes.NewReader(blob)); err != nil {
-			d.supervise(&js, poisonedErr(fmt.Errorf("resuming from checkpoint: %w", err)))
-			return
-		}
-		js.Resumes++
-		js.ResumedFrom = sim.StepCount()
-		resumed = true
-		d.log.Info("job resumed from checkpoint", "job", id, "step", sim.StepCount())
-	}
-
-	// The run ledger is part of the durability contract: a fresh job
-	// opens its provenance chain with a genesis record; a resumed job
-	// audits the existing chain first and stamps a resume record. A
-	// tampered or torn-beyond-repair chain poisons the job — resuming
-	// would extend a history that can no longer be trusted.
-	lw, err := d.openJobLedger(&js, eng, resumed)
+	run, err := OpenRun(js.Spec, ckptPath, ckptPath, d.store.LedgerPath(id), d.fs, retry)
 	if err != nil {
-		err = fmt.Errorf("run ledger: %w", err)
-		if resumed && !faults.IsCrash(err) && !transientFault(err) {
-			err = poisonedErr(err)
-		}
 		d.supervise(&js, err)
 		return
 	}
 	defer func() {
-		if err := lw.Close(); err != nil {
+		if err := run.Close(); err != nil {
 			d.log.Error("close ledger", "job", id, "err", err)
 		}
 	}()
-	tap := core.AttachLedger(eng, lw, 0)
-
-	if js.Spec.Chaos != "" {
-		spec, err := faults.ParseSpec(js.Spec.Chaos) // validated at submit
-		if err != nil {
-			d.finish(&js, StateFailed, err)
-			return
-		}
-		fcfg := core.FaultConfig{
-			Plane:           faults.New(spec, sh.Shards()),
-			CheckpointEvery: js.Spec.CheckpointEvery,
-			CheckpointPath:  ckptPath,
-			OnRecovery: func(ev core.RecoveryEvent) {
-				if err := lw.AppendRecovery(ledger.Recovery{
-					DetectedStep: ev.DetectedStep,
-					RestoredStep: ev.RestoredStep,
-					Crashed:      ev.Crashed,
-					Adopted:      ev.Adopted,
-					Spurious:     ev.Spurious,
-				}); err != nil {
-					d.log.Error("ledger recovery record", "job", id, "err", err)
-				}
-			},
-		}
-		if err := sh.EnableFaults(fcfg); err != nil {
-			d.finish(&js, StateFailed, err)
-			return
-		}
-		if err := lw.AppendFaults(int64(sim.StepCount()), spec.String(), spec.Seed); err != nil {
-			d.supervise(&js, fmt.Errorf("run ledger: %w", err))
-			return
-		}
+	if run.ResumedFrom >= 0 {
+		js.Resumes++
+		js.ResumedFrom = run.ResumedFrom
+		d.log.Info("job resumed from checkpoint", "job", id, "step", run.ResumedFrom)
 	}
 
 	// Per-job telemetry: the same /metrics, /healthz, /trace surface the
@@ -233,68 +101,31 @@ func (d *Daemon) runJob(id string) {
 	// routed at /api/v1/jobs/{id}/{endpoint}. The surface outlives the
 	// job so terminal states stay scrapeable.
 	tel := d.tset.Acquire(id)
-	rec := obs.NewRecorder()
-	eng.Observe(rec)
-	tracer := obs.NewTracer(4096)
-	eng.Trace(tracer)
-	watch := core.NewWatch(eng, health.DefaultConfig(), 10)
-	if sh != nil && js.Spec.Chaos != "" {
-		watch.WatchTransport(sh.TransportCounts)
-	}
 	publish := func() {
-		tel.PublishSnapshot(rec.Snapshot())
-		tel.PublishSample(eng.TelemetrySample())
-		tel.PublishHealth(watch.Registry().Status(obs.SchemaVersion))
-		if err := tel.PublishTrace(tracer); err != nil {
+		if err := run.Publish(tel); err != nil {
 			d.log.Error("publish trace", "job", id, "err", err)
 		}
 	}
-
-	// persist seals one chunk boundary: serialize the checkpoint once,
-	// write it through the fault plane (retried), ledger it + any latched
-	// alerts, commit the batch (the commit fsyncs, so everything up to
-	// this boundary is durable before the status record can claim it),
-	// then persist status. The ledger writer retries its own appends with
-	// rollback, so a re-driven stage never double-appends; re-recording
-	// the checkpoint after a commit failure is harmless (duplicate
-	// checkpoint records agree, and audit tolerates agreeing duplicates).
+	// refresh copies the live engine's progress into the status record.
+	refresh := func() {
+		js.Step = run.Sim.StepCount()
+		js.Digest = fmt.Sprintf("%016x", run.Sim.StateDigest())
+		js.Temperature = run.Eng.Temperature()
+		js.TotalEnergy = run.Eng.TotalEnergy()
+	}
 	persist := func() error {
-		var buf bytes.Buffer
-		if err := sim.WriteCheckpoint(&buf); err != nil {
-			return fmt.Errorf("serializing checkpoint: %w", err)
+		if err := run.Persist(); err != nil {
+			return err
 		}
-		if err := d.retryPersist(id, func() error { return d.fs.WriteFile(ckptPath, buf.Bytes()) }); err != nil {
-			return fmt.Errorf("writing checkpoint: %w", err)
-		}
-		if err := tap.RecordCheckpoint(ckptPath); err != nil {
-			return fmt.Errorf("ledgering checkpoint: %w", err)
-		}
-		for _, a := range watch.Drain() {
-			if err := lw.AppendAlert(a.Step, ledger.Alert{
-				Monitor:   a.Monitor,
-				Severity:  a.Severity.String(),
-				Value:     a.Value,
-				Threshold: a.Threshold,
-				Message:   a.Message,
-			}); err != nil {
-				return fmt.Errorf("ledgering alert: %w", err)
-			}
-		}
-		if err := lw.Commit(); err != nil {
-			return fmt.Errorf("committing ledger: %w", err)
-		}
-		js.Step = sim.StepCount()
-		js.Digest = fmt.Sprintf("%016x", sim.StateDigest())
-		js.Temperature = eng.Temperature()
-		js.TotalEnergy = eng.TotalEnergy()
-		if err := d.retryPersist(id, func() error { return d.store.Put(js) }); err != nil {
+		refresh()
+		if err := retry(func() error { return d.store.Put(js) }); err != nil {
 			return fmt.Errorf("persisting status: %w", err)
 		}
 		beat.touch()
 		return nil
 	}
 
-	for sim.StepCount() < js.Spec.Steps {
+	for run.Sim.StepCount() < js.Spec.Steps {
 		// Daemon draining? A graceful stop persists the boundary we just
 		// reached; a kill persists nothing (the previous boundary's
 		// checkpoint is the resume point — that is the contract under
@@ -322,20 +153,17 @@ func (d *Daemon) runJob(id string) {
 			// Past the wall-clock budget: permanent failure, not a retry —
 			// requeueing a job that is out of time would spin forever.
 			d.finish(&js, StateFailed, fmt.Errorf("deadline exceeded after %s (at step %d of %d)",
-				time.Since(js.StartedAt).Round(time.Millisecond), sim.StepCount(), js.Spec.Steps))
+				time.Since(js.StartedAt).Round(time.Millisecond), run.Sim.StepCount(), js.Spec.Steps))
 			publish()
 			return
 		}
 		chunk := js.Spec.CheckpointEvery
-		if rem := js.Spec.Steps - sim.StepCount(); chunk > rem {
+		if rem := js.Spec.Steps - run.Sim.StepCount(); chunk > rem {
 			chunk = rem
 		}
-		sim.Step(chunk)
-		if sh != nil {
-			if err := sh.Err(); err != nil {
-				d.finish(&js, StateFailed, fmt.Errorf("sharded engine parked: %w", err))
-				return
-			}
+		if err := run.Advance(chunk); err != nil {
+			d.finish(&js, StateFailed, err)
+			return
 		}
 		if d.ctx.Err() != nil && !d.graceful.Load() {
 			// Killed mid-chunk: abandon this boundary unpersisted, exactly
@@ -356,16 +184,13 @@ func (d *Daemon) runJob(id string) {
 	// possible skew). A resume that lands on the final step skips the
 	// loop entirely, so refresh the completion fields from the live
 	// engine rather than trusting the possibly-stale record.
-	js.Step = sim.StepCount()
-	js.Digest = fmt.Sprintf("%016x", sim.StateDigest())
-	js.Temperature = eng.Temperature()
-	js.TotalEnergy = eng.TotalEnergy()
+	refresh()
 
 	// A dead ledger never stops the dynamics, but it does gate "done":
 	// a run whose provenance chain has a hole is not auditable, and done
 	// certifies auditability. A transiently dead writer requeues — the
 	// re-run resumes from the final checkpoint and re-commits the chain.
-	if err := tap.Err(); err != nil {
+	if err := run.Ledger.Err(); err != nil {
 		d.supervise(&js, fmt.Errorf("run ledger: %w", err))
 		return
 	}

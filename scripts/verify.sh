@@ -39,9 +39,11 @@ echo "== race: long concurrency tests =="
 # for phase attribution, the quiet reliable transport and single-shard
 # crash recovery. service: the HTTP surface, cancel, kill/restart and
 # graceful-stop durability, per-job ledgers, worker metrics, and the
-# whole hostile-disk campaign. Every one asserts a bitwise trajectory.
-long='TestConcurrentShardMeshSolves|TestShardInvariance|TestShardCheckpointCrossShardCount|TestCheckpointFileCrossShardResume|TestStreamChaosReorder|TestStreamOverlapToggleMidRun|TestShardPhaseAttribution|TestChaosReliableNoFaults|TestChaosSingleShard|TestServiceHTTP|TestCancel|TestDaemonKillRestartDurability|TestGracefulStopPersistsBoundary|TestJobLedger|TestDaemonWorkerMetrics|TestServiceChaos'
-go test -race -timeout 30m -run "$long" ./internal/core ./internal/service
+# whole hostile-disk campaign. cmd: antonsim in process against an antond
+# job and an antonaudit replay of the same spec, and its stop/resume,
+# monolithic and at 8 shards. Every one asserts a bitwise trajectory.
+long='TestConcurrentShardMeshSolves|TestShardInvariance|TestShardCheckpointCrossShardCount|TestCheckpointFileCrossShardResume|TestStreamChaosReorder|TestStreamOverlapToggleMidRun|TestShardPhaseAttribution|TestChaosReliableNoFaults|TestChaosSingleShard|TestServiceHTTP|TestCancel|TestDaemonKillRestartDurability|TestGracefulStopPersistsBoundary|TestJobLedger|TestDaemonWorkerMetrics|TestServiceChaos|TestCLIDigestAgreement|TestCLIResume'
+go test -race -timeout 30m -run "$long" ./internal/core ./internal/service ./cmd/...
 
 echo "== determinism: repeated runs =="
 # -count=2 executes each determinism-sensitive test twice in one process,
@@ -68,7 +70,7 @@ echo "== trace export: generate + validate =="
 tracefile="$(mktemp /tmp/anton-trace-XXXXXX.json)"
 trap 'rm -f "$tracefile"' EXIT
 go run ./cmd/antonsim -system small -steps 30 -report 30 \
-	-trace "$tracefile" -trace-nodes -watch >/dev/null
+	-trace "$tracefile" -watch >/dev/null
 go run scripts/validate_trace.go "$tracefile"
 
 echo "== bench: registry + harness at a tiny scale =="
