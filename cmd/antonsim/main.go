@@ -82,7 +82,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		verbose   = fl.Bool("v", false, "debug-level logging")
 
 		chaosSpec  = fl.String("chaos", "", "fault-injection spec, e.g. 'seed=7,drop=0.02,crashes=1' (requires -shards; see internal/faults)")
-		ckptPath   = fl.String("checkpoint", "", "write a crash-consistent checkpoint to this file on exit (and every 25 steps under -chaos)")
+		ckptPath   = fl.String("checkpoint", "", "write a crash-consistent checkpoint to this file on exit")
 		resumePath = fl.String("resume", "", "resume from this checkpoint file (-steps becomes the total step target)")
 		ledgerPath = fl.String("ledger", "", "append a hash-chained run ledger (digests, checkpoints, faults, alerts) to this file; audit it with antonaudit")
 	)
@@ -273,7 +273,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		if rep.Recoveries > 0 {
 			fmt.Fprintf(stdout, ", mean %.1f ms", float64(rep.RecoveryNs)/float64(rep.Recoveries)/1e6)
 		}
-		fmt.Fprintf(stdout, "); adoptions: %d; dead shards: %v\n", rep.Adoptions, rep.DeadShards)
+		fmt.Fprintln(stdout, ")")
 		fmt.Fprintf(stdout, "  transport: %d sends, %d retransmits, %d dup discards, %d crc discards\n",
 			rep.Transport.Sends, rep.Transport.Retransmits,
 			rep.Transport.DupDiscards, rep.Transport.CrcDiscards)

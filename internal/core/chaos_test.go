@@ -131,38 +131,65 @@ func TestChaosReplayDeterminism(t *testing.T) {
 	}
 }
 
-// TestChaosDegradation: with restarts disabled, a crashed shard's home
-// boxes are folded into a survivor (loopback transport from then on) and
-// the run still finishes bitwise identical.
-func TestChaosDegradation(t *testing.T) {
+// TestChaosRepeatedCrash: an executor is a goroutine, so it is respawned
+// however often it dies — there is no restart budget to run out of. One
+// shard crashing three times, as the only shard of the machine and as one
+// of eight, finishes bitwise identical with one recovery per crash.
+func TestChaosRepeatedCrash(t *testing.T) {
 	skipShort(t)
-	const steps = 120
+	const steps, crashes = 80, 3
 
 	ref := smallWaterEngine(t, 1, nil)
 	ref.Step(steps)
 
-	sh := smallWaterSharded(t, 8, nil)
-	plane := faults.New(chaosSpec(t, 1), sh.Shards())
-	cfg := chaosConfig(plane)
-	cfg.MaxRestarts = -1 // adopt on first crash
-	if err := sh.EnableFaults(cfg); err != nil {
-		t.Fatal(err)
+	// sameShard finds the first campaign seed whose crash schedule hits one
+	// shard with every crash.
+	sameShard := func(shards int) faults.Spec {
+		sp := chaosSpec(t, crashes)
+		sp.CrashHorizon = 60
+		for sp.Seed = 1; sp.Seed < 10000; sp.Seed++ {
+			sched := faults.New(sp, shards).Schedule()
+			same := true
+			for _, ev := range sched {
+				same = same && ev.Shard == sched[0].Shard
+			}
+			if same {
+				return sp
+			}
+		}
+		t.Fatalf("no seed crashes one of %d shards %d times", shards, crashes)
+		return sp
 	}
-	sh.Step(steps)
-	assertBitwise(t, sh, ref, "degraded run")
 
-	rep := sh.FaultReport()
-	if rep.Adoptions < 1 || len(rep.DeadShards) < 1 {
-		t.Fatalf("no adoption happened: %+v", rep)
+	for _, shards := range []int{1, 8} {
+		sh := smallWaterSharded(t, shards, nil)
+		plane := faults.New(sameShard(shards), sh.Shards())
+		if err := sh.EnableFaults(chaosConfig(plane)); err != nil {
+			t.Fatal(err)
+		}
+		sh.Step(steps)
+		assertBitwise(t, sh, ref, "repeated crash")
+		rep := sh.FaultReport()
+		if rep.Injected.CrashesFired != crashes || rep.Recoveries < crashes {
+			t.Fatalf("%d shards: fired %d crashes (schedule %v), %d recoveries; want %d and >= %d",
+				shards, rep.Injected.CrashesFired, plane.Schedule(), rep.Recoveries, crashes, crashes)
+		}
+		sh.Close()
 	}
-	if rep.Transport.Loopbacks == 0 {
-		t.Fatal("adopted boxes exchanged no loopback messages")
+}
+
+// TestEnableFaultsNilPlane: the supervisor expects acks and epochs, which
+// only a plane-carrying exchange runs; a nil plane is refused.
+func TestEnableFaultsNilPlane(t *testing.T) {
+	sh := smallWaterSharded(t, 1, nil)
+	if err := sh.EnableFaults(FaultConfig{}); err == nil {
+		t.Fatal("EnableFaults accepted a nil plane")
 	}
 }
 
 // TestChaosSingleShard: the N=1 degenerate machine has no remote
-// transport at all, but stalls and crash-recovery must still work (a
-// crash with no survivor exercises restart, not adoption).
+// transport at all, but stalls and crash-recovery (respawn the one
+// executor, roll back, replay) must still work.
 func TestChaosSingleShard(t *testing.T) {
 	skipShort(t)
 	const steps = 80

@@ -162,3 +162,55 @@ func TestCheckpointCorruptionMatrix(t *testing.T) {
 		}
 	})
 }
+
+// FuzzRestoreCheckpoint feeds RestoreCheckpoint hostile bytes, seeded
+// with the corruption matrix's cases over a small engine's image: it must
+// never panic, every rejection must leave the engine state untouched, and
+// anything it accepts must be a canonical image (re-encoding the restored
+// state gives the same bytes back).
+func FuzzRestoreCheckpoint(f *testing.F) {
+	src := ionicEngine(f, 8, nil)
+	src.Step(2)
+	var buf bytes.Buffer
+	if err := src.WriteCheckpoint(&buf); err != nil {
+		f.Fatal(err)
+	}
+	good := buf.Bytes()
+	mutate := func(edit func(b []byte) []byte) { f.Add(edit(append([]byte(nil), good...))) }
+	f.Add(good)
+	for _, cut := range []int{0, 3, 8, ckptHeaderLen, ckptHeaderLen + ckptFingerprintLen,
+		ckptHeaderLen + ckptFingerprintLen + 16, len(good) / 2, len(good) - ckptCRCLen, len(good) - 1} {
+		f.Add(good[:cut])
+	}
+	mutate(func(b []byte) []byte { b[0] ^= 0xff; return b })                             // magic
+	mutate(func(b []byte) []byte { b[ckptHeaderLen+3] ^= 0x40; return b })               // fingerprint
+	mutate(func(b []byte) []byte { b[len(b)-20] ^= 0x40; return b })                     // payload
+	mutate(func(b []byte) []byte { return append(b, 0xde, 0xad) })                       // trailing garbage
+	mutate(func(b []byte) []byte { binary.LittleEndian.PutUint32(b[4:], 1); return b })  // retired version
+	mutate(func(b []byte) []byte { binary.LittleEndian.PutUint32(b[4:], 99); return b }) // future version
+
+	target := ionicEngine(f, 8, nil)
+	f.Fuzz(func(t *testing.T, data []byte) {
+		pos, vel := target.Snapshot()
+		step := target.StepCount()
+		if err := target.RestoreCheckpoint(bytes.NewReader(data)); err != nil {
+			p, v := target.Snapshot()
+			for i := range p {
+				if p[i] != pos[i] || v[i] != vel[i] {
+					t.Fatalf("rejected restore (%v) mutated atom %d", err, i)
+				}
+			}
+			if target.StepCount() != step {
+				t.Fatalf("rejected restore (%v) moved the step count %d -> %d", err, step, target.StepCount())
+			}
+			return
+		}
+		var out bytes.Buffer
+		if err := target.WriteCheckpoint(&out); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(out.Bytes(), data) {
+			t.Fatalf("accepted a %d-byte image that re-encodes to different bytes", len(data))
+		}
+	})
+}

@@ -12,8 +12,8 @@ import (
 
 // Crash-consistent checkpoint files. A checkpoint that a crash can tear
 // mid-write is worse than none: it replaces a good restore point with a
-// file that fails (or worse, half-parses). writeFileAtomic gives the
-// standard guarantee — at every instant the path holds either the
+// file that fails (or worse, half-parses). (*faults.FS).WriteFile gives
+// the standard guarantee — at every instant the path holds either the
 // complete previous image or the complete new one:
 //
 //  1. write to a unique temp file in the same directory (same filesystem,
@@ -29,30 +29,16 @@ import (
 // state — so a damaged file fails the restore and leaves the previous
 // in-memory state intact.
 
-// AtomicWriteFile writes data to path with the temp-fsync-rename-fsync
-// sequence above. Exported for the service layer: job specs and status
-// records need the same crash-consistency discipline as checkpoints (a
-// torn status.json would strand a resumable job).
-func AtomicWriteFile(path string, data []byte) error {
-	return writeFileAtomic(path, data)
-}
-
-// writeFileAtomic writes data to path with the temp-fsync-rename-fsync
-// sequence above. The implementation lives in the faults package (a nil
-// plane is the quiet path), so the fault-injected and production writes
-// are one code path — the storage chaos campaign exercises exactly the
-// sequence production runs.
-func writeFileAtomic(path string, data []byte) error {
-	return (*faults.FS)(nil).WriteFile(path, data)
-}
-
-// WriteCheckpointFile writes a checkpoint to path crash-consistently.
+// WriteCheckpointFile writes a checkpoint to path crash-consistently:
+// the sequence above, through a nil storage fault plane — the same
+// WriteFile the service drives with a plane attached, so the storage
+// chaos campaign exercises exactly the sequence production runs.
 func (e *Engine) WriteCheckpointFile(path string) error {
 	var buf bytes.Buffer
 	if err := e.WriteCheckpoint(&buf); err != nil {
 		return err
 	}
-	if err := writeFileAtomic(path, buf.Bytes()); err != nil {
+	if err := (*faults.FS)(nil).WriteFile(path, buf.Bytes()); err != nil {
 		return fmt.Errorf("core: writing checkpoint %s: %w", path, err)
 	}
 	return nil

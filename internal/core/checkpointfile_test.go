@@ -52,7 +52,7 @@ func TestCheckpointFileAtomicReplace(t *testing.T) {
 	}
 
 	// Simulate a crash mid-write: a temp file exists beside the
-	// destination (the prefix writeFileAtomic uses), never renamed.
+	// destination (the prefix the atomic write uses), never renamed.
 	if err := os.WriteFile(filepath.Join(dir, "ckpt.bin.tmp-dead"), []byte("torn"), 0o644); err != nil {
 		t.Fatal(err)
 	}

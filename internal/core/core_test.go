@@ -33,7 +33,7 @@ func smallWaterEngine(t *testing.T, nodes int, edit func(*Config)) *Engine {
 
 // ionicEngine builds an unconstrained charged fluid (exact reversibility
 // requires no constraints and no thermostat — paper §4).
-func ionicEngine(t *testing.T, nodes int, edit func(*Config)) *Engine {
+func ionicEngine(t testing.TB, nodes int, edit func(*Config)) *Engine {
 	t.Helper()
 	s, err := system.IonicFluid(60, 16.0, 6.5, 16, 91)
 	if err != nil {

@@ -396,15 +396,6 @@ func (e *Engine) Positions() []vec.V3 {
 	return out
 }
 
-// Velocities returns the decoded velocities (Å/fs).
-func (e *Engine) Velocities() []vec.V3 {
-	out := make([]vec.V3, len(e.Vel))
-	for i, v := range e.Vel {
-		out[i] = v.Float()
-	}
-	return out
-}
-
 // Snapshot captures the exact fixed-point state for bitwise comparison.
 func (e *Engine) Snapshot() ([]fixp.Vec3, []Vel3) {
 	return append([]fixp.Vec3(nil), e.Pos...), append([]Vel3(nil), e.Vel...)

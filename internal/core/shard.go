@@ -2,7 +2,9 @@ package core
 
 import (
 	"sync"
+	"time"
 
+	"anton/internal/faults"
 	"anton/internal/ff"
 	"anton/internal/fixp"
 	"anton/internal/htis"
@@ -102,7 +104,7 @@ const (
 // shardMsg is one transport message. Buffers are owned by the sender and
 // reused across steps; the stage barriers guarantee the receiver has
 // consumed a buffer before the sender refills it. The envelope fields
-// (epoch, xid, crc, attempt, flags) are zero in plain runs and carry the
+// (epoch, xid, crc, attempt) are zero in plain runs and carry the
 // reliable-transport protocol under fault injection — a receiver always
 // checks (epoch, xid) before touching the payload, because a delayed or
 // retransmitted message may alias a buffer the sender has since refilled.
@@ -111,9 +113,8 @@ type shardMsg struct {
 	kind    uint8
 	epoch   uint32 // recovery epoch the message belongs to
 	xid     uint32 // exchange id (driver-minted, globally unique)
-	crc     uint32 // CRC32 (IEEE) over the frame (remote sends only)
+	crc     uint32 // CRC32 (IEEE) over the frame
 	attempt uint8  // transmission attempt (1 = first send)
-	flags   uint8  // msgLoopback etc.
 	frame   []byte // compressed payload (shardcodec.go)
 }
 
@@ -138,17 +139,17 @@ type shardState struct {
 	id int32
 	s  *Sharded
 
-	cmd   chan shardCmd
-	inbox chan shardMsg
+	cmd    chan shardCmd
+	inbox  chan shardMsg
+	exited chan struct{} // closed when the current executor goroutine returns
 
 	// Reliable-transport state (allocated/used only under EnableFaults).
-	acks    chan shardAck  // acknowledgements for our in-flight sends
-	pending []shardMsg     // loopback envelopes diverted by a full inbox
-	out     []outMsg       // in-flight sends of the current exchange
-	gotPos  []uint32       // per-sender xid stamps: position import applied
-	gotF    []uint32       // per-sender xid stamps: short-force export applied
-	gotFL   []uint32       // per-sender xid stamps: long-force export applied
-	tstats  transportTally // transport accounting (driver-read between stages)
+	acks   chan shardAck  // acknowledgements for our in-flight sends
+	out    []outMsg       // in-flight sends of the current exchange
+	gotPos []uint32       // per-sender xid stamps: position import applied
+	gotF   []uint32       // per-sender xid stamps: short-force export applied
+	gotFL  []uint32       // per-sender xid stamps: long-force export applied
+	tstats transportTally // transport accounting (driver-read between stages)
 
 	// Static work assignment (NT pair node; set once at construction).
 	myPairs     [][2]int32
@@ -335,9 +336,14 @@ func NewSharded(s *system.System, cfg Config) (*Sharded, error) {
 // broadcast and signaling completion on the shared done channel. An
 // injected crash (panic(errShardCrash) inside the closure) exits the
 // goroutine without a completion signal — exactly what a dead node looks
-// like to the supervisor's heartbeat.
+// like to the supervisor's heartbeat. st.exited closes as the goroutine
+// returns: recovery reads it before touching the state the dead executor
+// wrote last (detection stays the heartbeat's).
 func (s *Sharded) spawnShard(st *shardState) {
+	exited := make(chan struct{})
+	st.exited = exited
 	go func() {
+		defer close(exited)
 		defer func() {
 			if r := recover(); r != nil && r != errShardCrash {
 				panic(r)
@@ -361,24 +367,42 @@ func (s *Sharded) Close() {
 }
 
 // runEach runs one pipeline stage — the send half, then the body half, on
-// every shard — and waits for all of them (the stage barrier). In plain
-// runs this is a straight broadcast; under EnableFaults the supervisor
-// injects stalls/crashes, runs adopted states on their surviving
-// executor, and detects dead shards (non-nil return).
+// every shard — and waits for all of them (the stage barrier). The fault
+// plane's stall and crash hooks wrap the halves (a nil plane, i.e. a plain
+// run, injects nothing); a plain run counts the completions, a supervised
+// one collects them under the heartbeat and reports dead executors
+// (non-nil return).
 func (s *Sharded) runEach(stage uint8, send, body func(*shardState)) *stageFail {
+	var plane *faults.Plane
+	var tick uint64
 	if s.sup != nil {
-		return s.sup.runStage(stage, send, body)
+		plane = s.sup.plane
+		s.sup.tick++
+		tick = s.sup.tick
 	}
+	step := int64(s.E.step)
 	fn := func(st *shardState) {
+		if ns := plane.StallNs(step, stage, st.id); ns > 0 {
+			time.Sleep(time.Duration(ns))
+		}
+		if stage == stExchangePos && plane.Crash(step, st.id, faults.CrashBeforeSend) {
+			panic(errShardCrash)
+		}
 		if send != nil {
 			send(st)
+		}
+		if stage == stExchangePos && plane.Crash(step, st.id, faults.CrashAfterSend) {
+			panic(errShardCrash)
 		}
 		if body != nil {
 			body(st)
 		}
 	}
 	for _, st := range s.shards {
-		st.cmd <- shardCmd{fn: fn}
+		st.cmd <- shardCmd{fn: fn, tick: tick}
+	}
+	if s.sup != nil {
+		return s.sup.collect(tick)
 	}
 	for range s.shards {
 		<-s.done

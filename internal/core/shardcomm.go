@@ -170,9 +170,8 @@ type MeasuredComm struct {
 
 	// Wire compression of the shard frames, per traffic class: raw is the
 	// uncompressed payload the torus model routes, wire is the varint
-	// frame bytes actually sent (loopback deliveries excluded).
-	// Deterministic for a fixed config — frame sizes are a function of the
-	// trajectory alone.
+	// frame bytes actually sent. Deterministic for a fixed config — frame
+	// sizes are a function of the trajectory alone.
 	PosRawBytes    int64 `json:"pos_raw_bytes"`
 	PosWireBytes   int64 `json:"pos_wire_bytes"`
 	ForceRawBytes  int64 `json:"force_raw_bytes"`

@@ -41,7 +41,7 @@ func TestShardEmptyShardExchanges(t *testing.T) {
 
 // TestShardSingleDegenerateTransport: the N=1 machine has a transport
 // with no peers. Enabling the reliable protocol must be a no-op on the
-// wire — zero sends, zero loopbacks, zero retransmits — while the
+// wire — zero sends, zero retransmits — while the
 // trajectory stays bitwise the monolithic one.
 func TestShardSingleDegenerateTransport(t *testing.T) {
 	skipShort(t)

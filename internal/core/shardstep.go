@@ -79,16 +79,38 @@ type stageFail struct {
 // injected fault schedule; an unrecoverable failure parks the engine with
 // Err() set.
 func (s *Sharded) Step(n int) {
-	if s.sup != nil {
-		s.stepSupervised(n)
-		return
+	sup := s.sup
+	if s.err != nil || sup != nil && sup.ckptImage == nil && !sup.checkpoint() {
+		return // parked already, or by a baseline rollback image that could not be taken
 	}
-	if s.E.step == 0 && !s.primed {
-		s.computeForces(true)
-		s.primed = true
-	}
-	for i := 0; i < n; i++ {
-		s.stepOnce()
+	target := s.E.step + n
+	streak := 0 // recovery cycles since the last completed step
+	for {
+		var f *stageFail
+		switch {
+		case s.E.step == 0 && !s.primed:
+			f = s.computeForces(true)
+			s.primed = f == nil
+		case s.E.step < target:
+			f = s.stepOnce()
+		default:
+			return
+		}
+		// Plain runs never fail a stage and have nothing to close; under
+		// supervision a failed stage rolls back to the last image (the
+		// loop then replays toward the same target).
+		switch {
+		case f != nil:
+			streak++
+			if !sup.recoverFrom(f, streak) {
+				return
+			}
+		case sup != nil:
+			streak = 0
+			if !sup.stepDone() {
+				return
+			}
+		}
 	}
 }
 

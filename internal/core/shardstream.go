@@ -34,11 +34,11 @@ import (
 // case of the ledger. Frames, transport and results are identical; only
 // OverlapNs stays zero. It exists as the A/B baseline of the ledger.
 //
-// Two stages are the minimum under crash adoption: an executor running
-// several adopted states runs all send halves before all bodies, so a
-// body may only wait for data sent in a send half or an *earlier*
-// stage's body. Force frames are produced inside stage A bodies, so
-// consuming them must happen in a later stage — stage B.
+// Two stages, not one: the driver-serial mesh collective (merge, FFT
+// convolve) sits between the spread that ends stage A and the
+// interpolation that opens stage B, so the evaluation has a barrier there
+// on every refresh. The stage ids are also keys of every recorded fault
+// campaign (stall draws; the crash points fire in stage A).
 //
 // Bitwise contract: arrival order varies, accumulation does not matter.
 // Every force/mesh/virial accumulator is wrapping fixed-point
@@ -170,37 +170,18 @@ func (st *shardState) sendPositionsStream(x *xchg) {
 	}
 }
 
-// sendStream transmits one compressed frame, dispatching on transport
-// mode. Loopback (co-located) deliveries never hit the wire and are
-// excluded from the byte accounting.
+// sendStream transmits one compressed frame: a blocking buffered-channel
+// send in plain runs, a CRC-stamped envelope tracked until settled under
+// the reliable transport.
 func (st *shardState) sendStream(x *xchg, dst int32, kind uint8, frame []byte, rawB int64, raw, wire *int64) {
+	*raw += rawB
+	*wire += int64(len(frame))
 	if !x.reliable() {
-		*raw += rawB
-		*wire += int64(len(frame))
 		st.s.shards[dst].inbox <- shardMsg{from: st.id, kind: kind, frame: frame}
 		return
 	}
-	m := shardMsg{from: st.id, kind: kind, epoch: x.epoch, xid: x.xid, frame: frame}
-	sup := st.s.sup
-	if sup.execOf[dst] == sup.execOf[st.id] {
-		// Co-located: the receiving state runs on this goroutine later in
-		// the stage, so the protocol loop could never ack our send — mark
-		// the envelope pre-acked and deliver directly. The pending queue
-		// makes delivery infallible even with a flooded inbox (only the
-		// owning executor — us — touches it).
-		m.flags = msgLoopback
-		st.tstats.Loopbacks++
-		d := st.s.shards[dst]
-		select {
-		case d.inbox <- m:
-		default:
-			d.pending = append(d.pending, m)
-		}
-		return
-	}
-	*raw += rawB
-	*wire += int64(len(frame))
-	m.crc = crc32.ChecksumIEEE(frame)
+	m := shardMsg{from: st.id, kind: kind, epoch: x.epoch, xid: x.xid,
+		crc: crc32.ChecksumIEEE(frame), frame: frame}
 	st.out = append(st.out, outMsg{dst: dst, kind: kind, attempt: 1, m: m})
 	st.tstats.Sends++
 	st.deliver(x, &st.out[len(st.out)-1])
@@ -470,8 +451,7 @@ func (st *shardState) handleStream(x *xchg, m *shardMsg, refresh bool) {
 		st.tstats.StaleDiscards++
 		return
 	}
-	loopback := m.flags&msgLoopback != 0
-	if !loopback && crc32.ChecksumIEEE(m.frame) != m.crc {
+	if crc32.ChecksumIEEE(m.frame) != m.crc {
 		// Corrupted in flight. No ack: the sender's timeout retransmits.
 		st.tstats.CrcDiscards++
 		return
@@ -479,11 +459,9 @@ func (st *shardState) handleStream(x *xchg, m *shardMsg, refresh bool) {
 	if !st.applyStream(x, m, refresh) {
 		st.tstats.DupDiscards++
 	}
-	if !loopback {
-		// Ack duplicates too — a duplicate usually means the first ack
-		// was lost or is still in flight.
-		st.sendAck(x, m)
-	}
+	// Ack duplicates too — a duplicate usually means the first ack was
+	// lost or is still in flight.
+	st.sendAck(x, m)
 }
 
 // streamLoop drives one streaming stage to completion: receive until
@@ -529,12 +507,6 @@ func (st *shardState) streamLoop(x *xchg, refresh, fill bool, pending func() int
 	}
 
 	// Reliable mode: settle/retransmit with a work-filling idle branch.
-	// Loopback envelopes diverted by a full inbox are consumed first;
-	// they carry the current xid, so ordinary handling applies.
-	for i := range st.pending {
-		st.handleStream(x, &st.pending[i], refresh)
-	}
-	st.pending = st.pending[:0]
 	settle := x.plane.Spec().SafeAttempt + 2
 	unsettled := 0
 	for i := range st.out {

@@ -22,13 +22,10 @@ import (
 //	    (none crashed = a spurious timeout; the stage is poisoned either
 //	    way, so recovery proceeds identically).
 //	RECOVERING: bump the epoch (in-flight messages become stale), respawn
-//	    each crashed executor if its restart budget allows — otherwise
-//	    fold its shard states into the lowest-id surviving executor
-//	    (graceful degradation; the adopted boxes exchange loopback
-//	    messages from then on). Drain every inbox/ack/pending queue,
-//	    restore the whole engine from the last checkpoint, and resume.
-//	    All executors dead, or no checkpoint, or a restore error: park
-//	    with Err() set.
+//	    every crashed executor (an executor is a goroutine; it can always
+//	    come back), drain every inbox and ack queue, restore the whole
+//	    engine from the in-memory checkpoint image, and resume. A restore
+//	    error parks the engine with Err() set.
 //
 // Rollback-everyone (rather than surgical per-shard repair) is what makes
 // the recovery provably bitwise: the restored state is a complete, CRC-
@@ -44,29 +41,22 @@ var errShardCrash = errors.New("core: injected shard crash")
 // FaultConfig wires a fault plane and the recovery machinery into a
 // sharded engine.
 type FaultConfig struct {
-	// Plane injects the faults. A nil plane is legal: the transport still
-	// runs the full reliable protocol (CRC, acks, retransmit timers) with
-	// nothing to recover from — useful for overhead measurement.
+	// Plane injects the faults; required. A quiet plane (faults.Spec{Seed:
+	// 1}) runs the full reliable protocol (CRC, acks, retransmit timers)
+	// with nothing to recover from — useful for overhead measurement.
 	Plane *faults.Plane
 
-	// CheckpointEvery is the periodic checkpoint interval in steps
-	// (default 10). Recovery replays at most this many steps.
+	// CheckpointEvery is the interval in steps between the in-memory
+	// rollback images (default 10). Recovery replays at most this many
+	// steps. The supervisor writes no file: making a run survive process
+	// death is the caller's job (service.Run.Persist).
 	CheckpointEvery int
-
-	// MaxRestarts bounds how many times one shard executor is restarted
-	// before its home boxes are folded into a survivor. 0 means the
-	// default (2); negative means never restart (adopt on first crash).
-	MaxRestarts int
 
 	// Heartbeat is the stage-barrier timeout that declares a shard dead
 	// (default 2s; crash detection latency is between one and two
 	// heartbeats). Injected stalls are bounded by Spec.MaxStall, so keep
 	// the heartbeat comfortably above it.
 	Heartbeat time.Duration
-
-	// CheckpointPath, when set, mirrors every periodic checkpoint to this
-	// file (atomic rename), so the run also survives process death.
-	CheckpointPath string
 
 	// OnRecovery, when set, observes every completed recovery cycle.
 	OnRecovery func(RecoveryEvent)
@@ -77,13 +67,11 @@ type RecoveryEvent struct {
 	DetectedStep int     // engine step when the failure surfaced
 	RestoredStep int     // checkpointed step rolled back to
 	Crashed      []int32 // executors that went silent
-	Adopted      []int32 // those folded into survivors (restart budget spent)
 	Spurious     bool    // heartbeat timeout with every executor alive
 }
 
 const (
 	defaultCheckpointEvery = 10
-	defaultMaxRestarts     = 2
 	defaultHeartbeat       = 2 * time.Second
 
 	// maxConsecutiveRecoveries bounds recovery cycles that make no forward
@@ -100,68 +88,45 @@ type supervisor struct {
 	abort chan struct{} // closed to abort the current stage; re-armed per recovery
 	tick  uint64        // stage sequence number (discriminates straggler signals)
 
-	liveExec []int32         // executor ids still running, ascending
-	states   [][]*shardState // states[exec] = shard states that executor runs
-	execOf   []int32         // shard id -> executor id
-	restarts []int           // restart budget spent per shard
-	dead     []bool          // executor permanently dead (states adopted away)
-	seen     []bool          // collect() scratch
+	seen []bool // collect() scratch
 
-	haveCkpt  bool
-	ckptImage []byte
+	ckptImage []byte // the rollback image (nil before the baseline)
 	ckptStep  int
 
-	recoveries, spurious, adoptions, replaySteps, recoveryNs int64
+	recoveries, spurious, replaySteps, recoveryNs int64
 
 	// Counter-fold deltas (obs counters are add-only).
 	prevT TransportStats
 	prevF faults.Counts
-	prevR [4]int64 // recoveries, adoptions, replaySteps, recoveryNs folded
+	prevR [3]int64 // recoveries, replaySteps, recoveryNs folded
 }
 
 // EnableFaults attaches a fault plane and the supervised recovery
 // machinery to the sharded engine. Call once, before Step, from the
-// driver. From then on Step runs the reliable transport, takes periodic
-// checkpoints, and recovers from injected crashes; unrecoverable failures
-// park the engine with Err() set instead of panicking.
+// driver. From then on Step runs the reliable transport, keeps a periodic
+// in-memory rollback image, and recovers from injected crashes;
+// unrecoverable failures park the engine with Err() set instead of
+// panicking.
 func (s *Sharded) EnableFaults(cfg FaultConfig) error {
 	if s.sup != nil {
 		return errors.New("core: EnableFaults called twice")
 	}
+	if cfg.Plane == nil {
+		return errors.New("core: EnableFaults needs a fault plane (a quiet one injects nothing)")
+	}
 	if cfg.CheckpointEvery <= 0 {
 		cfg.CheckpointEvery = defaultCheckpointEvery
-	}
-	switch {
-	case cfg.MaxRestarts == 0:
-		cfg.MaxRestarts = defaultMaxRestarts
-	case cfg.MaxRestarts < 0:
-		cfg.MaxRestarts = 0
 	}
 	if cfg.Heartbeat <= 0 {
 		cfg.Heartbeat = defaultHeartbeat
 	}
-	n := len(s.shards)
-	sup := &supervisor{
-		s:        s,
-		plane:    cfg.Plane,
-		cfg:      cfg,
-		epoch:    1,
-		abort:    make(chan struct{}),
-		liveExec: make([]int32, n),
-		states:   make([][]*shardState, n),
-		execOf:   make([]int32, n),
-		restarts: make([]int, n),
-		dead:     make([]bool, n),
-		seen:     make([]bool, n),
-	}
-	for i, st := range s.shards {
-		sup.liveExec[i] = int32(i)
-		sup.states[i] = []*shardState{st}
-		sup.execOf[i] = int32(i)
-	}
-	s.sup = sup
-	if s.E.step > 0 {
-		s.primed = true
+	s.sup = &supervisor{
+		s:     s,
+		plane: cfg.Plane,
+		cfg:   cfg,
+		epoch: 1,
+		abort: make(chan struct{}),
+		seen:  make([]bool, len(s.shards)),
 	}
 	s.rebuildViews() // resize inboxes and allocate ack channels for reliable mode
 	return nil
@@ -174,12 +139,10 @@ func (s *Sharded) Err() error { return s.err }
 // FaultReport summarizes a supervised run: recovery statistics, the
 // transport's reliability accounting, and the plane's injected tallies.
 type FaultReport struct {
-	Recoveries  int64   `json:"recoveries"`
-	Spurious    int64   `json:"spurious"`
-	Adoptions   int64   `json:"adoptions"`
-	ReplaySteps int64   `json:"replay_steps"`
-	RecoveryNs  int64   `json:"recovery_ns"`
-	DeadShards  []int32 `json:"dead_shards,omitempty"`
+	Recoveries  int64 `json:"recoveries"`
+	Spurious    int64 `json:"spurious"`
+	ReplaySteps int64 `json:"replay_steps"`
+	RecoveryNs  int64 `json:"recovery_ns"`
 
 	Transport TransportStats `json:"transport"`
 	Injected  faults.Counts  `json:"injected"`
@@ -192,61 +155,18 @@ func (s *Sharded) FaultReport() FaultReport {
 	if sup == nil {
 		return FaultReport{}
 	}
-	r := FaultReport{
+	return FaultReport{
 		Recoveries:  sup.recoveries,
 		Spurious:    sup.spurious,
-		Adoptions:   sup.adoptions,
 		ReplaySteps: sup.replaySteps,
 		RecoveryNs:  sup.recoveryNs,
 		Transport:   s.TransportStats(),
 		Injected:    sup.plane.Counts(),
 	}
-	for id, d := range sup.dead {
-		if d {
-			r.DeadShards = append(r.DeadShards, int32(id))
-		}
-	}
-	return r
 }
 
-// runStage broadcasts one stage to the live executors — wrapping the send
-// and body halves with the fault plane's stall and crash injection and
-// the adopted-state fan-out — and collects the barrier.
-func (sup *supervisor) runStage(stage uint8, send, body func(*shardState)) *stageFail {
-	s := sup.s
-	sup.tick++
-	tick := sup.tick
-	step := int64(s.E.step)
-	plane := sup.plane
-	fn := func(st *shardState) {
-		if ns := plane.StallNs(step, stage, st.id); ns > 0 {
-			time.Sleep(time.Duration(ns))
-		}
-		if stage == stExchangePos && plane.Crash(step, st.id, faults.CrashBeforeSend) {
-			panic(errShardCrash)
-		}
-		if send != nil {
-			for _, t := range sup.states[st.id] {
-				send(t)
-			}
-		}
-		if stage == stExchangePos && plane.Crash(step, st.id, faults.CrashAfterSend) {
-			panic(errShardCrash)
-		}
-		if body != nil {
-			for _, t := range sup.states[st.id] {
-				body(t)
-			}
-		}
-	}
-	for _, id := range sup.liveExec {
-		s.shards[id].cmd <- shardCmd{fn: fn, tick: tick}
-	}
-	return sup.collect(tick)
-}
-
-// collect waits for every live executor to signal stage completion. On a
-// heartbeat timeout it closes the abort channel (unblocking survivors
+// collect waits for every executor to signal completion of stage tick. On
+// a heartbeat timeout it closes the abort channel (unblocking survivors
 // parked in their protocol loops) and grants one more heartbeat of grace;
 // executors still silent after that are the crashed set.
 func (sup *supervisor) collect(tick uint64) *stageFail {
@@ -254,12 +174,11 @@ func (sup *supervisor) collect(tick uint64) *stageFail {
 	for i := range sup.seen {
 		sup.seen[i] = false
 	}
-	want := len(sup.liveExec)
 	got := 0
 	timer := time.NewTimer(sup.cfg.Heartbeat)
 	defer timer.Stop()
 	aborted := false
-	for got < want {
+	for got < len(sup.seen) {
 		select {
 		case d := <-s.done:
 			if d.tick != tick {
@@ -277,9 +196,9 @@ func (sup *supervisor) collect(tick uint64) *stageFail {
 				continue
 			}
 			var crashed []int32
-			for _, id := range sup.liveExec {
-				if !sup.seen[id] {
-					crashed = append(crashed, id)
+			for id, ok := range sup.seen {
+				if !ok {
+					crashed = append(crashed, int32(id))
 				}
 			}
 			return &stageFail{crashed: crashed}
@@ -294,9 +213,10 @@ func (sup *supervisor) collect(tick uint64) *stageFail {
 	return nil
 }
 
-// recoverFrom runs one recovery cycle after a failed stage. Returns false
-// when the failure is unrecoverable (s.err is then set).
-func (sup *supervisor) recoverFrom(f *stageFail) bool {
+// recoverFrom runs one recovery cycle after a failed stage; streak counts
+// the cycles since the last completed step. Returns false when the
+// failure is unrecoverable (s.err is then set).
+func (sup *supervisor) recoverFrom(f *stageFail, streak int) bool {
 	s := sup.s
 	start := time.Now()
 	detected := s.E.step
@@ -310,32 +230,18 @@ func (sup *supervisor) recoverFrom(f *stageFail) bool {
 	sup.epoch++
 	sup.abort = make(chan struct{})
 
-	var adopted []int32
 	for _, id := range f.crashed {
-		if sup.restarts[id] < sup.cfg.MaxRestarts {
-			sup.restarts[id]++
-			s.spawnShard(s.shards[id])
-			continue
+		st := s.shards[id]
+		select {
+		case <-st.exited: // orders the dead executor's last writes before the restore
+		default: // silent but alive (a stall past two heartbeats)
 		}
-		if !sup.adopt(id) {
-			s.err = errors.New("core: all shard executors dead; cannot recover")
-			return false
-		}
-		adopted = append(adopted, id)
+		s.spawnShard(st)
 	}
-
 	for _, st := range s.shards {
 		drainMsgs(st.inbox)
-		if st.acks != nil {
-			drainAcks(st.acks)
-		}
-		st.pending = st.pending[:0]
+		drainAcks(st.acks)
 		st.out = st.out[:0]
-	}
-
-	if !sup.haveCkpt {
-		s.err = errors.New("core: shard crashed before the first checkpoint")
-		return false
 	}
 	if err := s.RestoreCheckpoint(bytes.NewReader(sup.ckptImage)); err != nil {
 		s.err = fmt.Errorf("core: recovery restore failed: %w", err)
@@ -343,7 +249,6 @@ func (sup *supervisor) recoverFrom(f *stageFail) bool {
 	}
 
 	sup.recoveries++
-	sup.adoptions += int64(len(adopted))
 	if d := detected - sup.ckptStep; d > 0 {
 		sup.replaySteps += int64(d)
 	}
@@ -353,117 +258,39 @@ func (sup *supervisor) recoverFrom(f *stageFail) bool {
 			DetectedStep: detected,
 			RestoredStep: sup.ckptStep,
 			Crashed:      f.crashed,
-			Adopted:      adopted,
 			Spurious:     len(f.crashed) == 0,
 		})
 	}
+	if streak > maxConsecutiveRecoveries {
+		s.err = fmt.Errorf("core: %d consecutive recoveries without progress", streak)
+		return false
+	}
 	return true
 }
 
-// adopt folds a dead executor's shard states into the lowest-id surviving
-// executor. The adopted home boxes keep their identity (ownership, views,
-// message sets are untouched — the trajectory cannot notice); only the
-// goroutine running them changes, and their exchanges with co-located
-// states become loopback deliveries.
-func (sup *supervisor) adopt(id int32) bool {
-	var target int32 = -1
-	for _, e := range sup.liveExec {
-		if e != id {
-			target = e
-			break
-		}
-	}
-	if target < 0 {
+// checkpoint captures the engine image the next recovery rolls back to.
+// Driver-serial, between steps only. Returns false with s.err set when the
+// image could not be encoded.
+func (sup *supervisor) checkpoint() bool {
+	buf := bytes.NewBuffer(sup.ckptImage[:0]) // the old image's storage, reused
+	if err := sup.s.WriteCheckpoint(buf); err != nil {
+		sup.s.err = fmt.Errorf("core: rollback checkpoint failed: %w", err)
 		return false
 	}
-	sup.dead[id] = true
-	moved := sup.states[id]
-	sup.states[id] = nil
-	sup.states[target] = append(sup.states[target], moved...)
-	for _, st := range moved {
-		sup.execOf[st.id] = target
-	}
-	live := sup.liveExec[:0]
-	for _, e := range sup.liveExec {
-		if e != id {
-			live = append(live, e)
-		}
-	}
-	sup.liveExec = live
+	sup.ckptImage, sup.ckptStep = buf.Bytes(), sup.s.E.step
 	return true
 }
 
-// checkpoint captures the engine image the next recovery rolls back to,
-// and mirrors it to CheckpointPath (atomic rename) when configured.
-// Driver-serial, between steps only.
-func (sup *supervisor) checkpoint() error {
-	var buf bytes.Buffer
-	if err := sup.s.WriteCheckpoint(&buf); err != nil {
-		return err
-	}
-	sup.ckptImage = append(sup.ckptImage[:0], buf.Bytes()...)
-	sup.ckptStep = sup.s.E.step
-	sup.haveCkpt = true
-	if p := sup.cfg.CheckpointPath; p != "" {
-		return writeFileAtomic(p, buf.Bytes())
-	}
-	return nil
-}
-
-// stepSupervised is Step under fault injection: drive toward the target
-// step, recovering from failed stages by rolling back to the last
-// checkpoint and replaying.
-func (s *Sharded) stepSupervised(n int) {
-	sup := s.sup
-	if s.err != nil {
-		return
-	}
-	if !sup.haveCkpt {
-		// Baseline checkpoint: a crash before the first periodic one must
-		// still have something to roll back to.
-		if err := sup.checkpoint(); err != nil {
-			s.err = fmt.Errorf("core: baseline checkpoint failed: %w", err)
-			return
+// stepDone closes one completed step (or the step-0 force evaluation)
+// under supervision: refresh the rollback image on the checkpoint cadence
+// and fold the fault counters.
+func (sup *supervisor) stepDone() bool {
+	if step := sup.s.E.step; step%sup.cfg.CheckpointEvery == 0 && step != sup.ckptStep {
+		if !sup.checkpoint() {
+			return false
 		}
 	}
-	target := s.E.step + n
-	consecutive := 0
-	for s.E.step < target && s.err == nil {
-		if s.E.step == 0 && !s.primed {
-			if f := s.computeForces(true); f != nil {
-				if !sup.handleFail(f, &consecutive) {
-					return
-				}
-				continue
-			}
-			s.primed = true
-		}
-		if f := s.stepOnce(); f != nil {
-			if !sup.handleFail(f, &consecutive) {
-				return
-			}
-			continue
-		}
-		consecutive = 0
-		if s.E.step%sup.cfg.CheckpointEvery == 0 {
-			if err := sup.checkpoint(); err != nil {
-				s.err = fmt.Errorf("core: periodic checkpoint failed: %w", err)
-				return
-			}
-		}
-		sup.foldFaultCounters()
-	}
-}
-
-func (sup *supervisor) handleFail(f *stageFail, consecutive *int) bool {
-	if !sup.recoverFrom(f) {
-		return false
-	}
-	*consecutive++
-	if *consecutive > maxConsecutiveRecoveries {
-		sup.s.err = fmt.Errorf("core: %d consecutive recoveries without progress", *consecutive)
-		return false
-	}
+	sup.foldFaultCounters()
 	return true
 }
 
@@ -495,7 +322,7 @@ func (sup *supervisor) foldFaultCounters() {
 	sup.prevT = t
 
 	add(obs.CtrRecoveries, sup.recoveries-sup.prevR[0])
-	add(obs.CtrReplaySteps, sup.replaySteps-sup.prevR[2])
-	add(obs.CtrRecoveryNs, sup.recoveryNs-sup.prevR[3])
-	sup.prevR = [4]int64{sup.recoveries, sup.adoptions, sup.replaySteps, sup.recoveryNs}
+	add(obs.CtrReplaySteps, sup.replaySteps-sup.prevR[1])
+	add(obs.CtrRecoveryNs, sup.recoveryNs-sup.prevR[2])
+	sup.prevR = [3]int64{sup.recoveries, sup.replaySteps, sup.recoveryNs}
 }

@@ -28,12 +28,7 @@ import (
 //
 // Every reliable-mode channel send is non-blocking: a full buffer counts
 // as a drop and the retransmission timer recovers it, so no injected
-// schedule can deadlock the pipeline. Co-located states (one executor
-// running several shards after a crash adoption) exchange loopback
-// envelopes that bypass the plane and the ack protocol but still travel
-// through the inbox, preserving the owner-assign-before-merge ordering of
-// the force exchange; a full inbox diverts them to a pending queue only
-// the owning executor touches.
+// schedule can deadlock the pipeline.
 //
 // Determinism: none of this machinery can change a bit of the trajectory.
 // Each exchange applies exactly the message set the plain transport
@@ -51,9 +46,6 @@ const (
 // msgPos/msgForce/msgForceLong); acks are never corrupted (no payload)
 // and duplicating one is harmless, so only drop/delay verdicts apply.
 const msgAck uint8 = 3
-
-// Envelope flags.
-const msgLoopback uint8 = 1 // co-located delivery: pre-acked, never faulted
 
 // shardAck acknowledges one accepted (or duplicate) data envelope.
 type shardAck struct {
@@ -100,8 +92,7 @@ type outMsg struct {
 // transportTally is one shard's reliable-transport accounting, read by
 // the driver between stages only.
 type transportTally struct {
-	Sends         int64 // remote data envelopes first-transmitted
-	Loopbacks     int64 // co-located deliveries (pre-acked)
+	Sends         int64 // data envelopes first-transmitted
 	Retransmits   int64 // timeout-driven re-sends
 	DupDiscards   int64 // duplicate envelopes dropped by the xid stamps
 	CrcDiscards   int64 // envelopes dropped by the payload CRC check
@@ -112,7 +103,6 @@ type transportTally struct {
 
 func (t *transportTally) add(o transportTally) {
 	t.Sends += o.Sends
-	t.Loopbacks += o.Loopbacks
 	t.Retransmits += o.Retransmits
 	t.DupDiscards += o.DupDiscards
 	t.CrcDiscards += o.CrcDiscards
@@ -128,7 +118,6 @@ func (t *transportTally) add(o transportTally) {
 // and treat these as diagnostics.
 type TransportStats struct {
 	Sends         int64 `json:"sends"`
-	Loopbacks     int64 `json:"loopbacks"`
 	Retransmits   int64 `json:"retransmits"`
 	DupDiscards   int64 `json:"dup_discards"`
 	CrcDiscards   int64 `json:"crc_discards"`
@@ -140,9 +129,9 @@ type TransportStats struct {
 	// ratio: compute-while-waiting (zero on the no-fill schedule, whose
 	// blocked time is the A/B baseline the overlap win is measured
 	// against) vs blocked on recv. The byte fields measure the wire
-	// compression per traffic class (raw payload vs varint frame;
-	// loopbacks excluded). The byte counts are a function of the
-	// trajectory alone, the ns counts are wall clock.
+	// compression per traffic class (raw payload vs varint frame). The
+	// byte counts are a function of the trajectory alone, the ns counts
+	// are wall clock.
 	OverlapNs      int64 `json:"overlap_ns"`
 	BlockedNs      int64 `json:"blocked_ns"`
 	PosRawBytes    int64 `json:"pos_raw_bytes"`
@@ -161,7 +150,6 @@ func (s *Sharded) TransportStats() TransportStats {
 	sm := s.streamTotals()
 	return TransportStats{
 		Sends:          t.Sends,
-		Loopbacks:      t.Loopbacks,
 		Retransmits:    t.Retransmits,
 		DupDiscards:    t.DupDiscards,
 		CrcDiscards:    t.CrcDiscards,

@@ -92,45 +92,3 @@ func ExactKSpace(s Split, atoms []ff.Atom, box vec.Box, r []vec.V3, f []vec.V3, 
 	}
 	return energy
 }
-
-// DirectCoulomb computes the bare Coulomb energy and forces by direct
-// summation over periodic images out to the given image shell (0 = minimum
-// image only). O(N^2 * (2*shells+1)^3); test oracle for tiny systems.
-func DirectCoulomb(atoms []ff.Atom, box vec.Box, r []vec.V3, f []vec.V3, shells int) float64 {
-	energy := 0.0
-	n := len(atoms)
-	for i := 0; i < n; i++ {
-		for j := i + 1; j < n; j++ {
-			base := box.MinImage(r[i].Sub(r[j]))
-			for sx := -shells; sx <= shells; sx++ {
-				for sy := -shells; sy <= shells; sy++ {
-					for sz := -shells; sz <= shells; sz++ {
-						d := base.Add(vec.V3{X: float64(sx) * box.L.X, Y: float64(sy) * box.L.Y, Z: float64(sz) * box.L.Z})
-						r2 := d.Norm2()
-						e, fs := ff.Coulomb(r2, atoms[i].Charge, atoms[j].Charge)
-						energy += e
-						if f != nil {
-							fv := d.Scale(fs)
-							f[i] = f[i].Add(fv)
-							f[j] = f[j].Sub(fv)
-						}
-					}
-				}
-			}
-		}
-		// Self-images of atom i (interaction with its own periodic copies).
-		for sx := -shells; sx <= shells; sx++ {
-			for sy := -shells; sy <= shells; sy++ {
-				for sz := -shells; sz <= shells; sz++ {
-					if sx == 0 && sy == 0 && sz == 0 {
-						continue
-					}
-					d := vec.V3{X: float64(sx) * box.L.X, Y: float64(sy) * box.L.Y, Z: float64(sz) * box.L.Z}
-					e, _ := ff.Coulomb(d.Norm2(), atoms[i].Charge, atoms[i].Charge)
-					energy += e / 2 // each image pair counted twice over the loop
-				}
-			}
-		}
-	}
-	return energy
-}

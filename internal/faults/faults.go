@@ -22,6 +22,7 @@ package faults
 
 import (
 	"fmt"
+	"math"
 	"sort"
 	"strconv"
 	"strings"
@@ -104,20 +105,22 @@ func (sp Spec) normalized() Spec {
 	if sp.SafeAttempt <= 0 {
 		sp.SafeAttempt = def.SafeAttempt
 	}
-	clamp := func(p *float64) {
-		if *p < 0 {
-			*p = 0
-		}
-		if *p > 1 {
-			*p = 1
-		}
+	for _, p := range []*float64{&sp.Drop, &sp.Dup, &sp.Delay, &sp.Corrupt, &sp.Stall} {
+		clampProb(p)
 	}
-	clamp(&sp.Drop)
-	clamp(&sp.Dup)
-	clamp(&sp.Delay)
-	clamp(&sp.Corrupt)
-	clamp(&sp.Stall)
 	return sp
+}
+
+// clampProb forces a parsed probability into [0, 1]. NaN (ParseFloat
+// accepts "nan") is no probability: every draw compares false against
+// it, so it becomes the 0 it would behave as.
+func clampProb(p *float64) {
+	switch {
+	case math.IsNaN(*p) || *p < 0:
+		*p = 0
+	case *p > 1:
+		*p = 1
+	}
 }
 
 // specKey is one key of a campaign grammar, bound to a field of the spec

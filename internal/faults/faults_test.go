@@ -195,3 +195,46 @@ func TestNilPlane(t *testing.T) {
 		t.Fatal("nil plane has counts")
 	}
 }
+
+// FuzzParseSpecs drives both campaign grammars (one parseKeys, two key
+// tables) with hostile text: neither may panic, and a spec either accepts
+// is normalized — probabilities in [0, 1], positive bounds — and parses
+// back from its own String() to the same spec.
+func FuzzParseSpecs(f *testing.F) {
+	for _, s := range []string{
+		"", ",,", "drop", "drop=x", "unknown=1", "maxdelay=5", "drop=1.5", "drop=nan", "stall=-0",
+		"seed=7,drop=0.02,dup=0.01,delay=0.02,corrupt=0.005,stall=0.01,crashes=2,horizon=120",
+		"seed=7,maxdelay=7ms,maxstall=5ms,safe=5", " seed = -9 , horizon=-1,safe=0",
+		"seed=11,enospc=0.05,eio=0.08,torn=0.05,fsyncdrop=0.1,stall=0.02,maxstall=2ms,crashes=6,horizon=40",
+		"nonsense", "bogus=1", "enospc=lots", "crashes=99999999999999999999",
+	} {
+		f.Add(s)
+	}
+	prob := func(t *testing.T, s string, ps ...float64) {
+		for _, p := range ps {
+			if !(p >= 0 && p <= 1) {
+				t.Fatalf("%q: probability %v outside [0, 1]", s, p)
+			}
+		}
+	}
+	f.Fuzz(func(t *testing.T, s string) {
+		if sp, err := ParseSpec(s); err == nil {
+			prob(t, s, sp.Drop, sp.Dup, sp.Delay, sp.Corrupt, sp.Stall)
+			if sp.MaxDelay <= 0 || sp.MaxStall <= 0 || sp.CrashHorizon <= 0 || sp.SafeAttempt <= 0 {
+				t.Fatalf("%q: bounds not normalized: %+v", s, sp)
+			}
+			if sp2, err := ParseSpec(sp.String()); err != nil || sp2 != sp {
+				t.Fatalf("%q renders as %q, which parses to %+v, %v; want %+v", s, sp.String(), sp2, err, sp)
+			}
+		}
+		if sp, err := ParseFSSpec(s); err == nil {
+			prob(t, s, sp.ENOSPC, sp.EIO, sp.Torn, sp.FsyncDrop, sp.Stall)
+			if sp.MaxStall <= 0 || sp.CrashHorizon <= 0 || sp.SafeAttempt <= 0 {
+				t.Fatalf("%q: bounds not normalized: %+v", s, sp)
+			}
+			if sp2, err := ParseFSSpec(sp.String()); err != nil || sp2 != sp {
+				t.Fatalf("%q renders as %q, which parses to %+v, %v; want %+v", s, sp.String(), sp2, err, sp)
+			}
+		}
+	})
+}

@@ -138,19 +138,9 @@ func (sp FSSpec) normalized() FSSpec {
 	if sp.SafeAttempt <= 0 {
 		sp.SafeAttempt = def.SafeAttempt
 	}
-	clamp := func(p *float64) {
-		if *p < 0 {
-			*p = 0
-		}
-		if *p > 1 {
-			*p = 1
-		}
+	for _, p := range []*float64{&sp.ENOSPC, &sp.EIO, &sp.Torn, &sp.FsyncDrop, &sp.Stall} {
+		clampProb(p)
 	}
-	clamp(&sp.ENOSPC)
-	clamp(&sp.EIO)
-	clamp(&sp.Torn)
-	clamp(&sp.FsyncDrop)
-	clamp(&sp.Stall)
 	return sp
 }
 
@@ -357,6 +347,9 @@ func (fs *FS) Counts() FSCounts {
 // (seed, op, base name, per-key ordinal); the streak cap enforces the
 // SafeAttempt liveness bound.
 func (fs *FS) verdict(op FSOp, path string) (fsClass, uint64) {
+	if fs == nil {
+		return fsOK, 0
+	}
 	fs.mu.Lock()
 	defer fs.mu.Unlock()
 	key := fsKey{op, path}
@@ -463,6 +456,9 @@ func (fs *FS) crash() error {
 // markDurable records that path's first size bytes are on stable
 // storage (a real fsync completed).
 func (fs *FS) markDurable(path string, size int64) {
+	if fs == nil {
+		return
+	}
 	fs.mu.Lock()
 	fs.durable[path] = size
 	delete(fs.dirty, path)
@@ -496,21 +492,24 @@ func injectedErr(class fsClass, op FSOp, path string) error {
 }
 
 // WriteFile writes data to path with the full temp+fsync+rename+
-// dir-fsync discipline (core.AtomicWriteFile's contract), injecting the
-// campaign's faults at each stage. A nil plane performs the plain
-// atomic write — this is the single implementation of the discipline.
+// dir-fsync discipline, injecting the campaign's faults at each stage. A
+// nil plane runs the same sequence with every verdict fsOK and no crash
+// scheduled — this is the single implementation of the discipline,
+// production's as much as the chaos campaign's.
 func (fs *FS) WriteFile(path string, data []byte) error {
-	if fs == nil {
-		return plainAtomicWrite(path, data)
-	}
-	if fs.crashed.Load() {
-		return ErrCrash
-	}
-	fs.writes.Add(1)
-	point, ord, crashing := fs.crashAt(path, true)
-	fs.maybeStall(path, ord)
-	if crashing && point == CrashBeforeWrite {
-		return fs.crash()
+	var point uint8
+	var crashing bool
+	if fs != nil {
+		if fs.crashed.Load() {
+			return ErrCrash
+		}
+		fs.writes.Add(1)
+		var ord uint64
+		point, ord, crashing = fs.crashAt(path, true)
+		fs.maybeStall(path, ord)
+		if crashing && point == CrashBeforeWrite {
+			return fs.crash()
+		}
 	}
 
 	dir := filepath.Dir(path)
@@ -608,6 +607,8 @@ func (fs *FS) WriteFile(path string, data []byte) error {
 		return fs.crash()
 	}
 	if d, err := os.Open(dir); err == nil {
+		// Directory fsync is advisory on some filesystems; a failure does
+		// not undo an otherwise complete write.
 		_ = d.Sync()
 		d.Close()
 	}
@@ -726,42 +727,4 @@ func baseHash(path string) uint64 {
 		h *= 0x100000001b3
 	}
 	return h
-}
-
-// plainAtomicWrite is the fault-free temp+fsync+rename+dir-fsync
-// sequence — the single implementation behind core.AtomicWriteFile.
-func plainAtomicWrite(path string, data []byte) error {
-	dir := filepath.Dir(path)
-	tmp, err := os.CreateTemp(dir, filepath.Base(path)+".tmp-*")
-	if err != nil {
-		return err
-	}
-	defer func() {
-		if tmp != nil {
-			tmp.Close()
-			os.Remove(tmp.Name())
-		}
-	}()
-	if _, err := tmp.Write(data); err != nil {
-		return err
-	}
-	if err := tmp.Sync(); err != nil {
-		return err
-	}
-	name := tmp.Name()
-	if err := tmp.Close(); err != nil {
-		return err
-	}
-	tmp = nil // committed to rename; disarm the cleanup
-	if err := os.Rename(name, path); err != nil {
-		os.Remove(name)
-		return err
-	}
-	if d, err := os.Open(dir); err == nil {
-		// Directory fsync is advisory on some filesystems; a failure does
-		// not undo an otherwise complete write.
-		_ = d.Sync()
-		d.Close()
-	}
-	return nil
 }

@@ -232,18 +232,33 @@ func TestFSScheduledCrashCoverage(t *testing.T) {
 	}
 }
 
-// TestFSNilQuiet: a nil plane is the plain atomic-write path.
+// TestFSNilQuiet: a nil plane and a quiet plane run the one write
+// sequence to the same result — the destination complete (over a previous
+// image too), no temp file left behind — and the nil plane's other
+// methods are no-ops.
 func TestFSNilQuiet(t *testing.T) {
+	for name, fs := range map[string]*FS{"nil": nil, "quiet": NewFS(FSSpec{Seed: 1})} {
+		dir := t.TempDir()
+		path := filepath.Join(dir, "f")
+		for _, image := range []string{"previous image", "quiet"} {
+			if err := fs.WriteFile(path, []byte(image)); err != nil {
+				t.Fatalf("%s plane: %v", name, err)
+			}
+			b, err := fs.ReadFile(path)
+			if err != nil || string(b) != image {
+				t.Fatalf("%s plane: read %q, %v; want %q", name, b, err, image)
+			}
+		}
+		if tmps, _ := filepath.Glob(filepath.Join(dir, "*.tmp-*")); len(tmps) != 0 {
+			t.Fatalf("%s plane left temp files behind: %v", name, tmps)
+		}
+		if fs.Crashed() {
+			t.Fatalf("%s plane crashed", name)
+		}
+	}
+
 	var fs *FS
-	path := filepath.Join(t.TempDir(), "f")
-	if err := fs.WriteFile(path, []byte("quiet")); err != nil {
-		t.Fatal(err)
-	}
-	b, err := fs.ReadFile(path)
-	if err != nil || string(b) != "quiet" {
-		t.Fatalf("%q, %v", b, err)
-	}
-	if fs.Crashed() || fs.RetryBudget() != 1 {
+	if fs.RetryBudget() != 1 {
 		t.Fatal("nil plane must be quiet")
 	}
 	fs.Reboot()

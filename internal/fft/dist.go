@@ -95,9 +95,6 @@ func NewDist3(nx, ny, nz, gx, gy, gz int) (*Dist3, error) {
 	return d, nil
 }
 
-// NodeCount returns the number of nodes holding bricks.
-func (d *Dist3) NodeCount() int { return d.Gx * d.Gy * d.Gz }
-
 // PointsPerNode returns the number of mesh points stored on each node (the
 // paper: 64 points per node for a 32^3 mesh on 512 nodes).
 func (d *Dist3) PointsPerNode() int { return d.Bx * d.By * d.Bz }

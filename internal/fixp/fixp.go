@@ -102,19 +102,6 @@ func RoundShift(x int64, s uint) int64 {
 	return q
 }
 
-// Sat32 clamps a 64-bit value into int32 range. Most Anton datapaths wrap,
-// but a few (queue fill levels, table indices) saturate; provided for the
-// HTIS model.
-func Sat32(x int64) int32 {
-	if x > math.MaxInt32 {
-		return math.MaxInt32
-	}
-	if x < math.MinInt32 {
-		return math.MinInt32
-	}
-	return int32(x)
-}
-
 // Acc64 is a 64-bit wrapping accumulator. It accumulates raw Q2.62
 // products (from MulRaw) or widened F32 values; the order of Accumulate
 // calls never affects the result.
@@ -122,9 +109,6 @@ type Acc64 int64
 
 // AddRaw accumulates a raw 64-bit value with wrapping.
 func (a Acc64) AddRaw(x int64) Acc64 { return a + Acc64(x) }
-
-// AddF accumulates an F32 value aligned to the Q2.62 product scale.
-func (a Acc64) AddF(f F32) Acc64 { return a + Acc64(int64(f)<<FracBits) }
 
 // ToF32 rounds the accumulator back to F32 (dividing out the Q2.62 scale).
 func (a Acc64) ToF32() F32 { return F32(int32(RoundShift(int64(a), FracBits))) }

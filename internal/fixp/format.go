@@ -75,10 +75,6 @@ func (f Format) MinRaw() int64 { return -(int64(1) << (f.Bits - 1)) }
 // values.
 func (f Format) Resolution() float64 { return f.Scale / float64(int64(1)<<(f.Bits-1)) }
 
-// RoundTrip quantizes and dequantizes x, returning the nearest
-// representable physical value (with wrapping outside the range).
-func (f Format) RoundTrip(x float64) float64 { return f.Value(f.Quantize(x)) }
-
 // Acc128 models Anton's wide (86-bit class) accumulators used for virials
 // (Figure 4c): a 128-bit twos-complement integer built from two 64-bit
 // words. Addition wraps at 128 bits, so it remains associative, and 86-bit

@@ -72,9 +72,6 @@ func (a AccVec3) Add(b AccVec3) AccVec3 {
 // the partner atom of a pair with bit-exact antisymmetry).
 func (a AccVec3) Neg() AccVec3 { return AccVec3{-a.X, -a.Y, -a.Z} }
 
-// ToVec3 rounds each component back to F32.
-func (a AccVec3) ToVec3() Vec3 { return Vec3{a.X.ToF32(), a.Y.ToF32(), a.Z.ToF32()} }
-
 // Float returns the accumulator interpreted at the Q2.62 scale.
 func (a AccVec3) Float() vec.V3 {
 	return vec.V3{X: a.X.Float(), Y: a.Y.Float(), Z: a.Z.Float()}

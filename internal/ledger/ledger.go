@@ -27,8 +27,8 @@
 //     stays independently provable against its batch root;
 //   - commits are durable: the data file is fsynced and a tiny head
 //     sidecar (<path>.head) is rewritten with the same temp+fsync+
-//     rename discipline as checkpoints (core.AtomicWriteFile's
-//     contract), pinning the last committed record against torn tails.
+//     rename discipline as checkpoints ((*faults.FS).WriteFile),
+//     pinning the last committed record against torn tails.
 //
 // A crash can tear at most the uncommitted tail after the last commit;
 // verification reports that tail as uncommitted rather than corrupt.
@@ -108,12 +108,13 @@ type Faults struct {
 	Seed int64  `json:"seed"`
 }
 
-// Recovery is a crash-recovery record's payload.
+// Recovery is a crash-recovery record's payload. (Ledgers written before
+// crash adoption was removed may carry an "adopted" list here; it decodes
+// as an ignored field and stays covered by the record's hash.)
 type Recovery struct {
 	DetectedStep int     `json:"detected_step"`
 	RestoredStep int     `json:"restored_step"`
 	Crashed      []int32 `json:"crashed,omitempty"`
-	Adopted      []int32 `json:"adopted,omitempty"`
 	Spurious     bool    `json:"spurious,omitempty"`
 }
 
@@ -311,9 +312,6 @@ func Open(path string, opts Options) (*Writer, error) {
 	w.pending = append(w.pending, rep.UncommittedHashes...)
 	return w, nil
 }
-
-// Path returns the ledger's data-file path.
-func (w *Writer) Path() string { return w.path }
 
 // Stats returns the monotonic output counters.
 func (w *Writer) Stats() Stats {
@@ -543,9 +541,9 @@ func (w *Writer) sync() error {
 	return err
 }
 
-// writeHead rewrites the head sidecar atomically (temp+fsync+rename,
-// core.AtomicWriteFile's contract — a nil plane is that exact code
-// path), retrying injected transient faults.
+// writeHead rewrites the head sidecar atomically (temp+fsync+rename —
+// the one sequence, nil plane or not), retrying injected transient
+// faults.
 func (w *Writer) writeHead(b []byte) error {
 	var err error
 	for attempt := 0; attempt < w.fs.RetryBudget(); attempt++ {

@@ -1,7 +1,11 @@
 package ledger
 
 import (
+	"bytes"
+	"encoding/hex"
+	"encoding/json"
 	"errors"
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
@@ -11,7 +15,7 @@ import (
 // writeSample builds a representative ledger: genesis, a fault
 // campaign, cadenced digests, checkpoints, a recovery, an alert, with
 // the given batch size. Returns the ledger path.
-func writeSample(t *testing.T, batch int, steps int) string {
+func writeSample(t testing.TB, batch int, steps int) string {
 	t.Helper()
 	path := filepath.Join(t.TempDir(), "run.ledger")
 	w, err := Create(path, Options{Batch: batch})
@@ -335,4 +339,125 @@ func TestLedgerWriterStats(t *testing.T) {
 	if fi.Size() != w.stats.Bytes {
 		t.Errorf("file size %d != counted bytes %d", fi.Size(), w.stats.Bytes)
 	}
+}
+
+// TestLedgerOldAdoptedRecovery: ledgers written while the shard
+// supervisor still had crash adoption carry "adopted" in their recovery
+// records. The field is gone from Recovery, but a record's identity is
+// the hash of its raw line, so such a ledger still verifies, decodes, and
+// extends. The recovery line below is byte-for-byte what that writer
+// marshalled.
+func TestLedgerOldAdoptedRecovery(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "old.ledger")
+	var file []byte
+	var leaves [][]byte
+	prev := ""
+	add := func(line []byte) {
+		prev = hashLine(line)
+		file = append(append(file, line...), '\n')
+	}
+	leaf := func(line []byte) {
+		add(line)
+		h, _ := hex.DecodeString(prev)
+		leaves = append(leaves, h)
+	}
+	marshal := func(r Record) []byte {
+		r.Prev = prev
+		b, err := json.Marshal(r)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return b
+	}
+	leaf(marshal(Record{Seq: 0, Kind: KindGenesis, Genesis: &Genesis{System: "small", Atoms: 645}}))
+	leaf([]byte(fmt.Sprintf(`{"seq":1,"kind":"recovery","step":42,"recovery":`+
+		`{"detected_step":42,"restored_step":40,"crashed":[3],"adopted":[3]},"prev":%q}`, prev)))
+	root := hex.EncodeToString(MerkleRoot(leaves))
+	add(marshal(Record{Seq: 2, Kind: KindCommit, Commit: &Commit{Root: root, First: 0, Last: 1}}))
+	head, _ := json.Marshal(Head{Seq: 2, Hash: prev, Root: root})
+	if err := os.WriteFile(path, file, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(HeadPath(path), append(head, '\n'), 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	rep, err := VerifyFile(path)
+	if err != nil {
+		t.Fatalf("old ledger with an adopted list: %v", err)
+	}
+	if rep.Records != 3 || rep.Committed != 2 || rep.Pending != 0 {
+		t.Fatalf("report %+v, want 3 records, 2 committed", rep)
+	}
+	recs, err := ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if r := recs[1].Recovery; r == nil || r.DetectedStep != 42 || len(r.Crashed) != 1 || r.Crashed[0] != 3 {
+		t.Fatalf("recovery payload lost: %+v", recs[1].Recovery)
+	}
+
+	// A resumed run audits the old chain and extends it.
+	w, err := Open(path, Options{})
+	if err != nil {
+		t.Fatalf("open old ledger: %v", err)
+	}
+	if err := w.AppendDigest(50, 0xfeed); err != nil {
+		t.Fatal(err)
+	}
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := VerifyFile(path); err != nil {
+		t.Fatalf("extended old ledger: %v", err)
+	}
+}
+
+// FuzzReadVerify feeds the ledger decoder and the chain verifier hostile
+// bytes, seeded from a real ledger and the tamper and torn-tail cases:
+// neither may panic, a rejection is tagged ErrVerify, the complete-record
+// prefix ReadAll reports re-reads to the same records, and an accepted
+// chain's report accounts for every record.
+func FuzzReadVerify(f *testing.F) {
+	good, err := os.ReadFile(writeSample(f, 4, 60))
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(good)
+	f.Add(good[:len(good)/2])                                   // cut mid-record: torn tail
+	f.Add(append(append([]byte(nil), good...), "{\"seq\":"...)) // in-flight append
+	f.Add(bytes.Replace(good, []byte("\n"), []byte(" "), 1))    // newline flip
+	for _, off := range []int{9, len(good) / 3, len(good) - 9} {
+		mut := append([]byte(nil), good...)
+		mut[off] ^= 0x01
+		f.Add(mut)
+	}
+	f.Add([]byte("{}\n{}\n"))
+	f.Add([]byte(`{"seq":0,"kind":"commit"}` + "\n"))
+	f.Add([]byte(`{"seq":0,"kind":"recovery","recovery":{"crashed":[3],"adopted":[3]}}` + "\n"))
+
+	f.Fuzz(func(t *testing.T, data []byte) {
+		recs, hashes, good, torn, err := ReadAll(bytes.NewReader(data))
+		if err != nil {
+			return
+		}
+		if len(recs) != len(hashes) || good < 0 || good > int64(len(data)) || (!torn && good != int64(len(data))) {
+			t.Fatalf("%d records, %d hashes, %d good of %d bytes, torn=%v", len(recs), len(hashes), good, len(data), torn)
+		}
+		again, _, good2, torn2, err := ReadAll(bytes.NewReader(data[:good]))
+		if err != nil || len(again) != len(recs) || good2 != good || torn2 {
+			t.Fatalf("good prefix re-reads to %d records (%d bytes, torn=%v, err %v); want %d (%d bytes)",
+				len(again), good2, torn2, err, len(recs), good)
+		}
+		rep, err := Verify(recs, hashes)
+		if err != nil {
+			if !errors.Is(err, ErrVerify) {
+				t.Fatalf("rejection not tagged ErrVerify: %v", err)
+			}
+			return
+		}
+		if rep.Records != uint64(len(recs)) || rep.Committed+rep.Commits+rep.Pending != rep.Records {
+			t.Fatalf("report does not account for %d records: %+v", len(recs), rep)
+		}
+	})
 }

@@ -55,10 +55,6 @@ type Config struct {
 	// stall detection off).
 	StallAfter time.Duration
 
-	// AgeAfter is the queue's priority-aging step: a waiting job gains
-	// one effective priority level per AgeAfter (0 = no aging).
-	AgeAfter time.Duration
-
 	// StorageChaos attaches a storage fault plane from a faults.FSSpec
 	// string (see faults.ParseFSSpec), e.g.
 	// "seed=11,enospc=0.05,torn=0.05,crashes=6,horizon=40".
@@ -73,12 +69,6 @@ type Config struct {
 	// RetryBase is the persist-retry backoff base (default 50ms; the
 	// delay doubles per attempt with deterministic jitter).
 	RetryBase time.Duration
-
-	// PersistAttempts bounds op-level persist attempts (default 10 —
-	// above the fault plane's worst-case consecutive-fault streak across
-	// the write+fsync+rename sequence, so transient campaigns always
-	// converge).
-	PersistAttempts int
 
 	// Logger receives operational logs (default: slog.Default()).
 	Logger *slog.Logger
@@ -156,9 +146,6 @@ func New(cfg Config) (*Daemon, error) {
 	if cfg.RetryBase <= 0 {
 		cfg.RetryBase = 50 * time.Millisecond
 	}
-	if cfg.PersistAttempts <= 0 {
-		cfg.PersistAttempts = 10
-	}
 	if cfg.Logger == nil {
 		cfg.Logger = slog.Default()
 	}
@@ -178,7 +165,7 @@ func New(cfg Config) (*Daemon, error) {
 	d := &Daemon{
 		cfg:      cfg,
 		store:    st,
-		q:        newQueue(cfg.AgeAfter),
+		q:        newQueue(),
 		auth:     newAuth(cfg.Tokens, cfg.RatePerMin, cfg.Burst),
 		tset:     obs.NewTelemetrySet(),
 		fs:       fsp,
@@ -402,6 +389,11 @@ func (d *Daemon) backoffDelay(id string, attempt int) time.Duration {
 	return base<<shift + jitter
 }
 
+// persistAttempts bounds op-level persist attempts: above the fault
+// plane's worst-case consecutive-fault streak across the
+// write+fsync+rename sequence, so transient campaigns always converge.
+const persistAttempts = 10
+
 // retryPersist runs one persist stage with bounded retries + backoff
 // for transient storage faults. Crashes and non-transient errors
 // surface immediately; exhaustion surfaces the last fault.
@@ -414,7 +406,7 @@ func (d *Daemon) retryPersist(id string, op func() error) error {
 		if transientFault(err) && !faults.IsCrash(err) {
 			d.stats.StorageFaults.Add(1)
 		}
-		if faults.IsCrash(err) || !transientFault(err) || a >= d.cfg.PersistAttempts {
+		if faults.IsCrash(err) || !transientFault(err) || a >= persistAttempts {
 			return err
 		}
 		d.stats.PersistRetries.Add(1)

@@ -6,30 +6,20 @@ import (
 )
 
 // queue is the prioritized FIFO job queue feeding the worker pool:
-// higher effective priority pops first, and jobs of equal priority pop
-// in submission order (the seq counter breaks ties). It deliberately
-// holds job IDs, not jobs — the store is the single source of truth,
-// and a daemon restart rebuilds the queue from the store's recovery
-// scan.
+// higher priority pops first, and jobs of equal priority pop in
+// submission order (the seq counter breaks ties). It deliberately holds
+// job IDs, not jobs — the store is the single source of truth, and a
+// daemon restart rebuilds the queue from the store's recovery scan.
 //
-// Two supervision features live here:
-//
-//   - priority aging: an item's effective priority grows by one per
-//     ageAfter waited, so a flood of high-priority submissions cannot
-//     starve the low-priority backlog forever;
-//   - delayed requeue: pushDelayed holds an item invisible until its
-//     notBefore instant — the job-level retry backoff.
+// One supervision feature lives here, the delayed requeue: pushDelayed
+// holds an item invisible until its notBefore instant — the job-level
+// retry backoff.
 type queue struct {
 	mu     sync.Mutex
 	cond   *sync.Cond
 	items  []queueItem
 	seq    uint64
 	closed bool
-
-	// now is injectable for deterministic aging tests.
-	now func() time.Time
-	// ageAfter is the wait per effective-priority step (0 = no aging).
-	ageAfter time.Duration
 
 	// testOnWait, when set, is called (under mu) immediately before a
 	// popper blocks on the condition variable — the deterministic "a
@@ -41,27 +31,13 @@ type queueItem struct {
 	id        string
 	priority  int
 	seq       uint64
-	enqueued  time.Time
 	notBefore time.Time
 }
 
-func newQueue(ageAfter time.Duration) *queue {
-	q := &queue{now: time.Now, ageAfter: ageAfter}
+func newQueue() *queue {
+	q := &queue{}
 	q.cond = sync.NewCond(&q.mu)
 	return q
-}
-
-// effective is the item's aged priority at time now.
-func (q *queue) effective(it queueItem, now time.Time) int {
-	if q.ageAfter <= 0 {
-		return it.priority
-	}
-	aged := now.Sub(it.enqueued) / q.ageAfter
-	// Cap the boost so a clock jump cannot overflow the int.
-	if aged > 1<<20 {
-		aged = 1 << 20
-	}
-	return it.priority + int(aged)
 }
 
 // push enqueues a job ID at the given priority. Pushing onto a closed
@@ -79,10 +55,9 @@ func (q *queue) pushDelayed(id string, priority int, delay time.Duration) {
 	if q.closed {
 		return
 	}
-	now := q.now()
-	it := queueItem{id: id, priority: priority, seq: q.seq, enqueued: now}
+	it := queueItem{id: id, priority: priority, seq: q.seq}
 	if delay > 0 {
-		it.notBefore = now.Add(delay)
+		it.notBefore = time.Now().Add(delay)
 	}
 	q.seq++
 	q.items = append(q.items, it)
@@ -91,15 +66,15 @@ func (q *queue) pushDelayed(id string, priority int, delay time.Duration) {
 
 // pop blocks until an item is ready or the queue is closed, in which
 // case it returns ok=false. Among ready items it picks the highest
-// effective (aged) priority, FIFO within a level. Items still inside
+// priority, FIFO within a level. Items still inside
 // their backoff delay are invisible; a timer wakes the poppers when the
 // earliest one matures.
 func (q *queue) pop() (string, bool) {
 	q.mu.Lock()
 	defer q.mu.Unlock()
 	for {
-		now := q.now()
-		best, bestAt := -1, 0
+		now := time.Now()
+		best := -1
 		soonest := time.Time{}
 		for i, it := range q.items {
 			if it.notBefore.After(now) {
@@ -108,9 +83,9 @@ func (q *queue) pop() (string, bool) {
 				}
 				continue
 			}
-			eff := q.effective(it, now)
-			if best < 0 || eff > bestAt || (eff == bestAt && it.seq < q.items[best].seq) {
-				best, bestAt = i, eff
+			if best < 0 || it.priority > q.items[best].priority ||
+				(it.priority == q.items[best].priority && it.seq < q.items[best].seq) {
+				best = i
 			}
 		}
 		if best >= 0 {

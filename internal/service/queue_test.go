@@ -6,7 +6,7 @@ import (
 )
 
 func TestQueuePriorityFIFO(t *testing.T) {
-	q := newQueue(0)
+	q := newQueue()
 	q.push("low-1", 0)
 	q.push("high-1", 5)
 	q.push("low-2", 0)
@@ -44,7 +44,7 @@ func blockedPoppers(q *queue, capacity int) <-chan struct{} {
 }
 
 func TestQueueBlockingPop(t *testing.T) {
-	q := newQueue(0)
+	q := newQueue()
 	waiting := blockedPoppers(q, 1)
 	got := make(chan string, 1)
 	go func() {
@@ -79,7 +79,7 @@ func TestQueueBlockingPop(t *testing.T) {
 }
 
 func TestQueueClose(t *testing.T) {
-	q := newQueue(0)
+	q := newQueue()
 	waiting := blockedPoppers(q, 2)
 	done := make(chan bool, 2)
 	for i := 0; i < 2; i++ {
@@ -119,7 +119,7 @@ func TestQueueClose(t *testing.T) {
 }
 
 func TestQueueRemove(t *testing.T) {
-	q := newQueue(0)
+	q := newQueue()
 	q.push("a", 0)
 	q.push("b", 0)
 	q.push("c", 0)
@@ -136,47 +136,13 @@ func TestQueueRemove(t *testing.T) {
 	}
 }
 
-// TestQueuePriorityAging drives the aging clock by hand: a low-priority
-// item that has waited long enough overtakes a fresh high-priority one,
-// so a flood of urgent submissions cannot starve the backlog.
-func TestQueuePriorityAging(t *testing.T) {
-	q := newQueue(time.Second) // +1 effective priority per second waited
-	cur := time.Unix(1_700_000_000, 0)
-	q.now = func() time.Time { return cur }
-
-	q.push("old-low", 0)
-	cur = cur.Add(5 * time.Second)
-	q.push("fresh-high", 3)
-
-	// old-low has aged to effective 5 > 3: it pops first despite the
-	// lower nominal priority.
-	if id, _ := q.pop(); id != "old-low" {
-		t.Fatalf("popped %s, want old-low (aged past the fresh high-priority item)", id)
-	}
-	if id, _ := q.pop(); id != "fresh-high" {
-		t.Fatal("fresh-high missing")
-	}
-
-	// Without aging the same sequence is strict priority order.
-	q2 := newQueue(0)
-	cur2 := time.Unix(1_700_000_000, 0)
-	q2.now = func() time.Time { return cur2 }
-	q2.push("old-low", 0)
-	cur2 = cur2.Add(5 * time.Second)
-	q2.push("fresh-high", 3)
-	if id, _ := q2.pop(); id != "fresh-high" {
-		t.Fatal("aging disabled but low-priority item popped first")
-	}
-}
-
 // TestQueueDelayedPush: an item inside its backoff delay is invisible to
 // pop (even at the highest priority) until its notBefore matures.
 func TestQueueDelayedPush(t *testing.T) {
-	q := newQueue(0)
-	cur := time.Unix(1_700_000_000, 0)
-	q.now = func() time.Time { return cur }
-
-	q.pushDelayed("backing-off", 10, time.Minute)
+	q := newQueue()
+	const delay = 300 * time.Millisecond
+	start := time.Now()
+	q.pushDelayed("backing-off", 10, delay)
 	q.push("ready", 0)
 	if d := q.depth(); d != 2 {
 		t.Fatalf("depth %d, want 2 (delayed items hold queue capacity)", d)
@@ -184,16 +150,18 @@ func TestQueueDelayedPush(t *testing.T) {
 	if id, _ := q.pop(); id != "ready" {
 		t.Fatalf("popped %s, want ready (delayed item must be invisible)", id)
 	}
-	cur = cur.Add(2 * time.Minute)
 	if id, _ := q.pop(); id != "backing-off" {
 		t.Fatal("matured delayed item did not pop")
+	}
+	if waited := time.Since(start); waited < delay {
+		t.Fatalf("delayed item popped after %v, inside its %v backoff", waited, delay)
 	}
 }
 
 // TestQueueDelayedWake: a popper blocked on a queue holding only delayed
 // items is woken by the maturity timer, not by a push.
 func TestQueueDelayedWake(t *testing.T) {
-	q := newQueue(0)
+	q := newQueue()
 	q.pushDelayed("soon", 0, 5*time.Millisecond)
 	got := make(chan string, 1)
 	go func() {

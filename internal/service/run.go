@@ -95,9 +95,10 @@ func BuildSim(spec JobSpec) (core.Sim, *core.Engine, *core.Sharded, error) {
 // everything a run carries, in this order (DESIGN §14 "Run lifecycle"):
 // build; restore from resume when that file exists (read through fs,
 // fingerprint + CRC validated before any state is touched); the ledger
-// (see openLedger); the spec's chaos campaign, with supervised checkpoints
-// to ckpt every spec.CheckpointEvery steps and the campaign and its
-// recoveries ledgered; then recorder, tracer and health watch.
+// (see openLedger); the spec's chaos campaign, with an in-memory rollback
+// image every spec.CheckpointEvery steps and the campaign and its
+// recoveries ledgered; then recorder, tracer and health watch. Persist is
+// the only writer of ckpt.
 //
 // resume, ckpt and ledgerPath may each be empty (skip). fs is the storage
 // fault plane (nil = plain I/O: the CLI and the daemon run the same code)
@@ -147,7 +148,6 @@ func OpenRun(spec JobSpec, resume, ckpt, ledgerPath string, fs *faults.FS, retry
 		if err := sh.EnableFaults(core.FaultConfig{
 			Plane:           faults.New(sp, sh.Shards()),
 			CheckpointEvery: spec.CheckpointEvery,
-			CheckpointPath:  ckpt,
 			OnRecovery: func(ev core.RecoveryEvent) {
 				if r.Ledger != nil {
 					// A failed append latches in the writer and fails the next Persist.

@@ -120,6 +120,33 @@ func TestStoreRecover(t *testing.T) {
 	}
 }
 
+// reopenOverStatus creates a store holding two queued jobs, replaces the
+// first one's status.json with mutilate(its bytes), and opens the store
+// again over the result — which must succeed whatever the bytes are.
+func reopenOverStatus(t testing.TB, mutilate func([]byte) []byte) (st2 *Store, victim, healthy JobStatus, path string) {
+	t.Helper()
+	dir := t.TempDir()
+	st, err := OpenStore(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	victim, _ = st.Create(testSpec())
+	healthy, _ = st.Create(testSpec())
+	path = filepath.Join(st.Dir(victim.ID), "status.json")
+	orig, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(path, mutilate(orig), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	st2, err = OpenStore(dir)
+	if err != nil {
+		t.Fatalf("open over a damaged status record failed instead of quarantining: %v", err)
+	}
+	return st2, victim, healthy, path
+}
+
 // TestStoreCorruptStatus is the fails-open contract of the open scan:
 // every flavor of damaged status record — torn, bit-flipped, empty,
 // garbage, or naming the wrong job — quarantines that one job as
@@ -144,26 +171,7 @@ func TestStoreCorruptStatus(t *testing.T) {
 	}
 	for _, tc := range corruptions {
 		t.Run(tc.name, func(t *testing.T) {
-			dir := t.TempDir()
-			st, err := OpenStore(dir)
-			if err != nil {
-				t.Fatal(err)
-			}
-			victim, _ := st.Create(testSpec())
-			healthy, _ := st.Create(testSpec())
-			path := filepath.Join(st.Dir(victim.ID), "status.json")
-			orig, err := os.ReadFile(path)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if err := os.WriteFile(path, tc.mutilate(orig), 0o644); err != nil {
-				t.Fatal(err)
-			}
-
-			st2, err := OpenStore(dir)
-			if err != nil {
-				t.Fatalf("open over a %s record failed instead of quarantining: %v", tc.name, err)
-			}
+			st2, victim, healthy, path := reopenOverStatus(t, tc.mutilate)
 			got, ok := st2.Get(victim.ID)
 			if !ok || got.State != StateQuarantined {
 				t.Fatalf("victim = %+v ok=%v, want failed_poisoned", got, ok)

@@ -333,15 +333,6 @@ func addGeneratedAngles(t *ff.Topology, lo, hi int, r []vec.V3, base int, k floa
 	}
 }
 
-// Radius returns the approximate radius of a protein with n atoms (used
-// for carving the water region).
-func Radius(nAtoms int) float64 {
-	nRes := nAtoms / AtomsPerResidue
-	side := math.Ceil(math.Cbrt(float64(nRes))) * caSpacing
-	// Half-diagonal of the walk cube plus the template reach.
-	return side*math.Sqrt(3)/2 + 3.5
-}
-
 // InitVelocities draws Maxwell-Boltzmann velocities at temperature T (K)
 // for every massive atom and removes the center-of-mass momentum. The rng
 // makes initialization reproducible.

@@ -293,7 +293,3 @@ func (n *Network) BisectionBandwidthGbps() float64 {
 	}
 	return float64(links) * n.ChannelGbps
 }
-
-// NsToSeconds converts nanoseconds to seconds (helper for callers mixing
-// units).
-func NsToSeconds(ns float64) float64 { return ns * 1e-9 }

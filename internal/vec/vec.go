@@ -63,9 +63,6 @@ func (a V3) Unit() V3 {
 // Mul returns the componentwise (Hadamard) product.
 func (a V3) Mul(b V3) V3 { return V3{a.X * b.X, a.Y * b.Y, a.Z * b.Z} }
 
-// Div returns the componentwise quotient a / b.
-func (a V3) Div(b V3) V3 { return V3{a.X / b.X, a.Y / b.Y, a.Z / b.Z} }
-
 // MaxAbs returns the largest absolute component.
 func (a V3) MaxAbs() float64 {
 	m := math.Abs(a.X)
@@ -114,9 +111,6 @@ func Dist(a, b V3) float64 { return a.Sub(b).Norm() }
 
 // Dist2 returns |a - b|^2.
 func Dist2(a, b V3) float64 { return a.Sub(b).Norm2() }
-
-// Lerp returns a + t*(b-a).
-func Lerp(a, b V3, t float64) V3 { return a.Add(b.Sub(a).Scale(t)) }
 
 // Angle returns the angle at vertex j of the triangle (i, j, k), in radians.
 func Angle(i, j, k V3) float64 {

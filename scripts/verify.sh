@@ -36,13 +36,14 @@ echo "== race: long concurrency tests =="
 # shards (reorder and lossy-with-crash planes, each on the fill and the
 # no-fill schedule) and 64 shards (through a crash, rollback and replay),
 # the mid-run schedule toggle, the per-shard stage timers the driver reads
-# for phase attribution, the quiet reliable transport and single-shard
-# crash recovery. service: the HTTP surface, cancel, kill/restart and
-# graceful-stop durability, per-job ledgers, worker metrics, and the
-# whole hostile-disk campaign. cmd: antonsim in process against an antond
-# job and an antonaudit replay of the same spec, and its stop/resume,
-# monolithic and at 8 shards. Every one asserts a bitwise trajectory.
-long='TestConcurrentShardMeshSolves|TestShardInvariance|TestShardCheckpointCrossShardCount|TestCheckpointFileCrossShardResume|TestStreamChaosReorder|TestStreamOverlapToggleMidRun|TestShardPhaseAttribution|TestChaosReliableNoFaults|TestChaosSingleShard|TestServiceHTTP|TestCancel|TestDaemonKillRestartDurability|TestGracefulStopPersistsBoundary|TestJobLedger|TestDaemonWorkerMetrics|TestServiceChaos|TestCLIDigestAgreement|TestCLIResume'
+# for phase attribution, the quiet reliable transport, single-shard crash
+# recovery and one shard crashing three times (alone, and as one of 8).
+# service: the HTTP surface, cancel, kill/restart and graceful-stop
+# durability, per-job ledgers, worker metrics, and the whole hostile-disk
+# campaign. cmd: antonsim in process against an antond job and an
+# antonaudit replay of the same spec, and its stop/resume, monolithic and
+# at 8 shards. Every one asserts a bitwise trajectory.
+long='TestConcurrentShardMeshSolves|TestShardInvariance|TestShardCheckpointCrossShardCount|TestCheckpointFileCrossShardResume|TestStreamChaosReorder|TestStreamOverlapToggleMidRun|TestShardPhaseAttribution|TestChaosReliableNoFaults|TestChaosSingleShard|TestChaosRepeatedCrash|TestServiceHTTP|TestCancel|TestDaemonKillRestartDurability|TestGracefulStopPersistsBoundary|TestJobLedger|TestDaemonWorkerMetrics|TestServiceChaos|TestCLIDigestAgreement|TestCLIResume'
 go test -race -timeout 30m -run "$long" ./internal/core ./internal/service ./cmd/...
 
 echo "== determinism: repeated runs =="
@@ -56,12 +57,16 @@ det='TestCodecRoundTrip|TestCodecDeltaChaining|TestFSLiveness|Deterministic|Dete
 go test -count=2 -timeout 30m -run "$det" ./internal/core ./internal/fft \
 	./internal/torus ./internal/obs ./internal/ledger ./internal/faults
 
-echo "== fuzz: shard wire frames, 5 s per target =="
-# The frame decoders are the one place shard bytes are parsed; a short
-# native-fuzz burst from the seeded corpus catches a decoder that panics
-# or stops rejecting truncated/trailing bytes.
-for target in FuzzPosFrame FuzzForceFrame; do
-	go test -run '^$' -fuzz "^${target}\$" -fuzztime 5s ./internal/core
+echo "== fuzz: every decoder of untrusted bytes, 5 s per target =="
+# A short native-fuzz burst from each seeded corpus catches a decoder
+# that panics, stops rejecting truncated/trailing bytes, or mutates state
+# on a rejection: the shard frame codecs, checkpoint restore, the ledger
+# reader + chain verifier, both fault-spec grammars, the job spec, and the
+# store's status.json recovery scan.
+for target in core:FuzzPosFrame core:FuzzForceFrame core:FuzzRestoreCheckpoint \
+	ledger:FuzzReadVerify faults:FuzzParseSpecs \
+	service:FuzzJobSpec service:FuzzStatusScan; do
+	go test -run '^$' -fuzz "^${target#*:}\$" -fuzztime 5s "./internal/${target%%:*}"
 done
 
 echo "== trace export: generate + validate =="
