@@ -253,6 +253,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	st := eng.Stats
 	fmt.Fprintf(stdout, "\nhardware statistics over %d steps:\n", st.Steps)
 	fmt.Fprintf(stdout, "  pairs considered by match units: %d\n", st.PairsConsidered)
+	fmt.Fprintf(stdout, "  of those, distance-tested in software: %d\n", st.PairsTested)
 	fmt.Fprintf(stdout, "  pairs passing low-precision check: %d\n", st.PairsMatched)
 	fmt.Fprintf(stdout, "  pairs computed by PPIPs: %d\n", st.PairsComputed)
 	fmt.Fprintf(stdout, "  match efficiency: %.1f%%\n", st.MatchEfficiency()*100)

@@ -286,6 +286,12 @@ func TestMatchEfficiencyStats(t *testing.T) {
 	if e.Stats.PairsConsidered < e.Stats.PairsMatched {
 		t.Error("bookkeeping: matched exceeds considered")
 	}
+	// The software tests a subset of what the match units are charged
+	// with, and never fewer than pass.
+	if e.Stats.PairsTested > e.Stats.PairsConsidered || e.Stats.PairsTested < e.Stats.PairsMatched {
+		t.Errorf("bookkeeping: tested %d outside [matched %d, considered %d]",
+			e.Stats.PairsTested, e.Stats.PairsMatched, e.Stats.PairsConsidered)
+	}
 }
 
 func TestMigrationHappens(t *testing.T) {

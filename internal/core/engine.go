@@ -61,7 +61,8 @@ func DefaultConfig(nodes int) Config {
 // Stats counts the work the simulated hardware performed.
 type Stats struct {
 	Steps            int
-	PairsConsidered  int64 // candidates examined by match units
+	PairsConsidered  int64 // candidates the modelled match units examine
+	PairsTested      int64 // of those, distance-tested in software (prefilter survivors)
 	PairsMatched     int64 // passed the low-precision check
 	PairsComputed    int64 // inside the exact cutoff (PPIP work)
 	MeshInteractions int64 // atom-mesh-point interactions (spread+interp)

@@ -3,9 +3,9 @@ package core
 import "testing"
 
 // BenchmarkMeshForces measures one full long-range mesh evaluation
-// (spread -> FFT convolution -> interpolation) at DHFR scale. The
-// steady-state mesh path must be allocation-free: plans, tiles, worker
-// buffers and per-atom axis tables are all preallocated or stack-resident.
+// (spread -> FFT convolution -> interpolation) at DHFR scale. Plans,
+// tiles, worker buffers and per-atom axis tables are all preallocated or
+// stack-resident (TestForcePathsAllocationFree).
 func BenchmarkMeshForces(b *testing.B) {
 	e := dhfrBenchEngine(b)
 	b.ReportAllocs()

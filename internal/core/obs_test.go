@@ -57,6 +57,7 @@ func TestObsCountersMatchEngineStats(t *testing.T) {
 
 	pairs := map[obs.Counter]int64{
 		obs.CtrPairsConsidered:  e.Stats.PairsConsidered,
+		obs.CtrPairsTested:      e.Stats.PairsTested,
 		obs.CtrPairsMatched:     e.Stats.PairsMatched,
 		obs.CtrPairsComputed:    e.Stats.PairsComputed,
 		obs.CtrMeshInteractions: e.Stats.MeshInteractions,

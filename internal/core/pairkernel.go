@@ -227,13 +227,32 @@ func (e *Engine) pairChunk(w, lo, hi int) {
 	e.workerTallies[w] = t
 }
 
-// pairScan runs the match-unit prefilter and batched PPIP evaluation over
-// an explicit list of subbox pairs, reading slot-indexed positions from
-// pos and scattering quantized forces into the slot-indexed buf. It is the
+// pairScan runs the match units and batched PPIP evaluation over an
+// explicit list of subbox pairs, reading slot-indexed positions from pos
+// and scattering quantized forces into the slot-indexed buf. It is the
 // shared core of the monolithic worker chunks and the per-shard NT node
 // computation: a shard passes its assigned pair list, its own gathered
 // position view and its private accumulation buffers.
 func (e *Engine) pairScan(pairs [][2]int32, pos []fixp.Vec3, buf []Force3, b *pairBatch, energyOut *float64, tOut *tally, vir *htis.Virial) {
+	e.scanPairs(pairs, pos, buf, b, energyOut, tOut, vir, true)
+}
+
+// scanPairs is pairScan with the bounding-box prefilter switchable, so a
+// test can show the prefilter changes nothing but Tested.
+//
+// The subbox-pair list is enumerated once with the worst-case reach, so
+// most of an atom's candidates in a partner subbox are far outside the
+// cutoff. Before the per-candidate loop, the partner subbox's bounding
+// box is taken from pos — recomputed on every call, never cached: a
+// shard's view fills as imports arrive — and each atom's per-axis gap to
+// that box is put through the match unit's own test. The gap is a lower
+// bound on the low-precision |d| of every candidate in the box, so a
+// skipped range holds only candidates the match units reject: Matched,
+// Computed, the order of queued pairs and so every output bit are
+// unchanged. Considered still counts the skipped candidates (it models
+// what the hardware match units examine); Tested counts the distance
+// tests actually run.
+func (e *Engine) scanPairs(pairs [][2]int32, pos []fixp.Vec3, buf []Force3, b *pairBatch, energyOut *float64, tOut *tally, vir *htis.Virial, prefilter bool) {
 	k := &e.pk
 	var energy float64
 	var t tally
@@ -244,21 +263,46 @@ func (e *Engine) pairScan(pairs [][2]int32, pos []fixp.Vec3, buf []Force3, b *pa
 	atomOf := k.atomOf
 	for _, bp := range pairs {
 		aLo, aHi := k.subStart[bp[0]], k.subStart[bp[0]+1]
-		bHi := k.subStart[bp[1]+1]
+		bLo, bHi := k.subStart[bp[1]], k.subStart[bp[1]+1]
 		same := bp[0] == bp[1]
+		if aLo == aHi || bLo == bHi {
+			continue
+		}
+		// Partner box as wrapping offsets from its first slot's position.
+		ref := pos[bLo]
+		filter := prefilter && !same
+		var loX, hiX, loY, hiY, loZ, hiZ int64
+		if filter {
+			for _, p := range pos[bLo+1 : bHi] {
+				ox, oy, oz := int64(int32(p.X-ref.X)), int64(int32(p.Y-ref.Y)), int64(int32(p.Z-ref.Z))
+				loX, hiX = min(loX, ox), max(hiX, ox)
+				loY, hiY = min(loY, oy), max(hiY, oy)
+				loZ, hiZ = min(loZ, oz), max(hiZ, oz)
+			}
+		}
 		for si := aLo; si < aHi; si++ {
-			i := atomOf[si]
-			excl := k.exclOf[i]
-			ep := 0
 			pi := pos[si]
-			qKi := k.qK[si]
-			row := k.ljRow[si]
-			sj := k.subStart[bp[1]]
+			sj := bLo
 			if same {
 				sj = si + 1
 			}
+			t.Considered += int64(bHi - sj)
+			if filter {
+				gx := axisGap(int64(int32(pi.X-ref.X)), loX, hiX, shift)
+				gy := axisGap(int64(int32(pi.Y-ref.Y)), loY, hiY, shift)
+				gz := axisGap(int64(int32(pi.Z-ref.Z)), loZ, hiZ, shift)
+				if gx > limAxis || gy > limAxis || gz > limAxis ||
+					gx*gx+gy*gy+gz*gz > limR2 {
+					continue
+				}
+			}
+			t.Tested += int64(bHi - sj)
+			i := atomOf[si]
+			excl := k.exclOf[i]
+			ep := 0
+			qKi := k.qK[si]
+			row := k.ljRow[si]
 			for ; sj < bHi; sj++ {
-				t.Considered++
 				pj := pos[sj]
 				d := fixp.Vec3{X: pi.X - pj.X, Y: pi.Y - pj.Y, Z: pi.Z - pj.Z}
 				dx := int64(int32(d.X) >> shift)
@@ -309,6 +353,25 @@ func (e *Engine) pairScan(pairs [][2]int32, pos []fixp.Vec3, buf []Force3, b *pa
 	tOut.Merge(&t)
 }
 
+// axisGap bounds one axis of the prefilter. c is an atom's position and
+// [lo, hi] (lo <= 0 <= hi) a subbox's extent, all as wrapping 32-bit
+// offsets from one reference position, so a candidate's displacement on
+// this axis is c-o wrapped to 32 bits for some o in [lo, hi]. The result
+// is a lower bound on |wrap(c-o) >> shift| — the magnitude the match
+// unit compares — over that whole range. When the far edge of the box is
+// 2^31 counts or more away, c-o wraps for part of the range (the box is
+// also near across the periodic boundary) and the only safe bound is 0.
+func axisGap(c, lo, hi int64, shift uint) int64 {
+	near, far := c-hi, c-lo // displacements run over [near, far] unwrapped
+	switch {
+	case near > 0 && far < 1<<31:
+		return near >> shift
+	case far < 0 && near >= -(1<<31):
+		return -(far >> shift)
+	}
+	return 0
+}
+
 // rangeLimitedForces runs the NT-decomposed HTIS computation: every
 // interacting subbox pair is processed by a worker standing in for its
 // neutral-territory node; match units prefilter, the batched PPIP path
@@ -342,10 +405,12 @@ func (e *Engine) rangeLimitedForces() float64 {
 		}
 	}
 	e.Stats.PairsConsidered += merged.Considered
+	e.Stats.PairsTested += merged.Tested
 	e.Stats.PairsMatched += merged.Matched
 	e.Stats.PairsComputed += merged.Computed
 	if e.rec != nil {
 		e.rec.Add(obs.CtrPairsConsidered, merged.Considered)
+		e.rec.Add(obs.CtrPairsTested, merged.Tested)
 		e.rec.Add(obs.CtrPairsMatched, merged.Matched)
 		e.rec.Add(obs.CtrPairsComputed, merged.Computed)
 		e.rec.Add(obs.CtrBatchFlushes, merged.BatchFlushes)

@@ -1,10 +1,13 @@
 package core
 
 import (
+	"math"
+	"math/rand"
 	"testing"
 
 	"anton/internal/fixp"
 	"anton/internal/htis"
+	"anton/internal/system"
 	"anton/internal/vec"
 )
 
@@ -217,6 +220,136 @@ func TestRangeLimitedForcesMatchAllPairs(t *testing.T) {
 	for i := range want {
 		if got[i] != want[i] {
 			t.Fatalf("atom %d: kernel force %+v != all-pairs force %+v", i, got[i], want[i])
+		}
+	}
+}
+
+// scanOnce runs one serial pair scan over every subbox pair of the
+// engine's current state, with the bounding-box prefilter on or off.
+func scanOnce(e *Engine, prefilter bool) (buf []Force3, energy float64, tl tally, vir htis.Virial) {
+	e.pk.refreshGather(e.Pos)
+	e.pk.ensureBatches(1)
+	buf = make([]Force3, len(e.pk.pos))
+	e.scanPairs(e.subPairs, e.pk.pos, buf, &e.pk.batches[0], &energy, &tl, &vir, prefilter)
+	return buf, energy, tl, vir
+}
+
+// TestPrefilterBitwiseInvisible: the bounding-box prefilter may only skip
+// candidates the match units reject, so with it and without it the scan
+// must match the same pairs, queue them in the same order (the float
+// energy sum is order-sensitive) and produce the same force counts.
+// `small` is the periodic-wrap case: its box (18.6 Å) is narrower than
+// twice the subbox-pair reach (11.5 Å), so partner boxes are reachable
+// both ways round.
+func TestPrefilterBitwiseInvisible(t *testing.T) {
+	engines := map[string]func() *Engine{
+		"small": func() *Engine {
+			e := smallWaterEngine(t, 8, func(c *Config) { c.TrackVirial = true })
+			e.Step(10) // past two migrations: atoms sit off their subbox centres
+			return e
+		},
+		"tip4p": func() *Engine {
+			e, err := NewEngine(tip4pSmall(t), DefaultConfig(8))
+			if err != nil {
+				t.Fatal(err)
+			}
+			e.Step(3)
+			return e
+		},
+	}
+	if !testing.Short() {
+		engines["DHFR"] = func() *Engine {
+			s, err := system.ByName("DHFR")
+			if err != nil {
+				t.Fatal(err)
+			}
+			e, err := NewEngine(s, DefaultConfig(8))
+			if err != nil {
+				t.Fatal(err)
+			}
+			return e
+		}
+	}
+	for name, build := range engines {
+		e := build()
+		wantF, wantE, want, wantV := scanOnce(e, false)
+		gotF, gotE, got, gotV := scanOnce(e, true)
+		if want.Tested != want.Considered {
+			t.Errorf("%s: unfiltered scan tested %d of %d candidates", name, want.Tested, want.Considered)
+		}
+		if got.Tested >= got.Considered || got.Tested < got.Matched {
+			t.Errorf("%s: prefilter tested %d, considered %d, matched %d — it skipped nothing or too much",
+				name, got.Tested, got.Considered, got.Matched)
+		}
+		if name == "DHFR" && got.Tested > 30e6 {
+			t.Errorf("DHFR: %d candidates distance-tested per evaluation, want <= 30 M", got.Tested)
+		}
+		t.Logf("%s: considered %d, tested %d, matched %d, computed %d",
+			name, got.Considered, got.Tested, got.Matched, got.Computed)
+		got.Tested, want.Tested = 0, 0
+		got.PPIPNs, want.PPIPNs = 0, 0
+		if got != want {
+			t.Errorf("%s: tallies differ:\n with    %+v\n without %+v", name, got, want)
+		}
+		if math.Float64bits(gotE) != math.Float64bits(wantE) {
+			t.Errorf("%s: energy %v with the prefilter, %v without", name, gotE, wantE)
+		}
+		if gotV != wantV {
+			t.Errorf("%s: virial differs", name)
+		}
+		for s := range wantF {
+			if gotF[s] != wantF[s] {
+				t.Fatalf("%s: slot %d force %+v with the prefilter, %+v without", name, s, gotF[s], wantF[s])
+			}
+		}
+	}
+}
+
+// TestAxisGap walks the prefilter's one-axis bound across the ±2^31
+// boundary: positions are 32-bit wrapping counts, so a box whose far edge
+// is 2^31 or more counts away is also near the other way round.
+func TestAxisGap(t *testing.T) {
+	const shift = 24
+	const half = int64(1) << 31
+	cases := []struct {
+		name      string
+		c, lo, hi int64
+		want      int64
+	}{
+		{"inside the box", 5, -10, 10, 0},
+		{"on the upper edge", 10, -10, 10, 0},
+		{"above, under one low-precision step", 10 + 1<<24 - 1, -10, 10, 0},
+		{"above, exactly one step", 10 + 1<<24, -10, 10, 1},
+		{"above by 3.5 steps", 7 << 23, 0, 0, 3},
+		{"below by one count floors to a full step", -11, -10, 10, 1},
+		{"below by 3.5 steps floors to 4", -(7 << 23), 0, 0, 4},
+		{"above, far edge one count short of wrapping", half - 1 - 100, -100, 1 << 26, (half - 1 - 100 - 1<<26) >> shift},
+		{"above, far edge exactly 2^31 away", half - 100, -100, 1 << 26, 0},
+		{"above, far edge beyond 2^31", half - 1, -(1 << 30), 0, 0},
+		{"below, far edge exactly -2^31 away", -half + 100, -(1 << 26), 100, (half - 100 - 1<<26 + 1<<24 - 1) >> shift},
+		{"below, far edge beyond -2^31", -half + 100, -(1 << 26), 101, 0},
+		{"degenerate box spanning the period", 0, -half, half - 1, 0},
+	}
+	for _, c := range cases {
+		if got := axisGap(c.c, c.lo, c.hi, shift); got != c.want {
+			t.Errorf("%s: axisGap(%d, %d, %d) = %d, want %d", c.name, c.c, c.lo, c.hi, got, c.want)
+		}
+	}
+
+	// Whatever the geometry, the bound never exceeds what the match unit
+	// computes for any candidate in the box.
+	rng := rand.New(rand.NewSource(9))
+	for n := 0; n < 200000; n++ {
+		c := int64(int32(rng.Uint32()))
+		lo := -int64(rng.Uint32() >> uint(1+rng.Intn(31)))
+		hi := int64(rng.Uint32() >> uint(1+rng.Intn(31)))
+		o := lo + rng.Int63n(hi-lo+1)
+		d := int64(int32(c-o) >> shift) // the match unit's axis magnitude
+		if d < 0 {
+			d = -d
+		}
+		if g := axisGap(c, lo, hi, shift); g > d {
+			t.Fatalf("axisGap(%d, %d, %d) = %d exceeds candidate %d's |d| = %d", c, lo, hi, g, o, d)
 		}
 	}
 }

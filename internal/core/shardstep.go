@@ -353,6 +353,7 @@ func (s *Sharded) mergeDiagnostics(refresh bool) {
 	e.Breakdown.Bonded = eBonded
 	e.Breakdown.Correction = eP14
 	e.Stats.PairsConsidered += merged.Considered
+	e.Stats.PairsTested += merged.Tested
 	e.Stats.PairsMatched += merged.Matched
 	e.Stats.PairsComputed += merged.Computed
 	e.Stats.MeshInteractions += spread + interp
@@ -374,6 +375,7 @@ func (s *Sharded) mergeDiagnostics(refresh bool) {
 	e.PotentialEnergy = e.Breakdown.Total()
 	if e.rec != nil {
 		e.rec.Add(obs.CtrPairsConsidered, merged.Considered)
+		e.rec.Add(obs.CtrPairsTested, merged.Tested)
 		e.rec.Add(obs.CtrPairsMatched, merged.Matched)
 		e.rec.Add(obs.CtrPairsComputed, merged.Computed)
 		e.rec.Add(obs.CtrBatchFlushes, merged.BatchFlushes)

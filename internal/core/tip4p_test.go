@@ -9,10 +9,9 @@ import (
 	"anton/internal/system"
 )
 
-// TestTIP4PForcesMatchReference exercises the four-site water path (the
-// BPTI model of §5.3: massless charged M sites, virtual-site placement
-// and force spreading) through both engines and compares forces.
-func TestTIP4PForcesMatchReference(t *testing.T) {
+// tip4pSmall builds a 162-molecule four-site water box.
+func tip4pSmall(t *testing.T) *system.System {
+	t.Helper()
 	s, err := system.Build(system.Spec{
 		Name: "tip4p-small", TotalAtoms: 648, Side: 18.2, Cutoff: 7.0, Mesh: 16,
 		Model: ff.TIP4PEw, Seed: 13,
@@ -20,6 +19,14 @@ func TestTIP4PForcesMatchReference(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	return s
+}
+
+// TestTIP4PForcesMatchReference exercises the four-site water path (the
+// BPTI model of §5.3: massless charged M sites, virtual-site placement
+// and force spreading) through both engines and compares forces.
+func TestTIP4PForcesMatchReference(t *testing.T) {
+	s := tip4pSmall(t)
 	if len(s.Top.VSites) != 162 {
 		t.Fatalf("expected 162 virtual sites, got %d", len(s.Top.VSites))
 	}

@@ -34,6 +34,8 @@ type ProfileData struct {
 
 	MatchEfficiencyMeasured float64
 	MatchEfficiencyModel    float64
+	PairsConsidered         int64 // candidates the modelled match units examine
+	PairsTested             int64 // of those, distance-tested in software
 	Subdiv                  int
 	MeanBatchOccupancy      float64
 
@@ -154,6 +156,8 @@ func profileData(s *system.System, steps, nodes int) (*ProfileData, error) {
 
 		MatchEfficiencyMeasured: snap.MatchEfficiency,
 		MatchEfficiencyModel:    pred.MatchEfficiency,
+		PairsConsidered:         snap.Counters[obs.CtrPairsConsidered].Value,
+		PairsTested:             snap.Counters[obs.CtrPairsTested].Value,
 		Subdiv:                  pred.Subdiv,
 		MeanBatchOccupancy:      snap.MeanOccupancy,
 
@@ -187,6 +191,8 @@ func renderProfile(d *ProfileData) string {
 	fmt.Fprintf(&b, "(shares are of the force-pipeline total; absolute scales differ by design)\n\n")
 	fmt.Fprintf(&b, "match efficiency: measured %.1f%%, model estimate %.1f%% (subdiv %d)\n",
 		100*d.MatchEfficiencyMeasured, 100*d.MatchEfficiencyModel, d.Subdiv)
+	fmt.Fprintf(&b, "match candidates: %d considered by the modelled match units, %d distance-tested in software (%.1f%%)\n",
+		d.PairsConsidered, d.PairsTested, 100*float64(d.PairsTested)/float64(d.PairsConsidered))
 	fmt.Fprintf(&b, "mean PPIP batch occupancy: %.1f%%\n", 100*d.MeanBatchOccupancy)
 
 	// Residency safety margin: the slack must comfortably exceed the

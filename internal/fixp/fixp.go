@@ -83,23 +83,16 @@ func (f F32) String() string { return fmt.Sprintf("%.10f", f.Float()) }
 // symmetric: RoundShift(-x, s) == -RoundShift(x, s) for all x whose
 // negation does not overflow, which is what makes the integrator exactly
 // reversible.
+//
+// Branch-free, for s in [0, 63]: with q the floor quotient and frac the
+// discarded bits, q rounds up exactly when frac + (half-1) + (q odd)
+// carries into bit s — frac > half, or frac == half on an odd q. The sum
+// stays below 2^64 in unsigned arithmetic, so the identity holds for
+// every int64; at s == 0 the mask zeroes all three terms.
 func RoundShift(x int64, s uint) int64 {
-	if s == 0 {
-		return x
-	}
-	half := int64(1) << (s - 1)
-	mask := (int64(1) << s) - 1
-	frac := x & mask
+	mask := uint64(1)<<s - 1
 	q := x >> s // arithmetic shift: floor division
-	switch {
-	case frac > half:
-		q++
-	case frac == half:
-		if q&1 != 0 { // tie: round to even
-			q++
-		}
-	}
-	return q
+	return q + int64((uint64(x)&mask+mask>>1+uint64(q)&mask&1)>>s)
 }
 
 // Acc64 is a 64-bit wrapping accumulator. It accumulates raw Q2.62

@@ -183,3 +183,70 @@ func TestAccVec3ThirdLaw(t *testing.T) {
 		t.Errorf("third-law sum not zero: %+v", s)
 	}
 }
+
+// refRoundShift is the three-way-switch RoundShift the branch-free form
+// replaced, kept as the oracle.
+func refRoundShift(x int64, s uint) int64 {
+	if s == 0 {
+		return x
+	}
+	half := int64(1) << (s - 1)
+	mask := (int64(1) << s) - 1
+	frac := x & mask
+	q := x >> s
+	switch {
+	case frac > half:
+		q++
+	case frac == half:
+		if q&1 != 0 {
+			q++
+		}
+	}
+	return q
+}
+
+func TestRoundShiftBitwiseMatchesReference(t *testing.T) {
+	check := func(x int64, s uint) {
+		t.Helper()
+		if got, want := RoundShift(x, s), refRoundShift(x, s); got != want {
+			t.Fatalf("RoundShift(%d, %d) = %d, reference %d", x, s, got, want)
+		}
+	}
+	rng := rand.New(rand.NewSource(4))
+	for s := uint(0); s <= 63; s++ {
+		for _, x := range []int64{0, 1, -1, math.MaxInt64, math.MinInt64, math.MaxInt64 - 1, math.MinInt64 + 1} {
+			check(x, s)
+		}
+		if s > 0 && s < 63 {
+			// Exact ties on even and odd quotients of both signs, and
+			// their neighbours one count either side.
+			half := int64(1) << (s - 1)
+			for _, q := range []int64{0, 1, 2, 3, -1, -2, -3, 1<<(62-s) - 1, -(1 << (62 - s))} {
+				for _, dx := range []int64{-1, 0, 1} {
+					check(q<<s+half+dx, s)
+				}
+			}
+		}
+		for i := 0; i < 20000; i++ {
+			x := int64(rng.Uint64())
+			check(x, s)
+			check(x>>(rng.Intn(63)), s) // small magnitudes too
+		}
+	}
+}
+
+var sinkRound int64
+
+func BenchmarkRoundShift(b *testing.B) {
+	rng := rand.New(rand.NewSource(5))
+	xs := make([]int64, 1<<12)
+	for i := range xs {
+		xs[i] = int64(rng.Uint64()) >> 18 // mantissa x tq magnitudes
+	}
+	b.ResetTimer()
+	var acc int64
+	for i := 0; i < b.N; i++ {
+		acc += RoundShift(xs[i&(len(xs)-1)], 24)
+	}
+	sinkRound = acc
+}

@@ -74,7 +74,7 @@ func TestMatchUnitFalsePositiveRateBounded(t *testing.T) {
 	}
 }
 
-func newTestPipeline(t *testing.T) *Pipeline {
+func newTestPipeline(t testing.TB) *Pipeline {
 	t.Helper()
 	split := ewald.Split{Sigma: ewald.SigmaForCutoff(13, 1e-6), Cutoff: 13}
 	p, err := NewPipeline(64, split)

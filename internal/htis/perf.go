@@ -73,13 +73,15 @@ func (h HardwareConfig) MinMatchEfficiency() float64 {
 }
 
 // PairStats counts the HTIS pair path's observed work: candidates examined
-// by the match units, pairs passing the low-precision check, pairs
-// evaluated by the PPIPs, and the batching behaviour of the software PPIP
-// input queue. One instance lives per worker (no synchronization on the
-// hot path); partials merge after each parallel section. The counts are
-// pure observation — they never feed back into the datapath.
+// by the match units, the distance tests the software ran to decide them,
+// pairs passing the low-precision check, pairs evaluated by the PPIPs, and
+// the batching behaviour of the software PPIP input queue. One instance
+// lives per worker (no synchronization on the hot path); partials merge
+// after each parallel section. The counts are pure observation — they
+// never feed back into the datapath.
 type PairStats struct {
-	Considered int64 // candidates examined by match units
+	Considered int64 // candidates the modelled match units examine
+	Tested     int64 // of those, distance-tested in software (the rest fell to the bounding-box prefilter)
 	Matched    int64 // passed the low-precision check
 	Computed   int64 // inside the exact cutoff (PPIP work)
 
@@ -110,6 +112,7 @@ func (s *PairStats) RecordFlush(n, capacity int) {
 // Merge adds another worker's partial counts.
 func (s *PairStats) Merge(o *PairStats) {
 	s.Considered += o.Considered
+	s.Tested += o.Tested
 	s.Matched += o.Matched
 	s.Computed += o.Computed
 	s.BatchFlushes += o.BatchFlushes

@@ -104,24 +104,70 @@ type PairResult struct {
 	Within     bool    // pair was inside the cutoff
 }
 
-// pairForceOne is the per-pair PPIP datapath shared by the scalar and
-// batched entry points: both are bitwise identical by construction.
-func (p *Pipeline) pairForceOne(d fixp.Vec3, params PairParams, res *PairResult) {
-	// r^2 in box fractions, computed exactly in fixed point.
-	r2frac := d.Dot(d).Float()
-	r2 := r2frac * p.l2
-	if r2 > p.rc2 || r2 == 0 {
-		*res = PairResult{}
-		return
+// pairStage is how many pairs PairForceBatch carries between its two
+// stages.
+const pairStage = 64
+
+// PairForce evaluates the range-limited interaction for the pair whose
+// fixed-point minimum-image displacement is d = r_i - r_j (box
+// fractions). The result depends only on (d, params) — not on which node
+// evaluates it — which together with wrapping force accumulation yields
+// Anton's parallel invariance. It is PairForceBatch on a batch of one.
+func (p *Pipeline) PairForce(d fixp.Vec3, params PairParams) PairResult {
+	var res [1]PairResult
+	p.PairForceBatch([]fixp.Vec3{d}, []PairParams{params}, res[:])
+	return res[0]
+}
+
+// PairForceBatch evaluates a batch of pairs: out[k] receives the result
+// for (ds[k], params[k]). Batching models the PPIP array's streaming
+// operation — parameters and displacements arrive as a queue and results
+// leave as a queue. Each result is a function of its own pair alone, so
+// how pairs are grouped into batches never shows in the output.
+//
+// The datapath runs in two stages over pairStage pairs at a time, as the
+// hardware pipelines it: distance, cutoff test and table index for every
+// pair, then the function units. One pair's datapath is a single long
+// dependency chain (a divide, the index, three rounded multiplies, the
+// output scaling); short loops over independent pairs let the processor
+// overlap the chains of neighbouring pairs.
+func (p *Pipeline) PairForceBatch(ds []fixp.Vec3, params []PairParams, out []PairResult) {
+	if len(params) != len(ds) || len(out) != len(ds) {
+		panic("htis: PairForceBatch slice length mismatch")
 	}
-	x := r2 / p.rc2
+	var xs [pairStage]float64 // (r/R)^2, or -1 outside the cutoff
+	var segs [pairStage]int
+	var tqs [pairStage]int64
+	for lo := 0; lo < len(ds); lo += pairStage {
+		n := min(pairStage, len(ds)-lo)
+		for k, d := range ds[lo : lo+n] {
+			// r^2 in box fractions, computed exactly in fixed point.
+			r2 := d.Dot(d).Float() * p.l2
+			if r2 > p.rc2 || r2 == 0 {
+				xs[k] = -1
+				continue
+			}
+			xs[k] = r2 / p.rc2
+			// All four tables are built on the same tiered scheme with the
+			// same TBits (NewPipeline), so the segment lookup and local-
+			// coordinate quantization are shared — one Locate feeds every
+			// kernel, as one distance computation feeds all function units
+			// in the hardware PPIP.
+			segs[k], tqs[k] = p.Elec.Locate(xs[k])
+		}
+		for k := 0; k < n; k++ {
+			if xs[k] < 0 {
+				out[lo+k] = PairResult{}
+				continue
+			}
+			p.functionUnits(ds[lo+k], &params[lo+k], xs[k], segs[k], tqs[k], &out[lo+k])
+		}
+	}
+}
 
-	// All four tables are built on the same tiered scheme with the same
-	// TBits (NewPipeline), so the segment lookup and local-coordinate
-	// quantization are shared — one Locate feeds every kernel, as one
-	// distance computation feeds all function units in the hardware PPIP.
-	seg, tq := p.Elec.Locate(x)
-
+// functionUnits is the second stage for one in-cutoff pair: the four
+// kernels at the located segment, combined into force counts and energy.
+func (p *Pipeline) functionUnits(d fixp.Vec3, params *PairParams, x float64, seg int, tq int64, res *PairResult) {
 	fScale := params.QQ * p.Elec.EvaluateAt(seg, tq)
 	// Potential-shifted energies (V(r) - V(rc)): the truncated force
 	// field's true potential, so energy drift reflects the integrator.
@@ -148,32 +194,6 @@ func (p *Pipeline) pairForceOne(d fixp.Vec3, params PairParams, res *PairResult)
 	res.FZ = QuantizeForce(fScale * df.Z * p.BoxL)
 	res.Energy = energy
 	res.Within = true
-}
-
-// PairForce evaluates the range-limited interaction for the pair whose
-// fixed-point minimum-image displacement is d = r_i - r_j (box
-// fractions). The result depends only on (d, params) — not on which node
-// evaluates it — which together with wrapping force accumulation yields
-// Anton's parallel invariance. It is a thin wrapper over the batched
-// datapath of PairForceBatch.
-func (p *Pipeline) PairForce(d fixp.Vec3, params PairParams) PairResult {
-	var res PairResult
-	p.pairForceOne(d, params, &res)
-	return res
-}
-
-// PairForceBatch evaluates a batch of pairs: out[k] receives the result
-// for (ds[k], params[k]). Batching models the PPIP array's streaming
-// operation — parameters and displacements arrive as a queue and results
-// leave as a queue — and amortizes per-call overhead in the software
-// model. Results are bitwise identical to calling PairForce per element.
-func (p *Pipeline) PairForceBatch(ds []fixp.Vec3, params []PairParams, out []PairResult) {
-	if len(params) != len(ds) || len(out) != len(ds) {
-		panic("htis: PairForceBatch slice length mismatch")
-	}
-	for k := range ds {
-		p.pairForceOne(ds[k], params[k], &out[k])
-	}
 }
 
 // PairParamsFor builds PairParams from two atoms and the parameter set.

@@ -11,7 +11,10 @@ import (
 // multi-tenant daemon instead keeps one surface per job and routes
 // /jobs/{id}/metrics-style requests here. Surfaces outlive their jobs on
 // purpose: a completed job's last published snapshot stays scrapeable
-// until the set is told to drop it.
+// until the set's owner drops it. The set itself never evicts — each
+// surface pins its rendered trace, so an owner that never calls Drop
+// grows by one trace per job; antond keeps the running jobs and the
+// last few finished ones (service.retainedTelemetry).
 //
 // The set is safe for concurrent use: workers publish into their job's
 // surface while HTTP handlers resolve and read others.

@@ -137,6 +137,11 @@ const (
 	CtrPosWireBytes    // position frame bytes on the wire
 	CtrForceRawBytes   // force payload bytes before compression
 	CtrForceWireBytes  // force frame bytes on the wire
+
+	// Of pairs-considered (what the modelled match units examine), the
+	// candidates the software distance-tested; the bounding-box prefilter
+	// rejected the rest a subbox at a time.
+	CtrPairsTested
 	NumCounters
 )
 
@@ -153,6 +158,7 @@ var counterNames = [NumCounters]string{
 	"stream-overlap-ns", "stream-blocked-ns",
 	"pos-raw-bytes", "pos-wire-bytes",
 	"force-raw-bytes", "force-wire-bytes",
+	"pairs-tested",
 }
 
 // String returns the counter's stable name.

@@ -2,7 +2,9 @@ package ppip
 
 import (
 	"bytes"
+	"encoding/binary"
 	"math"
+	"strings"
 	"testing"
 
 	"anton/internal/ewald"
@@ -90,6 +92,10 @@ func TestSchemeValidation(t *testing.T) {
 	if err := (Scheme{}).Validate(); err == nil {
 		t.Error("empty scheme accepted")
 	}
+	odd := Scheme{{Start: 0, End: 0.25, Entries: 16}, {Start: 0.25, End: 1, Entries: 10}}
+	if err := odd.Validate(); err == nil || !strings.Contains(err.Error(), "power of two") {
+		t.Errorf("non-power-of-two segment width: got %v", err)
+	}
 }
 
 func TestTableSegmentLookup(t *testing.T) {
@@ -100,7 +106,7 @@ func TestTableSegmentLookup(t *testing.T) {
 	// Every x maps to a segment containing it.
 	for i := 0; i <= 5000; i++ {
 		x := float64(i) / 5001
-		seg := tab.Segments[tab.segmentIndex(x)]
+		seg := tab.Segments[tab.segment(x)]
 		if x < seg.Lo-1e-12 || x > seg.Hi+1e-12 {
 			t.Fatalf("x=%g mapped to segment [%g,%g)", x, seg.Lo, seg.Hi)
 		}
@@ -276,7 +282,7 @@ func TestEvaluateMatchesFloatWithinQuantization(t *testing.T) {
 		fx := tab.EvaluateFloat(x)
 		qx := tab.Evaluate(x)
 		// Quantization error bounded by a few ulps of the block format.
-		seg := tab.Segments[tab.segmentIndex(x)]
+		seg := tab.Segments[tab.segment(x)]
 		ulp := math.Exp2(float64(seg.Exp)) / float64(int64(1)<<(tab.MantissaBits-1))
 		if math.Abs(fx-qx) > 8*ulp {
 			t.Fatalf("x=%g: fixed %g vs float %g exceeds 8 ulp (%g)", x, qx, fx, ulp)
@@ -321,5 +327,28 @@ func TestReadTableRejectsGarbage(t *testing.T) {
 	data[0] ^= 0xff
 	if _, err := ReadTable(bytes.NewReader(data)); err == nil {
 		t.Error("corrupt magic accepted")
+	}
+	data[0] ^= 0xff
+
+	// The header is five uint32s, then (Start, End, Entries) per tier.
+	// 23 entries over [1/4, 1) is not a power-of-two width.
+	const lastTierEntries = 20 + 3*20 + 16
+	bad := append([]byte(nil), data...)
+	binary.LittleEndian.PutUint32(bad[lastTierEntries:], 23)
+	if _, err := ReadTable(bytes.NewReader(bad)); err == nil || !strings.Contains(err.Error(), "power of two") {
+		t.Errorf("non-power-of-two tier width: got %v", err)
+	}
+	// A coordinate width (the header's fourth word) the datapath cannot carry.
+	bad = append(bad[:0], data...)
+	binary.LittleEndian.PutUint32(bad[12:], 99)
+	if _, err := ReadTable(bytes.NewReader(bad)); err == nil || !strings.Contains(err.Error(), "coordinate width") {
+		t.Errorf("99-bit local coordinate: got %v", err)
+	}
+	// A segment whose bounds are not the scheme's (first segment's Hi).
+	const firstSegHi = 20 + 4*20 + 8
+	bad = append(bad[:0], data...)
+	binary.LittleEndian.PutUint64(bad[firstSegHi:], math.Float64bits(0.5))
+	if _, err := ReadTable(bytes.NewReader(bad)); err == nil || !strings.Contains(err.Error(), "scheme says") {
+		t.Errorf("segment bounds off the scheme: got %v", err)
 	}
 }

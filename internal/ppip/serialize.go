@@ -114,6 +114,8 @@ func ReadTable(r io.Reader) (*Table, error) {
 		seg.Exp = int(exp)
 		t.Segments = append(t.Segments, seg)
 	}
-	t.initScale()
+	if err := t.index(); err != nil {
+		return nil, err
+	}
 	return t, nil
 }

@@ -29,7 +29,12 @@ var PaperScheme = Scheme{
 	{Start: 1.0 / 4, End: 1, Entries: 24},
 }
 
-// Validate checks that the tiers tile [0, 1) contiguously.
+// Validate checks that the tiers tile [0, 1) contiguously and that every
+// tier's segment width is a power of two. The hardware's tiered index is
+// a bit-slice of x — the tier picks which bit field is the segment number
+// and which is the local coordinate — and that only exists for
+// power-of-two widths; it is also what makes the table's reciprocal-width
+// multiplies exact.
 func (s Scheme) Validate() error {
 	if len(s) == 0 {
 		return fmt.Errorf("ppip: empty scheme")
@@ -44,12 +49,18 @@ func (s Scheme) Validate() error {
 		if i > 0 && s[i-1].End != t.Start {
 			return fmt.Errorf("ppip: tier %d not contiguous: %g vs %g", i, s[i-1].End, t.Start)
 		}
+		if frac, _ := math.Frexp(t.width()); frac != 0.5 {
+			return fmt.Errorf("ppip: tier %d segment width %g is not a power of two", i, t.width())
+		}
 	}
 	if s[len(s)-1].End != 1 {
 		return fmt.Errorf("ppip: scheme must end at 1, got %g", s[len(s)-1].End)
 	}
 	return nil
 }
+
+// width is the tier's segment width.
+func (t Tier) width() float64 { return (t.End - t.Start) / float64(t.Entries) }
 
 // TotalEntries returns the number of table segments.
 func (s Scheme) TotalEntries() int {
@@ -70,6 +81,9 @@ type Segment struct {
 }
 
 // Table is a complete PPIP function table: f(x) for x = (r/R)^2 in [0,1).
+// Build and ReadTable are the only constructors; the exported fields
+// describe the table (and are what Write stores) and must not be changed
+// afterwards — lookups read a form derived from them once.
 type Table struct {
 	Scheme       Scheme
 	Segments     []Segment
@@ -80,22 +94,63 @@ type Table struct {
 	// coefficients for error analysis.
 	FloatCoeffs [][4]float64
 
-	// scale caches 2^Exp / 2^(MantissaBits-1) per segment so Evaluate
-	// applies the block exponent with one multiply instead of a Exp2 call
-	// per evaluation. Both factors are exact powers of two, so the cached
-	// product is bit-identical to computing them on the fly.
-	scale []float64
+	// The evaluated form of Scheme and Segments, derived by index.
+	tiers []tierIndex
+	segs  []segIndex
+	one   float64 // 2^TBits
 }
 
-// initScale (re)builds the per-segment output scale cache. Build and the
-// deserializer call it; Evaluate falls back to the explicit computation
-// for tables constructed by hand without it.
-func (t *Table) initScale() {
-	half := float64(int64(1) << (t.MantissaBits - 1))
-	t.scale = make([]float64, len(t.Segments))
-	for i := range t.Segments {
-		t.scale[i] = math.Exp2(float64(t.Segments[i].Exp)) / half
+// tierIndex is one tier of the index as Locate reads it. The segment
+// number within the tier is (x-start)*invW truncated: invW is the exact
+// reciprocal of a power-of-two width (Scheme.Validate), so the product
+// equals the quotient (x-start)/w bit for bit.
+type tierIndex struct {
+	start float64
+	invW  float64
+	base  int // index of the tier's first segment
+	last  int // Entries-1
+}
+
+// segIndex is one segment as Locate and EvaluateAt read it: everything a
+// lookup touches, in one cache line. rw = 2^TBits/width and scale =
+// 2^Exp/2^(MantissaBits-1) are exact powers of two, so (x-lo)*rw is the
+// TBits-scaled local coordinate and acc*scale the block-exponent output
+// with no rounding of their own.
+type segIndex struct {
+	lo, rw float64
+	m      [4]int64
+	scale  float64
+	_      [8]byte
+}
+
+// index derives the evaluated form from Scheme, Segments, MantissaBits
+// and TBits, checking that the segment bounds are the ones the scheme
+// implies (Locate indexes by the scheme and never reads them again).
+func (t *Table) index() error {
+	// A mantissa times a quantized coordinate must fit an int64.
+	if t.MantissaBits < 8 || t.MantissaBits > 32 || t.TBits < 1 || t.TBits > 30 {
+		return fmt.Errorf("ppip: mantissa width %d out of [8,32] or coordinate width %d out of [1,30]",
+			t.MantissaBits, t.TBits)
 	}
+	t.one = float64(int64(1) << t.TBits)
+	half := float64(int64(1) << (t.MantissaBits - 1))
+	t.tiers = make([]tierIndex, len(t.Scheme))
+	t.segs = make([]segIndex, len(t.Segments))
+	i := 0
+	for k, tier := range t.Scheme {
+		w := tier.width()
+		t.tiers[k] = tierIndex{start: tier.Start, invW: 1 / w, base: i, last: tier.Entries - 1}
+		for e := 0; e < tier.Entries; e++ {
+			s := &t.Segments[i]
+			lo := tier.Start + float64(e)*w
+			if s.Lo != lo || s.Hi != lo+w {
+				return fmt.Errorf("ppip: segment %d spans [%g,%g), scheme says [%g,%g)", i, s.Lo, s.Hi, lo, lo+w)
+			}
+			t.segs[i] = segIndex{lo: lo, rw: t.one / w, m: s.Mantissa, scale: math.Exp2(float64(s.Exp)) / half}
+			i++
+		}
+	}
+	return nil
 }
 
 // Build fits the function f over [0,1) with per-segment minimax cubics,
@@ -106,12 +161,9 @@ func Build(f func(x float64) float64, scheme Scheme, mantissaBits uint) (*Table,
 	if err := scheme.Validate(); err != nil {
 		return nil, err
 	}
-	if mantissaBits < 8 || mantissaBits > 32 {
-		return nil, fmt.Errorf("ppip: mantissa width %d out of [8,32]", mantissaBits)
-	}
 	t := &Table{Scheme: scheme, MantissaBits: mantissaBits, TBits: 24}
 	for _, tier := range scheme {
-		w := (tier.End - tier.Start) / float64(tier.Entries)
+		w := tier.width()
 		for e := 0; e < tier.Entries; e++ {
 			lo := tier.Start + float64(e)*w
 			hi := lo + w
@@ -156,7 +208,9 @@ func Build(f func(x float64) float64, scheme Scheme, mantissaBits uint) (*Table,
 	for i := range t.Segments {
 		t.quantizeSegment(i)
 	}
-	t.initScale()
+	if err := t.index(); err != nil {
+		return nil, err
+	}
 	return t, nil
 }
 
@@ -190,24 +244,25 @@ func (t *Table) quantizeSegment(i int) {
 	}
 }
 
-// segmentIndex locates the segment containing normalized x in [0,1).
-func (t *Table) segmentIndex(x float64) int {
-	idx := 0
-	for _, tier := range t.Scheme {
-		if x < tier.End || tier.End == 1 {
-			w := (tier.End - tier.Start) / float64(tier.Entries)
-			e := int((x - tier.Start) / w)
-			if e < 0 {
-				e = 0
-			}
-			if e >= tier.Entries {
-				e = tier.Entries - 1
-			}
-			return idx + e
+// segment returns the index of the segment containing normalized x in
+// [0,1): the last tier that does not start above x (the outer tier first —
+// it covers three quarters of [0,1)), then the tier's segment bit field.
+// Out-of-range x clamps to the first or last segment.
+func (t *Table) segment(x float64) int {
+	tr := &t.tiers[0]
+	for k := len(t.tiers) - 1; k > 0; k-- {
+		if !(x < t.tiers[k].start) {
+			tr = &t.tiers[k]
+			break
 		}
-		idx += tier.Entries
 	}
-	return len(t.Segments) - 1
+	e := int((x - tr.start) * tr.invW)
+	if e < 0 {
+		e = 0
+	} else if e > tr.last {
+		e = tr.last
+	}
+	return tr.base + e
 }
 
 // Evaluate computes f(x) for normalized x = (r/R)^2 in [0,1) through the
@@ -227,16 +282,20 @@ func (t *Table) Evaluate(x float64) float64 {
 // on the same scheme (as the PPIP's electrostatic and LJ tables are) can
 // pay the tiered index lookup once and reuse it via EvaluateAt.
 func (t *Table) Locate(x float64) (seg int, tq int64) {
-	i := t.segmentIndex(x)
-	s := &t.Segments[i]
-	tt := (x - s.Lo) / (s.Hi - s.Lo)
-	if tt < 0 {
-		tt = 0
-	} else if tt >= 1 {
-		tt = math.Nextafter(1, 0)
+	i := t.segment(x)
+	s := &t.segs[i]
+	// The local coordinate in units of 2^-TBits, clamped to [0, 1) before
+	// rounding: the largest double below 1 rounds to 2^TBits itself.
+	u := (x - s.lo) * s.rw
+	if u < 0 {
+		return i, 0
 	}
-	// Quantize t to TBits fraction bits.
-	return i, int64(math.RoundToEven(tt * float64(int64(1)<<t.TBits)))
+	if u >= t.one {
+		return i, int64(t.one)
+	}
+	// 0 <= u < 2^TBits: adding and subtracting 2^52 rounds to the nearest
+	// integer, ties to even, as RoundToEven does.
+	return i, int64(u + (1 << 52) - (1 << 52))
 }
 
 // EvaluateAt computes the table polynomial at a location obtained from
@@ -244,24 +303,20 @@ func (t *Table) Locate(x float64) (seg int, tq int64) {
 // integer arithmetic: acc and mantissas carry MantissaBits-1 fraction
 // bits; each multiply by tq adds TBits, which RoundShift removes.
 func (t *Table) EvaluateAt(seg int, tq int64) float64 {
-	s := &t.Segments[seg]
-	acc := fixp.RoundShift(s.Mantissa[3]*tq, t.TBits) + s.Mantissa[2]
-	acc = fixp.RoundShift(acc*tq, t.TBits) + s.Mantissa[1]
-	acc = fixp.RoundShift(acc*tq, t.TBits) + s.Mantissa[0]
-	if seg < len(t.scale) {
-		return float64(acc) * t.scale[seg]
-	}
-	half := float64(int64(1) << (t.MantissaBits - 1))
-	return float64(acc) / half * math.Exp2(float64(s.Exp))
+	s := &t.segs[seg]
+	tb := t.TBits & 63 // a no-op (index bounds TBits) that spares the shifts their range guards
+	acc := fixp.RoundShift(s.m[3]*tq, tb) + s.m[2]
+	acc = fixp.RoundShift(acc*tq, tb) + s.m[1]
+	acc = fixp.RoundShift(acc*tq, tb) + s.m[0]
+	return float64(acc) * s.scale
 }
 
 // EvaluateFloat computes f(x) from the continuous piecewise coefficients
 // (no quantization) — the reference for isolating quantization error.
 func (t *Table) EvaluateFloat(x float64) float64 {
-	i := t.segmentIndex(x)
-	seg := &t.Segments[i]
-	tt := (x - seg.Lo) / (seg.Hi - seg.Lo)
-	return polyEval(t.FloatCoeffs[i][:], tt)
+	i := t.segment(x)
+	s := &t.segs[i]
+	return polyEval(t.FloatCoeffs[i][:], math.Ldexp((x-s.lo)*s.rw, -int(t.TBits)))
 }
 
 // MaxError measures the maximum absolute error of the fixed-point table

@@ -115,6 +115,42 @@ type Daemon struct {
 	mu       sync.Mutex
 	canceled map[string]bool
 	started  bool
+	// retired lists, oldest first, the jobs whose last attempt has ended
+	// and whose telemetry surface is still in tset.
+	retired []string
+}
+
+// retainedTelemetry is how many finished jobs keep their /metrics,
+// /healthz and /trace surface (each pins its rendered trace, ~0.16 MB).
+// A running job's surface is never dropped; an older finished job's
+// answers 404, as an unknown job's or one from before a restart does.
+const retainedTelemetry = 8
+
+// acquireTelemetry returns the job's surface for an attempt that is
+// starting, creating it if the job has none (its first attempt, or it was
+// retired and dropped between retries).
+func (d *Daemon) acquireTelemetry(id string) *obs.Telemetry {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	for i, r := range d.retired {
+		if r == id {
+			d.retired = append(d.retired[:i], d.retired[i+1:]...)
+			break
+		}
+	}
+	return d.tset.Acquire(id)
+}
+
+// retireTelemetry marks the job's attempt as ended and drops the surfaces
+// of all but the retainedTelemetry most recently ended jobs.
+func (d *Daemon) retireTelemetry(id string) {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	d.retired = append(d.retired, id)
+	for len(d.retired) > retainedTelemetry {
+		d.tset.Drop(d.retired[0])
+		d.retired = d.retired[1:]
+	}
 }
 
 // jobBeat is one running job's progress heartbeat: the last boundary

@@ -381,3 +381,53 @@ func TestGracefulStopPersistsBoundary(t *testing.T) {
 		t.Fatalf("drained+resumed digest %s != reference %s", final.Digest, want)
 	}
 }
+
+// TestTelemetryRetention: the daemon keeps the telemetry surface of the
+// last retainedTelemetry finished jobs and drops older ones, so a long-
+// lived daemon's memory does not grow by one rendered trace per job. The
+// job records themselves live in the store and are untouched.
+func TestTelemetryRetention(t *testing.T) {
+	skipShort(t)
+	d := newTestDaemon(t, Config{StateDir: t.TempDir(), Workers: 2})
+	d.Start()
+	var ids []string
+	for i := 0; i < retainedTelemetry+3; i++ {
+		js, _, err := d.Submit(JobSpec{System: "small", Steps: 2, Seed: int64(i + 1)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		// One at a time, so the order jobs end in is the order submitted.
+		if end := waitJob(t, d, js.ID, time.Minute, func(j JobStatus) bool { return j.State.terminal() }); end.State != StateDone {
+			t.Fatalf("job %s ended %s: %s", js.ID, end.State, end.Error)
+		}
+		ids = append(ids, js.ID)
+	}
+	// Workers exited: every attempt has ended and been retired.
+	if err := d.Stop(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+
+	if keys := d.tset.Keys(); len(keys) > retainedTelemetry {
+		t.Errorf("%d telemetry surfaces kept after %d jobs, want at most %d: %v",
+			len(keys), len(ids), retainedTelemetry, keys)
+	}
+	status := func(path string) int {
+		rec := httptest.NewRecorder()
+		d.Handler().ServeHTTP(rec, httptest.NewRequest("GET", path, nil))
+		return rec.Code
+	}
+	oldest, newest := ids[0], ids[len(ids)-1]
+	for _, ep := range []string{"metrics", "healthz", "trace"} {
+		if code := status("/api/v1/jobs/" + newest + "/" + ep); code != http.StatusOK {
+			t.Errorf("newest job %s: %d, want 200", ep, code)
+		}
+		if code := status("/api/v1/jobs/" + oldest + "/" + ep); code != http.StatusNotFound {
+			t.Errorf("oldest job %s: %d, want 404", ep, code)
+		}
+	}
+	for _, id := range ids {
+		if code := status("/api/v1/jobs/" + id); code != http.StatusOK {
+			t.Errorf("job %s status: %d, want 200", id, code)
+		}
+	}
+}

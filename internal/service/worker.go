@@ -99,8 +99,10 @@ func (d *Daemon) runJob(id string) {
 	// Per-job telemetry: the same /metrics, /healthz, /trace surface the
 	// CLI serves per run, published into the daemon's TelemetrySet and
 	// routed at /api/v1/jobs/{id}/{endpoint}. The surface outlives the
-	// job so terminal states stay scrapeable.
-	tel := d.tset.Acquire(id)
+	// attempt so terminal states stay scrapeable, until retireTelemetry
+	// drops it as the oldest of more than retainedTelemetry ended jobs.
+	tel := d.acquireTelemetry(id)
+	defer d.retireTelemetry(id)
 	publish := func() {
 		if err := run.Publish(tel); err != nil {
 			d.log.Error("publish trace", "job", id, "err", err)

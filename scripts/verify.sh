@@ -39,11 +39,12 @@ echo "== race: long concurrency tests =="
 # for phase attribution, the quiet reliable transport, single-shard crash
 # recovery and one shard crashing three times (alone, and as one of 8).
 # service: the HTTP surface, cancel, kill/restart and graceful-stop
-# durability, per-job ledgers, worker metrics, and the whole hostile-disk
-# campaign. cmd: antonsim in process against an antond job and an
-# antonaudit replay of the same spec, and its stop/resume, monolithic and
-# at 8 shards. Every one asserts a bitwise trajectory.
-long='TestConcurrentShardMeshSolves|TestShardInvariance|TestShardCheckpointCrossShardCount|TestCheckpointFileCrossShardResume|TestStreamChaosReorder|TestStreamOverlapToggleMidRun|TestShardPhaseAttribution|TestChaosReliableNoFaults|TestChaosSingleShard|TestChaosRepeatedCrash|TestServiceHTTP|TestCancel|TestDaemonKillRestartDurability|TestGracefulStopPersistsBoundary|TestJobLedger|TestDaemonWorkerMetrics|TestServiceChaos|TestCLIDigestAgreement|TestCLIResume'
+# durability, per-job ledgers, worker metrics, telemetry retention, and
+# the whole hostile-disk campaign. cmd: antonsim in process against an
+# antond job and an antonaudit replay of the same spec, and its
+# stop/resume, monolithic and at 8 shards. All but the retention test
+# assert a bitwise trajectory.
+long='TestConcurrentShardMeshSolves|TestShardInvariance|TestShardCheckpointCrossShardCount|TestCheckpointFileCrossShardResume|TestStreamChaosReorder|TestStreamOverlapToggleMidRun|TestShardPhaseAttribution|TestChaosReliableNoFaults|TestChaosSingleShard|TestChaosRepeatedCrash|TestServiceHTTP|TestCancel|TestDaemonKillRestartDurability|TestGracefulStopPersistsBoundary|TestJobLedger|TestDaemonWorkerMetrics|TestTelemetryRetention|TestServiceChaos|TestCLIDigestAgreement|TestCLIResume'
 go test -race -timeout 30m -run "$long" ./internal/core ./internal/service ./cmd/...
 
 echo "== determinism: repeated runs =="
@@ -52,20 +53,26 @@ echo "== determinism: repeated runs =="
 # between runs (the Comm() importer traversal was one): a single run can
 # pass by luck, two rarely agree. Covers the wire codecs and byte counts,
 # Merkle roots, both fault planes' replay and liveness, the chaos
-# campaign replay, and every worker/shard/observer invariance test.
+# campaign replay, every worker/shard/observer invariance test, and the
+# bitwise equivalences of the table lookup, the rounding and the pair
+# pipeline against their reference implementations.
 det='TestCodecRoundTrip|TestCodecDeltaChaining|TestFSLiveness|Deterministic|Determinism|Bitwise|Invariance'
 go test -count=2 -timeout 30m -run "$det" ./internal/core ./internal/fft \
-	./internal/torus ./internal/obs ./internal/ledger ./internal/faults
+	./internal/torus ./internal/obs ./internal/ledger ./internal/faults \
+	./internal/ppip ./internal/fixp ./internal/htis
 
-echo "== fuzz: every decoder of untrusted bytes, 5 s per target =="
+echo "== fuzz: every decoder of untrusted bytes and the table index, 5 s per target =="
 # A short native-fuzz burst from each seeded corpus catches a decoder
 # that panics, stops rejecting truncated/trailing bytes, or mutates state
 # on a rejection: the shard frame codecs, checkpoint restore, the ledger
 # reader + chain verifier, both fault-spec grammars, the job spec, and the
-# store's status.json recovery scan.
+# store's status.json recovery scan. The last target is not a decoder: it
+# hunts for an x the table index locates differently from the divide-based
+# reference.
 for target in core:FuzzPosFrame core:FuzzForceFrame core:FuzzRestoreCheckpoint \
 	ledger:FuzzReadVerify faults:FuzzParseSpecs \
-	service:FuzzJobSpec service:FuzzStatusScan; do
+	service:FuzzJobSpec service:FuzzStatusScan \
+	ppip:FuzzLocateMatchesReference; do
 	go test -run '^$' -fuzz "^${target#*:}\$" -fuzztime 5s "./internal/${target%%:*}"
 done
 
