@@ -259,6 +259,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fmt.Fprintf(stdout, "  match efficiency: %.1f%%\n", st.MatchEfficiency()*100)
 	fmt.Fprintf(stdout, "  atom-mesh interactions: %d\n", st.MeshInteractions)
 	fmt.Fprintf(stdout, "  migrations: %d\n", st.Migrations)
+	fmt.Fprintf(stdout, "  constraint sweeps (SHAKE + RATTLE): %d\n", st.ConstraintSweeps)
+	fmt.Fprintf(stdout, "  constraint groups left unconverged at the sweep cap: %d\n", st.ConstraintUnconverged)
 	if watching {
 		reg := r.Watch.Registry()
 		fmt.Fprintf(stdout, "  watchdog: worst severity %s (%d warn, %d critical alerts)\n",

@@ -67,6 +67,12 @@ type Stats struct {
 	PairsComputed    int64 // inside the exact cutoff (PPIP work)
 	MeshInteractions int64 // atom-mesh-point interactions (spread+interp)
 	Migrations       int
+
+	// SHAKE and RATTLE sweeps over a group's constraints, and groups that
+	// used a sweep cap up without meeting the tolerance (want 0: such a
+	// group carries on with its constraints violated).
+	ConstraintSweeps      int64
+	ConstraintUnconverged int64
 }
 
 // tally is one worker's pair-statistics accumulator (the HTIS observation
@@ -130,10 +136,14 @@ type Engine struct {
 	// groupCons caches, per constraint group, the group's constraints with
 	// the endpoint positions remapped to indices within the group's atom
 	// list, so SHAKE/RATTLE scratch is sized by the largest group instead
-	// of the whole system (and per-shard scratch stays small). Built in
+	// of the whole system (and per-shard scratch stays small). consGroups
+	// lists the groups that have constraints, the index space the
+	// constraint phases chunk over. Built in
 	// NewEngine — never lazily, so concurrent shard use needs no locking.
-	groupCons   [][]groupCon
-	maxGroupLen int
+	groupCons    [][]groupCon
+	consGroups   []int32
+	maxGroupLen  int
+	maxGroupCons int
 
 	// Per-worker accumulation state, reused across phases and steps.
 	workerF        [][]Force3 // force buffers
@@ -156,6 +166,12 @@ type Engine struct {
 	meshMergeFn  func(w, lo, hi int)
 	meshInterpFn func(w, lo, hi int)
 
+	// Constraint-phase chunk closures and per-worker SHAKE/RATTLE scratch
+	// (shards carry their own consScratch).
+	shakeChunkFn  func(w, lo, hi int)
+	rattleChunkFn func(w, lo, hi int)
+	consWorkers   []consScratch
+
 	// posCache holds the decoded (float, Å) positions of the current
 	// force evaluation, shared by every float consumer (bonded terms,
 	// mesh, residency checks) instead of per-phase decode passes.
@@ -163,12 +179,6 @@ type Engine struct {
 
 	// oldPos is the reusable pre-drift position snapshot of stepOnce.
 	oldPos []fixp.Vec3
-
-	// SHAKE/RATTLE group-local scratch, sized by the largest constraint
-	// group (the monolithic step loop runs groups serially; shards carry
-	// their own copies).
-	shakeCur, shakeRef []vec.V3
-	rattleVel          []vec.V3
 
 	// ljPairs caches the Lorentz-Berthelot combined parameters per
 	// LJ-type pair (the parameter values a PPIP receives alongside each
@@ -303,8 +313,8 @@ func NewEngine(s *system.System, cfg Config) (*Engine, error) {
 		}
 	}
 
-	// Group-local constraint views and the SHAKE/RATTLE scratch sized by
-	// the largest group (built eagerly: shards use these concurrently).
+	// Group-local constraint views and the sizes of the SHAKE/RATTLE
+	// scratch (built eagerly: shards use these concurrently).
 	e.buildGroupCons()
 
 	// Subbox grid: each home box divided into a regular array of subboxes
@@ -354,6 +364,8 @@ func NewEngine(s *system.System, cfg Config) (*Engine, error) {
 	e.meshSpreadFn = e.meshSpreadChunk
 	e.meshMergeFn = e.meshMergeChunk
 	e.meshInterpFn = e.meshInterpChunk
+	e.shakeChunkFn = e.shakeChunk
+	e.rattleChunkFn = e.rattleChunk
 
 	e.posCache = make([]vec.V3, s.NAtoms())
 	e.refreshPosCache()
@@ -589,8 +601,7 @@ func (e *Engine) stepOnce() {
 	if len(e.oldPos) != len(e.Pos) {
 		e.oldPos = make([]fixp.Vec3, len(e.Pos))
 	}
-	oldPos := e.oldPos
-	copy(oldPos, e.Pos)
+	copy(e.oldPos, e.Pos)
 	cd := e.driftCoeff(dt)
 	for i, a := range top.Atoms {
 		if a.Mass == 0 {
@@ -601,7 +612,7 @@ func (e *Engine) stepOnce() {
 	e.obsPhase(obs.PhaseIntegration, t0)
 	// Constraints (SHAKE) per group, then virtual sites.
 	t0 = e.obsNow()
-	e.shakeFixed(oldPos, dt)
+	e.shakeFixed()
 	e.placeVSitesFixed()
 	e.obsPhase(obs.PhaseConstraints, t0)
 
@@ -947,14 +958,62 @@ func (e *Engine) spreadVSiteForceCounts(f []Force3) {
 }
 
 // groupCon is one constraint of a group with its endpoints remapped to
-// positions within the group's atom list (scratch indices).
+// positions within the group's atom list (scratch indices), plus the terms
+// of the SHAKE/RATTLE updates that depend on the topology alone: the
+// inverse masses 1/m_i, 1/m_j and the squared target length R*R, each
+// evaluated once with the expression the sweeps used to evaluate.
 type groupCon struct {
-	ci     int32 // index into Topology.Constraints
-	li, lj int32 // local positions of c.I, c.J within groups[g]
+	li, lj int32   // local positions of c.I, c.J within groups[g]
+	mi, mj float64 // 1/Mass of c.I, c.J
+	r2     float64 // c.R * c.R
+}
+
+// SHAKE and RATTLE sweep caps. A group that uses its cap up without
+// meeting the tolerance is counted in Stats.ConstraintUnconverged.
+const (
+	shakeMaxSweeps  = 200
+	rattleMaxSweeps = 100
+)
+
+// consTally counts one worker's (or shard's) constraint work: sweeps over
+// a group's constraints, SHAKE's and RATTLE's together, and groups that
+// left a loop at its cap.
+type consTally struct {
+	sweeps, unconverged int64
+}
+
+// consScratch is the SHAKE/RATTLE scratch of one worker or shard, sized by
+// the largest constraint group: group-local positions (cur doubles as
+// RATTLE's velocities), and per constraint the vector that stays fixed
+// over a group's sweeps — SHAKE's reference bond, RATTLE's bond — with
+// RATTLE's denominator |d|^2 (1/m_i + 1/m_j).
+type consScratch struct {
+	cur, ref []vec.V3
+	d        []vec.V3
+	den      []float64
+	tally    consTally
+}
+
+// newConsScratch allocates one holder's scratch. The arrays are a few
+// dozen bytes and rewritten on every sweep, and the allocator lays equal-
+// sized blocks side by side, so each block ends in two cache lines of
+// padding: without it two workers' scratch shares a line and the parallel
+// constraint phase runs no faster than the serial one.
+func (e *Engine) newConsScratch() consScratch {
+	const pad = 128
+	n, m := e.maxGroupLen, e.maxGroupCons
+	vs := make([]vec.V3, 2*n+m+pad/24+1)
+	return consScratch{
+		cur: vs[:n:n],
+		ref: vs[n : 2*n : 2*n],
+		d:   vs[2*n : 2*n+m : 2*n+m],
+		den: make([]float64, m+pad/8)[:m:m],
+	}
 }
 
 // buildGroupCons groups the constraints by constraint group with local
-// endpoint indices and sizes the group-local SHAKE/RATTLE scratch.
+// endpoint indices, lists the groups that have any, and records the sizes
+// the group-local SHAKE/RATTLE scratch needs.
 func (e *Engine) buildGroupCons() {
 	top := e.Sys.Top
 	e.groupCons = make([][]groupCon, len(e.groups))
@@ -971,23 +1030,38 @@ func (e *Engine) buildGroupCons() {
 		c := &top.Constraints[ci]
 		g := e.groupOf[c.I]
 		e.groupCons[g] = append(e.groupCons[g], groupCon{
-			ci: int32(ci),
 			li: local[c.I],
 			lj: local[c.J],
+			mi: 1 / top.Atoms[c.I].Mass,
+			mj: 1 / top.Atoms[c.J].Mass,
+			r2: c.R * c.R,
 		})
 	}
-	e.shakeCur = make([]vec.V3, e.maxGroupLen)
-	e.shakeRef = make([]vec.V3, e.maxGroupLen)
-	e.rattleVel = make([]vec.V3, e.maxGroupLen)
+	for gi, cons := range e.groupCons {
+		if len(cons) == 0 {
+			continue
+		}
+		e.consGroups = append(e.consGroups, int32(gi))
+		if len(cons) > e.maxGroupCons {
+			e.maxGroupCons = len(cons)
+		}
+	}
 }
 
 // shakeGroup applies SHAKE to one constraint group: positions are
 // decoded into the group-local scratch, iteratively corrected, and
 // re-encoded; velocities of group members are recomputed from the
 // constrained displacement. Deterministic per group and independent of
-// the node layout (groups live on one node). cur and ref must have at
-// least maxGroupLen capacity; distinct callers (shards) pass their own.
-func (e *Engine) shakeGroup(gi int, oldPos []fixp.Vec3, dt float64, cur, ref []vec.V3) {
+// the node layout (groups live on one node), and groups are disjoint in
+// the atoms they write, so any assignment of groups to workers or shards
+// gives the same bits; each caller passes its own scratch.
+//
+// The reference bond rd never changes during a group's sweeps (ref is
+// read-only), so it is taken once per constraint instead of once per
+// constraint per sweep. Every expression keeps the operand order of the
+// sweep-by-sweep form (kept as the oracle in constraints_test.go): float
+// arithmetic is not associative, and the trajectory must not move a bit.
+func (e *Engine) shakeGroup(gi int, sc *consScratch) {
 	cons := e.groupCons[gi]
 	if len(cons) == 0 {
 		return
@@ -995,36 +1069,49 @@ func (e *Engine) shakeGroup(gi int, oldPos []fixp.Vec3, dt float64, cur, ref []v
 	top := e.Sys.Top
 	box := e.Sys.Box
 	atoms := e.groups[gi]
+	oldPos := e.oldPos
+	cur, ref, rds := sc.cur, sc.ref, sc.d
 	for li, a := range atoms {
 		cur[li] = e.Coder.Decode(e.Pos[a])
 		ref[li] = e.Coder.Decode(oldPos[a])
 	}
+	for ci := range cons {
+		gc := &cons[ci]
+		rds[ci] = box.MinImage(ref[gc.li].Sub(ref[gc.lj]))
+	}
 	const tol = 1e-10
-	for iter := 0; iter < 200; iter++ {
+	converged := false
+	sweeps := 0
+	for ; sweeps < shakeMaxSweeps && !converged; sweeps++ {
 		worst := 0.0
-		for _, gc := range cons {
-			c := &top.Constraints[gc.ci]
+		moved := false
+		for ci := range cons {
+			gc := &cons[ci]
 			d := box.MinImage(cur[gc.li].Sub(cur[gc.lj]))
-			diff := d.Norm2() - c.R*c.R
-			if v := math.Abs(diff) / (c.R * c.R); v > worst {
+			diff := d.Norm2() - gc.r2
+			if v := math.Abs(diff) / gc.r2; v > worst {
 				worst = v
 			}
 			if math.Abs(diff) < tol {
 				continue
 			}
-			rd := box.MinImage(ref[gc.li].Sub(ref[gc.lj]))
-			mi := 1 / top.Atoms[c.I].Mass
-			mj := 1 / top.Atoms[c.J].Mass
-			g := diff / (2 * (mi + mj) * d.Dot(rd))
+			moved = true
+			rd := rds[ci]
+			g := diff / (2 * (gc.mi + gc.mj) * d.Dot(rd))
 			corr := rd.Scale(g)
-			cur[gc.li] = cur[gc.li].Sub(corr.Scale(mi))
-			cur[gc.lj] = cur[gc.lj].Add(corr.Scale(mj))
+			cur[gc.li] = cur[gc.li].Sub(corr.Scale(gc.mi))
+			cur[gc.lj] = cur[gc.lj].Add(corr.Scale(gc.mj))
 		}
-		if worst < tol {
-			break
-		}
+		// A sweep that moved no atom leaves every later sweep the same
+		// input, so they would all move nothing too: stopping here is
+		// exact. It happens: a bond shorter than 1 Å (water's O-H) can sit
+		// inside the absolute tolerance that gates its update and outside
+		// the relative one that ends the loop.
+		converged = worst < tol || !moved
 	}
+	sc.tally.note(sweeps, converged)
 	// Re-encode and recompute velocities from the constrained motion.
+	dt := e.Cfg.Dt
 	for li, a := range atoms {
 		if top.Atoms[a].Mass == 0 {
 			continue
@@ -1035,48 +1122,106 @@ func (e *Engine) shakeGroup(gi int, oldPos []fixp.Vec3, dt float64, cur, ref []v
 	}
 }
 
-// shakeFixed applies SHAKE to every constraint group in turn.
-func (e *Engine) shakeFixed(oldPos []fixp.Vec3, dt float64) {
-	if len(e.Sys.Top.Constraints) == 0 {
+// shakeChunk applies SHAKE to constrained groups [lo, hi) of consGroups as
+// worker w (installed once as Engine.shakeChunkFn).
+func (e *Engine) shakeChunk(w, lo, hi int) {
+	sc := e.consWorkers[w] // a copy: the tally is written per group, and the slots are neighbours
+	for _, gi := range e.consGroups[lo:hi] {
+		e.shakeGroup(int(gi), &sc)
+	}
+	e.consWorkers[w].tally = sc.tally
+}
+
+// shakeFixed applies SHAKE to every constraint group, reading the
+// pre-drift positions from e.oldPos — a parallel phase over groups.
+func (e *Engine) shakeFixed() {
+	e.constrain(e.shakeChunkFn)
+}
+
+// constrain runs one constraint pass (SHAKE or RATTLE chunks) over the
+// constrained groups and books the workers' sweep tallies.
+func (e *Engine) constrain(chunkFn func(w, lo, hi int)) {
+	if len(e.consGroups) == 0 {
 		return
 	}
-	for gi := range e.groupCons {
-		e.shakeGroup(gi, oldPos, dt, e.shakeCur, e.shakeRef)
+	workers := e.workers()
+	for len(e.consWorkers) < workers {
+		e.consWorkers = append(e.consWorkers, e.newConsScratch())
+	}
+	parallelChunks(len(e.consGroups), workers, chunkFn)
+	var t consTally
+	for w := range e.consWorkers[:workers] {
+		t.drain(&e.consWorkers[w].tally)
+	}
+	e.noteConstraints(t)
+}
+
+// note books one group's pass.
+func (t *consTally) note(sweeps int, converged bool) {
+	t.sweeps += int64(sweeps)
+	if !converged {
+		t.unconverged++
+	}
+}
+
+// drain moves src's counts into t.
+func (t *consTally) drain(src *consTally) {
+	t.sweeps += src.sweeps
+	t.unconverged += src.unconverged
+	*src = consTally{}
+}
+
+// noteConstraints books merged constraint tallies into Stats and the
+// recorder (driver-serial, in both the monolithic and the sharded loop).
+func (e *Engine) noteConstraints(t consTally) {
+	e.Stats.ConstraintSweeps += t.sweeps
+	e.Stats.ConstraintUnconverged += t.unconverged
+	if e.rec != nil {
+		e.rec.Add(obs.CtrConstraintSweeps, t.sweeps)
+		e.rec.Add(obs.CtrConstraintUnconverged, t.unconverged)
 	}
 }
 
 // rattleGroup removes velocity components along one group's constrained
-// bonds. v is group-local velocity scratch of at least maxGroupLen.
-func (e *Engine) rattleGroup(gi int, v []vec.V3) {
+// bonds. Positions do not move during RATTLE, so each bond vector d and
+// the denominator |d|^2 (1/m_i + 1/m_j) are taken once per constraint;
+// operand order as in shakeGroup.
+func (e *Engine) rattleGroup(gi int, sc *consScratch) {
 	cons := e.groupCons[gi]
 	if len(cons) == 0 {
 		return
 	}
 	top := e.Sys.Top
 	atoms := e.groups[gi]
+	v, ds, dens := sc.cur, sc.d, sc.den
 	for li, a := range atoms {
 		v[li] = e.Vel[a].Float()
 	}
-	for iter := 0; iter < 100; iter++ {
+	for ci := range cons {
+		gc := &cons[ci]
+		d := e.Coder.DeltaToPhys(e.Pos[atoms[gc.li]].Sub(e.Pos[atoms[gc.lj]]))
+		ds[ci] = d
+		dens[ci] = d.Norm2() * (gc.mi + gc.mj)
+	}
+	converged := false
+	sweeps := 0
+	for ; sweeps < rattleMaxSweeps && !converged; sweeps++ {
 		worst := 0.0
-		for _, gc := range cons {
-			c := &top.Constraints[gc.ci]
-			d := e.Coder.DeltaToPhys(e.Pos[c.I].Sub(e.Pos[c.J]))
+		for ci := range cons {
+			gc := &cons[ci]
+			d := ds[ci]
 			rel := v[gc.li].Sub(v[gc.lj])
 			dot := d.Dot(rel)
 			if math.Abs(dot) > worst {
 				worst = math.Abs(dot)
 			}
-			mi := 1 / top.Atoms[c.I].Mass
-			mj := 1 / top.Atoms[c.J].Mass
-			k := dot / (d.Norm2() * (mi + mj))
-			v[gc.li] = v[gc.li].Sub(d.Scale(k * mi))
-			v[gc.lj] = v[gc.lj].Add(d.Scale(k * mj))
+			k := dot / dens[ci]
+			v[gc.li] = v[gc.li].Sub(d.Scale(k * gc.mi))
+			v[gc.lj] = v[gc.lj].Add(d.Scale(k * gc.mj))
 		}
-		if worst < 1e-12 {
-			break
-		}
+		converged = worst < 1e-12
 	}
+	sc.tally.note(sweeps, converged)
 	for li, a := range atoms {
 		if top.Atoms[a].Mass == 0 {
 			continue
@@ -1085,14 +1230,19 @@ func (e *Engine) rattleGroup(gi int, v []vec.V3) {
 	}
 }
 
-// rattleFixed removes velocity components along constrained bonds.
+// rattleChunk is shakeChunk's RATTLE counterpart (Engine.rattleChunkFn).
+func (e *Engine) rattleChunk(w, lo, hi int) {
+	sc := e.consWorkers[w]
+	for _, gi := range e.consGroups[lo:hi] {
+		e.rattleGroup(int(gi), &sc)
+	}
+	e.consWorkers[w].tally = sc.tally
+}
+
+// rattleFixed removes velocity components along constrained bonds, in
+// parallel over groups like shakeFixed.
 func (e *Engine) rattleFixed() {
-	if len(e.Sys.Top.Constraints) == 0 {
-		return
-	}
-	for gi := range e.groupCons {
-		e.rattleGroup(gi, e.rattleVel)
-	}
+	e.constrain(e.rattleChunkFn)
 }
 
 // berendsenFixed rescales all velocities toward the target temperature.

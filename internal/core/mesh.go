@@ -31,6 +31,7 @@ type meshSolver struct {
 	split   ewald.Split
 	n       int     // mesh points per axis
 	h       float64 // mesh spacing, Å
+	invH    float64 // 1/h (row-extent estimates only; never decides a point)
 	rspread float64 // spreading/interpolation cutoff, Å
 	sigma1  float64 // per-stage Gaussian width = sigma/sqrt(2)
 	l       float64 // box edge
@@ -56,6 +57,7 @@ func newMeshSolver(s *system.System, split ewald.Split) (*meshSolver, error) {
 		split:   split,
 		n:       n,
 		h:       s.Box.L.X / float64(n),
+		invH:    float64(n) / s.Box.L.X,
 		rspread: s.RSpread,
 		sigma1:  split.Sigma / math.Sqrt2,
 		l:       s.Box.L.X,
@@ -69,6 +71,15 @@ func newMeshSolver(s *system.System, split ewald.Split) (*meshSolver, error) {
 	if span := 2*int(math.Ceil(ms.rspread/ms.h)) + 3; span > meshAxisMax {
 		return nil, fmt.Errorf("core: mesh spreading span %d exceeds %d points per axis (rspread %.2f, h %.2f)",
 			span, meshAxisMax, ms.rspread, ms.h)
+	}
+	// An axis table runs from just under p-rspread-h to just under
+	// p+rspread+h. Once that reaches the box edge it wraps onto itself:
+	// one mesh point enters an atom's cube twice (both copies at the same
+	// minimum-image displacement) and the displacements stop rising along
+	// the table, which the row extents of meshIter.row rely on.
+	if 2*(ms.rspread+ms.h) >= ms.l {
+		return nil, fmt.Errorf("core: mesh spreading diameter %.2f (rspread %.2f + mesh spacing %.2f, twice) reaches the box edge %.2f",
+			2*(ms.rspread+ms.h), ms.rspread, ms.h, ms.l)
 	}
 	// The spreading kernel as a PPIP table of x = (d/rspread)^2.
 	var err error
@@ -102,15 +113,6 @@ func foldMode(k, n int) int {
 		return k - n
 	}
 	return k
-}
-
-// weight evaluates the tabulated spreading kernel at squared distance d2.
-func (ms *meshSolver) weight(d2 float64) float64 {
-	x := d2 / (ms.rspread * ms.rspread)
-	if x >= 1 {
-		x = math.Nextafter(1, 0)
-	}
-	return ms.weightTab.Evaluate(x)
 }
 
 // meshForces runs spread -> convolve -> interpolate on the engine state,
@@ -259,12 +261,18 @@ const meshAxisMax = 64
 
 // meshIter stages one atom's mesh-point iteration: wrapped indices and
 // minimum-image displacements along each axis, computed once per atom
-// instead of once per mesh point. It lives on the caller's stack, so
-// concurrent workers and shard goroutines never share scratch.
+// instead of once per mesh point, and the table locations of one row of
+// mesh points. It lives on the caller's stack, so concurrent workers and
+// shard goroutines never share scratch.
 type meshIter struct {
 	ni, nj, nk int
+	mid        int // x index of the smallest |dx|: in every row that has a point
 	ix, iy, iz [meshAxisMax]int32
 	dx, dy, dz [meshAxisMax]float64
+
+	// One row's weight-table locations (ppip.Table.Locate), indexed like dx.
+	seg [meshAxisMax]int32
+	tq  [meshAxisMax]int64
 }
 
 // fill computes the axis tables for the mesh points within rspread of p.
@@ -273,9 +281,17 @@ func (it *meshIter) fill(ms *meshSolver, p vec.V3) {
 	it.ni = ms.fillAxis(p.X, &it.ix, &it.dx)
 	it.nj = ms.fillAxis(p.Y, &it.iy, &it.dy)
 	it.nk = ms.fillAxis(p.Z, &it.iz, &it.dz)
+	it.mid = 0
+	for ii := 1; ii < it.ni; ii++ {
+		if math.Abs(it.dx[ii]) < math.Abs(it.dx[it.mid]) {
+			it.mid = ii
+		}
+	}
 }
 
-// fillAxis fills one axis table and returns the point count.
+// fillAxis fills one axis table and returns the point count. The
+// displacements rise with the index and none is wrapped (newMeshSolver
+// keeps the table clear of the box edge).
 func (ms *meshSolver) fillAxis(p float64, idx *[meshAxisMax]int32, d *[meshAxisMax]float64) int {
 	c0 := int(math.Floor((p - ms.rspread) / ms.h))
 	c1 := int(math.Ceil((p + ms.rspread) / ms.h))
@@ -289,6 +305,63 @@ func (ms *meshSolver) fillAxis(p float64, idx *[meshAxisMax]int32, d *[meshAxisM
 	return c1 - c0 + 1
 }
 
+// row finds the mesh points of one row — the x table at squared y-z
+// distance dyz2 — that lie inside the spreading sphere, returns them as
+// the index range [lo, hi) and leaves their weight-table locations in
+// it.seg / it.tq. The points accepted are exactly those the test
+// dx*dx + dyz2 > rc2 does not reject, in the same ascending order, so a
+// caller that walks [lo, hi) sees what a walk of the whole table with that
+// test would see (the cube-walk oracle in meshrows_test.go), without the
+// ~70% of the cube that lies outside the sphere.
+//
+// dx rises along the table, so dx*dx — and with it the rounded sum — falls
+// to the point nearest the atom (it.mid) and rises after it: the accepted
+// points are one run around mid, or none if mid itself is rejected. The
+// sphere's half-chord sqrt(rc2 - dyz2) puts each end of the run within a
+// point or so; the original test then settles it, so the square root's
+// rounding never decides a point, and clamping the estimates to mid keeps
+// the settling loops inside the table whatever the estimate was.
+//
+// Locations are taken for the whole run before any weight is evaluated —
+// the two stages of htis.PairForceBatch: a point's divide, index lookup
+// and three rounded multiplies form one dependency chain, and short loops
+// over independent points let neighbouring chains overlap.
+func (it *meshIter) row(ms *meshSolver, dyz2, rc2 float64) (lo, hi int) {
+	dx := &it.dx
+	mid := it.mid
+	if dx[mid]*dx[mid]+dyz2 > rc2 {
+		return 0, 0
+	}
+	half := math.Sqrt(rc2 - dyz2)
+	lo = min(max(int((-half-dx[0])*ms.invH), 0), mid)
+	for lo > 0 && !(dx[lo-1]*dx[lo-1]+dyz2 > rc2) {
+		lo--
+	}
+	for dx[lo]*dx[lo]+dyz2 > rc2 {
+		lo++
+	}
+	last := max(min(int((half-dx[0])*ms.invH), it.ni-1), mid)
+	for last < it.ni-1 && !(dx[last+1]*dx[last+1]+dyz2 > rc2) {
+		last++
+	}
+	for dx[last]*dx[last]+dyz2 > rc2 {
+		last--
+	}
+	hi = last + 1
+	tab := ms.weightTab
+	for ii := lo; ii < hi; ii++ {
+		// The cube walk's table argument, operation for operation: d2 over
+		// rc2, held under 1 when d2 == rc2.
+		x := (dx[ii]*dx[ii] + dyz2) / rc2
+		if x >= 1 {
+			x = math.Nextafter(1, 0)
+		}
+		seg, tq := tab.Locate(x)
+		it.seg[ii], it.tq[ii] = int32(seg), tq
+	}
+	return lo, hi
+}
+
 // spreadAtom spreads one atom's charge onto the mesh, accumulating the
 // quantized contributions into counts (wrapping adds: order-independent)
 // and returning the number of atom-mesh interactions. counts may be a
@@ -298,24 +371,21 @@ func (ms *meshSolver) spreadAtom(q float64, r vec.V3, counts []int64) int64 {
 	it.fill(ms, r)
 	rc2 := ms.rspread * ms.rspread
 	n := ms.n
+	tab := ms.weightTab
 	var tally int64
 	for kk := 0; kk < it.nk; kk++ {
 		dz := it.dz[kk]
 		planeBase := int(it.iz[kk]) * n
 		for jj := 0; jj < it.nj; jj++ {
 			dy := it.dy[jj]
-			dyz2 := dy*dy + dz*dz
-			rowBase := (planeBase + int(it.iy[jj])) * n
-			for ii := 0; ii < it.ni; ii++ {
-				dx := it.dx[ii]
-				d2 := dx*dx + dyz2
-				if d2 > rc2 {
-					continue
-				}
-				c := int64(math.RoundToEven(q * ms.weight(d2) / ChargeQuantum))
-				counts[rowBase+int(it.ix[ii])] += c // wrapping accumulate: order-independent
-				tally++
+			lo, hi := it.row(ms, dy*dy+dz*dz, rc2)
+			row := counts[(planeBase+int(it.iy[jj]))*n:][:n]
+			for ii := lo; ii < hi; ii++ {
+				wgt := tab.EvaluateAt(int(it.seg[ii]), it.tq[ii])
+				c := int64(math.RoundToEven(q * wgt / ChargeQuantum))
+				row[it.ix[ii]] += c // wrapping accumulate: order-independent
 			}
+			tally += int64(hi - lo)
 		}
 	}
 	return tally
@@ -339,12 +409,15 @@ func (ms *meshSolver) convolve(workers int) {
 // interpAtom interpolates the long-range force and energy for one atom
 // from the potential mesh, returning the energy partial, the quantized
 // raw force components, and the interaction tally. Reads only the shared
-// post-convolution mesh, so concurrent shards may call it freely.
+// post-convolution mesh, so concurrent shards may call it freely. The
+// float sums run over the accepted points in (k, j, i) order — the order
+// of the cube walk, which is what keeps their bits.
 func (ms *meshSolver) interpAtom(q float64, r vec.V3) (energy float64, fx, fy, fz int64, tally int64) {
 	var it meshIter
 	it.fill(ms, r)
 	rc2 := ms.rspread * ms.rspread
 	n := ms.n
+	tab := ms.weightTab
 	h3 := ms.h * ms.h * ms.h
 	invS2 := 1 / (ms.sigma1 * ms.sigma1)
 	var ex float64
@@ -354,23 +427,18 @@ func (ms *meshSolver) interpAtom(q float64, r vec.V3) (energy float64, fx, fy, f
 		planeBase := int(it.iz[kk]) * n
 		for jj := 0; jj < it.nj; jj++ {
 			dy := it.dy[jj]
-			dyz2 := dy*dy + dz*dz
-			rowBase := (planeBase + int(it.iy[jj])) * n
-			for ii := 0; ii < it.ni; ii++ {
-				dx := it.dx[ii]
-				d2 := dx*dx + dyz2
-				if d2 > rc2 {
-					continue
-				}
-				phi := real(ms.mesh.Data[rowBase+int(it.ix[ii])])
-				wgt := ms.weight(d2)
+			lo, hi := it.row(ms, dy*dy+dz*dz, rc2)
+			row := ms.mesh.Data[(planeBase+int(it.iy[jj]))*n:][:n]
+			for ii := lo; ii < hi; ii++ {
+				phi := real(row[it.ix[ii]])
+				wgt := tab.EvaluateAt(int(it.seg[ii]), it.tq[ii])
 				ex += phi * wgt
 				s := phi * wgt * invS2
-				sx += s * dx
+				sx += s * it.dx[ii]
 				sy += s * dy
 				sz += s * dz
-				tally++
 			}
+			tally += int64(hi - lo)
 		}
 	}
 	energy = 0.5 * q * h3 * ex

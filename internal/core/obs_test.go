@@ -56,11 +56,13 @@ func TestObsCountersMatchEngineStats(t *testing.T) {
 	e.Step(20)
 
 	pairs := map[obs.Counter]int64{
-		obs.CtrPairsConsidered:  e.Stats.PairsConsidered,
-		obs.CtrPairsTested:      e.Stats.PairsTested,
-		obs.CtrPairsMatched:     e.Stats.PairsMatched,
-		obs.CtrPairsComputed:    e.Stats.PairsComputed,
-		obs.CtrMeshInteractions: e.Stats.MeshInteractions,
+		obs.CtrPairsConsidered:       e.Stats.PairsConsidered,
+		obs.CtrPairsTested:           e.Stats.PairsTested,
+		obs.CtrPairsMatched:          e.Stats.PairsMatched,
+		obs.CtrPairsComputed:         e.Stats.PairsComputed,
+		obs.CtrMeshInteractions:      e.Stats.MeshInteractions,
+		obs.CtrConstraintSweeps:      e.Stats.ConstraintSweeps,
+		obs.CtrConstraintUnconverged: e.Stats.ConstraintUnconverged,
 	}
 	for c, want := range pairs {
 		if got := rec.Counter(c); got != want {

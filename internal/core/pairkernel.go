@@ -246,7 +246,8 @@ func (e *Engine) pairScan(pairs [][2]int32, pos []fixp.Vec3, buf []Force3, b *pa
 // box is taken from pos — recomputed on every call, never cached: a
 // shard's view fills as imports arrive — and each atom's per-axis gap to
 // that box is put through the match unit's own test. The gap is a lower
-// bound on the low-precision |d| of every candidate in the box, so a
+// bound on the low-precision |d| of every candidate in the box — by either
+// way round the periodic boundary, see axisGap — so a
 // skipped range holds only candidates the match units reject: Matched,
 // Computed, the order of queued pairs and so every output bit are
 // unchanged. Considered still counts the skipped candidates (it models
@@ -358,16 +359,30 @@ func (e *Engine) scanPairs(pairs [][2]int32, pos []fixp.Vec3, buf []Force3, b *p
 // offsets from one reference position, so a candidate's displacement on
 // this axis is c-o wrapped to 32 bits for some o in [lo, hi]. The result
 // is a lower bound on |wrap(c-o) >> shift| — the magnitude the match
-// unit compares — over that whole range. When the far edge of the box is
-// 2^31 counts or more away, c-o wraps for part of the range (the box is
-// also near across the periodic boundary) and the only safe bound is 0.
+// unit compares — over that whole range.
+//
+// Unwrapped, the displacements run over [near, far], an interval shorter
+// than 2^32. If it holds 0 the bound is 0. If it lies within one half of
+// the ring nothing wraps and the nearer end is the minimum (the first two
+// cases: every subbox pair of a box much wider than the cutoff). If it
+// starts on the positive side and runs past 2^31, the part past 2^31
+// wraps negative — the box is also reachable across the periodic boundary
+// — and comes within 2^32 - far of zero from below; the bound is the
+// smaller of the two approaches, and symmetrically for an interval that
+// runs below -2^31. Each approach is rounded the way the match unit's
+// arithmetic shift rounds that sign (down for positive displacements, up
+// in magnitude for negative ones).
 func axisGap(c, lo, hi int64, shift uint) int64 {
-	near, far := c-hi, c-lo // displacements run over [near, far] unwrapped
+	near, far := c-hi, c-lo
 	switch {
 	case near > 0 && far < 1<<31:
 		return near >> shift
 	case far < 0 && near >= -(1<<31):
 		return -(far >> shift)
+	case near > 0:
+		return min(near>>shift, -((far - 1<<32) >> shift))
+	case far < 0:
+		return min(-(far >> shift), (near+1<<32)>>shift)
 	}
 	return 0
 }

@@ -53,13 +53,80 @@ func BenchmarkStepDHFRScale(b *testing.B) {
 	}
 }
 
+// BenchmarkStepSmall measures a whole step of the 645-atom system the
+// bench harness's small_mono, small_shard8 and service_jobs run (same
+// builder seed and node count as small_mono): cache-resident, so the mesh
+// rows, the constraint sweeps and the per-step fixed costs show where
+// DHFR's pair path would bury them.
+func BenchmarkStepSmall(b *testing.B) {
+	s, err := system.Small(true, 1)
+	if err != nil {
+		b.Fatal(err)
+	}
+	e, err := NewEngine(s, DefaultConfig(8))
+	if err != nil {
+		b.Fatal(err)
+	}
+	e.SetVelocities(system.InitVelocities(s.Top, 300, rand.New(rand.NewSource(1))))
+	e.Step(8) // warm: buffers sized, two migrations crossed
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		e.stepOnce()
+	}
+}
+
+// BenchmarkConstraintsDHFR measures Table 2's Integration row at DHFR
+// scale: both half-kicks, the drift, SHAKE and RATTLE of one step, with
+// the forces held at their warm-up values and the state put back before
+// every iteration — so each SHAKE meets freshly drifted bonds and each
+// RATTLE freshly kicked velocities, as in a real step (a second SHAKE of
+// already constrained positions would converge in one sweep).
+func BenchmarkConstraintsDHFR(b *testing.B) {
+	e := dhfrBenchEngine(b)
+	pos, vel := e.Snapshot()
+	top, dt := e.Sys.Top, e.Cfg.Dt
+	cd := e.driftCoeff(dt)
+	halfKick := func() {
+		for i, a := range top.Atoms {
+			if a.Mass != 0 {
+				e.kick(i, a.Mass, dt/2, true)
+			}
+		}
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		copy(e.Pos, pos)
+		copy(e.Vel, vel)
+		halfKick()
+		copy(e.oldPos, e.Pos)
+		for i, a := range top.Atoms {
+			if a.Mass != 0 {
+				e.driftAtom(i, cd)
+			}
+		}
+		e.shakeFixed()
+		halfKick()
+		e.rattleFixed()
+	}
+	b.ReportMetric(float64(e.Stats.ConstraintSweeps)/float64(b.N), "sweeps/op")
+}
+
 // TestForcePathsAllocationFree holds the benchmarks' expectation as an
-// assertion: once warm, a range-limited evaluation and a mesh evaluation
-// allocate nothing. One worker, because a parallel section's goroutines
-// are the only steady-state allocations the engine makes.
+// assertion: once warm, a range-limited evaluation, a mesh evaluation and
+// the two constraint passes allocate nothing. One worker, because a
+// parallel section's goroutines are the only steady-state allocations the
+// engine makes.
 func TestForcePathsAllocationFree(t *testing.T) {
 	e := smallWaterEngine(t, 8, func(c *Config) { c.Workers = 1 })
 	e.Step(1)
+	if n := testing.AllocsPerRun(5, func() { e.shakeFixed() }); n != 0 {
+		t.Errorf("SHAKE pass allocates %v times", n)
+	}
+	if n := testing.AllocsPerRun(5, func() { e.rattleFixed() }); n != 0 {
+		t.Errorf("RATTLE pass allocates %v times", n)
+	}
 	if n := testing.AllocsPerRun(5, func() { e.rangeLimitedForces() }); n != 0 {
 		t.Errorf("range-limited evaluation allocates %v times", n)
 	}

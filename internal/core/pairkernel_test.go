@@ -305,9 +305,35 @@ func TestPrefilterBitwiseInvisible(t *testing.T) {
 	}
 }
 
+// TestPrefilterSmallBox: on `small` nearly every partner subbox is also
+// reachable across the periodic boundary (18.6 Å box, 11.5 Å subbox-pair
+// reach), the case a bound that gives up on wrapped ranges never rejects.
+// With the wrapped cases at most 70% of the candidates are distance-tested
+// over 20 steps (the give-up bound tested 94%).
+func TestPrefilterSmallBox(t *testing.T) {
+	s, err := system.Small(true, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	e, err := NewEngine(s, DefaultConfig(8))
+	if err != nil {
+		t.Fatal(err)
+	}
+	e.SetVelocities(system.InitVelocities(s.Top, 300, rand.New(rand.NewSource(1))))
+	e.Step(20)
+	st := e.Stats
+	t.Logf("small, 20 steps: considered %d, tested %d (%.1f%%), matched %d",
+		st.PairsConsidered, st.PairsTested, 100*float64(st.PairsTested)/float64(st.PairsConsidered), st.PairsMatched)
+	if float64(st.PairsTested) > 0.7*float64(st.PairsConsidered) || st.PairsTested < st.PairsMatched {
+		t.Errorf("tested %d of %d considered (%d matched): want at most 70%% and no fewer than matched",
+			st.PairsTested, st.PairsConsidered, st.PairsMatched)
+	}
+}
+
 // TestAxisGap walks the prefilter's one-axis bound across the ±2^31
 // boundary: positions are 32-bit wrapping counts, so a box whose far edge
-// is 2^31 or more counts away is also near the other way round.
+// is 2^31 or more counts away is also near the other way round, and the
+// bound is the nearer of the two approaches.
 func TestAxisGap(t *testing.T) {
 	const shift = 24
 	const half = int64(1) << 31
@@ -324,10 +350,15 @@ func TestAxisGap(t *testing.T) {
 		{"below by one count floors to a full step", -11, -10, 10, 1},
 		{"below by 3.5 steps floors to 4", -(7 << 23), 0, 0, 4},
 		{"above, far edge one count short of wrapping", half - 1 - 100, -100, 1 << 26, (half - 1 - 100 - 1<<26) >> shift},
-		{"above, far edge exactly 2^31 away", half - 100, -100, 1 << 26, 0},
-		{"above, far edge beyond 2^31", half - 1, -(1 << 30), 0, 0},
+		// near = 2^31-100-2^26 (123 steps, floored); far wraps to -2^31 (128).
+		{"above, far edge exactly 2^31 away", half - 100, -100, 1 << 26, 123},
+		// near = 2^31-1 (127); far = 3*2^30-1 wraps to -(2^30+1): 64 steps
+		// and a count, which the match unit's shift rounds up to 65.
+		{"above, far edge beyond 2^31", half - 1, -(1 << 30), 0, 65},
 		{"below, far edge exactly -2^31 away", -half + 100, -(1 << 26), 100, (half - 100 - 1<<26 + 1<<24 - 1) >> shift},
-		{"below, far edge beyond -2^31", -half + 100, -(1 << 26), 101, 0},
+		// far = -(2^31-100-2^26) (124, rounded up); near = -2^31-1 wraps to 2^31-1 (127).
+		{"below, far edge beyond -2^31", -half + 100, -(1 << 26), 101, 124},
+		{"below, wrapped end the nearer", -half + 100, -(1 << 26), 100 + 5<<24, 123},
 		{"degenerate box spanning the period", 0, -half, half - 1, 0},
 	}
 	for _, c := range cases {

@@ -33,7 +33,9 @@ func (e *Engine) workers() int {
 
 // parallelChunks splits [0, n) into contiguous chunks, one per worker,
 // and runs fn(worker, lo, hi) concurrently. Chunk boundaries depend only
-// on n and the worker count, never on scheduling.
+// on n and the worker count, never on scheduling. Chunk 0 runs on the
+// calling goroutine, which would otherwise only wait: one goroutine (and
+// its closure allocation) fewer per parallel section.
 func parallelChunks(n, workers int, fn func(worker, lo, hi int)) {
 	if workers <= 1 || n < 2*workers {
 		fn(0, 0, n)
@@ -41,7 +43,7 @@ func parallelChunks(n, workers int, fn func(worker, lo, hi int)) {
 	}
 	var wg sync.WaitGroup
 	chunk := (n + workers - 1) / workers
-	for w := 0; w < workers; w++ {
+	for w := 1; w < workers; w++ {
 		lo := w * chunk
 		if lo >= n {
 			break
@@ -56,6 +58,7 @@ func parallelChunks(n, workers int, fn func(worker, lo, hi int)) {
 			fn(w, lo, hi)
 		}(w, lo, hi)
 	}
+	fn(0, 0, chunk)
 	wg.Wait()
 }
 

@@ -220,8 +220,8 @@ type shardState struct {
 	bodyNs       int64       // wall of the last stage A/B body (driver-read)
 	meshNs       int64       // of which spread (stage A) / interpolate (stage B)
 
-	// Constraint scratch (group-local, maxGroupLen).
-	shakeCur, shakeRef, rattleVel []vec.V3
+	// SHAKE/RATTLE scratch and the step's sweep tally (driver-drained).
+	cons consScratch
 
 	// Per-step diagnostic outputs.
 	energyRL, energyBonded, energyP14 float64
@@ -682,9 +682,7 @@ func (s *Sharded) rebuildViews() {
 			st.lfLong = make([]Force3, natoms)
 			st.scratch = make([]vec.V3, natoms)
 			st.meshCounts = make([]int64, len(e.mesh.counts))
-			st.shakeCur = make([]vec.V3, e.maxGroupLen)
-			st.shakeRef = make([]vec.V3, e.maxGroupLen)
-			st.rattleVel = make([]vec.V3, e.maxGroupLen)
+			st.cons = e.newConsScratch()
 		}
 		if cap(st.posOut) < len(st.owned) {
 			st.posOut = make([]fixp.Vec3, len(st.owned))

@@ -126,7 +126,7 @@ func (s *Sharded) stepOnce() *stageFail {
 	}
 	e.obsPhase(obs.PhaseIntegration, t0)
 	t0 = e.obsNow()
-	if f := s.runEach(stConstrainPre, nil, func(st *shardState) { st.constrainPre(dt) }); f != nil {
+	if f := s.runEach(stConstrainPre, nil, func(st *shardState) { st.constrainPre() }); f != nil {
 		return f
 	}
 	e.obsPhase(obs.PhaseConstraints, t0)
@@ -151,6 +151,11 @@ func (s *Sharded) stepOnce() *stageFail {
 		// on the driver, so the scale factor matches the monolithic step.
 		e.berendsenFixed()
 	}
+	var ct consTally
+	for _, st := range s.shards {
+		ct.drain(&st.cons.tally)
+	}
+	e.noteConstraints(ct)
 	e.obsPhase(obs.PhaseConstraints, t0)
 
 	if e.step%e.Cfg.MigrationInterval == 0 {
@@ -445,11 +450,13 @@ func (st *shardState) integratePre(dt, cd float64, withLong bool) {
 
 // constrainPre: SHAKE per owned group (group-local scratch), then owned
 // virtual-site placement (the site and its parents share a group, so all
-// reads are owner-local).
-func (st *shardState) constrainPre(dt float64) {
+// reads are owner-local). The sweep tally restarts here, so a step that
+// is replayed after a failed stage is counted once.
+func (st *shardState) constrainPre() {
 	e := st.s.E
+	st.cons.tally = consTally{}
 	for _, gi := range st.groups {
-		e.shakeGroup(int(gi), e.oldPos, dt, st.shakeCur, st.shakeRef)
+		e.shakeGroup(int(gi), &st.cons)
 	}
 	for _, vi := range st.vsites {
 		e.placeVSite(&e.Sys.Top.VSites[vi])
@@ -495,6 +502,6 @@ func (st *shardState) integratePost(dt float64, withLong bool) {
 func (st *shardState) constrainPost() {
 	e := st.s.E
 	for _, gi := range st.groups {
-		e.rattleGroup(int(gi), st.rattleVel)
+		e.rattleGroup(int(gi), &st.cons)
 	}
 }

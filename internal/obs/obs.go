@@ -142,6 +142,11 @@ const (
 	// candidates the software distance-tested; the bounding-box prefilter
 	// rejected the rest a subbox at a time.
 	CtrPairsTested
+
+	// SHAKE + RATTLE sweeps over a constraint group, and groups that left
+	// a sweep loop at its cap with the tolerance unmet (want 0).
+	CtrConstraintSweeps
+	CtrConstraintUnconverged
 	NumCounters
 )
 
@@ -159,6 +164,7 @@ var counterNames = [NumCounters]string{
 	"pos-raw-bytes", "pos-wire-bytes",
 	"force-raw-bytes", "force-wire-bytes",
 	"pairs-tested",
+	"constraint-sweeps", "constraint-unconverged",
 }
 
 // String returns the counter's stable name.

@@ -49,7 +49,16 @@ func (b Box) MinImage(d V3) V3 {
 // of circumference l, clamped to [-l/2, l/2). It is the single canonical
 // implementation of periodic minimum-image math; callers should use it
 // instead of re-deriving the round-and-wrap locally.
+//
+// Displacements well inside the half-ring — nearly every call: bonded
+// neighbours, SHAKE sweeps — take an exact fast path. With |d| < 0.49*l the
+// quotient rounds to zero, so the long form computes d - l*0 = d and both
+// clamps miss; "+ 0" reproduces the one bit that subtraction changes
+// (-0 becomes +0). TestMinImage1FastPathBitwise holds the two forms equal.
 func MinImage1(d, l float64) float64 {
+	if math.Abs(d) < 0.49*l {
+		return d + 0
+	}
 	d -= l * math.Round(d/l)
 	if d < -l/2 {
 		d += l

@@ -54,12 +54,13 @@ echo "== determinism: repeated runs =="
 # pass by luck, two rarely agree. Covers the wire codecs and byte counts,
 # Merkle roots, both fault planes' replay and liveness, the chaos
 # campaign replay, every worker/shard/observer invariance test, and the
-# bitwise equivalences of the table lookup, the rounding and the pair
-# pipeline against their reference implementations.
+# bitwise equivalences of the table lookup, the rounding, the pair
+# pipeline, the minimum-image fast path, the mesh rows and the hoisted
+# constraint sweeps against their reference implementations.
 det='TestCodecRoundTrip|TestCodecDeltaChaining|TestFSLiveness|Deterministic|Determinism|Bitwise|Invariance'
 go test -count=2 -timeout 30m -run "$det" ./internal/core ./internal/fft \
 	./internal/torus ./internal/obs ./internal/ledger ./internal/faults \
-	./internal/ppip ./internal/fixp ./internal/htis
+	./internal/ppip ./internal/fixp ./internal/htis ./internal/vec
 
 echo "== fuzz: every decoder of untrusted bytes and the table index, 5 s per target =="
 # A short native-fuzz burst from each seeded corpus catches a decoder
