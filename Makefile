@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test test-short verify bench serve bench-pair bench-mesh profile trace ledger
+.PHONY: build test test-short verify bench serve bench-pair bench-mesh bench-setup profile trace ledger
 
 build:
 	$(GO) build ./...
@@ -56,6 +56,13 @@ bench-mesh:
 		-benchtime 100x ./internal/fft
 	$(GO) test -run '^$$' -bench 'BenchmarkMeshForces' \
 		-benchtime 3x ./internal/core
+
+# The set-up benchmarks: one cold PPIP table fit (ppip.build_ms in
+# `make bench`) and a warm `small` construction plus first step, the
+# repeats behind small_mono's setup_s once the tables are cached.
+bench-setup:
+	$(GO) test -run '^$$' -bench 'BenchmarkBuild$$' -benchtime 10x ./internal/ppip
+	$(GO) test -run '^$$' -bench 'BenchmarkNewEngineSmall' -benchtime 20x ./internal/core
 
 # Provenance demo: run with a hash-chained ledger attached, then audit
 # it offline — verify the chain, locate the checkpoint, and replay the

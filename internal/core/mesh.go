@@ -81,10 +81,11 @@ func newMeshSolver(s *system.System, split ewald.Split) (*meshSolver, error) {
 		return nil, fmt.Errorf("core: mesh spreading diameter %.2f (rspread %.2f + mesh spacing %.2f, twice) reaches the box edge %.2f",
 			2*(ms.rspread+ms.h), ms.rspread, ms.h, ms.l)
 	}
-	// The spreading kernel as a PPIP table of x = (d/rspread)^2.
+	// The spreading kernel as a PPIP table of x = (d/rspread)^2, shared
+	// by every mesh solver of equal σ₁ and rspread.
 	var err error
-	ms.weightTab, err = ppip.Build(
-		ppip.GaussianSpreadFunc(ms.sigma1, ms.rspread), ppip.PaperScheme, 22)
+	ms.weightTab, err = ppip.TableFor(
+		ppip.Kernel{Kind: ppip.GaussianSpread, Sigma: ms.sigma1, RCut: ms.rspread}, ppip.PaperScheme, 22)
 	if err != nil {
 		return nil, err
 	}

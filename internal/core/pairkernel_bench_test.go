@@ -76,6 +76,31 @@ func BenchmarkStepSmall(b *testing.B) {
 	}
 }
 
+// BenchmarkNewEngineSmall measures what small_mono's setup_s repeats
+// after its first construction: build the system, construct the engine
+// and take the first step, with the PPIP tables already in the
+// process-wide cache.
+func BenchmarkNewEngineSmall(b *testing.B) {
+	construct := func() {
+		s, err := system.Small(true, 1)
+		if err != nil {
+			b.Fatal(err)
+		}
+		e, err := NewEngine(s, DefaultConfig(8))
+		if err != nil {
+			b.Fatal(err)
+		}
+		e.SetVelocities(system.InitVelocities(s.Top, 300, rand.New(rand.NewSource(1))))
+		e.Step(1)
+	}
+	construct() // fits the tables
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		construct()
+	}
+}
+
 // BenchmarkConstraintsDHFR measures Table 2's Integration row at DHFR
 // scale: both half-kicks, the drift, SHAKE and RATTLE of one step, with
 // the forces held at their warm-up values and the state put back before

@@ -67,22 +67,24 @@ func (p *Pipeline) initConsts() {
 	p.invR14 = 1 / (r6 * r6 * r2)
 }
 
-// NewPipeline builds the PPIP tables for the given box, cutoff and Ewald
+// NewPipeline wires the PPIP tables for the given box, cutoff and Ewald
 // split, using the paper's tiered indexing scheme and 22-bit mantissas.
+// The tables come from the process-wide cache (ppip.TableFor), so
+// pipelines of equal cutoff and split share them.
 func NewPipeline(boxL float64, split ewald.Split) (*Pipeline, error) {
 	const rmin = 0.9 // Å; shortest distance tables must represent
 	p := &Pipeline{BoxL: boxL, Cutoff: split.Cutoff, Split: split, MinDist: rmin}
 	var err error
-	if p.Elec, err = ppip.Build(ppip.ErfcForceFunc(split.Sigma, split.Cutoff, rmin), ppip.PaperScheme, 22); err != nil {
+	if p.Elec, err = ppip.TableFor(ppip.Kernel{Kind: ppip.ErfcForce, Sigma: split.Sigma, RCut: split.Cutoff, RMin: rmin}, ppip.PaperScheme, 22); err != nil {
 		return nil, err
 	}
-	if p.LJ12, err = ppip.Build(ppip.LJ12ForceFunc(split.Cutoff, 1.1), ppip.PaperScheme, 22); err != nil {
+	if p.LJ12, err = ppip.TableFor(ppip.Kernel{Kind: ppip.LJ12, RCut: split.Cutoff, RMin: 1.1}, ppip.PaperScheme, 22); err != nil {
 		return nil, err
 	}
-	if p.LJ6, err = ppip.Build(ppip.LJ6ForceFunc(split.Cutoff, 1.1), ppip.PaperScheme, 22); err != nil {
+	if p.LJ6, err = ppip.TableFor(ppip.Kernel{Kind: ppip.LJ6, RCut: split.Cutoff, RMin: 1.1}, ppip.PaperScheme, 22); err != nil {
 		return nil, err
 	}
-	if p.ElecE, err = ppip.Build(ppip.ErfcEnergyFunc(split.Sigma, split.Cutoff, rmin), ppip.PaperScheme, 22); err != nil {
+	if p.ElecE, err = ppip.TableFor(ppip.Kernel{Kind: ppip.ErfcEnergy, Sigma: split.Sigma, RCut: split.Cutoff, RMin: rmin}, ppip.PaperScheme, 22); err != nil {
 		return nil, err
 	}
 	p.initConsts()

@@ -86,16 +86,40 @@ func SubToBox(sub, boxes Grid, c BoxCoord) BoxCoord {
 // a box with itself) whose minimum footprint distance on the torus is
 // within the cutoff, calling fn once per pair. boxSide is the box edge
 // length in Å. Each pair is reported exactly once with a <= b in linear
-// index order.
+// index order, ordered by a, then b.
+//
+// The distance depends only on the offset b-a reduced onto the torus, so
+// it is decided once per offset into a table indexed like the boxes, and
+// the pair walk reads the table.
 func BoxPairsWithinCutoff(g Grid, boxSide [3]float64, cutoff float64, fn func(a, b BoxCoord)) {
-	n := g.NumBoxes()
-	for ia := 0; ia < n; ia++ {
+	within := make([]bool, g.NumBoxes())
+	for i := range within {
+		within[i] = boxFootprintDist3(g, boxSide, BoxCoord{}, g.Coord(i)) <= cutoff
+	}
+	for ia := range within {
 		a := g.Coord(ia)
-		for ib := ia; ib < n; ib++ {
-			b := g.Coord(ib)
-			if boxFootprintDist3(g, boxSide, a, b) <= cutoff {
-				fn(a, b)
+		// b runs over the boxes from a on in linear order: z never wraps
+		// below a.Z, y and x restart at 0 after a's own row and plane.
+		x0, y0 := a.X, a.Y
+		for bz := a.Z; bz < g.Nz; bz++ {
+			for by := y0; by < g.Ny; by++ {
+				dy := by - a.Y
+				if dy < 0 {
+					dy += g.Ny
+				}
+				row := within[((bz-a.Z)*g.Ny+dy)*g.Nx:][:g.Nx]
+				for bx := x0; bx < g.Nx; bx++ {
+					dx := bx - a.X
+					if dx < 0 {
+						dx += g.Nx
+					}
+					if row[dx] {
+						fn(a, BoxCoord{X: bx, Y: by, Z: bz})
+					}
+				}
+				x0 = 0
 			}
+			y0 = 0
 		}
 	}
 }

@@ -243,6 +243,53 @@ func TestBoxPairsWithinCutoffComplete(t *testing.T) {
 	}
 }
 
+// refBoxPairsWithinCutoff is the O(n²) form of BoxPairsWithinCutoff, its
+// oracle: every (a, b >= a) in linear order, with the distance computed
+// per pair.
+func refBoxPairsWithinCutoff(g Grid, boxSide [3]float64, cutoff float64, fn func(a, b BoxCoord)) {
+	n := g.NumBoxes()
+	for ia := 0; ia < n; ia++ {
+		a := g.Coord(ia)
+		for ib := ia; ib < n; ib++ {
+			b := g.Coord(ib)
+			if boxFootprintDist3(g, boxSide, a, b) <= cutoff {
+				fn(a, b)
+			}
+		}
+	}
+}
+
+// TestBoxPairsWithinCutoffBitwise: the offset-table walk reports the
+// reference's pairs in the reference's order (the engine's subbox pair
+// list, and with it the chunking of the pair phase, follows this order).
+func TestBoxPairsWithinCutoffBitwise(t *testing.T) {
+	const slack = 2 * (0.45*4 + 0.45) // the engine's subbox reach beyond the cutoff
+	cases := []struct {
+		name   string
+		g      Grid
+		side   [3]float64
+		cutoff float64
+	}{
+		{"DHFR subboxes", Grid{Nx: 14, Ny: 14, Nz: 14}, [3]float64{62.2 / 14, 62.2 / 14, 62.2 / 14}, 13 + slack},
+		{"small subboxes", Grid{Nx: 4, Ny: 4, Nz: 4}, [3]float64{18.6 / 4, 18.6 / 4, 18.6 / 4}, 7 + slack}, // every pair
+		{"non-cubic", Grid{Nx: 5, Ny: 6, Nz: 8}, [3]float64{3.1, 4.2, 2.5}, 7.3},
+		{"one box", Grid{Nx: 1, Ny: 1, Nz: 1}, [3]float64{10, 10, 10}, 5},
+	}
+	for _, c := range cases {
+		var got, want [][2]BoxCoord
+		BoxPairsWithinCutoff(c.g, c.side, c.cutoff, func(a, b BoxCoord) { got = append(got, [2]BoxCoord{a, b}) })
+		refBoxPairsWithinCutoff(c.g, c.side, c.cutoff, func(a, b BoxCoord) { want = append(want, [2]BoxCoord{a, b}) })
+		if len(got) != len(want) {
+			t.Fatalf("%s: %d pairs, reference %d", c.name, len(got), len(want))
+		}
+		for i := range got {
+			if got[i] != want[i] {
+				t.Fatalf("%s: pair %d is %v, reference %v", c.name, i, got[i], want[i])
+			}
+		}
+	}
+}
+
 func TestGridIndexRoundTrip(t *testing.T) {
 	g := Grid{Nx: 3, Ny: 5, Nz: 7}
 	for i := 0; i < g.NumBoxes(); i++ {

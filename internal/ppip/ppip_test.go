@@ -314,41 +314,83 @@ func TestTableSerializationRoundTrip(t *testing.T) {
 	}
 }
 
-func TestReadTableRejectsGarbage(t *testing.T) {
-	if _, err := ReadTable(bytes.NewReader([]byte{1, 2, 3})); err == nil {
-		t.Error("short input accepted")
+// garbageTable is an input ReadTable must reject, with the text its
+// error must contain ("" for any error).
+type garbageTable struct {
+	name, want string
+	data       []byte
+}
+
+// writtenTable returns a PaperScheme table as Write stores it, and
+// corruptions of it that ReadTable must reject.
+func writtenTable(tb testing.TB) ([]byte, []garbageTable) {
+	tab, err := Build(math.Sin, PaperScheme, 22)
+	if err != nil {
+		tb.Fatal(err)
 	}
-	tab, _ := Build(math.Sin, PaperScheme, 22)
 	var buf bytes.Buffer
 	if err := tab.Write(&buf); err != nil {
-		t.Fatal(err)
+		tb.Fatal(err)
 	}
 	data := buf.Bytes()
-	data[0] ^= 0xff
-	if _, err := ReadTable(bytes.NewReader(data)); err == nil {
-		t.Error("corrupt magic accepted")
+	corrupt := func(edit func(b []byte)) []byte {
+		b := append([]byte(nil), data...)
+		edit(b)
+		return b
 	}
-	data[0] ^= 0xff
-
-	// The header is five uint32s, then (Start, End, Entries) per tier.
-	// 23 entries over [1/4, 1) is not a power-of-two width.
+	// The header is five uint32s, then (Start, End, Entries) per tier,
+	// then (Lo, Hi, four mantissas, Exp) per segment.
 	const lastTierEntries = 20 + 3*20 + 16
-	bad := append([]byte(nil), data...)
-	binary.LittleEndian.PutUint32(bad[lastTierEntries:], 23)
-	if _, err := ReadTable(bytes.NewReader(bad)); err == nil || !strings.Contains(err.Error(), "power of two") {
-		t.Errorf("non-power-of-two tier width: got %v", err)
-	}
-	// A coordinate width (the header's fourth word) the datapath cannot carry.
-	bad = append(bad[:0], data...)
-	binary.LittleEndian.PutUint32(bad[12:], 99)
-	if _, err := ReadTable(bytes.NewReader(bad)); err == nil || !strings.Contains(err.Error(), "coordinate width") {
-		t.Errorf("99-bit local coordinate: got %v", err)
-	}
-	// A segment whose bounds are not the scheme's (first segment's Hi).
 	const firstSegHi = 20 + 4*20 + 8
-	bad = append(bad[:0], data...)
-	binary.LittleEndian.PutUint64(bad[firstSegHi:], math.Float64bits(0.5))
-	if _, err := ReadTable(bytes.NewReader(bad)); err == nil || !strings.Contains(err.Error(), "scheme says") {
-		t.Errorf("segment bounds off the scheme: got %v", err)
+	return data, []garbageTable{
+		{name: "short input", data: []byte{1, 2, 3}},
+		{name: "corrupt magic", data: corrupt(func(b []byte) { b[0] ^= 0xff })},
+		// 23 entries over [1/4, 1) is not a power-of-two width.
+		{name: "non-power-of-two tier width", want: "power of two",
+			data: corrupt(func(b []byte) { binary.LittleEndian.PutUint32(b[lastTierEntries:], 23) })},
+		// A coordinate width (the header's fourth word) the datapath cannot carry.
+		{name: "99-bit local coordinate", want: "coordinate width",
+			data: corrupt(func(b []byte) { binary.LittleEndian.PutUint32(b[12:], 99) })},
+		// A segment whose bounds are not the scheme's (first segment's Hi).
+		{name: "segment bounds off the scheme", want: "scheme says",
+			data: corrupt(func(b []byte) { binary.LittleEndian.PutUint64(b[firstSegHi:], math.Float64bits(0.5)) })},
 	}
+}
+
+func TestReadTableRejectsGarbage(t *testing.T) {
+	_, garbage := writtenTable(t)
+	for _, g := range garbage {
+		if _, err := ReadTable(bytes.NewReader(g.data)); err == nil || !strings.Contains(err.Error(), g.want) {
+			t.Errorf("%s: got %v", g.name, err)
+		}
+	}
+}
+
+// FuzzReadTable: any input is rejected, or decodes to a table that
+// writes back the bytes it was read from and evaluates on [0, 1) without
+// panicking. (ReadTable ignores what follows the table, so those bytes
+// are a prefix of the input.)
+func FuzzReadTable(f *testing.F) {
+	good, garbage := writtenTable(f)
+	f.Add(good)
+	for _, g := range garbage {
+		f.Add(g.data)
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		tab, err := ReadTable(bytes.NewReader(data))
+		if err != nil {
+			return
+		}
+		var buf bytes.Buffer
+		if err := tab.Write(&buf); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.HasPrefix(data, buf.Bytes()) {
+			t.Fatalf("decoded table writes back %d bytes that are not the input's first bytes", buf.Len())
+		}
+		for i := 0; i < 256; i++ {
+			tab.Evaluate(float64(i) / 256)
+		}
+		tab.Evaluate(math.Nextafter(1, 0))
+	})
 }

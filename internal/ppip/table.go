@@ -3,6 +3,9 @@ package ppip
 import (
 	"fmt"
 	"math"
+	"runtime"
+	"sync"
+	"sync/atomic"
 
 	"anton/internal/fixp"
 )
@@ -157,27 +160,49 @@ func (t *Table) index() error {
 // adjusts the constant terms for continuity across segment boundaries,
 // and quantizes the coefficients to block floating point with the given
 // mantissa width.
+//
+// A segment's fit reads nothing but its own interval, so the fits run on
+// GOMAXPROCS goroutines and land by segment index; f must be safe for
+// concurrent use (every kernel of kernels.go is). The continuity pass and
+// the quantization run after all fits, in segment order, so the table is
+// bit for bit the one a serial loop builds. If fits fail, the error of the
+// lowest-index failing segment is returned.
 func Build(f func(x float64) float64, scheme Scheme, mantissaBits uint) (*Table, error) {
 	if err := scheme.Validate(); err != nil {
 		return nil, err
 	}
 	t := &Table{Scheme: scheme, MantissaBits: mantissaBits, TBits: 24}
+	var widths []float64
 	for _, tier := range scheme {
 		w := tier.width()
 		for e := 0; e < tier.Entries; e++ {
 			lo := tier.Start + float64(e)*w
-			hi := lo + w
-			// Fit in the local coordinate t = (x-lo)/w so the narrow
-			// datapath sees well-scaled arguments.
-			g := func(tt float64) float64 { return f(lo + tt*w) }
-			c, _, err := Remez(g, 0, 1, 3)
-			if err != nil {
-				return nil, err
+			t.Segments = append(t.Segments, Segment{Lo: lo, Hi: lo + w})
+			widths = append(widths, w)
+		}
+	}
+	t.FloatCoeffs = make([][4]float64, len(t.Segments))
+	errs := make([]error, len(t.Segments))
+	var next atomic.Int64
+	var wg sync.WaitGroup
+	for range min(runtime.GOMAXPROCS(0), len(t.Segments)) {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := int(next.Add(1)) - 1; i < len(t.Segments); i = int(next.Add(1)) - 1 {
+				lo, w := t.Segments[i].Lo, widths[i]
+				// Fit in the local coordinate t = (x-lo)/w so the narrow
+				// datapath sees well-scaled arguments.
+				c, _, err := remez(func(tt float64) float64 { return f(lo + tt*w) }, 0, 1, 3)
+				copy(t.FloatCoeffs[i][:], c)
+				errs[i] = err
 			}
-			var c4 [4]float64
-			copy(c4[:], c)
-			t.FloatCoeffs = append(t.FloatCoeffs, c4)
-			t.Segments = append(t.Segments, Segment{Lo: lo, Hi: hi})
+		}()
+	}
+	wg.Wait()
+	for _, err := range errs {
+		if err != nil {
+			return nil, err
 		}
 	}
 	// Continuity (paper: "the coefficients are adjusted to make the

@@ -284,9 +284,12 @@ func TestServiceChaosStallAlert(t *testing.T) {
 		StateDir: t.TempDir(), Workers: 1,
 		StallAfter: 25 * time.Millisecond,
 	})
-	// One enormous chunk: no boundary for the whole run, so the heartbeat
-	// goes stale almost immediately.
-	js, _, err := d.Submit(JobSpec{System: "small", Steps: 500_000, CheckpointEvery: 500_000})
+	// 50-step chunks (~0.3 s on `small`) outlive the 25 ms window, so the
+	// heartbeat goes stale within the first chunk; the run is far longer
+	// than the test, and the cancel lands at the next boundary. (The alert
+	// must not depend on the job's set-up outlasting the window: set-up is
+	// ~10 ms once the process has fitted the job's PPIP tables.)
+	js, _, err := d.Submit(JobSpec{System: "small", Steps: 500_000, CheckpointEvery: 50})
 	if err != nil {
 		t.Fatal(err)
 	}

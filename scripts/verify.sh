@@ -23,7 +23,8 @@ fi
 echo "== race: every package, short =="
 # Everything that does not skip under -short, raced: the engine's
 # parallel sections and reductions, the process-global FFT plan cache,
-# the telemetry lifecycle, the ledger writer and its tamper matrix, both
+# the parallel PPIP table fit and the process-wide table cache (engines
+# constructed at once fit each table exactly once), the telemetry lifecycle, the ledger writer and its tamper matrix, both
 # fault planes, and the service's queue/store/auth/admission units.
 go test -race -short ./...
 
@@ -55,26 +56,30 @@ echo "== determinism: repeated runs =="
 # Merkle roots, both fault planes' replay and liveness, the chaos
 # campaign replay, every worker/shard/observer invariance test, and the
 # bitwise equivalences of the table lookup, the rounding, the pair
-# pipeline, the minimum-image fast path, the mesh rows and the hoisted
-# constraint sweeps against their reference implementations.
+# pipeline, the minimum-image fast path, the mesh rows, the hoisted
+# constraint sweeps, the parallel table fit and the subbox pair walk
+# against their reference implementations.
 det='TestCodecRoundTrip|TestCodecDeltaChaining|TestFSLiveness|Deterministic|Determinism|Bitwise|Invariance'
 go test -count=2 -timeout 30m -run "$det" ./internal/core ./internal/fft \
 	./internal/torus ./internal/obs ./internal/ledger ./internal/faults \
-	./internal/ppip ./internal/fixp ./internal/htis ./internal/vec
+	./internal/ppip ./internal/fixp ./internal/htis ./internal/vec \
+	./internal/nt
 
 echo "== fuzz: every decoder of untrusted bytes and the table index, 5 s per target =="
 # A short native-fuzz burst from each seeded corpus catches a decoder
 # that panics, stops rejecting truncated/trailing bytes, or mutates state
 # on a rejection: the shard frame codecs, checkpoint restore, the ledger
-# reader + chain verifier, both fault-spec grammars, the job spec, and the
-# store's status.json recovery scan. The last target is not a decoder: it
+# reader + chain verifier, both fault-spec grammars, the job spec, the
+# store's status.json recovery scan, and the PPIP table reader (which must
+# write back what it accepted). The last target is not a decoder: it
 # hunts for an x the table index locates differently from the divide-based
-# reference.
+# reference. Minimizing a new input is capped at 1 s so that a burst
+# fuzzes: the default 60 s would spend it shrinking one 13 KB table.
 for target in core:FuzzPosFrame core:FuzzForceFrame core:FuzzRestoreCheckpoint \
 	ledger:FuzzReadVerify faults:FuzzParseSpecs \
 	service:FuzzJobSpec service:FuzzStatusScan \
-	ppip:FuzzLocateMatchesReference; do
-	go test -run '^$' -fuzz "^${target#*:}\$" -fuzztime 5s "./internal/${target%%:*}"
+	ppip:FuzzReadTable ppip:FuzzLocateMatchesReference; do
+	go test -run '^$' -fuzz "^${target#*:}\$" -fuzztime 5s -fuzzminimizetime 1s "./internal/${target%%:*}"
 done
 
 echo "== trace export: generate + validate =="
