@@ -243,9 +243,9 @@ func (e *Engine) pairScan(pairs [][2]int32, pos []fixp.Vec3, buf []Force3, b *pa
 // The subbox-pair list is enumerated once with the worst-case reach, so
 // most of an atom's candidates in a partner subbox are far outside the
 // cutoff. Before the per-candidate loop, the partner subbox's bounding
-// box is taken from pos — recomputed on every call, never cached: a
-// shard's view fills as imports arrive — and each atom's per-axis gap to
-// that box is put through the match unit's own test. The gap is a lower
+// box is taken from pos — recomputed on every call, never cached — and
+// each atom's per-axis gap to that box is put through the match unit's
+// own test. The gap is a lower
 // bound on the low-precision |d| of every candidate in the box — by either
 // way round the periodic boundary, see axisGap — so a
 // skipped range holds only candidates the match units reject: Matched,

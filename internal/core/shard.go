@@ -60,9 +60,6 @@ type Sharded struct {
 
 	comm *measuredComm
 
-	// overlap lets stage A fill receive gaps with ready work (default);
-	// off is the no-fill schedule (see SetOverlap).
-	overlap bool
 	// lastStream snapshots the summed per-shard stream tallies so each
 	// evaluation's delta can feed the obs counters.
 	lastStream streamTally
@@ -79,17 +76,10 @@ type Sharded struct {
 	// traffic pass parallelizes across shards without collisions).
 	meshCellRows [][]int64
 
-	// Rebuild scratch: epoch-stamped membership marks, plus the streaming
-	// dependency-group builders (box -> import index, subbox -> local
-	// index, dep-set -> group dedup map, merge/key buffers).
+	// Rebuild scratch: epoch-stamped membership marks.
 	atomStamp []int32
 	boxStamp  []int32
 	epoch     int32
-	srcIdx    []int32
-	subLocal  []int32
-	groupIdx  map[string]int32
-	depMerge  []int32
-	keyBuf    []byte
 
 	closeOnce sync.Once
 }
@@ -115,7 +105,7 @@ type shardMsg struct {
 	xid     uint32 // exchange id (driver-minted, globally unique)
 	crc     uint32 // CRC32 (IEEE) over the frame
 	attempt uint8  // transmission attempt (1 = first send)
-	frame   []byte // compressed payload (shardcodec.go)
+	frame   []byte // encoded payload (shardcodec.go)
 }
 
 // shardCmd is one broadcast work item: the stage closure plus the
@@ -186,39 +176,21 @@ type shardState struct {
 	meshCounts []int64     // dense mesh charge contribution (refresh steps)
 	batch      pairBatch
 
-	// Send buffers, refilled per exchange.
-	posOut      []fixp.Vec3
+	// Force export payloads, refilled per exchange.
 	footOut     [][]Force3
 	exclFootOut [][]Force3
 
-	// Streaming-pipeline state (see shardstream.go). The dependency
-	// groups partition myPairs by the exact sender set whose arrival
-	// unblocks them; the per-sender slot/group lists drive the readiness
-	// ledger; the prev/frame buffers carry the wire codec's delta bases
-	// and encoded frames.
-	ownSlots     []int32     // slots whose atom this shard owns
-	senderSlots  [][]int32   // per impSrcs entry: slots owned by that sender
-	subDepLists  [][]int32   // per touchedSubs entry: sender deps (rebuild scratch)
-	depGroups    []depGroup  // sender-keyed pair groups (canonical order)
-	senderGroups [][]int32   // per impSrcs entry: groups it participates in
-	groupLeft    []int32     // per-eval countdown of unarrived deps
-	groupEnergy  []float64   // per-group float energy (canonical-order reduce)
-	readyQ       []int32     // readiness queue of runnable group indices
-	readyCur     int         // consumed prefix of readyQ
-	arrived      int         // pos imports applied this evaluation
-	footGot      int         // force envelopes accepted this evaluation
-	footDirect   bool        // stage B: apply force envelopes immediately
-	spreadDone   bool        // mesh spread already ran as overlap filler
-	fbuf         []shardMsg  // force envelopes buffered during the import wait
-	prevPosOut   []fixp.Vec3 // codec base: owned positions last exchanged
-	prevDeltaOut []fixp.Vec3 // codec base: owned displacements last exchanged
-	ldelta       []fixp.Vec3 // receiver codec state: last decoded displacement
-	posFrame     []byte      // encoded position frame (immutable per exchange)
-	footFrames   [][]byte    // per impSrcs entry: encoded short-force frame
-	exclFrames   [][]byte    // per exclFootDst entry: encoded long-force frame
-	stream       streamTally // overlap/compression accounting (driver-read)
-	bodyNs       int64       // wall of the last stage A/B body (driver-read)
-	meshNs       int64       // of which spread (stage A) / interpolate (stage B)
+	// Force-evaluation state (see shardstream.go).
+	arrived    int         // pos imports applied this evaluation
+	footGot    int         // force envelopes accepted this evaluation
+	footDirect bool        // stage B: apply force envelopes immediately
+	fbuf       []shardMsg  // force envelopes buffered during the import wait
+	posFrame   []byte      // encoded position frame (immutable per exchange)
+	footFrames [][]byte    // per impSrcs entry: encoded short-force frame
+	exclFrames [][]byte    // per exclFootDst entry: encoded long-force frame
+	stream     streamTally // wait/wire accounting (driver-read)
+	bodyNs     int64       // wall of the last stage A/B body (driver-read)
+	meshNs     int64       // of which spread (stage A) / interpolate (stage B)
 
 	// SHAKE/RATTLE scratch and the step's sweep tally (driver-drained).
 	cons consScratch
@@ -239,7 +211,7 @@ func NewSharded(s *system.System, cfg Config) (*Sharded, error) {
 	if err != nil {
 		return nil, err
 	}
-	sh := &Sharded{E: e, overlap: true}
+	sh := &Sharded{E: e}
 	n := e.grid.NumBoxes()
 
 	sh.prevBoxOf = make([]int32, len(e.Pos))
@@ -251,11 +223,6 @@ func NewSharded(s *system.System, cfg Config) (*Sharded, error) {
 	for i := range sh.boxStamp {
 		sh.boxStamp[i] = -1
 	}
-
-	// Rebuild scratch for the streaming dependency groups.
-	sh.srcIdx = make([]int32, n)
-	sh.subLocal = make([]int32, e.subGrid.NumBoxes())
-	sh.groupIdx = make(map[string]int32)
 
 	// Static subbox -> home box map.
 	sh.subBox = make([]int32, e.subGrid.NumBoxes())
@@ -413,15 +380,11 @@ func (s *Sharded) runEach(stage uint8, send, body func(*shardState)) *stageFail 
 // Engine exposes the underlying engine for read-only reporting.
 func (s *Sharded) Engine() *Engine { return s.E }
 
-// SetOverlap(false) selects the no-fill schedule of stage A: wait for
-// every import, then compute — the barrier schedule over the same frames,
-// transport and results. It is the A/B hook that prices the readiness
-// ledger (bench's core.shard.barrier_step_ms), not a user option.
-// Driver-serial: call between Step calls (or before the first).
-func (s *Sharded) SetOverlap(on bool) { s.overlap = on }
-
-// Overlap reports whether stage A fills receive gaps with ready work.
-func (s *Sharded) Overlap() bool { return s.overlap }
+// SetOverlap does nothing: stage A has one schedule (receive every
+// import, then compute). It remains because the benchmark harness
+// (bench/engine.go) still calls it around its core.shard.barrier_step_ms
+// segment, which now times that same schedule.
+func (s *Sharded) SetOverlap(bool) {}
 
 // Shards returns the virtual node count.
 func (s *Sharded) Shards() int { return len(s.shards) }
@@ -565,78 +528,6 @@ func (s *Sharded) rebuildViews() {
 			st.footAtoms[di] = lst
 		}
 
-		// Streaming dependency groups: per-sender slot lists, per-subbox
-		// sender-dependency sets, and the partition of myPairs into groups
-		// keyed by their exact dependency set (a pair is runnable once every
-		// sender owning a slot atom of either subbox has arrived). Deps are
-		// derived from actual slot-atom owners — an atom's home box follows
-		// its constraint-group leader, so subbox geometry alone does not
-		// determine ownership.
-		for di, b := range st.impSrcs {
-			s.srcIdx[b] = int32(di)
-		}
-		st.ownSlots = st.ownSlots[:0]
-		st.senderSlots = resizeLists(st.senderSlots, len(st.impSrcs))
-		for i := range st.senderSlots {
-			st.senderSlots[i] = st.senderSlots[i][:0]
-		}
-		st.subDepLists = resizeLists(st.subDepLists, len(st.touchedSubs))
-		for li, sb := range st.touchedSubs {
-			s.subLocal[sb] = int32(li)
-			deps := st.subDepLists[li][:0]
-			for slot := k.subStart[sb]; slot < k.subStart[sb+1]; slot++ {
-				b := e.boxOf[k.atomOf[slot]]
-				if b == st.id {
-					st.ownSlots = append(st.ownSlots, slot)
-					continue
-				}
-				di := s.srcIdx[b]
-				st.senderSlots[di] = append(st.senderSlots[di], slot)
-				deps = append(deps, di)
-			}
-			st.subDepLists[li] = sortDedupInt32(deps)
-		}
-		st.depGroups = st.depGroups[:0]
-		for pi := range st.myPairs {
-			pr := st.myPairs[pi]
-			merged := mergeSortedInt32(s.depMerge[:0],
-				st.subDepLists[s.subLocal[pr[0]]], st.subDepLists[s.subLocal[pr[1]]])
-			s.depMerge = merged
-			key := s.keyBuf[:0]
-			for _, v := range merged {
-				key = append(key, byte(v), byte(v>>8), byte(v>>16), byte(v>>24))
-			}
-			s.keyBuf = key
-			gi, ok := s.groupIdx[string(key)]
-			if !ok {
-				gi = int32(len(st.depGroups))
-				st.depGroups = appendDepGroup(st.depGroups, merged)
-				s.groupIdx[string(key)] = gi
-			}
-			g := &st.depGroups[gi]
-			g.pairs = append(g.pairs, pr)
-		}
-		for k2 := range s.groupIdx {
-			delete(s.groupIdx, k2)
-		}
-		st.senderGroups = resizeLists(st.senderGroups, len(st.impSrcs))
-		for i := range st.senderGroups {
-			st.senderGroups[i] = st.senderGroups[i][:0]
-		}
-		for gi := range st.depGroups {
-			for _, di := range st.depGroups[gi].deps {
-				st.senderGroups[di] = append(st.senderGroups[di], int32(gi))
-			}
-		}
-		if cap(st.groupLeft) < len(st.depGroups) {
-			st.groupLeft = make([]int32, len(st.depGroups))
-		}
-		st.groupLeft = st.groupLeft[:len(st.depGroups)]
-		if cap(st.groupEnergy) < len(st.depGroups) {
-			st.groupEnergy = make([]float64, len(st.depGroups))
-		}
-		st.groupEnergy = st.groupEnergy[:len(st.depGroups)]
-
 		// Exclusion-correction touch set and its export grouping.
 		st.exclTouch = st.exclTouch[:0]
 		s.epoch++
@@ -684,35 +575,8 @@ func (s *Sharded) rebuildViews() {
 			st.meshCounts = make([]int64, len(e.mesh.counts))
 			st.cons = e.newConsScratch()
 		}
-		if cap(st.posOut) < len(st.owned) {
-			st.posOut = make([]fixp.Vec3, len(st.owned))
-		}
-		st.posOut = st.posOut[:len(st.owned)]
 		st.footOut = resizeForce(st.footOut, st.footAtoms)
 		st.exclFootOut = resizeForce(st.exclFootOut, st.exclFootAtoms)
-
-		// Wire-codec predictor state and frame buffers. The sender's owned
-		// snapshot and every importer's local copies are reset from the
-		// same driver-serial canonical state (displacement history zeroed
-		// on both sides), so the codec bases agree bit-for-bit after every
-		// construction, migration and restore.
-		if cap(st.prevPosOut) < len(st.owned) {
-			st.prevPosOut = make([]fixp.Vec3, len(st.owned))
-			st.prevDeltaOut = make([]fixp.Vec3, len(st.owned))
-		}
-		st.prevPosOut = st.prevPosOut[:len(st.owned)]
-		st.prevDeltaOut = st.prevDeltaOut[:len(st.owned)]
-		for oi, a := range st.owned {
-			st.prevPosOut[oi] = e.Pos[a]
-			st.prevDeltaOut[oi] = fixp.Vec3{}
-		}
-		if st.ldelta == nil {
-			st.ldelta = make([]fixp.Vec3, natoms)
-		}
-		for _, a := range st.needAll {
-			st.lpos[a] = e.Pos[a]
-			st.ldelta[a] = fixp.Vec3{}
-		}
 		st.footFrames = resizeBytes(st.footFrames, len(st.impSrcs))
 		st.exclFrames = resizeBytes(st.exclFrames, len(st.exclFootDst))
 	}
@@ -737,8 +601,8 @@ func (s *Sharded) rebuildViews() {
 		}
 	}
 	for _, st := range s.shards {
-		// The streaming pipeline can have positions and forces in flight at
-		// once, so size each inbox for a whole evaluation's message set —
+		// Early force frames can arrive while positions are still in
+		// flight, so size each inbox for a whole evaluation's message set —
 		// that is what keeps plain-mode sends non-blocking and deadlock-free.
 		need := len(st.impSrcs) + st.inFoot + st.inExclFoot + 4
 		if s.sup != nil {

@@ -7,101 +7,61 @@ import (
 	"anton/internal/fixp"
 )
 
-// Wire codec for the streaming shard transport. Position imports are
-// compressed with a second-order predictor: the frame carries the
-// zigzag-varint *change in displacement* of every owned atom's
-// fixed-point coordinates — cur - prev - prevDelta, where prev is the
-// previous exchanged snapshot and prevDelta the previous frame's
-// displacement. Atoms move at nearly constant velocity across one time
-// step, so the residual is acceleration-sized (a few bits), not
-// displacement-sized, and the frame shrinks far below the raw payload.
-// Force exports are zigzag-varint packed without a base (the receiver
-// folds them into accumulators and keeps no history).
+// Wire codec for the shard transport. Every frame is self-contained: it
+// decodes from its own bytes and the atom list both sides share, with no
+// state carried from earlier exchanges. Position frames carry each listed
+// atom's fixed-point coordinates as three 4-byte little-endian words.
+// Force frames carry each listed atom's int64 force triple
+// zigzag-varint packed, since force components are mostly far smaller
+// than their 64-bit range; positions span their whole 32-bit range, so
+// they are sent as they are.
 //
-// Both codecs are lossless by construction: fixed-point subtraction and
-// addition wrap in modular arithmetic, so prev + prevDelta + residual
-// reconstructs cur exactly for every bit pattern, including deliberate
-// wraparound. The predictor state is reset on both sides at every
-// rebuildViews (construction, migration, checkpoint restore): the sender
-// snapshots its owned positions and zeroes its displacement history, and
-// each receiver refreshes its local copies from the same driver-serial
-// canonical state, so the bases agree bit-for-bit. Between rebuilds the
-// receiver's state for a sender's atom is simply its last decoded value
-// and delta — exactly the sender's, because the reliable transport
-// applies each frame exactly once (dedup stamps) and frames are immutable
-// for the lifetime of their exchange (retransmissions resend identical
-// bytes, so the CRC32 covers the frame as sent).
+// Both codecs are lossless for every bit pattern. A frame is immutable
+// for the lifetime of its exchange (retransmissions resend identical
+// bytes), so the reliable transport's CRC32 covers the frame as sent.
 
-var errShortFrame = errors.New("core: truncated compressed frame")
+var errShortFrame = errors.New("core: truncated or padded shard frame")
 
-// zigzag32/zigzag64 map signed values to unsigned so small magnitudes of
-// either sign varint-encode short.
-func zigzag32(v int32) uint64 { return uint64(uint32((v << 1) ^ (v >> 31))) }
-func unzigzag32(u uint64) int32 {
-	x := uint32(u)
-	return int32((x >> 1) ^ -(x & 1))
-}
+// posRecord is the byte size of one atom's entry in a position frame.
+const posRecord = 12
+
 func zigzag64(v int64) uint64 { return uint64((v << 1) ^ (v >> 63)) }
 func unzigzag64(u uint64) int64 {
 	return int64((u >> 1) ^ -(u & 1))
 }
 
-// appendPosFrame appends the predictor-residual frame of cur against the
-// sender's (prev, prevDelta) state (all equal lengths) and advances that
-// state — the sender-side half of the position codec. The returned slice
-// is the frame's backing buffer.
-func appendPosFrame(dst []byte, cur, prev, prevDelta []fixp.Vec3) []byte {
-	for i := range cur {
-		c, p, pd := cur[i], prev[i], prevDelta[i]
-		d := fixp.Vec3{X: c.X - p.X, Y: c.Y - p.Y, Z: c.Z - p.Z}
-		dst = binary.AppendUvarint(dst, zigzag32(int32(d.X-pd.X)))
-		dst = binary.AppendUvarint(dst, zigzag32(int32(d.Y-pd.Y)))
-		dst = binary.AppendUvarint(dst, zigzag32(int32(d.Z-pd.Z)))
-		prev[i] = c
-		prevDelta[i] = d
+// appendPosFrame appends the position frame of the listed atoms, read
+// from pos, in list order.
+func appendPosFrame(dst []byte, pos []fixp.Vec3, atoms []int32) []byte {
+	for _, a := range atoms {
+		p := pos[a]
+		dst = binary.LittleEndian.AppendUint32(dst, uint32(p.X))
+		dst = binary.LittleEndian.AppendUint32(dst, uint32(p.Y))
+		dst = binary.LittleEndian.AppendUint32(dst, uint32(p.Z))
 	}
 	return dst
 }
 
-// decodePosFrame applies a position frame onto the receiver's local
-// copies: delta_i = ldelta[atoms[i]] + residual_i, lpos[atoms[i]] +=
-// delta_i. The atom list is the sender's owned list (both sides iterate
-// it in the same order); lpos and ldelta hold the previous snapshot and
-// displacement for exactly those atoms.
-func decodePosFrame(frame []byte, atoms []int32, lpos, ldelta []fixp.Vec3) error {
-	off := 0
-	next := func() (int32, bool) {
-		u, n := binary.Uvarint(frame[off:])
-		if n <= 0 {
-			return 0, false
-		}
-		off += n
-		return unzigzag32(u), true
-	}
-	for _, a := range atoms {
-		rx, ok1 := next()
-		ry, ok2 := next()
-		rz, ok3 := next()
-		if !ok1 || !ok2 || !ok3 {
-			return errShortFrame
-		}
-		d := &ldelta[a]
-		d.X += fixp.F32(rx)
-		d.Y += fixp.F32(ry)
-		d.Z += fixp.F32(rz)
-		p := &lpos[a]
-		p.X += d.X
-		p.Y += d.Y
-		p.Z += d.Z
-	}
-	if off != len(frame) {
+// decodePosFrame writes a position frame's entries into pos at the listed
+// atoms (the sender's owned list: both sides iterate it in the same
+// order). A frame of the wrong length is rejected before pos is touched.
+func decodePosFrame(frame []byte, atoms []int32, pos []fixp.Vec3) error {
+	if len(frame) != len(atoms)*posRecord {
 		return errShortFrame
+	}
+	for i, a := range atoms {
+		r := frame[i*posRecord : (i+1)*posRecord]
+		pos[a] = fixp.Vec3{
+			X: fixp.F32(binary.LittleEndian.Uint32(r)),
+			Y: fixp.F32(binary.LittleEndian.Uint32(r[4:])),
+			Z: fixp.F32(binary.LittleEndian.Uint32(r[8:])),
+		}
 	}
 	return nil
 }
 
 // appendForceFrame appends the zigzag-varint packing of a force export
-// payload (no delta base; see the package comment).
+// payload.
 func appendForceFrame(dst []byte, f []Force3) []byte {
 	for i := range f {
 		dst = binary.AppendUvarint(dst, zigzag64(f[i].X))
@@ -138,8 +98,8 @@ func decodeForceFrame(frame []byte, n int, apply func(i int, f Force3)) error {
 	return nil
 }
 
-// posRawBytes / forceRawBytes are the uncompressed payload sizes the
-// frames replace: 12 B per fixed-point position, 24 B per int64 force
-// triple (the in-memory representation the frame carries on the wire).
-func posRawBytes(n int) int64   { return int64(n) * 3 * 4 }
+// posRawBytes / forceRawBytes are the in-memory payload sizes the frames
+// carry: 12 B per fixed-point position (a position frame is exactly
+// that), 24 B per int64 force triple (before varint packing).
+func posRawBytes(n int) int64   { return int64(n) * posRecord }
 func forceRawBytes(n int) int64 { return int64(n) * 3 * 8 }

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"bytes"
 	"encoding/binary"
 	"math"
 	"math/rand"
@@ -9,14 +10,15 @@ import (
 	"anton/internal/fixp"
 )
 
-// Codec tests: the compressed wire frames must be lossless for every bit
-// pattern — the streaming pipeline's bitwise-trajectory contract rides on
-// prev + (cur - prev) == cur holding under modular wraparound, not just
-// for "reasonable" coordinates.
+// Codec tests: the wire frames must be lossless for every bit pattern —
+// the shard pipeline's bitwise-trajectory contract rides on each frame
+// decoding to exactly what was encoded, not just for "reasonable"
+// coordinates — and self-contained, decoding the same whatever the
+// receiver held before.
 
 // TestCodecRoundTrip drives both codecs with seeded random payloads,
-// including extreme values chosen to wrap the fixed-point subtraction,
-// and asserts exact reconstruction plus clean rejection of truncation.
+// including the extreme values, and asserts exact reconstruction plus
+// clean rejection of truncation and trailing bytes.
 func TestCodecRoundTrip(t *testing.T) {
 	rng := rand.New(rand.NewSource(99))
 	extremes32 := []int32{0, 1, -1, math.MaxInt32, math.MinInt32, math.MaxInt32 - 1, math.MinInt32 + 1}
@@ -37,53 +39,45 @@ func TestCodecRoundTrip(t *testing.T) {
 	for trial := 0; trial < 200; trial++ {
 		n := rng.Intn(40)
 
-		// Position codec: decode applies predictor residuals onto the
-		// receiver's copy of the sender's (snapshot, displacement) state,
-		// so seed both sides identically — including a random displacement
-		// history — and check the receiver lands exactly on cur.
-		prev := make([]fixp.Vec3, n)
-		prevDelta := make([]fixp.Vec3, n)
-		cur := make([]fixp.Vec3, n)
-		lpos := make([]fixp.Vec3, n)
-		ldelta := make([]fixp.Vec3, n)
-		atoms := make([]int32, n)
-		for i := 0; i < n; i++ {
-			prev[i] = fixp.Vec3{X: pick32(), Y: pick32(), Z: pick32()}
-			prevDelta[i] = fixp.Vec3{X: pick32(), Y: pick32(), Z: pick32()}
-			cur[i] = fixp.Vec3{X: pick32(), Y: pick32(), Z: pick32()}
-			lpos[i] = prev[i]
-			ldelta[i] = prevDelta[i]
-			atoms[i] = int32(i)
+		// Position codec: the frame of a random atom subset (in a random
+		// order) must land exactly on those atoms' coordinates, and a
+		// rejected frame must leave the receiver untouched.
+		src := make([]fixp.Vec3, 2*n)
+		for i := range src {
+			src[i] = fixp.Vec3{X: pick32(), Y: pick32(), Z: pick32()}
 		}
-		senderPrev := append([]fixp.Vec3(nil), prev...)
-		senderDelta := append([]fixp.Vec3(nil), prevDelta...)
-		frame := appendPosFrame(nil, cur, senderPrev, senderDelta)
-		if err := decodePosFrame(frame, atoms, lpos, ldelta); err != nil {
+		atoms := make([]int32, n)
+		for i, a := range rng.Perm(2 * n)[:n] {
+			atoms[i] = int32(a)
+		}
+		frame := appendPosFrame(nil, src, atoms)
+		if len(frame) != int(posRawBytes(n)) {
+			t.Fatalf("trial %d: %d-atom position frame is %d B, want %d", trial, n, len(frame), posRawBytes(n))
+		}
+		dst := make([]fixp.Vec3, 2*n)
+		if err := decodePosFrame(frame, atoms, dst); err != nil {
 			t.Fatalf("trial %d: decodePosFrame: %v", trial, err)
 		}
-		for i := 0; i < n; i++ {
-			if lpos[i] != cur[i] {
-				t.Fatalf("trial %d: position %d round-trips to %+v, want %+v (prev %+v)",
-					trial, i, lpos[i], cur[i], prev[i])
-			}
-			if senderPrev[i] != cur[i] {
-				t.Fatalf("trial %d: sender snapshot %d not advanced to cur", trial, i)
-			}
-			if ldelta[i] != senderDelta[i] {
-				t.Fatalf("trial %d: displacement state diverged at %d: receiver %+v, sender %+v",
-					trial, i, ldelta[i], senderDelta[i])
+		for _, a := range atoms {
+			if dst[a] != src[a] {
+				t.Fatalf("trial %d: atom %d round-trips to %+v, want %+v", trial, a, dst[a], src[a])
 			}
 		}
 		if n > 0 {
-			if err := decodePosFrame(frame[:len(frame)-1], atoms, lpos, ldelta); err != errShortFrame {
-				t.Fatalf("trial %d: truncated position frame: got %v, want errShortFrame", trial, err)
+			clean := make([]fixp.Vec3, 2*n)
+			for _, bad := range [][]byte{frame[:len(frame)-1], append(append([]byte(nil), frame...), 0)} {
+				if err := decodePosFrame(bad, atoms, clean); err != errShortFrame {
+					t.Fatalf("trial %d: %d-byte position frame for %d atoms: got %v, want errShortFrame", trial, len(bad), n, err)
+				}
 			}
-			if err := decodePosFrame(append(append([]byte(nil), frame...), 0), atoms, lpos, ldelta); err != errShortFrame {
-				t.Fatalf("trial %d: padded position frame: got %v, want errShortFrame", trial, err)
+			for a, p := range clean {
+				if p != (fixp.Vec3{}) {
+					t.Fatalf("trial %d: rejected frame wrote atom %d", trial, a)
+				}
 			}
 		}
 
-		// Force codec: no delta base; every int64 bit pattern must survive.
+		// Force codec: every int64 bit pattern must survive.
 		forces := make([]Force3, n)
 		for i := range forces {
 			forces[i] = Force3{X: pick64(), Y: pick64(), Z: pick64()}
@@ -106,18 +100,16 @@ func TestCodecRoundTrip(t *testing.T) {
 	}
 }
 
-// TestCodecDeltaChaining: a multi-exchange sequence where each frame's
-// base is the previous frame's payload — the receiver must track the
-// sender exactly through an arbitrary walk, since this is how the
-// pipeline uses the codec between rebuildViews resets.
-func TestCodecDeltaChaining(t *testing.T) {
+// TestCodecFramesSelfContained: over a multi-exchange walk, each frame
+// alone restores the sender's positions — whatever the receiver held,
+// and whichever earlier frames it missed. This is what lets a recovery,
+// a migration or a dropped exchange resume with no codec state to
+// resynchronise.
+func TestCodecFramesSelfContained(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	const n = 16
-	senderPrev := make([]fixp.Vec3, n)
-	senderDelta := make([]fixp.Vec3, n)
 	cur := make([]fixp.Vec3, n)
-	lpos := make([]fixp.Vec3, n)   // receiver's copies, start equal to base
-	ldelta := make([]fixp.Vec3, n) // receiver's displacement state
+	lpos := make([]fixp.Vec3, n) // receiver's copies
 	atoms := make([]int32, n)
 	for i := range atoms {
 		atoms[i] = int32(i)
@@ -125,9 +117,7 @@ func TestCodecDeltaChaining(t *testing.T) {
 	var frame []byte
 	for ex := 0; ex < 50; ex++ {
 		for i := 0; i < n; i++ {
-			// Mostly near-constant-velocity walks (the case the predictor
-			// compresses), with occasional full-range jumps to force
-			// wraparound residuals.
+			// Mostly small steps, with occasional full-range jumps.
 			if rng.Intn(10) == 0 {
 				cur[i] = fixp.Vec3{X: fixp.F32(rng.Uint32()), Y: fixp.F32(rng.Uint32()), Z: fixp.F32(rng.Uint32())}
 			} else {
@@ -136,8 +126,16 @@ func TestCodecDeltaChaining(t *testing.T) {
 				cur[i].Z += fixp.F32(rng.Intn(2049) - 1024)
 			}
 		}
-		frame = appendPosFrame(frame[:0], cur, senderPrev, senderDelta)
-		if err := decodePosFrame(frame, atoms, lpos, ldelta); err != nil {
+		frame = appendPosFrame(frame[:0], cur, atoms)
+		if ex%3 == 1 {
+			continue // a frame the receiver never sees
+		}
+		if ex%5 == 0 {
+			for i := range lpos {
+				lpos[i] = fixp.Vec3{X: fixp.F32(rng.Uint32()), Y: fixp.F32(rng.Uint32()), Z: fixp.F32(rng.Uint32())}
+			}
+		}
+		if err := decodePosFrame(frame, atoms, lpos); err != nil {
 			t.Fatalf("exchange %d: %v", ex, err)
 		}
 		for i := 0; i < n; i++ {
@@ -151,10 +149,9 @@ func TestCodecDeltaChaining(t *testing.T) {
 // Fuzz targets for the one wire format shards exchange. Each input is
 // used twice: as a hostile frame (decoding arbitrary bytes must fail
 // cleanly — errShortFrame or nothing, never a panic or an index out of
-// range) and as a payload (every bit pattern, wraparound included, must
-// survive encode → decode, and the frame must reject truncation and
-// trailing bytes). The seeds are the extremes TestCodecRoundTrip draws
-// from and a TestCodecDeltaChaining-style small walk.
+// range) and as a payload (every bit pattern must survive encode →
+// decode, and the frame must reject truncation and trailing bytes). The
+// seeds are the extremes TestCodecRoundTrip draws from and a small walk.
 
 func fuzzSeeds(f *testing.F) {
 	var extremes, walk []byte
@@ -174,46 +171,56 @@ func fuzzSeeds(f *testing.F) {
 func FuzzPosFrame(f *testing.F) {
 	fuzzSeeds(f)
 	f.Fuzz(func(t *testing.T, data []byte, n uint8) {
+		// Hostile view: decode for n atoms. An accepted frame must encode
+		// back to exactly its own bytes; a rejected one must write nothing.
 		atoms := make([]int32, n)
 		for i := range atoms {
 			atoms[i] = int32(i)
 		}
-		if err := decodePosFrame(data, atoms, make([]fixp.Vec3, n), make([]fixp.Vec3, n)); err != nil && err != errShortFrame {
+		pos := make([]fixp.Vec3, n)
+		switch err := decodePosFrame(data, atoms, pos); err {
+		case nil:
+			if back := appendPosFrame(nil, pos, atoms); !bytes.Equal(back, data) {
+				t.Fatalf("accepted frame re-encodes to %x, want %x", back, data)
+			}
+		case errShortFrame:
+			for i, p := range pos {
+				if p != (fixp.Vec3{}) {
+					t.Fatalf("rejected frame wrote atom %d", i)
+				}
+			}
+		default:
 			t.Fatalf("hostile frame: %v", err)
 		}
 
-		// Payload view: 36-byte records of (prev, prevDelta, cur).
-		vec := func(b []byte) fixp.Vec3 {
-			return fixp.Vec3{
-				X: fixp.F32(binary.LittleEndian.Uint32(b)),
-				Y: fixp.F32(binary.LittleEndian.Uint32(b[4:])),
-				Z: fixp.F32(binary.LittleEndian.Uint32(b[8:])),
-			}
-		}
-		m := len(data) / 36
-		prev, prevDelta, cur := make([]fixp.Vec3, m), make([]fixp.Vec3, m), make([]fixp.Vec3, m)
+		// Payload view: 12-byte coordinate records.
+		m := len(data) / posRecord
+		cur := make([]fixp.Vec3, m)
 		atoms = atoms[:0]
-		for i := 0; i < m; i++ {
-			r := data[i*36:]
-			prev[i], prevDelta[i], cur[i] = vec(r), vec(r[12:]), vec(r[24:])
+		for i := range cur {
+			r := data[i*posRecord:]
+			cur[i] = fixp.Vec3{
+				X: fixp.F32(binary.LittleEndian.Uint32(r)),
+				Y: fixp.F32(binary.LittleEndian.Uint32(r[4:])),
+				Z: fixp.F32(binary.LittleEndian.Uint32(r[8:])),
+			}
 			atoms = append(atoms, int32(i))
 		}
-		lpos := append([]fixp.Vec3(nil), prev...)
-		ldelta := append([]fixp.Vec3(nil), prevDelta...)
-		frame := appendPosFrame(nil, cur, prev, prevDelta)
-		if err := decodePosFrame(frame, atoms, lpos, ldelta); err != nil {
+		frame := appendPosFrame(nil, cur, atoms)
+		got := make([]fixp.Vec3, m)
+		if err := decodePosFrame(frame, atoms, got); err != nil {
 			t.Fatalf("own frame: %v", err)
 		}
 		for i := range cur {
-			if lpos[i] != cur[i] || ldelta[i] != prevDelta[i] {
-				t.Fatalf("atom %d round-trips to %+v (delta %+v), want %+v (delta %+v)", i, lpos[i], ldelta[i], cur[i], prevDelta[i])
+			if got[i] != cur[i] {
+				t.Fatalf("atom %d round-trips to %+v, want %+v", i, got[i], cur[i])
 			}
 		}
 		if m > 0 {
-			if err := decodePosFrame(frame[:len(frame)-1], atoms, lpos, ldelta); err != errShortFrame {
+			if err := decodePosFrame(frame[:len(frame)-1], atoms, got); err != errShortFrame {
 				t.Fatalf("truncated frame: got %v, want errShortFrame", err)
 			}
-			if err := decodePosFrame(append(frame, 0), atoms, lpos, ldelta); err != errShortFrame {
+			if err := decodePosFrame(append(frame, 0), atoms, got); err != errShortFrame {
 				t.Fatalf("trailing byte: got %v, want errShortFrame", err)
 			}
 		}
@@ -256,4 +263,28 @@ func FuzzForceFrame(f *testing.F) {
 			}
 		}
 	})
+}
+
+// BenchmarkPosFrame encodes and decodes one position frame of 2,945
+// atoms (DHFR's 23,558 over 8 shards): one link's codec work per
+// exchange.
+func BenchmarkPosFrame(b *testing.B) {
+	const n = 2945
+	rng := rand.New(rand.NewSource(1))
+	pos := make([]fixp.Vec3, n)
+	atoms := make([]int32, n)
+	for i := range pos {
+		pos[i] = fixp.Vec3{X: fixp.F32(rng.Uint32()), Y: fixp.F32(rng.Uint32()), Z: fixp.F32(rng.Uint32())}
+		atoms[i] = int32(i)
+	}
+	got := make([]fixp.Vec3, n)
+	var frame []byte
+	b.SetBytes(posRawBytes(n))
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		frame = appendPosFrame(frame[:0], pos, atoms)
+		if err := decodePosFrame(frame, atoms, got); err != nil {
+			b.Fatal(err)
+		}
+	}
 }

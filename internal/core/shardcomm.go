@@ -169,9 +169,10 @@ type MeasuredComm struct {
 	Migration torus.Stats
 
 	// Wire compression of the shard frames, per traffic class: raw is the
-	// uncompressed payload the torus model routes, wire is the varint
-	// frame bytes actually sent. Deterministic for a fixed config — frame
-	// sizes are a function of the trajectory alone.
+	// payload the torus model routes, wire is the frame bytes actually
+	// sent (equal for positions, varint packed for forces). Deterministic
+	// for a fixed config — frame sizes are a function of the trajectory
+	// alone.
 	PosRawBytes    int64 `json:"pos_raw_bytes"`
 	PosWireBytes   int64 `json:"pos_wire_bytes"`
 	ForceRawBytes  int64 `json:"force_raw_bytes"`

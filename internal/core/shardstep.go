@@ -17,11 +17,10 @@ import (
 //	S1  integratePre     half-kick, drift (owned atoms)
 //	S2  constrainPre     SHAKE + virtual-site placement (owned groups)
 //	 *  decode/residency position cache refresh, early-migration check
-//	A   streamBody       position frames out, then the readiness loop
-//	                     over the imports: range-limited pairs per
-//	                     dependency group, bonded, 1-4; on refresh
-//	                     exclusion corrections + mesh charge spreading;
-//	                     force frames out
+//	A   streamBody       position frames out, every import in, then
+//	                     range-limited pairs, bonded, 1-4 (refresh:
+//	                     exclusion corrections); force frames out;
+//	                     (refresh) mesh charge spreading
 //	 *  mergeMesh        wrapping merge of shard mesh counts; FFT convolve
 //	B   finishForces     (refresh) long-range interpolation (owned);
 //	                     owner merges force frames + vsite spread
@@ -172,11 +171,11 @@ func (s *Sharded) stepOnce() *stageFail {
 	return nil
 }
 
-// computeForces runs one force evaluation through the two streaming
-// stages (one exchange id shared by both): stage A sends the position
-// frames, computes per dependency group as imports arrive and ends with
-// the force exports, the driver runs the mesh collectives, and stage B
-// assembles the canonical forces. Stage A keeps the stExchangePos
+// computeForces runs one force evaluation through its two stages (one
+// exchange id shared by both): stage A sends the position frames,
+// computes once every import has arrived and ends with the force
+// exports, the driver runs the mesh collectives, and stage B assembles
+// the canonical forces. Stage A keeps the stExchangePos
 // fault-plane identity (crash points fire there), stage B keeps
 // stMergeForces.
 func (s *Sharded) computeForces(refresh bool) *stageFail {
@@ -195,10 +194,9 @@ func (s *Sharded) computeForces(refresh bool) *stageFail {
 
 	t0 = e.obsNow()
 	x := s.newExchange()
-	fill := s.overlap
 	if f := s.runEach(stExchangePos,
 		func(st *shardState) { st.sendPositionsStream(x) },
-		func(st *shardState) { st.streamBody(x, refresh, fill) }); f != nil {
+		func(st *shardState) { st.streamBody(x, refresh) }); f != nil {
 		return f
 	}
 	s.obsStageSplit(t0, obs.PhaseMeshSpread, obs.PhasePairMatch)
@@ -249,7 +247,7 @@ func (s *Sharded) obsStageSplit(t0 int64, mesh, rest obs.Phase) {
 	e.obsPhaseNs(rest, wall-share)
 }
 
-// noteStream folds the evaluation's overlap/compression deltas into the
+// noteStream folds the evaluation's wait and wire-byte deltas into the
 // obs counters. Driver-serial; the cumulative totals surface through
 // TransportStats and Comm().
 func (s *Sharded) noteStream() {
@@ -260,7 +258,6 @@ func (s *Sharded) noteStream() {
 	t := s.streamTotals()
 	d := t.sub(s.lastStream)
 	s.lastStream = t
-	e.rec.Add(obs.CtrStreamOverlapNs, d.OverlapNs)
 	e.rec.Add(obs.CtrStreamBlockedNs, d.BlockedNs)
 	e.rec.Add(obs.CtrPosRawBytes, d.PosRawB)
 	e.rec.Add(obs.CtrPosWireBytes, d.PosWireB)

@@ -7,32 +7,24 @@ import (
 	"anton/internal/htis"
 )
 
-// The shard force evaluation: a streaming pipeline (Anton 3-style
-// compute/communication overlap). Each shard keeps a readiness ledger
-// over sender-keyed dependency groups: the pair list is partitioned by
-// the exact set of import sources whose slot atoms the pair reads, the
-// receive loop decrements each group's countdown as its senders arrive,
-// and groups run the moment their count hits zero — while later imports
-// are still in flight. Mesh charge spreading (which needs only owned
-// positions) doubles as filler work for receive gaps, and force exports
-// are sent before the spread tail so their flight overlaps the remaining
-// compute.
+// The shard force evaluation, on one schedule: every shard sends its
+// position frame, receives every import, then computes. It runs as two
+// stages sharing one exchange id:
 //
-// The evaluation runs as two stages sharing one exchange id:
-//
-//	A  sendPositionsStream   delta-compressed position frames out
-//	   streamBody            readiness-driven compute; early force
-//	                         envelopes buffered + acked; pos sends
-//	                         settled; force frames sent at the tail
+//	A  sendPositionsStream   one position frame out per importer
+//	   streamBody            receive every import (early force envelopes
+//	                         buffered + acked; pos sends settled), then
+//	                         range-limited pairs, bonded, 1-4, (refresh)
+//	                         exclusion corrections; force frames out;
+//	                         (refresh) mesh charge spreading
 //	 * mergeMesh + convolve  (refresh) driver-serial collectives
 //	B  finishForces          interpolate, owner force assembly, buffered
 //	                         + remaining force frames applied, vsites
 //
-// No-fill: SetOverlap(false) runs the same stages with stage A's loop
-// only receiving, so every group, then the spread, runs in the serial
-// tail after the last import — the barrier schedule as the degenerate
-// case of the ledger. Frames, transport and results are identical; only
-// OverlapNs stays zero. It exists as the A/B baseline of the ledger.
+// Force exports go out before the spread, so their flight overlaps the
+// spread. Between goroutines of one address space that is all the
+// overlap worth having: running pair work as its imports arrived
+// measured no faster (EXPERIMENTS.md, "One shard schedule").
 //
 // Two stages, not one: the driver-serial mesh collective (merge, FFT
 // convolve) sits between the spread that ends stage A and the
@@ -42,58 +34,12 @@ import (
 //
 // Bitwise contract: arrival order varies, accumulation does not matter.
 // Every force/mesh/virial accumulator is wrapping fixed-point
-// (associative and commutative), each slot/atom is refreshed
-// by exactly one sender, and each interaction is computed once from
-// bit-copied positions — so any interleaving of group execution and
-// frame application produces identical bits. The only order-sensitive
-// sums are the float diagnostic energies, which are buffered per
-// dependency group and reduced in canonical group order (and never feed
-// dynamics).
-
-// depGroup is one sender-keyed dependency group: the subbox pairs that
-// become runnable exactly when every sender in deps has arrived. Group
-// order (first appearance in the myPairs scan) is the canonical float
-// reduction order.
-type depGroup struct {
-	deps  []int32    // sorted impSrcs indices this group waits on
-	pairs [][2]int32 // myPairs subset, in myPairs order
-}
-
-// appendDepGroup grows the group list by one, reusing spare capacity
-// (and its slices' backing arrays) across rebuilds.
-func appendDepGroup(gs []depGroup, deps []int32) []depGroup {
-	if len(gs) < cap(gs) {
-		gs = gs[:len(gs)+1]
-	} else {
-		gs = append(gs, depGroup{})
-	}
-	g := &gs[len(gs)-1]
-	g.deps = append(g.deps[:0], deps...)
-	g.pairs = g.pairs[:0]
-	return gs
-}
-
-// mergeSortedInt32 merges two sorted deduped lists into dst (deduped).
-func mergeSortedInt32(dst, a, b []int32) []int32 {
-	i, j := 0, 0
-	for i < len(a) || j < len(b) {
-		var v int32
-		switch {
-		case j >= len(b) || (i < len(a) && a[i] < b[j]):
-			v = a[i]
-			i++
-		case i >= len(a) || b[j] < a[i]:
-			v = b[j]
-			j++
-		default: // equal
-			v = a[i]
-			i++
-			j++
-		}
-		dst = append(dst, v)
-	}
-	return dst
-}
+// (associative and commutative), each atom's copy is written by exactly
+// one sender, and each interaction is computed once from bit-copied
+// positions — so any interleaving of frame arrivals produces identical
+// bits. The compute runs after the last arrival, over the shard's static
+// pair list, so even the float diagnostic energies do not depend on
+// arrival order.
 
 func resizeBytes(ls [][]byte, n int) [][]byte {
 	for len(ls) < n {
@@ -102,21 +48,19 @@ func resizeBytes(ls [][]byte, n int) [][]byte {
 	return ls[:n]
 }
 
-// streamTally is one shard's cumulative overlap/compression accounting,
-// read by the driver between stages only. The ns fields are wall-clock
+// streamTally is one shard's cumulative wait/wire accounting, read by
+// the driver between stages only. BlockedNs is wall clock
 // (nondeterministic diagnostics); the byte fields are functions of the
 // trajectory alone and are therefore deterministic for a fixed config.
 type streamTally struct {
-	OverlapNs  int64 // ns computing while the exchange was still open
-	BlockedNs  int64 // ns blocked on a receive with no ready work
-	PosRawB    int64 // position payload bytes before compression
+	BlockedNs  int64 // ns blocked on a receive
+	PosRawB    int64 // position payload bytes
 	PosWireB   int64 // position frame bytes actually sent
-	ForceRawB  int64 // force payload bytes before compression
+	ForceRawB  int64 // force payload bytes before varint packing
 	ForceWireB int64 // force frame bytes actually sent
 }
 
 func (t *streamTally) add(o streamTally) {
-	t.OverlapNs += o.OverlapNs
 	t.BlockedNs += o.BlockedNs
 	t.PosRawB += o.PosRawB
 	t.PosWireB += o.PosWireB
@@ -126,7 +70,6 @@ func (t *streamTally) add(o streamTally) {
 
 func (t streamTally) sub(o streamTally) streamTally {
 	return streamTally{
-		OverlapNs:  t.OverlapNs - o.OverlapNs,
 		BlockedNs:  t.BlockedNs - o.BlockedNs,
 		PosRawB:    t.PosRawB - o.PosRawB,
 		PosWireB:   t.PosWireB - o.PosWireB,
@@ -144,7 +87,7 @@ func (s *Sharded) streamTotals() streamTally {
 	return t
 }
 
-// streamBase anchors the monotonic clock used for overlap accounting
+// streamBase anchors the monotonic clock used for wait accounting
 // (time.Since reads the monotonic component).
 var streamBase = time.Now()
 
@@ -152,17 +95,12 @@ func streamNow() int64 { return int64(time.Since(streamBase)) }
 
 // --- Stage A: position send half. ---
 
-// sendPositionsStream snapshots the owned positions, encodes the delta
-// frame against the previous exchange, and multicasts it. The frame is
-// immutable until the next evaluation's send half (a global barrier
-// away), so retransmissions and delayed deliveries resend or alias
-// identical bytes.
+// sendPositionsStream encodes the owned positions into one frame and
+// multicasts it. The frame is immutable until the next evaluation's send
+// half (a global barrier away), so retransmissions and delayed
+// deliveries resend or alias identical bytes.
 func (st *shardState) sendPositionsStream(x *xchg) {
-	e := st.s.E
-	for oi, a := range st.owned {
-		st.posOut[oi] = e.Pos[a]
-	}
-	st.posFrame = appendPosFrame(st.posFrame[:0], st.posOut, st.prevPosOut, st.prevDeltaOut)
+	st.posFrame = appendPosFrame(st.posFrame[:0], st.s.E.Pos, st.owned)
 	st.beginSend()
 	for _, dst := range st.expDsts {
 		st.sendStream(x, dst, msgPos, st.posFrame,
@@ -170,9 +108,9 @@ func (st *shardState) sendPositionsStream(x *xchg) {
 	}
 }
 
-// sendStream transmits one compressed frame: a blocking buffered-channel
-// send in plain runs, a CRC-stamped envelope tracked until settled under
-// the reliable transport.
+// sendStream transmits one frame: a blocking buffered-channel send in
+// plain runs, a CRC-stamped envelope tracked until settled under the
+// reliable transport.
 func (st *shardState) sendStream(x *xchg, dst int32, kind uint8, frame []byte, rawB int64, raw, wire *int64) {
 	*raw += rawB
 	*wire += int64(len(frame))
@@ -189,11 +127,10 @@ func (st *shardState) sendStream(x *xchg, dst int32, kind uint8, frame []byte, r
 
 // --- Stage A: body. ---
 
-// streamBody is the streaming evaluation's main stage: reset the
-// readiness ledger, refresh the shard's own contribution, then drive the
-// import wait loop (running ready work in the gaps), and finish with the
-// serial compute tail, the force exports and the spread remainder.
-func (st *shardState) streamBody(x *xchg, refresh, fill bool) {
+// streamBody is the evaluation's main stage: receive every import, then
+// compute the shard's range-limited, bonded, 1-4 and (refresh) exclusion
+// terms, send the force exports, and (refresh) spread the owned charges.
+func (st *shardState) streamBody(x *xchg, refresh bool) {
 	e := st.s.E
 	k := &e.pk
 	t0 := streamNow()
@@ -207,44 +144,30 @@ func (st *shardState) streamBody(x *xchg, refresh, fill bool) {
 	st.spreadTally, st.interpTally = 0, 0
 	st.arrived, st.footGot = 0, 0
 	st.footDirect = false
-	st.spreadDone = !refresh
 	st.fbuf = st.fbuf[:0]
-	st.readyQ = st.readyQ[:0]
-	st.readyCur = 0
-	for gi := range st.depGroups {
-		st.groupEnergy[gi] = 0
-		n := int32(len(st.depGroups[gi].deps))
-		st.groupLeft[gi] = n
-		if n == 0 {
-			st.readyQ = append(st.readyQ, int32(gi))
-		}
-	}
 
-	// Own refresh: positions, float views, accumulators and slots this
-	// shard supplies itself. Each atom/slot is refreshed by exactly one
-	// party (its owner), so nothing here races a later arrival.
+	// Owned positions come from the canonical state, the rest from the
+	// import frames, each atom's from its owner alone.
 	for _, a := range st.owned {
 		st.lpos[a] = e.Pos[a]
-		st.lposF[a] = e.Coder.Decode(st.lpos[a])
-		st.lfShort[a] = Force3{}
 	}
-	for _, slot := range st.ownSlots {
-		a := k.atomOf[slot]
-		st.spos[slot] = st.lpos[a]
-		st.sbuf[slot] = Force3{}
-	}
-
-	if !st.streamLoop(x, refresh, fill, func() int { return len(st.impSrcs) - st.arrived }) {
+	if !st.streamLoop(x, refresh, func() int { return len(st.impSrcs) - st.arrived }) {
 		return // aborted: recovery restores everything from the checkpoint
 	}
 
-	// Serial tail: every group is ready now (all imports arrived).
-	for st.readyCur < len(st.readyQ) {
-		st.runGroup(st.readyQ[st.readyCur])
-		st.readyCur++
+	// Every import is in: refresh the float and slot views, zero the
+	// accumulators, and compute.
+	for _, a := range st.needAll {
+		st.lposF[a] = e.Coder.Decode(st.lpos[a])
+		st.lfShort[a] = Force3{}
 	}
-	// Canonical-order reductions: slot-force fold in slot order (wrapping
-	// int adds — order-free anyway) and the float energy in group order.
+	for _, sb := range st.touchedSubs {
+		for slot := k.subStart[sb]; slot < k.subStart[sb+1]; slot++ {
+			st.spos[slot] = st.lpos[k.atomOf[slot]]
+			st.sbuf[slot] = Force3{}
+		}
+	}
+	e.pairScan(st.myPairs, st.spos, st.sbuf, &st.batch, &st.energyRL, &st.tally, &st.virial)
 	for _, sb := range st.touchedSubs {
 		for slot := k.subStart[sb]; slot < k.subStart[sb+1]; slot++ {
 			if f := st.sbuf[slot]; f != (Force3{}) {
@@ -252,9 +175,6 @@ func (st *shardState) streamBody(x *xchg, refresh, fill bool) {
 				st.lfShort[a] = st.lfShort[a].Add(f)
 			}
 		}
-	}
-	for gi := range st.depGroups {
-		st.energyRL += st.groupEnergy[gi]
 	}
 
 	for _, t := range st.bondTerms {
@@ -270,29 +190,16 @@ func (st *shardState) streamBody(x *xchg, refresh, fill bool) {
 		st.energyExcl = e.exclScan(st.exclTerms, st.lpos, st.lfLong)
 	}
 
-	// Force exports go out before the spread remainder, so their flight
-	// overlaps the mesh tail on the receiving side.
+	// Force exports go out before the spread, so their flight overlaps it.
 	st.sendForcesStream(x, refresh)
-	if refresh && !st.spreadDone {
+	if refresh {
 		st.runSpread()
 	}
 	st.bodyNs = streamNow() - t0
 }
 
-// runGroup computes one dependency group's pairs. The batch is empty at
-// every group boundary (pairScan flushes before returning), so the flush
-// pattern depends only on the group partition, not on arrival order; the
-// float energy lands in the group's private slot.
-func (st *shardState) runGroup(gi int32) {
-	e := st.s.E
-	g := &st.depGroups[gi]
-	e.pairScan(g.pairs, st.spos, st.sbuf, &st.batch,
-		&st.groupEnergy[gi], &st.tally, &st.virial)
-}
-
 // runSpread spreads the owned atoms' charges onto the private mesh
-// buffer — the guaranteed-ready filler work for receive gaps (it reads
-// only owned positions, refreshed at stage entry).
+// buffer (it reads only owned positions).
 func (st *shardState) runSpread() {
 	t0 := streamNow()
 	e := st.s.E
@@ -308,62 +215,18 @@ func (st *shardState) runSpread() {
 		}
 		st.spreadTally += ms.spreadAtom(q, st.lposF[a], st.meshCounts)
 	}
-	st.spreadDone = true
 	st.meshNs = streamNow() - t0
 }
 
-// runOneReady executes one unit of ready work — the next runnable group,
-// else the mesh spread — and reports whether anything ran.
-func (st *shardState) runOneReady() bool {
-	if st.readyCur < len(st.readyQ) {
-		st.runGroup(st.readyQ[st.readyCur])
-		st.readyCur++
-		return true
-	}
-	if !st.spreadDone {
-		st.runSpread()
-		return true
-	}
-	return false
-}
-
-// applyImport decodes one position frame into the local copies and
-// advances the readiness ledger: refresh the sender's atoms and slots,
-// then decrement every group waiting on it.
+// applyImport decodes one position frame into the local copies of the
+// sender's owned atoms.
 func (st *shardState) applyImport(m *shardMsg) {
-	e := st.s.E
-	k := &e.pk
-	di := -1
-	for i, src := range st.impSrcs {
-		if src == m.from {
-			di = i
-			break
-		}
-	}
-	if di < 0 {
-		return // not an import source (cannot happen for a fresh envelope)
-	}
-	if err := decodePosFrame(m.frame, st.s.shards[m.from].owned, st.lpos, st.ldelta); err != nil {
+	if err := decodePosFrame(m.frame, st.s.shards[m.from].owned, st.lpos); err != nil {
 		// A malformed frame cannot pass the CRC gate; reaching here means
 		// the codec itself broke its round-trip invariant.
 		panic("core: position frame round-trip violation: " + err.Error())
 	}
-	for _, a := range st.footAtoms[di] {
-		st.lposF[a] = e.Coder.Decode(st.lpos[a])
-		st.lfShort[a] = Force3{}
-	}
-	for _, slot := range st.senderSlots[di] {
-		a := k.atomOf[slot]
-		st.spos[slot] = st.lpos[a]
-		st.sbuf[slot] = Force3{}
-	}
 	st.arrived++
-	for _, gi := range st.senderGroups[di] {
-		st.groupLeft[gi]--
-		if st.groupLeft[gi] == 0 {
-			st.readyQ = append(st.readyQ, gi)
-		}
-	}
 }
 
 // applyFoot folds one force frame into the canonical force arrays
@@ -397,7 +260,7 @@ func (st *shardState) applyFoot(m *shardMsg, refresh bool) {
 }
 
 // applyStream dispatches one fresh (non-stale, integrity-checked)
-// envelope: position frames feed the readiness ledger, force frames are
+// envelope: position frames land in the local copies, force frames are
 // buffered during stage A (the owner's base assignment has not run yet)
 // and applied directly during stage B. Returns false for duplicates.
 func (st *shardState) applyStream(x *xchg, m *shardMsg, refresh bool) bool {
@@ -464,10 +327,9 @@ func (st *shardState) handleStream(x *xchg, m *shardMsg, refresh bool) {
 	st.sendAck(x, m)
 }
 
-// streamLoop drives one streaming stage to completion: receive until
-// pending() reaches zero and (reliable mode) every send is *settled*,
-// filling receive gaps with ready work when fill is set. Work run inside
-// the loop counts as overlap; waits with nothing ready count as blocked.
+// streamLoop drives one stage's receive side to completion: receive
+// until pending() reaches zero and (reliable mode) every send is
+// *settled*. Waits that find nothing to receive count as blocked time.
 // Returns false if the supervisor aborted the stage — the shard's local
 // state is then garbage, and recovery restores everything from the
 // checkpoint.
@@ -483,30 +345,18 @@ func (st *shardState) handleStream(x *xchg, m *shardMsg, refresh bool) {
 // itself is guaranteed by the safe-attempt rule (a full-inbox drop at the
 // safe attempt is the one residual loss, and the heartbeat rollback is
 // the backstop for that).
-func (st *shardState) streamLoop(x *xchg, refresh, fill bool, pending func() int) bool {
+func (st *shardState) streamLoop(x *xchg, refresh bool, pending func() int) bool {
 	if !x.reliable() {
 		for pending() > 0 {
-			select {
-			case m := <-st.inbox:
-				st.handleStream(x, &m, refresh)
-			default:
-				if fill {
-					t0 := streamNow()
-					if st.runOneReady() {
-						st.stream.OverlapNs += streamNow() - t0
-						continue
-					}
-				}
-				t0 := streamNow()
-				m := <-st.inbox
-				st.stream.BlockedNs += streamNow() - t0
-				st.handleStream(x, &m, refresh)
-			}
+			t0 := streamNow()
+			m := <-st.inbox
+			st.stream.BlockedNs += streamNow() - t0
+			st.handleStream(x, &m, refresh)
 		}
 		return true
 	}
 
-	// Reliable mode: settle/retransmit with a work-filling idle branch.
+	// Reliable mode: settle/retransmit.
 	settle := x.plane.Spec().SafeAttempt + 2
 	unsettled := 0
 	for i := range st.out {
@@ -544,13 +394,6 @@ func (st *shardState) streamLoop(x *xchg, refresh, fill bool, pending func() int
 		case <-x.abort:
 			return false
 		default:
-			if fill {
-				t0 := streamNow()
-				if st.runOneReady() {
-					st.stream.OverlapNs += streamNow() - t0
-					continue
-				}
-			}
 			t0 := streamNow()
 			select {
 			case m := <-st.inbox:
@@ -628,9 +471,9 @@ func (st *shardState) sendForcesStream(x *xchg, refresh bool) {
 
 // --- Stage B: force assembly. ---
 
-// finishForces is the streaming evaluation's second stage: (refresh)
-// mesh interpolation, the owner's canonical force assembly, application
-// of the force frames buffered during stage A, then the receive loop for
+// finishForces is the evaluation's second stage: (refresh) mesh
+// interpolation, the owner's canonical force assembly, application of
+// the force frames buffered during stage A, then the receive loop for
 // the remainder (which also settles the force sends), and finally the
 // virtual-site spreads — only after every contribution is merged, since
 // the spread rounding is nonlinear in the total.
@@ -662,7 +505,7 @@ func (st *shardState) finishForces(x *xchg, refresh bool) {
 	if refresh {
 		expect += st.inExclFoot
 	}
-	if !st.streamLoop(x, refresh, false, func() int { return expect - st.footGot }) {
+	if !st.streamLoop(x, refresh, func() int { return expect - st.footGot }) {
 		return // aborted: recovery restores everything from the checkpoint
 	}
 

@@ -6,7 +6,7 @@ import (
 	"anton/internal/faults"
 )
 
-// The reliable shard transport. Every message is one compressed frame
+// The reliable shard transport. Every message is one frame
 // (shardcodec.go) sent by sendStream and consumed by streamLoop
 // (shardstream.go). In plain runs (no fault plane attached) that is a
 // blocking buffered-channel send and a counted receive, with no
@@ -125,13 +125,13 @@ type TransportStats struct {
 	AckDrops      int64 `json:"ack_drops"`
 	FullDrops     int64 `json:"full_drops"`
 
-	// Streaming-pipeline accounting. The ns fields measure the overlap
-	// ratio: compute-while-waiting (zero on the no-fill schedule, whose
-	// blocked time is the A/B baseline the overlap win is measured
-	// against) vs blocked on recv. The byte fields measure the wire
-	// compression per traffic class (raw payload vs varint frame). The
-	// byte counts are a function of the trajectory alone, the ns counts
-	// are wall clock.
+	// Force-evaluation accounting: wall time blocked on a receive, and
+	// payload vs frame bytes per traffic class (a position frame is its
+	// payload; force frames are varint packed). The byte counts are a
+	// function of the trajectory alone, BlockedNs is wall clock.
+	// OverlapNs is always zero: no schedule computes while imports are
+	// in flight. It remains for the benchmark harness (bench/engine.go),
+	// which still reads it for core.shard.overlap_share.
 	OverlapNs      int64 `json:"overlap_ns"`
 	BlockedNs      int64 `json:"blocked_ns"`
 	PosRawBytes    int64 `json:"pos_raw_bytes"`
@@ -156,7 +156,6 @@ func (s *Sharded) TransportStats() TransportStats {
 		StaleDiscards:  t.StaleDiscards,
 		AckDrops:       t.AckDrops,
 		FullDrops:      t.FullDrops,
-		OverlapNs:      sm.OverlapNs,
 		BlockedNs:      sm.BlockedNs,
 		PosRawBytes:    sm.PosRawB,
 		PosWireBytes:   sm.PosWireB,

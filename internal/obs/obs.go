@@ -124,18 +124,15 @@ const (
 	CtrLedgerCommits // Merkle batch commits sealed (each is one fsync)
 	CtrLedgerBytes   // bytes appended to the ledger file
 
-	// Streaming shard-pipeline counters (zero in monolithic runs;
-	// stream-overlap-ns also on the no-fill schedule). The overlap ratio is stream-overlap-ns over
-	// (stream-overlap-ns + stream-blocked-ns): time a shard spent computing
-	// while imports were still in flight vs time it sat blocked on a
-	// receive. The byte counters measure the wire compression per traffic
-	// class: raw is the uncompressed payload size (12 B/position,
-	// 24 B/force component triple), wire is the varint frame actually sent.
-	CtrStreamOverlapNs // ns computing while imports were still in flight
-	CtrStreamBlockedNs // ns blocked on a receive with no ready work
-	CtrPosRawBytes     // position payload bytes before compression
+	// Shard force-evaluation counters (zero in monolithic runs): time a
+	// shard sat blocked on a receive, and bytes per traffic class. Raw is
+	// the in-memory payload size (12 B/position, 24 B/force triple), wire
+	// the frame actually sent: equal for positions, varint packed for
+	// forces.
+	CtrStreamBlockedNs // ns blocked on a receive
+	CtrPosRawBytes     // position payload bytes
 	CtrPosWireBytes    // position frame bytes on the wire
-	CtrForceRawBytes   // force payload bytes before compression
+	CtrForceRawBytes   // force payload bytes before varint packing
 	CtrForceWireBytes  // force frame bytes on the wire
 
 	// Of pairs-considered (what the modelled match units examine), the
@@ -160,7 +157,7 @@ var counterNames = [NumCounters]string{
 	"fault-stalls", "fault-crashes", "retransmits", "dup-discards",
 	"crc-discards", "recoveries", "replay-steps", "recovery-ns",
 	"ledger-records", "ledger-commits", "ledger-bytes",
-	"stream-overlap-ns", "stream-blocked-ns",
+	"stream-blocked-ns",
 	"pos-raw-bytes", "pos-wire-bytes",
 	"force-raw-bytes", "force-wire-bytes",
 	"pairs-tested",

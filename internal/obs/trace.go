@@ -14,8 +14,10 @@ import (
 // and the telemetry endpoints. Bump it when a field changes meaning. v4
 // adds the run-ledger counters (ledger-records/-commits/-bytes). v5 adds
 // the streaming shard-pipeline counters (stream-overlap-ns/-blocked-ns,
-// pos-/force-raw/wire-bytes).
-const SchemaVersion = "anton-obs/v5"
+// pos-/force-raw/wire-bytes). v6 drops stream-overlap-ns: the shard
+// force evaluation has one schedule, which never computes while imports
+// are in flight.
+const SchemaVersion = "anton-obs/v6"
 
 // The step tracer records per-step, per-phase spans from the engine into
 // a bounded ring exportable as Chrome trace-event JSON (loadable in

@@ -34,9 +34,8 @@ echo "== race: long concurrency tests =="
 # step) at its densest interleavings — invariance across shard counts,
 # concurrent mesh solves across engines, checkpoint restore across shard
 # counts (in memory and from a file), the streaming chaos campaigns at 8
-# shards (reorder and lossy-with-crash planes, each on the fill and the
-# no-fill schedule) and 64 shards (through a crash, rollback and replay),
-# the mid-run schedule toggle, the per-shard stage timers the driver reads
+# shards (reorder and lossy-with-crash planes) and 64 shards (through a
+# crash, rollback and replay), the per-shard stage timers the driver reads
 # for phase attribution, the quiet reliable transport, single-shard crash
 # recovery and one shard crashing three times (alone, and as one of 8).
 # service: the HTTP surface, cancel, kill/restart and graceful-stop
@@ -45,21 +44,22 @@ echo "== race: long concurrency tests =="
 # antond job and an antonaudit replay of the same spec, and its
 # stop/resume, monolithic and at 8 shards. All but the retention test
 # assert a bitwise trajectory.
-long='TestConcurrentShardMeshSolves|TestShardInvariance|TestShardCheckpointCrossShardCount|TestCheckpointFileCrossShardResume|TestStreamChaosReorder|TestStreamOverlapToggleMidRun|TestShardPhaseAttribution|TestChaosReliableNoFaults|TestChaosSingleShard|TestChaosRepeatedCrash|TestServiceHTTP|TestCancel|TestDaemonKillRestartDurability|TestGracefulStopPersistsBoundary|TestJobLedger|TestDaemonWorkerMetrics|TestTelemetryRetention|TestServiceChaos|TestCLIDigestAgreement|TestCLIResume'
+long='TestConcurrentShardMeshSolves|TestShardInvariance|TestShardCheckpointCrossShardCount|TestCheckpointFileCrossShardResume|TestStreamChaosReorder|TestShardPhaseAttribution|TestChaosReliableNoFaults|TestChaosSingleShard|TestChaosRepeatedCrash|TestServiceHTTP|TestCancel|TestDaemonKillRestartDurability|TestGracefulStopPersistsBoundary|TestJobLedger|TestDaemonWorkerMetrics|TestTelemetryRetention|TestServiceChaos|TestCLIDigestAgreement|TestCLIResume'
 go test -race -timeout 30m -run "$long" ./internal/core ./internal/service ./cmd/...
 
 echo "== determinism: repeated runs =="
 # -count=2 executes each determinism-sensitive test twice in one process,
 # which is what exposes map-iteration-order bugs and state leaking
 # between runs (the Comm() importer traversal was one): a single run can
-# pass by luck, two rarely agree. Covers the wire codecs and byte counts,
-# Merkle roots, both fault planes' replay and liveness, the chaos
+# pass by luck, two rarely agree. Covers the self-contained wire codecs
+# and the byte counts, Merkle roots, both fault planes' replay and
+# liveness, the chaos
 # campaign replay, every worker/shard/observer invariance test, and the
 # bitwise equivalences of the table lookup, the rounding, the pair
 # pipeline, the minimum-image fast path, the mesh rows, the hoisted
 # constraint sweeps, the parallel table fit and the subbox pair walk
 # against their reference implementations.
-det='TestCodecRoundTrip|TestCodecDeltaChaining|TestFSLiveness|Deterministic|Determinism|Bitwise|Invariance'
+det='TestCodecRoundTrip|TestCodecFramesSelfContained|TestFSLiveness|Deterministic|Determinism|Bitwise|Invariance'
 go test -count=2 -timeout 30m -run "$det" ./internal/core ./internal/fft \
 	./internal/torus ./internal/obs ./internal/ledger ./internal/faults \
 	./internal/ppip ./internal/fixp ./internal/htis ./internal/vec \
