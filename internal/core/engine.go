@@ -194,10 +194,6 @@ type Engine struct {
 	// path costs one nil check per phase — never per pair.
 	rec *obs.Recorder
 
-	// trc is the optional step tracer (nil = disabled); same read-only
-	// contract and nil-check cost model as rec.
-	trc *obs.Tracer
-
 	// onStep is an optional end-of-step hook (nil = disabled) — the
 	// attachment point for the health watchdogs. Hooks must be read-only
 	// with respect to dynamics state.
@@ -417,7 +413,8 @@ func (e *Engine) Snapshot() ([]fixp.Vec3, []Vel3) {
 // StepCount returns the completed step count.
 func (e *Engine) StepCount() int { return e.step }
 
-// Observe attaches an observability registry. Pass nil to detach. Must be
+// Observe attaches an observability registry — with its step tracer, if
+// one is attached to it (obs.Recorder.Trace). Pass nil to detach. Must be
 // called between Step calls (the recorder is read by worker goroutines
 // during a step); attaching or detaching never perturbs the trajectory.
 func (e *Engine) Observe(r *obs.Recorder) { e.rec = r }
@@ -425,21 +422,8 @@ func (e *Engine) Observe(r *obs.Recorder) { e.rec = r }
 // Recorder returns the attached observability registry (nil if detached).
 func (e *Engine) Recorder() *obs.Recorder { return e.rec }
 
-// Trace attaches a step tracer (nil to detach) and installs its virtual
-// step layout from the machine performance model. Must be called between
-// Step calls; attaching never perturbs the trajectory.
-func (e *Engine) Trace(t *obs.Tracer) {
-	e.trc = t
-	if t != nil {
-		t.SetStepLayout(e.tracePhaseWeights())
-	}
-}
-
-// Tracer returns the attached step tracer (nil if detached).
-func (e *Engine) Tracer() *obs.Tracer { return e.trc }
-
 // OnStep installs fn as the end-of-step hook (nil to remove). The hook
-// runs after each completed step, after the recorder and tracer flush,
+// runs after each completed step, after the recorder closes it,
 // and must not mutate dynamics state.
 func (e *Engine) OnStep(fn func()) { e.onStep = fn }
 
@@ -448,16 +432,20 @@ func (e *Engine) OnStep(fn func()) { e.onStep = fn }
 // coexist this way). Hooks run in attachment order after OnStep's, in
 // both the monolithic and the sharded step loop, and must not mutate
 // dynamics state. There is deliberately no removal: taps live for the
-// engine's lifetime, like the recorder and tracer.
+// engine's lifetime, like the recorder.
 func (e *Engine) AddStepHook(fn func()) {
 	if fn != nil {
 		e.stepHooks = append(e.stepHooks, fn)
 	}
 }
 
-// runStepHooks fires the end-of-step observers (shared by the
-// monolithic and sharded step loops).
-func (e *Engine) runStepHooks() {
+// endStep closes a completed step: the step count, the recorder, then the
+// end-of-step observers (shared by the monolithic and sharded step loops).
+func (e *Engine) endStep() {
+	e.Stats.Steps++
+	if e.rec != nil {
+		e.rec.StepDone(int64(e.step))
+	}
 	if e.onStep != nil {
 		e.onStep()
 	}
@@ -472,36 +460,21 @@ func (e *Engine) runStepHooks() {
 // drift (trace.MaxDisplacementPBC) against this margin.
 func (e *Engine) MigrationSlack() float64 { return e.subSlack }
 
-// obsNow returns the observability clock, or 0 with observability off.
-// The nil checks are the entire cost of the disabled path. With both a
-// recorder and a tracer attached, the recorder's clock is authoritative
-// (only differences of Now values are ever used).
+// obsNow returns the observability clock (obs.Now), or 0 with
+// observability off. The nil checks are the entire cost of the disabled
+// path.
 func (e *Engine) obsNow() int64 {
-	if e.rec != nil {
-		return e.rec.Now()
+	if e.rec == nil {
+		return 0
 	}
-	if e.trc != nil {
-		return e.trc.Now()
-	}
-	return 0
+	return obs.Now()
 }
 
-// obsPhase closes a timed phase opened at t0 = obsNow(), feeding the
-// recorder's aggregates and the tracer's per-step span accumulators.
+// obsPhase closes a timed phase opened at t0 = obsNow(), handing the
+// recorder its start and duration.
 func (e *Engine) obsPhase(p obs.Phase, t0 int64) {
-	if e.rec == nil && e.trc == nil {
-		return
-	}
-	e.obsPhaseNs(p, e.obsNow()-t0)
-}
-
-// obsPhaseNs books ns of already-measured time to a phase.
-func (e *Engine) obsPhaseNs(p obs.Phase, ns int64) {
 	if e.rec != nil {
-		e.rec.AddPhase(p, ns)
-	}
-	if e.trc != nil {
-		e.trc.AddPhase(p, ns)
+		e.rec.AddPhase(p, t0, obs.Now()-t0)
 	}
 }
 
@@ -640,14 +613,7 @@ func (e *Engine) stepOnce() {
 	if e.step%e.Cfg.MigrationInterval == 0 {
 		e.migrate()
 	}
-	e.Stats.Steps++
-	if e.rec != nil {
-		e.rec.StepDone()
-	}
-	if e.trc != nil {
-		e.trc.StepDone(int64(e.step))
-	}
-	e.runStepHooks()
+	e.endStep()
 }
 
 // driftCoeff returns the velocity-counts-to-position-counts conversion

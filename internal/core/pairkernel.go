@@ -185,12 +185,12 @@ func (e *Engine) flushPairBatch(b *pairBatch, buf []Force3, energy *float64, st 
 	}
 	st.RecordFlush(b.n, pairBatchSize)
 	out := b.out[:b.n]
-	if e.rec == nil && e.trc == nil {
+	if e.rec == nil {
 		e.Pipe.PairForceBatch(b.ds[:b.n], b.params[:b.n], out)
 	} else {
-		t0 := e.obsNow()
+		t0 := obs.Now()
 		e.Pipe.PairForceBatch(b.ds[:b.n], b.params[:b.n], out)
-		st.PPIPNs += e.obsNow() - t0
+		st.PPIPNs += obs.Now() - t0
 	}
 	track := e.Cfg.TrackVirial
 	for n := range out {
@@ -401,9 +401,9 @@ func (e *Engine) rangeLimitedForces() float64 {
 	e.forceBuffers(workers, len(k.pos))
 	e.workerAccums(workers)
 	k.ensureBatches(workers)
-	t0 = e.obsNow()
+	match0 := e.obsNow()
 	parallelChunks(len(e.subPairs), workers, e.pairChunkFn)
-	e.obsPhase(obs.PhasePairMatch, t0)
+	e.obsPhase(obs.PhasePairMatch, match0)
 	t0 = e.obsNow()
 	e.reduceForces(e.fShort, e.workerF[:workers], k.atomOf, workers)
 	e.obsPhase(obs.PhasePairReduce, t0)
@@ -432,10 +432,12 @@ func (e *Engine) rangeLimitedForces() float64 {
 		e.rec.Add(obs.CtrBatchPairs, merged.BatchPairs)
 		e.rec.AddOccupancy(merged.Occupancy)
 		e.rec.AddPhaseBatch(obs.PhasePairPPIP, merged.PPIPNs, merged.BatchFlushes)
-	}
-	if e.trc != nil {
+		// Each worker lane starts with the match section and lasts the
+		// worker's measured PPIP time.
 		for w := 0; w < workers; w++ {
-			e.trc.AddWorker(w, e.workerTallies[w].PPIPNs, e.workerTallies[w].BatchFlushes)
+			if t := &e.workerTallies[w]; t.BatchFlushes > 0 {
+				e.rec.AddLane("worker", "ppip-batches", w, match0, t.PPIPNs, t.BatchFlushes)
+			}
 		}
 	}
 	return energy

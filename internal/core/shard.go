@@ -189,6 +189,7 @@ type shardState struct {
 	footFrames [][]byte    // per impSrcs entry: encoded short-force frame
 	exclFrames [][]byte    // per exclFootDst entry: encoded long-force frame
 	stream     streamTally // wait/wire accounting (driver-read)
+	bodyT0     int64       // start (obs.Now) of the last stage A body (driver-read)
 	bodyNs     int64       // wall of the last stage A/B body (driver-read)
 	meshNs     int64       // of which spread (stage A) / interpolate (stage B)
 
@@ -394,7 +395,6 @@ func (s *Sharded) StepCount() int                  { return s.E.StepCount() }
 func (s *Sharded) Snapshot() ([]fixp.Vec3, []Vel3) { return s.E.Snapshot() }
 func (s *Sharded) SetVelocities(v []vec.V3)        { s.E.SetVelocities(v) }
 func (s *Sharded) Observe(r *obs.Recorder)         { s.E.Observe(r) }
-func (s *Sharded) Trace(t *obs.Tracer)             { s.E.Trace(t) }
 func (s *Sharded) OnStep(fn func())                { s.E.OnStep(fn) }
 
 // bondedTermAtoms returns the atoms of a bonded term by flat index

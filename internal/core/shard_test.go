@@ -140,11 +140,9 @@ func TestShardZeroPerturbation(t *testing.T) {
 	pp, vp := plain.Snapshot()
 
 	observed := smallWaterSharded(t, 8, nil)
-	rec := obs.NewRecorder()
+	rec, tr := tracedRecorder()
 	rec.EnableMemStats()
 	observed.Observe(rec)
-	tr := obs.NewTracer(8192)
-	observed.Trace(tr)
 	w := NewWatch(observed.E, health.DefaultConfig(), 5)
 	observed.Step(60)
 	po, vo := observed.Snapshot()

@@ -160,14 +160,7 @@ func (s *Sharded) stepOnce() *stageFail {
 	if e.step%e.Cfg.MigrationInterval == 0 {
 		s.migrate()
 	}
-	e.Stats.Steps++
-	if e.rec != nil {
-		e.rec.StepDone()
-	}
-	if e.trc != nil {
-		e.trc.StepDone(int64(e.step))
-	}
-	e.runStepHooks()
+	e.endStep()
 	return nil
 }
 
@@ -200,6 +193,11 @@ func (s *Sharded) computeForces(refresh bool) *stageFail {
 		return f
 	}
 	s.obsStageSplit(t0, obs.PhaseMeshSpread, obs.PhasePairMatch)
+	if e.rec != nil {
+		for _, st := range s.shards {
+			e.rec.AddLane("shard", "stage-a", int(st.id), st.bodyT0, st.bodyNs, 1)
+		}
+	}
 	s.comm.noteImport(e.rec)
 
 	if refresh {
@@ -227,13 +225,15 @@ func (s *Sharded) computeForces(refresh bool) *stageFail {
 // work (summed meshNs over summed bodyNs, both stamped by the body) goes
 // to mesh, the remainder to rest. A sharded run thereby reports spreading
 // and interpolation under the monolithic engine's phases, and the phases
-// still sum to the stage wall.
+// still sum to the stage wall. On the timeline the two shares lie back to
+// back across the stage's wall, rest first: they are shares of it, not
+// separately timed intervals.
 func (s *Sharded) obsStageSplit(t0 int64, mesh, rest obs.Phase) {
 	e := s.E
-	if e.rec == nil && e.trc == nil {
+	if e.rec == nil {
 		return
 	}
-	wall := e.obsNow() - t0
+	wall := obs.Now() - t0
 	var meshNs, bodyNs int64
 	for _, st := range s.shards {
 		meshNs += st.meshNs
@@ -242,9 +242,11 @@ func (s *Sharded) obsStageSplit(t0 int64, mesh, rest obs.Phase) {
 	var share int64
 	if meshNs > 0 { // refresh evaluations only
 		share = int64(float64(wall) * float64(meshNs) / float64(bodyNs))
-		e.obsPhaseNs(mesh, share)
 	}
-	e.obsPhaseNs(rest, wall-share)
+	e.rec.AddPhase(rest, t0, wall-share)
+	if meshNs > 0 {
+		e.rec.AddPhase(mesh, t0+wall-share, share)
+	}
 }
 
 // noteStream folds the evaluation's wait and wire-byte deltas into the
@@ -386,12 +388,6 @@ func (s *Sharded) mergeDiagnostics(refresh bool) {
 		e.rec.AddPhaseBatch(obs.PhasePairPPIP, merged.PPIPNs, merged.BatchFlushes)
 		if refresh {
 			e.rec.Add(obs.CtrMeshInteractions, spread+interp)
-		}
-	}
-	if e.trc != nil {
-		w := e.workers()
-		for _, st := range s.shards {
-			e.trc.AddWorker(int(st.id)%w, st.tally.PPIPNs, st.tally.BatchFlushes)
 		}
 	}
 }

@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"anton/internal/htis"
+	"anton/internal/obs"
 )
 
 // The shard force evaluation, on one schedule: every shard sends its
@@ -87,12 +88,6 @@ func (s *Sharded) streamTotals() streamTally {
 	return t
 }
 
-// streamBase anchors the monotonic clock used for wait accounting
-// (time.Since reads the monotonic component).
-var streamBase = time.Now()
-
-func streamNow() int64 { return int64(time.Since(streamBase)) }
-
 // --- Stage A: position send half. ---
 
 // sendPositionsStream encodes the owned positions into one frame and
@@ -133,7 +128,8 @@ func (st *shardState) sendStream(x *xchg, dst int32, kind uint8, frame []byte, r
 func (st *shardState) streamBody(x *xchg, refresh bool) {
 	e := st.s.E
 	k := &e.pk
-	t0 := streamNow()
+	t0 := obs.Now()
+	st.bodyT0 = t0
 
 	// Per-evaluation reset.
 	st.meshNs = 0
@@ -195,13 +191,13 @@ func (st *shardState) streamBody(x *xchg, refresh bool) {
 	if refresh {
 		st.runSpread()
 	}
-	st.bodyNs = streamNow() - t0
+	st.bodyNs = obs.Now() - t0
 }
 
 // runSpread spreads the owned atoms' charges onto the private mesh
 // buffer (it reads only owned positions).
 func (st *shardState) runSpread() {
-	t0 := streamNow()
+	t0 := obs.Now()
 	e := st.s.E
 	ms := e.mesh
 	top := e.Sys.Top
@@ -215,7 +211,7 @@ func (st *shardState) runSpread() {
 		}
 		st.spreadTally += ms.spreadAtom(q, st.lposF[a], st.meshCounts)
 	}
-	st.meshNs = streamNow() - t0
+	st.meshNs = obs.Now() - t0
 }
 
 // applyImport decodes one position frame into the local copies of the
@@ -348,9 +344,9 @@ func (st *shardState) handleStream(x *xchg, m *shardMsg, refresh bool) {
 func (st *shardState) streamLoop(x *xchg, refresh bool, pending func() int) bool {
 	if !x.reliable() {
 		for pending() > 0 {
-			t0 := streamNow()
+			t0 := obs.Now()
 			m := <-st.inbox
-			st.stream.BlockedNs += streamNow() - t0
+			st.stream.BlockedNs += obs.Now() - t0
 			st.handleStream(x, &m, refresh)
 		}
 		return true
@@ -394,20 +390,20 @@ func (st *shardState) streamLoop(x *xchg, refresh bool, pending func() int) bool
 		case <-x.abort:
 			return false
 		default:
-			t0 := streamNow()
+			t0 := obs.Now()
 			select {
 			case m := <-st.inbox:
-				st.stream.BlockedNs += streamNow() - t0
+				st.stream.BlockedNs += obs.Now() - t0
 				st.handleStream(x, &m, refresh)
 				progressed = true
 			case a := <-st.acks:
-				st.stream.BlockedNs += streamNow() - t0
+				st.stream.BlockedNs += obs.Now() - t0
 				ackOne(a)
 				progressed = true
 			case <-x.abort:
 				return false
 			case <-timer.C:
-				st.stream.BlockedNs += streamNow() - t0
+				st.stream.BlockedNs += obs.Now() - t0
 				// Quiescence timeout: retransmit everything unsettled and
 				// back off (the plane never faults attempts >= SafeAttempt).
 				for i := range st.out {
@@ -479,11 +475,11 @@ func (st *shardState) sendForcesStream(x *xchg, refresh bool) {
 // the spread rounding is nonlinear in the total.
 func (st *shardState) finishForces(x *xchg, refresh bool) {
 	e := st.s.E
-	t0 := streamNow()
+	t0 := obs.Now()
 	st.meshNs = 0
 	if refresh {
 		st.interpolate()
-		st.meshNs = streamNow() - t0
+		st.meshNs = obs.Now() - t0
 	}
 	for _, a := range st.owned {
 		e.fShort[a] = st.lfShort[a]
@@ -517,5 +513,5 @@ func (st *shardState) finishForces(x *xchg, refresh bool) {
 	for _, vi := range st.vsites {
 		spreadVSiteForce(e.fShort, &e.Sys.Top.VSites[vi])
 	}
-	st.bodyNs = streamNow() - t0
+	st.bodyNs = obs.Now() - t0
 }

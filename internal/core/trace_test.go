@@ -9,15 +9,21 @@ import (
 )
 
 // attachFullObservability wires every observability layer to an engine:
-// recorder, tracer, and the health watch.
+// recorder, its tracer, and the health watch.
 func attachFullObservability(e *Engine) (*obs.Recorder, *obs.Tracer, *Watch) {
-	rec := obs.NewRecorder()
+	rec, tr := tracedRecorder()
 	rec.EnableMemStats()
 	e.Observe(rec)
-	tr := obs.NewTracer(8192)
-	e.Trace(tr)
 	w := NewWatch(e, health.DefaultConfig(), 5)
 	return rec, tr, w
+}
+
+// tracedRecorder returns a recorder with a step tracer attached.
+func tracedRecorder() (*obs.Recorder, *obs.Tracer) {
+	rec := obs.NewRecorder()
+	tr := obs.NewTracer(8192)
+	rec.Trace(tr)
+	return rec, tr
 }
 
 // TestTraceWatchBitwiseInvariance extends the zero-perturbation contract
@@ -55,8 +61,8 @@ func TestTraceWatchBitwiseInvariance(t *testing.T) {
 // stable pid/tid lanes for the engine and its force workers.
 func TestEngineTraceExportValid(t *testing.T) {
 	e := smallWaterEngine(t, 8, nil)
-	tr := obs.NewTracer(8192)
-	e.Trace(tr)
+	rec, tr := tracedRecorder()
+	e.Observe(rec)
 	e.Step(40)
 
 	raw, err := tr.ExportJSON()
@@ -112,14 +118,14 @@ func TestEngineTraceExportValid(t *testing.T) {
 	}
 }
 
-// TestTraceDeterministicTimeline: two identical runs produce identical
-// structural timelines — names, lanes, virtual timestamps and durations
-// all match even though measured wall times differ between runs.
+// TestTraceDeterministicTimeline: timestamps are measured, ordering is
+// not — two identical runs record the same sequence of (name, lane, step,
+// calls).
 func TestTraceDeterministicTimeline(t *testing.T) {
 	run := func() []obs.Span {
 		e := smallWaterEngine(t, 8, nil)
-		tr := obs.NewTracer(8192)
-		e.Trace(tr)
+		rec, tr := tracedRecorder()
+		e.Observe(rec)
 		e.Step(30)
 		return tr.Spans()
 	}
@@ -129,10 +135,70 @@ func TestTraceDeterministicTimeline(t *testing.T) {
 	}
 	for i := range a {
 		if a[i].Name != b[i].Name || a[i].Pid != b[i].Pid || a[i].Tid != b[i].Tid ||
-			a[i].TS != b[i].TS || a[i].Dur != b[i].Dur ||
-			a[i].Step != b[i].Step {
-			t.Fatalf("span %d structurally differs:\n  %+v\n  %+v", i, a[i], b[i])
+			a[i].Step != b[i].Step || a[i].Calls != b[i].Calls {
+			t.Fatalf("span %d differs in order:\n  %+v\n  %+v", i, a[i], b[i])
 		}
+	}
+}
+
+// TestTraceMeasuredTimeline: on the monolithic engine and at 8 shards,
+// every phase span lies inside the step span of its step, a step's phases
+// sum to no more than the step, and a sharded run draws one lane per
+// shard.
+func TestTraceMeasuredTimeline(t *testing.T) {
+	const steps = 20
+	for _, c := range []struct {
+		name   string
+		shards int
+	}{{"monolithic", 0}, {"8 shards", 8}} {
+		t.Run(c.name, func(t *testing.T) {
+			rec, tr := tracedRecorder()
+			var sim interface {
+				Observe(*obs.Recorder)
+				Step(int)
+			}
+			if c.shards == 0 {
+				sim = smallWaterEngine(t, 8, nil)
+			} else {
+				sim = smallWaterSharded(t, c.shards, nil)
+			}
+			sim.Observe(rec)
+			sim.Step(steps)
+
+			stepSpan := map[int64]obs.Span{}
+			phaseSum := map[int64]int64{}
+			shardLanes := map[int32]bool{}
+			for _, s := range tr.Spans() {
+				switch {
+				case s.Tid == obs.TidStep:
+					stepSpan[s.Step] = s
+				case s.Tid == obs.TidPhases:
+					phaseSum[s.Step] += s.Dur
+				case s.Name == "stage-a":
+					shardLanes[s.Tid] = true
+				}
+			}
+			if len(stepSpan) != steps {
+				t.Fatalf("%d step spans, want %d", len(stepSpan), steps)
+			}
+			for _, s := range tr.Spans() {
+				if s.Tid != obs.TidPhases {
+					continue
+				}
+				st, ok := stepSpan[s.Step]
+				if !ok || s.TS < st.TS || s.TS+s.Dur > st.TS+st.Dur {
+					t.Fatalf("phase span %+v not inside its step span %+v", s, st)
+				}
+			}
+			for step, st := range stepSpan {
+				if phaseSum[step] > st.Dur {
+					t.Errorf("step %d: phases sum to %d ns of a %d ns step", step, phaseSum[step], st.Dur)
+				}
+			}
+			if len(shardLanes) != c.shards {
+				t.Errorf("%d shard lanes, want %d", len(shardLanes), c.shards)
+			}
+		})
 	}
 }
 

@@ -12,9 +12,10 @@ import (
 // /jobs/{id}/metrics-style requests here. Surfaces outlive their jobs on
 // purpose: a completed job's last published snapshot stays scrapeable
 // until the set's owner drops it. The set itself never evicts — each
-// surface pins its rendered trace, so an owner that never calls Drop
-// grows by one trace per job; antond keeps the running jobs and the
-// last few finished ones (service.retainedTelemetry).
+// surface pins its rendered trace (~0.5 MB for a full 4096-span ring), so
+// an owner that never calls Drop grows by one trace per job; antond keeps
+// the running jobs and the last few finished ones
+// (service.retainedTelemetry).
 //
 // The set is safe for concurrent use: workers publish into their job's
 // surface while HTTP handlers resolve and read others.

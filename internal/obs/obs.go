@@ -24,7 +24,6 @@ import (
 	"io"
 	"runtime"
 	"strings"
-	"time"
 )
 
 // Phase identifies one timed section of the engine's step loop. The set
@@ -186,7 +185,8 @@ type PhaseStat struct {
 // Recorder is the engine-attached observability registry. The zero value
 // is not usable; call NewRecorder.
 type Recorder struct {
-	start time.Time
+	start int64 // Now at construction
+	trc   *Tracer
 
 	phases    [NumPhases]PhaseStat
 	counters  [NumCounters]int64
@@ -203,10 +203,16 @@ type Recorder struct {
 	gcPauseNs  int64
 }
 
-// NewRecorder builds an empty registry with its monotonic clock started.
+// NewRecorder builds an empty registry.
 func NewRecorder() *Recorder {
-	return &Recorder{start: time.Now()}
+	return &Recorder{start: Now()}
 }
+
+// Trace attaches a step tracer (nil detaches): every phase call and lane
+// span the recorder is handed from then on also lands in the tracer's
+// ring, with the start and duration the engine measured. Attach between
+// steps.
+func (r *Recorder) Trace(t *Tracer) { r.trc = t }
 
 // EnableMemStats turns on per-step allocation/GC delta tracking from the
 // current heap state.
@@ -215,14 +221,14 @@ func (r *Recorder) EnableMemStats() {
 	runtime.ReadMemStats(&r.memBase)
 }
 
-// Now returns the registry's monotonic clock in nanoseconds. Phase
-// timestamps are differences of Now values.
-func (r *Recorder) Now() int64 { return int64(time.Since(r.start)) }
-
-// AddPhase accumulates one timed call of ns nanoseconds into a phase.
-func (r *Recorder) AddPhase(p Phase, ns int64) {
+// AddPhase accumulates one timed call into a phase: it started at t0 on
+// the Now clock and lasted ns. An attached tracer records it as a span.
+func (r *Recorder) AddPhase(p Phase, t0, ns int64) {
 	r.phases[p].Ns += ns
 	r.phases[p].Calls++
+	if r.trc != nil {
+		r.trc.push(p.String(), TidPhases, t0, ns, 1)
+	}
 }
 
 // AddPhaseBatch accumulates pre-merged time from calls invocations (the
@@ -230,6 +236,16 @@ func (r *Recorder) AddPhase(p Phase, ns int64) {
 func (r *Recorder) AddPhaseBatch(p Phase, ns, calls int64) {
 	r.phases[p].Ns += ns
 	r.phases[p].Calls += calls
+}
+
+// AddLane records a measured span named name on worker lane w (a force
+// worker's PPIP batches, a shard's stage body): it started at t0 and
+// lasted ns over calls calls. Only an attached tracer keeps it; the
+// aggregate time reaches the recorder through AddPhaseBatch.
+func (r *Recorder) AddLane(kind, name string, w int, t0, ns, calls int64) {
+	if r.trc != nil {
+		r.trc.lane(kind, name, w, t0, ns, int32(calls))
+	}
 }
 
 // Add accumulates n events into a counter.
@@ -243,9 +259,13 @@ func (r *Recorder) AddOccupancy(h [OccupancyBuckets]int64) {
 	}
 }
 
-// StepDone marks the end of one time step, capturing allocation/GC deltas
-// when enabled.
-func (r *Recorder) StepDone() {
+// StepDone marks the end of time step `step` (the engine's 1-based count),
+// closing its step span in an attached tracer and capturing
+// allocation/GC deltas when enabled.
+func (r *Recorder) StepDone(step int64) {
+	if r.trc != nil {
+		r.trc.stepDone(step, Now())
+	}
 	r.steps++
 	if !r.trackMem {
 		return
@@ -333,7 +353,7 @@ type Snapshot struct {
 func (r *Recorder) Snapshot() Snapshot {
 	s := Snapshot{
 		Steps:  r.steps,
-		WallNs: r.Now(),
+		WallNs: Now() - r.start,
 	}
 	for p := Phase(0); p < NumPhases; p++ {
 		if wallPhase(p) {

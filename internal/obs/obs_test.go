@@ -36,15 +36,15 @@ func TestPhaseAndCounterNames(t *testing.T) {
 
 func TestRecorderAccumulation(t *testing.T) {
 	r := NewRecorder()
-	r.AddPhase(PhaseBonded, 100)
-	r.AddPhase(PhaseBonded, 50)
+	r.AddPhase(PhaseBonded, 0, 100)
+	r.AddPhase(PhaseBonded, 100, 50)
 	r.AddPhaseBatch(PhasePairPPIP, 300, 4)
 	r.Add(CtrPairsConsidered, 1000)
 	r.Add(CtrPairsComputed, 400)
 	r.Add(CtrBatchFlushes, 2)
 	r.AddOccupancy([OccupancyBuckets]int64{0, 0, 0, 0, 0, 0, 1, 1})
-	r.StepDone()
-	r.StepDone()
+	r.StepDone(1)
+	r.StepDone(2)
 
 	if r.Steps() != 2 {
 		t.Fatalf("steps %d", r.Steps())
@@ -113,12 +113,12 @@ func busyRecorder() *Recorder {
 	r := NewRecorder()
 	r.EnableMemStats()
 	for p := Phase(0); p < NumPhases; p++ {
-		r.AddPhase(p, int64(p+1)*10)
+		r.AddPhase(p, 0, int64(p+1)*10)
 	}
 	for c := Counter(0); c < NumCounters; c++ {
 		r.Add(c, int64(c+1))
 	}
-	r.StepDone()
+	r.StepDone(1)
 	return r
 }
 
@@ -144,7 +144,7 @@ func TestMemStatsTracking(t *testing.T) {
 	sink := make([][]byte, 0, 64)
 	for i := 0; i < 50; i++ {
 		sink = append(sink, make([]byte, 1<<12))
-		r.StepDone()
+		r.StepDone(int64(i + 1))
 	}
 	_ = sink
 	s := r.Snapshot()

@@ -73,8 +73,10 @@ func TestTelemetryEndpoints(t *testing.T) {
 
 	// Publish everything.
 	rec := NewRecorder()
-	rec.AddPhase(PhaseIntegration, 5_000_000)
-	rec.StepDone()
+	tr := NewTracer(64)
+	rec.Trace(tr)
+	rec.AddPhase(PhaseIntegration, Now(), 5_000_000)
+	rec.StepDone(1)
 	tel.PublishSnapshot(rec.Snapshot())
 	tel.PublishSample(StepSample{Step: 7, Temperature: 301.5, TotalEnergy: -950})
 
@@ -82,9 +84,6 @@ func TestTelemetryEndpoints(t *testing.T) {
 	reg.Eval(health.Sample{Step: 1, HeadroomBits: 1, HaveHeadroom: true}) // latch critical
 	tel.PublishHealth(reg.Status(SchemaVersion))
 
-	tr := NewTracer(64)
-	tr.AddPhase(PhaseIntegration, 100)
-	tr.StepDone(1)
 	if err := tel.PublishTrace(tr); err != nil {
 		t.Fatal(err)
 	}

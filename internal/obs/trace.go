@@ -16,32 +16,41 @@ import (
 // the streaming shard-pipeline counters (stream-overlap-ns/-blocked-ns,
 // pos-/force-raw/wire-bytes). v6 drops stream-overlap-ns: the shard
 // force evaluation has one schedule, which never computes while imports
-// are in flight.
-const SchemaVersion = "anton-obs/v6"
+// are in flight. v7 makes trace spans measured: ts and dur are the start
+// and duration read from the one clock (Now), the otherData key giving
+// the old virtual step window and the per-span wall_ns arg are gone, and
+// a sharded run draws one "shard N" lane per shard.
+const SchemaVersion = "anton-obs/v7"
 
-// The step tracer records per-step, per-phase spans from the engine into
-// a bounded ring exportable as Chrome trace-event JSON (loadable in
-// Perfetto / chrome://tracing).
+// The step tracer keeps a bounded ring of the spans a Recorder measured,
+// exportable as Chrome trace-event JSON (loadable in Perfetto /
+// chrome://tracing). It is attached to a Recorder (Recorder.Trace), never
+// to the engine: the engine times each phase once and hands the recorder
+// its start and duration, and the tracer draws exactly that.
 //
-// Virtual time. Wall clocks are nondeterministic, so span timestamps use
-// a deterministic step-indexed virtual clock instead: every step owns a
-// fixed window of StepVirtualNs virtual nanoseconds, and each phase is
-// assigned a fixed slot inside the window (by default proportional to the
-// machine model's predicted phase shares, so the timeline's shape mirrors
-// the paper's Table 2 pipeline). Two runs of the same configuration
-// produce bitwise-identical timestamps; the measured wall time of each
-// span rides along in its args instead of distorting the layout.
+// Measured time. A span's TS and Dur are nanoseconds on the one
+// observability clock, Now. Phase spans are the timed calls themselves; a
+// step span runs from the step's first phase start to Recorder.StepDone,
+// so whatever the phases did not time shows as the gap between them.
+//
+// Ordering contract. Timestamps are measured and differ between runs; the
+// sequence of (name, lane, step, calls) does not: the same run yields the
+// same spans in the same order.
 //
 // Lanes. pid/tid assignment is stable: the engine is pid 1 with a step
 // lane (tid 0), a phase lane (tid 1) and one lane per force worker
-// (tid 10+w).
+// ("worker N") or per shard ("shard N") at tid 10+N.
 //
 // Like the Recorder, a Tracer is owned by the engine's coordinating
 // goroutine and is strictly read-only with respect to dynamics state.
 
-// StepVirtualNs is the virtual-time window of one step (1 virtual ms, so
-// exported timestamps advance 1000 us per step).
-const StepVirtualNs = 1_000_000
+// clockBase anchors Now (time.Since reads the monotonic component).
+var clockBase = time.Now()
+
+// Now returns the observability clock: monotonic nanoseconds since the
+// process started. Every phase timer, shard stage timer and trace span
+// reads it, so they share one time base.
+func Now() int64 { return int64(time.Since(clockBase)) }
 
 // Stable pid/tid lane assignment of the exported trace.
 const (
@@ -52,124 +61,50 @@ const (
 	TidWorkerBase = 10
 )
 
-// Span is one recorded trace span. TS and Dur are virtual nanoseconds
-// (deterministic); WallNs is the measured wall time of the live engine
-// phase the span came from.
+// Span is one recorded trace span: TS and Dur are measured nanoseconds on
+// the Now clock.
 type Span struct {
-	Name   string
-	Pid    int32
-	Tid    int32
-	TS     int64
-	Dur    int64
-	Step   int64
-	WallNs int64
-	Calls  int32
+	Name  string
+	Pid   int32
+	Tid   int32
+	TS    int64
+	Dur   int64
+	Step  int64
+	Calls int32
 }
 
 // Tracer is the bounded-ring step tracer. The zero value is not usable;
 // call NewTracer.
 type Tracer struct {
-	start time.Time
-
 	ring    []Span
 	head    int // next write index
 	count   int
 	dropped int64
 
-	offsets [NumPhases]int64
-	slots   [NumPhases]int64
-
-	// Per-step accumulation, flushed by StepDone.
-	cur      [NumPhases]int64
-	curCalls [NumPhases]int32
-	workerNs []int64
-	workerFl []int64
-	maxWork  int
+	open   int      // spans pushed since the last step closed
+	stepT0 int64    // start of the open step's first span
+	lanes  []string // lane kind ("worker", "shard") per worker lane
 }
 
-// NewTracer builds a tracer with the given ring capacity (minimum 64)
-// and a uniform phase layout; SetStepLayout replaces the layout.
+// NewTracer builds a tracer with the given ring capacity (minimum 64).
 func NewTracer(capacity int) *Tracer {
 	if capacity < 64 {
 		capacity = 64
 	}
-	t := &Tracer{
-		start: time.Now(),
-		ring:  make([]Span, capacity),
-	}
-	var uniform [NumPhases]float64
-	for p := Phase(0); p < NumPhases; p++ {
-		if wallPhase(p) {
-			uniform[p] = 1
-		}
-	}
-	t.SetStepLayout(uniform)
-	return t
+	return &Tracer{ring: make([]Span, capacity)}
 }
-
-// Now returns the tracer's monotonic wall clock in nanoseconds (used by
-// the engine to measure span wall times when no Recorder is attached).
-func (t *Tracer) Now() int64 { return int64(time.Since(t.start)) }
 
 // Dropped returns the number of spans evicted from the ring.
 func (t *Tracer) Dropped() int64 { return t.dropped }
 
-// SetStepLayout installs the per-phase virtual slot widths from relative
-// weights: each wall phase receives weight/total of the step window, laid
-// out in canonical phase order. Zero or negative weights collapse the
-// slot; the nested PhasePairPPIP shares PhasePairMatch's slot (worker
-// lanes render inside it).
-func (t *Tracer) SetStepLayout(weights [NumPhases]float64) {
-	total := 0.0
-	for p := Phase(0); p < NumPhases; p++ {
-		if wallPhase(p) && weights[p] > 0 {
-			total += weights[p]
-		}
+// push appends a span of the open step to the ring, evicting the oldest
+// on overflow. Its step number is filled in when the step closes.
+func (t *Tracer) push(name string, tid int32, t0, ns int64, calls int32) {
+	if t.open == 0 {
+		t.stepT0 = t0
 	}
-	if total <= 0 {
-		total = 1
-	}
-	var off int64
-	for p := Phase(0); p < NumPhases; p++ {
-		if !wallPhase(p) {
-			continue
-		}
-		w := weights[p]
-		if w < 0 {
-			w = 0
-		}
-		t.offsets[p] = off
-		t.slots[p] = int64(w / total * StepVirtualNs)
-		off += t.slots[p]
-	}
-	t.offsets[PhasePairPPIP] = t.offsets[PhasePairMatch]
-	t.slots[PhasePairPPIP] = t.slots[PhasePairMatch]
-}
-
-// AddPhase accumulates one timed call into the current step (same call
-// convention as Recorder.AddPhase; the engine feeds both).
-func (t *Tracer) AddPhase(p Phase, ns int64) {
-	t.cur[p] += ns
-	t.curCalls[p]++
-}
-
-// AddWorker accumulates one worker's per-step PPIP datapath time and
-// flush count (rendered as a span on the worker's lane).
-func (t *Tracer) AddWorker(w int, ppipNs, flushes int64) {
-	for len(t.workerNs) <= w {
-		t.workerNs = append(t.workerNs, 0)
-		t.workerFl = append(t.workerFl, 0)
-	}
-	t.workerNs[w] += ppipNs
-	t.workerFl[w] += flushes
-	if w+1 > t.maxWork {
-		t.maxWork = w + 1
-	}
-}
-
-// push appends a span to the ring, evicting the oldest on overflow.
-func (t *Tracer) push(s Span) {
-	t.ring[t.head] = s
+	t.open++
+	t.ring[t.head] = Span{Name: name, Pid: PidEngine, Tid: tid, TS: t0, Dur: ns, Calls: calls}
 	t.head = (t.head + 1) % len(t.ring)
 	if t.count < len(t.ring) {
 		t.count++
@@ -178,64 +113,27 @@ func (t *Tracer) push(s Span) {
 	}
 }
 
-// StepDone flushes the accumulated phase and worker times of completed
-// step `step` (1-based) as spans in the step's virtual window and resets
-// the per-step accumulators.
-func (t *Tracer) StepDone(step int64) {
-	base := (step - 1) * StepVirtualNs
-	if base < 0 {
-		base = 0
+// lane records a span on worker lane w, naming the lane kind.
+func (t *Tracer) lane(kind, name string, w int, t0, ns int64, calls int32) {
+	for len(t.lanes) <= w {
+		t.lanes = append(t.lanes, "")
 	}
-	var stepWall int64
-	for p := Phase(0); p < NumPhases; p++ {
-		if !wallPhase(p) {
-			continue
-		}
-		stepWall += t.cur[p]
-		if t.curCalls[p] == 0 {
-			continue
-		}
-		t.push(Span{
-			Name:   p.String(),
-			Pid:    PidEngine,
-			Tid:    TidPhases,
-			TS:     base + t.offsets[p],
-			Dur:    t.slots[p],
-			Step:   step,
-			WallNs: t.cur[p],
-			Calls:  t.curCalls[p],
-		})
-		t.cur[p] = 0
-		t.curCalls[p] = 0
+	t.lanes[w] = kind
+	t.push(name, TidWorkerBase+int32(w), t0, ns, calls)
+}
+
+// stepDone closes step `step` at end: the spans pushed since the last
+// close (those still in the ring) take its number, and a step span runs
+// from the first of them to end.
+func (t *Tracer) stepDone(step, end int64) {
+	if t.open == 0 {
+		t.stepT0 = end
 	}
-	t.cur[PhasePairPPIP] = 0
-	t.curCalls[PhasePairPPIP] = 0
-	t.push(Span{
-		Name:   "step",
-		Pid:    PidEngine,
-		Tid:    TidStep,
-		TS:     base,
-		Dur:    StepVirtualNs,
-		Step:   step,
-		WallNs: stepWall,
-		Calls:  1,
-	})
-	for w := 0; w < t.maxWork; w++ {
-		if t.workerFl[w] > 0 {
-			t.push(Span{
-				Name:   "ppip-batches",
-				Pid:    PidEngine,
-				Tid:    TidWorkerBase + int32(w),
-				TS:     base + t.offsets[PhasePairPPIP],
-				Dur:    t.slots[PhasePairPPIP],
-				Step:   step,
-				WallNs: t.workerNs[w],
-				Calls:  int32(t.workerFl[w]),
-			})
-		}
-		t.workerNs[w] = 0
-		t.workerFl[w] = 0
+	t.push("step", TidStep, t.stepT0, end-t.stepT0, 1)
+	for i := 1; i <= min(t.open, t.count); i++ {
+		t.ring[(t.head-i+len(t.ring))%len(t.ring)].Step = step
 	}
+	t.open = 0
 }
 
 // Spans returns the ring contents oldest-first (copied).
@@ -291,7 +189,6 @@ func (t *Tracer) ExportJSON() ([]byte, error) {
 		OtherData: map[string]string{
 			"schemaVersion": SchemaVersion,
 			"generator":     "anton step tracer",
-			"virtualStepUs": fmt.Sprintf("%d", StepVirtualNs/1000),
 		},
 	}
 	meta := func(pid, tid int64, kind, name string) {
@@ -303,17 +200,12 @@ func (t *Tracer) ExportJSON() ([]byte, error) {
 	meta(PidEngine, 0, "process_name", "engine")
 	meta(PidEngine, TidStep, "thread_name", "steps")
 	meta(PidEngine, TidPhases, "thread_name", "phases")
-	for w := 0; w < t.maxWorkerSeen(spans); w++ {
-		meta(PidEngine, int64(TidWorkerBase+w), "thread_name", fmt.Sprintf("worker %d", w))
+	for w, kind := range t.lanes {
+		if kind != "" {
+			meta(PidEngine, int64(TidWorkerBase+w), "thread_name", fmt.Sprintf("%s %d", kind, w))
+		}
 	}
 	for _, s := range spans {
-		args := map[string]any{"step": s.Step}
-		if s.WallNs > 0 {
-			args["wall_ns"] = s.WallNs
-		}
-		if s.Calls > 0 {
-			args["calls"] = s.Calls
-		}
 		f.TraceEvents = append(f.TraceEvents, traceEvent{
 			Name: s.Name,
 			Ph:   "X",
@@ -322,7 +214,7 @@ func (t *Tracer) ExportJSON() ([]byte, error) {
 			Dur:  float64(s.Dur) / 1e3,
 			Pid:  int64(s.Pid),
 			Tid:  int64(s.Tid),
-			Args: args,
+			Args: map[string]any{"step": s.Step, "calls": s.Calls},
 		})
 	}
 	var buf bytes.Buffer
@@ -331,20 +223,6 @@ func (t *Tracer) ExportJSON() ([]byte, error) {
 		return nil, err
 	}
 	return buf.Bytes(), nil
-}
-
-// maxWorkerSeen returns the number of worker lanes present in spans (the
-// tracer's running maximum survives ring eviction).
-func (t *Tracer) maxWorkerSeen(spans []Span) int {
-	max := t.maxWork
-	for _, s := range spans {
-		if s.Pid == PidEngine && s.Tid >= TidWorkerBase {
-			if w := int(s.Tid-TidWorkerBase) + 1; w > max {
-				max = w
-			}
-		}
-	}
-	return max
 }
 
 // Export writes the Chrome trace-event JSON document to w.

@@ -2,17 +2,22 @@ package obs
 
 import (
 	"encoding/json"
+	"strings"
 	"testing"
 )
 
-// fillSteps pushes n synthetic steps through a tracer: one integration
-// phase call, one migration call, and one worker tally per step.
+// fillSteps pushes n synthetic steps through a traced recorder: one
+// integration call, one migration call and one worker span per step, laid
+// out back to back on a synthetic clock 2000 ns per step.
 func fillSteps(t *Tracer, n int) {
+	r := NewRecorder()
+	r.Trace(t)
 	for s := int64(1); s <= int64(n); s++ {
-		t.AddPhase(PhaseIntegration, 1000+s)
-		t.AddPhase(PhaseMigration, 10)
-		t.AddWorker(0, 500, 3)
-		t.StepDone(s)
+		base := s * 2000
+		r.AddPhase(PhaseIntegration, base, 1000)
+		r.AddLane("worker", "ppip-batches", 0, base, 500, 3)
+		r.AddPhase(PhaseMigration, base+1000, 10)
+		r.StepDone(s)
 	}
 }
 
@@ -39,79 +44,127 @@ func TestTracerRingEviction(t *testing.T) {
 	}
 }
 
+// traceMatchStep pushes one measured step through a traced recorder: a
+// pair-gather call, a pair-match call with two worker spans inside it and
+// the merged PPIP time, closed as step 7. It returns the first phase start
+// and a Now read after the step closed.
+func traceMatchStep(tr *Tracer) (t0, end int64) {
+	r := NewRecorder()
+	r.Trace(tr)
+	t0 = Now()
+	r.AddPhase(PhasePairGather, t0, 40)
+	r.AddPhase(PhasePairMatch, t0+40, 100)
+	r.AddPhaseBatch(PhasePairPPIP, 130, 4)
+	r.AddLane("worker", "ppip-batches", 0, t0+40, 70, 2)
+	r.AddLane("worker", "ppip-batches", 1, t0+40, 60, 2)
+	r.StepDone(7)
+	return t0, Now()
+}
+
+// TestTracerStepLayout: a step lays out as its measured calls. Each phase
+// span carries exactly the (t0, ns) the recorder was handed on the phase
+// lane, merged batch time draws no span, every span takes the step's
+// number, and the step span runs from the first phase start to StepDone.
 func TestTracerStepLayout(t *testing.T) {
-	tr := NewTracer(256)
-	var w [NumPhases]float64
-	w[PhaseIntegration] = 3
-	w[PhaseMigration] = 1
-	tr.SetStepLayout(w)
+	tr := NewTracer(64)
+	t0, end := traceMatchStep(tr)
 
-	tr.AddPhase(PhaseIntegration, 100)
-	tr.AddPhase(PhaseMigration, 50)
-	tr.StepDone(1)
-
-	var integ, mig *Span
-	spans := tr.Spans()
-	for i := range spans {
-		switch spans[i].Name {
-		case PhaseIntegration.String():
-			integ = &spans[i]
-		case PhaseMigration.String():
-			mig = &spans[i]
+	var gather, match, step []Span
+	for _, s := range tr.Spans() {
+		if s.Step != 7 {
+			t.Errorf("span %q labelled step %d, want 7", s.Name, s.Step)
+		}
+		switch {
+		case s.Name == PhasePairGather.String():
+			gather = append(gather, s)
+		case s.Name == PhasePairMatch.String():
+			match = append(match, s)
+		case s.Tid == TidStep:
+			step = append(step, s)
+		case s.Tid >= TidWorkerBase:
+		default:
+			t.Errorf("unexpected span %+v", s)
 		}
 	}
-	if integ == nil || mig == nil {
-		t.Fatal("phase spans missing")
+	if len(gather) != 1 || len(match) != 1 || len(step) != 1 {
+		t.Fatalf("got %d gather, %d match, %d step spans, want one each",
+			len(gather), len(match), len(step))
 	}
-	if integ.Dur != 3*mig.Dur {
-		t.Errorf("slot widths %d vs %d, want 3:1 split", integ.Dur, mig.Dur)
+	if g := gather[0]; g.TS != t0 || g.Dur != 40 || g.Tid != TidPhases || g.Calls != 1 {
+		t.Errorf("gather span %+v, want ts %d dur 40 on the phase lane", g, t0)
 	}
-	if integ.Dur+mig.Dur > StepVirtualNs {
-		t.Errorf("slots overflow the step window: %d", integ.Dur+mig.Dur)
+	if m := match[0]; m.TS != t0+40 || m.Dur != 100 || m.Tid != TidPhases || m.Calls != 1 {
+		t.Errorf("match span %+v, want ts %d dur 100 on the phase lane", m, t0+40)
 	}
-	if integ.WallNs != 100 || mig.WallNs != 50 {
-		t.Errorf("measured wall times not carried: %d, %d", integ.WallNs, mig.WallNs)
+	if s := step[0]; s.TS != t0 || s.TS+s.Dur > end || s.Dur < 140 {
+		t.Errorf("step span %+v, want ts %d covering both phases and ending by %d", s, t0, end)
 	}
-	// Second step lands one full virtual window later.
-	tr.AddPhase(PhaseIntegration, 100)
-	tr.StepDone(2)
+}
+
+// TestTracerPPIPSharesMatchSlot: the PPIP work runs inside the match
+// unit's call, so each worker span lies inside the pair-match span, one
+// lane per worker, and the export names those lanes "worker N".
+func TestTracerPPIPSharesMatchSlot(t *testing.T) {
+	tr := NewTracer(64)
+	traceMatchStep(tr)
+
+	var match Span
+	var workers []Span
 	for _, s := range tr.Spans() {
-		if s.Step == 2 && s.Name == PhaseIntegration.String() {
-			if s.TS != StepVirtualNs+integ.TS {
-				t.Errorf("step 2 span at ts %d, want %d", s.TS, StepVirtualNs+integ.TS)
-			}
+		switch {
+		case s.Name == PhasePairMatch.String():
+			match = s
+		case s.Tid >= TidWorkerBase:
+			workers = append(workers, s)
+		}
+	}
+	if len(workers) != 2 {
+		t.Fatalf("got %d worker spans, want 2", len(workers))
+	}
+	for i, w := range workers {
+		if w.Tid != TidWorkerBase+int32(i) || w.Calls != 2 {
+			t.Errorf("worker span %d %+v, want tid %d with 2 calls", i, w, TidWorkerBase+i)
+		}
+		if w.TS < match.TS || w.TS+w.Dur > match.TS+match.Dur {
+			t.Errorf("worker span %+v not inside the match span %+v", w, match)
+		}
+	}
+	raw, err := tr.ExportJSON()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, lane := range []string{`"worker 0"`, `"worker 1"`} {
+		if !strings.Contains(string(raw), lane) {
+			t.Errorf("export does not name lane %s", lane)
 		}
 	}
 }
 
-func TestTracerPPIPSharesMatchSlot(t *testing.T) {
-	tr := NewTracer(64)
-	tr.AddPhase(PhasePairMatch, 100)
-	tr.AddWorker(0, 70, 2)
-	tr.AddWorker(1, 60, 2)
-	tr.StepDone(1)
-	var match Span
-	workers := 0
-	for _, s := range tr.Spans() {
-		if s.Name == PhasePairMatch.String() {
-			match = s
-		}
-		if s.Tid >= TidWorkerBase {
-			workers++
-			if s.Dur != tr.slots[PhasePairPPIP] {
-				t.Errorf("worker span dur %d, want PPIP slot %d", s.Dur, tr.slots[PhasePairPPIP])
+// TestTracerDeterministicTimestamps: the tracer draws the timestamps it is
+// handed and reads the clock only to close a step. Two tracers fed the
+// same measured calls hold the same span sequence with the same phase and
+// worker timestamps; their step spans start at the same first phase start.
+func TestTracerDeterministicTimestamps(t *testing.T) {
+	a, b := NewTracer(256), NewTracer(256)
+	fillSteps(a, 20)
+	fillSteps(b, 20)
+	sa, sb := a.Spans(), b.Spans()
+	if len(sa) != len(sb) || len(sa) != 20*4 {
+		t.Fatalf("span counts %d and %d, want %d", len(sa), len(sb), 20*4)
+	}
+	for i := range sa {
+		x, y := sa[i], sb[i]
+		if x.Tid == TidStep {
+			// Dur ends at the clock read by StepDone.
+			x.Dur, y.Dur = 0, 0
+			if x.TS != x.Step*2000 {
+				t.Errorf("step %d span starts at %d, want its first phase start %d",
+					x.Step, x.TS, x.Step*2000)
 			}
 		}
-	}
-	if workers != 2 {
-		t.Fatalf("got %d worker spans, want 2", workers)
-	}
-	if tr.offsets[PhasePairPPIP] != tr.offsets[PhasePairMatch] ||
-		tr.slots[PhasePairPPIP] != tr.slots[PhasePairMatch] {
-		t.Error("PPIP slot must alias the match slot (nested phase)")
-	}
-	if match.Calls != 1 {
-		t.Errorf("match span calls %d, want 1", match.Calls)
+		if x != y {
+			t.Fatalf("span %d differs: %+v vs %+v", i, x, y)
+		}
 	}
 }
 
@@ -178,31 +231,5 @@ func TestTracerExportValid(t *testing.T) {
 	}
 	if err := json.Unmarshal(re, &doc); err != nil {
 		t.Fatalf("round-trip failed: %v", err)
-	}
-}
-
-// TestTracerDeterministicTimestamps: structural span fields (name, lane,
-// virtual timestamps) are identical across two runs even when measured
-// wall times differ — the core determinism property of virtual time.
-func TestTracerDeterministicTimestamps(t *testing.T) {
-	run := func(wallScale int64) []Span {
-		tr := NewTracer(256)
-		for s := int64(1); s <= 10; s++ {
-			tr.AddPhase(PhaseIntegration, wallScale*s)
-			tr.AddPhase(PhasePairMatch, wallScale*2*s)
-			tr.AddWorker(0, wallScale, 1)
-			tr.StepDone(s)
-		}
-		return tr.Spans()
-	}
-	a, b := run(100), run(777) // different "wall clocks"
-	if len(a) != len(b) {
-		t.Fatalf("span counts differ: %d vs %d", len(a), len(b))
-	}
-	for i := range a {
-		if a[i].Name != b[i].Name || a[i].Pid != b[i].Pid || a[i].Tid != b[i].Tid ||
-			a[i].TS != b[i].TS || a[i].Dur != b[i].Dur || a[i].Step != b[i].Step {
-			t.Fatalf("structural span %d differs across runs: %+v vs %+v", i, a[i], b[i])
-		}
 	}
 }

@@ -121,7 +121,8 @@ type Daemon struct {
 }
 
 // retainedTelemetry is how many finished jobs keep their /metrics,
-// /healthz and /trace surface (each pins its rendered trace, ~0.16 MB).
+// /healthz and /trace surface (each pins its rendered trace, ~0.5 MB for
+// the full 4096-span ring of a run past ~270 steps).
 // A running job's surface is never dropped; an older finished job's
 // answers 404, as an unknown job's or one from before a restart does.
 const retainedTelemetry = 8

@@ -165,9 +165,9 @@ func OpenRun(spec JobSpec, resume, ckpt, ledgerPath string, fs *faults.FS, retry
 	}
 
 	r.Rec = obs.NewRecorder()
-	eng.Observe(r.Rec)
 	r.Tracer = obs.NewTracer(4096)
-	eng.Trace(r.Tracer)
+	r.Rec.Trace(r.Tracer)
+	eng.Observe(r.Rec)
 	r.Watch = core.NewWatch(eng, health.DefaultConfig(), 10)
 	if spec.Chaos != "" {
 		// A lossy campaign that pushes the retransmit ratio past the

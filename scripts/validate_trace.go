@@ -3,7 +3,10 @@
 // Validate a Chrome trace-event JSON file produced by the step tracer
 // (antonsim -trace): the document must parse, round-trip through
 // encoding/json, and every "X" event must carry a non-negative,
-// monotonically non-decreasing timestamp. Run via
+// monotonically non-decreasing timestamp. Span times are measured, so the
+// timeline must also be consistent: every phase-lane span lies inside the
+// step span with the same args.step, and no two spans on the step lane,
+// or on the phase lane, overlap. Run via
 //
 //	go run scripts/validate_trace.go trace.json
 package main
@@ -21,7 +24,18 @@ type event struct {
 	Dur  float64 `json:"dur"`
 	Pid  int64   `json:"pid"`
 	Tid  int64   `json:"tid"`
+	Args struct {
+		Step int64 `json:"step"`
+	} `json:"args"`
 }
+
+// The step tracer's lanes (obs.TidStep, obs.TidPhases), and the slack for
+// comparing microsecond floats that came from integer nanoseconds.
+const (
+	tidStep   = 0
+	tidPhases = 1
+	slackUs   = 1e-3
+)
 
 type doc struct {
 	TraceEvents []event           `json:"traceEvents"`
@@ -72,6 +86,39 @@ func main() {
 	}
 	if x == 0 {
 		fail("no X (span) events")
+	}
+
+	// Events are sorted by ts, so a lane overlaps itself exactly when a
+	// span starts before the previous one on the lane ended.
+	steps := map[int64]event{}
+	laneEnd := map[[2]int64]float64{}
+	laneLast := map[[2]int64]string{}
+	for _, ev := range d.TraceEvents {
+		if ev.Ph != "X" || (ev.Tid != tidStep && ev.Tid != tidPhases) {
+			continue
+		}
+		lane := [2]int64{ev.Pid, ev.Tid}
+		if end, ok := laneEnd[lane]; ok && ev.TS < end-slackUs {
+			fail(fmt.Errorf("%q (step %d) starts at %f, before %q on its lane ended at %f",
+				ev.Name, ev.Args.Step, ev.TS, laneLast[lane], end))
+		}
+		laneEnd[lane], laneLast[lane] = ev.TS+ev.Dur, ev.Name
+		if ev.Tid == tidStep {
+			steps[ev.Args.Step] = ev
+		}
+	}
+	for _, ev := range d.TraceEvents {
+		if ev.Ph != "X" || ev.Tid != tidPhases {
+			continue
+		}
+		st, ok := steps[ev.Args.Step]
+		if !ok {
+			fail(fmt.Errorf("phase span %q at %f: no step span for step %d", ev.Name, ev.TS, ev.Args.Step))
+		}
+		if ev.TS < st.TS-slackUs || ev.TS+ev.Dur > st.TS+st.Dur+slackUs {
+			fail(fmt.Errorf("phase span %q [%f, %f] is not inside step %d [%f, %f]",
+				ev.Name, ev.TS, ev.TS+ev.Dur, ev.Args.Step, st.TS, st.TS+st.Dur))
+		}
 	}
 
 	// Round-trip: re-encode and re-parse.

@@ -83,12 +83,17 @@ for target in core:FuzzPosFrame core:FuzzForceFrame core:FuzzRestoreCheckpoint \
 done
 
 echo "== trace export: generate + validate =="
-# Drive a short instrumented run, then validate the exported Chrome
-# trace: parses, round-trips through encoding/json, monotonic ts.
+# Drive a short instrumented run, monolithic and at 8 shards, then
+# validate each exported Chrome trace: parses, round-trips through
+# encoding/json, monotonic ts, every phase span inside its step span, and
+# no overlap on the step or the phase lane.
 tracefile="$(mktemp /tmp/anton-trace-XXXXXX.json)"
 trap 'rm -f "$tracefile"' EXIT
 go run ./cmd/antonsim -system small -steps 30 -report 30 \
 	-trace "$tracefile" -watch >/dev/null
+go run scripts/validate_trace.go "$tracefile"
+go run ./cmd/antonsim -system small -shards 8 -steps 30 -report 30 \
+	-trace "$tracefile" >/dev/null
 go run scripts/validate_trace.go "$tracefile"
 
 echo "== bench: registry + harness at a tiny scale =="
