@@ -35,6 +35,7 @@ import (
 	"syscall"
 	"time"
 
+	"anton/internal/faults"
 	"anton/internal/obs"
 	"anton/internal/service"
 )
@@ -69,22 +70,29 @@ func main() {
 		logger.Warn("no -tokens configured; the API is open to anyone who can reach it")
 	}
 
+	var storage *faults.FS // nil: plain I/O
 	if *chaos != "" {
+		spec, err := faults.ParseFSSpec(*chaos)
+		if err != nil {
+			logger.Error("parsing -storage-chaos", "err", err)
+			os.Exit(1)
+		}
 		logger.Warn("storage fault injection enabled; this daemon is hostile to its own disk", "spec", *chaos)
+		storage = faults.NewFS(spec)
 	}
 
 	d, err := service.New(service.Config{
-		StateDir:     *stateDir,
-		Workers:      *workers,
-		Tokens:       toks,
-		RatePerMin:   *rate,
-		Burst:        *burst,
-		QueueMax:     *queueMax,
-		JobDeadline:  *deadline,
-		JobRetries:   *retries,
-		StallAfter:   *stall,
-		StorageChaos: *chaos,
-		Logger:       logger,
+		StateDir:    *stateDir,
+		Workers:     *workers,
+		Tokens:      toks,
+		RatePerMin:  *rate,
+		Burst:       *burst,
+		QueueMax:    *queueMax,
+		JobDeadline: *deadline,
+		JobRetries:  *retries,
+		StallAfter:  *stall,
+		StorageFS:   storage,
+		Logger:      logger,
 	})
 	if err != nil {
 		logger.Error("starting daemon", "err", err)

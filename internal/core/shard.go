@@ -22,12 +22,13 @@ import (
 // atoms' mesh spreading, interpolation, integration, constraints and
 // virtual sites. All remote data arrives through explicit messages on a
 // channel transport: position imports (a box multicasts its atoms to the
-// nodes whose tower or plate needs them), force exports (a computing node
-// returns its contributions to the home box), and long-range correction
-// exports on refresh steps. The FFT convolution, the Berendsen kinetic-
-// energy reduction, the residency check and the migration decision run
-// driver-serial as collectives, exactly like the monolithic step — so the
-// float operation sequences they contain are identical by construction.
+// nodes whose tower or plate needs them) and force exports (a computing
+// node returns its contributions to the home box; on refresh steps the
+// same frame also carries its long-range exclusion corrections). The FFT
+// convolution, the Berendsen kinetic-energy reduction, the residency
+// check and the migration decision run driver-serial as collectives,
+// exactly like the monolithic step — so the float operation sequences
+// they contain are identical by construction.
 //
 // Bitwise invariance across shard counts follows from the same property
 // that gives the monolithic engine its worker- and node-count invariance:
@@ -60,9 +61,9 @@ type Sharded struct {
 
 	comm *measuredComm
 
-	// lastStream snapshots the summed per-shard stream tallies so each
+	// lastTally snapshots the summed per-shard transport tallies so each
 	// evaluation's delta can feed the obs counters.
-	lastStream streamTally
+	lastTally transportTally
 
 	// subBox maps a subbox to its enclosing home box; cellBox maps a mesh
 	// cell to the home box covering its location. Both are static.
@@ -86,9 +87,8 @@ type Sharded struct {
 
 // Message kinds on the shard transport.
 const (
-	msgPos       uint8 = iota // position import (sender's owned atoms)
-	msgForce                  // short-range force export (foot atoms)
-	msgForceLong              // long-range correction export (refresh steps)
+	msgPos   uint8 = iota // position import (sender's owned atoms)
+	msgForce              // force export (foot atoms; refresh: + long-range section)
 )
 
 // shardMsg is one transport message. Buffers are owned by the sender and
@@ -137,8 +137,7 @@ type shardState struct {
 	acks   chan shardAck  // acknowledgements for our in-flight sends
 	out    []outMsg       // in-flight sends of the current exchange
 	gotPos []uint32       // per-sender xid stamps: position import applied
-	gotF   []uint32       // per-sender xid stamps: short-force export applied
-	gotFL  []uint32       // per-sender xid stamps: long-force export applied
+	gotF   []uint32       // per-sender xid stamps: force export applied
 	tstats transportTally // transport accounting (driver-read between stages)
 
 	// Static work assignment (NT pair node; set once at construction).
@@ -146,24 +145,18 @@ type shardState struct {
 	touchedSubs []int32
 
 	// Per-migration views.
-	owned          []int32    // atoms homed here (= Engine.boxAtoms[id])
-	groups         []int32    // constraint groups led here
-	vsites         []int32    // virtual sites homed here
-	bondTerms      []int32    // flat bonded term indices owned here
-	pair14Idx      []int32    // 1-4 pair indices owned here
-	exclTerms      [][2]int32 // exclusion-correction pairs owned here
-	needAll        []int32    // sorted atoms this shard reads or touches
-	impSrcs        []int32    // boxes whose positions we import
-	expDsts        []int32    // boxes importing our positions
-	footAtoms      [][]int32  // per impSrcs entry: remote atoms we export forces for
-	exclTouch      []int32    // atoms touched by owned exclusion terms
-	exclTouchOwned []int32    // the owned subset of exclTouch
-	exclFootDst    []int32    // destinations of exclusion-correction exports
-	exclFootAtoms  [][]int32  // per exclFootDst entry: their atoms
-	inFoot         int        // expected incoming short-force messages
-	inExclFoot     int        // expected incoming long-force messages
-	inFootFrom     map[int32][]int32
-	inExclFootFrom map[int32][]int32
+	owned      []int32    // atoms homed here (= Engine.boxAtoms[id])
+	groups     []int32    // constraint groups led here
+	vsites     []int32    // virtual sites homed here
+	bondTerms  []int32    // flat bonded term indices owned here
+	pair14Idx  []int32    // 1-4 pair indices owned here
+	exclTerms  [][2]int32 // exclusion-correction pairs owned here
+	needAll    []int32    // sorted atoms this shard reads or touches
+	impSrcs    []int32    // boxes whose positions we import
+	expDsts    []int32    // boxes importing our positions
+	footAtoms  [][]int32  // per impSrcs entry: remote atoms we export forces for
+	inFoot     int        // expected incoming force frames per evaluation
+	inFootFrom [][]int32  // per sender: the owned atoms its force frame covers
 
 	// Local buffers (atom- or slot-indexed; valid only for the view sets).
 	lpos       []fixp.Vec3 // local fixed-point positions (owned + imported)
@@ -176,22 +169,14 @@ type shardState struct {
 	meshCounts []int64     // dense mesh charge contribution (refresh steps)
 	batch      pairBatch
 
-	// Force export payloads, refilled per exchange.
-	footOut     [][]Force3
-	exclFootOut [][]Force3
-
 	// Force-evaluation state (see shardstream.go).
-	arrived    int         // pos imports applied this evaluation
-	footGot    int         // force envelopes accepted this evaluation
-	footDirect bool        // stage B: apply force envelopes immediately
-	fbuf       []shardMsg  // force envelopes buffered during the import wait
-	posFrame   []byte      // encoded position frame (immutable per exchange)
-	footFrames [][]byte    // per impSrcs entry: encoded short-force frame
-	exclFrames [][]byte    // per exclFootDst entry: encoded long-force frame
-	stream     streamTally // wait/wire accounting (driver-read)
-	bodyT0     int64       // start (obs.Now) of the last stage A body (driver-read)
-	bodyNs     int64       // wall of the last stage A/B body (driver-read)
-	meshNs     int64       // of which spread (stage A) / interpolate (stage B)
+	arrived    int      // pos imports applied this evaluation
+	footGot    int      // force frames applied this evaluation
+	posFrame   []byte   // encoded position frame (immutable per exchange)
+	footFrames [][]byte // per impSrcs entry: encoded force frame
+	bodyT0     int64    // start (obs.Now) of the last stage A body (driver-read)
+	bodyNs     int64    // wall of the last stage A/B body (driver-read)
+	meshNs     int64    // of which spread (stage A) / interpolate (stage B)
 
 	// SHAKE/RATTLE scratch and the step's sweep tally (driver-drained).
 	cons consScratch
@@ -255,14 +240,12 @@ func NewSharded(s *system.System, cfg Config) (*Sharded, error) {
 	sh.shards = make([]*shardState, n)
 	for i := range sh.shards {
 		st := &shardState{
-			id:             int32(i),
-			s:              sh,
-			cmd:            make(chan shardCmd),
-			gotPos:         make([]uint32, n),
-			gotF:           make([]uint32, n),
-			gotFL:          make([]uint32, n),
-			inFootFrom:     make(map[int32][]int32),
-			inExclFootFrom: make(map[int32][]int32),
+			id:         int32(i),
+			s:          sh,
+			cmd:        make(chan shardCmd),
+			gotPos:     make([]uint32, n),
+			gotF:       make([]uint32, n),
+			inFootFrom: make([][]int32, n),
 		}
 		st.batch.init()
 		sh.shards[i] = st
@@ -434,13 +417,7 @@ func (s *Sharded) rebuildViews() {
 		st.exclTerms = st.exclTerms[:0]
 		st.expDsts = st.expDsts[:0]
 		st.inFoot = 0
-		st.inExclFoot = 0
-		for k := range st.inFootFrom {
-			delete(st.inFootFrom, k)
-		}
-		for k := range st.inExclFootFrom {
-			delete(st.inExclFootFrom, k)
-		}
+		clear(st.inFootFrom)
 	}
 
 	// Ownership sweeps (group leader rule for groups and virtual sites;
@@ -528,41 +505,6 @@ func (s *Sharded) rebuildViews() {
 			st.footAtoms[di] = lst
 		}
 
-		// Exclusion-correction touch set and its export grouping.
-		st.exclTouch = st.exclTouch[:0]
-		s.epoch++
-		ep = s.epoch
-		for _, p := range st.exclTerms {
-			for _, a := range p {
-				if s.atomStamp[a] != ep {
-					s.atomStamp[a] = ep
-					st.exclTouch = append(st.exclTouch, a)
-				}
-			}
-		}
-		st.exclTouch = sortDedupInt32(st.exclTouch)
-		st.exclTouchOwned = st.exclTouchOwned[:0]
-		st.exclFootDst = st.exclFootDst[:0]
-		for _, a := range st.exclTouch {
-			if b := e.boxOf[a]; b == st.id {
-				st.exclTouchOwned = append(st.exclTouchOwned, a)
-			} else if s.boxStamp[b] != ep {
-				s.boxStamp[b] = ep
-				st.exclFootDst = append(st.exclFootDst, b)
-			}
-		}
-		st.exclFootDst = sortDedupInt32(st.exclFootDst)
-		st.exclFootAtoms = resizeLists(st.exclFootAtoms, len(st.exclFootDst))
-		for di, dst := range st.exclFootDst {
-			lst := st.exclFootAtoms[di][:0]
-			for _, a := range st.exclTouch {
-				if e.boxOf[a] == dst {
-					lst = append(lst, a)
-				}
-			}
-			st.exclFootAtoms[di] = lst
-		}
-
 		// Local buffers (allocated once; natoms is fixed).
 		if st.lpos == nil {
 			st.lpos = make([]fixp.Vec3, natoms)
@@ -575,10 +517,7 @@ func (s *Sharded) rebuildViews() {
 			st.meshCounts = make([]int64, len(e.mesh.counts))
 			st.cons = e.newConsScratch()
 		}
-		st.footOut = resizeForce(st.footOut, st.footAtoms)
-		st.exclFootOut = resizeForce(st.exclFootOut, st.exclFootAtoms)
 		st.footFrames = resizeBytes(st.footFrames, len(st.impSrcs))
-		st.exclFrames = resizeBytes(st.exclFrames, len(st.exclFootDst))
 	}
 
 	// Invert imports into export destinations, and foot lists into the
@@ -594,17 +533,12 @@ func (s *Sharded) rebuildViews() {
 			d.inFoot++
 			d.inFootFrom[st.id] = st.footAtoms[di]
 		}
-		for di, dst := range st.exclFootDst {
-			d := s.shards[dst]
-			d.inExclFoot++
-			d.inExclFootFrom[st.id] = st.exclFootAtoms[di]
-		}
 	}
 	for _, st := range s.shards {
 		// Early force frames can arrive while positions are still in
 		// flight, so size each inbox for a whole evaluation's message set —
 		// that is what keeps plain-mode sends non-blocking and deadlock-free.
-		need := len(st.impSrcs) + st.inFoot + st.inExclFoot + 4
+		need := len(st.impSrcs) + st.inFoot + 4
 		if s.sup != nil {
 			// Reliable mode: the inbox also absorbs duplicates, delayed
 			// stragglers from earlier exchanges and retransmissions, and the
@@ -660,16 +594,9 @@ func resizeLists(ls [][]int32, n int) [][]int32 {
 	return ls[:n]
 }
 
-func resizeForce(ls [][]Force3, atoms [][]int32) [][]Force3 {
-	for len(ls) < len(atoms) {
+func resizeBytes(ls [][]byte, n int) [][]byte {
+	for len(ls) < n {
 		ls = append(ls, nil)
 	}
-	ls = ls[:len(atoms)]
-	for i := range ls {
-		if cap(ls[i]) < len(atoms[i]) {
-			ls[i] = make([]Force3, len(atoms[i]))
-		}
-		ls[i] = ls[i][:len(atoms[i])]
-	}
-	return ls
+	return ls[:n]
 }

@@ -204,7 +204,8 @@ func TestShardPhaseAttribution(t *testing.T) {
 
 // TestShardMeasuredComm: the measured transport section of Comm() is
 // populated, internally consistent, and deterministic across identical
-// runs; a single-shard run carries no import/export messages at all.
+// runs; every evaluation sends one force frame per export link, refresh
+// or not; a single-shard run carries no import/export messages at all.
 func TestShardMeasuredComm(t *testing.T) {
 	skipShort(t)
 	run := func() *MeasuredComm {
@@ -222,6 +223,27 @@ func TestShardMeasuredComm(t *testing.T) {
 	m := run()
 	if m.Evals != 41 { // initial evaluation + one per step
 		t.Errorf("measured %d evals, want 41", m.Evals)
+	}
+	// Export links are the import links reversed, so the counts agree at
+	// every evaluation, migrations and refreshes included.
+	if m.Refreshes == 0 || m.ExportMsgs != m.ImportMsgs {
+		t.Errorf("%d export msgs vs %d import msgs over %d evals (%d refreshes)",
+			m.ExportMsgs, m.ImportMsgs, m.Evals, m.Refreshes)
+	}
+	// Before the first migration the link set is fixed, so the count is
+	// exact: a refresh adds bytes to a frame, never a message.
+	early := smallWaterSharded(t, 8, nil)
+	built := early.E.Stats.Migrations // the construction's initial assignment
+	early.Step(early.E.Cfg.MigrationInterval - 1)
+	if n := early.E.Stats.Migrations - built; n != 0 {
+		t.Fatalf("%d migrations before the first migration step", n)
+	}
+	links := int64(len(early.comm.exportPairs))
+	if rep, err := early.Comm(); err != nil {
+		t.Fatal(err)
+	} else if em := rep.Measured; em.Refreshes == 0 || em.ExportMsgs != em.Evals*links {
+		t.Errorf("%d export msgs over %d evals (%d refreshes), want one per evaluation on each of %d export links",
+			em.ExportMsgs, em.Evals, em.Refreshes, links)
 	}
 	if m.ImportMsgs == 0 || m.ExportMsgs == 0 || m.MeshMsgs == 0 {
 		t.Errorf("measured traffic missing: %+v", m)

@@ -12,9 +12,10 @@ import (
 // state carried from earlier exchanges. Position frames carry each listed
 // atom's fixed-point coordinates as three 4-byte little-endian words.
 // Force frames carry each listed atom's int64 force triple
-// zigzag-varint packed, since force components are mostly far smaller
-// than their 64-bit range; positions span their whole 32-bit range, so
-// they are sent as they are.
+// zigzag-varint packed (a refresh frame carries a second, long-range
+// section over the same atoms), since force components are mostly far
+// smaller than their 64-bit range; positions span their whole 32-bit
+// range, so they are sent as they are.
 //
 // Both codecs are lossless for every bit pattern. A frame is immutable
 // for the lifetime of its exchange (retransmissions resend identical
@@ -60,20 +61,27 @@ func decodePosFrame(frame []byte, atoms []int32, pos []fixp.Vec3) error {
 	return nil
 }
 
-// appendForceFrame appends the zigzag-varint packing of a force export
-// payload.
-func appendForceFrame(dst []byte, f []Force3) []byte {
-	for i := range f {
-		dst = binary.AppendUvarint(dst, zigzag64(f[i].X))
-		dst = binary.AppendUvarint(dst, zigzag64(f[i].Y))
-		dst = binary.AppendUvarint(dst, zigzag64(f[i].Z))
+// appendForceFrame appends one force section: the zigzag-varint packing
+// of the listed atoms' accumulated forces, read from f, in list order. A
+// refresh evaluation's frame is two sections over the same atom list,
+// short-range then long-range.
+func appendForceFrame(dst []byte, f []Force3, atoms []int32) []byte {
+	for _, a := range atoms {
+		dst = binary.AppendUvarint(dst, zigzag64(f[a].X))
+		dst = binary.AppendUvarint(dst, zigzag64(f[a].Y))
+		dst = binary.AppendUvarint(dst, zigzag64(f[a].Z))
 	}
 	return dst
 }
 
-// decodeForceFrame streams n force triples out of a frame through apply
-// (typically an accumulator add keyed by the shared foot-atom list).
-func decodeForceFrame(frame []byte, n int, apply func(i int, f Force3)) error {
+// decodeForceFrame adds a force frame's entries into the accumulators at
+// the listed atoms (the atom list both sides share): the first section
+// into short and, for a refresh frame (long non-nil), the second into
+// long. Adds are wrapping fixed-point, so frames apply in any order. A
+// frame that is not exactly its sections' length is rejected, but only
+// after the entries before the defect were added: the transport's CRC
+// gate keeps such frames from ever reaching the accumulators.
+func decodeForceFrame(frame []byte, atoms []int32, short, long []Force3) error {
 	off := 0
 	next := func() (int64, bool) {
 		u, m := binary.Uvarint(frame[off:])
@@ -83,14 +91,19 @@ func decodeForceFrame(frame []byte, n int, apply func(i int, f Force3)) error {
 		off += m
 		return unzigzag64(u), true
 	}
-	for i := 0; i < n; i++ {
-		x, ok1 := next()
-		y, ok2 := next()
-		z, ok3 := next()
-		if !ok1 || !ok2 || !ok3 {
-			return errShortFrame
+	for _, f := range [2][]Force3{short, long} {
+		if f == nil {
+			break // one-section frame
 		}
-		apply(i, Force3{X: x, Y: y, Z: z})
+		for _, a := range atoms {
+			x, ok1 := next()
+			y, ok2 := next()
+			z, ok3 := next()
+			if !ok1 || !ok2 || !ok3 {
+				return errShortFrame
+			}
+			f[a] = f[a].AddRaw(x, y, z)
+		}
 	}
 	if off != len(frame) {
 		return errShortFrame

@@ -77,24 +77,47 @@ func TestCodecRoundTrip(t *testing.T) {
 			}
 		}
 
-		// Force codec: every int64 bit pattern must survive.
-		forces := make([]Force3, n)
-		for i := range forces {
-			forces[i] = Force3{X: pick64(), Y: pick64(), Z: pick64()}
+		// Force codec: every int64 bit pattern must survive, in a
+		// one-section frame and in a refresh frame's two sections over the
+		// same atoms, and decoding adds into the accumulators.
+		short := make([]Force3, 2*n)
+		long := make([]Force3, 2*n)
+		for _, a := range atoms {
+			short[a] = Force3{X: pick64(), Y: pick64(), Z: pick64()}
+			long[a] = Force3{X: pick64(), Y: pick64(), Z: pick64()}
 		}
-		ff := appendForceFrame(nil, forces)
-		got := make([]Force3, n)
-		if err := decodeForceFrame(ff, n, func(i int, f Force3) { got[i] = f }); err != nil {
-			t.Fatalf("trial %d: decodeForceFrame: %v", trial, err)
+		one := appendForceFrame(nil, short, atoms)
+		two := appendForceFrame(append([]byte(nil), one...), long, atoms)
+		gotS, gotL := make([]Force3, 2*n), make([]Force3, 2*n)
+		if err := decodeForceFrame(one, atoms, gotS, nil); err != nil {
+			t.Fatalf("trial %d: one-section decodeForceFrame: %v", trial, err)
 		}
-		for i := range forces {
-			if got[i] != forces[i] {
-				t.Fatalf("trial %d: force %d round-trips to %+v, want %+v", trial, i, got[i], forces[i])
+		if err := decodeForceFrame(two, atoms, gotS, gotL); err != nil {
+			t.Fatalf("trial %d: two-section decodeForceFrame: %v", trial, err)
+		}
+		for _, a := range atoms {
+			if want := short[a].Add(short[a]); gotS[a] != want {
+				t.Fatalf("trial %d: atom %d short force sums to %+v, want %+v", trial, a, gotS[a], want)
+			}
+			if gotL[a] != long[a] {
+				t.Fatalf("trial %d: atom %d long force round-trips to %+v, want %+v", trial, a, gotL[a], long[a])
 			}
 		}
 		if n > 0 {
-			if err := decodeForceFrame(ff[:len(ff)-1], n, func(int, Force3) {}); err != errShortFrame {
-				t.Fatalf("trial %d: truncated force frame: got %v, want errShortFrame", trial, err)
+			for _, c := range []struct {
+				name        string
+				frame       []byte
+				short, long []Force3
+			}{
+				{"truncated", one[:len(one)-1], gotS, nil},
+				{"trailing byte", append(append([]byte(nil), one...), 0), gotS, nil},
+				{"refresh frame cut at the section boundary", one, gotS, gotL},
+				{"truncated refresh frame", two[:len(two)-1], gotS, gotL},
+				{"refresh frame read as one section", two, gotS, nil},
+			} {
+				if err := decodeForceFrame(c.frame, atoms, c.short, c.long); err != errShortFrame {
+					t.Fatalf("trial %d: %s: got %v, want errShortFrame", trial, c.name, err)
+				}
 			}
 		}
 	}
@@ -230,12 +253,24 @@ func FuzzPosFrame(f *testing.F) {
 func FuzzForceFrame(f *testing.F) {
 	fuzzSeeds(f)
 	f.Fuzz(func(t *testing.T, data []byte, n uint8) {
-		if err := decodeForceFrame(data, int(n), func(int, Force3) {}); err != nil && err != errShortFrame {
-			t.Fatalf("hostile frame: %v", err)
+		// Hostile view: decode for n atoms, as one section and as a
+		// refresh frame's two.
+		atoms := make([]int32, n)
+		for i := range atoms {
+			atoms[i] = int32(i)
+		}
+		short, long := make([]Force3, n), make([]Force3, n)
+		for _, l := range [][]Force3{nil, long} {
+			if err := decodeForceFrame(data, atoms, short, l); err != nil && err != errShortFrame {
+				t.Fatalf("hostile frame: %v", err)
+			}
 		}
 
-		// Payload view: 24-byte int64 triples.
-		forces := make([]Force3, len(data)/24)
+		// Payload view: 24-byte int64 triples, sent as the short section
+		// and, reversed, as the long one.
+		m := len(data) / 24
+		forces, rev := make([]Force3, m), make([]Force3, m)
+		atoms = atoms[:0]
 		for i := range forces {
 			r := data[i*24:]
 			forces[i] = Force3{
@@ -243,23 +278,29 @@ func FuzzForceFrame(f *testing.F) {
 				Y: int64(binary.LittleEndian.Uint64(r[8:])),
 				Z: int64(binary.LittleEndian.Uint64(r[16:])),
 			}
+			rev[m-1-i] = forces[i]
+			atoms = append(atoms, int32(i))
 		}
-		frame := appendForceFrame(nil, forces)
-		got := make([]Force3, len(forces))
-		if err := decodeForceFrame(frame, len(forces), func(i int, v Force3) { got[i] = v }); err != nil {
+		one := appendForceFrame(nil, forces, atoms)
+		two := appendForceFrame(append([]byte(nil), one...), rev, atoms)
+		gotS, gotL := make([]Force3, m), make([]Force3, m)
+		if err := decodeForceFrame(two, atoms, gotS, gotL); err != nil {
 			t.Fatalf("own frame: %v", err)
 		}
 		for i := range forces {
-			if got[i] != forces[i] {
-				t.Fatalf("force %d round-trips to %+v, want %+v", i, got[i], forces[i])
+			if gotS[i] != forces[i] || gotL[i] != rev[i] {
+				t.Fatalf("atom %d round-trips to %+v/%+v, want %+v/%+v", i, gotS[i], gotL[i], forces[i], rev[i])
 			}
 		}
-		if len(forces) > 0 {
-			if err := decodeForceFrame(frame[:len(frame)-1], len(forces), func(int, Force3) {}); err != errShortFrame {
+		if m > 0 {
+			if err := decodeForceFrame(one[:len(one)-1], atoms, gotS, nil); err != errShortFrame {
 				t.Fatalf("truncated frame: got %v, want errShortFrame", err)
 			}
-			if err := decodeForceFrame(append(frame, 0), len(forces), func(int, Force3) {}); err != errShortFrame {
+			if err := decodeForceFrame(append(one, 0), atoms, gotS, nil); err != errShortFrame {
 				t.Fatalf("trailing byte: got %v, want errShortFrame", err)
+			}
+			if err := decodeForceFrame(one, atoms, gotS, gotL); err != errShortFrame {
+				t.Fatalf("refresh frame cut at the section boundary: got %v, want errShortFrame", err)
 			}
 		}
 	})

@@ -44,8 +44,7 @@ type measuredComm struct {
 
 	// Static per-exchange message lists, rebuilt with the views.
 	importPairs []commPair
-	exportPairs []commPair
-	exclPairs   []commPair
+	exportPairs []commPair // short-range section sizes (refresh: twice that)
 
 	// Exchange counts not yet folded into the torus accounting.
 	pendingEvals   int
@@ -76,7 +75,6 @@ func newMeasuredComm(dims [3]int) (*measuredComm, error) {
 func (c *measuredComm) rebuildStatic(s *Sharded) {
 	c.importPairs = c.importPairs[:0]
 	c.exportPairs = c.exportPairs[:0]
-	c.exclPairs = c.exclPairs[:0]
 	for _, st := range s.shards {
 		for _, dst := range st.expDsts {
 			c.importPairs = append(c.importPairs,
@@ -85,10 +83,6 @@ func (c *measuredComm) rebuildStatic(s *Sharded) {
 		for di, dst := range st.impSrcs {
 			c.exportPairs = append(c.exportPairs,
 				commPair{int(st.id), int(dst), len(st.footAtoms[di]) * shardForceBytes})
-		}
-		for di, dst := range st.exclFootDst {
-			c.exclPairs = append(c.exclPairs,
-				commPair{int(st.id), int(dst), len(st.exclFootAtoms[di]) * shardForceBytes})
 		}
 	}
 }
@@ -104,14 +98,13 @@ func (c *measuredComm) noteImport(rec *obs.Recorder) {
 	}
 }
 
-// noteExport records one force-export exchange (and, on refresh steps,
-// the long-range correction exports riding along).
+// noteExport records one force-export exchange: one frame per export
+// link, twice the bytes on refresh steps (the long-range section).
 func (c *measuredComm) noteExport(rec *obs.Recorder, refresh bool) {
 	n := int64(len(c.exportPairs))
 	if refresh {
 		c.pendingRefresh++
 		c.refreshes++
-		n += int64(len(c.exclPairs))
 	}
 	c.exportMsgs += n
 	if rec != nil && n > 0 {
@@ -135,18 +128,12 @@ func (c *measuredComm) noteMigration(src, dst int) {
 // fold settles the pending exchange counts into the torus accounting
 // under the current (still valid) message lists.
 func (c *measuredComm) fold() {
-	if c.pendingEvals > 0 {
-		for _, p := range c.importPairs {
-			c.netImport.SendN(p.src, p.dst, p.bytes, c.pendingEvals)
-		}
-		for _, p := range c.exportPairs {
-			c.netExport.SendN(p.src, p.dst, p.bytes, c.pendingEvals)
-		}
+	for _, p := range c.importPairs {
+		c.netImport.SendN(p.src, p.dst, p.bytes, c.pendingEvals)
 	}
-	if c.pendingRefresh > 0 {
-		for _, p := range c.exclPairs {
-			c.netExport.SendN(p.src, p.dst, p.bytes, c.pendingRefresh)
-		}
+	for _, p := range c.exportPairs {
+		c.netExport.SendN(p.src, p.dst, p.bytes, c.pendingEvals-c.pendingRefresh)
+		c.netExport.SendN(p.src, p.dst, 2*p.bytes, c.pendingRefresh)
 	}
 	c.pendingEvals, c.pendingRefresh = 0, 0
 }
@@ -159,7 +146,7 @@ type MeasuredComm struct {
 	Refreshes int64 // long-range refreshes among them
 
 	ImportMsgs    int64 // position import messages
-	ExportMsgs    int64 // force export messages (incl. long-range)
+	ExportMsgs    int64 // force export messages (refresh: with long-range section)
 	MeshMsgs      int64 // mesh contribution messages
 	MigrationMsgs int64 // atoms that changed home box
 
@@ -232,7 +219,7 @@ func (s *Sharded) Comm() (*CommReport, error) {
 		return nil, err
 	}
 	rep.Measured = s.comm.report()
-	t := s.streamTotals()
+	t := s.tallyTotals()
 	rep.Measured.PosRawBytes = t.PosRawB
 	rep.Measured.PosWireBytes = t.PosWireB
 	rep.Measured.ForceRawBytes = t.ForceRawB

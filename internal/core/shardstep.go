@@ -17,13 +17,17 @@ import (
 //	S1  integratePre     half-kick, drift (owned atoms)
 //	S2  constrainPre     SHAKE + virtual-site placement (owned groups)
 //	 *  decode/residency position cache refresh, early-migration check
-//	A   streamBody       position frames out, every import in, then
-//	                     range-limited pairs, bonded, 1-4 (refresh:
-//	                     exclusion corrections); force frames out;
-//	                     (refresh) mesh charge spreading
+//	A   streamBody       position frames out; owned canonical forces
+//	                     zeroed; every import in (force frames are added
+//	                     as they arrive), then range-limited pairs,
+//	                     bonded, 1-4 (refresh: exclusion corrections);
+//	                     one force frame out per import link (refresh:
+//	                     with a long-range section); (refresh) charge
+//	                     spreading
 //	 *  mergeMesh        wrapping merge of shard mesh counts; FFT convolve
-//	B   finishForces     (refresh) long-range interpolation (owned);
-//	                     owner merges force frames + vsite spread
+//	B   finishForces     (refresh) long-range interpolation (owned); own
+//	                     contributions added, remaining force frames in,
+//	                     vsite spread
 //	 *  diagnostics      float energy/tally merge in ascending shard order
 //	S7  integratePost    half-kick (owned atoms)
 //	S8  constrainPost    RATTLE (owned groups); * Berendsen collective
@@ -257,14 +261,13 @@ func (s *Sharded) noteStream() {
 	if e.rec == nil {
 		return
 	}
-	t := s.streamTotals()
-	d := t.sub(s.lastStream)
-	s.lastStream = t
-	e.rec.Add(obs.CtrStreamBlockedNs, d.BlockedNs)
-	e.rec.Add(obs.CtrPosRawBytes, d.PosRawB)
-	e.rec.Add(obs.CtrPosWireBytes, d.PosWireB)
-	e.rec.Add(obs.CtrForceRawBytes, d.ForceRawB)
-	e.rec.Add(obs.CtrForceWireBytes, d.ForceWireB)
+	t, last := s.tallyTotals(), s.lastTally
+	s.lastTally = t
+	e.rec.Add(obs.CtrStreamBlockedNs, t.BlockedNs-last.BlockedNs)
+	e.rec.Add(obs.CtrPosRawBytes, t.PosRawB-last.PosRawB)
+	e.rec.Add(obs.CtrPosWireBytes, t.PosWireB-last.PosWireB)
+	e.rec.Add(obs.CtrForceRawBytes, t.ForceRawB-last.ForceRawB)
+	e.rec.Add(obs.CtrForceWireBytes, t.ForceWireB-last.ForceWireB)
 }
 
 // mergeMesh merges the shards' fixed-point mesh contributions into the
@@ -456,16 +459,13 @@ func (st *shardState) constrainPre() {
 	}
 }
 
-// interpolate (refresh steps): zero the owned long-range forces and add
-// the mesh interpolation for owned charged atoms. Reads only the shared
-// post-convolution mesh.
+// interpolate (refresh steps): add the mesh interpolation for owned
+// charged atoms onto their long-range forces (zeroed at the start of
+// stage A). Reads only the shared post-convolution mesh.
 func (st *shardState) interpolate() {
 	e := st.s.E
 	ms := e.mesh
 	top := e.Sys.Top
-	for _, a := range st.owned {
-		e.fLong[a] = Force3{}
-	}
 	for _, a := range st.owned {
 		q := top.Atoms[a].Charge
 		if q == 0 {

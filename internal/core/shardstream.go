@@ -13,18 +13,25 @@ import (
 // stages sharing one exchange id:
 //
 //	A  sendPositionsStream   one position frame out per importer
-//	   streamBody            receive every import (early force envelopes
-//	                         buffered + acked; pos sends settled), then
+//	   streamBody            zero the owned canonical forces; receive
+//	                         every import (force frames that arrive early
+//	                         are applied at once; pos sends settled), then
 //	                         range-limited pairs, bonded, 1-4, (refresh)
-//	                         exclusion corrections; force frames out;
-//	                         (refresh) mesh charge spreading
+//	                         exclusion corrections; one force frame out
+//	                         per import link; (refresh) charge spreading
 //	 * mergeMesh + convolve  (refresh) driver-serial collectives
-//	B  finishForces          interpolate, owner force assembly, buffered
-//	                         + remaining force frames applied, vsites
+//	B  finishForces          interpolate, add the shard's own owned
+//	                         forces, apply the remaining force frames,
+//	                         vsites
 //
-// Force exports go out before the spread, so their flight overlaps the
-// spread. Between goroutines of one address space that is all the
-// overlap worth having: running pair work as its imports arrived
+// A force frame carries the short-range forces for the link's foot
+// atoms and, on refresh evaluations, a second section with their
+// long-range exclusion corrections. Every contribution to an owned
+// atom's canonical force is a wrapping add onto the zeroes stage A
+// starts from, so a frame is applied whenever it arrives, in either
+// stage. Force exports go out before the spread, so their flight
+// overlaps the spread. Between goroutines of one address space that is
+// all the overlap worth having: running pair work as its imports arrived
 // measured no faster (EXPERIMENTS.md, "One shard schedule").
 //
 // Two stages, not one: the driver-serial mesh collective (merge, FFT
@@ -35,58 +42,12 @@ import (
 //
 // Bitwise contract: arrival order varies, accumulation does not matter.
 // Every force/mesh/virial accumulator is wrapping fixed-point
-// (associative and commutative), each atom's copy is written by exactly
-// one sender, and each interaction is computed once from bit-copied
-// positions — so any interleaving of frame arrivals produces identical
-// bits. The compute runs after the last arrival, over the shard's static
-// pair list, so even the float diagnostic energies do not depend on
-// arrival order.
-
-func resizeBytes(ls [][]byte, n int) [][]byte {
-	for len(ls) < n {
-		ls = append(ls, nil)
-	}
-	return ls[:n]
-}
-
-// streamTally is one shard's cumulative wait/wire accounting, read by
-// the driver between stages only. BlockedNs is wall clock
-// (nondeterministic diagnostics); the byte fields are functions of the
-// trajectory alone and are therefore deterministic for a fixed config.
-type streamTally struct {
-	BlockedNs  int64 // ns blocked on a receive
-	PosRawB    int64 // position payload bytes
-	PosWireB   int64 // position frame bytes actually sent
-	ForceRawB  int64 // force payload bytes before varint packing
-	ForceWireB int64 // force frame bytes actually sent
-}
-
-func (t *streamTally) add(o streamTally) {
-	t.BlockedNs += o.BlockedNs
-	t.PosRawB += o.PosRawB
-	t.PosWireB += o.PosWireB
-	t.ForceRawB += o.ForceRawB
-	t.ForceWireB += o.ForceWireB
-}
-
-func (t streamTally) sub(o streamTally) streamTally {
-	return streamTally{
-		BlockedNs:  t.BlockedNs - o.BlockedNs,
-		PosRawB:    t.PosRawB - o.PosRawB,
-		PosWireB:   t.PosWireB - o.PosWireB,
-		ForceRawB:  t.ForceRawB - o.ForceRawB,
-		ForceWireB: t.ForceWireB - o.ForceWireB,
-	}
-}
-
-// streamTotals sums the per-shard stream tallies. Driver-serial.
-func (s *Sharded) streamTotals() streamTally {
-	var t streamTally
-	for _, st := range s.shards {
-		t.add(st.stream)
-	}
-	return t
-}
+// (associative and commutative), each atom's position copy is written by
+// exactly one sender, and each interaction is computed once from
+// bit-copied positions — so any interleaving of frame arrivals produces
+// identical bits. The compute runs after the last arrival, over the
+// shard's static pair list, so even the float diagnostic energies do not
+// depend on arrival order.
 
 // --- Stage A: position send half. ---
 
@@ -98,17 +59,21 @@ func (st *shardState) sendPositionsStream(x *xchg) {
 	st.posFrame = appendPosFrame(st.posFrame[:0], st.s.E.Pos, st.owned)
 	st.beginSend()
 	for _, dst := range st.expDsts {
-		st.sendStream(x, dst, msgPos, st.posFrame,
-			posRawBytes(len(st.owned)), &st.stream.PosRawB, &st.stream.PosWireB)
+		st.sendStream(x, dst, msgPos, st.posFrame, posRawBytes(len(st.owned)))
 	}
 }
 
-// sendStream transmits one frame: a blocking buffered-channel send in
-// plain runs, a CRC-stamped envelope tracked until settled under the
-// reliable transport.
-func (st *shardState) sendStream(x *xchg, dst int32, kind uint8, frame []byte, rawB int64, raw, wire *int64) {
-	*raw += rawB
-	*wire += int64(len(frame))
+// sendStream transmits one frame of rawB payload bytes: a blocking
+// buffered-channel send in plain runs, a CRC-stamped envelope tracked
+// until settled under the reliable transport.
+func (st *shardState) sendStream(x *xchg, dst int32, kind uint8, frame []byte, rawB int64) {
+	if kind == msgPos {
+		st.tstats.PosRawB += rawB
+		st.tstats.PosWireB += int64(len(frame))
+	} else {
+		st.tstats.ForceRawB += rawB
+		st.tstats.ForceWireB += int64(len(frame))
+	}
 	if !x.reliable() {
 		st.s.shards[dst].inbox <- shardMsg{from: st.id, kind: kind, frame: frame}
 		return
@@ -122,9 +87,10 @@ func (st *shardState) sendStream(x *xchg, dst int32, kind uint8, frame []byte, r
 
 // --- Stage A: body. ---
 
-// streamBody is the evaluation's main stage: receive every import, then
-// compute the shard's range-limited, bonded, 1-4 and (refresh) exclusion
-// terms, send the force exports, and (refresh) spread the owned charges.
+// streamBody is the evaluation's main stage: zero the owned canonical
+// forces, receive every import, then compute the shard's range-limited,
+// bonded, 1-4 and (refresh) exclusion terms, send the force exports, and
+// (refresh) spread the owned charges.
 func (st *shardState) streamBody(x *xchg, refresh bool) {
 	e := st.s.E
 	k := &e.pk
@@ -139,13 +105,16 @@ func (st *shardState) streamBody(x *xchg, refresh bool) {
 	st.virial = htis.Virial{}
 	st.spreadTally, st.interpTally = 0, 0
 	st.arrived, st.footGot = 0, 0
-	st.footDirect = false
-	st.fbuf = st.fbuf[:0]
 
 	// Owned positions come from the canonical state, the rest from the
-	// import frames, each atom's from its owner alone.
+	// import frames, each atom's from its owner alone. The owned forces
+	// start from zero before the first force frame can be applied.
 	for _, a := range st.owned {
 		st.lpos[a] = e.Pos[a]
+		e.fShort[a] = Force3{}
+		if refresh {
+			e.fLong[a] = Force3{}
+		}
 	}
 	if !st.streamLoop(x, refresh, func() int { return len(st.impSrcs) - st.arrived }) {
 		return // aborted: recovery restores everything from the checkpoint
@@ -156,6 +125,9 @@ func (st *shardState) streamBody(x *xchg, refresh bool) {
 	for _, a := range st.needAll {
 		st.lposF[a] = e.Coder.Decode(st.lpos[a])
 		st.lfShort[a] = Force3{}
+		if refresh {
+			st.lfLong[a] = Force3{}
+		}
 	}
 	for _, sb := range st.touchedSubs {
 		for slot := k.subStart[sb]; slot < k.subStart[sb+1]; slot++ {
@@ -180,9 +152,6 @@ func (st *shardState) streamBody(x *xchg, refresh bool) {
 		st.energyP14 += e.pair14One(&e.pair14[pi], st.lpos, st.lfShort)
 	}
 	if refresh {
-		for _, a := range st.exclTouch {
-			st.lfLong[a] = Force3{}
-		}
 		st.energyExcl = e.exclScan(st.exclTerms, st.lpos, st.lfLong)
 	}
 
@@ -225,73 +194,40 @@ func (st *shardState) applyImport(m *shardMsg) {
 	st.arrived++
 }
 
-// applyFoot folds one force frame into the canonical force arrays
-// (wrapping fixed-point adds: arrival order is invisible). Runs in stage
-// B only, after the owner's base assignment.
+// applyFoot adds one force frame into the canonical force arrays of the
+// owned atoms it covers (wrapping fixed-point adds: arrival order, and
+// the stage it lands in, are invisible).
 func (st *shardState) applyFoot(m *shardMsg, refresh bool) {
 	e := st.s.E
-	switch m.kind {
-	case msgForce:
-		atoms := st.inFootFrom[m.from]
-		err := decodeForceFrame(m.frame, len(atoms), func(i int, f Force3) {
-			a := atoms[i]
-			e.fShort[a] = e.fShort[a].Add(f)
-		})
-		if err != nil {
-			panic("core: force frame round-trip violation: " + err.Error())
-		}
-	case msgForceLong:
-		if !refresh {
-			return
-		}
-		atoms := st.inExclFootFrom[m.from]
-		err := decodeForceFrame(m.frame, len(atoms), func(i int, f Force3) {
-			a := atoms[i]
-			e.fLong[a] = e.fLong[a].Add(f)
-		})
-		if err != nil {
-			panic("core: force frame round-trip violation: " + err.Error())
-		}
+	var long []Force3
+	if refresh {
+		long = e.fLong
 	}
-}
-
-// applyStream dispatches one fresh (non-stale, integrity-checked)
-// envelope: position frames land in the local copies, force frames are
-// buffered during stage A (the owner's base assignment has not run yet)
-// and applied directly during stage B. Returns false for duplicates.
-func (st *shardState) applyStream(x *xchg, m *shardMsg, refresh bool) bool {
-	switch m.kind {
-	case msgPos:
-		if x.reliable() {
-			if st.gotPos[m.from] == x.xid {
-				return false
-			}
-			st.gotPos[m.from] = x.xid
-		}
-		st.applyImport(m)
-		return true
-	case msgForce:
-		if x.reliable() {
-			if st.gotF[m.from] == x.xid {
-				return false
-			}
-			st.gotF[m.from] = x.xid
-		}
-	case msgForceLong:
-		if x.reliable() {
-			if st.gotFL[m.from] == x.xid {
-				return false
-			}
-			st.gotFL[m.from] = x.xid
-		}
-	default:
-		return false
+	if err := decodeForceFrame(m.frame, st.inFootFrom[m.from], e.fShort, long); err != nil {
+		// As for positions: only a codec fault can get here past the CRC.
+		panic("core: force frame round-trip violation: " + err.Error())
 	}
 	st.footGot++
-	if st.footDirect {
-		st.applyFoot(m, refresh)
+}
+
+// applyStream applies one fresh (non-stale, integrity-checked) envelope:
+// position frames land in the local copies, force frames in the
+// canonical force arrays. Returns false for duplicates.
+func (st *shardState) applyStream(x *xchg, m *shardMsg, refresh bool) bool {
+	stamp := st.gotPos
+	if m.kind == msgForce {
+		stamp = st.gotF
+	}
+	if x.reliable() {
+		if stamp[m.from] == x.xid {
+			return false
+		}
+		stamp[m.from] = x.xid
+	}
+	if m.kind == msgPos {
+		st.applyImport(m)
 	} else {
-		st.fbuf = append(st.fbuf, *m)
+		st.applyFoot(m, refresh)
 	}
 	return true
 }
@@ -346,7 +282,7 @@ func (st *shardState) streamLoop(x *xchg, refresh bool, pending func() int) bool
 		for pending() > 0 {
 			t0 := obs.Now()
 			m := <-st.inbox
-			st.stream.BlockedNs += obs.Now() - t0
+			st.tstats.BlockedNs += obs.Now() - t0
 			st.handleStream(x, &m, refresh)
 		}
 		return true
@@ -393,17 +329,17 @@ func (st *shardState) streamLoop(x *xchg, refresh bool, pending func() int) bool
 			t0 := obs.Now()
 			select {
 			case m := <-st.inbox:
-				st.stream.BlockedNs += obs.Now() - t0
+				st.tstats.BlockedNs += obs.Now() - t0
 				st.handleStream(x, &m, refresh)
 				progressed = true
 			case a := <-st.acks:
-				st.stream.BlockedNs += obs.Now() - t0
+				st.tstats.BlockedNs += obs.Now() - t0
 				ackOne(a)
 				progressed = true
 			case <-x.abort:
 				return false
 			case <-timer.C:
-				st.stream.BlockedNs += obs.Now() - t0
+				st.tstats.BlockedNs += obs.Now() - t0
 				// Quiescence timeout: retransmit everything unsettled and
 				// back off (the plane never faults attempts >= SafeAttempt).
 				for i := range st.out {
@@ -437,42 +373,34 @@ func (st *shardState) streamLoop(x *xchg, refresh bool, pending func() int) bool
 	return true
 }
 
-// sendForcesStream encodes and multicasts the force export frames. The
-// position sends are settled by the time the import wait exits, so
-// resetting the in-flight tracking here is safe; these sends settle in
-// stage B's loop under the same exchange id.
+// sendForcesStream encodes and sends one force frame per import link:
+// the short-range section and, on refresh, the long-range section for the
+// same foot atoms. The position sends are settled by the time the import
+// wait exits, so resetting the in-flight tracking here is safe; these
+// sends settle in stage B's loop under the same exchange id.
 func (st *shardState) sendForcesStream(x *xchg, refresh bool) {
 	st.beginSend()
 	for di, dst := range st.impSrcs {
-		out := st.footOut[di]
-		for oi, a := range st.footAtoms[di] {
-			out[oi] = st.lfShort[a]
+		atoms := st.footAtoms[di]
+		frame := appendForceFrame(st.footFrames[di][:0], st.lfShort, atoms)
+		rawB := forceRawBytes(len(atoms))
+		if refresh {
+			frame = appendForceFrame(frame, st.lfLong, atoms)
+			rawB *= 2
 		}
-		st.footFrames[di] = appendForceFrame(st.footFrames[di][:0], out)
-		st.sendStream(x, dst, msgForce, st.footFrames[di],
-			forceRawBytes(len(out)), &st.stream.ForceRawB, &st.stream.ForceWireB)
-	}
-	if refresh {
-		for di, dst := range st.exclFootDst {
-			out := st.exclFootOut[di]
-			for oi, a := range st.exclFootAtoms[di] {
-				out[oi] = st.lfLong[a]
-			}
-			st.exclFrames[di] = appendForceFrame(st.exclFrames[di][:0], out)
-			st.sendStream(x, dst, msgForceLong, st.exclFrames[di],
-				forceRawBytes(len(out)), &st.stream.ForceRawB, &st.stream.ForceWireB)
-		}
+		st.footFrames[di] = frame
+		st.sendStream(x, dst, msgForce, frame, rawB)
 	}
 }
 
 // --- Stage B: force assembly. ---
 
 // finishForces is the evaluation's second stage: (refresh) mesh
-// interpolation, the owner's canonical force assembly, application of
-// the force frames buffered during stage A, then the receive loop for
-// the remainder (which also settles the force sends), and finally the
-// virtual-site spreads — only after every contribution is merged, since
-// the spread rounding is nonlinear in the total.
+// interpolation, the shard's own contributions to its owned atoms, then
+// the receive loop for the force frames still to come (which also
+// settles the force sends), and finally the virtual-site spreads — only
+// after every contribution is merged, since the spread rounding is
+// nonlinear in the total.
 func (st *shardState) finishForces(x *xchg, refresh bool) {
 	e := st.s.E
 	t0 := obs.Now()
@@ -482,26 +410,12 @@ func (st *shardState) finishForces(x *xchg, refresh bool) {
 		st.meshNs = obs.Now() - t0
 	}
 	for _, a := range st.owned {
-		e.fShort[a] = st.lfShort[a]
-	}
-	if refresh {
-		// Only the entries this shard's exclusion terms touched are valid
-		// in lfLong (it is sparse-zeroed); the rest would be stale.
-		for _, a := range st.exclTouchOwned {
+		e.fShort[a] = e.fShort[a].Add(st.lfShort[a])
+		if refresh {
 			e.fLong[a] = e.fLong[a].Add(st.lfLong[a])
 		}
 	}
-	st.footDirect = true
-	for i := range st.fbuf {
-		st.applyFoot(&st.fbuf[i], refresh)
-	}
-	st.fbuf = st.fbuf[:0]
-
-	expect := st.inFoot
-	if refresh {
-		expect += st.inExclFoot
-	}
-	if !st.streamLoop(x, refresh, func() int { return expect - st.footGot }) {
+	if !st.streamLoop(x, refresh, func() int { return st.inFoot - st.footGot }) {
 		return // aborted: recovery restores everything from the checkpoint
 	}
 

@@ -43,8 +43,11 @@ const (
 )
 
 // msgAck is the fault-plane message kind for acks (the data kinds are
-// msgPos/msgForce/msgForceLong); acks are never corrupted (no payload)
-// and duplicating one is harmless, so only drop/delay verdicts apply.
+// msgPos/msgForce); acks are never corrupted (no payload) and duplicating
+// one is harmless, so only drop/delay verdicts apply. Message kinds key
+// the fault plane's draws, so the value is part of every recorded
+// campaign: 2 belonged to a data kind that no longer exists and stays
+// unused so acks keep their draws.
 const msgAck uint8 = 3
 
 // shardAck acknowledges one accepted (or duplicate) data envelope.
@@ -89,8 +92,11 @@ type outMsg struct {
 	m       shardMsg
 }
 
-// transportTally is one shard's reliable-transport accounting, read by
-// the driver between stages only.
+// transportTally is one shard's cumulative link accounting, read by the
+// driver between stages only. The reliable-transport counts are zero in
+// plain runs; BlockedNs is wall clock (nondeterministic diagnostics); the
+// byte fields are functions of the trajectory alone and are therefore
+// deterministic for a fixed config.
 type transportTally struct {
 	Sends         int64 // data envelopes first-transmitted
 	Retransmits   int64 // timeout-driven re-sends
@@ -99,6 +105,12 @@ type transportTally struct {
 	StaleDiscards int64 // envelopes from an earlier exchange or epoch
 	AckDrops      int64 // acks lost to a full ack channel
 	FullDrops     int64 // data envelopes lost to a full inbox
+
+	BlockedNs  int64 // ns blocked on a receive
+	PosRawB    int64 // position payload bytes
+	PosWireB   int64 // position frame bytes actually sent
+	ForceRawB  int64 // force payload bytes before varint packing
+	ForceWireB int64 // force frame bytes actually sent
 }
 
 func (t *transportTally) add(o transportTally) {
@@ -109,6 +121,20 @@ func (t *transportTally) add(o transportTally) {
 	t.StaleDiscards += o.StaleDiscards
 	t.AckDrops += o.AckDrops
 	t.FullDrops += o.FullDrops
+	t.BlockedNs += o.BlockedNs
+	t.PosRawB += o.PosRawB
+	t.PosWireB += o.PosWireB
+	t.ForceRawB += o.ForceRawB
+	t.ForceWireB += o.ForceWireB
+}
+
+// tallyTotals sums the per-shard link tallies. Driver-serial.
+func (s *Sharded) tallyTotals() transportTally {
+	var t transportTally
+	for _, st := range s.shards {
+		t.add(st.tstats)
+	}
+	return t
 }
 
 // TransportStats is the summed reliable-transport accounting of a
@@ -140,14 +166,10 @@ type TransportStats struct {
 	ForceWireBytes int64 `json:"force_wire_bytes"`
 }
 
-// TransportStats sums the per-shard transport and stream tallies. Call
-// it between Step calls (driver-serial), e.g. from an OnStep hook.
+// TransportStats sums the per-shard link tallies. Call it between Step
+// calls (driver-serial), e.g. from an OnStep hook.
 func (s *Sharded) TransportStats() TransportStats {
-	var t transportTally
-	for _, st := range s.shards {
-		t.add(st.tstats)
-	}
-	sm := s.streamTotals()
+	t := s.tallyTotals()
 	return TransportStats{
 		Sends:          t.Sends,
 		Retransmits:    t.Retransmits,
@@ -156,11 +178,11 @@ func (s *Sharded) TransportStats() TransportStats {
 		StaleDiscards:  t.StaleDiscards,
 		AckDrops:       t.AckDrops,
 		FullDrops:      t.FullDrops,
-		BlockedNs:      sm.BlockedNs,
-		PosRawBytes:    sm.PosRawB,
-		PosWireBytes:   sm.PosWireB,
-		ForceRawBytes:  sm.ForceRawB,
-		ForceWireBytes: sm.ForceWireB,
+		BlockedNs:      t.BlockedNs,
+		PosRawBytes:    t.PosRawB,
+		PosWireBytes:   t.PosWireB,
+		ForceRawBytes:  t.ForceRawB,
+		ForceWireBytes: t.ForceWireB,
 	}
 }
 

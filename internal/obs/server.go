@@ -18,7 +18,7 @@ import (
 // handler serving
 //
 //	/metrics  — Prometheus text exposition from the Recorder snapshot
-//	            and the per-step time-series ring
+//	            and the latest per-step sample
 //	/healthz  — the watchdog registry's status as JSON (HTTP 503 when a
 //	            monitor is latched critical)
 //	/trace    — the step tracer's ring as Chrome trace-event JSON
@@ -59,7 +59,18 @@ func (t *Telemetry) PublishSnapshot(s Snapshot) {
 	t.mu.Unlock()
 }
 
-// PublishSample installs the latest time-series sample.
+// StepSample is one per-step entry of the live telemetry: the
+// thermodynamic state a dashboard plots against step index.
+type StepSample struct {
+	Step            int64   `json:"step"`
+	TimeFs          float64 `json:"time_fs"`
+	Temperature     float64 `json:"temperature_k"`
+	TotalEnergy     float64 `json:"total_energy"`
+	PotentialEnergy float64 `json:"potential_energy"`
+	KineticEnergy   float64 `json:"kinetic_energy"`
+}
+
+// PublishSample installs the latest per-step sample.
 func (t *Telemetry) PublishSample(s StepSample) {
 	t.mu.Lock()
 	t.latest, t.haveLatest = s, true

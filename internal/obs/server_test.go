@@ -13,29 +13,6 @@ import (
 	"anton/internal/obs/health"
 )
 
-func TestSeriesRing(t *testing.T) {
-	s := NewSeries(16)
-	if _, ok := s.Latest(); ok {
-		t.Fatal("empty series reported a latest sample")
-	}
-	for i := int64(1); i <= 40; i++ {
-		s.Append(StepSample{Step: i, Temperature: float64(i)})
-	}
-	if s.Total() != 40 {
-		t.Errorf("total %d, want 40", s.Total())
-	}
-	snap := s.Snapshot()
-	if len(snap) != 16 {
-		t.Fatalf("retained %d samples, want 16", len(snap))
-	}
-	if snap[0].Step != 25 || snap[15].Step != 40 {
-		t.Errorf("ring window [%d,%d], want [25,40]", snap[0].Step, snap[15].Step)
-	}
-	if last, ok := s.Latest(); !ok || last.Step != 40 {
-		t.Errorf("latest = %+v", last)
-	}
-}
-
 func TestTelemetryEndpoints(t *testing.T) {
 	tel := NewTelemetry()
 	srv := httptest.NewServer(tel.Handler())

@@ -101,11 +101,15 @@ func TestServiceChaosPersistPointMatrix(t *testing.T) {
 func TestServiceChaosTransientStorm(t *testing.T) {
 	skipShort(t)
 	dir := t.TempDir()
+	fspec, err := faults.ParseFSSpec("seed=9,enospc=0.12,torn=0.08,eio=0.08,stall=0.03,maxstall=1ms")
+	if err != nil {
+		t.Fatal(err)
+	}
 	d := newTestDaemon(t, Config{
-		StateDir:     dir,
-		Workers:      2,
-		StorageChaos: "seed=9,enospc=0.12,torn=0.08,eio=0.08,stall=0.03,maxstall=1ms",
-		RetryBase:    time.Millisecond,
+		StateDir:  dir,
+		Workers:   2,
+		StorageFS: faults.NewFS(fspec),
+		RetryBase: time.Millisecond,
 	})
 	specs := []JobSpec{
 		{System: "small", Steps: 60, CheckpointEvery: 10, Seed: 5},

@@ -55,15 +55,10 @@ type Config struct {
 	// stall detection off).
 	StallAfter time.Duration
 
-	// StorageChaos attaches a storage fault plane from a faults.FSSpec
-	// string (see faults.ParseFSSpec), e.g.
-	// "seed=11,enospc=0.05,torn=0.05,crashes=6,horizon=40".
-	// Empty = quiet. StorageFS takes precedence when both are set.
-	StorageChaos string
-
-	// StorageFS attaches an existing storage fault plane — the chaos
-	// harness shares one plane across daemon restarts so the crash
-	// schedule spans the whole campaign.
+	// StorageFS attaches a storage fault plane (nil = plain I/O); build
+	// one with faults.NewFS from a faults.ParseFSSpec spec. Sharing one
+	// plane across daemon restarts makes its crash schedule span the
+	// whole campaign.
 	StorageFS *faults.FS
 
 	// RetryBase is the persist-retry backoff base (default 50ms; the
@@ -186,15 +181,7 @@ func New(cfg Config) (*Daemon, error) {
 	if cfg.Logger == nil {
 		cfg.Logger = slog.Default()
 	}
-	fsp := cfg.StorageFS
-	if fsp == nil && cfg.StorageChaos != "" {
-		spec, err := faults.ParseFSSpec(cfg.StorageChaos)
-		if err != nil {
-			return nil, fmt.Errorf("service: storage chaos: %w", err)
-		}
-		fsp = faults.NewFS(spec)
-	}
-	st, err := OpenStoreFS(cfg.StateDir, fsp)
+	st, err := OpenStoreFS(cfg.StateDir, cfg.StorageFS)
 	if err != nil {
 		return nil, err
 	}
@@ -205,7 +192,7 @@ func New(cfg Config) (*Daemon, error) {
 		q:        newQueue(),
 		auth:     newAuth(cfg.Tokens, cfg.RatePerMin, cfg.Burst),
 		tset:     obs.NewTelemetrySet(),
-		fs:       fsp,
+		fs:       cfg.StorageFS,
 		stats:    &obs.ServiceStats{},
 		log:      cfg.Logger,
 		ctx:      ctx,

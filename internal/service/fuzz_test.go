@@ -20,6 +20,7 @@ func FuzzJobSpec(f *testing.F) {
 		`{"system":"small","steps":1,"idempotency_key":"k","deadline_sec":30,"temperature":310.5,"name":"n"}`,
 		`{"system":"small","steps":10,"chaos":"seed=7"}`, // chaos without shards
 		`{"system":"small","steps":10,"shards":3}`,
+		`{"system":"small","steps":10,"shards":64}`, `{"system":"small","steps":10,"shards":32768}`,
 		`{"system":"small","steps":0}`, `{"system":"nope","steps":1}`, `{"steps":1}`,
 		`{"system":"small","steps":1,"nodes":3}`, `{"system":"small","steps":1e9}`,
 		`{"system":"small","steps":1,"bogus":true}`, `{"system":"small","steps":"1"}`,
@@ -33,6 +34,9 @@ func FuzzJobSpec(f *testing.F) {
 		dec.DisallowUnknownFields()
 		if dec.Decode(&spec) != nil || spec.Normalize() != nil {
 			return
+		}
+		if spec.Shards > MaxShards {
+			t.Fatalf("accepted %d shards, over the %d cap", spec.Shards, MaxShards)
 		}
 		again := spec
 		if err := again.Normalize(); err != nil || again != spec {

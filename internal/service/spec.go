@@ -36,6 +36,14 @@ const (
 	DefaultSeed            = 2
 	DefaultCheckpointEvery = 25
 	MaxSteps               = 100_000_000
+
+	// MaxShards caps Shards. Every shard holds atom-indexed buffers, so
+	// a sharded engine's memory grows with shards × atoms: building
+	// "small" takes ~92 MB of heap at 512 shards and ~1 GB at 4,096, and
+	// one unauthenticated submit must not be able to exhaust the
+	// daemon's memory. 64 is the largest count any test, document or
+	// benchmark runs.
+	MaxShards = 64
 )
 
 // JobSpec is the client-submitted description of one simulation job.
@@ -61,7 +69,8 @@ type JobSpec struct {
 	Temperature float64 `json:"temperature,omitempty"`
 
 	// Shards > 0 runs the sharded virtual-node pipeline with that many
-	// shards (power of two); 0 runs the monolithic engine on Nodes nodes.
+	// shards (a power of two, at most MaxShards); 0 runs the monolithic
+	// engine on Nodes nodes.
 	Shards int `json:"shards,omitempty"`
 
 	// Nodes is the monolithic engine's simulated node count, a power of
@@ -134,6 +143,9 @@ func (j *JobSpec) Normalize() error {
 	}
 	if j.Shards > 0 && j.Shards&(j.Shards-1) != 0 {
 		return fmt.Errorf("service: job spec: shards must be a power of two, got %d", j.Shards)
+	}
+	if j.Shards > MaxShards {
+		return fmt.Errorf("service: job spec: shards %d exceeds the %d cap", j.Shards, MaxShards)
 	}
 	if j.Nodes == 0 {
 		j.Nodes = DefaultNodes

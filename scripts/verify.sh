@@ -37,14 +37,16 @@ echo "== race: long concurrency tests =="
 # shards (reorder and lossy-with-crash planes) and 64 shards (through a
 # crash, rollback and replay), the per-shard stage timers the driver reads
 # for phase attribution, the quiet reliable transport, single-shard crash
-# recovery and one shard crashing three times (alone, and as one of 8).
+# recovery and one shard crashing three times (alone, and as one of 8),
+# and — since stage A adds arriving force frames into the canonical force
+# arrays — a migration landing on a refresh step and the measured traffic.
 # service: the HTTP surface, cancel, kill/restart and graceful-stop
 # durability, per-job ledgers, worker metrics, telemetry retention, and
 # the whole hostile-disk campaign. cmd: antonsim in process against an
 # antond job and an antonaudit replay of the same spec, and its
 # stop/resume, monolithic and at 8 shards. All but the retention test
 # assert a bitwise trajectory.
-long='TestConcurrentShardMeshSolves|TestShardInvariance|TestShardCheckpointCrossShardCount|TestCheckpointFileCrossShardResume|TestStreamChaosReorder|TestShardPhaseAttribution|TestChaosReliableNoFaults|TestChaosSingleShard|TestChaosRepeatedCrash|TestServiceHTTP|TestCancel|TestDaemonKillRestartDurability|TestGracefulStopPersistsBoundary|TestJobLedger|TestDaemonWorkerMetrics|TestTelemetryRetention|TestServiceChaos|TestCLIDigestAgreement|TestCLIResume'
+long='TestConcurrentShardMeshSolves|TestShardInvariance|TestShardCheckpointCrossShardCount|TestCheckpointFileCrossShardResume|TestStreamChaosReorder|TestShardPhaseAttribution|TestChaosReliableNoFaults|TestChaosSingleShard|TestChaosRepeatedCrash|TestShardMigrationCoincidesWithRefresh|TestShardMeasuredComm|TestServiceHTTP|TestCancel|TestDaemonKillRestartDurability|TestGracefulStopPersistsBoundary|TestJobLedger|TestDaemonWorkerMetrics|TestTelemetryRetention|TestServiceChaos|TestCLIDigestAgreement|TestCLIResume'
 go test -race -timeout 30m -run "$long" ./internal/core ./internal/service ./cmd/...
 
 echo "== determinism: repeated runs =="
