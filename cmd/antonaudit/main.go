@@ -144,6 +144,12 @@ func replayAudit(recs []ledger.Record, target int64, dir string) error {
 		return fmt.Errorf("decoding genesis spec: %w", err)
 	}
 	spec.Chaos = "" // the faulted trajectory is bitwise the fault-free one; replay proves it
+	// The hash chain can be forged, so the genesis spec is untrusted input:
+	// it passes the daemon's submit rules before anything is built. An
+	// honest spec was normalized at submission and does not change.
+	if err := spec.Normalize(); err != nil {
+		return fmt.Errorf("genesis spec: %w", err)
+	}
 
 	ckptPath, from := "", int64(0)
 	ck, restored := ledger.CheckpointAt(recs, target)

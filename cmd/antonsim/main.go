@@ -64,7 +64,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fl.SetOutput(stderr)
 	var (
 		name    = fl.String("system", "gpW", "named system (see -list) or 'small'")
-		nodes   = fl.Int("nodes", 8, "Anton node count to simulate (power of two)")
+		nodes   = fl.Int("nodes", 8, "Anton node count to simulate (power of two, at most 512)")
 		shards  = fl.Int("shards", 0, "run the sharded virtual-node pipeline with this many shards (power of two, overrides -nodes; 0 = monolithic engine)")
 		steps   = fl.Int("steps", 20, "time steps to run")
 		temp    = fl.Float64("temp", 300, "thermostat target temperature, K (0 = NVE)")

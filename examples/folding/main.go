@@ -12,7 +12,6 @@ import (
 	"anton/internal/analysis"
 	"anton/internal/gomodel"
 	"anton/internal/system"
-	"anton/internal/vec"
 )
 
 func main() {
@@ -28,9 +27,9 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	var native []vec.V3
-	for i := 0; i < nRes; i++ {
-		native = append(native, sys.R[i*system.AtomsPerResidue+2])
+	native, err := sys.CATrace()
+	if err != nil {
+		log.Fatal(err)
 	}
 	model, err := gomodel.New(native, 8.5)
 	if err != nil {

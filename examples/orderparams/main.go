@@ -51,12 +51,13 @@ func main() {
 	}
 	eqVel := append([]vec.V3(nil), eq.V...)
 
-	var bonds [][2]int // backbone N-HN vectors
-	var align []int    // CA alignment selection
-	for i := 0; i < nRes; i++ {
-		base := i * system.AtomsPerResidue
-		bonds = append(bonds, [2]int{base, base + 1})
-		align = append(align, base+2)
+	bonds, err := built.BackboneNHBonds() // backbone N-HN vectors
+	if err != nil {
+		log.Fatal(err)
+	}
+	align, err := built.CASelection() // CA alignment selection
+	if err != nil {
+		log.Fatal(err)
 	}
 
 	// Anton trajectory.

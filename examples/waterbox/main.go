@@ -36,7 +36,7 @@ func main() {
 	const steps, every = 160, 8
 	for done := 0; done < steps; done += every {
 		eng.Step(every)
-		if err := tr.Record(eng.StepCount(), float64(eng.StepCount())*eng.Cfg.Dt, eng.Positions(), eng.TotalEnergy()); err != nil {
+		if err := tr.Record(eng.StepCount(), float64(eng.StepCount())*eng.Cfg.Dt, eng.Positions()); err != nil {
 			log.Fatal(err)
 		}
 	}

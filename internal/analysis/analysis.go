@@ -3,8 +3,8 @@
 // errors as fractions of the rms force (§5.2, Table 4), backbone amide
 // order parameters S² estimated from trajectories (Figure 6, method of
 // reference [24]), native-contact fractions for folding/unfolding
-// detection (Figure 7), RMSD with optimal superposition, and radius of
-// gyration.
+// detection (Figure 7), RMSD with optimal superposition, and the radial
+// distribution function of the water validation.
 package analysis
 
 import (
@@ -79,37 +79,4 @@ func Mean(x []float64) float64 {
 		s += v
 	}
 	return s / float64(len(x))
-}
-
-// Variance returns the population variance.
-func Variance(x []float64) float64 {
-	m := Mean(x)
-	s := 0.0
-	for _, v := range x {
-		s += (v - m) * (v - m)
-	}
-	if len(x) == 0 {
-		return 0
-	}
-	return s / float64(len(x))
-}
-
-// RadiusOfGyration returns sqrt(sum m (r - com)^2 / sum m) for the given
-// selection (mass-weighted).
-func RadiusOfGyration(r []vec.V3, masses []float64) float64 {
-	var com vec.V3
-	var mTot float64
-	for i := range r {
-		com = com.Add(r[i].Scale(masses[i]))
-		mTot += masses[i]
-	}
-	if mTot == 0 {
-		return 0
-	}
-	com = com.Scale(1 / mTot)
-	var s float64
-	for i := range r {
-		s += masses[i] * r[i].Sub(com).Norm2()
-	}
-	return math.Sqrt(s / mTot)
 }

@@ -230,21 +230,9 @@ func TestTransitionCount(t *testing.T) {
 	}
 }
 
-func TestRadiusOfGyration(t *testing.T) {
-	// Two unit masses at +-1 on x: Rg = 1.
-	r := []vec.V3{{X: -1}, {X: 1}}
-	m := []float64{1, 1}
-	if rg := RadiusOfGyration(r, m); math.Abs(rg-1) > 1e-14 {
-		t.Errorf("Rg: got %g", rg)
-	}
-}
-
 func TestMeanVariance(t *testing.T) {
 	x := []float64{1, 2, 3, 4}
 	if Mean(x) != 2.5 {
 		t.Errorf("mean: %g", Mean(x))
-	}
-	if math.Abs(Variance(x)-1.25) > 1e-14 {
-		t.Errorf("variance: %g", Variance(x))
 	}
 }

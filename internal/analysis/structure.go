@@ -84,90 +84,3 @@ func FirstPeak(r, g []float64, threshold float64) (pos, height float64, ok bool)
 	}
 	return 0, 0, false
 }
-
-// MeanSquareDisplacement computes MSD(t) from unwrapped trajectories
-// (frames of positions without periodic wrapping), averaged over the
-// selection and over time origins with the given stride.
-func MeanSquareDisplacement(frames [][]vec.V3, sel []int, originStride int) ([]float64, error) {
-	if len(frames) < 2 || len(sel) == 0 {
-		return nil, fmt.Errorf("analysis: need >=2 frames and a selection")
-	}
-	if originStride < 1 {
-		originStride = 1
-	}
-	n := len(frames)
-	msd := make([]float64, n)
-	norm := make([]float64, n)
-	for origin := 0; origin < n-1; origin += originStride {
-		for lag := 1; origin+lag < n; lag++ {
-			var s float64
-			for _, a := range sel {
-				s += frames[origin+lag][a].Sub(frames[origin][a]).Norm2()
-			}
-			msd[lag] += s / float64(len(sel))
-			norm[lag]++
-		}
-	}
-	for lag := 1; lag < n; lag++ {
-		if norm[lag] > 0 {
-			msd[lag] /= norm[lag]
-		}
-	}
-	return msd, nil
-}
-
-// DiffusionCoefficient fits D from the long-time slope of MSD(t) via the
-// Einstein relation MSD = 6*D*t, using the second half of the series.
-// times in fs, MSD in Å^2: D in Å^2/fs (multiply by 1e-1 for cm^2/s...
-// 1 Å^2/fs = 1e-16 cm^2 / 1e-15 s = 1e-1 cm^2/s).
-func DiffusionCoefficient(timesFs, msd []float64) (float64, error) {
-	if len(timesFs) != len(msd) || len(msd) < 4 {
-		return 0, fmt.Errorf("analysis: need matched MSD series of >=4 points")
-	}
-	half := len(msd) / 2
-	slope, _, err := LinearFit(timesFs[half:], msd[half:])
-	if err != nil {
-		return 0, err
-	}
-	return slope / 6, nil
-}
-
-// VelocityAutocorrelation computes the normalized velocity
-// autocorrelation function C(t) = <v(0).v(t)>/<v(0).v(0)> from velocity
-// frames, averaged over atoms and time origins. Its decay time reflects
-// the collision rate; its integral gives the diffusion coefficient by
-// Green-Kubo.
-func VelocityAutocorrelation(frames [][]vec.V3, sel []int, originStride int) ([]float64, error) {
-	if len(frames) < 2 || len(sel) == 0 {
-		return nil, fmt.Errorf("analysis: need >=2 velocity frames and a selection")
-	}
-	if originStride < 1 {
-		originStride = 1
-	}
-	n := len(frames)
-	acf := make([]float64, n)
-	norm := make([]float64, n)
-	for origin := 0; origin < n; origin += originStride {
-		for lag := 0; origin+lag < n; lag++ {
-			var s float64
-			for _, a := range sel {
-				s += frames[origin][a].Dot(frames[origin+lag][a])
-			}
-			acf[lag] += s / float64(len(sel))
-			norm[lag]++
-		}
-	}
-	for lag := 0; lag < n; lag++ {
-		if norm[lag] > 0 {
-			acf[lag] /= norm[lag]
-		}
-	}
-	if acf[0] == 0 {
-		return nil, fmt.Errorf("analysis: zero velocities")
-	}
-	c0 := acf[0]
-	for lag := range acf {
-		acf[lag] /= c0
-	}
-	return acf, nil
-}

@@ -77,113 +77,3 @@ func TestRDFErrors(t *testing.T) {
 		t.Error("negative range accepted")
 	}
 }
-
-func TestMSDBallistic(t *testing.T) {
-	// Constant-velocity motion: MSD(t) = (v*t)^2.
-	var frames [][]vec.V3
-	v := vec.V3{X: 0.1}
-	for f := 0; f < 20; f++ {
-		frames = append(frames, []vec.V3{v.Scale(float64(f))})
-	}
-	msd, err := MeanSquareDisplacement(frames, []int{0}, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for lag := 1; lag < len(msd); lag++ {
-		want := math.Pow(0.1*float64(lag), 2)
-		if math.Abs(msd[lag]-want) > 1e-12 {
-			t.Fatalf("MSD(%d) = %g, want %g", lag, msd[lag], want)
-		}
-	}
-}
-
-func TestDiffusionCoefficientRandomWalk(t *testing.T) {
-	// A discrete 3D random walk with step s every dt: D = s^2/(6*dt).
-	rng := rand.New(rand.NewSource(7))
-	const (
-		nWalkers = 400
-		nSteps   = 120
-		s        = 0.5
-		dt       = 10.0
-	)
-	pos := make([]vec.V3, nWalkers)
-	var frames [][]vec.V3
-	var times []float64
-	for step := 0; step < nSteps; step++ {
-		frames = append(frames, append([]vec.V3(nil), pos...))
-		times = append(times, float64(step)*dt)
-		for i := range pos {
-			axis := rng.Intn(3)
-			sign := float64(rng.Intn(2)*2 - 1)
-			switch axis {
-			case 0:
-				pos[i].X += sign * s
-			case 1:
-				pos[i].Y += sign * s
-			case 2:
-				pos[i].Z += sign * s
-			}
-		}
-	}
-	sel := make([]int, nWalkers)
-	for i := range sel {
-		sel[i] = i
-	}
-	msd, err := MeanSquareDisplacement(frames, sel, 5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	d, err := DiffusionCoefficient(times, msd)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := s * s / (6 * dt)
-	if math.Abs(d-want) > 0.25*want {
-		t.Errorf("D = %g, want %g", d, want)
-	}
-}
-
-func TestVelocityAutocorrelation(t *testing.T) {
-	// Constant velocities: C(t) = 1 for all lags.
-	var frames [][]vec.V3
-	for f := 0; f < 10; f++ {
-		frames = append(frames, []vec.V3{{X: 0.3}, {Y: -0.2}})
-	}
-	acf, err := VelocityAutocorrelation(frames, []int{0, 1}, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for lag, c := range acf {
-		if math.Abs(c-1) > 1e-12 {
-			t.Fatalf("constant-velocity ACF at lag %d: %g", lag, c)
-		}
-	}
-	// Alternating velocities: C oscillates between +1 and -1.
-	frames = nil
-	for f := 0; f < 8; f++ {
-		sign := float64(1 - 2*(f%2))
-		frames = append(frames, []vec.V3{{X: sign}})
-	}
-	acf, _ = VelocityAutocorrelation(frames, []int{0}, 1)
-	if math.Abs(acf[1]+1) > 1e-12 || math.Abs(acf[2]-1) > 1e-12 {
-		t.Errorf("alternating ACF wrong: %v", acf[:3])
-	}
-	// Random velocities decorrelate.
-	rng := rand.New(rand.NewSource(5))
-	frames = nil
-	for f := 0; f < 50; f++ {
-		fr := make([]vec.V3, 300)
-		for i := range fr {
-			fr[i] = vec.V3{X: rng.NormFloat64(), Y: rng.NormFloat64(), Z: rng.NormFloat64()}
-		}
-		frames = append(frames, fr)
-	}
-	sel := make([]int, 300)
-	for i := range sel {
-		sel[i] = i
-	}
-	acf, _ = VelocityAutocorrelation(frames, sel, 1)
-	if math.Abs(acf[5]) > 0.1 {
-		t.Errorf("random ACF at lag 5: %g", acf[5])
-	}
-}

@@ -194,15 +194,9 @@ type Engine struct {
 	// path costs one nil check per phase — never per pair.
 	rec *obs.Recorder
 
-	// onStep is an optional end-of-step hook (nil = disabled) — the
-	// attachment point for the health watchdogs. Hooks must be read-only
-	// with respect to dynamics state.
-	onStep func()
-
-	// stepHooks are additional end-of-step observers (the run-ledger tap
-	// and friends), run after onStep. Same read-only contract; kept
-	// separate from onStep so attaching a ledger cannot displace a watch
-	// and vice versa.
+	// stepHooks are the end-of-step observers (the health watch and the
+	// run-ledger tap). Hooks must be read-only with respect to dynamics
+	// state, so their order does not matter.
 	stepHooks []func()
 
 	Stats Stats
@@ -422,17 +416,11 @@ func (e *Engine) Observe(r *obs.Recorder) { e.rec = r }
 // Recorder returns the attached observability registry (nil if detached).
 func (e *Engine) Recorder() *obs.Recorder { return e.rec }
 
-// OnStep installs fn as the end-of-step hook (nil to remove). The hook
-// runs after each completed step, after the recorder closes it,
-// and must not mutate dynamics state.
-func (e *Engine) OnStep(fn func()) { e.onStep = fn }
-
-// AddStepHook appends an additional end-of-step observer, preserving
-// any hook installed with OnStep (watchdogs and the run-ledger tap
-// coexist this way). Hooks run in attachment order after OnStep's, in
-// both the monolithic and the sharded step loop, and must not mutate
-// dynamics state. There is deliberately no removal: taps live for the
-// engine's lifetime, like the recorder.
+// AddStepHook appends an end-of-step observer. Hooks run after each
+// completed step, after the recorder closes it, in both the monolithic
+// and the sharded step loop, and must not mutate dynamics state. There
+// is deliberately no removal: taps live for the engine's lifetime, like
+// the recorder.
 func (e *Engine) AddStepHook(fn func()) {
 	if fn != nil {
 		e.stepHooks = append(e.stepHooks, fn)
@@ -445,9 +433,6 @@ func (e *Engine) endStep() {
 	e.Stats.Steps++
 	if e.rec != nil {
 		e.rec.StepDone(int64(e.step))
-	}
-	if e.onStep != nil {
-		e.onStep()
 	}
 	for _, fn := range e.stepHooks {
 		fn()

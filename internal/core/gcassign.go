@@ -115,21 +115,6 @@ func (a *GCAssignment) Terms() int { return a.terms }
 // position each step for bonded-force evaluation.
 func (a *GCAssignment) BondDestinations(atom int) []int32 { return a.destNodes[atom] }
 
-// PositionMessages returns the total per-step count of atom-position
-// messages implied by the destination sets, excluding deliveries to the
-// atom's own home node (local data needs no message).
-func (a *GCAssignment) PositionMessages(boxOf []int32) int {
-	msgs := 0
-	for atom, dests := range a.destNodes {
-		for _, d := range dests {
-			if d != boxOf[atom] {
-				msgs++
-			}
-		}
-	}
-	return msgs
-}
-
 // LoadStats summarizes the GC load balance.
 type LoadStats struct {
 	WorstGC   int     // largest single-GC load (the §3.2.3 objective)

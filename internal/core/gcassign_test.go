@@ -62,21 +62,6 @@ func TestBondDestinationsAreDeduplicated(t *testing.T) {
 	}
 }
 
-func TestPositionMessagesExcludeLocal(t *testing.T) {
-	// On one node, every destination is local: zero messages.
-	e1 := smallWaterEngine(t, 1, nil)
-	a1 := AssignBondTerms(e1.Sys.Top, e1.boxOf, e1.grid, 8)
-	if got := a1.PositionMessages(e1.boxOf); got != 0 {
-		t.Errorf("single node should need no bond messages, got %d", got)
-	}
-	// On 8 nodes, terms straddling boxes need messages.
-	e8 := smallWaterEngine(t, 8, nil)
-	a8 := AssignBondTerms(e8.Sys.Top, e8.boxOf, e8.grid, 8)
-	if got := a8.PositionMessages(e8.boxOf); got <= 0 {
-		t.Errorf("8 nodes should need bond messages, got %d", got)
-	}
-}
-
 func TestCommReport(t *testing.T) {
 	e := smallWaterEngine(t, 8, nil)
 	rep, err := e.Comm()

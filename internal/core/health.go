@@ -72,7 +72,7 @@ func NewWatch(e *Engine, cfg health.Config, cadence int) *Watch {
 		curPos:  make([]vec.V3, len(e.Pos)),
 		lastMig: e.Stats.Migrations,
 	}
-	e.OnStep(w.tick)
+	e.AddStepHook(w.tick)
 	return w
 }
 

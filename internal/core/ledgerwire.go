@@ -24,8 +24,6 @@ type LedgerTap struct {
 	// prev holds the writer's counters at the last fold, so the tap can
 	// delta-fold them into the (add-only) obs recorder.
 	prev ledger.Stats
-
-	err error
 }
 
 // defaultLedgerCadence is used for non-positive cadences: sparse enough
@@ -55,17 +53,6 @@ func AttachLedger(e *Engine, w *ledger.Writer, cadence int) *LedgerTap {
 // substitution and MTS rounding.
 func (t *LedgerTap) Cadence() int { return t.cadence }
 
-// Err returns the first append failure. A dead ledger never stops the
-// simulation — provenance is an audit trail, not a control path — but
-// the error is latched so the driver can surface it and fail the job's
-// audit.
-func (t *LedgerTap) Err() error {
-	if t.err != nil {
-		return t.err
-	}
-	return t.w.Err()
-}
-
 // RecordCheckpoint appends a checkpoint record for a file the driver
 // just wrote: the checkpoint's own CRC32 trailer is read back (which
 // also validates it) and recorded with the digest at the current step.
@@ -79,15 +66,15 @@ func (t *LedgerTap) RecordCheckpoint(path string) error {
 
 // tick runs after every completed step; on the cadence it appends one
 // digest record and folds the writer's volume counters into the obs
-// recorder.
+// recorder. A dead ledger never stops the simulation — provenance is an
+// audit trail, not a control path: the writer latches the first append
+// failure and the driver reads it from ledger.Writer.Err.
 func (t *LedgerTap) tick() {
 	e := t.e
 	if e.step%t.cadence != 0 {
 		return
 	}
-	if err := t.w.AppendDigest(int64(e.step), e.StateDigest()); err != nil && t.err == nil {
-		t.err = err
-	}
+	_ = t.w.AppendDigest(int64(e.step), e.StateDigest())
 	if rec := e.rec; rec != nil {
 		st := t.w.Stats()
 		rec.Add(obs.CtrLedgerRecords, st.Records-t.prev.Records)

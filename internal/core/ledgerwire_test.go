@@ -46,7 +46,7 @@ func TestLedgerZeroPerturbation(t *testing.T) {
 	if tapped.Stats.Migrations < 2 {
 		t.Fatalf("run crossed only %d migrations", tapped.Stats.Migrations)
 	}
-	if err := tap.Err(); err != nil {
+	if err := w.Err(); err != nil {
 		t.Fatal(err)
 	}
 	if err := w.Close(); err != nil {
@@ -77,7 +77,7 @@ func TestLedgerZeroPerturbation(t *testing.T) {
 	// Sharded engine with a ledger attached: same contract.
 	sh := smallWaterSharded(t, 8, nil)
 	ws, _ := newTestLedger(t, 16)
-	stap := AttachLedger(sh.E, ws, 10)
+	AttachLedger(sh.E, ws, 10)
 	sh.Step(steps)
 	ps, vs := sh.Snapshot()
 	for i := range pp {
@@ -85,7 +85,7 @@ func TestLedgerZeroPerturbation(t *testing.T) {
 			t.Fatalf("ledger tap perturbed the sharded trajectory at atom %d", i)
 		}
 	}
-	if err := stap.Err(); err != nil {
+	if err := ws.Err(); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -173,7 +173,7 @@ func TestLedgerChaosReplayAudit(t *testing.T) {
 	if got := sh.FaultReport().Injected.CrashesFired; got != 1 {
 		t.Fatalf("campaign fired %d crashes, want 1", got)
 	}
-	if err := tap.Err(); err != nil {
+	if err := w.Err(); err != nil {
 		t.Fatal(err)
 	}
 	if err := w.Close(); err != nil {

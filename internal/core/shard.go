@@ -378,7 +378,6 @@ func (s *Sharded) StepCount() int                  { return s.E.StepCount() }
 func (s *Sharded) Snapshot() ([]fixp.Vec3, []Vel3) { return s.E.Snapshot() }
 func (s *Sharded) SetVelocities(v []vec.V3)        { s.E.SetVelocities(v) }
 func (s *Sharded) Observe(r *obs.Recorder)         { s.E.Observe(r) }
-func (s *Sharded) OnStep(fn func())                { s.E.OnStep(fn) }
 
 // bondedTermAtoms returns the atoms of a bonded term by flat index
 // (bonds, then angles, then dihedrals, then impropers) — the ownership

@@ -167,7 +167,7 @@ type TransportStats struct {
 }
 
 // TransportStats sums the per-shard link tallies. Call it between Step
-// calls (driver-serial), e.g. from an OnStep hook.
+// calls (driver-serial), e.g. from an end-of-step hook.
 func (s *Sharded) TransportStats() TransportStats {
 	t := s.tallyTotals()
 	return TransportStats{

@@ -113,8 +113,5 @@ func (f Force3) Add(o Force3) Force3 { return Force3{f.X + o.X, f.Y + o.Y, f.Z +
 // AddRaw accumulates raw counts.
 func (f Force3) AddRaw(x, y, z int64) Force3 { return Force3{f.X + x, f.Y + y, f.Z + z} }
 
-// Neg returns the negated force (Newton's third law, bit-exact).
-func (f Force3) Neg() Force3 { return Force3{-f.X, -f.Y, -f.Z} }
-
 // Scale multiplies by an integer factor (MTS impulse weighting, exact).
 func (f Force3) Scale(k int64) Force3 { return Force3{f.X * k, f.Y * k, f.Z * k} }

@@ -113,13 +113,13 @@ func Fig6(steps, sampleEvery int) (string, error) {
 		return "", err
 	}
 	// Backbone N-HN bonds and CA alignment selection per residue.
-	nRes := s.ProteinAtoms / system.AtomsPerResidue
-	var bonds [][2]int
-	var alignSel []int
-	for i := 0; i < nRes; i++ {
-		base := i * system.AtomsPerResidue
-		bonds = append(bonds, [2]int{base, base + 1}) // N -> HN
-		alignSel = append(alignSel, base+2)           // CA
+	bonds, err := s.BackboneNHBonds()
+	if err != nil {
+		return "", err
+	}
+	alignSel, err := s.CASelection()
+	if err != nil {
+		return "", err
 	}
 
 	runAnton := func(seed int64) ([][]vec.V3, error) {
@@ -139,7 +139,7 @@ func Fig6(steps, sampleEvery int) (string, error) {
 		tr := trace.New(s.NAtoms())
 		for done := 0; done < steps; done += sampleEvery {
 			eng.Step(sampleEvery)
-			if err := tr.Record(eng.StepCount(), float64(eng.StepCount())*cfg.Dt, eng.Positions(), 0); err != nil {
+			if err := tr.Record(eng.StepCount(), float64(eng.StepCount())*cfg.Dt, eng.Positions()); err != nil {
 				return nil, err
 			}
 		}
@@ -160,7 +160,7 @@ func Fig6(steps, sampleEvery int) (string, error) {
 		tr := trace.New(s.NAtoms())
 		for done := 0; done < steps; done += sampleEvery {
 			eng.Step(sampleEvery)
-			if err := tr.Record(eng.StepCount(), float64(eng.StepCount())*cfg.Dt, eng.R, 0); err != nil {
+			if err := tr.Record(eng.StepCount(), float64(eng.StepCount())*cfg.Dt, eng.R); err != nil {
 				return nil, err
 			}
 		}
@@ -241,9 +241,9 @@ func Fig7(steps int) (string, error) {
 	if err != nil {
 		return "", err
 	}
-	var cas []vec.V3
-	for i := 0; i < nRes; i++ {
-		cas = append(cas, s.R[i*system.AtomsPerResidue+2])
+	cas, err := s.CATrace()
+	if err != nil {
+		return "", err
 	}
 	model, err := gomodel.New(cas, 8.5)
 	if err != nil {

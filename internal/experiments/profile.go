@@ -89,7 +89,7 @@ func profileData(s *system.System, steps, nodes int) (*ProfileData, error) {
 	// per-frame minimum-image displacement is exactly the drift the
 	// residency slack must absorb.
 	tr := trace.New(s.NAtoms())
-	if err := tr.Record(0, 0, e.Positions(), 0); err != nil {
+	if err := tr.Record(0, 0, e.Positions()); err != nil {
 		return nil, err
 	}
 	interval := cfg.MigrationInterval
@@ -99,7 +99,7 @@ func profileData(s *system.System, steps, nodes int) (*ProfileData, error) {
 			n = steps - done
 		}
 		e.Step(n)
-		if err := tr.Record(e.StepCount(), float64(e.StepCount())*cfg.Dt, e.Positions(), 0); err != nil {
+		if err := tr.Record(e.StepCount(), float64(e.StepCount())*cfg.Dt, e.Positions()); err != nil {
 			return nil, err
 		}
 	}

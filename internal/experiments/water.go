@@ -34,7 +34,7 @@ func WaterStructure(steps, sampleEvery int) (string, error) {
 	tr := trace.New(s.NAtoms())
 	for done := 0; done < steps; done += sampleEvery {
 		eng.Step(sampleEvery)
-		if err := tr.Record(eng.StepCount(), float64(eng.StepCount())*cfg.Dt, eng.Positions(), 0); err != nil {
+		if err := tr.Record(eng.StepCount(), float64(eng.StepCount())*cfg.Dt, eng.Positions()); err != nil {
 			return "", err
 		}
 	}

@@ -21,8 +21,6 @@
 //     used for virial tensor products (paper Figure 4c).
 //   - RoundShift / quantization helpers implementing round-to-nearest/even,
 //     the rounding rule used by all Anton datapaths (Figure 4 caption).
-//   - Format: arbitrary-width quantization for modelling the HTIS's narrow
-//     (8- to 22-bit) datapaths.
 package fixp
 
 import (

@@ -169,21 +169,6 @@ func TestVec3Dot(t *testing.T) {
 	}
 }
 
-func TestAccVec3ThirdLaw(t *testing.T) {
-	// Applying f to one atom and f.Neg() to another must cancel exactly.
-	var a, b AccVec3
-	rng := rand.New(rand.NewSource(3))
-	for i := 0; i < 50; i++ {
-		f := AccVec3{}.AddRaw(rng.Int63()-rng.Int63(), rng.Int63()-rng.Int63(), rng.Int63()-rng.Int63())
-		a = a.Add(f)
-		b = b.Add(f.Neg())
-	}
-	s := a.Add(b)
-	if s.X != 0 || s.Y != 0 || s.Z != 0 {
-		t.Errorf("third-law sum not zero: %+v", s)
-	}
-}
-
 // refRoundShift is the three-way-switch RoundShift the branch-free form
 // replaced, kept as the oracle.
 func refRoundShift(x int64, s uint) int64 {

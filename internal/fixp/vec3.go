@@ -48,31 +48,3 @@ func (a Vec3) IsZero() bool { return a.X == 0 && a.Y == 0 && a.Z == 0 }
 
 // String implements fmt.Stringer.
 func (a Vec3) String() string { return fmt.Sprintf("(%v, %v, %v)", a.X, a.Y, a.Z) }
-
-// AccVec3 is a 3-vector of 64-bit wrapping accumulators, used to sum the
-// per-pair force contributions on an atom. Because each component is a
-// wrapping integer sum, the total force is independent of the order in
-// which contributions arrive — the property that lets Anton sum forces from
-// many nodes without synchronization-order effects.
-type AccVec3 struct {
-	X, Y, Z Acc64
-}
-
-// AddRaw accumulates raw Q2.62 component values.
-func (a AccVec3) AddRaw(x, y, z int64) AccVec3 {
-	return AccVec3{a.X + Acc64(x), a.Y + Acc64(y), a.Z + Acc64(z)}
-}
-
-// Add accumulates another accumulator vector.
-func (a AccVec3) Add(b AccVec3) AccVec3 {
-	return AccVec3{a.X + b.X, a.Y + b.Y, a.Z + b.Z}
-}
-
-// Neg returns the negated accumulator (used to apply Newton's third law to
-// the partner atom of a pair with bit-exact antisymmetry).
-func (a AccVec3) Neg() AccVec3 { return AccVec3{-a.X, -a.Y, -a.Z} }
-
-// Float returns the accumulator interpreted at the Q2.62 scale.
-func (a AccVec3) Float() vec.V3 {
-	return vec.V3{X: a.X.Float(), Y: a.Y.Float(), Z: a.Z.Float()}
-}

@@ -122,12 +122,3 @@ func (s *PairStats) Merge(o *PairStats) {
 		s.Occupancy[i] += o.Occupancy[i]
 	}
 }
-
-// MatchEfficiency returns computed/considered — Table 3's utilization
-// figure, from measured counts.
-func (s *PairStats) MatchEfficiency() float64 {
-	if s.Considered == 0 {
-		return 0
-	}
-	return float64(s.Computed) / float64(s.Considered)
-}

@@ -3,11 +3,11 @@
 // main configuration, with any power of two from 1 to 32768 supported —
 // each node an ASIC with the HTIS (32 PPIPs), the flexible subsystem
 // (8 geometry cores, 4 control processors, correction pipeline, DMA
-// engines), 50.6 Gbit/s inter-node channels with tens-of-nanoseconds
-// latency, and an on-chip ring. On top of the topology it provides the
-// analytic per-time-step performance model that reproduces the paper's
-// Table 2 (Anton columns), Table 4 / Figure 5 simulation rates, and the
-// section 5.1 partitioning behavior.
+// engines) and 50.6 Gbit/s inter-node channels with tens-of-nanoseconds
+// latency. On top of the topology it provides the analytic per-time-step
+// performance model that reproduces the paper's Table 2 (Anton columns),
+// Table 4 / Figure 5 simulation rates, and the section 5.1 partitioning
+// behavior.
 package machine
 
 import (
@@ -23,10 +23,6 @@ const (
 	NumPPIPs     = 32
 	MatchPerPPIP = 8
 	NumGCs       = 8
-	ChannelGbps  = 50.6 // per direction, per channel
-	NumChannels  = 6
-	HopLatencyNs = 50 // "tens of nanoseconds" inter-node latency
-	MinMessageB  = 4  // messages with as little as 4 bytes are efficient
 )
 
 // Machine is an Anton configuration.

@@ -320,56 +320,3 @@ func TestMaxHops(t *testing.T) {
 		t.Errorf("max hops on 8x8x8: got %d, want 12", got)
 	}
 }
-
-func TestRingTransferShortestDirection(t *testing.T) {
-	r := NewRing()
-	// HTIS(0) -> host(8): 1 hop counter-clockwise, not 8 clockwise.
-	if err := r.Transfer(StationHTIS, StationHost, 64); err != nil {
-		t.Fatal(err)
-	}
-	s := r.Collect()
-	if s.MaxHops != 1 {
-		t.Errorf("hops: got %d, want 1", s.MaxHops)
-	}
-	// Invalid stations rejected; self-transfer free.
-	if err := r.Transfer(RingStation(-1), StationHost, 1); err == nil {
-		t.Error("invalid station accepted")
-	}
-	r.Reset()
-	if err := r.Transfer(StationDMA, StationDMA, 1000); err != nil {
-		t.Fatal(err)
-	}
-	if r.Collect().Transfers != 0 {
-		t.Error("self transfer counted")
-	}
-}
-
-func TestRingPhaseScalesWithLoad(t *testing.T) {
-	r := NewRing()
-	r.Transfer(StationDRAM0, StationHTIS, 3200)
-	c1 := r.Collect().PhaseCycles
-	r.Reset()
-	r.Transfer(StationDRAM0, StationHTIS, 320000)
-	c2 := r.Collect().PhaseCycles
-	if c2 < c1*50 {
-		t.Errorf("phase cycles should scale with payload: %g -> %g", c1, c2)
-	}
-}
-
-func TestRingStepChoreography(t *testing.T) {
-	// A DHFR-like node: 46 resident atoms, ~500 imported, 64 mesh points.
-	r := NewRing()
-	s := r.StepChoreography(46, 500, 64, 12)
-	if s.Transfers == 0 || s.BusiestSegment == 0 {
-		t.Fatalf("no traffic recorded: %+v", s)
-	}
-	// The intra-node choreography must be far cheaper than the per-step
-	// budget: ~15 us at 485 MHz is ~7300 cycles.
-	if s.PhaseCycles > 7300 {
-		t.Errorf("ring phase %g cycles exceeds the step budget", s.PhaseCycles)
-	}
-	// Station names render.
-	if StationHTIS.String() != "HTIS" || StationHost.String() != "host" {
-		t.Error("station names wrong")
-	}
-}

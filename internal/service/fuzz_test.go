@@ -23,6 +23,7 @@ func FuzzJobSpec(f *testing.F) {
 		`{"system":"small","steps":10,"shards":64}`, `{"system":"small","steps":10,"shards":32768}`,
 		`{"system":"small","steps":0}`, `{"system":"nope","steps":1}`, `{"steps":1}`,
 		`{"system":"small","steps":1,"nodes":3}`, `{"system":"small","steps":1e9}`,
+		`{"system":"small","steps":10,"nodes":512}`, `{"system":"small","steps":10,"nodes":32768}`,
 		`{"system":"small","steps":1,"bogus":true}`, `{"system":"small","steps":"1"}`,
 		`{"system":"small","steps":1}{"system":"small"}`, `{not json`, ``, `null`, `[]`,
 	} {
@@ -37,6 +38,9 @@ func FuzzJobSpec(f *testing.F) {
 		}
 		if spec.Shards > MaxShards {
 			t.Fatalf("accepted %d shards, over the %d cap", spec.Shards, MaxShards)
+		}
+		if spec.Nodes > MaxNodes {
+			t.Fatalf("accepted %d nodes, over the %d cap", spec.Nodes, MaxNodes)
 		}
 		again := spec
 		if err := again.Normalize(); err != nil || again != spec {

@@ -89,6 +89,7 @@ func TestJobSpecNormalize(t *testing.T) {
 		{System: "small", Steps: 10, Shards: 3},             // not a power of two
 		{System: "small", Steps: 10, Shards: 2 * MaxShards}, // over the shard cap
 		{System: "small", Steps: 10, Nodes: 3},              // no 3-node machine
+		{System: "small", Steps: 10, Nodes: 2 * MaxNodes},   // over the node cap
 		{System: "small", Steps: 10, Chaos: "drop=0.1"},     // chaos without shards
 		{System: "small", Steps: 10, Shards: 2, Chaos: "bogus"},
 		{System: "small", Steps: 10, CheckpointEvery: -5},

@@ -44,6 +44,14 @@ const (
 	// daemon's memory. 64 is the largest count any test, document or
 	// benchmark runs.
 	MaxShards = 64
+
+	// MaxNodes caps Nodes. The monolithic engine's subbox-pair list
+	// grows with the node count: building "small" takes ~3 MB of heap at
+	// 512 nodes, ~136 MB at 4,096 and ~2 GB at 16,384, and at 32,768 it
+	// exhausts memory, so one submit could kill the daemon (and, re-queued
+	// by recovery, kill it again on restart). 512 is the paper's machine;
+	// no test, document or benchmark runs the engine above 64 nodes.
+	MaxNodes = 512
 )
 
 // JobSpec is the client-submitted description of one simulation job.
@@ -74,7 +82,7 @@ type JobSpec struct {
 	Shards int `json:"shards,omitempty"`
 
 	// Nodes is the monolithic engine's simulated node count, a power of
-	// two (default 8; ignored when Shards > 0).
+	// two, at most MaxNodes (default 8; ignored when Shards > 0).
 	Nodes int `json:"nodes,omitempty"`
 
 	// Seed seeds the initial velocity draw (default 2). Same spec + same
@@ -152,6 +160,9 @@ func (j *JobSpec) Normalize() error {
 	}
 	if _, err := machine.New(j.Nodes); err != nil {
 		return fmt.Errorf("service: job spec: nodes: %w", err)
+	}
+	if j.Nodes > MaxNodes {
+		return fmt.Errorf("service: job spec: nodes %d exceeds the %d cap", j.Nodes, MaxNodes)
 	}
 	if j.Seed == 0 {
 		j.Seed = DefaultSeed

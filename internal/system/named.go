@@ -83,24 +83,6 @@ func SpecFor(name string) (Spec, bool) {
 	return s, ok
 }
 
-// WaterOnly builds the water-only counterpart of a named system: the same
-// box, cutoff and mesh, with the protein and ions replaced by whole water
-// molecules (Figure 5's "water only" series; such systems run faster
-// because rigid water needs no bond terms).
-func WaterOnly(name string) (*System, error) {
-	spec, ok := catalog[name]
-	if !ok {
-		return nil, fmt.Errorf("system: unknown system %q", name)
-	}
-	sites := spec.Model.SitesPerMolecule()
-	spec.Name = name + "-water"
-	spec.ProteinAtoms = 0
-	spec.Ions = 0
-	spec.TotalAtoms = spec.TotalAtoms / sites * sites // round to whole molecules
-	spec.Seed += 1000
-	return Build(spec)
-}
-
 // Small builds a reduced system for fast tests: a water box with an
 // optional mini-protein, a few hundred atoms.
 func Small(protein bool, seed int64) (*System, error) {

@@ -101,22 +101,6 @@ func TestBuildBPTIComposition(t *testing.T) {
 	}
 }
 
-func TestWaterOnly(t *testing.T) {
-	s, err := WaterOnly("gpW")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if s.ProteinAtoms != 0 {
-		t.Error("water-only system has protein atoms")
-	}
-	if s.Top.NAtoms()%3 != 0 {
-		t.Error("water-only atom count not a multiple of 3")
-	}
-	if len(s.Top.Bonds) != 0 {
-		t.Errorf("water-only system has %d bond terms (rigid water needs none)", len(s.Top.Bonds))
-	}
-}
-
 func TestProteinTopologyConsistency(t *testing.T) {
 	s, err := Small(true, 3)
 	if err != nil {
@@ -240,9 +224,6 @@ func TestBuildErrors(t *testing.T) {
 	}
 	if _, err := ByName("nonexistent"); err == nil {
 		t.Error("unknown name accepted")
-	}
-	if _, err := WaterOnly("nonexistent"); err == nil {
-		t.Error("unknown water-only name accepted")
 	}
 }
 

@@ -275,21 +275,3 @@ func (n *Network) AllToAllRow(axis, segmentBytes int) {
 		}
 	}
 }
-
-// BisectionBandwidthGbps returns the torus bisection bandwidth: the
-// aggregate channel bandwidth crossing a bisecting plane normal to the
-// longest dimension (two links per ring crossing the cut).
-func (n *Network) BisectionBandwidthGbps() float64 {
-	longest := 0
-	for a := 1; a < 3; a++ {
-		if n.Dims[a] > n.Dims[longest] {
-			longest = a
-		}
-	}
-	cross := n.Nodes() / n.Dims[longest]
-	links := 2 * cross // a torus ring crosses any bisection twice
-	if n.Dims[longest] < 3 {
-		links = cross // degenerate short ring
-	}
-	return float64(links) * n.ChannelGbps
-}

@@ -148,15 +148,6 @@ func TestAllToAllRowMatchesFFTPhase(t *testing.T) {
 	}
 }
 
-func TestBisectionBandwidth(t *testing.T) {
-	n, _ := New([3]int{8, 8, 8})
-	// 64 rings cross the bisection twice each: 128 links * 50.6 Gbit/s.
-	want := 128 * 50.6
-	if got := n.BisectionBandwidthGbps(); got != want {
-		t.Errorf("bisection: got %g, want %g", got, want)
-	}
-}
-
 func TestIndexCoordRoundTrip(t *testing.T) {
 	n, _ := New([3]int{8, 4, 2})
 	for id := 0; id < n.Nodes(); id++ {

@@ -54,13 +54,3 @@ func WritePDB(w io.Writer, labels []AtomLabel, r []vec.V3, box vec.Box, model in
 	fmt.Fprintf(bw, "ENDMDL\n")
 	return bw.Flush()
 }
-
-// WritePDBTrajectory writes every stored frame as a PDB MODEL sequence.
-func (t *Trajectory) WritePDBTrajectory(w io.Writer, labels []AtomLabel, box vec.Box) error {
-	for i, f := range t.Frames {
-		if err := WritePDB(w, labels, f.Positions, box, i+1); err != nil {
-			return err
-		}
-	}
-	return nil
-}

@@ -1,14 +1,10 @@
 // Package trace records simulation trajectories: in-memory frame storage
-// for analysis, a compact binary on-disk format (little-endian, custom —
-// no external dependencies), and fixed-point state snapshots for the
-// bitwise determinism and reversibility tests.
+// for analysis, a PDB writer for snapshots, and the minimum-image
+// displacement between stored frames.
 package trace
 
 import (
-	"bufio"
-	"encoding/binary"
 	"fmt"
-	"io"
 	"math"
 
 	"anton/internal/vec"
@@ -19,7 +15,6 @@ type Frame struct {
 	Step      int
 	TimeFs    float64
 	Positions []vec.V3
-	Energy    float64 // total energy, kcal/mol (0 if unrecorded)
 }
 
 // Trajectory accumulates frames in memory.
@@ -32,7 +27,7 @@ type Trajectory struct {
 func New(nAtoms int) *Trajectory { return &Trajectory{NAtoms: nAtoms} }
 
 // Record appends a frame (positions are copied).
-func (t *Trajectory) Record(step int, timeFs float64, r []vec.V3, energy float64) error {
+func (t *Trajectory) Record(step int, timeFs float64, r []vec.V3) error {
 	if len(r) != t.NAtoms {
 		return fmt.Errorf("trace: frame has %d atoms, want %d", len(r), t.NAtoms)
 	}
@@ -40,7 +35,6 @@ func (t *Trajectory) Record(step int, timeFs float64, r []vec.V3, energy float64
 		Step:      step,
 		TimeFs:    timeFs,
 		Positions: append([]vec.V3(nil), r...),
-		Energy:    energy,
 	})
 	return nil
 }
@@ -56,121 +50,6 @@ func (t *Trajectory) PositionFrames() [][]vec.V3 {
 		out[i] = t.Frames[i].Positions
 	}
 	return out
-}
-
-// EnergySeries returns times (fs) and total energies of frames that
-// recorded one.
-func (t *Trajectory) EnergySeries() (times, energies []float64) {
-	for _, f := range t.Frames {
-		times = append(times, f.TimeFs)
-		energies = append(energies, f.Energy)
-	}
-	return
-}
-
-// Binary format: magic, version, atom count; per frame: step, time,
-// energy, positions as float32 triples.
-const (
-	magic   = 0x414e544e // "ANTN"
-	version = 1
-)
-
-// Write serializes the trajectory.
-func (t *Trajectory) Write(w io.Writer) error {
-	bw := bufio.NewWriter(w)
-	hdr := []uint32{magic, version, uint32(t.NAtoms), uint32(len(t.Frames))}
-	for _, h := range hdr {
-		if err := binary.Write(bw, binary.LittleEndian, h); err != nil {
-			return err
-		}
-	}
-	for _, f := range t.Frames {
-		if err := binary.Write(bw, binary.LittleEndian, int64(f.Step)); err != nil {
-			return err
-		}
-		if err := binary.Write(bw, binary.LittleEndian, f.TimeFs); err != nil {
-			return err
-		}
-		if err := binary.Write(bw, binary.LittleEndian, f.Energy); err != nil {
-			return err
-		}
-		for _, p := range f.Positions {
-			for _, c := range []float64{p.X, p.Y, p.Z} {
-				if err := binary.Write(bw, binary.LittleEndian, float32(c)); err != nil {
-					return err
-				}
-			}
-		}
-	}
-	return bw.Flush()
-}
-
-// Read deserializes a trajectory written by Write.
-func Read(r io.Reader) (*Trajectory, error) {
-	br := bufio.NewReader(r)
-	var hdr [4]uint32
-	for i := range hdr {
-		if err := binary.Read(br, binary.LittleEndian, &hdr[i]); err != nil {
-			return nil, fmt.Errorf("trace: bad header: %w", err)
-		}
-	}
-	if hdr[0] != magic {
-		return nil, fmt.Errorf("trace: bad magic %#x", hdr[0])
-	}
-	if hdr[1] != version {
-		return nil, fmt.Errorf("trace: unsupported version %d", hdr[1])
-	}
-	nAtoms := int(hdr[2])
-	nFrames := int(hdr[3])
-	if nAtoms <= 0 || nAtoms > 1<<27 || nFrames < 0 || nFrames > 1<<27 {
-		return nil, fmt.Errorf("trace: implausible header (%d atoms, %d frames)", nAtoms, nFrames)
-	}
-	t := New(nAtoms)
-	for f := 0; f < nFrames; f++ {
-		var step int64
-		var timeFs, energy float64
-		if err := binary.Read(br, binary.LittleEndian, &step); err != nil {
-			return nil, err
-		}
-		if err := binary.Read(br, binary.LittleEndian, &timeFs); err != nil {
-			return nil, err
-		}
-		if err := binary.Read(br, binary.LittleEndian, &energy); err != nil {
-			return nil, err
-		}
-		pos := make([]vec.V3, nAtoms)
-		buf := make([]float32, 3)
-		for i := 0; i < nAtoms; i++ {
-			for c := 0; c < 3; c++ {
-				if err := binary.Read(br, binary.LittleEndian, &buf[c]); err != nil {
-					return nil, err
-				}
-			}
-			pos[i] = vec.V3{X: float64(buf[0]), Y: float64(buf[1]), Z: float64(buf[2])}
-		}
-		t.Frames = append(t.Frames, Frame{Step: int(step), TimeFs: timeFs, Positions: pos, Energy: energy})
-	}
-	return t, nil
-}
-
-// MaxDisplacement returns the largest single-atom raw displacement
-// between consecutive frames. Raw means no periodic-boundary handling: an
-// atom wrapping across the box reports a ~box-length jump, so this is
-// only meaningful for unwrapped trajectories. Engine snapshots are
-// wrapped into the box — use MaxDisplacementPBC for those (and for
-// anything feeding migration-interval safety margins).
-func (t *Trajectory) MaxDisplacement() float64 {
-	worst := 0.0
-	for f := 1; f < len(t.Frames); f++ {
-		a := t.Frames[f-1].Positions
-		b := t.Frames[f].Positions
-		for i := range a {
-			if d := b[i].Sub(a[i]).Norm(); d > worst && d < math.Inf(1) {
-				worst = d
-			}
-		}
-	}
-	return worst
 }
 
 // MaxDisplacementPBC returns the largest single-atom minimum-image

@@ -18,7 +18,7 @@ func sampleTrajectory(t *testing.T) *Trajectory {
 		for i := range r {
 			r[i] = vec.V3{X: rng.Float64() * 10, Y: rng.Float64() * 10, Z: rng.Float64() * 10}
 		}
-		if err := tr.Record(f*4, float64(f)*10, r, -100+float64(f)); err != nil {
+		if err := tr.Record(f*4, float64(f)*10, r); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -30,90 +30,12 @@ func TestRecordAndSeries(t *testing.T) {
 	if tr.Len() != 7 {
 		t.Fatalf("frames: %d", tr.Len())
 	}
-	times, energies := tr.EnergySeries()
-	if len(times) != 7 || times[3] != 30 || energies[0] != -100 {
-		t.Errorf("series wrong: %v %v", times, energies)
-	}
 	if len(tr.PositionFrames()) != 7 {
 		t.Error("position frames wrong")
 	}
 	// Wrong atom count rejected.
-	if err := tr.Record(99, 0, make([]vec.V3, 3), 0); err == nil {
+	if err := tr.Record(99, 0, make([]vec.V3, 3)); err == nil {
 		t.Error("mismatched frame accepted")
-	}
-}
-
-func TestWriteReadRoundTrip(t *testing.T) {
-	tr := sampleTrajectory(t)
-	var buf bytes.Buffer
-	if err := tr.Write(&buf); err != nil {
-		t.Fatal(err)
-	}
-	back, err := Read(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if back.NAtoms != tr.NAtoms || back.Len() != tr.Len() {
-		t.Fatalf("shape mismatch: %d/%d atoms, %d/%d frames", back.NAtoms, tr.NAtoms, back.Len(), tr.Len())
-	}
-	for f := range tr.Frames {
-		if back.Frames[f].Step != tr.Frames[f].Step {
-			t.Errorf("frame %d step mismatch", f)
-		}
-		if back.Frames[f].Energy != tr.Frames[f].Energy {
-			t.Errorf("frame %d energy mismatch", f)
-		}
-		for i := range tr.Frames[f].Positions {
-			d := back.Frames[f].Positions[i].Sub(tr.Frames[f].Positions[i]).MaxAbs()
-			if d > 1e-5 { // float32 storage
-				t.Fatalf("frame %d atom %d position off by %g", f, i, d)
-			}
-		}
-	}
-}
-
-func TestReadRejectsGarbage(t *testing.T) {
-	if _, err := Read(bytes.NewReader([]byte{1, 2, 3})); err == nil {
-		t.Error("short input accepted")
-	}
-	var buf bytes.Buffer
-	tr := sampleTrajectory(t)
-	if err := tr.Write(&buf); err != nil {
-		t.Fatal(err)
-	}
-	b := buf.Bytes()
-	b[0] ^= 0xff // corrupt magic
-	if _, err := Read(bytes.NewReader(b)); err == nil {
-		t.Error("corrupt magic accepted")
-	}
-	b[0] ^= 0xff // restore
-	// Unsupported version.
-	v := append([]byte(nil), b...)
-	v[4] = 99
-	if _, err := Read(bytes.NewReader(v)); err == nil {
-		t.Error("future version accepted")
-	}
-	// Implausible atom count.
-	n := append([]byte(nil), b...)
-	n[8], n[9], n[10], n[11] = 0xff, 0xff, 0xff, 0xff
-	if _, err := Read(bytes.NewReader(n)); err == nil {
-		t.Error("implausible header accepted")
-	}
-	// Truncation mid-frame.
-	if _, err := Read(bytes.NewReader(b[:len(b)-7])); err == nil {
-		t.Error("truncated trajectory accepted")
-	}
-	if _, err := Read(bytes.NewReader(b[:20])); err == nil {
-		t.Error("header-only trajectory with frames accepted")
-	}
-}
-
-func TestMaxDisplacement(t *testing.T) {
-	tr := New(2)
-	tr.Record(0, 0, []vec.V3{{}, {X: 1}}, 0)
-	tr.Record(1, 1, []vec.V3{{Y: 0.5}, {X: 1}}, 0)
-	if d := tr.MaxDisplacement(); d != 0.5 {
-		t.Errorf("max displacement: got %g", d)
 	}
 }
 
@@ -123,15 +45,10 @@ func TestMaxDisplacementPBC(t *testing.T) {
 	// Atom 0 wraps across the boundary: 9.8 -> 0.1 is a 0.3 Å move under
 	// minimum image but a 9.7 Å raw jump. Atom 1 moves 0.5 Å in the
 	// interior.
-	tr.Record(0, 0, []vec.V3{{X: 9.8}, {Y: 2.0}}, 0)
-	tr.Record(1, 1, []vec.V3{{X: 0.1}, {Y: 2.5}}, 0)
+	tr.Record(0, 0, []vec.V3{{X: 9.8}, {Y: 2.0}})
+	tr.Record(1, 1, []vec.V3{{X: 0.1}, {Y: 2.5}})
 	if d := tr.MaxDisplacementPBC(box); d < 0.499 || d > 0.501 {
 		t.Errorf("PBC max displacement: got %g, want 0.5", d)
-	}
-	// The raw variant sees the wrap as a huge jump — that contrast is the
-	// reason the box-aware variant exists.
-	if d := tr.MaxDisplacement(); d < 9 {
-		t.Errorf("raw max displacement: got %g, want ~9.7", d)
 	}
 }
 
@@ -169,23 +86,5 @@ func TestWritePDB(t *testing.T) {
 	// Mismatched label count rejected.
 	if err := WritePDB(&buf, labels[:2], r, vec.Cube(10), 1); err == nil {
 		t.Error("mismatched labels accepted")
-	}
-}
-
-func TestWritePDBTrajectory(t *testing.T) {
-	tr := sampleTrajectory(t)
-	labels := make([]AtomLabel, tr.NAtoms)
-	for i := range labels {
-		labels[i] = AtomLabel{Name: "CA", Residue: i}
-	}
-	var buf bytes.Buffer
-	if err := tr.WritePDBTrajectory(&buf, labels, vec.Cube(10)); err != nil {
-		t.Fatal(err)
-	}
-	if got := strings.Count(buf.String(), "MODEL "); got != tr.Len() {
-		t.Errorf("model records: %d, want %d", got, tr.Len())
-	}
-	if got := strings.Count(buf.String(), "ENDMDL"); got != tr.Len() {
-		t.Errorf("endmdl records: %d, want %d", got, tr.Len())
 	}
 }

@@ -18,9 +18,6 @@ type V3 struct {
 // Zero is the zero vector.
 var Zero = V3{}
 
-// New returns the vector (x, y, z).
-func New(x, y, z float64) V3 { return V3{x, y, z} }
-
 // Add returns a + b.
 func (a V3) Add(b V3) V3 { return V3{a.X + b.X, a.Y + b.Y, a.Z + b.Z} }
 
@@ -59,9 +56,6 @@ func (a V3) Unit() V3 {
 	}
 	return a.Scale(1 / n)
 }
-
-// Mul returns the componentwise (Hadamard) product.
-func (a V3) Mul(b V3) V3 { return V3{a.X * b.X, a.Y * b.Y, a.Z * b.Z} }
 
 // MaxAbs returns the largest absolute component.
 func (a V3) MaxAbs() float64 {
@@ -141,44 +135,13 @@ func Dihedral(i, j, k, l V3) float64 {
 	return math.Atan2(y, x)
 }
 
-// T33 is a 3x3 tensor stored row-major. It is used for virials (the outer
-// products of force and position accumulated for pressure control) and for
-// simple rotations.
+// T33 is a 3x3 tensor stored row-major. It holds the rotations of optimal
+// superposition.
 type T33 struct {
 	XX, XY, XZ float64
 	YX, YY, YZ float64
 	ZX, ZY, ZZ float64
 }
-
-// Outer returns the outer product a (x) b.
-func Outer(a, b V3) T33 {
-	return T33{
-		a.X * b.X, a.X * b.Y, a.X * b.Z,
-		a.Y * b.X, a.Y * b.Y, a.Y * b.Z,
-		a.Z * b.X, a.Z * b.Y, a.Z * b.Z,
-	}
-}
-
-// Add returns t + u.
-func (t T33) Add(u T33) T33 {
-	return T33{
-		t.XX + u.XX, t.XY + u.XY, t.XZ + u.XZ,
-		t.YX + u.YX, t.YY + u.YY, t.YZ + u.YZ,
-		t.ZX + u.ZX, t.ZY + u.ZY, t.ZZ + u.ZZ,
-	}
-}
-
-// Scale returns s * t.
-func (t T33) Scale(s float64) T33 {
-	return T33{
-		s * t.XX, s * t.XY, s * t.XZ,
-		s * t.YX, s * t.YY, s * t.YZ,
-		s * t.ZX, s * t.ZY, s * t.ZZ,
-	}
-}
-
-// Trace returns the trace of t.
-func (t T33) Trace() float64 { return t.XX + t.YY + t.ZZ }
 
 // MulV returns t * v.
 func (t T33) MulV(v V3) V3 {

@@ -94,16 +94,6 @@ func TestDihedral(t *testing.T) {
 	almost(t, got, math.Pi/2, 1e-14, "gauche+ dihedral")
 }
 
-func TestOuterTrace(t *testing.T) {
-	a := V3{1, 2, 3}
-	b := V3{4, 5, 6}
-	ten := Outer(a, b)
-	almost(t, ten.Trace(), a.Dot(b), 1e-15, "trace of outer = dot")
-	if ten.XY != 5 || ten.ZX != 12 {
-		t.Errorf("outer product wrong: %+v", ten)
-	}
-}
-
 func TestT33MulV(t *testing.T) {
 	r := RotationZ(math.Pi / 2)
 	got := r.MulV(V3{1, 0, 0})

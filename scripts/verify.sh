@@ -1,11 +1,22 @@
 #!/bin/sh
-# Verification gate: static analysis, the race detector over every
-# package, the long concurrency tests the short pass skips, a repeated
-# determinism pass, the trace export, and the benchmark's own gate. Run
-# before merging; `make bench` is where performance numbers come from.
+# Verification gate: formatting, static analysis, the race detector over
+# every package, the long concurrency tests the short pass skips, a
+# repeated determinism pass, the trace export, and the benchmark's own
+# gate. Run before merging; `make bench` is where performance numbers
+# come from.
 set -eu
 
 cd "$(dirname "$0")/.."
+
+echo "== gofmt =="
+# Every Go file in the tree, bench/ included, must be gofmt-clean: a
+# wide deletion easily leaves runs of blank lines behind.
+unformatted="$(gofmt -l .)"
+if [ -n "$unformatted" ]; then
+	echo "gofmt: these files need formatting:"
+	echo "$unformatted"
+	exit 1
+fi
 
 echo "== go vet =="
 go vet ./...
