@@ -196,8 +196,8 @@ func TestForcesMatchReferenceEngine(t *testing.T) {
 	// Cross-engine validation (§5.2 methodology): Anton fixed-point
 	// forces vs the double-precision reference on the identical
 	// configuration. The paper's total force error is <1e-4 of the rms
-	// force with tuned parameters; we require <2e-2 with our generic
-	// parameters, and the rms relative error to be well under 1e-2.
+	// force with tuned parameters; this configuration measures 4.97e-6,
+	// and the bound of 1e-5 leaves about 2x headroom.
 	s, err := system.Small(true, 21)
 	if err != nil {
 		t.Fatal(err)
@@ -234,7 +234,7 @@ func TestForcesMatchReferenceEngine(t *testing.T) {
 	rms = math.Sqrt(rms / float64(n))
 	errRms := math.Sqrt(errSum / float64(n))
 	rel := errRms / rms
-	if rel > 2e-2 {
+	if rel > 1e-5 {
 		t.Errorf("total force error %.3g of rms force (rms %.3g)", rel, rms)
 	}
 	t.Logf("total force error: %.3g of rms force", rel)

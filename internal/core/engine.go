@@ -33,8 +33,9 @@ type Config struct {
 	EwaldTol float64
 
 	// Workers caps the number of concurrent force workers (0 = use up to
-	// 16 or GOMAXPROCS, whichever is smaller). The trajectory is bitwise
-	// identical for any value — wrapping accumulation is associative.
+	// 16 or GOMAXPROCS, whichever is smaller). The trajectory and every
+	// reported energy are bitwise identical for any value — wrapping
+	// accumulation is associative.
 	Workers int
 
 	// TrackVirial accumulates the range-limited virial tensor in wide
@@ -146,11 +147,9 @@ type Engine struct {
 	maxGroupCons int
 
 	// Per-worker accumulation state, reused across phases and steps.
-	workerF        [][]Force3 // force buffers
-	workerScratch  [][]vec.V3 // bonded-force float scratch (sparsely zeroed)
-	workerEnergies []float64  // per-worker energy partials
-	workerTallies  []tally    // per-worker pair statistics
-	workerVirials  []htis.Virial
+	workerF       [][]Force3 // force buffers
+	workerScratch [][]vec.V3 // bonded-force float scratch (sparsely zeroed)
+	workerDiag    []evalDiag // the evaluation's diagnostics, per worker
 
 	// Preallocated chunk closures for the steady-state phases (a closure
 	// passed to parallelChunks escapes; allocating them once keeps the
@@ -201,7 +200,8 @@ type Engine struct {
 
 	Stats Stats
 
-	// Energies of the last force evaluation (diagnostic, float).
+	// Energies of the last force evaluation, in kcal/mol: each the float
+	// of a wrapping sum of quantized term energies (evalDiag).
 	PotentialEnergy float64
 	longRangeEnergy float64
 
@@ -660,34 +660,100 @@ func (e *Engine) computeForces(refreshLong bool) {
 	for i := range e.fShort {
 		e.fShort[i] = Force3{}
 	}
-	e.Breakdown.RangeLimited = e.rangeLimitedForces()
+	workers := e.workers()
+	e.workerAccums(workers)
+	e.rangeLimitedForces()
 	t0 = e.obsNow()
-	e.Breakdown.Bonded = e.bondedForces()
+	e.bondedForces()
 	e.obsPhase(obs.PhaseBonded, t0)
 	// Scaled 1-4 interactions are stiff and short-range: fast loop.
 	t0 = e.obsNow()
-	e.Breakdown.Correction = e.pair14Forces()
+	e.pair14Forces()
 	e.obsPhase(obs.PhasePair14, t0)
 	if refreshLong {
 		for i := range e.fLong {
 			e.fLong[i] = Force3{}
 		}
-		mesh := e.meshForces()
+		e.meshForces()
 		t0 = e.obsNow()
-		excl := e.exclusionCorrections()
+		e.exclusionCorrections()
 		e.obsPhase(obs.PhaseExclusion, t0)
-		e.Breakdown.Mesh = mesh + excl
-		e.longRangeEnergy = e.Breakdown.Mesh
 		e.spreadVSiteForceCounts(e.fLong)
-		if e.rec != nil {
-			e.rec.Add(obs.CtrLongRangeEvals, 1)
-		}
-	} else {
-		// The stale long-range component persists between MTS refreshes.
-		e.Breakdown.Mesh = e.longRangeEnergy
 	}
 	e.spreadVSiteForceCounts(e.fShort)
+	var d evalDiag
+	for w := range e.workerDiag[:workers] {
+		d.merge(&e.workerDiag[w])
+	}
+	e.publish(&d, refreshLong)
+}
+
+// evalDiag accumulates one force evaluation's diagnostics as one worker
+// or one shard sees them: the energy of each EnergyBreakdown term, the
+// pair statistics, the virial and the atom-mesh interaction counts. Each
+// term's energy is quantized where it is computed (htis.QuantizeEnergy)
+// and summed with wrapping integer adds, like the forces, so partials
+// merge to the same bits in any order and grouping: the reported
+// energies do not depend on the worker or shard count.
+type evalDiag struct {
+	// Energy counts of the EnergyBreakdown terms; mesh holds the
+	// interpolation energies and the exclusion corrections.
+	rangeLimited, bonded, mesh, correction int64
+
+	pairs          tally
+	virial         htis.Virial
+	spread, interp int64 // atom-mesh interactions of spreading and interpolation
+}
+
+// merge adds another worker's or shard's partials.
+func (d *evalDiag) merge(o *evalDiag) {
+	d.rangeLimited += o.rangeLimited
+	d.bonded += o.bonded
+	d.mesh += o.mesh
+	d.correction += o.correction
+	d.pairs.Merge(&o.pairs)
+	d.virial.Merge(&o.virial)
+	d.spread += o.spread
+	d.interp += o.interp
+}
+
+// publish installs an evaluation's merged diagnostics: the energies and
+// their breakdown, Stats, the virial and the obs counters. On refresh
+// evaluations the long-range energy (mesh, exclusion corrections and the
+// Ewald self term) is replaced; between refreshes the stale one persists.
+func (e *Engine) publish(d *evalDiag, refresh bool) {
+	if refresh {
+		self := htis.QuantizeEnergy(e.Split.SelfEnergy(e.Sys.Top.Atoms))
+		e.longRangeEnergy = htis.EnergyValue(d.mesh + self)
+	}
+	e.Breakdown = EnergyBreakdown{
+		RangeLimited: htis.EnergyValue(d.rangeLimited),
+		Bonded:       htis.EnergyValue(d.bonded),
+		Mesh:         e.longRangeEnergy,
+		Correction:   htis.EnergyValue(d.correction),
+	}
 	e.PotentialEnergy = e.Breakdown.Total()
+	e.virial = d.virial
+	e.Stats.PairsConsidered += d.pairs.Considered
+	e.Stats.PairsTested += d.pairs.Tested
+	e.Stats.PairsMatched += d.pairs.Matched
+	e.Stats.PairsComputed += d.pairs.Computed
+	e.Stats.MeshInteractions += d.spread + d.interp
+	if e.rec == nil {
+		return
+	}
+	e.rec.Add(obs.CtrPairsConsidered, d.pairs.Considered)
+	e.rec.Add(obs.CtrPairsTested, d.pairs.Tested)
+	e.rec.Add(obs.CtrPairsMatched, d.pairs.Matched)
+	e.rec.Add(obs.CtrPairsComputed, d.pairs.Computed)
+	e.rec.Add(obs.CtrBatchFlushes, d.pairs.BatchFlushes)
+	e.rec.Add(obs.CtrBatchPairs, d.pairs.BatchPairs)
+	e.rec.AddOccupancy(d.pairs.Occupancy)
+	e.rec.AddPhaseBatch(obs.PhasePairPPIP, d.pairs.PPIPNs, d.pairs.BatchFlushes)
+	if refresh {
+		e.rec.Add(obs.CtrMeshInteractions, d.spread+d.interp)
+		e.rec.Add(obs.CtrLongRangeEvals, 1)
+	}
 }
 
 // bondedChunk evaluates bonded terms [lo, hi) of the flat term index as
@@ -698,19 +764,20 @@ func (e *Engine) bondedChunk(w, lo, hi int) {
 	r := e.posCache
 	buf := e.workerF[w]
 	scratch := e.workerScratch[w]
-	energy := 0.0
+	var energy int64
 	for t := lo; t < hi; t++ {
 		energy += e.bondedTerm(t, r, scratch, buf)
 	}
-	e.workerEnergies[w] = energy
+	e.workerDiag[w].bonded += energy
 }
 
 // bondedTerm evaluates one bonded term by flat index (bonds, then angles,
 // then dihedrals, then impropers), reading float positions from r, using
 // the sparse-zeroed float scratch, and accumulating the quantized per-atom
-// contributions into buf. Returns the term energy. Shards call this for
-// their owned term lists with their own views and buffers.
-func (e *Engine) bondedTerm(t int, r, scratch []vec.V3, buf []Force3) float64 {
+// contributions into buf. Returns the term energy in energy counts.
+// Shards call this for their owned term lists with their own views and
+// buffers.
+func (e *Engine) bondedTerm(t int, r, scratch []vec.V3, buf []Force3) int64 {
 	top := e.Sys.Top
 	box := e.Sys.Box
 	var atoms [4]int
@@ -742,57 +809,45 @@ func (e *Engine) bondedTerm(t int, r, scratch []vec.V3, buf []Force3) float64 {
 		)
 		scratch[a] = vec.Zero
 	}
-	return eTerm
+	return htis.QuantizeEnergy(eTerm)
 }
 
 // bondedForces evaluates each bond term once (on its statically assigned
 // geometry core) from the cached decoded positions and accumulates the
 // quantized per-atom contributions.
-func (e *Engine) bondedForces() float64 {
+func (e *Engine) bondedForces() {
 	top := e.Sys.Top
 	nTerms := len(top.Bonds) + len(top.Angles) + len(top.Dihedrals) + len(top.Impropers)
 	if nTerms == 0 {
-		return 0
+		return
 	}
 	workers := e.workers()
 	bufs := e.forceBuffers(workers, len(e.posCache))
 	e.scratchBuffers(workers, len(e.posCache))
-	e.workerAccums(workers)
 	parallelChunks(nTerms, workers, e.bondedChunkFn)
 	e.reduceForces(e.fShort, bufs, nil, workers)
-	energy := 0.0
-	for w := 0; w < workers; w++ {
-		energy += e.workerEnergies[w]
-	}
-	return energy
 }
 
 // exclusionCorrections runs the correction pipeline's slow-cadence part:
 // subtract the mesh's smooth-component contribution for excluded pairs
 // (§3.2.3). The smooth kernel is bounded and slowly varying, so it
 // belongs with the long-range impulse. Accumulates into fLong.
-func (e *Engine) exclusionCorrections() float64 {
+func (e *Engine) exclusionCorrections() {
 	workers := e.workers()
 	bufs := e.forceBuffers(workers, len(e.fLong))
-	e.workerAccums(workers)
-	energies := e.workerEnergies
 	parallelChunks(len(e.exclList), workers, func(w, lo, hi int) {
-		energies[w] += e.exclScan(e.exclList[lo:hi], e.Pos, bufs[w])
+		e.workerDiag[w].mesh += e.exclScan(e.exclList[lo:hi], e.Pos, bufs[w])
 	})
 	e.reduceForces(e.fLong, bufs, nil, workers)
-	energy := 0.0
-	for w := 0; w < workers; w++ {
-		energy += energies[w]
-	}
-	return energy
 }
 
 // exclScan subtracts the mesh's smooth-component contribution for the
 // given excluded pairs, reading positions from pos and accumulating the
-// quantized corrections into dst. Returns the energy correction.
-func (e *Engine) exclScan(list [][2]int32, pos []fixp.Vec3, dst []Force3) float64 {
+// quantized corrections into dst. Returns the energy correction in
+// energy counts.
+func (e *Engine) exclScan(list [][2]int32, pos []fixp.Vec3, dst []Force3) int64 {
 	top := e.Sys.Top
-	energy := 0.0
+	var energy int64
 	for _, p := range list {
 		i, j := p[0], p[1]
 		qi, qj := top.Atoms[i].Charge, top.Atoms[j].Charge
@@ -805,7 +860,7 @@ func (e *Engine) exclScan(list [][2]int32, pos []fixp.Vec3, dst []Force3) float6
 			continue
 		}
 		es, fs := e.Split.SmoothPair(r2, qi, qj)
-		energy -= es
+		energy -= htis.QuantizeEnergy(es)
 		fv := d.Scale(-fs)
 		fx := htis.QuantizeForce(fv.X)
 		fy := htis.QuantizeForce(fv.Y)
@@ -819,17 +874,18 @@ func (e *Engine) exclScan(list [][2]int32, pos []fixp.Vec3, dst []Force3) float6
 // pair14Forces installs the scaled 1-4 interactions minus the mesh's
 // smooth part for those pairs. These are stiff bonded-range forces, so
 // they run in the fast loop (every step) on the correction pipeline.
-func (e *Engine) pair14Forces() float64 {
-	energy := 0.0
+func (e *Engine) pair14Forces() {
+	var energy int64
 	for i := range e.pair14 {
 		energy += e.pair14One(&e.pair14[i], e.Pos, e.fShort)
 	}
-	return energy
+	e.workerDiag[0].correction += energy
 }
 
 // pair14One evaluates a single scaled 1-4 pair, reading positions from
-// pos and accumulating the quantized forces into dst. Returns the energy.
-func (e *Engine) pair14One(p *ff.Pair14, pos []fixp.Vec3, dst []Force3) float64 {
+// pos and accumulating the quantized forces into dst. Returns the energy
+// in energy counts.
+func (e *Engine) pair14One(p *ff.Pair14, pos []fixp.Vec3, dst []Force3) int64 {
 	top := e.Sys.Top
 	ps := e.Sys.Params
 	energy := 0.0
@@ -857,7 +913,7 @@ func (e *Engine) pair14One(p *ff.Pair14, pos []fixp.Vec3, dst []Force3) float64 
 	fz := htis.QuantizeForce(fv.Z)
 	dst[p.I] = dst[p.I].AddRaw(fx, fy, fz)
 	dst[p.J] = dst[p.J].AddRaw(-fx, -fy, -fz)
-	return energy
+	return htis.QuantizeEnergy(energy)
 }
 
 // placeVSite recomputes one virtual site's position from its parents in

@@ -41,9 +41,7 @@ type meshSolver struct {
 	counts    []int64     // fixed-point mesh charge accumulator
 	mesh      *fft.Grid3  // float mesh for the convolution
 
-	workerCounts   [][]int64 // per-worker spreading buffers
-	workerTallies  []int64   // per-worker interaction counts (reused)
-	workerEnergies []float64 // per-worker energy partials (reused)
+	workerCounts [][]int64 // per-worker spreading buffers
 
 	// activeMerge stages the number of fresh worker buffers for the
 	// parallel count merge (the chunks the spread pass actually ran;
@@ -117,9 +115,10 @@ func foldMode(k, n int) int {
 }
 
 // meshForces runs spread -> convolve -> interpolate on the engine state,
-// accumulating quantized forces into e.fLong and returning the long-range
-// energy (including the self term, which is then removed).
-func (e *Engine) meshForces() float64 {
+// accumulating quantized forces into e.fLong and the interpolation
+// energies and interaction counts into the worker diagnostics (publish
+// adds the Ewald self term).
+func (e *Engine) meshForces() {
 	ms := e.mesh
 	top := e.Sys.Top
 
@@ -134,12 +133,6 @@ func (e *Engine) meshForces() float64 {
 		for w := range ms.workerCounts {
 			ms.workerCounts[w] = make([]int64, len(ms.counts))
 		}
-		ms.workerTallies = make([]int64, workers)
-		ms.workerEnergies = make([]float64, workers)
-	}
-	meshTallies := ms.workerTallies
-	for w := range meshTallies {
-		meshTallies[w] = 0
 	}
 	parallelChunks(len(top.Atoms), workers, e.meshSpreadFn)
 	// Merge the fresh worker buffers into the mesh accumulator, parallel
@@ -147,11 +140,6 @@ func (e *Engine) meshForces() float64 {
 	// the spread pass actually ran hold live data.
 	ms.activeMerge = activeChunks(len(top.Atoms), workers)
 	parallelChunks(len(ms.counts), workers, e.meshMergeFn)
-	spreadTally := int64(0)
-	for w := 0; w < workers; w++ {
-		e.Stats.MeshInteractions += meshTallies[w]
-		spreadTally += meshTallies[w]
-	}
 	e.obsPhase(obs.PhaseMeshSpread, t0)
 
 	// --- Convolution (distributed FFT; serial transform is bit-identical). ---
@@ -162,26 +150,8 @@ func (e *Engine) meshForces() float64 {
 	// --- Force interpolation + energy (parallel: each atom's force is
 	// written only by its owner). ---
 	t0 = e.obsNow()
-	energies := ms.workerEnergies
-	for w := range energies {
-		energies[w] = 0
-		meshTallies[w] = 0
-	}
 	parallelChunks(len(top.Atoms), workers, e.meshInterpFn)
-	energy := 0.0
-	interpTally := int64(0)
-	for w := 0; w < workers; w++ {
-		energy += energies[w]
-		e.Stats.MeshInteractions += meshTallies[w]
-		interpTally += meshTallies[w]
-	}
 	e.obsPhase(obs.PhaseMeshInterp, t0)
-	if e.rec != nil {
-		e.rec.Add(obs.CtrMeshInteractions, spreadTally+interpTally)
-	}
-	// Remove the Ewald self term.
-	energy += e.Split.SelfEnergy(top.Atoms)
-	return energy
 }
 
 // meshSpreadChunk spreads atoms [lo, hi) into worker w's private mesh
@@ -201,7 +171,7 @@ func (e *Engine) meshSpreadChunk(w, lo, hi int) {
 		}
 		tally += ms.spreadAtom(q, e.posCache[i], counts)
 	}
-	ms.workerTallies[w] = tally
+	e.workerDiag[w].spread += tally
 }
 
 // meshMergeChunk merges cell range [lo, hi) of the fresh worker buffers
@@ -224,20 +194,20 @@ func (e *Engine) meshMergeChunk(_, lo, hi int) {
 func (e *Engine) meshInterpChunk(w, lo, hi int) {
 	ms := e.mesh
 	top := e.Sys.Top
-	var energy float64
-	var tally int64
+	var energy, tally int64
 	for i := lo; i < hi; i++ {
 		q := top.Atoms[i].Charge
 		if q == 0 {
 			continue
 		}
 		en, fx, fy, fz, n := ms.interpAtom(q, e.posCache[i])
-		energy += en
+		energy += htis.QuantizeEnergy(en)
 		e.fLong[i] = e.fLong[i].AddRaw(fx, fy, fz)
 		tally += n
 	}
-	ms.workerEnergies[w] = energy
-	ms.workerTallies[w] = tally
+	d := &e.workerDiag[w]
+	d.mesh += energy
+	d.interp += tally
 }
 
 // activeChunks returns the number of chunks parallelChunks(n, workers, fn)
@@ -408,8 +378,9 @@ func (ms *meshSolver) convolve(workers int) {
 }
 
 // interpAtom interpolates the long-range force and energy for one atom
-// from the potential mesh, returning the energy partial, the quantized
-// raw force components, and the interaction tally. Reads only the shared
+// from the potential mesh, returning the energy (kcal/mol, for the caller
+// to quantize), the quantized raw force components, and the interaction
+// tally. Reads only the shared
 // post-convolution mesh, so concurrent shards may call it freely. The
 // float sums run over the accepted points in (k, j, i) order — the order
 // of the cube walk, which is what keeps their bits.

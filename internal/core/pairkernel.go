@@ -172,17 +172,17 @@ func (k *pairKernel) ensureBatches(workers int) {
 }
 
 // flushPairBatch runs the queued pairs through the batched PPIP
-// evaluation and scatters the results into the worker's slot-indexed
-// force buffer. Pair order inside a worker's chunk is preserved, so the
-// diagnostic float energy sum is reproducible; the quantized forces are
-// order-independent regardless. Batch bookkeeping (flush count, occupancy
-// histogram) lands in the worker-owned tally; the PPIP datapath is timed
-// only with observability attached, and the timing reads clocks only —
-// the computed forces are bitwise identical either way.
-func (e *Engine) flushPairBatch(b *pairBatch, buf []Force3, energy *float64, st *tally, vir *htis.Virial) {
+// evaluation, scatters the results into the worker's slot-indexed force
+// buffer and adds each pair's quantized energy to d. Batch bookkeeping
+// (flush count, occupancy histogram) lands in d's pair tally; the PPIP
+// datapath is timed only with observability attached, and the timing
+// reads clocks only — the computed forces are bitwise identical either
+// way.
+func (e *Engine) flushPairBatch(b *pairBatch, buf []Force3, d *evalDiag) {
 	if b.n == 0 {
 		return
 	}
+	st := &d.pairs
 	st.RecordFlush(b.n, pairBatchSize)
 	out := b.out[:b.n]
 	if e.rec == nil {
@@ -202,14 +202,14 @@ func (e *Engine) flushPairBatch(b *pairBatch, buf []Force3, energy *float64, st 
 		si, sj := b.si[n], b.sj[n]
 		buf[si] = buf[si].AddRaw(res.FX, res.FY, res.FZ)
 		buf[sj] = buf[sj].AddRaw(-res.FX, -res.FY, -res.FZ)
-		*energy += res.Energy
+		d.rangeLimited += htis.QuantizeEnergy(res.Energy)
 		if track {
 			// r_ij (x) F_ij in raw position counts and force counts:
 			// wide wrapping accumulation keeps the tensor order-
 			// independent (Figure 4c).
-			d := b.ds[n]
-			vir.Add(res.FX, res.FY, res.FZ,
-				int64(int32(d.X)), int64(int32(d.Y)), int64(int32(d.Z)))
+			r := b.ds[n]
+			d.virial.Add(res.FX, res.FY, res.FZ,
+				int64(int32(r.X)), int64(int32(r.Y)), int64(int32(r.Z)))
 		}
 	}
 	b.n = 0
@@ -218,13 +218,12 @@ func (e *Engine) flushPairBatch(b *pairBatch, buf []Force3, energy *float64, st 
 // pairChunk processes subbox pairs [lo, hi) as worker w: match-unit
 // prefilter, exclusion merge scan, batched PPIP evaluation. Installed
 // once as Engine.pairChunkFn so the steady-state path allocates nothing.
+// The scan accumulates on this goroutine's stack: neighbouring workers'
+// entries of Engine.workerDiag may share a cache line.
 func (e *Engine) pairChunk(w, lo, hi int) {
-	var energy float64
-	var t tally
-	e.pairScan(e.subPairs[lo:hi], e.pk.pos, e.workerF[w], &e.pk.batches[w],
-		&energy, &t, &e.workerVirials[w])
-	e.workerEnergies[w] = energy
-	e.workerTallies[w] = t
+	var d evalDiag
+	e.pairScan(e.subPairs[lo:hi], e.pk.pos, e.workerF[w], &e.pk.batches[w], &d)
+	e.workerDiag[w].merge(&d)
 }
 
 // pairScan runs the match units and batched PPIP evaluation over an
@@ -233,8 +232,8 @@ func (e *Engine) pairChunk(w, lo, hi int) {
 // shared core of the monolithic worker chunks and the per-shard NT node
 // computation: a shard passes its assigned pair list, its own gathered
 // position view and its private accumulation buffers.
-func (e *Engine) pairScan(pairs [][2]int32, pos []fixp.Vec3, buf []Force3, b *pairBatch, energyOut *float64, tOut *tally, vir *htis.Virial) {
-	e.scanPairs(pairs, pos, buf, b, energyOut, tOut, vir, true)
+func (e *Engine) pairScan(pairs [][2]int32, pos []fixp.Vec3, buf []Force3, b *pairBatch, d *evalDiag) {
+	e.scanPairs(pairs, pos, buf, b, d, true)
 }
 
 // scanPairs is pairScan with the bounding-box prefilter switchable, so a
@@ -253,10 +252,9 @@ func (e *Engine) pairScan(pairs [][2]int32, pos []fixp.Vec3, buf []Force3, b *pa
 // unchanged. Considered still counts the skipped candidates (it models
 // what the hardware match units examine); Tested counts the distance
 // tests actually run.
-func (e *Engine) scanPairs(pairs [][2]int32, pos []fixp.Vec3, buf []Force3, b *pairBatch, energyOut *float64, tOut *tally, vir *htis.Virial, prefilter bool) {
+func (e *Engine) scanPairs(pairs [][2]int32, pos []fixp.Vec3, buf []Force3, b *pairBatch, diag *evalDiag, prefilter bool) {
 	k := &e.pk
-	var energy float64
-	var t tally
+	t := &diag.pairs
 	// Match-unit thresholds hoisted into locals; the check below is the
 	// MayInteract datapath inlined (per-axis reject, then conservative
 	// low-precision r^2), saving a call and three field loads per pair.
@@ -344,14 +342,12 @@ func (e *Engine) scanPairs(pairs [][2]int32, pos []fixp.Vec3, buf []Force3, b *p
 				b.sj[n] = sj
 				b.n = n + 1
 				if b.n == pairBatchSize {
-					e.flushPairBatch(b, buf, &energy, &t, vir)
+					e.flushPairBatch(b, buf, diag)
 				}
 			}
 		}
 	}
-	e.flushPairBatch(b, buf, &energy, &t, vir)
-	*energyOut += energy
-	tOut.Merge(&t)
+	e.flushPairBatch(b, buf, diag)
 }
 
 // axisGap bounds one axis of the prefilter. c is an atom's position and
@@ -392,14 +388,13 @@ func axisGap(c, lo, hi int64, shift uint) int64 {
 // neutral-territory node; match units prefilter, the batched PPIP path
 // computes, forces accumulate in wrapping counts and are reduced in
 // parallel over slot ranges.
-func (e *Engine) rangeLimitedForces() float64 {
+func (e *Engine) rangeLimitedForces() {
 	k := &e.pk
 	t0 := e.obsNow()
 	k.refreshGather(e.Pos)
 	e.obsPhase(obs.PhasePairGather, t0)
 	workers := e.workers()
 	e.forceBuffers(workers, len(k.pos))
-	e.workerAccums(workers)
 	k.ensureBatches(workers)
 	match0 := e.obsNow()
 	parallelChunks(len(e.subPairs), workers, e.pairChunkFn)
@@ -407,38 +402,13 @@ func (e *Engine) rangeLimitedForces() float64 {
 	t0 = e.obsNow()
 	e.reduceForces(e.fShort, e.workerF[:workers], k.atomOf, workers)
 	e.obsPhase(obs.PhasePairReduce, t0)
-	energy := 0.0
-	if e.Cfg.TrackVirial {
-		e.virial = htis.Virial{}
-	}
-	var merged tally
-	for w := 0; w < workers; w++ {
-		energy += e.workerEnergies[w]
-		merged.Merge(&e.workerTallies[w])
-		if e.Cfg.TrackVirial {
-			e.virial.Merge(&e.workerVirials[w])
-		}
-	}
-	e.Stats.PairsConsidered += merged.Considered
-	e.Stats.PairsTested += merged.Tested
-	e.Stats.PairsMatched += merged.Matched
-	e.Stats.PairsComputed += merged.Computed
 	if e.rec != nil {
-		e.rec.Add(obs.CtrPairsConsidered, merged.Considered)
-		e.rec.Add(obs.CtrPairsTested, merged.Tested)
-		e.rec.Add(obs.CtrPairsMatched, merged.Matched)
-		e.rec.Add(obs.CtrPairsComputed, merged.Computed)
-		e.rec.Add(obs.CtrBatchFlushes, merged.BatchFlushes)
-		e.rec.Add(obs.CtrBatchPairs, merged.BatchPairs)
-		e.rec.AddOccupancy(merged.Occupancy)
-		e.rec.AddPhaseBatch(obs.PhasePairPPIP, merged.PPIPNs, merged.BatchFlushes)
 		// Each worker lane starts with the match section and lasts the
 		// worker's measured PPIP time.
 		for w := 0; w < workers; w++ {
-			if t := &e.workerTallies[w]; t.BatchFlushes > 0 {
+			if t := &e.workerDiag[w].pairs; t.BatchFlushes > 0 {
 				e.rec.AddLane("worker", "ppip-batches", w, match0, t.PPIPNs, t.BatchFlushes)
 			}
 		}
 	}
-	return energy
 }

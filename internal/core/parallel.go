@@ -4,17 +4,16 @@ import (
 	"runtime"
 	"sync"
 
-	"anton/internal/htis"
 	"anton/internal/vec"
 )
 
 // The engine parallelizes its force phases across OS threads, mirroring
 // how Anton's phases run concurrently across hardware units. Because
-// every accumulator is a wrapping fixed-point integer, partial results
-// merge associatively: the trajectory is bitwise identical for ANY worker
-// count or scheduling — the same §4 property that gives the machine its
-// parallel invariance. (Diagnostic float energies are reduced in worker
-// order, so they too are reproducible for a fixed worker count.)
+// every accumulator — forces, mesh charge, energies, virial — is a
+// wrapping fixed-point integer, partial results merge associatively: the
+// trajectory and every reported energy are bitwise identical for ANY
+// worker count or scheduling — the same §4 property that gives the
+// machine its parallel invariance.
 
 // workers returns the configured worker count.
 func (e *Engine) workers() int {
@@ -80,18 +79,14 @@ func (e *Engine) forceBuffers(workers, n int) [][]Force3 {
 	return e.workerF[:workers]
 }
 
-// workerAccums sizes and zeroes the per-worker energy/tally/virial
-// accumulators, reusing prior allocations.
+// workerAccums sizes and zeroes the per-worker diagnostics accumulators,
+// reusing prior allocations.
 func (e *Engine) workerAccums(workers int) {
-	if len(e.workerEnergies) < workers {
-		e.workerEnergies = make([]float64, workers)
-		e.workerTallies = make([]tally, workers)
-		e.workerVirials = make([]htis.Virial, workers)
+	if len(e.workerDiag) < workers {
+		e.workerDiag = make([]evalDiag, workers)
 	}
-	for w := 0; w < workers; w++ {
-		e.workerEnergies[w] = 0
-		e.workerTallies[w] = tally{}
-		e.workerVirials[w] = htis.Virial{}
+	for w := range e.workerDiag[:workers] {
+		e.workerDiag[w] = evalDiag{}
 	}
 }
 

@@ -198,22 +198,23 @@ func TestReduceForcesMatchesSerialSum(t *testing.T) {
 func TestWorkerAccumsZeroOnEveryCall(t *testing.T) {
 	e := &Engine{}
 	e.workerAccums(3)
-	e.workerEnergies[1] = 42
-	e.workerTallies[2] = tally{Considered: 9}
+	e.workerDiag[1].bonded = 42
+	e.workerDiag[1].pairs.Computed = 7
+	e.workerDiag[2].pairs = tally{Considered: 9}
 	// A smaller request must still zero the previously-used entries it
-	// returns, and reuse the backing arrays.
-	prev := &e.workerEnergies[0]
+	// returns, and reuse the backing array.
+	prev := &e.workerDiag[0]
 	e.workerAccums(2)
-	if &e.workerEnergies[0] != prev {
+	if &e.workerDiag[0] != prev {
 		t.Error("workerAccums reallocated on shrink")
 	}
-	if e.workerEnergies[1] != 0 || e.workerTallies[1] != (tally{}) {
+	if e.workerDiag[1] != (evalDiag{}) {
 		t.Error("workerAccums did not zero reused entries")
 	}
 	// Worker 2's stale values are outside the requested range; a later
 	// growth back to 3 must zero them again before use.
 	e.workerAccums(3)
-	if e.workerTallies[2] != (tally{}) {
+	if e.workerDiag[2] != (evalDiag{}) {
 		t.Error("workerAccums did not zero regrown entries")
 	}
 }

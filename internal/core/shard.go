@@ -7,7 +7,6 @@ import (
 	"anton/internal/faults"
 	"anton/internal/ff"
 	"anton/internal/fixp"
-	"anton/internal/htis"
 	"anton/internal/nt"
 	"anton/internal/obs"
 	"anton/internal/system"
@@ -38,9 +37,9 @@ import (
 // computed exactly once, by exactly one shard, from position values that
 // are bit-copies of the owner's canonical state; its quantized
 // contribution is therefore identical to the monolithic evaluation, and
-// the merged sums are identical regardless of N. Diagnostic float
-// energies are reduced in ascending shard order (deterministic for a
-// fixed N, and permitted to differ across N — they never feed dynamics).
+// the merged sums are identical regardless of N. The reported energies
+// are wrapping fixed-point sums too (evalDiag), so they do not depend on
+// N either.
 //
 // Memory: each shard carries atom- and slot-indexed views (~150 B/atom)
 // plus a dense mesh buffer on refresh steps. That is deliberate — the
@@ -181,12 +180,8 @@ type shardState struct {
 	// SHAKE/RATTLE scratch and the step's sweep tally (driver-drained).
 	cons consScratch
 
-	// Per-step diagnostic outputs.
-	energyRL, energyBonded, energyP14 float64
-	energyExcl, energyMesh            float64
-	tally                             tally
-	virial                            htis.Virial
-	spreadTally, interpTally          int64
+	// The evaluation's diagnostics (driver-merged after stage B).
+	diag evalDiag
 }
 
 // NewSharded builds a sharded engine: the underlying Engine (whose node

@@ -28,7 +28,7 @@ import (
 //	B   finishForces     (refresh) long-range interpolation (owned); own
 //	                     contributions added, remaining force frames in,
 //	                     vsite spread
-//	 *  diagnostics      float energy/tally merge in ascending shard order
+//	 *  publish          merge of the shards' fixed-point diagnostics
 //	S7  integratePost    half-kick (owned atoms)
 //	S8  constrainPost    RATTLE (owned groups); * Berendsen collective
 //	 *  migration        deferred migration + view rebuild when due
@@ -219,7 +219,11 @@ func (s *Sharded) computeForces(refresh bool) *stageFail {
 	s.obsStageSplit(t0, obs.PhaseMeshInterp, obs.PhasePairReduce)
 	s.comm.noteExport(e.rec, refresh)
 
-	s.mergeDiagnostics(refresh)
+	var d evalDiag
+	for _, st := range s.shards {
+		d.merge(&st.diag)
+	}
+	e.publish(&d, refresh)
 	s.noteStream()
 	return nil
 }
@@ -334,67 +338,6 @@ func (s *Sharded) mergeMesh() {
 	e.obsPhase(obs.PhaseMeshSpread, t0)
 }
 
-// mergeDiagnostics folds the shards' float energies, pair tallies and
-// virials in ascending shard order (deterministic for a fixed shard
-// count; these sums feed reporting only, never dynamics).
-func (s *Sharded) mergeDiagnostics(refresh bool) {
-	e := s.E
-	var merged tally
-	var eRL, eBonded, eP14 float64
-	var spread, interp int64
-	if e.Cfg.TrackVirial {
-		e.virial = htis.Virial{}
-	}
-	for _, st := range s.shards {
-		eRL += st.energyRL
-		eBonded += st.energyBonded
-		eP14 += st.energyP14
-		merged.Merge(&st.tally)
-		if e.Cfg.TrackVirial {
-			e.virial.Merge(&st.virial)
-		}
-		spread += st.spreadTally
-		interp += st.interpTally
-	}
-	e.Breakdown.RangeLimited = eRL
-	e.Breakdown.Bonded = eBonded
-	e.Breakdown.Correction = eP14
-	e.Stats.PairsConsidered += merged.Considered
-	e.Stats.PairsTested += merged.Tested
-	e.Stats.PairsMatched += merged.Matched
-	e.Stats.PairsComputed += merged.Computed
-	e.Stats.MeshInteractions += spread + interp
-	if refresh {
-		var eMesh, eExcl float64
-		for _, st := range s.shards {
-			eMesh += st.energyMesh
-			eExcl += st.energyExcl
-		}
-		eMesh += e.Split.SelfEnergy(e.Sys.Top.Atoms)
-		e.Breakdown.Mesh = eMesh + eExcl
-		e.longRangeEnergy = e.Breakdown.Mesh
-		if e.rec != nil {
-			e.rec.Add(obs.CtrLongRangeEvals, 1)
-		}
-	} else {
-		e.Breakdown.Mesh = e.longRangeEnergy
-	}
-	e.PotentialEnergy = e.Breakdown.Total()
-	if e.rec != nil {
-		e.rec.Add(obs.CtrPairsConsidered, merged.Considered)
-		e.rec.Add(obs.CtrPairsTested, merged.Tested)
-		e.rec.Add(obs.CtrPairsMatched, merged.Matched)
-		e.rec.Add(obs.CtrPairsComputed, merged.Computed)
-		e.rec.Add(obs.CtrBatchFlushes, merged.BatchFlushes)
-		e.rec.Add(obs.CtrBatchPairs, merged.BatchPairs)
-		e.rec.AddOccupancy(merged.Occupancy)
-		e.rec.AddPhaseBatch(obs.PhasePairPPIP, merged.PPIPNs, merged.BatchFlushes)
-		if refresh {
-			e.rec.Add(obs.CtrMeshInteractions, spread+interp)
-		}
-	}
-}
-
 // migrate runs the migration collective: settle the measured traffic
 // accumulated under the old decomposition, migrate the monolithic state,
 // count the atoms that changed home box as migration messages, and
@@ -472,9 +415,9 @@ func (st *shardState) interpolate() {
 			continue
 		}
 		en, fx, fy, fz, n := ms.interpAtom(q, st.lposF[a])
-		st.energyMesh += en
+		st.diag.mesh += htis.QuantizeEnergy(en)
 		e.fLong[a] = e.fLong[a].AddRaw(fx, fy, fz)
-		st.interpTally += n
+		st.diag.interp += n
 	}
 }
 

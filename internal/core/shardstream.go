@@ -4,7 +4,6 @@ import (
 	"hash/crc32"
 	"time"
 
-	"anton/internal/htis"
 	"anton/internal/obs"
 )
 
@@ -41,13 +40,11 @@ import (
 // campaign (stall draws; the crash points fire in stage A).
 //
 // Bitwise contract: arrival order varies, accumulation does not matter.
-// Every force/mesh/virial accumulator is wrapping fixed-point
+// Every force/mesh/energy/virial accumulator is wrapping fixed-point
 // (associative and commutative), each atom's position copy is written by
 // exactly one sender, and each interaction is computed once from
 // bit-copied positions — so any interleaving of frame arrivals produces
-// identical bits. The compute runs after the last arrival, over the
-// shard's static pair list, so even the float diagnostic energies do not
-// depend on arrival order.
+// identical bits.
 
 // --- Stage A: position send half. ---
 
@@ -99,11 +96,7 @@ func (st *shardState) streamBody(x *xchg, refresh bool) {
 
 	// Per-evaluation reset.
 	st.meshNs = 0
-	st.energyRL, st.energyBonded, st.energyP14 = 0, 0, 0
-	st.energyExcl, st.energyMesh = 0, 0
-	st.tally = tally{}
-	st.virial = htis.Virial{}
-	st.spreadTally, st.interpTally = 0, 0
+	st.diag = evalDiag{}
 	st.arrived, st.footGot = 0, 0
 
 	// Owned positions come from the canonical state, the rest from the
@@ -135,7 +128,7 @@ func (st *shardState) streamBody(x *xchg, refresh bool) {
 			st.sbuf[slot] = Force3{}
 		}
 	}
-	e.pairScan(st.myPairs, st.spos, st.sbuf, &st.batch, &st.energyRL, &st.tally, &st.virial)
+	e.pairScan(st.myPairs, st.spos, st.sbuf, &st.batch, &st.diag)
 	for _, sb := range st.touchedSubs {
 		for slot := k.subStart[sb]; slot < k.subStart[sb+1]; slot++ {
 			if f := st.sbuf[slot]; f != (Force3{}) {
@@ -146,13 +139,13 @@ func (st *shardState) streamBody(x *xchg, refresh bool) {
 	}
 
 	for _, t := range st.bondTerms {
-		st.energyBonded += e.bondedTerm(int(t), st.lposF, st.scratch, st.lfShort)
+		st.diag.bonded += e.bondedTerm(int(t), st.lposF, st.scratch, st.lfShort)
 	}
 	for _, pi := range st.pair14Idx {
-		st.energyP14 += e.pair14One(&e.pair14[pi], st.lpos, st.lfShort)
+		st.diag.correction += e.pair14One(&e.pair14[pi], st.lpos, st.lfShort)
 	}
 	if refresh {
-		st.energyExcl = e.exclScan(st.exclTerms, st.lpos, st.lfLong)
+		st.diag.mesh += e.exclScan(st.exclTerms, st.lpos, st.lfLong)
 	}
 
 	// Force exports go out before the spread, so their flight overlaps it.
@@ -178,7 +171,7 @@ func (st *shardState) runSpread() {
 		if q == 0 {
 			continue
 		}
-		st.spreadTally += ms.spreadAtom(q, st.lposF[a], st.meshCounts)
+		st.diag.spread += ms.spreadAtom(q, st.lposF[a], st.meshCounts)
 	}
 	st.meshNs = obs.Now() - t0
 }

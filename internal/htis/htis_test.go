@@ -171,6 +171,55 @@ func TestQuantizeForceSymmetry(t *testing.T) {
 	}
 }
 
+func TestQuantizeEnergy(t *testing.T) {
+	// Ties at ±0.5 quanta round to the even count, symmetrically.
+	for _, c := range []struct {
+		quanta float64
+		want   int64
+	}{{0.5, 0}, {1.5, 2}, {2.5, 2}, {3.5, 4}, {-0.5, 0}, {-1.5, -2}, {-2.5, -2}, {-3.5, -4}} {
+		if got := QuantizeEnergy(c.quanta * EnergyQuantum); got != c.want {
+			t.Errorf("QuantizeEnergy(%g quanta) = %d, want %d", c.quanta, got, c.want)
+		}
+	}
+	// A negated energy quantizes to the negated count, and the round trip
+	// stays within half a quantum.
+	rng := rand.New(rand.NewSource(71))
+	for i := 0; i < 1000; i++ {
+		e := (rng.Float64() - 0.5) * math.Pow(10, float64(rng.Intn(12)-6))
+		if QuantizeEnergy(-e) != -QuantizeEnergy(e) {
+			t.Fatalf("quantization asymmetric at %g", e)
+		}
+		if d := math.Abs(EnergyValue(QuantizeEnergy(e)) - e); d > EnergyQuantum/2 {
+			t.Fatalf("round trip of %g off by %g", e, d)
+		}
+	}
+}
+
+// TestEnergySumOrderInvariance: quantized term energies summed with
+// wrapping int64 adds give one result for every order and grouping.
+func TestEnergySumOrderInvariance(t *testing.T) {
+	rng := rand.New(rand.NewSource(72))
+	terms := make([]float64, 4000)
+	for i := range terms {
+		terms[i] = (rng.Float64() - 0.5) * math.Pow(10, float64(rng.Intn(9)-4))
+	}
+	sum := func(ts []float64) int64 {
+		var s int64
+		for _, e := range ts {
+			s += QuantizeEnergy(e)
+		}
+		return s
+	}
+	want := sum(terms)
+	for trial := 0; trial < 20; trial++ {
+		rng.Shuffle(len(terms), func(i, j int) { terms[i], terms[j] = terms[j], terms[i] })
+		cut := rng.Intn(len(terms))
+		if got := sum(terms[:cut]) + sum(terms[cut:]); got != want {
+			t.Fatalf("trial %d: shuffled sum %d, want %d", trial, got, want)
+		}
+	}
+}
+
 func TestVirialMergeOrderIndependent(t *testing.T) {
 	rng := rand.New(rand.NewSource(73))
 	var a, b, ab Virial

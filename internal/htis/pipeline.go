@@ -25,6 +25,23 @@ func QuantizeForce(f float64) int64 {
 // ForceValue converts integer force counts back to kcal/mol/Å.
 func ForceValue(c int64) float64 { return float64(c) * ForceQuantum }
 
+// EnergyQuantum is the fixed-point energy resolution, kcal/mol per count.
+// Every energy the engine reports is a wrapping int64 sum of per-term
+// energies quantized to it — the force accumulators' rule — so the sum
+// is the same for any grouping, order or parallelism of the terms. An
+// int64 of these counts spans ±2^31 kcal/mol.
+const EnergyQuantum = 1.0 / (1 << 32)
+
+// QuantizeEnergy converts one term's energy to integer energy counts
+// with round-to-nearest/even (symmetric: -e quantizes to the negated
+// count).
+func QuantizeEnergy(e float64) int64 {
+	return int64(math.RoundToEven(e / EnergyQuantum))
+}
+
+// EnergyValue converts integer energy counts back to kcal/mol.
+func EnergyValue(c int64) float64 { return float64(c) * EnergyQuantum }
+
 // Pipeline is the functional model of one PPIP configured for MD: it
 // computes the range-limited (screened electrostatic + Lennard-Jones)
 // interaction of an atom pair as a deterministic function of the pair's

@@ -99,15 +99,18 @@ echo "== trace export: generate + validate =="
 # Drive a short instrumented run, monolithic and at 8 shards, then
 # validate each exported Chrome trace: parses, round-trips through
 # encoding/json, monotonic ts, every phase span inside its step span, and
-# no overlap on the step or the phase lane.
-tracefile="$(mktemp /tmp/anton-trace-XXXXXX.json)"
-trap 'rm -f "$tracefile"' EXIT
+# no overlap on the step or the phase lane. The two runs' checkpoints
+# must be byte-identical: the state and the long-range energy they carry
+# do not depend on the execution mode or the host's worker count.
+tmpdir="$(mktemp -d /tmp/anton-verify-XXXXXX)"
+trap 'rm -rf "$tmpdir"' EXIT
 go run ./cmd/antonsim -system small -steps 30 -report 30 \
-	-trace "$tracefile" -watch >/dev/null
-go run scripts/validate_trace.go "$tracefile"
+	-trace "$tmpdir/trace.json" -watch -checkpoint "$tmpdir/mono.ckpt" >/dev/null
+go run scripts/validate_trace.go "$tmpdir/trace.json"
 go run ./cmd/antonsim -system small -shards 8 -steps 30 -report 30 \
-	-trace "$tracefile" >/dev/null
-go run scripts/validate_trace.go "$tracefile"
+	-trace "$tmpdir/trace.json" -checkpoint "$tmpdir/shard8.ckpt" >/dev/null
+go run scripts/validate_trace.go "$tmpdir/trace.json"
+cmp "$tmpdir/mono.ckpt" "$tmpdir/shard8.ckpt"
 
 echo "== bench: registry + harness at a tiny scale =="
 # bench/ is a nested module the root ./... never compiles, so a rename
