@@ -150,6 +150,7 @@ type Engine struct {
 	workerF       [][]Force3 // force buffers
 	workerScratch [][]vec.V3 // bonded-force float scratch (sparsely zeroed)
 	workerDiag    []evalDiag // the evaluation's diagnostics, per worker
+	workerBusy    []busySpan // each worker's measured pair-section interval (observed runs)
 
 	// Preallocated chunk closures for the steady-state phases (a closure
 	// passed to parallelChunks escapes; allocating them once keeps the

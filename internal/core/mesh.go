@@ -41,11 +41,13 @@ type meshSolver struct {
 	counts    []int64     // fixed-point mesh charge accumulator
 	mesh      *fft.Grid3  // float mesh for the convolution
 
-	workerCounts [][]int64 // per-worker spreading buffers
+	// workerCounts are the per-worker spreading buffers. They are zero
+	// between evaluations: the merge that reads a cell clears it.
+	workerCounts [][]int64
 
-	// activeMerge stages the number of fresh worker buffers for the
-	// parallel count merge (the chunks the spread pass actually ran;
-	// buffers past it hold stale data from a wider earlier pass).
+	// activeMerge stages the number of worker buffers for the parallel
+	// count merge (the workers the spread pass ran a block on; the
+	// buffers past it are still zero).
 	activeMerge int
 }
 
@@ -135,10 +137,10 @@ func (e *Engine) meshForces() {
 		}
 	}
 	parallelChunks(len(top.Atoms), workers, e.meshSpreadFn)
-	// Merge the fresh worker buffers into the mesh accumulator, parallel
-	// across disjoint cell ranges in fixed worker order. Only the chunks
-	// the spread pass actually ran hold live data.
-	ms.activeMerge = activeChunks(len(top.Atoms), workers)
+	// Merge the worker buffers into the mesh accumulator, parallel
+	// across disjoint cell ranges in fixed worker order. Only the workers
+	// the spread pass ran a block on hold live data.
+	ms.activeMerge = activeWorkers(len(top.Atoms), workers)
 	parallelChunks(len(ms.counts), workers, e.meshMergeFn)
 	e.obsPhase(obs.PhaseMeshSpread, t0)
 
@@ -155,14 +157,12 @@ func (e *Engine) meshForces() {
 }
 
 // meshSpreadChunk spreads atoms [lo, hi) into worker w's private mesh
-// buffer (zeroed here, so stale contents from earlier passes never leak).
+// buffer, which holds only this evaluation's earlier blocks of worker w:
+// the previous merge left it zero.
 func (e *Engine) meshSpreadChunk(w, lo, hi int) {
 	ms := e.mesh
 	top := e.Sys.Top
 	counts := ms.workerCounts[w]
-	for i := range counts {
-		counts[i] = 0
-	}
 	var tally int64
 	for i := lo; i < hi; i++ {
 		q := top.Atoms[i].Charge
@@ -174,16 +174,17 @@ func (e *Engine) meshSpreadChunk(w, lo, hi int) {
 	e.workerDiag[w].spread += tally
 }
 
-// meshMergeChunk merges cell range [lo, hi) of the fresh worker buffers
-// into the mesh accumulator. Each cell is written by exactly one chunk,
-// and the per-cell sum runs in fixed worker order.
+// meshMergeChunk merges cell range [lo, hi) of the worker buffers into
+// the mesh accumulator and clears the cells it read, so the next spread
+// starts from zero. Each cell is written by exactly one block, and the
+// per-cell sum runs in fixed worker order.
 func (e *Engine) meshMergeChunk(_, lo, hi int) {
 	ms := e.mesh
-	counts0 := ms.workerCounts[0]
 	for i := lo; i < hi; i++ {
-		c := counts0[i]
-		for w := 1; w < ms.activeMerge; w++ {
-			c += ms.workerCounts[w][i]
+		var c int64
+		for _, counts := range ms.workerCounts[:ms.activeMerge] {
+			c += counts[i]
+			counts[i] = 0
 		}
 		ms.counts[i] = c
 	}
@@ -208,21 +209,6 @@ func (e *Engine) meshInterpChunk(w, lo, hi int) {
 	d := &e.workerDiag[w]
 	d.mesh += energy
 	d.interp += tally
-}
-
-// activeChunks returns the number of chunks parallelChunks(n, workers, fn)
-// actually runs — the prefix of worker buffers a staged parallel pass
-// freshly wrote.
-func activeChunks(n, workers int) int {
-	if workers <= 1 || n < 2*workers {
-		return 1
-	}
-	chunk := (n + workers - 1) / workers
-	a := (n + chunk - 1) / chunk
-	if a > workers {
-		a = workers
-	}
-	return a
 }
 
 // meshAxisMax bounds the per-axis stack tables of the spread/interpolate

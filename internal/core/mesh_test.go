@@ -1,6 +1,7 @@
 package core
 
 import (
+	"slices"
 	"sync"
 	"testing"
 
@@ -38,6 +39,28 @@ func TestMeshPathWorkerInvariance(t *testing.T) {
 		if e.Stats.Migrations < 2 {
 			t.Fatalf("workers=%d: run crossed only %d migrations, want >= 2",
 				workers, e.Stats.Migrations)
+		}
+	}
+}
+
+// TestMeshSpreadStartsFromZero: a worker spreads its blocks into a
+// buffer the previous merge cleared, so evaluating the mesh twice at the
+// same positions — at a worker count that deals several blocks to each
+// worker — yields the same mesh charge, and every worker buffer is zero
+// once merged.
+func TestMeshSpreadStartsFromZero(t *testing.T) {
+	e := smallWaterEngine(t, 8, func(c *Config) { c.Workers = 3 })
+	e.Step(1)
+	ms := e.mesh
+	e.meshForces()
+	first := slices.Clone(ms.counts)
+	e.meshForces()
+	if !slices.Equal(ms.counts, first) {
+		t.Fatal("a second spread of the same positions changed the mesh charge")
+	}
+	for w, counts := range ms.workerCounts {
+		if slices.ContainsFunc(counts, func(c int64) bool { return c != 0 }) {
+			t.Fatalf("worker %d's spreading buffer is not zero after the merge", w)
 		}
 	}
 }

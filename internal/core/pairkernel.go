@@ -215,15 +215,31 @@ func (e *Engine) flushPairBatch(b *pairBatch, buf []Force3, d *evalDiag) {
 	b.n = 0
 }
 
+// busySpan is one worker's measured interval in a parallel section: the
+// start of its first block to the end of its last.
+type busySpan struct{ t0, end int64 }
+
 // pairChunk processes subbox pairs [lo, hi) as worker w: match-unit
 // prefilter, exclusion merge scan, batched PPIP evaluation. Installed
 // once as Engine.pairChunkFn so the steady-state path allocates nothing.
 // The scan accumulates on this goroutine's stack: neighbouring workers'
-// entries of Engine.workerDiag may share a cache line.
+// entries of Engine.workerDiag may share a cache line. With an observer
+// attached, the block also extends the worker's busy interval.
 func (e *Engine) pairChunk(w, lo, hi int) {
+	var t0 int64
+	if e.rec != nil {
+		t0 = obs.Now()
+	}
 	var d evalDiag
 	e.pairScan(e.subPairs[lo:hi], e.pk.pos, e.workerF[w], &e.pk.batches[w], &d)
 	e.workerDiag[w].merge(&d)
+	if e.rec != nil {
+		s := &e.workerBusy[w]
+		if s.end == 0 {
+			s.t0 = t0
+		}
+		s.end = obs.Now()
+	}
 }
 
 // pairScan runs the match units and batched PPIP evaluation over an
@@ -396,18 +412,26 @@ func (e *Engine) rangeLimitedForces() {
 	workers := e.workers()
 	e.forceBuffers(workers, len(k.pos))
 	k.ensureBatches(workers)
-	match0 := e.obsNow()
+	if e.rec != nil {
+		for len(e.workerBusy) < workers {
+			e.workerBusy = append(e.workerBusy, busySpan{})
+		}
+		clear(e.workerBusy[:workers])
+	}
+	t0 = e.obsNow()
 	parallelChunks(len(e.subPairs), workers, e.pairChunkFn)
-	e.obsPhase(obs.PhasePairMatch, match0)
+	e.obsPhase(obs.PhasePairMatch, t0)
 	t0 = e.obsNow()
 	e.reduceForces(e.fShort, e.workerF[:workers], k.atomOf, workers)
 	e.obsPhase(obs.PhasePairReduce, t0)
 	if e.rec != nil {
-		// Each worker lane starts with the match section and lasts the
-		// worker's measured PPIP time.
-		for w := 0; w < workers; w++ {
-			if t := &e.workerDiag[w].pairs; t.BatchFlushes > 0 {
-				e.rec.AddLane("worker", "ppip-batches", w, match0, t.PPIPNs, t.BatchFlushes)
+		// Each worker lane is the worker's measured busy interval in the
+		// match section, so an idle tail shows as the gap to the section's
+		// end; its PPIP time and batch flushes ride along as arguments.
+		for w, s := range e.workerBusy[:workers] {
+			if s.end != 0 {
+				t := &e.workerDiag[w].pairs
+				e.rec.AddLane("worker", "pair-blocks", w, s.t0, s.end-s.t0, t.BatchFlushes, t.PPIPNs)
 			}
 		}
 	}

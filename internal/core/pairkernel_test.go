@@ -2,6 +2,7 @@ package core
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 
 	"anton/internal/fixp"
@@ -68,6 +69,101 @@ func TestPairKernelWorkerInvarianceConstrained(t *testing.T) {
 					workers, i, steps)
 			}
 		}
+	}
+}
+
+// TestPairKernelWorkerInvarianceOddCounts: worker counts that do not
+// divide any section's length evenly, and one with more workers than the
+// constraint section has blocks (one group per block, the workers past
+// them idle), step in lockstep with one worker for 40 steps on the
+// three-site and the four-site water box. After every step the forces,
+// energies, virial and Stats must be bitwise equal.
+func TestPairKernelWorkerInvarianceOddCounts(t *testing.T) {
+	if testing.Short() {
+		t.Skip("lockstep runs of five engines per system")
+	}
+	const steps = 40
+	small, err := system.Small(true, 21)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, s := range []*system.System{small, tip4pSmall(t)} {
+		t.Run(s.Name, func(t *testing.T) {
+			build := func(workers int) *Engine {
+				cfg := DefaultConfig(8)
+				cfg.Workers = workers
+				cfg.TrackVirial = true
+				e, err := NewEngine(s, cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				e.SetVelocities(system.InitVelocities(s.Top, 300, rand.New(rand.NewSource(33))))
+				return e
+			}
+			ref := build(1)
+			many := len(ref.consGroups) + 1
+			if activeWorkers(len(ref.consGroups), many) >= many {
+				t.Fatalf("%d workers do not outnumber the constraint section's blocks", many)
+			}
+			var engines []*Engine
+			for _, w := range []int{3, 5, 7, many} {
+				engines = append(engines, build(w))
+			}
+			for step := 1; step <= steps; step++ {
+				ref.Step(1)
+				for _, e := range engines {
+					e.Step(1)
+					w := e.Cfg.Workers
+					switch {
+					case !slices.Equal(e.fShort, ref.fShort) || !slices.Equal(e.fLong, ref.fLong):
+						t.Fatalf("workers=%d step %d: forces differ", w, step)
+					case energyBits(e) != energyBits(ref):
+						t.Fatalf("workers=%d step %d: energies differ", w, step)
+					case e.Virial() != ref.Virial():
+						t.Fatalf("workers=%d step %d: virial differs", w, step)
+					case e.Stats != ref.Stats:
+						t.Fatalf("workers=%d step %d: Stats %+v, want %+v", w, step, e.Stats, ref.Stats)
+					}
+				}
+			}
+		})
+	}
+}
+
+// TestPairScheduleBalanceDeterministic: the block-cyclic schedule gives
+// DHFR's two workers equal shares of the pair section. DHFR's subbox-pair
+// list is denser in its second half, so contiguous halves computed
+// 4,327,945 and 6,323,823 pairs (max/mean 1.19); dealt block by block
+// the larger share must be within 5% of the mean, and the per-worker
+// counts must repeat exactly on a second evaluation.
+func TestPairScheduleBalanceDeterministic(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds the 23,558-atom DHFR system")
+	}
+	s, err := system.ByName("DHFR")
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := DefaultConfig(8)
+	cfg.Workers = 2
+	e, err := NewEngine(s, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	computed := func() [2]int64 {
+		e.workerAccums(2)
+		e.rangeLimitedForces()
+		return [2]int64{e.workerDiag[0].pairs.Computed, e.workerDiag[1].pairs.Computed}
+	}
+	first, second := computed(), computed()
+	if first != second {
+		t.Fatalf("per-worker computed pairs %v, then %v", first, second)
+	}
+	mean := float64(first[0]+first[1]) / 2
+	ratio := float64(max(first[0], first[1])) / mean
+	t.Logf("per-worker computed pairs %v, max/mean %.4f", first, ratio)
+	if ratio > 1.05 {
+		t.Errorf("per-worker computed pairs %v: max/mean %.4f, want <= 1.05", first, ratio)
 	}
 }
 

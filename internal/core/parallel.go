@@ -30,34 +30,64 @@ func (e *Engine) workers() int {
 	return w
 }
 
-// parallelChunks splits [0, n) into contiguous chunks, one per worker,
-// and runs fn(worker, lo, hi) concurrently. Chunk boundaries depend only
-// on n and the worker count, never on scheduling. Chunk 0 runs on the
-// calling goroutine, which would otherwise only wait: one goroutine (and
-// its closure allocation) fewer per parallel section.
+// blocksPerWorker is the number of equal blocks a parallel section is cut
+// into per worker. Work per index is not uniform — DHFR's subbox-pair
+// list is denser in its second half — so one contiguous chunk per worker
+// leaves the lighter worker idle; dealt round-robin, each worker's blocks
+// sample the whole list. Measured (DESIGN §7): the worst per-worker
+// computed-pair max/mean over 8 DHFR steps on two workers is 1.042 at 16
+// blocks per worker and 1.003 at 32; at 32 the 645-atom water box's step
+// did not slow, though its constraint groups go four to a block.
+const blocksPerWorker = 32
+
+// blockLayout returns the block length and block count of a parallel
+// section over [0, n): one block for one worker (or n <= 1), otherwise
+// min(n, workers*blocksPerWorker) equal blocks, the last one shorter.
+// Block b is [b*size, min((b+1)*size, n)) and belongs to worker
+// b mod workers.
+func blockLayout(n, workers int) (size, blocks int) {
+	if workers <= 1 || n <= 1 {
+		return n, 1
+	}
+	size = (n + workers*blocksPerWorker - 1) / (workers * blocksPerWorker)
+	return size, (n + size - 1) / size
+}
+
+// activeWorkers returns the number of workers that run at least one block
+// of a parallel section over [0, n).
+func activeWorkers(n, workers int) int {
+	_, blocks := blockLayout(n, workers)
+	return min(workers, blocks)
+}
+
+// parallelChunks runs fn(worker, lo, hi) once per block of blockLayout
+// (n, workers), block b on worker b mod workers. A worker runs its blocks
+// in ascending order on one goroutine, so per-worker state needs no lock;
+// the block-to-worker map depends only on n and the worker count, never on
+// scheduling. Worker 0 runs on the calling goroutine, which would
+// otherwise only wait: one goroutine (and its closure allocation) fewer
+// per parallel section.
 func parallelChunks(n, workers int, fn func(worker, lo, hi int)) {
-	if workers <= 1 || n < 2*workers {
+	size, blocks := blockLayout(n, workers)
+	active := min(workers, blocks)
+	if active <= 1 {
 		fn(0, 0, n)
 		return
 	}
-	var wg sync.WaitGroup
-	chunk := (n + workers - 1) / workers
-	for w := 1; w < workers; w++ {
-		lo := w * chunk
-		if lo >= n {
-			break
+	run := func(w int) {
+		for b := w; b < blocks; b += workers {
+			fn(w, b*size, min((b+1)*size, n))
 		}
-		hi := lo + chunk
-		if hi > n {
-			hi = n
-		}
-		wg.Add(1)
-		go func(w, lo, hi int) {
-			defer wg.Done()
-			fn(w, lo, hi)
-		}(w, lo, hi)
 	}
-	fn(0, 0, chunk)
+	var wg sync.WaitGroup
+	wg.Add(active - 1)
+	for w := 1; w < active; w++ {
+		go func() {
+			defer wg.Done()
+			run(w)
+		}()
+	}
+	run(0)
 	wg.Wait()
 }
 

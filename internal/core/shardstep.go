@@ -199,7 +199,7 @@ func (s *Sharded) computeForces(refresh bool) *stageFail {
 	s.obsStageSplit(t0, obs.PhaseMeshSpread, obs.PhasePairMatch)
 	if e.rec != nil {
 		for _, st := range s.shards {
-			e.rec.AddLane("shard", "stage-a", int(st.id), st.bodyT0, st.bodyNs, 1)
+			e.rec.AddLane("shard", "stage-a", int(st.id), st.bodyT0, st.bodyNs, 1, 0)
 		}
 	}
 	s.comm.noteImport(e.rec)

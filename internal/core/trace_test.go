@@ -2,6 +2,7 @@ package core
 
 import (
 	"encoding/json"
+	"slices"
 	"testing"
 
 	"anton/internal/obs"
@@ -143,8 +144,9 @@ func TestTraceDeterministicTimeline(t *testing.T) {
 
 // TestTraceMeasuredTimeline: on the monolithic engine and at 8 shards,
 // every phase span lies inside the step span of its step, a step's phases
-// sum to no more than the step, and a sharded run draws one lane per
-// shard.
+// sum to no more than the step, a sharded run draws one lane per shard,
+// and a monolithic worker's busy interval lies inside its step's
+// pair-match span and holds its PPIP time.
 func TestTraceMeasuredTimeline(t *testing.T) {
 	const steps = 20
 	for _, c := range []struct {
@@ -166,16 +168,35 @@ func TestTraceMeasuredTimeline(t *testing.T) {
 			sim.Step(steps)
 
 			stepSpan := map[int64]obs.Span{}
+			matchSpans := map[int64][]obs.Span{} // the first step also holds the initial evaluation
 			phaseSum := map[int64]int64{}
 			shardLanes := map[int32]bool{}
+			var workerSpans []obs.Span
 			for _, s := range tr.Spans() {
 				switch {
 				case s.Tid == obs.TidStep:
 					stepSpan[s.Step] = s
 				case s.Tid == obs.TidPhases:
 					phaseSum[s.Step] += s.Dur
+					if s.Name == obs.PhasePairMatch.String() {
+						matchSpans[s.Step] = append(matchSpans[s.Step], s)
+					}
 				case s.Name == "stage-a":
 					shardLanes[s.Tid] = true
+				case s.Name == "pair-blocks":
+					workerSpans = append(workerSpans, s)
+				}
+			}
+			if c.shards == 0 && len(workerSpans) == 0 {
+				t.Error("no worker busy intervals on the monolithic engine")
+			}
+			for _, s := range workerSpans {
+				inside := slices.ContainsFunc(matchSpans[s.Step], func(m obs.Span) bool {
+					return m.TS <= s.TS && s.TS+s.Dur <= m.TS+m.Dur
+				})
+				if !inside || s.PPIPNs <= 0 || s.PPIPNs > s.Dur {
+					t.Fatalf("worker span %+v: want inside a pair-match span of %+v, holding its PPIP time",
+						s, matchSpans[s.Step])
 				}
 			}
 			if len(stepSpan) != steps {

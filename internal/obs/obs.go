@@ -227,7 +227,7 @@ func (r *Recorder) AddPhase(p Phase, t0, ns int64) {
 	r.phases[p].Ns += ns
 	r.phases[p].Calls++
 	if r.trc != nil {
-		r.trc.push(p.String(), TidPhases, t0, ns, 1)
+		r.trc.push(Span{Name: p.String(), Tid: TidPhases, TS: t0, Dur: ns, Calls: 1})
 	}
 }
 
@@ -239,12 +239,13 @@ func (r *Recorder) AddPhaseBatch(p Phase, ns, calls int64) {
 }
 
 // AddLane records a measured span named name on worker lane w (a force
-// worker's PPIP batches, a shard's stage body): it started at t0 and
-// lasted ns over calls calls. Only an attached tracer keeps it; the
-// aggregate time reaches the recorder through AddPhaseBatch.
-func (r *Recorder) AddLane(kind, name string, w int, t0, ns, calls int64) {
+// worker's pair blocks, a shard's stage body): it started at t0 and
+// lasted ns over calls calls, ppipNs of it in the PPIP datapath (0 when
+// not measured). Only an attached tracer keeps it; the aggregate time
+// reaches the recorder through AddPhaseBatch.
+func (r *Recorder) AddLane(kind, name string, w int, t0, ns, calls, ppipNs int64) {
 	if r.trc != nil {
-		r.trc.lane(kind, name, w, t0, ns, int32(calls))
+		r.trc.lane(kind, name, w, t0, ns, int32(calls), ppipNs)
 	}
 }
 

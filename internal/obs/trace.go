@@ -19,8 +19,10 @@ import (
 // are in flight. v7 makes trace spans measured: ts and dur are the start
 // and duration read from the one clock (Now), the otherData key giving
 // the old virtual step window and the per-span wall_ns arg are gone, and
-// a sharded run draws one "shard N" lane per shard.
-const SchemaVersion = "anton-obs/v7"
+// a sharded run draws one "shard N" lane per shard. v8 makes a monolithic
+// worker lane's span ("pair-blocks") the worker's busy interval in the
+// pair section, with its PPIP time as args.ppip_ns.
+const SchemaVersion = "anton-obs/v8"
 
 // The step tracer keeps a bounded ring of the spans a Recorder measured,
 // exportable as Chrome trace-event JSON (loadable in Perfetto /
@@ -62,15 +64,17 @@ const (
 )
 
 // Span is one recorded trace span: TS and Dur are measured nanoseconds on
-// the Now clock.
+// the Now clock. PPIPNs is the part of a worker lane's span spent in the
+// PPIP datapath (exported as args.ppip_ns; 0 elsewhere and omitted).
 type Span struct {
-	Name  string
-	Pid   int32
-	Tid   int32
-	TS    int64
-	Dur   int64
-	Step  int64
-	Calls int32
+	Name   string
+	Pid    int32
+	Tid    int32
+	TS     int64
+	Dur    int64
+	Step   int64
+	Calls  int32
+	PPIPNs int64
 }
 
 // Tracer is the bounded-ring step tracer. The zero value is not usable;
@@ -97,14 +101,16 @@ func NewTracer(capacity int) *Tracer {
 // Dropped returns the number of spans evicted from the ring.
 func (t *Tracer) Dropped() int64 { return t.dropped }
 
-// push appends a span of the open step to the ring, evicting the oldest
-// on overflow. Its step number is filled in when the step closes.
-func (t *Tracer) push(name string, tid int32, t0, ns int64, calls int32) {
+// push appends a span of the open step to the engine pid's ring, evicting
+// the oldest on overflow. Its step number is filled in when the step
+// closes.
+func (t *Tracer) push(s Span) {
 	if t.open == 0 {
-		t.stepT0 = t0
+		t.stepT0 = s.TS
 	}
 	t.open++
-	t.ring[t.head] = Span{Name: name, Pid: PidEngine, Tid: tid, TS: t0, Dur: ns, Calls: calls}
+	s.Pid = PidEngine
+	t.ring[t.head] = s
 	t.head = (t.head + 1) % len(t.ring)
 	if t.count < len(t.ring) {
 		t.count++
@@ -114,12 +120,12 @@ func (t *Tracer) push(name string, tid int32, t0, ns int64, calls int32) {
 }
 
 // lane records a span on worker lane w, naming the lane kind.
-func (t *Tracer) lane(kind, name string, w int, t0, ns int64, calls int32) {
+func (t *Tracer) lane(kind, name string, w int, t0, ns int64, calls int32, ppipNs int64) {
 	for len(t.lanes) <= w {
 		t.lanes = append(t.lanes, "")
 	}
 	t.lanes[w] = kind
-	t.push(name, TidWorkerBase+int32(w), t0, ns, calls)
+	t.push(Span{Name: name, Tid: TidWorkerBase + int32(w), TS: t0, Dur: ns, Calls: calls, PPIPNs: ppipNs})
 }
 
 // stepDone closes step `step` at end: the spans pushed since the last
@@ -129,7 +135,7 @@ func (t *Tracer) stepDone(step, end int64) {
 	if t.open == 0 {
 		t.stepT0 = end
 	}
-	t.push("step", TidStep, t.stepT0, end-t.stepT0, 1)
+	t.push(Span{Name: "step", Tid: TidStep, TS: t.stepT0, Dur: end - t.stepT0, Calls: 1})
 	for i := 1; i <= min(t.open, t.count); i++ {
 		t.ring[(t.head-i+len(t.ring))%len(t.ring)].Step = step
 	}
@@ -206,6 +212,10 @@ func (t *Tracer) ExportJSON() ([]byte, error) {
 		}
 	}
 	for _, s := range spans {
+		args := map[string]any{"step": s.Step, "calls": s.Calls}
+		if s.PPIPNs != 0 {
+			args["ppip_ns"] = s.PPIPNs
+		}
 		f.TraceEvents = append(f.TraceEvents, traceEvent{
 			Name: s.Name,
 			Ph:   "X",
@@ -214,7 +224,7 @@ func (t *Tracer) ExportJSON() ([]byte, error) {
 			Dur:  float64(s.Dur) / 1e3,
 			Pid:  int64(s.Pid),
 			Tid:  int64(s.Tid),
-			Args: map[string]any{"step": s.Step, "calls": s.Calls},
+			Args: args,
 		})
 	}
 	var buf bytes.Buffer

@@ -15,7 +15,7 @@ func fillSteps(t *Tracer, n int) {
 	for s := int64(1); s <= int64(n); s++ {
 		base := s * 2000
 		r.AddPhase(PhaseIntegration, base, 1000)
-		r.AddLane("worker", "ppip-batches", 0, base, 500, 3)
+		r.AddLane("worker", "pair-blocks", 0, base, 500, 3, 400)
 		r.AddPhase(PhaseMigration, base+1000, 10)
 		r.StepDone(s)
 	}
@@ -45,9 +45,10 @@ func TestTracerRingEviction(t *testing.T) {
 }
 
 // traceMatchStep pushes one measured step through a traced recorder: a
-// pair-gather call, a pair-match call with two worker spans inside it and
-// the merged PPIP time, closed as step 7. It returns the first phase start
-// and a Now read after the step closed.
+// pair-gather call, a pair-match call with two worker busy intervals
+// inside it (worker 1 idles for the last 39 ns) and the merged PPIP time,
+// closed as step 7. It returns the first phase start and a Now read after
+// the step closed.
 func traceMatchStep(tr *Tracer) (t0, end int64) {
 	r := NewRecorder()
 	r.Trace(tr)
@@ -55,8 +56,8 @@ func traceMatchStep(tr *Tracer) (t0, end int64) {
 	r.AddPhase(PhasePairGather, t0, 40)
 	r.AddPhase(PhasePairMatch, t0+40, 100)
 	r.AddPhaseBatch(PhasePairPPIP, 130, 4)
-	r.AddLane("worker", "ppip-batches", 0, t0+40, 70, 2)
-	r.AddLane("worker", "ppip-batches", 1, t0+40, 60, 2)
+	r.AddLane("worker", "pair-blocks", 0, t0+40, 95, 2, 70)
+	r.AddLane("worker", "pair-blocks", 1, t0+41, 60, 2, 60)
 	r.StepDone(7)
 	return t0, Now()
 }
@@ -103,7 +104,8 @@ func TestTracerStepLayout(t *testing.T) {
 
 // TestTracerPPIPSharesMatchSlot: the PPIP work runs inside the match
 // unit's call, so each worker span lies inside the pair-match span, one
-// lane per worker, and the export names those lanes "worker N".
+// lane per worker, and the export names those lanes "worker N" and gives
+// each span its PPIP time as args.ppip_ns.
 func TestTracerPPIPSharesMatchSlot(t *testing.T) {
 	tr := NewTracer(64)
 	traceMatchStep(tr)
@@ -122,8 +124,8 @@ func TestTracerPPIPSharesMatchSlot(t *testing.T) {
 		t.Fatalf("got %d worker spans, want 2", len(workers))
 	}
 	for i, w := range workers {
-		if w.Tid != TidWorkerBase+int32(i) || w.Calls != 2 {
-			t.Errorf("worker span %d %+v, want tid %d with 2 calls", i, w, TidWorkerBase+i)
+		if ppip := []int64{70, 60}[i]; w.Tid != TidWorkerBase+int32(i) || w.Calls != 2 || w.PPIPNs != ppip {
+			t.Errorf("worker span %d %+v, want tid %d with 2 calls and %d PPIP ns", i, w, TidWorkerBase+i, ppip)
 		}
 		if w.TS < match.TS || w.TS+w.Dur > match.TS+match.Dur {
 			t.Errorf("worker span %+v not inside the match span %+v", w, match)
@@ -133,9 +135,9 @@ func TestTracerPPIPSharesMatchSlot(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, lane := range []string{`"worker 0"`, `"worker 1"`} {
-		if !strings.Contains(string(raw), lane) {
-			t.Errorf("export does not name lane %s", lane)
+	for _, want := range []string{`"worker 0"`, `"worker 1"`, `"ppip_ns":70`, `"ppip_ns":60`} {
+		if !strings.Contains(string(raw), want) {
+			t.Errorf("export does not hold %s", want)
 		}
 	}
 }
