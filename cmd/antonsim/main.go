@@ -166,10 +166,12 @@ func run(args []string, stdout, stderr io.Writer) int {
 	watching := *watch || *listenAt != ""
 
 	var tel *obs.Telemetry
+	var telSrv *http.Server
 	if *listenAt != "" {
 		tel = obs.NewTelemetry()
+		telSrv = &http.Server{Addr: *listenAt, Handler: tel.Handler()}
 		go func() {
-			if err := tel.ListenAndServe(*listenAt); err != nil {
+			if err := telSrv.ListenAndServe(); !errors.Is(err, http.ErrServerClosed) {
 				logger.Error("telemetry server", "err", err)
 			}
 		}()
@@ -237,9 +239,9 @@ func run(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintf(stdout, "\nrun ledger %s: %d records, %d commits, %d bytes (audit with antonaudit)\n",
 			*ledgerPath, st.Records, st.Commits, st.Bytes)
 	}
-	if tel != nil {
+	if telSrv != nil {
 		sctx, cancel := context.WithTimeout(context.Background(), 3*time.Second)
-		if err := tel.Shutdown(sctx); err != nil {
+		if err := telSrv.Shutdown(sctx); err != nil {
 			logger.Error("telemetry shutdown", "err", err)
 		}
 		cancel()

@@ -175,6 +175,9 @@ func TestCLIFlagErrors(t *testing.T) {
 		{[]string{"-chaos-heartbeat", "300ms"}, 2, "flag provided but not defined: -chaos-heartbeat"},
 		{[]string{"-system", "small", "-steps", "0"}, 1, "invalid run"},
 		{[]string{"-system", "small", "-chaos", "seed=7,drop=0.02"}, 1, "invalid run"},
+		{[]string{"-system", "small", "-steps", "4", "-temp", "NaN"}, 1, "non-finite temperature"},
+		{[]string{"-system", "small", "-steps", "4", "-temp", "Inf"}, 1, "non-finite temperature"},
+		{[]string{"-system", "small", "-steps", "4", "-temp", "1e30"}, 1, "exceeds the 1000 K cap"},
 	} {
 		var stdout, stderr bytes.Buffer
 		code := run(c.args, &stdout, &stderr)

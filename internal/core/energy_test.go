@@ -4,7 +4,9 @@ import (
 	"bytes"
 	"fmt"
 	"math"
+	"reflect"
 	"testing"
+	"unsafe"
 )
 
 // energyBits is every energy an evaluation reports, as bit patterns:
@@ -94,5 +96,53 @@ func TestEnergyInvariance(t *testing.T) {
 				t.Errorf("%s: step %d energies %x, uninterrupted run %x", r.name, steps+k+1, got, want[k])
 			}
 		}
+	}
+}
+
+// TestEvalDiagMergeCoversEveryField: every numeric field of evalDiag,
+// nested ones included, is set to a distinct non-zero value by
+// reflection and the whole is merged into a zero evalDiag, which must
+// come out equal. A field added to evalDiag but not to merge (or to
+// htis.PairStats.Merge) fails here, rather than reading zero for every
+// worker but the first.
+func TestEvalDiagMergeCoversEveryField(t *testing.T) {
+	var src evalDiag
+	next := int64(0)
+	var fill func(v reflect.Value, path string)
+	fill = func(v reflect.Value, path string) {
+		switch v.Kind() {
+		case reflect.Int, reflect.Int8, reflect.Int16, reflect.Int32, reflect.Int64:
+			next++
+			v.SetInt(next)
+		case reflect.Uint, reflect.Uint8, reflect.Uint16, reflect.Uint32, reflect.Uint64:
+			next++
+			v.SetUint(uint64(next))
+		case reflect.Float32, reflect.Float64:
+			next++
+			v.SetFloat(float64(next))
+		case reflect.Array:
+			for i := 0; i < v.Len(); i++ {
+				fill(v.Index(i), fmt.Sprintf("%s[%d]", path, i))
+			}
+		case reflect.Struct:
+			// evalDiag's fields are unexported: reach each one through a
+			// settable view of its memory.
+			for i := 0; i < v.NumField(); i++ {
+				f := v.Field(i)
+				f = reflect.NewAt(f.Type(), unsafe.Pointer(f.UnsafeAddr())).Elem()
+				fill(f, path+"."+v.Type().Field(i).Name)
+			}
+		default:
+			t.Fatalf("%s: kind %s has no merge rule this test knows", path, v.Kind())
+		}
+	}
+	fill(reflect.ValueOf(&src).Elem(), "evalDiag")
+	if next < 10 {
+		t.Fatalf("filled only %d fields", next)
+	}
+	var got evalDiag
+	got.merge(&src)
+	if got != src {
+		t.Errorf("merge dropped a field:\n got  %+v\n want %+v", got, src)
 	}
 }

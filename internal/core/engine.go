@@ -37,12 +37,6 @@ type Config struct {
 	// reported energy are bitwise identical for any value — wrapping
 	// accumulation is associative.
 	Workers int
-
-	// TrackVirial accumulates the range-limited virial tensor in wide
-	// fixed-point accumulators during force evaluation (paper Figure 4c:
-	// the 86-bit datapaths that keep pressure-controlled simulations
-	// deterministic and parallel-invariant).
-	TrackVirial bool
 }
 
 // DefaultConfig mirrors the paper's standard simulation parameters.
@@ -208,10 +202,6 @@ type Engine struct {
 
 	// Breakdown holds the per-component energies of the last evaluation.
 	Breakdown EnergyBreakdown
-
-	// virial is the range-limited virial of the last force evaluation
-	// (valid when Cfg.TrackVirial is set).
-	virial htis.Virial
 }
 
 // NewEngine builds the engine for a system on an Anton machine with the
@@ -691,7 +681,7 @@ func (e *Engine) computeForces(refreshLong bool) {
 
 // evalDiag accumulates one force evaluation's diagnostics as one worker
 // or one shard sees them: the energy of each EnergyBreakdown term, the
-// pair statistics, the virial and the atom-mesh interaction counts. Each
+// pair statistics and the atom-mesh interaction counts. Each
 // term's energy is quantized where it is computed (htis.QuantizeEnergy)
 // and summed with wrapping integer adds, like the forces, so partials
 // merge to the same bits in any order and grouping: the reported
@@ -702,7 +692,6 @@ type evalDiag struct {
 	rangeLimited, bonded, mesh, correction int64
 
 	pairs          tally
-	virial         htis.Virial
 	spread, interp int64 // atom-mesh interactions of spreading and interpolation
 }
 
@@ -713,13 +702,12 @@ func (d *evalDiag) merge(o *evalDiag) {
 	d.mesh += o.mesh
 	d.correction += o.correction
 	d.pairs.Merge(&o.pairs)
-	d.virial.Merge(&o.virial)
 	d.spread += o.spread
 	d.interp += o.interp
 }
 
 // publish installs an evaluation's merged diagnostics: the energies and
-// their breakdown, Stats, the virial and the obs counters. On refresh
+// their breakdown, Stats and the obs counters. On refresh
 // evaluations the long-range energy (mesh, exclusion corrections and the
 // Ewald self term) is replaced; between refreshes the stale one persists.
 func (e *Engine) publish(d *evalDiag, refresh bool) {
@@ -734,7 +722,6 @@ func (e *Engine) publish(d *evalDiag, refresh bool) {
 		Correction:   htis.EnergyValue(d.correction),
 	}
 	e.PotentialEnergy = e.Breakdown.Total()
-	e.virial = d.virial
 	e.Stats.PairsConsidered += d.pairs.Considered
 	e.Stats.PairsTested += d.pairs.Tested
 	e.Stats.PairsMatched += d.pairs.Matched
@@ -1300,32 +1287,6 @@ func (e *Engine) distToSubbox(r vec.V3, c nt.BoxCoord) float64 {
 	gy := gap(r.Y, float64(c.Y)*e.subSide[1], float64(c.Y+1)*e.subSide[1], box.L.Y)
 	gz := gap(r.Z, float64(c.Z)*e.subSide[2], float64(c.Z+1)*e.subSide[2], box.L.Z)
 	return math.Sqrt(gx*gx + gy*gy + gz*gz)
-}
-
-// Virial returns the range-limited virial accumulator of the last force
-// evaluation (valid with Cfg.TrackVirial). The raw accumulators are
-// bitwise deterministic and node/worker-invariant.
-func (e *Engine) Virial() htis.Virial { return e.virial }
-
-// VirialTrace returns tr(W) = sum_pairs r_ij . F_ij of the range-limited
-// interactions, in kcal/mol. Positive for net repulsion.
-func (e *Engine) VirialTrace() float64 {
-	// Raw accumulators are in (force counts) x (position counts):
-	// multiply by ForceQuantum and the position step L/2^(FracBits+1)...
-	// one position count = L/2 / 2^FracBits Å.
-	posUnit := e.Coder.L / 2 / math.Exp2(float64(fixp.FracBits))
-	scale := htis.ForceQuantum * posUnit
-	return (e.virial.XX.Float() + e.virial.YY.Float() + e.virial.ZZ.Float()) * scale
-}
-
-// RangeLimitedPressure estimates the pressure contribution of the
-// kinetic term plus the range-limited virial, in kcal/mol/Å^3 (multiply
-// by 69477 for atm). The long-range (k-space) virial is not included —
-// this quantity exists to demonstrate the deterministic wide-accumulator
-// path of Figure 4c, not as a production barostat input.
-func (e *Engine) RangeLimitedPressure() float64 {
-	v := e.Sys.Box.Volume()
-	return (2*e.KineticEnergy() + e.VirialTrace()) / (3 * v)
 }
 
 // KineticEnergy returns the kinetic energy (kcal/mol).

@@ -192,7 +192,6 @@ func (e *Engine) flushPairBatch(b *pairBatch, buf []Force3, d *evalDiag) {
 		e.Pipe.PairForceBatch(b.ds[:b.n], b.params[:b.n], out)
 		st.PPIPNs += obs.Now() - t0
 	}
-	track := e.Cfg.TrackVirial
 	for n := range out {
 		res := &out[n]
 		if !res.Within {
@@ -203,14 +202,6 @@ func (e *Engine) flushPairBatch(b *pairBatch, buf []Force3, d *evalDiag) {
 		buf[si] = buf[si].AddRaw(res.FX, res.FY, res.FZ)
 		buf[sj] = buf[sj].AddRaw(-res.FX, -res.FY, -res.FZ)
 		d.rangeLimited += htis.QuantizeEnergy(res.Energy)
-		if track {
-			// r_ij (x) F_ij in raw position counts and force counts:
-			// wide wrapping accumulation keeps the tensor order-
-			// independent (Figure 4c).
-			r := b.ds[n]
-			d.virial.Add(res.FX, res.FY, res.FZ,
-				int64(int32(r.X)), int64(int32(r.Y)), int64(int32(r.Z)))
-		}
 	}
 	b.n = 0
 }

@@ -77,7 +77,7 @@ func TestPairKernelWorkerInvarianceConstrained(t *testing.T) {
 // constraint section has blocks (one group per block, the workers past
 // them idle), step in lockstep with one worker for 40 steps on the
 // three-site and the four-site water box. After every step the forces,
-// energies, virial and Stats must be bitwise equal.
+// energies and Stats must be bitwise equal.
 func TestPairKernelWorkerInvarianceOddCounts(t *testing.T) {
 	if testing.Short() {
 		t.Skip("lockstep runs of five engines per system")
@@ -92,7 +92,6 @@ func TestPairKernelWorkerInvarianceOddCounts(t *testing.T) {
 			build := func(workers int) *Engine {
 				cfg := DefaultConfig(8)
 				cfg.Workers = workers
-				cfg.TrackVirial = true
 				e, err := NewEngine(s, cfg)
 				if err != nil {
 					t.Fatal(err)
@@ -119,8 +118,6 @@ func TestPairKernelWorkerInvarianceOddCounts(t *testing.T) {
 						t.Fatalf("workers=%d step %d: forces differ", w, step)
 					case energyBits(e) != energyBits(ref):
 						t.Fatalf("workers=%d step %d: energies differ", w, step)
-					case e.Virial() != ref.Virial():
-						t.Fatalf("workers=%d step %d: virial differs", w, step)
 					case e.Stats != ref.Stats:
 						t.Fatalf("workers=%d step %d: Stats %+v, want %+v", w, step, e.Stats, ref.Stats)
 					}
@@ -331,15 +328,14 @@ func scanOnce(e *Engine, prefilter bool) (buf []Force3, d evalDiag) {
 
 // TestPrefilterBitwiseInvisible: the bounding-box prefilter may only skip
 // candidates the match units reject, so with it and without it the scan
-// must match the same pairs and produce the same force counts, energy
-// and virial.
+// must match the same pairs and produce the same force counts and energy.
 // `small` is the periodic-wrap case: its box (18.6 Å) is narrower than
 // twice the subbox-pair reach (11.5 Å), so partner boxes are reachable
 // both ways round.
 func TestPrefilterBitwiseInvisible(t *testing.T) {
 	engines := map[string]func() *Engine{
 		"small": func() *Engine {
-			e := smallWaterEngine(t, 8, func(c *Config) { c.TrackVirial = true })
+			e := smallWaterEngine(t, 8, nil)
 			e.Step(10) // past two migrations: atoms sit off their subbox centres
 			return e
 		},
@@ -389,9 +385,6 @@ func TestPrefilterBitwiseInvisible(t *testing.T) {
 		}
 		if gotD.rangeLimited != wantD.rangeLimited {
 			t.Errorf("%s: energy %d with the prefilter, %d without", name, gotD.rangeLimited, wantD.rangeLimited)
-		}
-		if gotD.virial != wantD.virial {
-			t.Errorf("%s: virial differs", name)
 		}
 		for s := range wantF {
 			if gotF[s] != wantF[s] {

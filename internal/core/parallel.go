@@ -9,8 +9,8 @@ import (
 
 // The engine parallelizes its force phases across OS threads, mirroring
 // how Anton's phases run concurrently across hardware units. Because
-// every accumulator — forces, mesh charge, energies, virial — is a
-// wrapping fixed-point integer, partial results merge associatively: the
+// every accumulator — forces, mesh charge, energies — is a wrapping
+// fixed-point integer, partial results merge associatively: the
 // trajectory and every reported energy are bitwise identical for ANY
 // worker count or scheduling — the same §4 property that gives the
 // machine its parallel invariance.

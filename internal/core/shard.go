@@ -31,7 +31,7 @@ import (
 //
 // Bitwise invariance across shard counts follows from the same property
 // that gives the monolithic engine its worker- and node-count invariance:
-// every force, mesh and virial accumulator is a wrapping fixed-point
+// every force, mesh and energy accumulator is a wrapping fixed-point
 // integer, so accumulation is associative AND commutative — the order in
 // which messages arrive can never change a bit. Each interaction is
 // computed exactly once, by exactly one shard, from position values that

@@ -40,7 +40,7 @@ import (
 // campaign (stall draws; the crash points fire in stage A).
 //
 // Bitwise contract: arrival order varies, accumulation does not matter.
-// Every force/mesh/energy/virial accumulator is wrapping fixed-point
+// Every force/mesh/energy accumulator is wrapping fixed-point
 // (associative and commutative), each atom's position copy is written by
 // exactly one sender, and each interaction is computed once from
 // bit-copied positions — so any interleaving of frame arrivals produces

@@ -17,8 +17,6 @@
 //   - F32: the 32-bit [-1,1) format used for positions (in box fractions),
 //     velocities and forces (with physical scale factors applied outside).
 //   - Acc64: a 64-bit wrapping accumulator for intermediate force sums.
-//   - Acc128: a modelled 86-bit-class wide accumulator (two 64-bit words)
-//     used for virial tensor products (paper Figure 4c).
 //   - RoundShift / quantization helpers implementing round-to-nearest/even,
 //     the rounding rule used by all Anton datapaths (Figure 4 caption).
 package fixp

@@ -220,25 +220,6 @@ func TestEnergySumOrderInvariance(t *testing.T) {
 	}
 }
 
-func TestVirialMergeOrderIndependent(t *testing.T) {
-	rng := rand.New(rand.NewSource(73))
-	var a, b, ab Virial
-	for i := 0; i < 100; i++ {
-		fx, fy, fz := rng.Int63n(1000)-500, rng.Int63n(1000)-500, rng.Int63n(1000)-500
-		dx, dy, dz := rng.Int63n(1000)-500, rng.Int63n(1000)-500, rng.Int63n(1000)-500
-		if i%2 == 0 {
-			a.Add(fx, fy, fz, dx, dy, dz)
-		} else {
-			b.Add(fx, fy, fz, dx, dy, dz)
-		}
-		ab.Add(fx, fy, fz, dx, dy, dz)
-	}
-	a.Merge(&b)
-	if a != ab {
-		t.Error("virial merge differs from direct accumulation")
-	}
-}
-
 func TestThroughputModel(t *testing.T) {
 	h := DefaultHardware
 	// High match efficiency: PPIP-limited, near-full utilization.

@@ -2,8 +2,8 @@
 // array of 32 pairwise point interaction pipelines (PPIPs) per ASIC, the
 // eight match units feeding each PPIP with low-precision distance checks
 // (paper Figure 4b), the functional fixed-point pair-force pipeline built
-// on the ppip function tables, wide virial accumulation (Figure 4c), and
-// a cycle-level utilization/performance model.
+// on the ppip function tables, and a cycle-level utilization/performance
+// model.
 package htis
 
 import (

@@ -224,34 +224,3 @@ func PairParamsFor(ps *ff.ParamSet, a, b ff.Atom) PairParams {
 		Epsilon: eps,
 	}
 }
-
-// Virial accumulates the force-position tensor products used for
-// pressure-controlled simulations in wide 128-bit (modelling the
-// hardware's 86-bit) accumulators, preserving determinism and parallel
-// invariance (Figure 4c).
-type Virial struct {
-	XX, YY, ZZ fixp.Acc128
-	XY, XZ, YZ fixp.Acc128
-}
-
-// Add accumulates the outer product of a quantized force (counts) and a
-// displacement quantized to position counts.
-func (v *Virial) Add(fx, fy, fz int64, dx, dy, dz int64) {
-	v.XX = v.XX.AddInt64(fx * dx)
-	v.YY = v.YY.AddInt64(fy * dy)
-	v.ZZ = v.ZZ.AddInt64(fz * dz)
-	v.XY = v.XY.AddInt64(fx * dy)
-	v.XZ = v.XZ.AddInt64(fx * dz)
-	v.YZ = v.YZ.AddInt64(fy * dz)
-}
-
-// Merge adds another virial accumulator (node-local partials combine in
-// any order).
-func (v *Virial) Merge(o *Virial) {
-	v.XX = v.XX.Add(o.XX)
-	v.YY = v.YY.Add(o.YY)
-	v.ZZ = v.ZZ.Add(o.ZZ)
-	v.XY = v.XY.Add(o.XY)
-	v.XZ = v.XZ.Add(o.XZ)
-	v.YZ = v.YZ.Add(o.YZ)
-}

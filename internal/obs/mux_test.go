@@ -1,8 +1,6 @@
 package obs
 
 import (
-	"context"
-	"net"
 	"net/http"
 	"net/http/httptest"
 	"reflect"
@@ -10,113 +8,6 @@ import (
 	"testing"
 	"time"
 )
-
-// TestTelemetryLifecycle: the orderings a multi-tenant daemon produces —
-// Shutdown before any Serve, Serve after Shutdown, double and concurrent
-// Shutdown — must all be safe, deterministic and leak-free. Run under
-// -race (scripts/verify.sh gates on it).
-func TestTelemetryLifecycle(t *testing.T) {
-	ctx := context.Background()
-
-	t.Run("shutdown-before-serve", func(t *testing.T) {
-		tel := NewTelemetry()
-		if err := tel.Shutdown(ctx); err != nil {
-			t.Fatalf("shutdown before serve: %v", err)
-		}
-		// A later ListenAndServe must not bind a listener nothing will
-		// ever stop: it returns nil promptly instead of blocking.
-		done := make(chan error, 1)
-		go func() { done <- tel.ListenAndServe("127.0.0.1:0") }()
-		select {
-		case err := <-done:
-			if err != nil {
-				t.Fatalf("ListenAndServe after shutdown: %v", err)
-			}
-		case <-time.After(5 * time.Second):
-			t.Fatal("ListenAndServe after shutdown did not return")
-		}
-	})
-
-	t.Run("serve-after-shutdown", func(t *testing.T) {
-		tel := NewTelemetry()
-		if err := tel.Shutdown(ctx); err != nil {
-			t.Fatal(err)
-		}
-		ln, err := net.Listen("tcp", "127.0.0.1:0")
-		if err != nil {
-			t.Fatal(err)
-		}
-		addr := ln.Addr().String()
-		if err := tel.Serve(ln); err != nil {
-			t.Fatalf("Serve after shutdown: %v", err)
-		}
-		// The orphaned listener is closed, not leaked.
-		if _, err := net.DialTimeout("tcp", addr, time.Second); err == nil {
-			t.Fatal("listener still accepting after Serve-after-Shutdown")
-		}
-	})
-
-	t.Run("double-shutdown", func(t *testing.T) {
-		tel := NewTelemetry()
-		ln, err := net.Listen("tcp", "127.0.0.1:0")
-		if err != nil {
-			t.Fatal(err)
-		}
-		served := make(chan error, 1)
-		go func() { served <- tel.Serve(ln) }()
-		waitTelemetryUp(t, ln.Addr().String())
-		if err := tel.Shutdown(ctx); err != nil {
-			t.Fatalf("first shutdown: %v", err)
-		}
-		if err := tel.Shutdown(ctx); err != nil {
-			t.Fatalf("second shutdown: %v", err)
-		}
-		if err := <-served; err != nil {
-			t.Fatalf("Serve returned %v after shutdown, want nil", err)
-		}
-	})
-
-	t.Run("concurrent-shutdown", func(t *testing.T) {
-		tel := NewTelemetry()
-		ln, err := net.Listen("tcp", "127.0.0.1:0")
-		if err != nil {
-			t.Fatal(err)
-		}
-		served := make(chan error, 1)
-		go func() { served <- tel.Serve(ln) }()
-		waitTelemetryUp(t, ln.Addr().String())
-		var wg sync.WaitGroup
-		for i := 0; i < 4; i++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				if err := tel.Shutdown(ctx); err != nil {
-					t.Errorf("concurrent shutdown: %v", err)
-				}
-			}()
-		}
-		wg.Wait()
-		if err := <-served; err != nil {
-			t.Fatalf("Serve returned %v, want nil", err)
-		}
-	})
-}
-
-func waitTelemetryUp(t *testing.T, addr string) {
-	t.Helper()
-	url := "http://" + addr + "/healthz"
-	for i := 0; ; i++ {
-		resp, err := http.Get(url)
-		if err == nil {
-			resp.Body.Close()
-			return
-		}
-		if i > 200 {
-			t.Fatalf("telemetry never came up at %s: %v", addr, err)
-		}
-		time.Sleep(10 * time.Millisecond)
-	}
-}
 
 // TestTelemetrySet: keyed registration, routing, and 404s for unknown
 // keys/endpoints.

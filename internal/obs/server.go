@@ -1,12 +1,9 @@
 package obs
 
 import (
-	"context"
 	"encoding/json"
-	"errors"
 	"fmt"
 	"io"
-	"net"
 	"net/http"
 	"strings"
 	"sync"
@@ -26,16 +23,8 @@ import (
 // The simulation loop owns the Recorder/Tracer/Registry and periodically
 // Publishes immutable copies; handlers only ever read those copies, so
 // the engine's single-goroutine observability contract is untouched.
-//
-// Lifecycle: a Telemetry moves through at most three states — idle (no
-// server), serving, and down (Shutdown called). Every ordering of
-// Serve/ListenAndServe/Shutdown is safe, including the service-layer
-// patterns that the per-run CLI never hit: Shutdown before any Serve
-// (a job canceled between creation and listen), Serve after Shutdown
-// (a worker racing a daemon drain), and double Shutdown (per-job and
-// process-wide teardown paths overlapping). Once down, the surface
-// stays down: later Serve calls return nil immediately without binding,
-// and no goroutine or listener outlives Shutdown.
+// The process owns the listener: it serves Handler from its own
+// http.Server and shuts that server down itself.
 type Telemetry struct {
 	mu         sync.RWMutex
 	snap       Snapshot
@@ -45,8 +34,6 @@ type Telemetry struct {
 	status     health.Status
 	haveStatus bool
 	traceJSON  []byte
-	srv        *http.Server
-	down       bool // Shutdown has been called; the surface never serves again
 }
 
 // NewTelemetry builds an empty telemetry surface.
@@ -104,74 +91,6 @@ func (t *Telemetry) Handler() http.Handler {
 	mux.HandleFunc("/healthz", t.serveHealthz)
 	mux.HandleFunc("/trace", t.serveTrace)
 	return mux
-}
-
-// server lazily builds (once) the http.Server shared by ListenAndServe
-// and Serve, so a later Shutdown reaches whichever entry point started
-// the listener. The second return is false when Shutdown already ran:
-// the caller must not start a new listener (it would never be stopped).
-func (t *Telemetry) server(addr string) (*http.Server, bool) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if t.down {
-		return nil, false
-	}
-	if t.srv == nil {
-		t.srv = &http.Server{Addr: addr, Handler: t.Handler()}
-	}
-	return t.srv, true
-}
-
-// ListenAndServe serves the telemetry surface on addr, blocking until
-// Shutdown (returning nil) or a listener error. After Shutdown it
-// returns nil immediately without binding.
-func (t *Telemetry) ListenAndServe(addr string) error {
-	srv, ok := t.server(addr)
-	if !ok {
-		return nil
-	}
-	err := srv.ListenAndServe()
-	if errors.Is(err, http.ErrServerClosed) {
-		return nil
-	}
-	return err
-}
-
-// Serve serves the telemetry surface on an existing listener (tests bind
-// port 0 themselves to learn the address). Blocks like ListenAndServe
-// and returns nil after Shutdown. A Serve that loses the race with
-// Shutdown closes ln (it would otherwise leak — nothing else owns it)
-// and returns nil.
-func (t *Telemetry) Serve(ln net.Listener) error {
-	srv, ok := t.server(ln.Addr().String())
-	if !ok {
-		ln.Close()
-		return nil
-	}
-	err := srv.Serve(ln)
-	if errors.Is(err, http.ErrServerClosed) {
-		return nil
-	}
-	return err
-}
-
-// Shutdown stops the telemetry surface permanently: the listener closes
-// immediately, in-flight scrapes finish (bounded by ctx), the blocked
-// ListenAndServe/Serve call returns nil, and any *later* Serve call is
-// a no-op. Safe to call when no server was ever started, and safe (and
-// idempotent) to call more than once, including concurrently.
-func (t *Telemetry) Shutdown(ctx context.Context) error {
-	t.mu.Lock()
-	if t.srv == nil {
-		// Never served: install a pre-shutdown server shell so a racing
-		// Serve/ListenAndServe finds it already closed instead of
-		// starting a listener nothing would ever stop.
-		t.srv = &http.Server{Handler: t.Handler()}
-	}
-	t.down = true
-	srv := t.srv
-	t.mu.Unlock()
-	return srv.Shutdown(ctx)
 }
 
 func (t *Telemetry) serveMetrics(w http.ResponseWriter, _ *http.Request) {

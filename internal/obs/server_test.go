@@ -1,14 +1,10 @@
 package obs
 
 import (
-	"context"
 	"encoding/json"
-	"net"
-	"net/http"
 	"net/http/httptest"
 	"strings"
 	"testing"
-	"time"
 
 	"anton/internal/obs/health"
 )
@@ -110,55 +106,5 @@ func TestTelemetryEndpoints(t *testing.T) {
 func TestPromEscape(t *testing.T) {
 	if got := promEscape("a\"b\\c\nd"); got != `a\"b\\c\nd` {
 		t.Errorf("promEscape = %q", got)
-	}
-}
-
-// TestTelemetryShutdown: Serve blocks until Shutdown, which returns the
-// blocked call as nil (not http.ErrServerClosed) and closes the
-// listener. Shutdown on a telemetry surface that never served is a
-// no-op.
-func TestTelemetryShutdown(t *testing.T) {
-	if err := NewTelemetry().Shutdown(context.Background()); err != nil {
-		t.Fatalf("shutdown with no server: %v", err)
-	}
-
-	tel := NewTelemetry()
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	served := make(chan error, 1)
-	go func() { served <- tel.Serve(ln) }()
-
-	// The surface is live: a scrape answers before shutdown.
-	url := "http://" + ln.Addr().String() + "/metrics"
-	var resp *http.Response
-	for i := 0; ; i++ {
-		resp, err = http.Get(url)
-		if err == nil {
-			break
-		}
-		if i > 100 {
-			t.Fatalf("server never came up: %v", err)
-		}
-		time.Sleep(10 * time.Millisecond)
-	}
-	resp.Body.Close()
-
-	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-	defer cancel()
-	if err := tel.Shutdown(ctx); err != nil {
-		t.Fatalf("shutdown: %v", err)
-	}
-	select {
-	case err := <-served:
-		if err != nil {
-			t.Fatalf("Serve returned %v after graceful shutdown, want nil", err)
-		}
-	case <-time.After(5 * time.Second):
-		t.Fatal("Serve did not return after Shutdown")
-	}
-	if _, err := http.Get(url); err == nil {
-		t.Fatal("listener still accepting after shutdown")
 	}
 }

@@ -69,13 +69,6 @@ type Config struct {
 	// Thermostat: Berendsen coupling. TauT <= 0 disables (NVE).
 	TargetT float64
 	TauT    float64 // fs
-
-	// Barostat: Berendsen pressure coupling (NPT). TauP <= 0 disables.
-	// TargetP is in kcal/mol/Å^3 (1 atm ~ 1.458e-5). BarostatInterval
-	// sets how many steps between (costly) pressure measurements.
-	TargetP          float64
-	TauP             float64 // fs
-	BarostatInterval int     // default 10
 }
 
 // DefaultConfig returns the paper's standard parameters for a system.
@@ -136,10 +129,6 @@ func NewEngine(s *system.System, cfg Config) (*Engine, error) {
 		Sigma:  ewald.SigmaForCutoff(cfg.Cutoff, cfg.EwaldTol),
 		Cutoff: cfg.Cutoff,
 	}
-	// The engine owns a shallow copy of the system so the barostat can
-	// rescale the box without mutating the caller's value.
-	sysCopy := *s
-	s = &sysCopy
 	e := &Engine{
 		Sys:   s,
 		Cfg:   cfg,
@@ -254,88 +243,6 @@ func (e *Engine) stepOnce() {
 		e.berendsen()
 	}
 	e.Profile[TaskIntegration] += time.Since(t0)
-
-	// Berendsen barostat (NPT).
-	if e.Cfg.TauP > 0 {
-		interval := e.Cfg.BarostatInterval
-		if interval < 1 {
-			interval = 10
-		}
-		if e.step%interval == 0 {
-			if err := e.applyBarostat(float64(interval)); err != nil {
-				// Pressure measurement failures (solver rebuild) are
-				// programming errors; surface loudly.
-				panic(err)
-			}
-		}
-	}
-}
-
-// applyBarostat measures the pressure and rescales the box and molecular
-// positions toward the target (Berendsen weak coupling): the box scales
-// by mu = (1 - (dt*interval/TauP)*(P0 - P))^(1/3), with molecules moved
-// by their constraint-group centroids so rigid geometry is preserved.
-func (e *Engine) applyBarostat(interval float64) error {
-	p, err := e.Pressure()
-	if err != nil {
-		return err
-	}
-	mu3 := 1 - e.Cfg.Dt*interval/e.Cfg.TauP*(e.Cfg.TargetP-p)
-	// Clamp per application: weak coupling must stay weak.
-	if mu3 < 0.97 {
-		mu3 = 0.97
-	} else if mu3 > 1.03 {
-		mu3 = 1.03
-	}
-	mu := math.Cbrt(mu3)
-
-	top := e.Sys.Top
-	// Molecular (group-centroid) scaling preserves constraint lengths.
-	scaled := make([]bool, len(e.R))
-	for _, g := range top.ConstraintGroups() {
-		var c vec.V3
-		var mTot float64
-		for _, a := range g {
-			m := top.Atoms[a].Mass
-			c = c.Add(e.R[a].Scale(m))
-			mTot += m
-		}
-		if mTot == 0 {
-			continue
-		}
-		c = c.Scale(1 / mTot)
-		shift := c.Scale(mu - 1)
-		for _, a := range g {
-			e.R[a] = e.R[a].Add(shift)
-			scaled[a] = true
-		}
-	}
-	for i := range e.R {
-		if !scaled[i] {
-			e.R[i] = e.R[i].Scale(mu)
-		}
-	}
-
-	// Rescale the box and rebuild the box-dependent machinery.
-	e.Sys.Box = vec.Box{L: e.Sys.Box.L.Scale(mu)}
-	switch {
-	case e.spme != nil:
-		sp, err := ewald.NewSPME(e.Split, e.Sys.Box, e.Cfg.Mesh, e.Cfg.Mesh, e.Cfg.Mesh, e.Cfg.SPMEOrder)
-		if err != nil {
-			return err
-		}
-		e.spme = sp
-	case e.gse != nil:
-		g, err := ewald.NewGSE(e.Split, e.Sys.Box, e.Cfg.Mesh, e.Cfg.Mesh, e.Cfg.Mesh, e.Sys.RSpread)
-		if err != nil {
-			return err
-		}
-		e.gse = g
-	}
-	e.pl = NewPairList(e.Cfg.Cutoff, e.Cfg.Skin) // force rebuild
-	ff.PlaceVSites(top, e.Sys.Box, e.R)
-	e.ComputeForces()
-	return nil
 }
 
 // ComputeForces evaluates all force terms into F and updates

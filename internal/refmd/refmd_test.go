@@ -260,125 +260,6 @@ func TestExpectedPairsPerAtom(t *testing.T) {
 	}
 }
 
-func TestPressureFinite(t *testing.T) {
-	e := smallEngine(t, false, func(c *Config) { c.MTSInterval = 1 })
-	e.Step(20)
-	p, err := e.Pressure()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.IsNaN(p) || math.IsInf(p, 0) {
-		t.Fatalf("pressure %v", p)
-	}
-	// Condensed water at ~liquid density: |P| below a few kbar
-	// (1 kcal/mol/Å^3 ~ 69 katm; synthetic packing allows generous slack).
-	if math.Abs(p) > 1.0 {
-		t.Errorf("pressure %g kcal/mol/Å^3 out of plausible range", p)
-	}
-}
-
-func TestPressureRespondsToDensity(t *testing.T) {
-	// Compressing the same configuration must raise the measured pressure.
-	s1, err := system.Argon(150, 24.0, 8.0, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	s2, err := system.Argon(150, 20.0, 8.0, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	mk := func(s *system.System) float64 {
-		cfg := DefaultConfig(s)
-		cfg.MTSInterval = 1
-		e, err := NewEngine(s, cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		rng := rand.New(rand.NewSource(5))
-		e.SetVelocities(system.InitVelocities(s.Top, 120, rng))
-		e.Step(10)
-		p, err := e.Pressure()
-		if err != nil {
-			t.Fatal(err)
-		}
-		return p
-	}
-	loose := mk(s1)
-	dense := mk(s2)
-	if dense <= loose {
-		t.Errorf("denser argon should have higher pressure: %g vs %g", dense, loose)
-	}
-}
-
-func TestBarostatMovesVolumeTowardTarget(t *testing.T) {
-	// An over-compressed argon box under NPT at low target pressure must
-	// expand; volume responds in the correct direction.
-	s, err := system.Argon(150, 19.0, 7.0, 3) // dense
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg := DefaultConfig(s)
-	cfg.MTSInterval = 1
-	cfg.TargetT = 120
-	cfg.TauT = 50
-	cfg.TargetP = 1.458e-5 // ~1 atm
-	cfg.TauP = 200
-	cfg.BarostatInterval = 5
-	e, err := NewEngine(s, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rng := rand.New(rand.NewSource(5))
-	e.SetVelocities(system.InitVelocities(s.Top, 120, rng))
-	e.Step(5)
-	p0, err := e.Pressure()
-	if err != nil {
-		t.Fatal(err)
-	}
-	v0 := e.Sys.Box.Volume()
-	e.Step(100)
-	v1 := e.Sys.Box.Volume()
-	p1, err := e.Pressure()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if p0 > cfg.TargetP && v1 <= v0 {
-		t.Errorf("over-pressurized box did not expand: V %g -> %g (P %g -> %g)", v0, v1, p0, p1)
-	}
-	if math.Abs(p1-cfg.TargetP) > math.Abs(p0-cfg.TargetP)*1.2 {
-		t.Errorf("pressure moved away from target: %g -> %g (target %g)", p0, p1, cfg.TargetP)
-	}
-	// The caller's system must be untouched (the engine owns a copy).
-	if s.Box.L.X != 19.0 {
-		t.Errorf("caller's box mutated to %g", s.Box.L.X)
-	}
-}
-
-func TestBarostatKeepsConstraintsRigid(t *testing.T) {
-	// Molecular scaling must not stretch rigid water.
-	s, err := system.Small(false, 9)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg := DefaultConfig(s)
-	cfg.TargetP = 1.458e-5
-	cfg.TauP = 400
-	cfg.BarostatInterval = 10
-	e, err := NewEngine(s, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rng := rand.New(rand.NewSource(11))
-	e.SetVelocities(system.InitVelocities(s.Top, 300, rng))
-	e.Step(40)
-	for _, c := range s.Top.Constraints {
-		d := e.Sys.Box.Dist(e.R[c.I], e.R[c.J])
-		if math.Abs(d-c.R)/c.R > 1e-5 {
-			t.Fatalf("constraint (%d,%d) stretched to %g (want %g) under NPT", c.I, c.J, d, c.R)
-		}
-	}
-}
-
 func TestExactMethodEngine(t *testing.T) {
 	// The O(N*K^3) structure-factor path ("extremely conservative
 	// parameters" reference of §5.2) must agree with the mesh engines.

@@ -3,21 +3,24 @@ package service
 import (
 	"bytes"
 	"encoding/json"
+	"math"
 	"os"
 	"testing"
 )
 
 // FuzzJobSpec decodes hostile bytes the way the submit handler does
 // (unknown fields refused) and normalizes the result. Neither step may
-// panic; a spec Normalize accepts is a fixed point of Normalize and
-// survives the status record's JSON round trip unchanged — the stored
-// spec is the one a resumed job rebuilds its engine from.
+// panic; a spec Normalize accepts stays within the shard, node and
+// temperature caps, is a fixed point of Normalize and survives the
+// status record's JSON round trip unchanged — the stored spec is the
+// one a resumed job rebuilds its engine from.
 func FuzzJobSpec(f *testing.F) {
 	for _, s := range []string{
 		`{"system":"small","steps":100}`,
 		`{"system":"DHFR","steps":5,"ensemble":"nve","nodes":64,"seed":-3,"priority":2}`,
 		`{"system":"small","steps":80,"shards":8,"chaos":"seed=7,drop=0.02,crashes=1","checkpoint_every":10}`,
 		`{"system":"small","steps":1,"idempotency_key":"k","deadline_sec":30,"temperature":310.5,"name":"n"}`,
+		`{"system":"small","steps":4,"temperature":1e30}`,
 		`{"system":"small","steps":10,"chaos":"seed=7"}`, // chaos without shards
 		`{"system":"small","steps":10,"shards":3}`,
 		`{"system":"small","steps":10,"shards":64}`, `{"system":"small","steps":10,"shards":32768}`,
@@ -41,6 +44,9 @@ func FuzzJobSpec(f *testing.F) {
 		}
 		if spec.Nodes > MaxNodes {
 			t.Fatalf("accepted %d nodes, over the %d cap", spec.Nodes, MaxNodes)
+		}
+		if math.IsNaN(spec.Temperature) || math.IsInf(spec.Temperature, 0) || spec.Temperature > MaxTemperature {
+			t.Fatalf("accepted temperature %g, want finite and at most %d K", spec.Temperature, MaxTemperature)
 		}
 		again := spec
 		if err := again.Normalize(); err != nil || again != spec {

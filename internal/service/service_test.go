@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"io"
 	"log/slog"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -93,11 +94,37 @@ func TestJobSpecNormalize(t *testing.T) {
 		{System: "small", Steps: 10, Chaos: "drop=0.1"},     // chaos without shards
 		{System: "small", Steps: 10, Shards: 2, Chaos: "bogus"},
 		{System: "small", Steps: 10, CheckpointEvery: -5},
+		{System: "small", Steps: 10, Temperature: -1},
+		{System: "small", Steps: 10, Temperature: math.NaN()},
+		{System: "small", Steps: 10, Temperature: math.Inf(1)},
+		{System: "small", Steps: 10, Temperature: math.Inf(-1)},
+		{System: "small", Steps: 10, Temperature: MaxTemperature + 0.5}, // over the temperature cap
+		{System: "small", Steps: 10, Temperature: 1e30},
+		{System: "small", Steps: 10, Ensemble: "nve", Temperature: math.NaN()}, // checked for NVE too
 	}
 	for i, s := range bad {
 		if err := s.Normalize(); err == nil {
 			t.Errorf("bad spec %d accepted: %+v", i, s)
 		}
+	}
+	atCap := JobSpec{System: "small", Steps: 10, Temperature: MaxTemperature}
+	if err := atCap.Normalize(); err != nil {
+		t.Errorf("temperature at the cap rejected: %v", err)
+	}
+}
+
+// TestSubmitRejectsAbsurdTemperature: the daemon answers a spec whose
+// temperature is over the cap with 400 before it reaches the store.
+func TestSubmitRejectsAbsurdTemperature(t *testing.T) {
+	d := newTestDaemon(t, Config{StateDir: t.TempDir()})
+	rec := httptest.NewRecorder()
+	d.Handler().ServeHTTP(rec, httptest.NewRequest("POST", "/api/v1/jobs",
+		strings.NewReader(`{"system":"small","steps":4,"temperature":1e30}`)))
+	if rec.Code != http.StatusBadRequest || !strings.Contains(rec.Body.String(), "temperature") {
+		t.Fatalf("1e30 K submit: %d %s, want 400 naming the temperature", rec.Code, rec.Body)
+	}
+	if jobs := d.Jobs(); len(jobs) != 0 {
+		t.Fatalf("rejected spec stored: %+v", jobs)
 	}
 }
 

@@ -24,6 +24,7 @@ package service
 
 import (
 	"fmt"
+	"math"
 
 	"anton/internal/faults"
 	"anton/internal/machine"
@@ -52,6 +53,14 @@ const (
 	// by recovery, kill it again on restart). 512 is the paper's machine;
 	// no test, document or benchmark runs the engine above 64 nodes.
 	MaxNodes = 512
+
+	// MaxTemperature caps Temperature, in kelvin. The default is 300 K
+	// and thermal-unfolding protocols run near 500 K. At the 2.5 fs step
+	// "small" holds together at 3,000 K but flies apart within 100 steps
+	// at 10,000 K (temperature ~1e12 K, constraint groups unconverged).
+	// 1,000 K is over three times the default and twice an unfolding
+	// target, and a decade below that failure.
+	MaxTemperature = 1000
 )
 
 // JobSpec is the client-submitted description of one simulation job.
@@ -72,8 +81,8 @@ type JobSpec struct {
 	// the default) or "nve".
 	Ensemble string `json:"ensemble,omitempty"`
 
-	// Temperature is the NVT target in kelvin (default 300; ignored for
-	// NVE).
+	// Temperature is the NVT target in kelvin (default 300, at most
+	// MaxTemperature; ignored for NVE).
 	Temperature float64 `json:"temperature,omitempty"`
 
 	// Shards > 0 runs the sharded virtual-node pipeline with that many
@@ -143,8 +152,14 @@ func (j *JobSpec) Normalize() error {
 	if j.Temperature == 0 {
 		j.Temperature = 300
 	}
+	if math.IsNaN(j.Temperature) || math.IsInf(j.Temperature, 0) {
+		return fmt.Errorf("service: job spec: non-finite temperature %g", j.Temperature)
+	}
 	if j.Temperature < 0 {
 		return fmt.Errorf("service: job spec: negative temperature %g", j.Temperature)
+	}
+	if j.Temperature > MaxTemperature {
+		return fmt.Errorf("service: job spec: temperature %g K exceeds the %d K cap", j.Temperature, MaxTemperature)
 	}
 	if j.Shards < 0 {
 		return fmt.Errorf("service: job spec: negative shards %d", j.Shards)

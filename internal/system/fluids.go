@@ -77,46 +77,3 @@ func IonicFluid(nPairs int, side float64, cutoff float64, mesh int, seed int64) 
 		RSpread: rspreadFor(cutoff),
 	}, nil
 }
-
-// Argon builds an uncharged Lennard-Jones fluid (argon-like) — the
-// minimal stable MD system, handy for integrator-focused tests.
-func Argon(nAtoms int, side float64, cutoff float64, seed int64) (*System, error) {
-	box := vec.Cube(side)
-	rng := rand.New(rand.NewSource(seed))
-	top := &ff.Topology{Scale14Elec: 1, Scale14LJ: 1}
-	params := &ff.ParamSet{}
-	lj := ensure(params, "argon", 3.4, 0.238)
-	lat := 1
-	for lat*lat*lat < nAtoms {
-		lat++
-	}
-	a := side / float64(lat)
-	var r []vec.V3
-	for k := 0; k < lat && len(r) < nAtoms; k++ {
-		for j := 0; j < lat && len(r) < nAtoms; j++ {
-			for i := 0; i < lat && len(r) < nAtoms; i++ {
-				p := vec.V3{
-					X: (float64(i)+0.5)*a + (rng.Float64()-0.5)*0.2,
-					Y: (float64(j)+0.5)*a + (rng.Float64()-0.5)*0.2,
-					Z: (float64(k)+0.5)*a + (rng.Float64()-0.5)*0.2,
-				}
-				top.Atoms = append(top.Atoms, ff.Atom{Name: "AR", Mass: 39.95, LJType: lj, Residue: len(r)})
-				r = append(r, box.Wrap(p))
-			}
-		}
-	}
-	if len(r) < nAtoms {
-		return nil, fmt.Errorf("system: argon lattice underfilled")
-	}
-	top.BuildExclusions()
-	return &System{
-		Name:    fmt.Sprintf("argon-%d", nAtoms),
-		Top:     top,
-		Params:  params,
-		Box:     box,
-		R:       r,
-		Cutoff:  cutoff,
-		Mesh:    16,
-		RSpread: rspreadFor(cutoff),
-	}, nil
-}
