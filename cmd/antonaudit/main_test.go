@@ -71,7 +71,7 @@ func recordLedger(t *testing.T, spec service.JobSpec, genesisSpec []byte) ([]led
 	if err := lw.AppendGenesis(ledger.Genesis{Spec: genesisSpec, Fingerprint: eng.FingerprintHex()}); err != nil {
 		t.Fatal(err)
 	}
-	core.AttachLedger(eng, lw, 0)
+	core.AttachLedger(eng, lw)
 	sim.Step(spec.Steps)
 	if err := lw.Close(); err != nil {
 		t.Fatal(err)

@@ -76,7 +76,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		pprofAt = fl.String("pprof", "", "serve net/http/pprof on this address (e.g. localhost:6060) while running")
 
 		traceOut  = fl.String("trace", "", "write a Chrome trace-event JSON timeline to this file (load in Perfetto)")
-		watch     = fl.Bool("watch", false, "report the health watchdogs (energy, momentum, overflow headroom, migration slack)")
+		watch     = fl.Bool("watch", false, "report the health watchdogs (energy, momentum, overflow headroom, migration slack, retry storm)")
 		listenAt  = fl.String("listen", "", "serve live telemetry (/metrics, /healthz, /trace) on this address")
 		logFormat = fl.String("log", "text", "log format: text or json")
 		verbose   = fl.Bool("v", false, "debug-level logging")

@@ -256,7 +256,7 @@ func TestWatchTransportRetryRate(t *testing.T) {
 	if err := sh.EnableFaults(chaosConfig(plane)); err != nil {
 		t.Fatal(err)
 	}
-	w := NewWatch(sh.E, health.DefaultConfig(), 5)
+	w := NewWatch(sh.E)
 	w.WatchTransport(sh.TransportCounts)
 	sh.Step(40)
 	if err := sh.Err(); err != nil {
@@ -264,7 +264,7 @@ func TestWatchTransportRetryRate(t *testing.T) {
 	}
 
 	var storm *health.MonitorStatus
-	st := w.Registry().Status("test")
+	st := w.Registry().Status()
 	for i := range st.Monitors {
 		if st.Monitors[i].Name == "retry-storm" {
 			storm = &st.Monitors[i]
@@ -278,5 +278,40 @@ func TestWatchTransportRetryRate(t *testing.T) {
 	}
 	if storm.Level != health.SevOK {
 		t.Fatalf("mildly lossy transport latched %v (rate %.3g)", storm.Level, storm.Value)
+	}
+}
+
+// TestWatchRollbackNoFalseAlert: a rollback restores an older state, so
+// the watch's migration-drift reference (taken later, on the abandoned
+// stretch) no longer matches the trajectory. A crash campaign with the
+// watch attached must report exactly the fault-free run's alerts: none.
+func TestWatchRollbackNoFalseAlert(t *testing.T) {
+	skipShort(t)
+	const steps = 60
+	plain := smallWaterSharded(t, 8, nil)
+	pw := NewWatch(plain.E)
+	plain.Step(steps)
+	want := pw.Drain()
+
+	sh := smallWaterSharded(t, 8, nil)
+	sp, err := faults.ParseSpec("seed=7,crashes=2,horizon=60")
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := chaosConfig(faults.New(sp, sh.Shards()))
+	cfg.CheckpointEvery = 25 // the service's rollback distance
+	if err := sh.EnableFaults(cfg); err != nil {
+		t.Fatal(err)
+	}
+	w := NewWatch(sh.E)
+	sh.Step(steps)
+	if err := sh.Err(); err != nil {
+		t.Fatal(err)
+	}
+	if n := sh.FaultReport().Recoveries; n == 0 {
+		t.Fatal("campaign never rolled back")
+	}
+	if got := w.Drain(); len(got) != 0 || len(want) != 0 {
+		t.Fatalf("crash campaign fired %+v, fault-free run %+v; want none", got, want)
 	}
 }

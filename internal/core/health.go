@@ -11,10 +11,10 @@ import (
 	"anton/internal/vec"
 )
 
-// Watch attaches the health-watchdog subsystem to a running engine: on a
-// fixed step cadence it samples the invariants that certify a long run
-// is still healthy — total-energy drift, net momentum, fixed-point
-// overflow headroom, and the migration-slack margin (measured with
+// Watch attaches the health-watchdog subsystem to a running engine: every
+// audit cadence it samples the invariants that certify a long run is
+// still healthy — total-energy drift, net momentum, fixed-point overflow
+// headroom, and the migration-slack margin (measured with
 // trace.MaxDisplacementPBC against Engine.MigrationSlack) — and feeds
 // them to a health.Registry. The watch hooks the engine's end-of-step
 // callback and is strictly read-only: the trajectory is bitwise
@@ -25,7 +25,8 @@ type Watch struct {
 	reg     *health.Registry
 	cadence int
 
-	refPos  []vec.V3 // decoded positions at the last migration
+	step    int      // engine step at the last tick
+	refPos  []vec.V3 // decoded positions at the start of the drift window
 	curPos  []vec.V3 // decode scratch
 	lastMig int
 	drift   float64 // worst drift observed since the last eval
@@ -37,37 +38,34 @@ type Watch struct {
 	pending []health.Alert
 }
 
-// defaultWatchCadence is used when NewWatch is given a non-positive
-// cadence: frequent enough that a drifting invariant fires within tens
-// of steps, sparse enough that the O(N) sampling pass is noise.
-const defaultWatchCadence = 10
-
-// NewWatch builds a watch evaluating every cadence steps and installs it
-// as the engine's step hook. A non-positive cadence selects the default
-// (every 10 steps) rather than evaluating every step — a cadence of 0 is
-// a configuration mistake, not a request for maximal sampling. A
-// thermostatted engine (Cfg.TauT > 0) exchanges energy with the bath by
-// design, so the energy-drift monitor is disabled there automatically.
-//
-// The cadence is rounded up to a multiple of the MTS interval: total
+// auditCadence is the step cadence of the health watch and the ledger
+// tap: every 10 steps — frequent enough that a drifting invariant fires
+// within tens of steps and any prefix of a long run has a nearby audit
+// point, sparse enough that the O(N) sampling and digest passes are noise
+// against a step — rounded up to a multiple of the MTS interval. Total
 // energy oscillates within the long-range refresh cycle (the fast forces
-// see the stale mesh force between refreshes), so sampling at a
-// misaligned cadence would alias that oscillation into apparent drift an
-// order of magnitude above the real secular trend.
-func NewWatch(e *Engine, cfg health.Config, cadence int) *Watch {
-	if cadence <= 0 {
-		cadence = defaultWatchCadence
+// see the stale mesh force between refreshes), so a misaligned watch
+// would alias that oscillation into apparent drift an order of magnitude
+// above the real secular trend; aligned digests keep every recorded step
+// comparable across runs whose MTS phase matters.
+func auditCadence(e *Engine) int {
+	c := 10
+	if m := e.Cfg.MTSInterval; m > 1 && c%m != 0 {
+		c += m - c%m
 	}
-	if m := e.Cfg.MTSInterval; m > 1 && cadence%m != 0 {
-		cadence += m - cadence%m
-	}
-	if e.Cfg.TauT > 0 {
-		cfg.DisableEnergy = true
-	}
+	return c
+}
+
+// NewWatch builds a watch evaluating on the audit cadence and installs it
+// as the engine's step hook. A thermostatted engine (Cfg.TauT > 0)
+// exchanges energy with the bath by design, so it gets no energy-drift
+// monitor.
+func NewWatch(e *Engine) *Watch {
 	w := &Watch{
 		e:       e,
-		reg:     health.New(cfg),
-		cadence: cadence,
+		reg:     health.New(e.Cfg.TauT <= 0),
+		cadence: auditCadence(e),
+		step:    e.step,
 		refPos:  e.Positions(),
 		curPos:  make([]vec.V3, len(e.Pos)),
 		lastMig: e.Stats.Migrations,
@@ -78,10 +76,6 @@ func NewWatch(e *Engine, cfg health.Config, cadence int) *Watch {
 
 // Registry exposes the underlying watchdog registry.
 func (w *Watch) Registry() *health.Registry { return w.reg }
-
-// Cadence returns the effective evaluation cadence after default
-// substitution and MTS rounding.
-func (w *Watch) Cadence() int { return w.cadence }
 
 // WatchTransport wires a transport-counter source (typically
 // Sharded.TransportCounts) into the watch: each evaluation computes the
@@ -104,12 +98,17 @@ func (w *Watch) Drain() []health.Alert {
 
 // tick runs after every completed step: it tracks the per-migration
 // drift reference and, on the eval cadence, feeds one sample through the
-// watchdogs.
+// watchdogs. A step counter that did not advance by one (a rollback
+// restored an older state) restarts the drift window at the current
+// positions: the reference was taken on a stretch of trajectory the
+// engine no longer stands on.
 func (w *Watch) tick() {
 	e := w.e
+	restart := e.step != w.step+1
+	w.step = e.step
 	migrated := e.Stats.Migrations != w.lastMig
 	evalNow := e.step%w.cadence == 0
-	if !migrated && !evalNow {
+	if !migrated && !evalNow && !restart {
 		return
 	}
 	// Decode current positions and measure the drift accumulated since
@@ -118,14 +117,16 @@ func (w *Watch) tick() {
 	for i, p := range e.Pos {
 		w.curPos[i] = e.Coder.Decode(p)
 	}
-	tr := trace.Trajectory{
-		NAtoms: len(w.curPos),
-		Frames: []trace.Frame{{Positions: w.refPos}, {Positions: w.curPos}},
+	if restart {
+		w.drift = 0
+	} else {
+		tr := trace.Trajectory{
+			NAtoms: len(w.curPos),
+			Frames: []trace.Frame{{Positions: w.refPos}, {Positions: w.curPos}},
+		}
+		w.drift = max(w.drift, tr.MaxDisplacementPBC(e.Sys.Box))
 	}
-	if d := tr.MaxDisplacementPBC(e.Sys.Box); d > w.drift {
-		w.drift = d
-	}
-	if migrated {
+	if migrated || restart {
 		w.refPos, w.curPos = w.curPos, w.refPos
 		w.lastMig = e.Stats.Migrations
 	}
@@ -135,14 +136,10 @@ func (w *Watch) tick() {
 	s := health.Sample{
 		Step:            int64(e.step),
 		TotalEnergy:     e.TotalEnergy(),
-		HaveEnergy:      true,
 		MomentumPerAtom: e.momentumPerAtom(),
-		HaveMomentum:    true,
 		HeadroomBits:    e.forceHeadroomBits(),
-		HaveHeadroom:    true,
 		Drift:           w.drift,
 		Slack:           e.MigrationSlack(),
-		HaveDrift:       true,
 	}
 	if w.transport != nil {
 		sends, retx := w.transport()

@@ -5,17 +5,12 @@ import (
 	"anton/internal/obs"
 )
 
-// LedgerTap cadences trajectory-digest records from a running engine
-// into a run ledger. Like the health watch, it hooks the end-of-step
-// callback and is strictly read-only with respect to dynamics state:
-// the trajectory is bitwise identical with a ledger attached or
-// detached (test-asserted over migration-crossing steps).
-//
-// The cadence is rounded up to a multiple of the MTS interval, for the
-// same reason the watch's is: digests are a trajectory identity at a
-// step, and aligning them to the long-range refresh cycle keeps every
-// recorded step comparable across runs whose MTS phase matters — and
-// keeps the O(N) digest pass off the majority of steps.
+// LedgerTap appends trajectory-digest records from a running engine to
+// a run ledger on the audit cadence (auditCadence, shared with the health
+// watch). Like the watch, it hooks the end-of-step callback and is
+// strictly read-only with respect to dynamics state: the trajectory is
+// bitwise identical with a ledger attached or detached (test-asserted
+// over migration-crossing steps).
 type LedgerTap struct {
 	e       *Engine
 	w       *ledger.Writer
@@ -26,32 +21,16 @@ type LedgerTap struct {
 	prev ledger.Stats
 }
 
-// defaultLedgerCadence is used for non-positive cadences: sparse enough
-// that the O(N) digest pass is noise against a full step, frequent
-// enough that any prefix of a long run has a nearby audit point.
-const defaultLedgerCadence = 10
-
-// AttachLedger installs a ledger tap on the engine: every cadence steps
-// (rounded up to the MTS interval) it appends a digest record to w. The
-// caller owns the writer (and closes it); the tap owns only the
-// cadence. Works identically under sharded execution — the sharded
+// AttachLedger installs a ledger tap on the engine: every audit cadence
+// it appends a digest record to w. The caller owns the writer (and
+// closes it). Works identically under sharded execution — the sharded
 // step loop fires the same end-of-step hooks, and StateDigest is
 // shard-count independent.
-func AttachLedger(e *Engine, w *ledger.Writer, cadence int) *LedgerTap {
-	if cadence <= 0 {
-		cadence = defaultLedgerCadence
-	}
-	if m := e.Cfg.MTSInterval; m > 1 && cadence%m != 0 {
-		cadence += m - cadence%m
-	}
-	t := &LedgerTap{e: e, w: w, cadence: cadence, prev: w.Stats()}
+func AttachLedger(e *Engine, w *ledger.Writer) *LedgerTap {
+	t := &LedgerTap{e: e, w: w, cadence: auditCadence(e), prev: w.Stats()}
 	e.AddStepHook(t.tick)
 	return t
 }
-
-// Cadence returns the effective digest cadence after default
-// substitution and MTS rounding.
-func (t *LedgerTap) Cadence() int { return t.cadence }
 
 // RecordCheckpoint appends a checkpoint record for a file the driver
 // just wrote: the checkpoint's own CRC32 trailer is read back (which

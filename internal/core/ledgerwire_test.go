@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"path/filepath"
+	"slices"
 	"testing"
 
 	"anton/internal/faults"
@@ -35,7 +36,7 @@ func TestLedgerZeroPerturbation(t *testing.T) {
 	// Monolithic engine with a ledger attached.
 	tapped := smallWaterEngine(t, 8, nil)
 	w, path := newTestLedger(t, 16)
-	tap := AttachLedger(tapped, w, 10)
+	AttachLedger(tapped, w)
 	tapped.Step(steps)
 	po, vo := tapped.Snapshot()
 	for i := range pp {
@@ -70,14 +71,14 @@ func TestLedgerZeroPerturbation(t *testing.T) {
 	if !ok || got != want {
 		t.Fatalf("ledger digest at step %d = %q ok=%v, engine says %q", steps, got, ok, want)
 	}
-	if n := len(ledger.DigestSteps(recs)); n != steps/tap.Cadence() {
-		t.Fatalf("recorded %d digest steps, want %d", n, steps/tap.Cadence())
+	if n := len(ledger.DigestSteps(recs)); n != steps/auditCadence(tapped) {
+		t.Fatalf("recorded %d digest steps, want %d", n, steps/auditCadence(tapped))
 	}
 
 	// Sharded engine with a ledger attached: same contract.
 	sh := smallWaterSharded(t, 8, nil)
 	ws, _ := newTestLedger(t, 16)
-	AttachLedger(sh.E, ws, 10)
+	AttachLedger(sh.E, ws)
 	sh.Step(steps)
 	ps, vs := sh.Snapshot()
 	for i := range pp {
@@ -90,21 +91,24 @@ func TestLedgerZeroPerturbation(t *testing.T) {
 	}
 }
 
-// TestLedgerTapCadenceRounding: the cadence aligns to the MTS interval
-// exactly like the health watch's, and a non-positive cadence gets the
-// default.
+// TestLedgerTapCadenceRounding: the ledger tap records digests on the
+// audit cadence, 10 steps rounded up to the MTS interval — on an engine
+// refreshing long-range forces every 3 steps, at step 12 and then at every
+// multiple of 12. TestWatchCadenceValidation checks the watch shares it.
 func TestLedgerTapCadenceRounding(t *testing.T) {
-	e := smallWaterEngine(t, 1, nil)
-	w, _ := newTestLedger(t, 8)
-	m := e.Cfg.MTSInterval
-	if m < 2 {
-		t.Skipf("default MTSInterval %d does not exercise rounding", m)
+	e := smallWaterEngine(t, 1, func(c *Config) { c.MTSInterval = 3 })
+	w, path := newTestLedger(t, 1)
+	AttachLedger(e, w)
+	e.Step(48)
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
 	}
-	if got := AttachLedger(e, w, m+1).Cadence(); got != 2*m {
-		t.Fatalf("cadence %d rounded to %d, want %d", m+1, got, 2*m)
+	recs, err := ledger.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if got := AttachLedger(e, w, 0).Cadence(); got%m != 0 {
-		t.Fatalf("default cadence %d not MTS aligned", got)
+	if got, want := ledger.DigestSteps(recs), []int64{12, 24, 36, 48}; !slices.Equal(got, want) {
+		t.Fatalf("digests at steps %v, want %v", got, want)
 	}
 }
 
@@ -116,7 +120,7 @@ func TestLedgerTapCounters(t *testing.T) {
 	rec := obs.NewRecorder()
 	e.Observe(rec)
 	w, _ := newTestLedger(t, 4)
-	AttachLedger(e, w, 5)
+	AttachLedger(e, w)
 	e.Step(40)
 
 	st := w.Stats()
@@ -155,7 +159,7 @@ func TestLedgerChaosReplayAudit(t *testing.T) {
 	}
 
 	w, path := newTestLedger(t, 8)
-	tap := AttachLedger(sh.E, w, 10)
+	tap := AttachLedger(sh.E, w)
 	dir := t.TempDir()
 	for s := 0; s < steps; s += chunk {
 		sh.Step(chunk)

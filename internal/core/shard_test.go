@@ -143,7 +143,7 @@ func TestShardZeroPerturbation(t *testing.T) {
 	rec, tr := tracedRecorder()
 	rec.EnableMemStats()
 	observed.Observe(rec)
-	w := NewWatch(observed.E, health.DefaultConfig(), 5)
+	w := NewWatch(observed.E)
 	observed.Step(60)
 	po, vo := observed.Snapshot()
 

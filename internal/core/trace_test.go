@@ -15,7 +15,7 @@ func attachFullObservability(e *Engine) (*obs.Recorder, *obs.Tracer, *Watch) {
 	rec, tr := tracedRecorder()
 	rec.EnableMemStats()
 	e.Observe(rec)
-	w := NewWatch(e, health.DefaultConfig(), 5)
+	w := NewWatch(e)
 	return rec, tr, w
 }
 
@@ -54,6 +54,11 @@ func TestTraceWatchBitwiseInvariance(t *testing.T) {
 	}
 	if w.Registry().Worst() > health.SevWarn {
 		t.Errorf("watchdogs latched %v on a healthy thermostatted run", w.Registry().Worst())
+	}
+	for _, m := range w.Registry().Status().Monitors {
+		if m.Name == "energy-drift" {
+			t.Error("thermostatted run watches energy drift")
+		}
 	}
 }
 
@@ -223,12 +228,12 @@ func TestTraceMeasuredTimeline(t *testing.T) {
 	}
 }
 
-// TestWatchHealthySoak: 200 NVE steps of a healthy charged fluid with the
-// default thresholds must fire zero alerts — the watchdog's false-positive
-// contract.
+// TestWatchHealthySoak: 200 NVE steps of a healthy charged fluid at the
+// production thresholds must fire zero alerts — the watchdog's
+// false-positive contract.
 func TestWatchHealthySoak(t *testing.T) {
 	e := ionicEngine(t, 8, nil)
-	w := NewWatch(e, health.DefaultConfig(), 5)
+	w := NewWatch(e)
 	e.Step(200)
 	if alerts := w.Drain(); len(alerts) != 0 {
 		t.Fatalf("healthy NVE soak fired %d alerts: %+v", len(alerts), alerts)
@@ -236,7 +241,7 @@ func TestWatchHealthySoak(t *testing.T) {
 	if worst := w.Registry().Worst(); worst != health.SevOK {
 		t.Errorf("latched severity %v after a healthy soak", worst)
 	}
-	st := w.Registry().Status(obs.SchemaVersion)
+	st := w.Registry().Status()
 	for _, m := range st.Monitors {
 		if m.Name == "retry-storm" {
 			// Transport-fed; a monolithic engine has no source wired
@@ -252,51 +257,58 @@ func TestWatchHealthySoak(t *testing.T) {
 	}
 }
 
-// TestWatchInjectedThreshold: dropping the slack thresholds below the
-// engine's routine inter-migration drift must fire the migration-slack
-// monitor — once, despite every subsequent sample staying elevated.
-func TestWatchInjectedThreshold(t *testing.T) {
-	e := ionicEngine(t, 8, nil)
-	cfg := health.DefaultConfig()
-	cfg.SlackWarn = 1e-3 // routine drift ratio is ~0.1: far above both
-	cfg.SlackCrit = 2e-3
-	w := NewWatch(e, cfg, 5)
-	e.Step(100)
+// TestWatchCadenceValidation: the watch evaluates on the audit cadence
+// it shares with the ledger tap, 10 steps rounded up to the MTS interval —
+// on an engine refreshing long-range forces every 3 steps, not before
+// step 12 and then at every multiple of 12.
+func TestWatchCadenceValidation(t *testing.T) {
+	e := smallWaterEngine(t, 1, func(c *Config) { c.MTSInterval = 3 })
+	watch := NewWatch(e)
 
-	alerts := w.Drain()
-	if len(alerts) != 1 {
-		t.Fatalf("injected threshold fired %d alerts, want exactly 1 (hysteresis): %+v",
-			len(alerts), alerts)
+	e.Step(11)
+	if n := watch.Registry().Status().Evals; n != 0 {
+		t.Fatalf("watch sampled %d times by step 11", n)
 	}
-	a := alerts[0]
-	if a.Monitor != "migration-slack" || a.Severity != health.SevCrit {
-		t.Fatalf("unexpected alert %+v", a)
-	}
-	if a.Message == "" || a.Value <= a.Threshold {
-		t.Errorf("malformed alert %+v", a)
-	}
-	if w.Registry().Fired(health.SevCrit) != 1 {
-		t.Errorf("crit fired %d times, want 1", w.Registry().Fired(health.SevCrit))
+	e.Step(37)
+	if n := watch.Registry().Status().Evals; n != 4 {
+		t.Fatalf("watch sampled %d times by step 48, want 4", n)
 	}
 }
 
-// TestWatchCadenceValidation: a non-positive cadence is a configuration
-// mistake and must select the documented default, not per-step sampling;
-// any cadence still honors the MTS-alignment rounding.
-func TestWatchCadenceValidation(t *testing.T) {
-	e := smallWaterEngine(t, 1, nil)
-	for _, bad := range []int{0, -3} {
-		w := NewWatch(e, health.DefaultConfig(), bad)
-		if w.Cadence() < defaultWatchCadence {
-			t.Fatalf("cadence %d produced eval cadence %d, want >= %d",
-				bad, w.Cadence(), defaultWatchCadence)
+// TestWatchEnergyDriftAlert: the NVE ionic fluid at six times its 2 fs
+// time step heats up within tens of steps, and the watch at the
+// production thresholds reports it — energy-drift warn, then critical —
+// with each monitor firing each severity at most once (hysteresis).
+func TestWatchEnergyDriftAlert(t *testing.T) {
+	e := ionicEngine(t, 8, func(c *Config) { c.Dt = 12 })
+	w := NewWatch(e)
+	e.Step(50)
+
+	alerts := w.Drain()
+	type key struct {
+		monitor string
+		sev     health.Severity
+	}
+	seen := map[key]bool{}
+	for _, a := range alerts {
+		k := key{a.Monitor, a.Severity}
+		if seen[k] {
+			t.Fatalf("%s fired %v twice: %+v", a.Monitor, a.Severity, alerts)
 		}
-		if m := e.Cfg.MTSInterval; m > 1 && w.Cadence()%m != 0 {
-			t.Fatalf("cadence %d not MTS-aligned (interval %d)", w.Cadence(), m)
+		seen[k] = true
+		if a.Message == "" || a.Value < a.Threshold || a.Step%int64(auditCadence(e)) != 0 {
+			t.Errorf("malformed alert %+v", a)
 		}
 	}
-	w := NewWatch(e, health.DefaultConfig(), 7)
-	if c := w.Cadence(); c < 7 {
-		t.Fatalf("explicit cadence 7 shrank to %d", c)
+	for _, sev := range []health.Severity{health.SevWarn, health.SevCrit} {
+		if !seen[key{"energy-drift", sev}] {
+			t.Errorf("energy-drift %v never fired: %+v", sev, alerts)
+		}
+	}
+	if len(w.Drain()) != 0 {
+		t.Error("Drain did not clear the pending alerts")
+	}
+	if reg := w.Registry(); reg.Fired(health.SevWarn)+reg.Fired(health.SevCrit) != int64(len(alerts)) {
+		t.Error("lifetime counters disagree with the drained alerts")
 	}
 }

@@ -1,20 +1,21 @@
-// Package health is the simulation health-watchdog subsystem: a registry
-// of invariant monitors evaluated on a fixed cadence against samples of
-// the running engine's state, emitting structured, severity-ranked alert
-// events with hysteresis. The monitors watch the invariants that certify
-// a long run is not silently wrong — the paper's energy-conservation,
-// reversibility and parallel-invariance story turned into live checks:
+// Package health is the simulation health watchdog: a fixed table of
+// invariant monitors evaluated against samples of the running engine's
+// state, emitting structured, severity-ranked alert events with
+// hysteresis. The monitors watch the invariants that certify a long run
+// is not silently wrong — the paper's energy-conservation, reversibility
+// and parallel-invariance story turned into live checks:
 //
 //   - relative total-energy drift against the run's baseline (NVE only —
 //     a thermostatted run exchanges energy by design);
 //   - net-momentum conservation (per-atom drift from the baseline);
 //   - fixed-point overflow headroom of the force accumulators, in bits;
 //   - migration-slack margin: measured inter-migration drift as a
-//     fraction of the engine's residency slack.
+//     fraction of the engine's residency slack;
+//   - retry storm: transport retransmits per send (sharded runs).
 //
 // Hysteresis: each monitor latches its worst severity and fires exactly
 // one alert per upward threshold crossing; it re-arms only after the
-// value retreats past threshold*Rearm, so a value oscillating around a
+// value retreats past threshold*rearm, so a value oscillating around a
 // threshold cannot flood the alert ring.
 //
 // The package is engine-agnostic: it consumes plain-float Samples, so it
@@ -54,26 +55,6 @@ func (s Severity) String() string {
 // MarshalJSON renders the severity as its stable name.
 func (s Severity) MarshalJSON() ([]byte, error) { return json.Marshal(s.String()) }
 
-// UnmarshalJSON parses the stable name back (round-trip for consumers of
-// the /healthz document).
-func (s *Severity) UnmarshalJSON(b []byte) error {
-	var name string
-	if err := json.Unmarshal(b, &name); err != nil {
-		return err
-	}
-	switch name {
-	case "ok":
-		*s = SevOK
-	case "warn":
-		*s = SevWarn
-	case "critical":
-		*s = SevCrit
-	default:
-		return fmt.Errorf("health: unknown severity %q", name)
-	}
-	return nil
-}
-
 // Alert is one structured watchdog event.
 type Alert struct {
 	Step      int64    `json:"step"`
@@ -84,289 +65,169 @@ type Alert struct {
 	Message   string   `json:"message"`
 }
 
-// Sample is one observation of the engine's invariants. The Have* flags
-// let a caller omit quantities it cannot provide (e.g. energy drift is
-// meaningless under a thermostat); monitors skip absent values.
+// Sample is one observation of the engine's invariants.
 type Sample struct {
 	Step int64
 
-	TotalEnergy float64 // conserved quantity, kcal/mol
-	HaveEnergy  bool
-
+	TotalEnergy     float64 // conserved quantity, kcal/mol
 	MomentumPerAtom float64 // |sum m v| / N, amu Å/fs
-	HaveMomentum    bool
+	HeadroomBits    float64 // log2 headroom of the widest force accumulator
 
-	HeadroomBits float64 // log2 headroom of the widest force accumulator
-	HaveHeadroom bool
-
-	Drift     float64 // max single-atom drift since last migration, Å
-	Slack     float64 // the engine's residency slack, Å
-	HaveDrift bool
+	Drift float64 // max single-atom drift since last migration, Å
+	Slack float64 // the engine's residency slack, Å (<= 0: not measured)
 
 	RetryRate float64 // transport retransmits per send since the last sample
-	HaveRetry bool
+	HaveRetry bool    // false on a run without a transport
 }
 
-// Monitor is one watched invariant with warn/crit thresholds and latched
-// hysteresis state. Value extraction lives in the closure so the monitor
-// set is data-driven and extensible.
-type Monitor struct {
-	Name      string
-	Unit      string
-	Warn      float64
-	Crit      float64
-	HigherBad bool    // true: alert when value rises past thresholds
-	Rearm     float64 // re-arm fraction in (0,1]; see package comment
+// Indices into monitors.
+const (
+	energyDrift = iota
+	netMomentum
+	overflowHeadroom
+	migrationSlack
+	retryStorm
+	numMonitors
+)
 
-	value func(*Registry, Sample) (float64, bool)
+// monitor is one watched invariant: warn/crit thresholds and which
+// direction is bad.
+type monitor struct {
+	name      string
+	unit      string
+	warn      float64
+	crit      float64
+	higherBad bool // true: alert when the value rises past the thresholds
+}
 
+// monitors is the watchdog table, in evaluation and report order. The
+// thresholds are generous enough that a healthy fixed-point NVE run stays
+// silent indefinitely, tight enough that a drifting invariant fires long
+// before the trajectory is garbage.
+var monitors = [numMonitors]monitor{
+	// |E-E0| / max(1,|E0|).
+	energyDrift: {"energy-drift", "rel", 2e-3, 2e-2, true},
+	// Per-atom net-momentum drift from the baseline.
+	netMomentum: {"net-momentum", "amu·Å/fs per atom", 1e-4, 1e-2, true},
+	// Minimum acceptable overflow headroom (a falling monitor).
+	overflowHeadroom: {"overflow-headroom", "bits", 8, 2, false},
+	// 1.0 means an atom used the entire residency slack between
+	// migrations.
+	migrationSlack: {"migration-slack", "drift/slack", 0.6, 1.0, true},
+	// A quiet link sits near zero; a retry storm (dropping or saturated
+	// transport retransmitting most traffic) climbs past 1.
+	retryStorm: {"retry-storm", "retransmits/send", 0.5, 2.0, true},
+}
+
+const (
+	// rearm is the hysteresis re-arm fraction; see the package comment.
+	rearm = 0.8
+	// maxAlerts bounds the alert ring.
+	maxAlerts = 256
+)
+
+// classify ranks a value against the thresholds scaled by r: r = 1 gives
+// the firing level, r = rearm the level a latched monitor may relax to
+// (threshold*rearm for rising monitors, threshold/rearm for falling ones).
+func (m *monitor) classify(v, r float64) Severity {
+	if m.higherBad {
+		switch {
+		case v >= m.crit*r:
+			return SevCrit
+		case v >= m.warn*r:
+			return SevWarn
+		}
+		return SevOK
+	}
+	switch {
+	case v <= m.crit/r:
+		return SevCrit
+	case v <= m.warn/r:
+		return SevWarn
+	}
+	return SevOK
+}
+
+// monitorState is one monitor's latched hysteresis state.
+type monitorState struct {
 	level Severity
 	last  float64
 	seen  bool
 }
 
-// severityOf classifies a value against the firing thresholds.
-func (m *Monitor) severityOf(v float64) Severity {
-	if m.HigherBad {
-		switch {
-		case v >= m.Crit:
-			return SevCrit
-		case v >= m.Warn:
-			return SevWarn
-		}
-		return SevOK
-	}
-	switch {
-	case v <= m.Crit:
-		return SevCrit
-	case v <= m.Warn:
-		return SevWarn
-	}
-	return SevOK
-}
-
-// releaseSeverityOf classifies a value against the re-arm thresholds
-// (threshold*Rearm for rising monitors, threshold/Rearm for falling
-// ones): the level a latched monitor may relax to.
-func (m *Monitor) releaseSeverityOf(v float64) Severity {
-	r := m.Rearm
-	if r <= 0 || r > 1 {
-		r = 1
-	}
-	if m.HigherBad {
-		switch {
-		case v >= m.Crit*r:
-			return SevCrit
-		case v >= m.Warn*r:
-			return SevWarn
-		}
-		return SevOK
-	}
-	switch {
-	case v <= m.Crit/r:
-		return SevCrit
-	case v <= m.Warn/r:
-		return SevWarn
-	}
-	return SevOK
-}
-
-// eval updates the hysteresis state for one sample value and returns the
-// fired alert, if any.
-func (m *Monitor) eval(step int64, v float64) (Alert, bool) {
-	m.last = v
-	m.seen = true
-	target := m.severityOf(v)
-	if target > m.level {
-		m.level = target
-		thr := m.Warn
-		if target == SevCrit {
-			thr = m.Crit
-		}
-		return Alert{
-			Step:      step,
-			Monitor:   m.Name,
-			Severity:  target,
-			Value:     v,
-			Threshold: thr,
-			Message: fmt.Sprintf("%s %s: %.4g %s crossed %.4g",
-				m.Name, target, v, m.Unit, thr),
-		}, true
-	}
-	if rel := m.releaseSeverityOf(v); rel < m.level {
-		m.level = rel // silent re-arm
-	}
-	return Alert{}, false
-}
-
-// Config tunes the default monitor set.
-type Config struct {
-	// EnergyWarn/Crit are relative total-energy drift thresholds
-	// (|E-E0| / max(1,|E0|)).
-	EnergyWarn, EnergyCrit float64
-	// DisableEnergy drops the energy monitor (thermostatted runs).
-	DisableEnergy bool
-
-	// MomentumWarn/Crit bound the per-atom net-momentum drift from the
-	// baseline, amu Å/fs.
-	MomentumWarn, MomentumCrit float64
-
-	// HeadroomWarnBits/CritBits are minimum acceptable overflow headroom
-	// of the force accumulators, in bits (falling monitor).
-	HeadroomWarnBits, HeadroomCritBits float64
-
-	// SlackWarn/Crit bound the drift/slack ratio: 1.0 means an atom used
-	// the entire residency slack between migrations.
-	SlackWarn, SlackCrit float64
-
-	// RetryWarn/Crit bound the transport retransmit-per-send ratio between
-	// samples. A quiet link sits near zero; a retry storm (dropping or
-	// saturated transport retransmitting most traffic) climbs past 1.
-	RetryWarn, RetryCrit float64
-
-	// Rearm is the hysteresis re-arm fraction (default 0.8).
-	Rearm float64
-
-	// MaxAlerts bounds the alert ring (default 256).
-	MaxAlerts int
-}
-
-// DefaultConfig returns production thresholds: generous enough that a
-// healthy fixed-point NVE run stays silent indefinitely, tight enough
-// that a drifting invariant fires long before the trajectory is garbage.
-func DefaultConfig() Config {
-	return Config{
-		EnergyWarn:       2e-3,
-		EnergyCrit:       2e-2,
-		MomentumWarn:     1e-4,
-		MomentumCrit:     1e-2,
-		HeadroomWarnBits: 8,
-		HeadroomCritBits: 2,
-		SlackWarn:        0.6,
-		SlackCrit:        1.0,
-		RetryWarn:        0.5,
-		RetryCrit:        2.0,
-		Rearm:            0.8,
-		MaxAlerts:        256,
-	}
-}
-
-// Registry evaluates a monitor set against samples and keeps a bounded
-// ring of fired alerts. Not safe for concurrent use; the owner publishes
-// Status() copies to concurrent readers.
+// Registry evaluates the monitor table against samples and keeps a
+// bounded ring of fired alerts. Not safe for concurrent use; the owner
+// publishes Status() copies to concurrent readers.
 type Registry struct {
-	monitors []*Monitor
+	first int // first monitor in use: energyDrift, or netMomentum without it
+	state [numMonitors]monitorState
 
-	alerts    []Alert // ring
+	alerts    [maxAlerts]Alert // ring
 	alertHead int
 	alertN    int
 	fired     [SevCrit + 1]int64
 
-	baseE     float64
-	haveBaseE bool
-	baseP     float64
-	haveBaseP bool
-	evals     int64
+	baseE, baseP float64 // energy and momentum at the first sample
+	evals        int64
 }
 
-// New builds a registry with the standard monitor set for cfg.
-func New(cfg Config) *Registry {
-	def := DefaultConfig()
-	if cfg.Rearm == 0 {
-		cfg.Rearm = def.Rearm
+// New builds a registry. A run that does not conserve energy (a
+// thermostatted one) has no energy-drift monitor.
+func New(conservesEnergy bool) *Registry {
+	r := &Registry{first: energyDrift}
+	if !conservesEnergy {
+		r.first = netMomentum
 	}
-	if cfg.MaxAlerts == 0 {
-		cfg.MaxAlerts = def.MaxAlerts
-	}
-	if cfg.RetryWarn == 0 {
-		cfg.RetryWarn = def.RetryWarn
-	}
-	if cfg.RetryCrit == 0 {
-		cfg.RetryCrit = def.RetryCrit
-	}
-	r := &Registry{alerts: make([]Alert, cfg.MaxAlerts)}
-	if !cfg.DisableEnergy {
-		r.AddMonitor(&Monitor{
-			Name: "energy-drift", Unit: "rel",
-			Warn: cfg.EnergyWarn, Crit: cfg.EnergyCrit,
-			HigherBad: true, Rearm: cfg.Rearm,
-			value: func(r *Registry, s Sample) (float64, bool) {
-				if !s.HaveEnergy {
-					return 0, false
-				}
-				if !r.haveBaseE {
-					r.baseE = s.TotalEnergy
-					r.haveBaseE = true
-				}
-				return math.Abs(s.TotalEnergy-r.baseE) / math.Max(1, math.Abs(r.baseE)), true
-			},
-		})
-	}
-	r.AddMonitor(&Monitor{
-		Name: "net-momentum", Unit: "amu·Å/fs per atom",
-		Warn: cfg.MomentumWarn, Crit: cfg.MomentumCrit,
-		HigherBad: true, Rearm: cfg.Rearm,
-		value: func(r *Registry, s Sample) (float64, bool) {
-			if !s.HaveMomentum {
-				return 0, false
-			}
-			if !r.haveBaseP {
-				r.baseP = s.MomentumPerAtom
-				r.haveBaseP = true
-			}
-			return math.Abs(s.MomentumPerAtom - r.baseP), true
-		},
-	})
-	r.AddMonitor(&Monitor{
-		Name: "overflow-headroom", Unit: "bits",
-		Warn: cfg.HeadroomWarnBits, Crit: cfg.HeadroomCritBits,
-		HigherBad: false, Rearm: cfg.Rearm,
-		value: func(_ *Registry, s Sample) (float64, bool) {
-			return s.HeadroomBits, s.HaveHeadroom
-		},
-	})
-	r.AddMonitor(&Monitor{
-		Name: "migration-slack", Unit: "drift/slack",
-		Warn: cfg.SlackWarn, Crit: cfg.SlackCrit,
-		HigherBad: true, Rearm: cfg.Rearm,
-		value: func(_ *Registry, s Sample) (float64, bool) {
-			if !s.HaveDrift || s.Slack <= 0 {
-				return 0, false
-			}
-			return s.Drift / s.Slack, true
-		},
-	})
-	r.AddMonitor(&Monitor{
-		Name: "retry-storm", Unit: "retransmits/send",
-		Warn: cfg.RetryWarn, Crit: cfg.RetryCrit,
-		HigherBad: true, Rearm: cfg.Rearm,
-		value: func(_ *Registry, s Sample) (float64, bool) {
-			return s.RetryRate, s.HaveRetry
-		},
-	})
 	return r
 }
 
-// AddMonitor appends a custom monitor (tests and extensions). A monitor
-// without a value closure reads nothing and never fires.
-func (r *Registry) AddMonitor(m *Monitor) { r.monitors = append(r.monitors, m) }
+// reading returns monitor i's value for s, or false when s carries none.
+func (r *Registry) reading(i int, s Sample) (float64, bool) {
+	switch i {
+	case energyDrift:
+		return math.Abs(s.TotalEnergy-r.baseE) / math.Max(1, math.Abs(r.baseE)), true
+	case netMomentum:
+		return math.Abs(s.MomentumPerAtom - r.baseP), true
+	case overflowHeadroom:
+		return s.HeadroomBits, true
+	case migrationSlack:
+		return s.Drift / s.Slack, s.Slack > 0
+	}
+	return s.RetryRate, s.HaveRetry
+}
 
 // Eval evaluates every monitor against one sample and returns the alerts
-// fired by this sample, ranked most severe first (ties keep monitor
-// registration order).
+// fired by this sample, ranked most severe first (ties keep table order).
 func (r *Registry) Eval(s Sample) []Alert {
 	r.evals++
+	if r.evals == 1 {
+		r.baseE, r.baseP = s.TotalEnergy, s.MomentumPerAtom
+	}
 	var fired []Alert
-	for _, m := range r.monitors {
-		if m.value == nil {
-			continue
-		}
-		v, ok := m.value(r, s)
+	for i := r.first; i < numMonitors; i++ {
+		v, ok := r.reading(i, s)
 		if !ok {
 			continue
 		}
-		if a, hit := m.eval(s.Step, v); hit {
-			fired = append(fired, a)
+		m, st := &monitors[i], &r.state[i]
+		st.last, st.seen = v, true
+		if target := m.classify(v, 1); target > st.level {
+			st.level = target
+			thr := m.warn
+			if target == SevCrit {
+				thr = m.crit
+			}
+			fired = append(fired, Alert{
+				Step:      s.Step,
+				Monitor:   m.name,
+				Severity:  target,
+				Value:     v,
+				Threshold: thr,
+				Message: fmt.Sprintf("%s %s: %.4g %s crossed %.4g",
+					m.name, target, v, m.unit, thr),
+			})
+		} else if rel := m.classify(v, rearm); rel < st.level {
+			st.level = rel // silent re-arm
 		}
 	}
 	// Severity-ranked: critical alerts lead. Insertion sort keeps the
@@ -377,29 +238,20 @@ func (r *Registry) Eval(s Sample) []Alert {
 		}
 	}
 	for _, a := range fired {
-		r.pushAlert(a)
+		r.alerts[r.alertHead] = a
+		r.alertHead = (r.alertHead + 1) % maxAlerts
+		r.alertN = min(r.alertN+1, maxAlerts)
+		r.fired[a.Severity]++
 	}
 	return fired
-}
-
-func (r *Registry) pushAlert(a Alert) {
-	r.alerts[r.alertHead] = a
-	r.alertHead = (r.alertHead + 1) % len(r.alerts)
-	if r.alertN < len(r.alerts) {
-		r.alertN++
-	}
-	r.fired[a.Severity]++
 }
 
 // Alerts returns the retained alerts oldest-first (copied).
 func (r *Registry) Alerts() []Alert {
 	out := make([]Alert, 0, r.alertN)
-	start := r.alertHead - r.alertN
-	if start < 0 {
-		start += len(r.alerts)
-	}
+	start := r.alertHead - r.alertN + maxAlerts
 	for i := 0; i < r.alertN; i++ {
-		out = append(out, r.alerts[(start+i)%len(r.alerts)])
+		out = append(out, r.alerts[(start+i)%maxAlerts])
 	}
 	return out
 }
@@ -416,10 +268,8 @@ func (r *Registry) Fired(s Severity) int64 {
 // Worst returns the highest currently-latched monitor severity.
 func (r *Registry) Worst() Severity {
 	w := SevOK
-	for _, m := range r.monitors {
-		if m.level > w {
-			w = m.level
-		}
+	for _, st := range r.state[r.first:] {
+		w = max(w, st.level)
 	}
 	return w
 }
@@ -436,6 +286,7 @@ type MonitorStatus struct {
 }
 
 // Status is the registry's full rendered state — the /healthz document.
+// The publisher stamps Schema.
 type Status struct {
 	Schema   string          `json:"schema"`
 	Worst    Severity        `json:"status"`
@@ -446,12 +297,13 @@ type Status struct {
 
 // Status renders the registry (a value copy, safe to publish across
 // goroutines).
-func (r *Registry) Status(schema string) Status {
-	st := Status{Schema: schema, Worst: r.Worst(), Evals: r.evals}
-	for _, m := range r.monitors {
+func (r *Registry) Status() Status {
+	st := Status{Worst: r.Worst(), Evals: r.evals}
+	for i := r.first; i < numMonitors; i++ {
+		m, s := &monitors[i], &r.state[i]
 		st.Monitors = append(st.Monitors, MonitorStatus{
-			Name: m.Name, Unit: m.Unit, Level: m.level,
-			Value: m.last, Warn: m.Warn, Crit: m.Crit, Seen: m.seen,
+			Name: m.name, Unit: m.unit, Level: s.level,
+			Value: s.last, Warn: m.warn, Crit: m.crit, Seen: s.seen,
 		})
 	}
 	st.Alerts = r.Alerts()

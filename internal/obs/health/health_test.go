@@ -2,27 +2,24 @@ package health
 
 import (
 	"encoding/json"
+	"slices"
 	"testing"
 )
 
-// healthySample is a sample every default monitor classifies as OK.
+// healthySample is a sample every monitor classifies as OK.
 func healthySample(step int64, e float64) Sample {
 	return Sample{
 		Step:            step,
 		TotalEnergy:     e,
-		HaveEnergy:      true,
 		MomentumPerAtom: 0,
-		HaveMomentum:    true,
 		HeadroomBits:    30,
-		HaveHeadroom:    true,
 		Drift:           0.1,
 		Slack:           1.0,
-		HaveDrift:       true,
 	}
 }
 
 func TestHealthySamplesStaySilent(t *testing.T) {
-	r := New(DefaultConfig())
+	r := New(true)
 	for s := int64(1); s <= 200; s++ {
 		if alerts := r.Eval(healthySample(s, -1000.0)); len(alerts) != 0 {
 			t.Fatalf("step %d: healthy sample fired %v", s, alerts)
@@ -40,12 +37,11 @@ func TestHealthySamplesStaySilent(t *testing.T) {
 // threshold and stays above it fires exactly one alert, no matter how
 // many samples arrive while the value is elevated.
 func TestFiresExactlyOncePerCrossing(t *testing.T) {
-	cfg := DefaultConfig()
-	r := New(cfg)
+	r := New(true)
 	base := -1000.0
 	r.Eval(healthySample(1, base)) // captures the energy baseline
 
-	// Drift to 1% (above EnergyWarn=0.2%, below EnergyCrit=2%) and hold.
+	// Drift to 1% (above the 0.2% warn, below the 2% crit) and hold.
 	drifted := base * (1 + 0.01)
 	total := 0
 	for s := int64(2); s <= 50; s++ {
@@ -68,7 +64,7 @@ func TestFiresExactlyOncePerCrossing(t *testing.T) {
 // dropping below the re-arm threshold silently resets, and a fresh
 // crossing fires again.
 func TestEscalationAndRearm(t *testing.T) {
-	r := New(DefaultConfig())
+	r := New(true)
 	base := -1000.0
 	r.Eval(healthySample(1, base))
 
@@ -107,8 +103,7 @@ func TestEscalationAndRearm(t *testing.T) {
 // the re-arm level must not flood the ring — that is the point of
 // hysteresis.
 func TestOscillationInsideHysteresisBand(t *testing.T) {
-	cfg := DefaultConfig()
-	r := New(cfg)
+	r := New(true)
 	base := -1000.0
 	r.Eval(healthySample(1, base))
 	fired := 0
@@ -125,10 +120,10 @@ func TestOscillationInsideHysteresisBand(t *testing.T) {
 }
 
 // TestFallingMonitorHeadroom: the overflow-headroom monitor alerts when
-// the value drops (HigherBad=false) and re-arms when it recovers past
+// the value drops (a falling monitor) and re-arms when it recovers past
 // threshold/rearm.
 func TestFallingMonitorHeadroom(t *testing.T) {
-	r := New(DefaultConfig()) // warn at 8 bits, crit at 2
+	r := New(true) // warn at 8 bits, crit at 2
 	s := healthySample(1, -1000)
 	r.Eval(s)
 
@@ -160,9 +155,9 @@ func TestFallingMonitorHeadroom(t *testing.T) {
 }
 
 // TestAlertOrdering: alerts fired by one sample are ranked most severe
-// first, with ties keeping monitor registration order.
+// first, with ties keeping table order.
 func TestAlertOrdering(t *testing.T) {
-	r := New(DefaultConfig())
+	r := New(true)
 	r.Eval(healthySample(1, -1000))
 
 	bad := healthySample(2, -1000*(1+0.005)) // energy: warn
@@ -175,20 +170,21 @@ func TestAlertOrdering(t *testing.T) {
 	if alerts[0].Monitor != "overflow-headroom" || alerts[0].Severity != SevCrit {
 		t.Fatalf("most severe alert must lead: %+v", alerts)
 	}
-	// The two warns keep registration order: energy-drift before
+	// The two warns keep table order: energy-drift before
 	// migration-slack.
 	if alerts[1].Monitor != "energy-drift" || alerts[2].Monitor != "migration-slack" {
-		t.Fatalf("warn tie broke registration order: %+v", alerts)
+		t.Fatalf("warn tie broke table order: %+v", alerts)
 	}
 }
 
+// TestAlertRingBounded: the ring keeps the newest maxAlerts alerts,
+// oldest first, while the lifetime counters count every one.
 func TestAlertRingBounded(t *testing.T) {
-	cfg := DefaultConfig()
-	cfg.MaxAlerts = 4
-	r := New(cfg)
+	r := New(true)
 	r.Eval(healthySample(1, -1000))
 	// Alternate a full re-arm and a crossing: every crossing fires.
-	for s := int64(2); s <= 41; s++ {
+	const crossings = maxAlerts + 44
+	for s := int64(2); s <= 2*crossings+1; s++ {
 		smp := healthySample(s, -1000)
 		if s%2 == 0 {
 			smp.HeadroomBits = 6
@@ -196,64 +192,70 @@ func TestAlertRingBounded(t *testing.T) {
 		r.Eval(smp)
 	}
 	alerts := r.Alerts()
-	if len(alerts) != 4 {
-		t.Fatalf("ring holds %d alerts, want capacity 4", len(alerts))
+	if len(alerts) != maxAlerts {
+		t.Fatalf("ring holds %d alerts, want capacity %d", len(alerts), maxAlerts)
 	}
 	for i := 1; i < len(alerts); i++ {
-		if alerts[i].Step < alerts[i-1].Step {
+		if alerts[i].Step <= alerts[i-1].Step {
 			t.Fatal("ring not oldest-first")
 		}
 	}
-	if r.Fired(SevWarn) != 20 {
-		t.Errorf("lifetime warn count %d survives eviction, want 20", r.Fired(SevWarn))
+	if last := alerts[len(alerts)-1].Step; last != 2*crossings {
+		t.Errorf("newest retained alert at step %d, want %d", last, 2*crossings)
+	}
+	if r.Fired(SevWarn) != crossings {
+		t.Errorf("lifetime warn count %d survives eviction, want %d", r.Fired(SevWarn), crossings)
 	}
 }
 
+// TestAbsentValuesSkipped: a sample without transport data or without a
+// measured slack leaves those monitors unevaluated.
 func TestAbsentValuesSkipped(t *testing.T) {
-	r := New(DefaultConfig())
-	// A sample with nothing present must evaluate no monitor.
-	if a := r.Eval(Sample{Step: 1}); len(a) != 0 {
-		t.Fatalf("empty sample fired: %+v", a)
+	r := New(true)
+	if a := r.Eval(Sample{Step: 1, HeadroomBits: 30}); len(a) != 0 {
+		t.Fatalf("sample with no retry data or slack fired: %+v", a)
 	}
-	st := r.Status("test/v0")
-	for _, m := range st.Monitors {
-		if m.Seen {
-			t.Errorf("monitor %q claims to have seen a value", m.Name)
+	for _, m := range r.Status().Monitors {
+		want := m.Name != "migration-slack" && m.Name != "retry-storm"
+		if m.Seen != want {
+			t.Errorf("monitor %q seen=%v, want %v", m.Name, m.Seen, want)
 		}
 	}
 }
 
+// TestDisableEnergyDropsMonitor: a registry for a run that does not
+// conserve energy lists the other four monitors, in table order, and a
+// wild energy swing fires nothing.
 func TestDisableEnergyDropsMonitor(t *testing.T) {
-	cfg := DefaultConfig()
-	cfg.DisableEnergy = true
-	r := New(cfg)
-	// A wild energy swing must not fire anything.
+	r := New(false)
 	r.Eval(healthySample(1, -1000))
 	if a := r.Eval(healthySample(2, -2)); len(a) != 0 {
 		t.Fatalf("disabled energy monitor fired: %+v", a)
 	}
-	for _, m := range r.Status("test/v0").Monitors {
-		if m.Name == "energy-drift" {
-			t.Fatal("energy monitor present despite DisableEnergy")
-		}
+	var names []string
+	for _, m := range r.Status().Monitors {
+		names = append(names, m.Name)
+	}
+	want := []string{"net-momentum", "overflow-headroom", "migration-slack", "retry-storm"}
+	if !slices.Equal(names, want) {
+		t.Fatalf("monitors %v, want %v", names, want)
 	}
 }
 
 // TestStatusJSON: the /healthz document marshals with stable severity
-// names and carries the schema string.
+// names.
 func TestStatusJSON(t *testing.T) {
-	r := New(DefaultConfig())
+	r := New(true)
 	r.Eval(healthySample(1, -1000))
 	smp := healthySample(2, -1000)
 	smp.HeadroomBits = 1
 	r.Eval(smp)
 
-	raw, err := json.Marshal(r.Status("anton-obs/test"))
+	raw, err := json.Marshal(r.Status())
 	if err != nil {
 		t.Fatal(err)
 	}
 	var doc struct {
-		Schema string `json:"schema"`
 		Worst  string `json:"status"`
 		Alerts []struct {
 			Monitor  string `json:"monitor"`
@@ -262,9 +264,6 @@ func TestStatusJSON(t *testing.T) {
 	}
 	if err := json.Unmarshal(raw, &doc); err != nil {
 		t.Fatal(err)
-	}
-	if doc.Schema != "anton-obs/test" {
-		t.Errorf("schema %q", doc.Schema)
 	}
 	if doc.Worst != "critical" {
 		t.Errorf("status %q, want critical", doc.Worst)
@@ -275,10 +274,10 @@ func TestStatusJSON(t *testing.T) {
 }
 
 // TestRetryStormMonitor: the transport retransmit ratio is absent on a
-// non-sharded run (HaveRetry false → silent), warns past RetryWarn and
-// latches critical past RetryCrit.
+// non-sharded run (HaveRetry false → silent), warns past 0.5 and latches
+// critical past 2.
 func TestRetryStormMonitor(t *testing.T) {
-	r := New(DefaultConfig())
+	r := New(true)
 	s := healthySample(1, -1000.0)
 	if alerts := r.Eval(s); len(alerts) != 0 {
 		t.Fatalf("sample without retry data fired %v", alerts)
@@ -289,32 +288,18 @@ func TestRetryStormMonitor(t *testing.T) {
 		t.Fatalf("quiet transport fired %v", alerts)
 	}
 
-	s.Step, s.RetryRate = 3, 0.8 // past the 0.5 warn default
+	s.Step, s.RetryRate = 3, 0.8 // past the 0.5 warn threshold
 	alerts := r.Eval(s)
 	if len(alerts) != 1 || alerts[0].Monitor != "retry-storm" || alerts[0].Severity != SevWarn {
 		t.Fatalf("retry rate 0.8 fired %v, want one retry-storm warn", alerts)
 	}
 
-	s.Step, s.RetryRate = 4, 3.0 // past the 2.0 crit default
+	s.Step, s.RetryRate = 4, 3.0 // past the 2.0 crit threshold
 	alerts = r.Eval(s)
 	if len(alerts) != 1 || alerts[0].Severity != SevCrit {
 		t.Fatalf("retry rate 3.0 fired %v, want one critical", alerts)
 	}
 	if r.Worst() != SevCrit {
 		t.Errorf("worst = %v, want critical", r.Worst())
-	}
-}
-
-// TestRetryThresholdDefaulting: a zero-valued Config must not turn the
-// retry-storm monitor into a hair trigger — New substitutes the default
-// thresholds like it does for Rearm and MaxAlerts.
-func TestRetryThresholdDefaulting(t *testing.T) {
-	cfg := DefaultConfig()
-	cfg.RetryWarn, cfg.RetryCrit = 0, 0 // pre-retry-monitor configs have these zero
-	r := New(cfg)
-	s := healthySample(1, -1000.0)
-	s.HaveRetry, s.RetryRate = true, 0.1
-	if alerts := r.Eval(s); len(alerts) != 0 {
-		t.Fatalf("zero-config retry thresholds fired %v", alerts)
 	}
 }

@@ -64,8 +64,10 @@ func (t *Telemetry) PublishSample(s StepSample) {
 	t.mu.Unlock()
 }
 
-// PublishHealth installs a watchdog status copy.
+// PublishHealth installs a watchdog status copy, stamped with this
+// process's observability schema.
 func (t *Telemetry) PublishHealth(s health.Status) {
+	s.Schema = SchemaVersion
 	t.mu.Lock()
 	t.status, t.haveStatus = s, true
 	t.mu.Unlock()

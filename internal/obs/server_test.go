@@ -53,9 +53,9 @@ func TestTelemetryEndpoints(t *testing.T) {
 	tel.PublishSnapshot(rec.Snapshot())
 	tel.PublishSample(StepSample{Step: 7, Temperature: 301.5, TotalEnergy: -950})
 
-	reg := health.New(health.DefaultConfig())
-	reg.Eval(health.Sample{Step: 1, HeadroomBits: 1, HaveHeadroom: true}) // latch critical
-	tel.PublishHealth(reg.Status(SchemaVersion))
+	reg := health.New(true)
+	reg.Eval(health.Sample{Step: 1, HeadroomBits: 1}) // latch critical
+	tel.PublishHealth(reg.Status())
 
 	if err := tel.PublishTrace(tr); err != nil {
 		t.Fatal(err)
@@ -84,9 +84,15 @@ func TestTelemetryEndpoints(t *testing.T) {
 	if code != 503 {
 		t.Fatalf("/healthz with critical latch: %d, want 503", code)
 	}
-	var st health.Status
+	var st struct {
+		Schema string `json:"schema"`
+		Worst  string `json:"status"`
+	}
 	if err := json.Unmarshal([]byte(body), &st); err != nil {
 		t.Fatalf("/healthz not JSON: %v", err)
+	}
+	if st.Schema != SchemaVersion || st.Worst != "critical" {
+		t.Fatalf("/healthz schema %q status %q, want %q critical", st.Schema, st.Worst, SchemaVersion)
 	}
 
 	// Trace round-trips.

@@ -6,12 +6,15 @@ import (
 	"math"
 	"os"
 	"testing"
+
+	"anton/internal/faults"
 )
 
 // FuzzJobSpec decodes hostile bytes the way the submit handler does
 // (unknown fields refused) and normalizes the result. Neither step may
-// panic; a spec Normalize accepts stays within the shard, node and
-// temperature caps, is a fixed point of Normalize and survives the
+// panic; a spec Normalize accepts stays within the shard, node,
+// temperature and chaos-campaign caps, is a fixed point of Normalize and
+// survives the
 // status record's JSON round trip unchanged — the stored spec is the
 // one a resumed job rebuilds its engine from.
 func FuzzJobSpec(f *testing.F) {
@@ -29,6 +32,11 @@ func FuzzJobSpec(f *testing.F) {
 		`{"system":"small","steps":10,"nodes":512}`, `{"system":"small","steps":10,"nodes":32768}`,
 		`{"system":"small","steps":1,"bogus":true}`, `{"system":"small","steps":"1"}`,
 		`{"system":"small","steps":1}{"system":"small"}`, `{not json`, ``, `null`, `[]`,
+		`{"system":"small","steps":10,"shards":8,"chaos":"crashes=2000000000"}`,
+		`{"system":"small","steps":10,"shards":8,"chaos":"drop=1,safe=1000000000"}`,
+		`{"system":"small","steps":10,"shards":8,"chaos":"stall=1,maxstall=1000h"}`,
+		`{"system":"small","steps":10,"shards":8,"chaos":"delay=1,maxdelay=1000h"}`,
+		`{"system":"small","steps":10,"shards":8,"chaos":"crashes=32,safe=8,maxdelay=100ms,maxstall=200ms"}`,
 	} {
 		f.Add([]byte(s))
 	}
@@ -47,6 +55,16 @@ func FuzzJobSpec(f *testing.F) {
 		}
 		if math.IsNaN(spec.Temperature) || math.IsInf(spec.Temperature, 0) || spec.Temperature > MaxTemperature {
 			t.Fatalf("accepted temperature %g, want finite and at most %d K", spec.Temperature, MaxTemperature)
+		}
+		if spec.Chaos != "" {
+			sp, err := faults.ParseSpec(spec.Chaos)
+			if err != nil {
+				t.Fatalf("accepted chaos %q that does not parse: %v", spec.Chaos, err)
+			}
+			if sp.Crashes > MaxChaosCrashes || sp.SafeAttempt > MaxChaosSafe ||
+				sp.MaxDelay > MaxChaosDelay || sp.MaxStall > MaxChaosStall {
+				t.Fatalf("accepted chaos campaign %+v over a cap", sp)
+			}
 		}
 		again := spec
 		if err := again.Normalize(); err != nil || again != spec {

@@ -137,7 +137,7 @@ func OpenRun(spec JobSpec, resume, ckpt, ledgerPath string, fs *faults.FS, retry
 			}
 			return nil, err
 		}
-		r.tap = core.AttachLedger(eng, r.Ledger, 0)
+		r.tap = core.AttachLedger(eng, r.Ledger)
 	}
 
 	if spec.Chaos != "" {
@@ -168,7 +168,7 @@ func OpenRun(spec JobSpec, resume, ckpt, ledgerPath string, fs *faults.FS, retry
 	r.Tracer = obs.NewTracer(4096)
 	r.Rec.Trace(r.Tracer)
 	eng.Observe(r.Rec)
-	r.Watch = core.NewWatch(eng, health.DefaultConfig(), 10)
+	r.Watch = core.NewWatch(eng)
 	if spec.Chaos != "" {
 		// A lossy campaign that pushes the retransmit ratio past the
 		// retry-storm thresholds surfaces as a watchdog alert.
@@ -299,7 +299,7 @@ func (r *Run) Persist() error {
 func (r *Run) Publish(tel *obs.Telemetry) error {
 	tel.PublishSnapshot(r.Rec.Snapshot())
 	tel.PublishSample(r.Eng.TelemetrySample())
-	tel.PublishHealth(r.Watch.Registry().Status(obs.SchemaVersion))
+	tel.PublishHealth(r.Watch.Registry().Status())
 	return tel.PublishTrace(r.Tracer)
 }
 

@@ -101,15 +101,23 @@ func TestJobSpecNormalize(t *testing.T) {
 		{System: "small", Steps: 10, Temperature: MaxTemperature + 0.5}, // over the temperature cap
 		{System: "small", Steps: 10, Temperature: 1e30},
 		{System: "small", Steps: 10, Ensemble: "nve", Temperature: math.NaN()}, // checked for NVE too
+		{System: "small", Steps: 10, Shards: 8, Chaos: "crashes=33"},           // over the chaos caps
+		{System: "small", Steps: 10, Shards: 8, Chaos: "drop=1,safe=9"},
+		{System: "small", Steps: 10, Shards: 8, Chaos: "delay=1,maxdelay=101ms"},
+		{System: "small", Steps: 10, Shards: 8, Chaos: "stall=1,maxstall=201ms"},
 	}
 	for i, s := range bad {
 		if err := s.Normalize(); err == nil {
 			t.Errorf("bad spec %d accepted: %+v", i, s)
 		}
 	}
-	atCap := JobSpec{System: "small", Steps: 10, Temperature: MaxTemperature}
-	if err := atCap.Normalize(); err != nil {
-		t.Errorf("temperature at the cap rejected: %v", err)
+	for _, atCap := range []JobSpec{
+		{System: "small", Steps: 10, Temperature: MaxTemperature},
+		{System: "small", Steps: 10, Shards: 8, Chaos: "crashes=32,safe=8,maxdelay=100ms,maxstall=200ms"},
+	} {
+		if err := atCap.Normalize(); err != nil {
+			t.Errorf("spec at the caps rejected: %v", err)
+		}
 	}
 }
 

@@ -25,6 +25,7 @@ package service
 import (
 	"fmt"
 	"math"
+	"time"
 
 	"anton/internal/faults"
 	"anton/internal/machine"
@@ -61,6 +62,39 @@ const (
 	// 1,000 K is over three times the default and twice an unfolding
 	// target, and a decade below that failure.
 	MaxTemperature = 1000
+
+	// MaxChaosCrashes caps a chaos campaign's crashes. Each crash stalls
+	// the run for one to two 2 s heartbeats of detection plus a rollback
+	// of up to checkpoint_every steps, and faults.New schedules crashes
+	// with a linear probe whose cost grows with the square of the count
+	// (20,000 crashes take over a second to schedule, a million ties up a
+	// worker in OpenRun for tens of minutes, again after every restart).
+	// 32 crashes cost at most about two minutes of detection, over five
+	// times the six the largest test campaign fires.
+	MaxChaosCrashes = 32
+
+	// MaxChaosSafe caps a chaos campaign's safe attempt, the first
+	// retransmission the plane never faults. Below it every attempt may
+	// be refused, and the retransmission timer backs off from 2 ms to
+	// 64 ms: at drop=1 an exchange waits about a quarter second for
+	// safe=8, but once safe passes about 35 it outlasts the 2 s heartbeat,
+	// so every stage times out and the run livelocks in recovery. 8 is
+	// over the largest any test uses (5).
+	MaxChaosSafe = 8
+
+	// MaxChaosDelay caps a chaos campaign's maxdelay. A delayed copy holds
+	// a goroutine and its frame until it lands, long after the
+	// retransmission timer has delivered the message, so delays far past
+	// the step time pile up in memory. 100 ms is over ten times the
+	// largest delay any test draws (7 ms).
+	MaxChaosDelay = 100 * time.Millisecond
+
+	// MaxChaosStall caps a chaos campaign's maxstall. A stall at or past
+	// the 2 s heartbeat looks like a crash: FaultConfig.Heartbeat must stay
+	// comfortably above the stall bound, or stalls turn into spurious
+	// recoveries that park the run. 200 ms is a tenth of the heartbeat and
+	// forty times the largest stall any test uses (5 ms).
+	MaxChaosStall = 200 * time.Millisecond
 )
 
 // JobSpec is the client-submitted description of one simulation job.
@@ -192,8 +226,12 @@ func (j *JobSpec) Normalize() error {
 		if j.Shards == 0 {
 			return fmt.Errorf("service: job spec: chaos requires shards > 0 (the monolithic engine has no transport to fault)")
 		}
-		if _, err := faults.ParseSpec(j.Chaos); err != nil {
+		sp, err := faults.ParseSpec(j.Chaos)
+		if err != nil {
 			return fmt.Errorf("service: job spec: %w", err)
+		}
+		if err := checkChaosCaps(sp); err != nil {
+			return fmt.Errorf("service: job spec: chaos: %w", err)
 		}
 	}
 	if len(j.IdempotencyKey) > 128 {
@@ -201,6 +239,21 @@ func (j *JobSpec) Normalize() error {
 	}
 	if j.DeadlineSec < 0 {
 		return fmt.Errorf("service: job spec: negative deadline_sec %d", j.DeadlineSec)
+	}
+	return nil
+}
+
+// checkChaosCaps holds a parsed campaign to the MaxChaos* caps.
+func checkChaosCaps(sp faults.Spec) error {
+	switch {
+	case sp.Crashes > MaxChaosCrashes:
+		return fmt.Errorf("crashes %d exceeds the %d cap", sp.Crashes, MaxChaosCrashes)
+	case sp.SafeAttempt > MaxChaosSafe:
+		return fmt.Errorf("safe %d exceeds the %d cap", sp.SafeAttempt, MaxChaosSafe)
+	case sp.MaxDelay > MaxChaosDelay:
+		return fmt.Errorf("maxdelay %v exceeds the %v cap", sp.MaxDelay, MaxChaosDelay)
+	case sp.MaxStall > MaxChaosStall:
+		return fmt.Errorf("maxstall %v exceeds the %v cap", sp.MaxStall, MaxChaosStall)
 	}
 	return nil
 }

@@ -53,15 +53,16 @@ echo "== race: long concurrency tests =="
 # and — since stage A adds arriving force frames into the canonical force
 # arrays — a migration landing on a refresh step and the measured traffic;
 # also empty shards, a single shard on a degenerate transport, the
-# zero-perturbation shard check, the watchdog's transport retry rate, the
-# stream wire bytes, the chaos trajectory invariance and replay, and the
-# ledger-replay audit of a chaos campaign. service: the HTTP surface,
+# zero-perturbation shard check, the watchdog's transport retry rate and
+# its silence through a crash rollback, the stream wire bytes, the chaos
+# trajectory invariance and replay, and the ledger-replay audit of a
+# chaos campaign. service: the HTTP surface,
 # cancel, kill/restart and graceful-stop durability, per-job ledgers,
 # worker metrics, telemetry retention, and the whole hostile-disk
 # campaign. cmd: antonsim in process against an antond job and an
 # antonaudit replay of the same spec, and its stop/resume, monolithic and
 # at 8 shards. All but the retention test assert a bitwise trajectory.
-long='TestConcurrentShardMeshSolves|TestShardInvariance|TestShardCheckpointCrossShardCount|TestCheckpointFileCrossShardResume|TestStreamChaosReorder|TestShardPhaseAttribution|TestChaosReliableNoFaults|TestChaosSingleShard|TestChaosRepeatedCrash|TestShardMigrationCoincidesWithRefresh|TestShardMeasuredComm|TestServiceHTTP|TestCancel|TestDaemonKillRestartDurability|TestGracefulStopPersistsBoundary|TestJobLedger|TestDaemonWorkerMetrics|TestTelemetryRetention|TestServiceChaos|TestCLIDigestAgreement|TestCLIResume|TestShardEmptyShardExchanges|TestShardSingleDegenerateTransport|TestShardZeroPerturbation|TestWatchTransportRetryRate|TestStreamWireDeterminism|TestChaosTrajectoryInvariance|TestChaosReplayDeterminism|TestLedgerChaosReplayAudit'
+long='TestConcurrentShardMeshSolves|TestShardInvariance|TestShardCheckpointCrossShardCount|TestCheckpointFileCrossShardResume|TestStreamChaosReorder|TestShardPhaseAttribution|TestChaosReliableNoFaults|TestChaosSingleShard|TestChaosRepeatedCrash|TestShardMigrationCoincidesWithRefresh|TestShardMeasuredComm|TestServiceHTTP|TestCancel|TestDaemonKillRestartDurability|TestGracefulStopPersistsBoundary|TestJobLedger|TestDaemonWorkerMetrics|TestTelemetryRetention|TestServiceChaos|TestCLIDigestAgreement|TestCLIResume|TestShardEmptyShardExchanges|TestShardSingleDegenerateTransport|TestShardZeroPerturbation|TestWatchTransportRetryRate|TestStreamWireDeterminism|TestChaosTrajectoryInvariance|TestChaosReplayDeterminism|TestLedgerChaosReplayAudit|TestWatchRollbackNoFalseAlert'
 
 # Guard: a test in these packages that skips or shrinks itself under
 # -short gets no raced run unless `long` names it, so one added without a
@@ -126,22 +127,41 @@ for target in core:FuzzPosFrame core:FuzzForceFrame core:FuzzRestoreCheckpoint \
 	go test -run '^$' -fuzz "^${target#*:}\$" -fuzztime 5s -fuzzminimizetime 1s "./internal/${target%%:*}"
 done
 
-echo "== trace export: generate + validate =="
+echo "== trace export and watchdog: generate + validate =="
 # Drive a short instrumented run, monolithic and at 8 shards, then
 # validate each exported Chrome trace: parses, round-trips through
 # encoding/json, monotonic ts, every phase span inside its step span, and
-# no overlap on the step or the phase lane. The two runs' checkpoints
-# must be byte-identical: the state and the long-range energy they carry
-# do not depend on the execution mode or the host's worker count.
+# no overlap on the step or the phase lane. A third run at 8 shards
+# crashes a shard and rolls back to step 0 (a traced rollback repeats
+# steps, so it exports no trace). Every run's watchdog must stay silent:
+# the crash campaign once raised a false migration-slack alert measured
+# against a drift reference from before the rollback. The three runs'
+# checkpoints must be byte-identical: the state and the long-range energy
+# they carry do not depend on the execution mode, on faults or on the
+# host's worker count.
 tmpdir="$(mktemp -d /tmp/anton-verify-XXXXXX)"
 trap 'rm -rf "$tmpdir"' EXIT
+watchdog_ok() {
+	if ! grep -qF 'watchdog: worst severity ok (0 warn, 0 critical alerts)' "$1"; then
+		echo "verify: watchdog verdict of $1:"
+		grep -F 'watchdog:' "$1" || echo "(no watchdog line)"
+		exit 1
+	fi
+}
 go run ./cmd/antonsim -system small -steps 30 -report 30 \
-	-trace "$tmpdir/trace.json" -watch -checkpoint "$tmpdir/mono.ckpt" >/dev/null
+	-trace "$tmpdir/trace.json" -watch -checkpoint "$tmpdir/mono.ckpt" >"$tmpdir/mono.out"
+watchdog_ok "$tmpdir/mono.out"
 go run scripts/validate_trace.go "$tmpdir/trace.json"
 go run ./cmd/antonsim -system small -shards 8 -steps 30 -report 30 \
-	-trace "$tmpdir/trace.json" -checkpoint "$tmpdir/shard8.ckpt" >/dev/null
+	-trace "$tmpdir/trace.json" -watch -checkpoint "$tmpdir/shard8.ckpt" >"$tmpdir/shard8.out"
+watchdog_ok "$tmpdir/shard8.out"
 go run scripts/validate_trace.go "$tmpdir/trace.json"
+go run ./cmd/antonsim -system small -shards 8 -steps 30 -report 30 \
+	-chaos 'seed=7,crashes=1,horizon=30' -watch -checkpoint "$tmpdir/chaos8.ckpt" >"$tmpdir/chaos8.out"
+watchdog_ok "$tmpdir/chaos8.out"
+grep -qF 'recoveries: 1 ' "$tmpdir/chaos8.out" || { echo "verify: the crash campaign did not roll back"; exit 1; }
 cmp "$tmpdir/mono.ckpt" "$tmpdir/shard8.ckpt"
+cmp "$tmpdir/mono.ckpt" "$tmpdir/chaos8.ckpt"
 
 echo "== bench: registry + harness at a tiny scale =="
 # bench/ is a nested module the root ./... never compiles, so a rename
