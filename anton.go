@@ -20,10 +20,11 @@
 //     the paper's force-error and order-parameter validations (§5.2).
 //
 // This package is the public facade: it re-exports the main entry points
-// from the internal implementation packages. The cmd/ binaries
-// (antonsim, antonbench, antonperf) and the examples/ directory show it
-// in use; EXPERIMENTS.md maps every table and figure of the paper to the
-// code that regenerates it.
+// from the internal implementation packages; the examples in
+// example_test.go show it in use. The cmd/antonsim binary runs a
+// simulation, cmd/antonbench regenerates every table and figure of the
+// paper, and EXPERIMENTS.md maps each of them to its antonbench
+// experiment.
 package anton
 
 import (

@@ -13,6 +13,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"strings"
 
@@ -28,13 +29,6 @@ type experiment struct {
 var registry = []experiment{
 	{"table1", false, func(bool) (string, error) { return experiments.Table1() }},
 	{"table2", false, func(bool) (string, error) { return experiments.Table2() }},
-	{"table2-measured", true, func(full bool) (string, error) {
-		steps := 10
-		if full {
-			steps = 50
-		}
-		return experiments.Table2Measured(steps)
-	}},
 	{"table3", false, func(full bool) (string, error) {
 		samples := 200000
 		if full {
@@ -109,10 +103,18 @@ var registry = []experiment{
 	}},
 }
 
-func main() {
-	which := flag.String("experiment", "cheap", "experiment name, 'all', or 'cheap' (skip dynamics runs)")
-	full := flag.Bool("full", false, "use full-length runs for the expensive experiments")
-	flag.Parse()
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
+
+// run is main with its process state passed in: the exit code is 2 for a
+// flag error, 1 for an unknown or failed experiment, else 0.
+func run(args []string, stdout, stderr io.Writer) int {
+	fl := flag.NewFlagSet("antonbench", flag.ContinueOnError)
+	fl.SetOutput(stderr)
+	which := fl.String("experiment", "cheap", "experiment name, 'all', or 'cheap' (skip dynamics runs)")
+	full := fl.Bool("full", false, "use full-length runs for the expensive experiments")
+	if err := fl.Parse(args); err != nil {
+		return 2
+	}
 
 	var selected []experiment
 	switch *which {
@@ -126,35 +128,41 @@ func main() {
 		}
 	default:
 		for _, want := range strings.Split(*which, ",") {
-			found := false
-			for _, e := range registry {
-				if e.name == want {
-					selected = append(selected, e)
-					found = true
-				}
-			}
-			if !found {
-				fmt.Fprintf(os.Stderr, "unknown experiment %q; available:\n", want)
+			e, ok := lookup(want)
+			if !ok {
+				fmt.Fprintf(stderr, "unknown experiment %q; available:\n", want)
 				for _, e := range registry {
-					fmt.Fprintf(os.Stderr, "  %s\n", e.name)
+					fmt.Fprintf(stderr, "  %s\n", e.name)
 				}
-				os.Exit(1)
+				return 1
 			}
+			selected = append(selected, e)
 		}
 	}
 
 	failed := false
 	for _, e := range selected {
-		fmt.Printf("==================== %s ====================\n", e.name)
+		fmt.Fprintf(stdout, "==================== %s ====================\n", e.name)
 		out, err := e.run(*full)
-		fmt.Print(out)
+		fmt.Fprint(stdout, out)
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "experiment %s: %v\n", e.name, err)
+			fmt.Fprintf(stderr, "experiment %s: %v\n", e.name, err)
 			failed = true
 		}
-		fmt.Println()
+		fmt.Fprintln(stdout)
 	}
 	if failed {
-		os.Exit(1)
+		return 1
 	}
+	return 0
+}
+
+// lookup finds a registry entry by name.
+func lookup(name string) (experiment, bool) {
+	for _, e := range registry {
+		if e.name == name {
+			return e, true
+		}
+	}
+	return experiment{}, false
 }

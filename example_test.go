@@ -47,8 +47,9 @@ func ExampleProjectRate() {
 }
 
 // ExampleEngine_NegateVelocities demonstrates exact time reversibility:
-// run forward, negate velocities, run back, recover the start bit for
-// bit (paper section 4; requires no constraints and no thermostat).
+// run forward, negate velocities, run back, and recover the start bit for
+// bit — the positions, and the velocities negated (paper section 4;
+// requires no constraints and no thermostat).
 func ExampleEngine_NegateVelocities() {
 	// Reversibility needs an unconstrained, unthermostatted system.
 	ionic, err := anton.IonicFluid(40, 14, 6, 16, 5)
@@ -63,18 +64,23 @@ func ExampleEngine_NegateVelocities() {
 	}
 	rng := rand.New(rand.NewSource(3))
 	eng.SetVelocities(anton.MaxwellVelocities(ionic, 300, rng))
-	p0, _ := eng.Snapshot()
+	p0, v0 := eng.Snapshot()
 	eng.Step(20)
 	eng.NegateVelocities()
 	eng.Step(20)
-	p1, _ := eng.Snapshot()
-	same := true
+	p1, v1 := eng.Snapshot()
+	samePos, negVel := true, true
 	for i := range p0 {
 		if p0[i] != p1[i] {
-			same = false
+			samePos = false
+		}
+		if v1[i] != v0[i].Neg() {
+			negVel = false
 		}
 	}
-	fmt.Println("recovered bit-for-bit:", same)
+	fmt.Println("positions recovered bit-for-bit:", samePos)
+	fmt.Println("velocities recovered negated:", negVel)
 	// Output:
-	// recovered bit-for-bit: true
+	// positions recovered bit-for-bit: true
+	// velocities recovered negated: true
 }

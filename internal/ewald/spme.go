@@ -142,8 +142,19 @@ func splineWeights(p int, u float64, w, dw []float64) int {
 
 // LongRange computes the smooth Ewald component energy (including the self
 // term — remove via Split.SelfEnergy) and accumulates forces into f when
-// non-nil.
+// non-nil: Spread, Convolve, Interpolate.
 func (p *SPME) LongRange(atoms []ff.Atom, r []vec.V3, f []vec.V3) float64 {
+	p.Spread(atoms, r)
+	energy := p.Convolve()
+	if f != nil {
+		p.Interpolate(atoms, f)
+	}
+	return energy
+}
+
+// Spread assigns the atom charges to the mesh with order-p B-splines,
+// caching each atom's spline weights for Interpolate.
+func (p *SPME) Spread(atoms []ff.Atom, r []vec.V3) {
 	n := len(atoms)
 	ord := p.Order
 	// Per-atom spline data, cached between the spread and force passes
@@ -179,8 +190,13 @@ func (p *SPME) LongRange(atoms []ff.Atom, r []vec.V3, f []vec.V3) float64 {
 			}
 		}
 	}
+}
 
-	// E = sum_k W(k) |FFT(Q)(k)|^2; phi = 2*N^3*IFFT[W * FFT(Q)].
+// Convolve transforms the spread charge, applies the influence function
+// and transforms back, returning the smooth energy
+// E = sum_k W(k) |FFT(Q)(k)|^2; the mesh then holds
+// phi/(2*N^3) = IFFT[W * FFT(Q)]. Call after Spread.
+func (p *SPME) Convolve() float64 {
 	p.mesh.Forward3()
 	energy := 0.0
 	for idx, w := range p.w {
@@ -189,37 +205,42 @@ func (p *SPME) LongRange(atoms []ff.Atom, r []vec.V3, f []vec.V3) float64 {
 		p.mesh.Data[idx] = v * complex(w, 0)
 	}
 	p.mesh.Inverse3()
-	ntot := float64(p.Nx * p.Ny * p.Nz)
+	return energy
+}
 
-	if f != nil {
-		for i := 0; i < n; i++ {
-			q := atoms[i].Charge
-			if q == 0 {
-				continue
-			}
-			s := &spls[i]
-			var gx, gy, gz float64 // dE/du per scaled coordinate
-			for tz := 0; tz < ord; tz++ {
-				kz := mod(s.j0z+tz, p.Nz)
-				for ty := 0; ty < ord; ty++ {
-					ky := mod(s.j0y+ty, p.Ny)
-					rowBase := (kz*p.Ny + ky) * p.Nx
-					for tx := 0; tx < ord; tx++ {
-						kx := mod(s.j0x+tx, p.Nx)
-						phi := 2 * ntot * real(p.mesh.Data[rowBase+kx])
-						gx += phi * s.dx[tx] * s.wy[ty] * s.wz[tz]
-						gy += phi * s.wx[tx] * s.dy[ty] * s.wz[tz]
-						gz += phi * s.wx[tx] * s.wy[ty] * s.dz[tz]
-					}
+// Interpolate gathers the mesh potential back onto the atoms with the
+// spline weights Spread cached, accumulating forces into f. Call after
+// Convolve, with the atoms passed to Spread.
+func (p *SPME) Interpolate(atoms []ff.Atom, f []vec.V3) {
+	ord := p.Order
+	spls := p.spls[:len(atoms)]
+	ntot := float64(p.Nx * p.Ny * p.Nz)
+	for i := range atoms {
+		q := atoms[i].Charge
+		if q == 0 {
+			continue
+		}
+		s := &spls[i]
+		var gx, gy, gz float64 // dE/du per scaled coordinate
+		for tz := 0; tz < ord; tz++ {
+			kz := mod(s.j0z+tz, p.Nz)
+			for ty := 0; ty < ord; ty++ {
+				ky := mod(s.j0y+ty, p.Ny)
+				rowBase := (kz*p.Ny + ky) * p.Nx
+				for tx := 0; tx < ord; tx++ {
+					kx := mod(s.j0x+tx, p.Nx)
+					phi := 2 * ntot * real(p.mesh.Data[rowBase+kx])
+					gx += phi * s.dx[tx] * s.wy[ty] * s.wz[tz]
+					gy += phi * s.wx[tx] * s.dy[ty] * s.wz[tz]
+					gz += phi * s.wx[tx] * s.wy[ty] * s.dz[tz]
 				}
 			}
-			// F = -dE/dr = -q * dE/du * du/dr, du/dx = N/L.
-			f[i] = f[i].Add(vec.V3{
-				X: -q * gx * float64(p.Nx) / p.box.L.X,
-				Y: -q * gy * float64(p.Ny) / p.box.L.Y,
-				Z: -q * gz * float64(p.Nz) / p.box.L.Z,
-			})
 		}
+		// F = -dE/dr = -q * dE/du * du/dr, du/dx = N/L.
+		f[i] = f[i].Add(vec.V3{
+			X: -q * gx * float64(p.Nx) / p.box.L.X,
+			Y: -q * gy * float64(p.Ny) / p.box.L.Y,
+			Z: -q * gz * float64(p.Nz) / p.box.L.Z,
+		})
 	}
-	return energy
 }

@@ -1,8 +1,11 @@
 package experiments
 
 import (
+	"regexp"
 	"strings"
 	"testing"
+
+	"anton/internal/system"
 )
 
 func TestTable1(t *testing.T) {
@@ -22,20 +25,15 @@ func TestTable2(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, want := range []string{"Range-limited", "FFT", "slowdown", "speedup"} {
+	for _, want := range []string{"Range-limited", "FFT", "slowdown", "speedup", "parameter sweep", "x86 ms"} {
 		if !strings.Contains(out, want) {
 			t.Errorf("Table2 missing %q", want)
 		}
 	}
-}
-
-func TestTable2Measured(t *testing.T) {
-	out, err := Table2Measured(4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(out, "Range-limited") {
-		t.Errorf("measured profile malformed:\n%s", out)
+	// The sweep covers cutoff 9/11/13/15 Å × mesh 32/64: eight rows.
+	sweep := regexp.MustCompile(`(?m)^(9|11|13|15)\.0 +(32|64) `)
+	if n := len(sweep.FindAllString(out, -1)); n != 8 {
+		t.Errorf("Table2 sweep has %d rows, want 8:\n%s", n, out)
 	}
 }
 
@@ -134,7 +132,11 @@ func TestPartitionReport(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, want := range []string{"512 nodes", "cluster", "Anton-512 over cluster-512"} {
+	for _, want := range []string{
+		"512 nodes", "cluster", "Anton-512 over cluster-512",
+		"Anton     1 nodes", "Anton 32768 nodes", "cluster 2048 nodes",
+		"us/step(LR)", "subdiv", "ME", "32768      32x32x32",
+	} {
 		if !strings.Contains(out, want) {
 			t.Errorf("Partition missing %q", want)
 		}
@@ -243,11 +245,33 @@ func TestProfileMeasured(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, want := range []string{
-		"range-limited", "FFT", "mesh spread+interp", "bonded",
+		"range-limited", "FFT", "mesh spread+interp", "bonded", "pair list / migration",
+		"core ms", "refmd ms", "core/refmd",
 		"match efficiency", "migration-interval drift", "residency slack",
 	} {
 		if !strings.Contains(out, want) {
 			t.Errorf("profile report missing %q:\n%s", want, out)
+		}
+	}
+
+	s, err := system.Small(true, 77)
+	if err != nil {
+		t.Fatal(err)
+	}
+	d, err := profileData(s, 4, 8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(d.Groups) != pipelineRows+1 {
+		t.Fatalf("%d profile rows, want %d", len(d.Groups), pipelineRows+1)
+	}
+	for _, g := range d.Groups {
+		// Every row is timed on both engines; refmd's FFT and mesh rows
+		// in particular must both fill (spread and gather are booked
+		// apart from the transforms).
+		if g.MeasuredNs <= 0 || g.RefmdNs <= 0 {
+			t.Errorf("row %q: core %d ns, refmd %d ns; both engines must book it",
+				g.Name, g.MeasuredNs, g.RefmdNs)
 		}
 	}
 }

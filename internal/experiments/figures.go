@@ -92,7 +92,7 @@ func Fig3() (string, error) {
 		fmt.Fprintf(&b, "%-10g %12.0f %12.0f %10.2f %12.0f %12.0f\n",
 			side, c.ImportVolume(), c.HalfShellImportVolume(),
 			c.ImportVolume()/c.HalfShellImportVolume(),
-			c.MeshPlateImportVolume(13*7.1/10.4), c2.SubboxImportVolume())
+			c.MeshPlateImportVolume(system.RSpreadFor(13)), c2.SubboxImportVolume())
 	}
 	fmt.Fprintf(&b, "(the NT advantage grows as boxes shrink — higher parallelism)\n")
 	return b.String(), nil
@@ -224,6 +224,11 @@ func abs(x float64) float64 {
 	return x
 }
 
+// foldedQ and unfoldedQ are Fig7's state thresholds on the native-contact
+// fraction Q: above foldedQ the chain is folded, below unfoldedQ
+// unfolded, and a transition is a crossing from one to the other.
+const foldedQ, unfoldedQ = 0.72, 0.35
+
 // Fig7 reproduces the folding/unfolding trace: a structure-based model
 // run at a temperature near its melting point, reporting the Q(t) series
 // and the number of folded/unfolded transitions (the paper observed "a
@@ -256,19 +261,20 @@ func Fig7(steps int) (string, error) {
 	for _, T := range []float64{520, 560, 600} {
 		sim := gomodel.NewSim(model, T, 17)
 		q := sim.FoldingTrace(steps, steps/200)
-		n := analysis.TransitionCount(q, 0.72, 0.35)
+		n := analysis.TransitionCount(q, foldedQ, unfoldedQ)
 		fmt.Fprintf(&b, "T=%4.0fK: %3d transitions, mean Q %.2f\n", T, n, analysis.Mean(q))
 		if n > best {
 			best, bestT, bestQ = n, T, q
 		}
 	}
-	fmt.Fprintf(&b, "\nQ(t) at T=%.0fK (one row per sample; * marks folded >0.75, . unfolded <0.35):\n", bestT)
+	fmt.Fprintf(&b, "\nQ(t) at T=%.0fK (one row per sample; * marks folded >%.2f, . unfolded <%.2f):\n",
+		bestT, foldedQ, unfoldedQ)
 	line := make([]byte, 0, len(bestQ))
 	for _, q := range bestQ {
 		switch {
-		case q > 0.72:
+		case q > foldedQ:
 			line = append(line, '*')
-		case q < 0.35:
+		case q < unfoldedQ:
 			line = append(line, '.')
 		default:
 			line = append(line, '-')

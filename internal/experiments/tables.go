@@ -5,9 +5,8 @@
 // Figure 5, the order-parameter comparison of Figure 6, the
 // folding/unfolding trace of Figure 7, the import-region comparison
 // behind Figure 3, and the section 4/5.1 property and scaling
-// experiments. Each experiment returns a formatted text report; the
-// cmd/antonbench binary and the top-level benchmark suite both drive
-// these entry points.
+// experiments. Each experiment returns a formatted text report, and
+// cmd/antonbench's registry is the one program that drives them.
 package experiments
 
 import (
@@ -74,7 +73,7 @@ func Table2() (string, error) {
 		w := machine.WorkloadFromSpec(spec)
 		w.Cutoff = cutoff
 		w.Mesh = mesh
-		w.RSpread = cutoff * 7.1 / 10.4
+		w.RSpread = system.RSpreadFor(cutoff)
 		return w
 	}
 	small := mkWorkload(9, 64)
@@ -105,36 +104,21 @@ func Table2() (string, error) {
 	fmt.Fprintf(&b, "\npaper totals: 88.5 ms | 184.5 ms | 39.2 us | 15.4 us\n")
 	fmt.Fprintf(&b, "x86 slowdown from parameter change: %.2fx (paper ~2.1x)\n", x86L.Total/x86S.Total)
 	fmt.Fprintf(&b, "Anton speedup from parameter change: %.2fx (paper ~2.5x)\n", antS.TotalLongRange/antL.TotalLongRange)
-	return b.String(), nil
-}
 
-// Table2Measured runs the actual Go reference engine on a reduced system
-// and reports the measured wall-time shares per task — confirming that
-// the commodity profile *shape* (range-limited dominance) emerges from a
-// real implementation, not only the analytic model.
-func Table2Measured(steps int) (string, error) {
-	s, err := system.Small(true, 77)
-	if err != nil {
-		return "", err
-	}
-	cfg := refmd.DefaultConfig(s)
-	e, err := refmd.NewEngine(s, cfg)
-	if err != nil {
-		return "", err
-	}
-	rng := rand.New(rand.NewSource(7))
-	e.SetVelocities(system.InitVelocities(s.Top, 300, rng))
-	e.Step(steps)
-
-	var total float64
-	for t := refmd.TaskRangeLimited; t <= refmd.TaskPairList; t++ {
-		total += e.Profile[t].Seconds()
-	}
-	var b strings.Builder
-	fmt.Fprintf(&b, "Measured Go reference-engine profile (%d atoms, %d steps):\n", s.NAtoms(), steps)
-	for t := refmd.TaskRangeLimited; t <= refmd.TaskPairList; t++ {
-		sec := e.Profile[t].Seconds()
-		fmt.Fprintf(&b, "%-22s %8.2f ms  (%4.1f%%)\n", refmd.TaskNames[t], sec*1e3, 100*sec/total)
+	// The same trade-off across the parameter plane: a longer cutoff
+	// with a coarser mesh moves work from the FFT to the pipelines, which
+	// Anton absorbs and the x86 core does not.
+	fmt.Fprintf(&b, "\nelectrostatics parameter sweep: Anton (512 nodes) and x86 per-step totals\n")
+	fmt.Fprintf(&b, "%-8s %6s %12s %12s %12s %10s %10s\n",
+		"cutoff", "mesh", "range(us)", "FFT(us)", "mesh(us)", "us/day", "x86 ms")
+	for _, cutoff := range []float64{9, 11, 13, 15} {
+		for _, mesh := range []int{32, 64} {
+			w := mkWorkload(cutoff, mesh)
+			p := machine.DefaultModel.Estimate(m, w)
+			fmt.Fprintf(&b, "%-8.1f %6d %12.2f %12.2f %12.2f %10.2f %10.1f\n",
+				cutoff, mesh, p.RangeLimited*1e6, p.FFT*1e6, p.MeshInterp*1e6, p.RatePerDay,
+				machine.DefaultX86.Estimate(w).Total*1e3)
+		}
 	}
 	return b.String(), nil
 }

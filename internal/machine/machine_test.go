@@ -61,7 +61,7 @@ func dhfrWorkload(cutoff float64, mesh int) Workload {
 	w := WorkloadFromSpec(spec)
 	w.Cutoff = cutoff
 	w.Mesh = mesh
-	w.RSpread = cutoff * 7.1 / 10.4
+	w.RSpread = system.RSpreadFor(cutoff)
 	return w
 }
 

@@ -52,7 +52,7 @@ func WorkloadFromSpec(spec system.Spec) Workload {
 		Side:         spec.Side,
 		Cutoff:       spec.Cutoff,
 		Mesh:         spec.Mesh,
-		RSpread:      spec.Cutoff * 7.1 / 10.4,
+		RSpread:      system.RSpreadFor(spec.Cutoff),
 		BondTerms:    bondTerms,
 		Exclusions:   exclusions,
 		Dt:           2.5,

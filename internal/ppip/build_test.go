@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"anton/internal/ewald"
+	"anton/internal/system"
 )
 
 // refBuild is Build as a serial loop, the parallel fit's oracle: one fit
@@ -61,7 +62,7 @@ func refBuild(f func(x float64) float64, scheme Scheme, mantissaBits uint) (*Tab
 }
 
 // engineKernels are the five tables an engine of the `small` system
-// builds (cutoff 7 Å, Ewald tolerance 1e-5, r_spread 7·7.1/10.4 Å).
+// builds (cutoff 7 Å, Ewald tolerance 1e-5, r_spread system.RSpreadFor(7)).
 func engineKernels() []Kernel {
 	const cutoff = 7.0
 	sigma := ewald.SigmaForCutoff(cutoff, 1e-5)
@@ -70,7 +71,7 @@ func engineKernels() []Kernel {
 		{Kind: ErfcEnergy, Sigma: sigma, RCut: cutoff, RMin: 0.9},
 		{Kind: LJ12, RCut: cutoff, RMin: 1.1},
 		{Kind: LJ6, RCut: cutoff, RMin: 1.1},
-		{Kind: GaussianSpread, Sigma: sigma / math.Sqrt2, RCut: cutoff * 7.1 / 10.4},
+		{Kind: GaussianSpread, Sigma: sigma / math.Sqrt2, RCut: system.RSpreadFor(cutoff)},
 	}
 }
 

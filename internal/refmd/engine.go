@@ -31,7 +31,7 @@ type Task int
 
 const (
 	TaskRangeLimited Task = iota
-	TaskFFT               // mesh convolution including both FFTs
+	TaskFFT               // forward and inverse FFT with the k-space multiply (or the exact k-space sum)
 	TaskMeshInterp        // charge spreading + force interpolation
 	TaskCorrection        // excluded-pair and 1-4 corrections
 	TaskBonded
@@ -346,14 +346,29 @@ func (e *Engine) ComputeForces() {
 		w := float64(e.Cfg.MTSInterval)
 		lrF := make([]vec.V3, n)
 		lrE := 0.0
+		// Each mesh method's LongRange in its three stages, so that
+		// spreading and gathering are booked under Mesh interpolation
+		// and only the transforms under FFT.
 		switch {
 		case e.spme != nil:
 			t0 = time.Now()
-			lrE += e.spme.LongRange(top.Atoms, e.R, lrF)
+			e.spme.Spread(top.Atoms, e.R)
+			e.Profile[TaskMeshInterp] += time.Since(t0)
+			t0 = time.Now()
+			lrE += e.spme.Convolve()
 			e.Profile[TaskFFT] += time.Since(t0)
+			t0 = time.Now()
+			e.spme.Interpolate(top.Atoms, lrF)
+			e.Profile[TaskMeshInterp] += time.Since(t0)
 		case e.gse != nil:
 			t0 = time.Now()
-			lrE += e.gse.LongRange(top.Atoms, e.R, lrF)
+			e.gse.Spread(top.Atoms, e.R)
+			e.Profile[TaskMeshInterp] += time.Since(t0)
+			t0 = time.Now()
+			e.gse.Convolve()
+			e.Profile[TaskFFT] += time.Since(t0)
+			t0 = time.Now()
+			lrE += e.gse.EnergyAndForces(top.Atoms, e.R, lrF)
 			e.Profile[TaskMeshInterp] += time.Since(t0)
 		default:
 			t0 = time.Now()
@@ -377,11 +392,14 @@ func (e *Engine) ComputeForces() {
 	}
 	energy += e.longRangeEnergy
 
-	// Bonded terms and the scaled 1-4 interactions (fast loop).
+	// Bonded terms and the scaled 1-4 interactions (fast loop); the 1-4
+	// terms are corrections, booked as such.
 	t0 = time.Now()
 	energy += ff.BondedForces(top, box, e.R, e.F)
-	energy += e.correct14(e.F)
 	e.Profile[TaskBonded] += time.Since(t0)
+	t0 = time.Now()
+	energy += e.correct14(e.F)
+	e.Profile[TaskCorrection] += time.Since(t0)
 
 	// Virtual-site force spreading.
 	ff.SpreadVSiteForces(top, e.F)

@@ -190,13 +190,14 @@ func Build(spec Spec) (*System, error) {
 		Model:        spec.Model,
 		Cutoff:       spec.Cutoff,
 		Mesh:         spec.Mesh,
-		RSpread:      rspreadFor(spec.Cutoff),
+		RSpread:      RSpreadFor(spec.Cutoff),
 	}, nil
 }
 
-// rspreadFor picks the charge-spreading cutoff: roughly 0.68 of the
-// range-limited cutoff, the ratio of the paper's BPTI run (7.1 / 10.4).
-func rspreadFor(cutoff float64) float64 { return cutoff * 7.1 / 10.4 }
+// RSpreadFor is the charge-spreading cutoff for a range-limited cutoff:
+// roughly 0.68 of it, the ratio of the paper's BPTI run (7.1 / 10.4).
+// Every system builder, workload model and experiment uses this one rule.
+func RSpreadFor(cutoff float64) float64 { return cutoff * 7.1 / 10.4 }
 
 func randomUnit(rng *rand.Rand) vec.V3 {
 	for {

@@ -74,6 +74,6 @@ func IonicFluid(nPairs int, side float64, cutoff float64, mesh int, seed int64) 
 		R:       r,
 		Cutoff:  cutoff,
 		Mesh:    mesh,
-		RSpread: rspreadFor(cutoff),
+		RSpread: RSpreadFor(cutoff),
 	}, nil
 }

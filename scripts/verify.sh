@@ -1,9 +1,9 @@
 #!/bin/sh
 # Verification gate: formatting, static analysis, the race detector over
 # every package, the long concurrency tests the short pass skips, a
-# repeated determinism pass, the trace export, and the benchmark's own
-# gate. Run before merging; `make bench` is where performance numbers
-# come from.
+# repeated determinism pass, the trace export, the cheap paper
+# experiments, and the benchmark's own gate. Run before merging; `make
+# bench` is where performance numbers come from.
 set -eu
 
 cd "$(dirname "$0")/.."
@@ -162,6 +162,15 @@ watchdog_ok "$tmpdir/chaos8.out"
 grep -qF 'recoveries: 1 ' "$tmpdir/chaos8.out" || { echo "verify: the crash campaign did not roll back"; exit 1; }
 cmp "$tmpdir/mono.ckpt" "$tmpdir/shard8.ckpt"
 cmp "$tmpdir/mono.ckpt" "$tmpdir/chaos8.ckpt"
+
+echo "== antonbench: the cheap experiments, twice =="
+# README's first experiment command: every model-only table and figure.
+# The reports are deterministic (seeded sampling, no wall clock), so two
+# runs must print the same bytes.
+go build -o "$tmpdir/antonbench" ./cmd/antonbench
+"$tmpdir/antonbench" -experiment cheap >"$tmpdir/cheap1.out"
+"$tmpdir/antonbench" -experiment cheap >"$tmpdir/cheap2.out"
+cmp "$tmpdir/cheap1.out" "$tmpdir/cheap2.out"
 
 echo "== bench: registry + harness at a tiny scale =="
 # bench/ is a nested module the root ./... never compiles, so a rename
