@@ -113,7 +113,7 @@ func main() {
 	fmt.Fprintf(sum, "topology: %d bonds, %d angles, %d dihedrals, %d impropers,\n",
 		len(s.Top.Bonds), len(s.Top.Angles), len(s.Top.Dihedrals), len(s.Top.Impropers))
 	fmt.Fprintf(sum, "          %d constraints, %d exclusions, %d scaled 1-4 pairs\n",
-		len(s.Top.Constraints), s.Top.NumExclusions(), len(s.Top.Pairs14))
+		len(s.Top.Constraints), len(s.Top.Exclusions), len(s.Top.Pairs14))
 	fmt.Fprintf(sum, "degrees of freedom: %d\n", s.Top.DegreesOfFreedom())
 	if err := sum.Close(); err != nil {
 		fail(err)

@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"anton/internal/faults"
+	"anton/internal/obs"
 	"anton/internal/obs/health"
 )
 
@@ -313,5 +314,50 @@ func TestWatchRollbackNoFalseAlert(t *testing.T) {
 	}
 	if got := w.Drain(); len(got) != 0 || len(want) != 0 {
 		t.Fatalf("crash campaign fired %+v, fault-free run %+v; want none", got, want)
+	}
+}
+
+// TestTraceRollbackSpansOnce: a traced crash campaign at 8 shards keeps
+// one step span per step number, and every phase span inside the step
+// span of its step. The spans of the steps a rollback abandons are
+// dropped at recovery, so the replay records them once.
+func TestTraceRollbackSpansOnce(t *testing.T) {
+	sh := smallWaterSharded(t, 8, nil)
+	rec, tr := tracedRecorder()
+	sh.Observe(rec)
+	sp, err := faults.ParseSpec("seed=7,crashes=1,horizon=30")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := sh.EnableFaults(chaosConfig(faults.New(sp, sh.Shards()))); err != nil {
+		t.Fatal(err)
+	}
+	sh.Step(30)
+	if err := sh.Err(); err != nil {
+		t.Fatal(err)
+	}
+	if n := sh.FaultReport().Recoveries; n == 0 {
+		t.Fatal("campaign never rolled back")
+	}
+	steps := map[int64]obs.Span{} // the last span of each step number
+	nStep := 0
+	for _, s := range tr.Spans() {
+		if s.Tid == obs.TidStep {
+			steps[s.Step] = s
+			nStep++
+		}
+	}
+	for _, s := range tr.Spans() {
+		if s.Tid != obs.TidPhases {
+			continue
+		}
+		st, ok := steps[s.Step]
+		if !ok || s.TS < st.TS || s.TS+s.Dur > st.TS+st.Dur {
+			t.Fatalf("phase span %q [%d, %d] is not inside step %d [%d, %d]",
+				s.Name, s.TS, s.TS+s.Dur, s.Step, st.TS, st.TS+st.Dur)
+		}
+	}
+	if nStep != len(steps) || len(steps) != 30 {
+		t.Errorf("%d step spans over %d step numbers, want one for each of 30 steps", nStep, len(steps))
 	}
 }

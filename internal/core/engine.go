@@ -118,13 +118,9 @@ type Engine struct {
 	subPairs [][2]int32 // interacting subbox pairs (linear ids)
 
 	// pk is the cache-resident cluster pair kernel: slot-indexed SoA
-	// gather of the subbox decomposition plus exclusion partner lists
-	// (pairkernel.go).
+	// gather of the subbox decomposition (pairkernel.go). Its exclusion
+	// merge scan reads the topology's per-atom Skip lists.
 	pk pairKernel
-
-	// Static interaction bookkeeping.
-	exclList [][2]int32 // sorted exclusion list (correction pipeline)
-	pair14   []ff.Pair14
 
 	mesh *meshSolver
 
@@ -258,21 +254,6 @@ func NewEngine(s *system.System, cfg Config) (*Engine, error) {
 		e.Pos[i] = e.Coder.Encode(r)
 	}
 	e.placeVSitesFixed()
-
-	// Static exclusion bookkeeping: per-atom sorted partner lists for the
-	// pair kernel's merge scan (replacing the old per-pair hash lookups)
-	// and the sorted exclusion list for the correction pipeline.
-	e.pk.buildExclusions(s.Top, s.NAtoms())
-	s.Top.ExcludedPairs(func(i, j int) {
-		e.exclList = append(e.exclList, [2]int32{int32(i), int32(j)})
-	})
-	sort.Slice(e.exclList, func(a, b int) bool {
-		if e.exclList[a][0] != e.exclList[b][0] {
-			return e.exclList[a][0] < e.exclList[b][0]
-		}
-		return e.exclList[a][1] < e.exclList[b][1]
-	})
-	e.pair14 = s.Top.Pairs14
 
 	// Constraint groups, extended with singletons so every atom belongs
 	// to exactly one group whose leader determines the home box.
@@ -767,28 +748,8 @@ func (e *Engine) bondedChunk(w, lo, hi int) {
 // buffers.
 func (e *Engine) bondedTerm(t int, r, scratch []vec.V3, buf []Force3) int64 {
 	top := e.Sys.Top
-	box := e.Sys.Box
-	var atoms [4]int
-	var n int
-	var eTerm float64
-	switch {
-	case t < len(top.Bonds):
-		b := &top.Bonds[t]
-		atoms, n = [4]int{b.I, b.J}, 2
-		eTerm = ff.BondForce(b, box, r, scratch)
-	case t < len(top.Bonds)+len(top.Angles):
-		a := &top.Angles[t-len(top.Bonds)]
-		atoms, n = [4]int{a.I, a.J, a.K}, 3
-		eTerm = ff.AngleForce(a, box, r, scratch)
-	case t < len(top.Bonds)+len(top.Angles)+len(top.Dihedrals):
-		d := &top.Dihedrals[t-len(top.Bonds)-len(top.Angles)]
-		atoms, n = [4]int{d.I, d.J, d.K, d.L}, 4
-		eTerm = ff.DihedralForce(d, box, r, scratch)
-	default:
-		im := &top.Impropers[t-len(top.Bonds)-len(top.Angles)-len(top.Dihedrals)]
-		atoms, n = [4]int{im.I, im.J, im.K, im.L}, 4
-		eTerm = ff.ImproperForce(im, box, r, scratch)
-	}
+	eTerm := top.BondedTermForce(t, e.Sys.Box, r, scratch)
+	atoms, n := top.BondedTermAtoms(t)
 	for _, a := range atoms[:n] {
 		buf[a] = buf[a].AddRaw(
 			htis.QuantizeForce(scratch[a].X),
@@ -804,8 +765,7 @@ func (e *Engine) bondedTerm(t int, r, scratch []vec.V3, buf []Force3) int64 {
 // geometry core) from the cached decoded positions and accumulates the
 // quantized per-atom contributions.
 func (e *Engine) bondedForces() {
-	top := e.Sys.Top
-	nTerms := len(top.Bonds) + len(top.Angles) + len(top.Dihedrals) + len(top.Impropers)
+	nTerms := e.Sys.Top.NumBondedTerms()
 	if nTerms == 0 {
 		return
 	}
@@ -823,8 +783,9 @@ func (e *Engine) bondedForces() {
 func (e *Engine) exclusionCorrections() {
 	workers := e.workers()
 	bufs := e.forceBuffers(workers, len(e.fLong))
-	parallelChunks(len(e.exclList), workers, func(w, lo, hi int) {
-		e.workerDiag[w].mesh += e.exclScan(e.exclList[lo:hi], e.Pos, bufs[w])
+	excl := e.Sys.Top.Exclusions
+	parallelChunks(len(excl), workers, func(w, lo, hi int) {
+		e.workerDiag[w].mesh += e.exclScan(excl[lo:hi], e.Pos, bufs[w])
 	})
 	e.reduceForces(e.fLong, bufs, nil, workers)
 }
@@ -864,8 +825,9 @@ func (e *Engine) exclScan(list [][2]int32, pos []fixp.Vec3, dst []Force3) int64 
 // they run in the fast loop (every step) on the correction pipeline.
 func (e *Engine) pair14Forces() {
 	var energy int64
-	for i := range e.pair14 {
-		energy += e.pair14One(&e.pair14[i], e.Pos, e.fShort)
+	pairs := e.Sys.Top.Pairs14
+	for i := range pairs {
+		energy += e.pair14One(&pairs[i], e.Pos, e.fShort)
 	}
 	e.workerDiag[0].correction += energy
 }

@@ -1,8 +1,6 @@
 package core
 
 import (
-	"sort"
-
 	"anton/internal/ff"
 	"anton/internal/nt"
 )
@@ -14,18 +12,9 @@ import (
 // ~100,000 steps as atoms migrate (paper §3.2.3). This file models that
 // assignment and its quality metrics.
 
-// termKind distinguishes the bonded term types for costing.
-type termKind int
-
-const (
-	termBond termKind = iota
-	termAngle
-	termDihedral
-	termImproper
-)
-
-// termCost is the relative GC evaluation cost of each term type.
-var termCost = [...]int{termBond: 2, termAngle: 3, termDihedral: 5, termImproper: 5}
+// termCost is the relative GC evaluation cost of a bonded term by its
+// atom count: a bond 2, an angle 3, a dihedral or improper torsion 5.
+var termCost = [...]int{2: 2, 3: 3, 4: 5}
 
 // GCAssignment is a complete static assignment of bonded terms to
 // geometry cores.
@@ -56,44 +45,29 @@ func AssignBondTerms(top *ff.Topology, boxOf []int32, grid nt.Grid, numGCs int) 
 	}
 	a.destNodes = make([][]int32, top.NAtoms())
 
-	type term struct {
-		kind  termKind
-		atoms [4]int32
-		n     int
-	}
-	var terms []term
-	for _, b := range top.Bonds {
-		terms = append(terms, term{termBond, [4]int32{int32(b.I), int32(b.J)}, 2})
-	}
-	for _, g := range top.Angles {
-		terms = append(terms, term{termAngle, [4]int32{int32(g.I), int32(g.J), int32(g.K)}, 3})
-	}
-	for _, d := range top.Dihedrals {
-		terms = append(terms, term{termDihedral, [4]int32{int32(d.I), int32(d.J), int32(d.K), int32(d.L)}, 4})
-	}
-	for _, im := range top.Impropers {
-		terms = append(terms, term{termImproper, [4]int32{int32(im.I), int32(im.J), int32(im.K), int32(im.L)}, 4})
-	}
-	a.terms = len(terms)
-	// Decreasing cost order gives the classic LPT bound on imbalance;
-	// stable tie-break by original index keeps the result deterministic.
-	sort.SliceStable(terms, func(i, j int) bool {
-		return termCost[terms[i].kind] > termCost[terms[j].kind]
-	})
-
-	for _, t := range terms {
-		node := boxOf[t.atoms[0]]
-		// Least-loaded GC on the node.
-		best := 0
-		for gc := 1; gc < numGCs; gc++ {
-			if a.load[node][gc] < a.load[node][best] {
-				best = gc
+	// Terms are placed in decreasing cost order, the classic LPT bound on
+	// imbalance: torsions, then angles, then bonds, each in flat-index
+	// order.
+	a.terms = top.NumBondedTerms()
+	for _, size := range []int{4, 3, 2} {
+		for k := range a.terms {
+			atoms, n := top.BondedTermAtoms(k)
+			if n != size {
+				continue
 			}
-		}
-		a.load[node][best] += termCost[t.kind]
-		// Record the node as a bond destination of every involved atom.
-		for _, atom := range t.atoms[:t.n] {
-			a.addDest(atom, node)
+			node := boxOf[atoms[0]]
+			// Least-loaded GC on the node.
+			best := 0
+			for gc := 1; gc < numGCs; gc++ {
+				if a.load[node][gc] < a.load[node][best] {
+					best = gc
+				}
+			}
+			a.load[node][best] += termCost[n]
+			// Record the node as a bond destination of every involved atom.
+			for _, atom := range atoms[:n] {
+				a.addDest(int32(atom), node)
+			}
 		}
 	}
 	return a

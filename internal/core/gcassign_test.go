@@ -13,10 +13,7 @@ func TestAssignBondTermsCoversAllTerms(t *testing.T) {
 		t.Fatalf("terms assigned: %d, want %d", a.Terms(), want)
 	}
 	// Total load equals the summed term costs.
-	wantLoad := len(top.Bonds)*termCost[termBond] +
-		len(top.Angles)*termCost[termAngle] +
-		len(top.Dihedrals)*termCost[termDihedral] +
-		len(top.Impropers)*termCost[termImproper]
+	wantLoad := len(top.Bonds)*2 + len(top.Angles)*3 + (len(top.Dihedrals)+len(top.Impropers))*5
 	total := 0
 	for n := 0; n < e.grid.NumBoxes(); n++ {
 		total += a.NodeLoad(n)

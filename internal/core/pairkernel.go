@@ -1,8 +1,6 @@
 package core
 
 import (
-	"sort"
-
 	"anton/internal/ff"
 	"anton/internal/fixp"
 	"anton/internal/htis"
@@ -47,10 +45,6 @@ type pairKernel struct {
 	// between migrations.
 	pos []fixp.Vec3
 
-	// Per-atom sorted exclusion partner lists (excluded + scaled 1-4
-	// pairs), built once from the topology. Replaces the skip-set map.
-	exclOf [][]int32
-
 	// Per-worker PPIP batch queues.
 	batches []pairBatch
 
@@ -74,34 +68,6 @@ func (b *pairBatch) init() {
 	b.out = make([]htis.PairResult, pairBatchSize)
 	b.si = make([]int32, pairBatchSize)
 	b.sj = make([]int32, pairBatchSize)
-}
-
-// buildExclusions constructs the per-atom sorted exclusion partner lists
-// from the topology (both directions, excluded plus 1-4 pairs).
-func (k *pairKernel) buildExclusions(top *ff.Topology, n int) {
-	k.exclOf = make([][]int32, n)
-	add := func(i, j int) {
-		k.exclOf[i] = append(k.exclOf[i], int32(j))
-		k.exclOf[j] = append(k.exclOf[j], int32(i))
-	}
-	top.ExcludedPairs(add)
-	for _, p := range top.Pairs14 {
-		add(p.I, p.J)
-	}
-	for i := range k.exclOf {
-		l := k.exclOf[i]
-		sort.Slice(l, func(a, b int) bool { return l[a] < l[b] })
-		// Dedupe (a pair listed both as exclusion and 1-4 must not be
-		// scanned twice — the merge scan tolerates duplicates, but the
-		// lists are long-lived, so keep them canonical).
-		out := l[:0]
-		for idx, v := range l {
-			if idx == 0 || v != l[idx-1] {
-				out = append(out, v)
-			}
-		}
-		k.exclOf[i] = out
-	}
 }
 
 // rebuild regenerates the slot maps and per-slot parameters after a
@@ -267,6 +233,7 @@ func (e *Engine) scanPairs(pairs [][2]int32, pos []fixp.Vec3, buf []Force3, b *p
 	// low-precision r^2), saving a call and three field loads per pair.
 	shift, limAxis, limR2 := e.mu.Thresholds()
 	atomOf := k.atomOf
+	skip := e.Sys.Top.Skip
 	for _, bp := range pairs {
 		aLo, aHi := k.subStart[bp[0]], k.subStart[bp[0]+1]
 		bLo, bHi := k.subStart[bp[1]], k.subStart[bp[1]+1]
@@ -304,7 +271,7 @@ func (e *Engine) scanPairs(pairs [][2]int32, pos []fixp.Vec3, buf []Force3, b *p
 			}
 			t.Tested += int64(bHi - sj)
 			i := atomOf[si]
-			excl := k.exclOf[i]
+			excl := skip[i]
 			ep := 0
 			qKi := k.qK[si]
 			row := k.ljRow[si]

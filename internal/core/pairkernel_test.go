@@ -164,8 +164,9 @@ func TestPairScheduleBalanceDeterministic(t *testing.T) {
 	}
 }
 
-// TestExclusionListsMatchTopology checks the per-atom sorted partner
-// lists against a direct map built from the topology: same pair set,
+// TestExclusionListsMatchTopology checks the per-atom skip lists the
+// pair scan's exclusion merge reads (the topology's Skip) against a set
+// built from the topology's Exclusions and Pairs14: same pair set,
 // symmetric, sorted, deduplicated.
 func TestExclusionListsMatchTopology(t *testing.T) {
 	e := smallWaterEngine(t, 8, nil)
@@ -178,13 +179,18 @@ func TestExclusionListsMatchTopology(t *testing.T) {
 		}
 		want[[2]int{i, j}] = true
 	}
-	top.ExcludedPairs(add)
+	for _, p := range top.Exclusions {
+		add(int(p[0]), int(p[1]))
+	}
 	for _, p := range top.Pairs14 {
 		add(p.I, p.J)
 	}
+	if len(top.Skip) != n {
+		t.Fatalf("%d skip lists for %d atoms", len(top.Skip), n)
+	}
 	got := make(map[[2]int]bool)
 	for i := 0; i < n; i++ {
-		l := e.pk.exclOf[i]
+		l := top.Skip[i]
 		for idx, j := range l {
 			if idx > 0 && l[idx-1] >= j {
 				t.Fatalf("atom %d: exclusion list not strictly sorted: %v", i, l)
@@ -195,14 +201,7 @@ func TestExclusionListsMatchTopology(t *testing.T) {
 			}
 			got[[2]int{lo, hi}] = true
 			// Symmetry: i must appear in j's list too.
-			found := false
-			for _, back := range e.pk.exclOf[j] {
-				if int(back) == i {
-					found = true
-					break
-				}
-			}
-			if !found {
+			if !slices.Contains(top.Skip[j], int32(i)) {
 				t.Fatalf("exclusion %d-%d not symmetric", i, j)
 			}
 		}
@@ -212,7 +211,7 @@ func TestExclusionListsMatchTopology(t *testing.T) {
 	}
 	for p := range want {
 		if !got[p] {
-			t.Fatalf("topology exclusion %v missing from kernel lists", p)
+			t.Fatalf("topology exclusion %v missing from skip lists", p)
 		}
 	}
 }
@@ -281,7 +280,7 @@ func TestRangeLimitedForcesMatchAllPairs(t *testing.T) {
 	// negative and alias into the table's core region (in hardware no such
 	// pair ever reaches a PPIP: the concentrator only forwards matches).
 	excl := make(map[[2]int]bool)
-	for i, l := range e.pk.exclOf {
+	for i, l := range e.Sys.Top.Skip {
 		for _, j := range l {
 			excl[[2]int{i, int(j)}] = true
 		}

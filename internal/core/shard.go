@@ -5,7 +5,6 @@ import (
 	"time"
 
 	"anton/internal/faults"
-	"anton/internal/ff"
 	"anton/internal/fixp"
 	"anton/internal/nt"
 	"anton/internal/obs"
@@ -374,26 +373,6 @@ func (s *Sharded) Snapshot() ([]fixp.Vec3, []Vel3) { return s.E.Snapshot() }
 func (s *Sharded) SetVelocities(v []vec.V3)        { s.E.SetVelocities(v) }
 func (s *Sharded) Observe(r *obs.Recorder)         { s.E.Observe(r) }
 
-// bondedTermAtoms returns the atoms of a bonded term by flat index
-// (bonds, then angles, then dihedrals, then impropers) — the ownership
-// and import bookkeeping twin of Engine.bondedTerm.
-func bondedTermAtoms(top *ff.Topology, t int) ([4]int, int) {
-	switch {
-	case t < len(top.Bonds):
-		b := &top.Bonds[t]
-		return [4]int{b.I, b.J}, 2
-	case t < len(top.Bonds)+len(top.Angles):
-		a := &top.Angles[t-len(top.Bonds)]
-		return [4]int{a.I, a.J, a.K}, 3
-	case t < len(top.Bonds)+len(top.Angles)+len(top.Dihedrals):
-		d := &top.Dihedrals[t-len(top.Bonds)-len(top.Angles)]
-		return [4]int{d.I, d.J, d.K, d.L}, 4
-	default:
-		im := &top.Impropers[t-len(top.Bonds)-len(top.Angles)-len(top.Dihedrals)]
-		return [4]int{im.I, im.J, im.K, im.L}, 4
-	}
-}
-
 // rebuildViews recomputes every ownership-derived view after a migration
 // (or restore): owned atoms, term assignments, import/export sets, foot
 // lists, buffer sizes and the static traffic tallies. Driver-serial.
@@ -424,17 +403,16 @@ func (s *Sharded) rebuildViews() {
 		st := s.shards[e.boxOf[top.VSites[vi].Site]]
 		st.vsites = append(st.vsites, int32(vi))
 	}
-	nTerms := len(top.Bonds) + len(top.Angles) + len(top.Dihedrals) + len(top.Impropers)
-	for t := 0; t < nTerms; t++ {
-		atoms, _ := bondedTermAtoms(top, t)
+	for t := range top.NumBondedTerms() {
+		atoms, _ := top.BondedTermAtoms(t)
 		st := s.shards[e.boxOf[atoms[0]]]
 		st.bondTerms = append(st.bondTerms, int32(t))
 	}
-	for pi := range e.pair14 {
-		st := s.shards[e.boxOf[e.pair14[pi].I]]
+	for pi := range top.Pairs14 {
+		st := s.shards[e.boxOf[top.Pairs14[pi].I]]
 		st.pair14Idx = append(st.pair14Idx, int32(pi))
 	}
-	for _, p := range e.exclList {
+	for _, p := range top.Exclusions {
 		st := s.shards[e.boxOf[p[0]]]
 		st.exclTerms = append(st.exclTerms, p)
 	}
@@ -460,13 +438,13 @@ func (s *Sharded) rebuildViews() {
 			}
 		}
 		for _, t := range st.bondTerms {
-			atoms, na := bondedTermAtoms(top, int(t))
+			atoms, na := top.BondedTermAtoms(int(t))
 			for _, a := range atoms[:na] {
 				mark(int32(a))
 			}
 		}
 		for _, pi := range st.pair14Idx {
-			p := &e.pair14[pi]
+			p := &top.Pairs14[pi]
 			mark(int32(p.I))
 			mark(int32(p.J))
 		}

@@ -142,7 +142,7 @@ func (st *shardState) streamBody(x *xchg, refresh bool) {
 		st.diag.bonded += e.bondedTerm(int(t), st.lposF, st.scratch, st.lfShort)
 	}
 	for _, pi := range st.pair14Idx {
-		st.diag.correction += e.pair14One(&e.pair14[pi], st.lpos, st.lfShort)
+		st.diag.correction += e.pair14One(&e.Sys.Top.Pairs14[pi], st.lpos, st.lfShort)
 	}
 	if refresh {
 		st.diag.mesh += e.exclScan(st.exclTerms, st.lpos, st.lfLong)

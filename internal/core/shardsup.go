@@ -24,8 +24,9 @@ import (
 //	RECOVERING: bump the epoch (in-flight messages become stale), respawn
 //	    every crashed executor (an executor is a goroutine; it can always
 //	    come back), drain every inbox and ack queue, restore the whole
-//	    engine from the in-memory checkpoint image, and resume. A restore
-//	    error parks the engine with Err() set.
+//	    engine from the in-memory checkpoint image, drop the trace spans
+//	    of the steps after it (the replay records them again), and
+//	    resume. A restore error parks the engine with Err() set.
 //
 // Rollback-everyone (rather than surgical per-shard repair) is what makes
 // the recovery provably bitwise: the restored state is a complete, CRC-
@@ -246,6 +247,9 @@ func (sup *supervisor) recoverFrom(f *stageFail, streak int) bool {
 	if err := s.RestoreCheckpoint(bytes.NewReader(sup.ckptImage)); err != nil {
 		s.err = fmt.Errorf("core: recovery restore failed: %w", err)
 		return false
+	}
+	if rec := s.E.rec; rec != nil {
+		rec.Rewind(int64(sup.ckptStep))
 	}
 
 	sup.recoveries++

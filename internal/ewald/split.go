@@ -113,20 +113,23 @@ func (s Split) SelfEnergy(atoms []ff.Atom) float64 {
 // added to the system (negative of what is subtracted).
 //
 // This implementation handles only full exclusions; scaled 1-4 handling
-// lives with the engines because it needs the LJ tables too.
+// lives with the engines because it needs the LJ tables too. The pairs
+// are summed in the ascending order of t.Exclusions, so the result
+// repeats bit for bit.
 func (s Split) CorrectionForces(t *ff.Topology, box vec.Box, r []vec.V3, f []vec.V3) float64 {
 	energy := 0.0
-	t.ExcludedPairs(func(i, j int) {
+	for _, p := range t.Exclusions {
+		i, j := p[0], p[1]
 		d := box.MinImage(r[i].Sub(r[j]))
 		r2 := d.Norm2()
 		if r2 < 1e-12 {
-			return // coincident (should not happen for physical systems)
+			continue // coincident (should not happen for physical systems)
 		}
 		e, fs := s.SmoothPair(r2, t.Atoms[i].Charge, t.Atoms[j].Charge)
 		energy -= e
 		fv := d.Scale(-fs)
 		f[i] = f[i].Add(fv)
 		f[j] = f[j].Sub(fv)
-	})
+	}
 	return energy
 }

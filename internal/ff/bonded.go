@@ -6,28 +6,64 @@ import (
 	"anton/internal/vec"
 )
 
-// BondedForces evaluates all bonded terms (bonds, angles, dihedrals) of
-// the topology, accumulating forces into f (which must have length
-// NAtoms) and returning the total bonded energy. Positions are taken
-// minimum-image in the given box, so bonded terms behave correctly for
-// molecules straddling the periodic boundary.
+// The flat bonded-term index numbers every bonded term of a topology
+// once: its bonds, then its angles, then its dihedrals, then its
+// impropers, each in slice order. BondedForces sums in that order, the
+// engines split it across workers and shards, and the geometry-core
+// assignment places its terms (paper §3.2.3).
+
+// NumBondedTerms returns the length of the flat bonded-term index.
+func (t *Topology) NumBondedTerms() int {
+	return len(t.Bonds) + len(t.Angles) + len(t.Dihedrals) + len(t.Impropers)
+}
+
+// BondedTermAtoms returns the atoms of flat term k: the first n of
+// atoms (2 for a bond, 3 for an angle, 4 for a torsion).
+func (t *Topology) BondedTermAtoms(k int) (atoms [4]int, n int) {
+	switch nb, na, nd := len(t.Bonds), len(t.Angles), len(t.Dihedrals); {
+	case k < nb:
+		b := &t.Bonds[k]
+		return [4]int{b.I, b.J}, 2
+	case k < nb+na:
+		a := &t.Angles[k-nb]
+		return [4]int{a.I, a.J, a.K}, 3
+	case k < nb+na+nd:
+		d := &t.Dihedrals[k-nb-na]
+		return [4]int{d.I, d.J, d.K, d.L}, 4
+	default:
+		im := &t.Impropers[k-nb-na-nd]
+		return [4]int{im.I, im.J, im.K, im.L}, 4
+	}
+}
+
+// BondedTermForce evaluates flat term k, accumulating its forces into f
+// and returning its energy.
+func (t *Topology) BondedTermForce(k int, box vec.Box, r, f []vec.V3) float64 {
+	switch nb, na, nd := len(t.Bonds), len(t.Angles), len(t.Dihedrals); {
+	case k < nb:
+		return BondForce(&t.Bonds[k], box, r, f)
+	case k < nb+na:
+		return AngleForce(&t.Angles[k-nb], box, r, f)
+	case k < nb+na+nd:
+		return DihedralForce(&t.Dihedrals[k-nb-na], box, r, f)
+	default:
+		return ImproperForce(&t.Impropers[k-nb-na-nd], box, r, f)
+	}
+}
+
+// BondedForces evaluates all bonded terms of the topology in flat-index
+// order, accumulating forces into f (which must have length NAtoms) and
+// returning the total bonded energy. Positions are taken minimum-image
+// in the given box, so bonded terms behave correctly for molecules
+// straddling the periodic boundary.
 //
 // On Anton these terms run on the geometry cores of the flexible
 // subsystem; on commodity hardware they are a small part of the profile
 // (Table 2: ~3-4%).
 func BondedForces(t *Topology, box vec.Box, r []vec.V3, f []vec.V3) float64 {
 	e := 0.0
-	for i := range t.Bonds {
-		e += BondForce(&t.Bonds[i], box, r, f)
-	}
-	for i := range t.Angles {
-		e += AngleForce(&t.Angles[i], box, r, f)
-	}
-	for i := range t.Dihedrals {
-		e += DihedralForce(&t.Dihedrals[i], box, r, f)
-	}
-	for i := range t.Impropers {
-		e += ImproperForce(&t.Impropers[i], box, r, f)
+	for k := range t.NumBondedTerms() {
+		e += t.BondedTermForce(k, box, r, f)
 	}
 	return e
 }

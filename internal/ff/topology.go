@@ -1,8 +1,10 @@
 package ff
 
 import (
+	"cmp"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 )
 
@@ -104,22 +106,20 @@ type Topology struct {
 	Scale14Elec float64
 	Scale14LJ   float64
 
-	// exclusions: pairs whose nonbonded interaction is eliminated (1-2 and
-	// 1-3 neighbors, intra-water pairs, vsite-parent pairs). Keyed by
-	// pairKey. Populated by BuildExclusions.
-	exclusions map[uint64]struct{}
+	// Exclusions lists the pairs whose nonbonded interaction is
+	// eliminated (1-2 and 1-3 neighbors, constrained pairs, each virtual
+	// site with its three parents), once each as {i, j} with i < j, in
+	// ascending order. Skip[i] lists, ascending, every atom whose pair
+	// with i the range-limited pair loop leaves out: i's exclusions and
+	// its 1-4 partners. BuildExclusions builds both tables; neither
+	// changes after it returns. The engines' pair scans, excluded-pair
+	// corrections and shard views read them directly.
+	Exclusions [][2]int32
+	Skip       [][]int32
 
 	// constraintGroups caches the connected components of the constraint
 	// graph, as sorted atom-index slices.
 	constraintGroups [][]int
-}
-
-// pairKey builds a symmetric 64-bit key for an atom pair.
-func pairKey(i, j int) uint64 {
-	if i > j {
-		i, j = j, i
-	}
-	return uint64(i)<<32 | uint64(uint32(j))
 }
 
 // NAtoms returns the number of particles.
@@ -157,43 +157,19 @@ func (t *Topology) TotalCharge() float64 {
 	return q
 }
 
-// AddExclusion records that the nonbonded interaction between i and j is
-// eliminated.
-func (t *Topology) AddExclusion(i, j int) {
-	if t.exclusions == nil {
-		t.exclusions = make(map[uint64]struct{})
-	}
-	t.exclusions[pairKey(i, j)] = struct{}{}
-}
-
-// Excluded reports whether the pair (i, j) is excluded from nonbonded
-// interactions.
-func (t *Topology) Excluded(i, j int) bool {
-	_, ok := t.exclusions[pairKey(i, j)]
-	return ok
-}
-
-// NumExclusions returns the number of excluded pairs.
-func (t *Topology) NumExclusions() int { return len(t.exclusions) }
-
-// ExcludedPairs calls fn for every excluded pair (i < j). Iteration order
-// is unspecified; callers needing determinism must sort (the Anton engine's
-// correction pipeline processes a pre-sorted static list).
-func (t *Topology) ExcludedPairs(fn func(i, j int)) {
-	for k := range t.exclusions {
-		fn(int(k>>32), int(uint32(k)))
-	}
-}
-
-// BuildExclusions derives the standard exclusion set from the covalent
-// structure: all 1-2 (bonded) and 1-3 (angle-spanning) pairs are excluded,
-// 1-4 pairs are recorded in Pairs14 for scaled interaction, constrained
-// pairs and virtual-site/parent pairs are excluded. Call once after the
-// topology's terms are assembled. Existing exclusions are preserved.
+// BuildExclusions derives the static exclusion index from the covalent
+// structure. All 1-2 (bonded or constrained) and 1-3 (angle-spanning)
+// pairs are excluded, and each virtual site is excluded from its three
+// parents (a site is not excluded from its parents' other neighbors).
+// 1-4 pairs are recorded in Pairs14 for scaled interaction. Call once
+// after the topology's terms are assembled: it replaces Exclusions and
+// Skip with new tables, keeping the pairs Exclusions already held.
 func (t *Topology) BuildExclusions() {
-	if t.exclusions == nil {
-		t.exclusions = make(map[uint64]struct{})
+	excl := make(map[[2]int32]struct{}, len(t.Exclusions))
+	for _, p := range t.Exclusions {
+		excl[p] = struct{}{}
 	}
+	exclude := func(i, j int) { excl[orderedPair(i, j)] = struct{}{} }
 	// Adjacency from bonds and constraints (constrained bonds often replace
 	// the bond term, e.g. rigid water has constraints only).
 	adj := make(map[int][]int)
@@ -209,27 +185,26 @@ func (t *Topology) BuildExclusions() {
 	}
 	// 1-2.
 	for _, b := range t.Bonds {
-		t.AddExclusion(b.I, b.J)
+		exclude(b.I, b.J)
 	}
 	for _, c := range t.Constraints {
-		t.AddExclusion(c.I, c.J)
+		exclude(c.I, c.J)
 	}
 	// 1-3 via shared neighbor.
-	for j, nbrs := range adj {
+	for _, nbrs := range adj {
 		for a := 0; a < len(nbrs); a++ {
 			for b := a + 1; b < len(nbrs); b++ {
 				if nbrs[a] != nbrs[b] {
-					t.AddExclusion(nbrs[a], nbrs[b])
+					exclude(nbrs[a], nbrs[b])
 				}
 			}
 		}
-		_ = j
 	}
 	// 1-4: walk three bonds; skip pairs already excluded (rings) or already
 	// recorded (rebuild).
-	seen14 := make(map[uint64]struct{})
+	seen14 := make(map[[2]int32]struct{})
 	for _, p := range t.Pairs14 {
-		seen14[pairKey(p.I, p.J)] = struct{}{}
+		seen14[orderedPair(p.I, p.J)] = struct{}{}
 	}
 	for _, b := range t.Bonds {
 		for _, end := range [2][2]int{{b.I, b.J}, {b.J, b.I}} {
@@ -242,27 +217,57 @@ func (t *Topology) BuildExclusions() {
 					if l == j || l == i {
 						continue
 					}
-					key := pairKey(i, l)
+					key := orderedPair(i, l)
 					if _, dup := seen14[key]; dup {
 						continue
 					}
-					if t.Excluded(i, l) {
+					if _, ex := excl[key]; ex {
 						continue
 					}
 					seen14[key] = struct{}{}
-					t.Pairs14 = append(t.Pairs14, Pair14{I: min2(i, l), J: max2(i, l)})
+					t.Pairs14 = append(t.Pairs14, Pair14{I: min(i, l), J: max(i, l)})
 				}
 			}
 		}
 	}
-	// Virtual sites inherit their parents' exclusions and are excluded
-	// from the parents themselves.
+	// Each virtual site with its three parents.
 	for _, v := range t.VSites {
 		for _, p := range []int{v.I, v.J, v.K} {
-			t.AddExclusion(v.Site, p)
+			exclude(v.Site, p)
 		}
 	}
+
+	t.Exclusions = make([][2]int32, 0, len(excl))
+	for p := range excl {
+		t.Exclusions = append(t.Exclusions, p)
+	}
+	slices.SortFunc(t.Exclusions, func(a, b [2]int32) int {
+		if c := cmp.Compare(a[0], b[0]); c != 0 {
+			return c
+		}
+		return cmp.Compare(a[1], b[1])
+	})
+	t.Skip = make([][]int32, len(t.Atoms))
+	skip := func(i, j int32) {
+		t.Skip[i] = append(t.Skip[i], j)
+		t.Skip[j] = append(t.Skip[j], i)
+	}
+	for _, p := range t.Exclusions {
+		skip(p[0], p[1])
+	}
+	for _, p := range t.Pairs14 {
+		skip(int32(p.I), int32(p.J))
+	}
+	for i, l := range t.Skip {
+		slices.Sort(l)
+		t.Skip[i] = slices.Compact(l)
+	}
 	t.constraintGroups = nil // invalidate cache
+}
+
+// orderedPair is the {min, max} form of an atom pair.
+func orderedPair(i, j int) [2]int32 {
+	return [2]int32{int32(min(i, j)), int32(max(i, j))}
 }
 
 // ConstraintGroups returns the connected components of the constraint
@@ -387,20 +392,6 @@ func firstErr(errs ...error) error {
 		}
 	}
 	return nil
-}
-
-func min2(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}
-
-func max2(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }
 
 func sortInts(a []int) { sort.Ints(a) }

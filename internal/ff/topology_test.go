@@ -1,7 +1,9 @@
 package ff
 
 import (
+	"cmp"
 	"math"
+	"slices"
 	"testing"
 
 	"anton/internal/vec"
@@ -24,18 +26,18 @@ func TestBuildExclusions12And13(t *testing.T) {
 	top.BuildExclusions()
 	// 1-2 pairs.
 	for i := 0; i < 4; i++ {
-		if !top.Excluded(i, i+1) {
+		if !excluded(top, i, i+1) {
 			t.Errorf("1-2 pair (%d,%d) not excluded", i, i+1)
 		}
 	}
 	// 1-3 pairs.
 	for i := 0; i < 3; i++ {
-		if !top.Excluded(i, i+2) {
+		if !excluded(top, i, i+2) {
 			t.Errorf("1-3 pair (%d,%d) not excluded", i, i+2)
 		}
 	}
 	// 1-4 pairs are NOT excluded but listed in Pairs14.
-	if top.Excluded(0, 3) {
+	if excluded(top, 0, 3) {
 		t.Error("1-4 pair (0,3) should not be fully excluded")
 	}
 	want14 := map[[2]int]bool{{0, 3}: true, {1, 4}: true}
@@ -48,23 +50,36 @@ func TestBuildExclusions12And13(t *testing.T) {
 		}
 	}
 	// 1-5 pair fully interacting.
-	if top.Excluded(0, 4) {
+	if excluded(top, 0, 4) {
 		t.Error("1-5 pair should interact fully")
 	}
 	// Symmetry of lookup.
-	if !top.Excluded(1, 0) {
+	if !excluded(top, 1, 0) {
 		t.Error("exclusion lookup is not symmetric")
 	}
+}
+
+// excluded reports whether the pair (i, j), in either order, is in the
+// sorted exclusion table.
+func excluded(top *Topology, i, j int) bool {
+	p := [2]int32{int32(min(i, j)), int32(max(i, j))}
+	_, ok := slices.BinarySearchFunc(top.Exclusions, p, func(a, b [2]int32) int {
+		if c := cmp.Compare(a[0], b[0]); c != 0 {
+			return c
+		}
+		return cmp.Compare(a[1], b[1])
+	})
+	return ok
 }
 
 func TestBuildExclusionsIdempotentish(t *testing.T) {
 	top := chainTopology()
 	top.BuildExclusions()
-	n := top.NumExclusions()
+	n := len(top.Exclusions)
 	p := len(top.Pairs14)
 	top.BuildExclusions()
-	if top.NumExclusions() != n {
-		t.Errorf("exclusion count changed on rebuild: %d -> %d", n, top.NumExclusions())
+	if len(top.Exclusions) != n {
+		t.Errorf("exclusion count changed on rebuild: %d -> %d", n, len(top.Exclusions))
 	}
 	// Pairs14 is deduplicated within one build; the second build finds the
 	// same physical pairs again but must not create interacting duplicates

@@ -23,7 +23,7 @@ func WorkloadFromSystem(s *system.System) Workload {
 		Mesh:         s.Mesh,
 		RSpread:      s.RSpread,
 		BondTerms:    len(s.Top.Bonds) + len(s.Top.Angles) + len(s.Top.Dihedrals) + len(s.Top.Impropers),
-		Exclusions:   s.Top.NumExclusions(),
+		Exclusions:   len(s.Top.Exclusions),
 		Dt:           2.5,
 		MTSInterval:  2,
 	}

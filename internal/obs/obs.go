@@ -280,6 +280,16 @@ func (r *Recorder) StepDone(step int64) {
 	r.memBase = m
 }
 
+// Rewind marks a rollback to the end of step `step`: an attached tracer
+// drops the spans of the open step and of every later step, so the
+// replayed steps record theirs once. Phase times, counters and the step
+// count keep the abandoned work: it was done and it took that time.
+func (r *Recorder) Rewind(step int64) {
+	if r.trc != nil {
+		r.trc.rewind(step)
+	}
+}
+
 // Steps returns the number of completed steps seen by the recorder.
 func (r *Recorder) Steps() int64 { return r.steps }
 

@@ -142,6 +142,19 @@ func (t *Tracer) stepDone(step, end int64) {
 	t.open = 0
 }
 
+// rewind drops the spans of the open step and of every step after step,
+// newest first, so a rollback to the end of step replays those steps'
+// spans once.
+func (t *Tracer) rewind(step int64) {
+	drop := min(t.open, t.count)
+	for drop < t.count && t.ring[(t.head-drop-1+len(t.ring))%len(t.ring)].Step > step {
+		drop++
+	}
+	t.head = (t.head - drop + len(t.ring)) % len(t.ring)
+	t.count -= drop
+	t.open = 0
+}
+
 // Spans returns the ring contents oldest-first (copied).
 func (t *Tracer) Spans() []Span {
 	out := make([]Span, 0, t.count)

@@ -100,8 +100,6 @@ type Engine struct {
 	workerF [][]vec.V3 // per-worker force buffers for the pair loop
 	spme    *ewald.SPME
 	gse     *ewald.GSE
-	skipSet map[uint64]bool // exclusions plus 1-4s, for the pair list
-	pair14  []ff.Pair14
 
 	// Profile accumulates wall time per task (Table 2's shape).
 	Profile [numTasks]time.Duration
@@ -157,13 +155,6 @@ func NewEngine(s *system.System, cfg Config) (*Engine, error) {
 			e.Cfg.KMax = 12
 		}
 	}
-	// Pair-list skip set: exclusions and 1-4 pairs.
-	e.skipSet = make(map[uint64]bool, s.Top.NumExclusions()+len(s.Top.Pairs14))
-	s.Top.ExcludedPairs(func(i, j int) { e.skipSet[pairKey(i, j)] = true })
-	for _, p := range s.Top.Pairs14 {
-		e.skipSet[pairKey(p.I, p.J)] = true
-	}
-	e.pair14 = s.Top.Pairs14
 	ff.PlaceVSites(s.Top, s.Box, e.R)
 	return e, nil
 }
@@ -181,13 +172,6 @@ func (e *Engine) workers() int {
 		w = 1
 	}
 	return w
-}
-
-func pairKey(i, j int) uint64 {
-	if i > j {
-		i, j = j, i
-	}
-	return uint64(i)<<32 | uint64(uint32(j))
 }
 
 // SetVelocities installs initial velocities.
@@ -260,7 +244,7 @@ func (e *Engine) ComputeForces() {
 	// Pair list maintenance.
 	t0 := time.Now()
 	if e.pl.NeedsRebuild(box, e.R) {
-		e.pl.Build(box, e.R, func(i, j int) bool { return e.skipSet[pairKey(i, j)] })
+		e.pl.Build(box, e.R, top.Skip)
 	}
 	e.Profile[TaskPairList] += time.Since(t0)
 
@@ -413,7 +397,7 @@ func (e *Engine) correct14(f []vec.V3) float64 {
 	top := e.Sys.Top
 	box := e.Sys.Box
 	energy := 0.0
-	for _, p := range e.pair14 {
+	for _, p := range top.Pairs14 {
 		ai, aj := top.Atoms[p.I], top.Atoms[p.J]
 		d := box.MinImage(e.R[p.I].Sub(e.R[p.J]))
 		r2 := d.Norm2()

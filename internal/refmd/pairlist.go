@@ -11,6 +11,7 @@ package refmd
 
 import (
 	"math"
+	"slices"
 
 	"anton/internal/vec"
 )
@@ -52,8 +53,9 @@ func (pl *PairList) NeedsRebuild(box vec.Box, r []vec.V3) bool {
 }
 
 // Build reconstructs the pair list with an O(N) cell decomposition. skip
-// reports pairs to omit (exclusions and 1-4s).
-func (pl *PairList) Build(box vec.Box, r []vec.V3, skip func(i, j int) bool) {
+// holds each atom's sorted list of partners to omit (the topology's Skip
+// lists: exclusions and 1-4s); nil omits nothing.
+func (pl *PairList) Build(box vec.Box, r []vec.V3, skip [][]int32) {
 	n := len(r)
 	pl.pairs = pl.pairs[:0]
 	pl.refPos = append(pl.refPos[:0], r...)
@@ -131,7 +133,7 @@ func (pl *PairList) Build(box vec.Box, r []vec.V3, skip func(i, j int) bool) {
 	}
 }
 
-func (pl *PairList) consider(box vec.Box, r []vec.V3, a, b int32, reach2 float64, skip func(i, j int) bool) {
+func (pl *PairList) consider(box vec.Box, r []vec.V3, a, b int32, reach2 float64, skip [][]int32) {
 	if box.Dist2(r[a], r[b]) > reach2 {
 		return
 	}
@@ -139,13 +141,13 @@ func (pl *PairList) consider(box vec.Box, r []vec.V3, a, b int32, reach2 float64
 	if i > j {
 		i, j = j, i
 	}
-	if skip != nil && skip(int(i), int(j)) {
+	if skipped(skip, i, j) {
 		return
 	}
 	pl.pairs = append(pl.pairs, [2]int32{i, j})
 }
 
-func (pl *PairList) buildN2(box vec.Box, r []vec.V3, skip func(i, j int) bool) {
+func (pl *PairList) buildN2(box vec.Box, r []vec.V3, skip [][]int32) {
 	reach2 := (pl.Cutoff + pl.Skin) * (pl.Cutoff + pl.Skin)
 	n := len(r)
 	for i := 0; i < n; i++ {
@@ -153,12 +155,21 @@ func (pl *PairList) buildN2(box vec.Box, r []vec.V3, skip func(i, j int) bool) {
 			if box.Dist2(r[i], r[j]) > reach2 {
 				continue
 			}
-			if skip != nil && skip(i, j) {
+			if skipped(skip, int32(i), int32(j)) {
 				continue
 			}
 			pl.pairs = append(pl.pairs, [2]int32{int32(i), int32(j)})
 		}
 	}
+}
+
+// skipped reports whether j is on i's skip list.
+func skipped(skip [][]int32, i, j int32) bool {
+	if skip == nil {
+		return false
+	}
+	_, ok := slices.BinarySearch(skip[i], j)
+	return ok
 }
 
 // MeanPairsPerAtom returns the average half-list length per atom, a

@@ -26,24 +26,29 @@ func TestProfileMeshRows(t *testing.T) {
 
 // TestProfileSplitKeepsTrajectory: timing the mesh stages apart leaves
 // the trajectory bit for bit where one LongRange call per evaluation
-// left it. The digests were recorded from that engine. The system is an
-// ionic fluid because it has no excluded pairs: the correction loop
-// walks the topology's exclusion map, whose order (and so the float sum)
-// changes from run to run on any system that has them.
+// left it. The ionic-fluid digests were recorded from that engine; the
+// ionic fluid has no excluded pairs. The small protein-in-water row was
+// recorded once the excluded-pair corrections ran in the topology's
+// sorted exclusion order, so it also holds that order fixed.
 func TestProfileSplitKeepsTrajectory(t *testing.T) {
 	// Compilers that fuse multiply-adds (arm64, ppc64, s390x) round
 	// differently, so the recorded bits hold on amd64 only.
 	if runtime.GOARCH != "amd64" {
 		t.Skip("digests recorded on amd64")
 	}
+	ionic := func() (*system.System, error) { return system.IonicFluid(60, 16.0, 6.5, 16, 91) }
+	small := func() (*system.System, error) { return system.Small(true, 91) }
 	for _, tc := range []struct {
+		name   string
+		build  func() (*system.System, error)
 		method LongRangeMethod
 		digest uint64
 	}{
-		{UseSPME, 0x3eb129be2fecc98d},
-		{UseGSE, 0x26c6a909a9b1b9e3},
+		{"ionic", ionic, UseSPME, 0x3eb129be2fecc98d},
+		{"ionic", ionic, UseGSE, 0x26c6a909a9b1b9e3},
+		{"small", small, UseGSE, 0x4ce56139e5d243c3},
 	} {
-		s, err := system.IonicFluid(60, 16.0, 6.5, 16, 91)
+		s, err := tc.build()
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -57,7 +62,7 @@ func TestProfileSplitKeepsTrajectory(t *testing.T) {
 		e.SetVelocities(system.InitVelocities(s.Top, 300, rand.New(rand.NewSource(35))))
 		e.Step(20)
 		if got := trajectoryDigest(e); got != tc.digest {
-			t.Errorf("method %d: trajectory digest %#x, want %#x", tc.method, got, tc.digest)
+			t.Errorf("%s, method %d: trajectory digest %#x, want %#x", tc.name, tc.method, got, tc.digest)
 		}
 	}
 }

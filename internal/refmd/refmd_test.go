@@ -29,37 +29,102 @@ func smallEngine(t *testing.T, protein bool, cfgEdit func(*Config)) *Engine {
 	return e
 }
 
-func TestPairListMatchesBruteForce(t *testing.T) {
-	s, err := system.Small(false, 5)
-	if err != nil {
-		t.Fatal(err)
+// TestReferenceForcesDeterministic: three engines over separately built
+// copies of one system, in one process and with one pair worker, give
+// the same force and energy bits and the same 8-step trajectory. The
+// excluded-pair corrections run in the topology's sorted exclusion
+// order; a walk in map order would change the float sums between
+// engines.
+func TestReferenceForcesDeterministic(t *testing.T) {
+	type result struct {
+		f      []vec.V3
+		energy uint64
+		digest uint64
 	}
-	pl := NewPairList(6.0, 1.0)
-	pl.Build(s.Box, s.R, nil)
-	// Brute force count of pairs within cutoff+skin.
-	want := make(map[uint64]bool)
-	reach2 := 7.0 * 7.0
-	for i := 0; i < len(s.R); i++ {
-		for j := i + 1; j < len(s.R); j++ {
-			if s.Box.Dist2(s.R[i], s.R[j]) <= reach2 {
-				want[pairKey(i, j)] = true
+	var runs []result
+	for range 3 {
+		e := smallEngine(t, true, func(c *Config) { c.Workers = 1 })
+		e.ComputeForces()
+		r := result{f: append([]vec.V3(nil), e.F...), energy: math.Float64bits(e.PotentialEnergy)}
+		e.Step(8)
+		r.digest = trajectoryDigest(e)
+		runs = append(runs, r)
+	}
+	for k, r := range runs[1:] {
+		if r.energy != runs[0].energy {
+			t.Errorf("engine %d: potential energy %#x, engine 0 %#x", k+1, r.energy, runs[0].energy)
+		}
+		for i := range r.f {
+			if r.f[i] != runs[0].f[i] {
+				t.Errorf("engine %d: atom %d force %v, engine 0 %v", k+1, i, r.f[i], runs[0].f[i])
+				break
 			}
 		}
-	}
-	got := make(map[uint64]bool)
-	for _, p := range pl.Pairs() {
-		k := pairKey(int(p[0]), int(p[1]))
-		if got[k] {
-			t.Fatalf("pair %v duplicated", p)
+		if r.digest != runs[0].digest {
+			t.Errorf("engine %d: 8-step trajectory digest %#x, engine 0 %#x", k+1, r.digest, runs[0].digest)
 		}
-		got[k] = true
 	}
-	if len(got) != len(want) {
-		t.Fatalf("pair count: got %d, want %d", len(got), len(want))
-	}
-	for k := range want {
-		if !got[k] {
-			t.Fatalf("missing pair %x", k)
+}
+
+// TestPairListMatchesBruteForce: the pair list holds every pair within
+// cutoff+skin once, as i < j; built with the topology's skip lists, it
+// leaves out exactly the excluded and 1-4 pairs.
+func TestPairListMatchesBruteForce(t *testing.T) {
+	for _, protein := range []bool{false, true} {
+		s, err := system.Small(protein, 5)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var skipLists [][]int32
+		skip := make(map[[2]int32]bool)
+		if protein {
+			skipLists = s.Top.Skip
+			for _, p := range s.Top.Exclusions {
+				skip[p] = true
+			}
+			for _, p := range s.Top.Pairs14 {
+				skip[[2]int32{int32(p.I), int32(p.J)}] = true
+			}
+		}
+		pl := NewPairList(6.0, 1.0)
+		pl.Build(s.Box, s.R, skipLists)
+		// Brute force count of pairs within cutoff+skin.
+		want := make(map[[2]int32]bool)
+		reach2 := 7.0 * 7.0
+		skipped := 0
+		for i := 0; i < len(s.R); i++ {
+			for j := i + 1; j < len(s.R); j++ {
+				p := [2]int32{int32(i), int32(j)}
+				if s.Box.Dist2(s.R[i], s.R[j]) > reach2 {
+					continue
+				}
+				if skip[p] {
+					skipped++
+					continue
+				}
+				want[p] = true
+			}
+		}
+		if protein && skipped == 0 {
+			t.Fatal("no excluded or 1-4 pair within reach")
+		}
+		got := make(map[[2]int32]bool)
+		for _, p := range pl.Pairs() {
+			if p[0] >= p[1] {
+				t.Fatalf("pair %v not stored as i < j", p)
+			}
+			if got[p] {
+				t.Fatalf("pair %v duplicated", p)
+			}
+			got[p] = true
+		}
+		if len(got) != len(want) {
+			t.Fatalf("protein %v: pair count: got %d, want %d", protein, len(got), len(want))
+		}
+		for k := range want {
+			if !got[k] {
+				t.Fatalf("protein %v: missing pair %v", protein, k)
+			}
 		}
 	}
 }

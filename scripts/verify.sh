@@ -103,12 +103,15 @@ echo "== determinism: repeated runs =="
 # bitwise equivalences of the table lookup, the rounding, the pair
 # pipeline, the minimum-image fast path, the mesh rows, the hoisted
 # constraint sweeps, the parallel table fit and the subbox pair walk
-# against their reference implementations.
+# against their reference implementations. Also the static topology
+# index (two builds give equal exclusion, skip and bonded-term tables)
+# and the reference engine, whose force, energy and trajectory bits
+# must repeat across engines at one pair worker.
 det='TestCodecRoundTrip|TestCodecFramesSelfContained|TestFSLiveness|Deterministic|Determinism|Bitwise|Invariance'
 go test -count=2 -timeout 30m -run "$det" ./internal/core ./internal/fft \
 	./internal/torus ./internal/obs ./internal/ledger ./internal/faults \
 	./internal/ppip ./internal/fixp ./internal/htis ./internal/vec \
-	./internal/nt
+	./internal/nt ./internal/ff ./internal/refmd
 
 echo "== fuzz: every decoder of untrusted bytes and the table index, 5 s per target =="
 # A short native-fuzz burst from each seeded corpus catches a decoder
@@ -132,8 +135,9 @@ echo "== trace export and watchdog: generate + validate =="
 # validate each exported Chrome trace: parses, round-trips through
 # encoding/json, monotonic ts, every phase span inside its step span, and
 # no overlap on the step or the phase lane. A third run at 8 shards
-# crashes a shard and rolls back to step 0 (a traced rollback repeats
-# steps, so it exports no trace). Every run's watchdog must stay silent:
+# crashes a shard and rolls back to step 0; recovery drops the trace
+# spans of the steps it abandons, so its trace validates too, with each
+# replayed step drawn once. Every run's watchdog must stay silent:
 # the crash campaign once raised a false migration-slack alert measured
 # against a drift reference from before the rollback. The three runs'
 # checkpoints must be byte-identical: the state and the long-range energy
@@ -157,9 +161,11 @@ go run ./cmd/antonsim -system small -shards 8 -steps 30 -report 30 \
 watchdog_ok "$tmpdir/shard8.out"
 go run scripts/validate_trace.go "$tmpdir/trace.json"
 go run ./cmd/antonsim -system small -shards 8 -steps 30 -report 30 \
-	-chaos 'seed=7,crashes=1,horizon=30' -watch -checkpoint "$tmpdir/chaos8.ckpt" >"$tmpdir/chaos8.out"
+	-chaos 'seed=7,crashes=1,horizon=30' -trace "$tmpdir/trace.json" -watch \
+	-checkpoint "$tmpdir/chaos8.ckpt" >"$tmpdir/chaos8.out"
 watchdog_ok "$tmpdir/chaos8.out"
 grep -qF 'recoveries: 1 ' "$tmpdir/chaos8.out" || { echo "verify: the crash campaign did not roll back"; exit 1; }
+go run scripts/validate_trace.go "$tmpdir/trace.json"
 cmp "$tmpdir/mono.ckpt" "$tmpdir/shard8.ckpt"
 cmp "$tmpdir/mono.ckpt" "$tmpdir/chaos8.ckpt"
 
