@@ -44,10 +44,13 @@ trace:
 	$(GO) run scripts/validate_trace.go trace.json
 
 # The pair-kernel microbenchmarks (the recorded numbers are
-# htis.pairforce_ns and the dhfr_mono workload of `make bench`). The
-# range-limited evaluation runs at one and two workers (workers follow
+# ppip.evaluate_ns, htis.pairforce_ns and the dhfr_mono workload of
+# `make bench`): one PPIP table lookup, one batched pair, then the
+# range-limited evaluation at one and two workers (workers follow
 # GOMAXPROCS), so its worker scaling is read off one command.
 bench-pair:
+	$(GO) test -run '^$$' -bench 'BenchmarkTableEvaluate$$' ./internal/ppip
+	$(GO) test -run '^$$' -bench 'BenchmarkPairForceBatch$$' ./internal/htis
 	$(GO) test -run '^$$' -bench 'BenchmarkRangeLimitedForces$$' -cpu 1,2 \
 		-benchtime 3x ./internal/core
 	$(GO) test -run '^$$' -bench 'BenchmarkStepDHFRScale' \

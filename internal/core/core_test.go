@@ -1,10 +1,12 @@
 package core
 
 import (
+	"bytes"
 	"math"
 	"math/rand"
 	"testing"
 
+	"anton/internal/fixp"
 	"anton/internal/refmd"
 	"anton/internal/system"
 	"anton/internal/vec"
@@ -136,16 +138,21 @@ func TestWorkerCountInvariance(t *testing.T) {
 	}
 }
 
-func TestExactReversibility(t *testing.T) {
-	// Paper §4: run forward, negate the instantaneous velocities, run the
-	// same number of steps, and recover the initial conditions
-	// bit-for-bit (no constraints, no temperature control).
-	e := ionicEngine(t, 8, nil)
-	p0, v0 := e.Snapshot()
-	const steps = 48 // divisible by the MTS interval
-	e.Step(steps)
+// reversibleRun is the engine surface a reversibility check drives: the
+// monolithic Engine, or a Sharded run through its engine.
+type reversibleRun interface {
+	Step(n int)
+	Snapshot() ([]fixp.Vec3, []Vel3)
+}
+
+// checkReversal runs r forward steps steps, negates the velocities of e
+// (r's engine), runs the same number of steps, and requires the start
+// p0, v0 back bit for bit with the velocities negated.
+func checkReversal(t *testing.T, r reversibleRun, e *Engine, p0 []fixp.Vec3, v0 []Vel3, steps int) {
+	t.Helper()
+	r.Step(steps)
 	// The state must actually have moved.
-	pMid, _ := e.Snapshot()
+	pMid, _ := r.Snapshot()
 	moved := false
 	for i := range p0 {
 		if p0[i] != pMid[i] {
@@ -157,8 +164,8 @@ func TestExactReversibility(t *testing.T) {
 		t.Fatal("system did not move; reversibility test vacuous")
 	}
 	e.NegateVelocities()
-	e.Step(steps)
-	p1, v1 := e.Snapshot()
+	r.Step(steps)
+	p1, v1 := r.Snapshot()
 	for i := range p0 {
 		if p1[i] != p0[i] {
 			d := e.Coder.DeltaToPhys(p1[i].Sub(p0[i]))
@@ -169,6 +176,56 @@ func TestExactReversibility(t *testing.T) {
 			t.Fatalf("velocity of atom %d not the negated original: %v vs %v", i, v1[i], want)
 		}
 	}
+}
+
+func TestExactReversibility(t *testing.T) {
+	// Paper §4: run forward, negate the instantaneous velocities, run the
+	// same number of steps, and recover the initial conditions
+	// bit-for-bit (no constraints, no temperature control). Step counts
+	// are multiples of the MTS interval.
+	t.Run("monolithic", func(t *testing.T) {
+		e := ionicEngine(t, 8, nil)
+		p0, v0 := e.Snapshot()
+		checkReversal(t, e, e, p0, v0, 48)
+	})
+	// The same run through 8 shards: the exchange, the shard-local force
+	// sums and the migrations must reverse as exactly as one engine.
+	t.Run("shards-8", func(t *testing.T) {
+		e := ionicEngine(t, 8, nil)
+		p0, v0 := e.Snapshot()
+		sh, err := NewSharded(e.Sys, e.Cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer sh.Close()
+		copy(sh.E.Vel, e.Vel)
+		checkReversal(t, sh, sh.E, p0, v0, 48)
+	})
+	// Forward 24 steps, through a checkpoint into a fresh engine, forward
+	// to step 48, then 48 steps back: the checkpoint carries everything
+	// the reversal needs.
+	t.Run("checkpoint", func(t *testing.T) {
+		e := ionicEngine(t, 8, nil)
+		p0, v0 := e.Snapshot()
+		e.Step(24)
+		var ckpt bytes.Buffer
+		if err := e.WriteCheckpoint(&ckpt); err != nil {
+			t.Fatal(err)
+		}
+		fresh := ionicEngine(t, 8, nil)
+		if err := fresh.RestoreCheckpoint(&ckpt); err != nil {
+			t.Fatal(err)
+		}
+		fresh.Step(24)
+		fresh.NegateVelocities()
+		fresh.Step(48)
+		p1, v1 := fresh.Snapshot()
+		for i := range p0 {
+			if p1[i] != p0[i] || v1[i] != v0[i].Neg() {
+				t.Fatalf("atom %d: start not recovered through a step-24 checkpoint", i)
+			}
+		}
+	})
 }
 
 func TestReversibilityBrokenByThermostatOnly(t *testing.T) {

@@ -218,7 +218,7 @@ const meshAxisMax = 64
 
 // meshIter stages one atom's mesh-point iteration: wrapped indices and
 // minimum-image displacements along each axis, computed once per atom
-// instead of once per mesh point, and the table locations of one row of
+// instead of once per mesh point, and the kernel weights of one row of
 // mesh points. It lives on the caller's stack, so concurrent workers and
 // shard goroutines never share scratch.
 type meshIter struct {
@@ -227,9 +227,9 @@ type meshIter struct {
 	ix, iy, iz [meshAxisMax]int32
 	dx, dy, dz [meshAxisMax]float64
 
-	// One row's weight-table locations (ppip.Table.Locate), indexed like dx.
-	seg [meshAxisMax]int32
-	tq  [meshAxisMax]int64
+	// One row's spreading weights (the PPIP table at each accepted
+	// point), indexed like dx; row stages the table arguments here first.
+	w [meshAxisMax]float64
 }
 
 // fill computes the axis tables for the mesh points within rspread of p.
@@ -264,12 +264,12 @@ func (ms *meshSolver) fillAxis(p float64, idx *[meshAxisMax]int32, d *[meshAxisM
 
 // row finds the mesh points of one row — the x table at squared y-z
 // distance dyz2 — that lie inside the spreading sphere, returns them as
-// the index range [lo, hi) and leaves their weight-table locations in
-// it.seg / it.tq. The points accepted are exactly those the test
-// dx*dx + dyz2 > rc2 does not reject, in the same ascending order, so a
-// caller that walks [lo, hi) sees what a walk of the whole table with that
-// test would see (the cube-walk oracle in meshrows_test.go), without the
-// ~70% of the cube that lies outside the sphere.
+// the index range [lo, hi) and leaves their kernel weights in it.w. The
+// points accepted are exactly those the test dx*dx + dyz2 > rc2 does not
+// reject, in the same ascending order, so a caller that walks [lo, hi)
+// sees what a walk of the whole table with that test would see (the
+// cube-walk oracle in meshrows_test.go), without the ~70% of the cube
+// that lies outside the sphere.
 //
 // dx rises along the table, so dx*dx — and with it the rounded sum — falls
 // to the point nearest the atom (it.mid) and rises after it: the accepted
@@ -279,10 +279,12 @@ func (ms *meshSolver) fillAxis(p float64, idx *[meshAxisMax]int32, d *[meshAxisM
 // rounding never decides a point, and clamping the estimates to mid keeps
 // the settling loops inside the table whatever the estimate was.
 //
-// Locations are taken for the whole run before any weight is evaluated —
-// the two stages of htis.PairForceBatch: a point's divide, index lookup
-// and three rounded multiplies form one dependency chain, and short loops
-// over independent points let neighbouring chains overlap.
+// The weights are taken for the whole run before the caller reads any:
+// the table arguments first, then one ppip.Table.EvaluateEach over them.
+// A point's divide, index lookup and three Horner steps form one
+// dependency chain, and short loops over independent points let
+// neighbouring chains overlap, as the caller's accumulation (a scatter
+// into the mesh or a serial float sum) would not.
 func (it *meshIter) row(ms *meshSolver, dyz2, rc2 float64) (lo, hi int) {
 	dx := &it.dx
 	mid := it.mid
@@ -313,9 +315,9 @@ func (it *meshIter) row(ms *meshSolver, dyz2, rc2 float64) (lo, hi int) {
 		if x >= 1 {
 			x = math.Nextafter(1, 0)
 		}
-		seg, tq := tab.Locate(x)
-		it.seg[ii], it.tq[ii] = int32(seg), tq
+		it.w[ii] = x
 	}
+	tab.EvaluateEach(it.w[lo:hi])
 	return lo, hi
 }
 
@@ -328,7 +330,6 @@ func (ms *meshSolver) spreadAtom(q float64, r vec.V3, counts []int64) int64 {
 	it.fill(ms, r)
 	rc2 := ms.rspread * ms.rspread
 	n := ms.n
-	tab := ms.weightTab
 	var tally int64
 	for kk := 0; kk < it.nk; kk++ {
 		dz := it.dz[kk]
@@ -338,8 +339,7 @@ func (ms *meshSolver) spreadAtom(q float64, r vec.V3, counts []int64) int64 {
 			lo, hi := it.row(ms, dy*dy+dz*dz, rc2)
 			row := counts[(planeBase+int(it.iy[jj]))*n:][:n]
 			for ii := lo; ii < hi; ii++ {
-				wgt := tab.EvaluateAt(int(it.seg[ii]), it.tq[ii])
-				c := int64(math.RoundToEven(q * wgt / ChargeQuantum))
+				c := int64(math.RoundToEven(q * it.w[ii] / ChargeQuantum))
 				row[it.ix[ii]] += c // wrapping accumulate: order-independent
 			}
 			tally += int64(hi - lo)
@@ -375,7 +375,6 @@ func (ms *meshSolver) interpAtom(q float64, r vec.V3) (energy float64, fx, fy, f
 	it.fill(ms, r)
 	rc2 := ms.rspread * ms.rspread
 	n := ms.n
-	tab := ms.weightTab
 	h3 := ms.h * ms.h * ms.h
 	invS2 := 1 / (ms.sigma1 * ms.sigma1)
 	var ex float64
@@ -389,7 +388,7 @@ func (ms *meshSolver) interpAtom(q float64, r vec.V3) (energy float64, fx, fy, f
 			row := ms.mesh.Data[(planeBase+int(it.iy[jj]))*n:][:n]
 			for ii := lo; ii < hi; ii++ {
 				phi := real(row[it.ix[ii]])
-				wgt := tab.EvaluateAt(int(it.seg[ii]), it.tq[ii])
+				wgt := it.w[ii]
 				ex += phi * wgt
 				s := phi * wgt * invS2
 				sx += s * it.dx[ii]

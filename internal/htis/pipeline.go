@@ -147,9 +147,9 @@ func (p *Pipeline) PairForce(d fixp.Vec3, params PairParams) PairResult {
 // The datapath runs in two stages over pairStage pairs at a time, as the
 // hardware pipelines it: distance, cutoff test and table index for every
 // pair, then the function units. One pair's datapath is a single long
-// dependency chain (a divide, the index, three rounded multiplies, the
-// output scaling); short loops over independent pairs let the processor
-// overlap the chains of neighbouring pairs.
+// dependency chain (a divide, the index, three multiply-and-round Horner
+// steps per kernel, the output scaling); short loops over independent
+// pairs let the processor overlap the chains of neighbouring pairs.
 func (p *Pipeline) PairForceBatch(ds []fixp.Vec3, params []PairParams, out []PairResult) {
 	if len(params) != len(ds) || len(out) != len(ds) {
 		panic("htis: PairForceBatch slice length mismatch")

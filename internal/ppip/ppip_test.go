@@ -96,6 +96,17 @@ func TestSchemeValidation(t *testing.T) {
 	if err := odd.Validate(); err == nil || !strings.Contains(err.Error(), "power of two") {
 		t.Errorf("non-power-of-two segment width: got %v", err)
 	}
+	// Tiers [0, 3/8) and [3/8, 1) have power-of-two widths, but the
+	// second starts off a power of two, inside the exponent range
+	// [1/4, 1/2) that would have to select both.
+	offStart := Scheme{{Start: 0, End: 0.375, Entries: 3}, {Start: 0.375, End: 1, Entries: 5}}
+	if err := offStart.Validate(); err == nil || !strings.Contains(err.Error(), "start") {
+		t.Errorf("tier starting off a power of two: got %v", err)
+	}
+	subnormal := Scheme{{Start: 0, End: 0x1p-1070, Entries: 1}, {Start: 0x1p-1070, End: 1, Entries: 1}}
+	if err := subnormal.Validate(); err == nil || !strings.Contains(err.Error(), "normal power of two") {
+		t.Errorf("tier starting at a subnormal: got %v", err)
+	}
 }
 
 func TestTableSegmentLookup(t *testing.T) {
@@ -269,6 +280,14 @@ func TestBuildErrors(t *testing.T) {
 	if _, err := Build(math.Sin, PaperScheme, 4); err == nil {
 		t.Error("4-bit mantissa accepted")
 	}
+	// Build quantizes t to 24 bits: 28-bit mantissas are the widest the
+	// float64 Horner carries exactly.
+	if _, err := Build(math.Sin, PaperScheme, 28); err != nil {
+		t.Errorf("28-bit mantissa: %v", err)
+	}
+	if _, err := Build(math.Sin, PaperScheme, 29); err == nil || !strings.Contains(err.Error(), "float64 Horner") {
+		t.Errorf("29-bit mantissa at a 24-bit coordinate: got %v", err)
+	}
 }
 
 func TestEvaluateMatchesFloatWithinQuantization(t *testing.T) {
@@ -351,6 +370,16 @@ func writtenTable(tb testing.TB) ([]byte, []garbageTable) {
 		// A coordinate width (the header's fourth word) the datapath cannot carry.
 		{name: "99-bit local coordinate", want: "coordinate width",
 			data: corrupt(func(b []byte) { binary.LittleEndian.PutUint32(b[12:], 99) })},
+		// Widths inside their own ranges whose sum the float64 Horner
+		// cannot carry exactly.
+		{name: "32-bit mantissas at a 30-bit coordinate", want: "float64 Horner",
+			data: corrupt(func(b []byte) {
+				binary.LittleEndian.PutUint32(b[8:], 32)
+				binary.LittleEndian.PutUint32(b[12:], 30)
+			})},
+		// A mantissa wider than the header's 22 bits (segment 0's c0).
+		{name: "mantissa outside its width", want: "22-bit range",
+			data: corrupt(func(b []byte) { binary.LittleEndian.PutUint64(b[firstSegHi+8:], 1<<21) })},
 		// A segment whose bounds are not the scheme's (first segment's Hi).
 		{name: "segment bounds off the scheme", want: "scheme says",
 			data: corrupt(func(b []byte) { binary.LittleEndian.PutUint64(b[firstSegHi:], math.Float64bits(0.5)) })},

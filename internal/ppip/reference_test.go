@@ -126,9 +126,17 @@ func TestLookupBitwiseMatchesReference(t *testing.T) {
 					checkLookup(t, tab, math.Nextafter(e, 2))
 				}
 			}
+			// -NaN shares -Inf's sign and exponent bits yet belongs, like
+			// every NaN, in the last tier.
 			for _, x := range []float64{0, math.Copysign(0, -1), math.SmallestNonzeroFloat64,
-				math.Nextafter(1, 0), 1, 1.5, -1e-300, -0.25, math.Inf(1), math.Inf(-1), math.NaN()} {
+				math.Nextafter(1, 0), 1, 1.5, -1e-300, -0.25, math.Inf(1), math.Inf(-1), math.NaN(),
+				math.Float64frombits(0xfff8000000000001), -0x1p-1070} {
 				checkLookup(t, tab, x)
+			}
+			// The largest double below each tier start: the top of the
+			// exponent range that selects the tier before.
+			for _, tier := range tab.Scheme[1:] {
+				checkLookup(t, tab, math.Nextafter(tier.Start, 0))
 			}
 			rng := rand.New(rand.NewSource(int64(bits)))
 			for i := 0; i < perTable/2; i++ {
@@ -150,6 +158,38 @@ func FuzzLocateMatchesReference(f *testing.F) {
 	}
 	f.Fuzz(func(t *testing.T, x float64) {
 		checkLookup(t, tab, x)
+	})
+}
+
+// FuzzEvaluateAtMatchesReference hunts for a location — any segment of
+// any kernel table at any mantissa width, any coordinate, also outside
+// the [0, 2^TBits] Locate returns for non-NaN x — where the float64
+// Horner and the integer reference disagree in a bit.
+func FuzzEvaluateAtMatchesReference(f *testing.F) {
+	var tabs []*Table
+	for _, fn := range kernelFuncs() {
+		for _, bits := range mantissaWidths {
+			tab, err := Build(fn, PaperScheme, bits)
+			if err != nil {
+				f.Fatal(err)
+			}
+			tabs = append(tabs, tab)
+		}
+	}
+	one := int64(1) << 24
+	for i, tq := range []int64{0, 1, one / 2, one/2 + 1, one - 1, one, one + 1, -1, one << 8,
+		math.MinInt64, math.MaxInt64} {
+		f.Add(uint8(i), uint8(3), uint16(37*i), tq)
+	}
+	f.Fuzz(func(t *testing.T, kernel, width uint8, seg uint16, tq int64) {
+		nw := len(mantissaWidths)
+		tab := tabs[int(kernel)%(len(tabs)/nw)*nw+int(width)%nw]
+		s := int(seg) % len(tab.Segments)
+		got, want := tab.EvaluateAt(s, tq), refEvaluateAt(tab, s, tq)
+		if math.Float64bits(got) != math.Float64bits(want) {
+			t.Fatalf("%d-bit table, EvaluateAt(%d, %d) = %v [%#x], reference %v [%#x]",
+				tab.MantissaBits, s, tq, got, math.Float64bits(got), want, math.Float64bits(want))
+		}
 	})
 }
 

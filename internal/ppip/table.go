@@ -32,12 +32,13 @@ var PaperScheme = Scheme{
 	{Start: 1.0 / 4, End: 1, Entries: 24},
 }
 
-// Validate checks that the tiers tile [0, 1) contiguously and that every
+// Validate checks that the tiers tile [0, 1) contiguously, that every
+// tier after the first starts at a (normal) power of two and that every
 // tier's segment width is a power of two. The hardware's tiered index is
-// a bit-slice of x — the tier picks which bit field is the segment number
-// and which is the local coordinate — and that only exists for
-// power-of-two widths; it is also what makes the table's reciprocal-width
-// multiplies exact.
+// a bit-slice of x — x's exponent picks the tier, which picks the bit
+// field that is the segment number and the one that is the local
+// coordinate — and that only exists for power-of-two starts and widths;
+// it is also what makes the table's reciprocal-width multiplies exact.
 func (s Scheme) Validate() error {
 	if len(s) == 0 {
 		return fmt.Errorf("ppip: empty scheme")
@@ -51,6 +52,9 @@ func (s Scheme) Validate() error {
 		}
 		if i > 0 && s[i-1].End != t.Start {
 			return fmt.Errorf("ppip: tier %d not contiguous: %g vs %g", i, s[i-1].End, t.Start)
+		}
+		if frac, _ := math.Frexp(t.Start); i > 0 && (frac != 0.5 || t.Start < 0x1p-1022) {
+			return fmt.Errorf("ppip: tier %d start %g is not a normal power of two", i, t.Start)
 		}
 		if frac, _ := math.Frexp(t.width()); frac != 0.5 {
 			return fmt.Errorf("ppip: tier %d segment width %g is not a power of two", i, t.width())
@@ -98,9 +102,12 @@ type Table struct {
 	FloatCoeffs [][4]float64
 
 	// The evaluated form of Scheme and Segments, derived by index.
-	tiers []tierIndex
-	segs  []segIndex
-	one   float64 // 2^TBits
+	tiers  []tierIndex
+	segs   []segIndex
+	tierOf [1 << 12]uint16 // tier of x by x's sign and exponent bits
+	one    float64         // 2^TBits
+	invOne float64         // 2^-TBits
+	maxTQ  uint64          // 2^TBits: the largest local coordinate Locate returns for non-NaN x
 }
 
 // tierIndex is one tier of the index as Locate reads it. The segment
@@ -118,25 +125,37 @@ type tierIndex struct {
 // lookup touches, in one cache line. rw = 2^TBits/width and scale =
 // 2^Exp/2^(MantissaBits-1) are exact powers of two, so (x-lo)*rw is the
 // TBits-scaled local coordinate and acc*scale the block-exponent output
-// with no rounding of their own.
+// with no rounding of their own. The mantissas are held as float64,
+// which carries them exactly (index bounds them to MantissaBits): m3 as
+// is, m0..m2 less roundHalfEven, so that each Horner step's mantissa add
+// also takes out its rounding constant (see horner).
 type segIndex struct {
 	lo, rw float64
-	m      [4]int64
+	m3     float64
+	mc     [3]float64 // m0..m2 - roundHalfEven
 	scale  float64
 	_      [8]byte
 }
 
 // index derives the evaluated form from Scheme, Segments, MantissaBits
 // and TBits, checking that the segment bounds are the ones the scheme
-// implies (Locate indexes by the scheme and never reads them again).
+// implies (Locate indexes by the scheme and never reads them again) and
+// that the mantissas fit MantissaBits.
 func (t *Table) index() error {
-	// A mantissa times a quantized coordinate must fit an int64.
 	if t.MantissaBits < 8 || t.MantissaBits > 32 || t.TBits < 1 || t.TBits > 30 {
 		return fmt.Errorf("ppip: mantissa width %d out of [8,32] or coordinate width %d out of [1,30]",
 			t.MantissaBits, t.TBits)
 	}
+	// EvaluateAt's float64 Horner is exact only while every product of
+	// the accumulator and the coordinate fits a double's 53 bits.
+	if t.MantissaBits+t.TBits > 52 {
+		return fmt.Errorf("ppip: mantissa width %d + coordinate width %d exceeds the 52 bits the float64 Horner evaluates exactly",
+			t.MantissaBits, t.TBits)
+	}
 	t.one = float64(int64(1) << t.TBits)
-	half := float64(int64(1) << (t.MantissaBits - 1))
+	t.invOne = 1 / t.one
+	t.maxTQ = uint64(1) << t.TBits
+	half := int64(1) << (t.MantissaBits - 1)
 	t.tiers = make([]tierIndex, len(t.Scheme))
 	t.segs = make([]segIndex, len(t.Segments))
 	i := 0
@@ -149,9 +168,32 @@ func (t *Table) index() error {
 			if s.Lo != lo || s.Hi != lo+w {
 				return fmt.Errorf("ppip: segment %d spans [%g,%g), scheme says [%g,%g)", i, s.Lo, s.Hi, lo, lo+w)
 			}
-			t.segs[i] = segIndex{lo: lo, rw: t.one / w, m: s.Mantissa, scale: math.Exp2(float64(s.Exp)) / half}
+			si := segIndex{lo: lo, rw: t.one / w, scale: math.Exp2(float64(s.Exp)) / float64(half)}
+			for _, m := range s.Mantissa {
+				if m < -half || m >= half {
+					return fmt.Errorf("ppip: segment %d mantissa %d outside the %d-bit range", i, m, t.MantissaBits)
+				}
+			}
+			si.m3 = float64(s.Mantissa[3])
+			for j := range si.mc {
+				si.mc[j] = float64(s.Mantissa[j]) - roundHalfEven
+			}
+			t.segs[i] = si
 			i++
 		}
+	}
+	// Every x of one sign and exponent lies in one tier: the tiers start
+	// at powers of two no smaller than 2^-1022 (Scheme.Validate), so the
+	// tier of x is the tier of 2^exponent (0 for subnormals). Negative x
+	// falls below every start and lands in tier 0 — except NaN, which
+	// segment sends to the last tier.
+	for key := range t.tierOf {
+		v := math.Float64frombits(uint64(key) << 52) // ±0, ±2^(exponent-1023) or ±Inf
+		k := len(t.tiers) - 1
+		for k > 0 && v < t.tiers[k].start {
+			k--
+		}
+		t.tierOf[key] = uint16(k)
 	}
 	return nil
 }
@@ -270,16 +312,14 @@ func (t *Table) quantizeSegment(i int) {
 }
 
 // segment returns the index of the segment containing normalized x in
-// [0,1): the last tier that does not start above x (the outer tier first —
-// it covers three quarters of [0,1)), then the tier's segment bit field.
-// Out-of-range x clamps to the first or last segment.
+// [0,1): the tier its sign and exponent bits select, then the tier's
+// segment bit field. Out-of-range x clamps to the first or last segment;
+// NaN of either sign goes to the last tier (an exponent key alone would
+// send -NaN, which shares -Inf's, to tier 0).
 func (t *Table) segment(x float64) int {
-	tr := &t.tiers[0]
-	for k := len(t.tiers) - 1; k > 0; k-- {
-		if !(x < t.tiers[k].start) {
-			tr = &t.tiers[k]
-			break
-		}
+	tr := &t.tiers[t.tierOf[math.Float64bits(x)>>52]]
+	if x != x {
+		tr = &t.tiers[len(t.tiers)-1]
 	}
 	e := int((x - tr.start) * tr.invW)
 	if e < 0 {
@@ -297,42 +337,105 @@ func (t *Table) segment(x float64) int {
 // applied at the end. This is bit-faithful to the narrow-datapath
 // evaluation style of Figure 4a.
 func (t *Table) Evaluate(x float64) float64 {
-	seg, tq := t.Locate(x)
-	return t.EvaluateAt(seg, tq)
+	xs := [1]float64{x}
+	t.EvaluateEach(xs[:])
+	return xs[0]
+}
+
+// EvaluateEach replaces every x of xs with Evaluate(x): Locate then
+// EvaluateAt, in one loop. A run of lookups in one call lets the
+// processor overlap their independent dependency chains (the index, the
+// coordinate, three Horner steps), and an in-range coordinate goes to
+// horner as the integer-valued float64 it is rounded in, with no round
+// trip through int64; any other x takes the two calls.
+func (t *Table) EvaluateEach(xs []float64) {
+	for i, x := range xs {
+		seg := t.segment(x)
+		s := &t.segs[seg]
+		if u := (x - s.lo) * s.rw; u >= 0 && u < t.one {
+			xs[i] = t.horner(seg, u+(1<<52)-(1<<52))
+			continue
+		}
+		xs[i] = t.EvaluateAt(seg, t.coordinate(seg, x))
+	}
 }
 
 // Locate returns the segment index and the TBits-quantized local
-// coordinate of x. The location depends only on the scheme and TBits, so
-// a caller evaluating several kernels of the same x through tables built
-// on the same scheme (as the PPIP's electrostatic and LJ tables are) can
-// pay the tiered index lookup once and reuse it via EvaluateAt.
+// coordinate of x, in [0, 2^TBits] for any x but NaN. The location
+// depends only on the scheme and TBits, so a caller evaluating several
+// kernels of the same x through tables built on the same scheme (as the
+// PPIP's electrostatic and LJ tables are) can pay the tiered index lookup
+// once and reuse it via EvaluateAt.
 func (t *Table) Locate(x float64) (seg int, tq int64) {
-	i := t.segment(x)
-	s := &t.segs[i]
-	// The local coordinate in units of 2^-TBits, clamped to [0, 1) before
-	// rounding: the largest double below 1 rounds to 2^TBits itself.
+	seg = t.segment(x)
+	return seg, t.coordinate(seg, x)
+}
+
+// coordinate is x's local coordinate in segment seg in units of
+// 2^-TBits, clamped to [0, 1) before rounding: the largest double below 1
+// rounds to 2^TBits itself.
+func (t *Table) coordinate(seg int, x float64) int64 {
+	s := &t.segs[seg]
 	u := (x - s.lo) * s.rw
 	if u < 0 {
-		return i, 0
+		return 0
 	}
 	if u >= t.one {
-		return i, int64(t.one)
+		return int64(t.one)
 	}
 	// 0 <= u < 2^TBits: adding and subtracting 2^52 rounds to the nearest
 	// integer, ties to even, as RoundToEven does.
-	return i, int64(u + (1 << 52) - (1 << 52))
+	return int64(u + (1 << 52) - (1 << 52))
 }
 
+// roundHalfEven is 1.5*2^52: y + roundHalfEven is roundHalfEven plus y
+// rounded to the nearest integer, ties to even, for |y| < 2^51 (the sum
+// lands in [2^52, 2^53), where a double's unit in the last place is 1,
+// and roundHalfEven is even).
+const roundHalfEven = 0x1.8p52
+
 // EvaluateAt computes the table polynomial at a location obtained from
-// Locate on a table with an identical scheme and TBits. Horner in
-// integer arithmetic: acc and mantissas carry MantissaBits-1 fraction
-// bits; each multiply by tq adds TBits, which RoundShift removes.
+// Locate on a table with an identical scheme and TBits. It is Horner's
+// rule on the integer mantissas, acc and mantissas carrying
+// MantissaBits-1 fraction bits, each multiply by tq followed by a
+// round-to-nearest/even shift right by TBits. horner carries that in
+// float64 for tq in [0, 2^TBits]; only NaN x locates outside that range,
+// and evaluateWide keeps the integer form for it.
 func (t *Table) EvaluateAt(seg int, tq int64) float64 {
+	if uint64(tq) > t.maxTQ {
+		return t.evaluateWide(seg, tq)
+	}
+	return t.horner(seg, float64(tq))
+}
+
+// horner is EvaluateAt for an integer tq in [0, 2^TBits], passed as a
+// float64, and carried out in float64, where every step is exact. A step
+// multiplies acc by tq*2^-TBits, a product below 2^(MantissaBits+TBits+1)
+// <= 2^53 that a double holds exactly (index checks the bound); adding
+// roundHalfEven rounds it to an integer half to even; adding the next
+// mantissa less roundHalfEven (segIndex.mc) takes the constant out again,
+// exactly, since both sums are integers below 2^53. The result is
+// fixp.RoundShift's integer Horner bit for bit. A compiler that fuses the
+// multiply into the rounding add (an FMA) rounds the same way, since the
+// product it leaves unrounded is exact.
+func (t *Table) horner(seg int, tq float64) float64 {
 	s := &t.segs[seg]
-	tb := t.TBits & 63 // a no-op (index bounds TBits) that spares the shifts their range guards
-	acc := fixp.RoundShift(s.m[3]*tq, tb) + s.m[2]
-	acc = fixp.RoundShift(acc*tq, tb) + s.m[1]
-	acc = fixp.RoundShift(acc*tq, tb) + s.m[0]
+	u := tq * t.invOne
+	acc := s.m3*u + roundHalfEven + s.mc[2]
+	acc = acc*u + roundHalfEven + s.mc[1]
+	acc = acc*u + roundHalfEven + s.mc[0]
+	return acc * s.scale
+}
+
+// evaluateWide is EvaluateAt for a coordinate outside [0, 2^TBits] (what
+// Locate returns for NaN x): the integer Horner, whose wrapping products
+// define the bits there.
+func (t *Table) evaluateWide(seg int, tq int64) float64 {
+	s := &t.segs[seg]
+	m0, m1, m2 := int64(s.mc[0]+roundHalfEven), int64(s.mc[1]+roundHalfEven), int64(s.mc[2]+roundHalfEven)
+	acc := fixp.RoundShift(int64(s.m3)*tq, t.TBits) + m2
+	acc = fixp.RoundShift(acc*tq, t.TBits) + m1
+	acc = fixp.RoundShift(acc*tq, t.TBits) + m0
 	return float64(acc) * s.scale
 }
 

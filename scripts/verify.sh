@@ -113,20 +113,23 @@ go test -count=2 -timeout 30m -run "$det" ./internal/core ./internal/fft \
 	./internal/ppip ./internal/fixp ./internal/htis ./internal/vec \
 	./internal/nt ./internal/ff ./internal/refmd
 
-echo "== fuzz: every decoder of untrusted bytes and the table index, 5 s per target =="
+echo "== fuzz: every decoder of untrusted bytes and the table lookup, 5 s per target =="
 # A short native-fuzz burst from each seeded corpus catches a decoder
 # that panics, stops rejecting truncated/trailing bytes, or mutates state
 # on a rejection: the shard frame codecs, checkpoint restore, the ledger
 # reader + chain verifier, both fault-spec grammars, the job spec, the
 # store's status.json recovery scan, and the PPIP table reader (which must
-# write back what it accepted). The last target is not a decoder: it
-# hunts for an x the table index locates differently from the divide-based
-# reference. Minimizing a new input is capped at 1 s so that a burst
-# fuzzes: the default 60 s would spend it shrinking one 13 KB table.
+# write back what it accepted). The last two targets are not decoders:
+# one hunts for an x the table index locates differently from the
+# divide-based reference, the other for a table location the float64
+# Horner evaluates differently from the integer reference. Minimizing a
+# new input is capped at 1 s so that a burst fuzzes: the default 60 s
+# would spend it shrinking one 13 KB table.
 for target in core:FuzzPosFrame core:FuzzForceFrame core:FuzzRestoreCheckpoint \
 	ledger:FuzzReadVerify faults:FuzzParseSpecs \
 	service:FuzzJobSpec service:FuzzStatusScan \
-	ppip:FuzzReadTable ppip:FuzzLocateMatchesReference; do
+	ppip:FuzzReadTable ppip:FuzzLocateMatchesReference \
+	ppip:FuzzEvaluateAtMatchesReference; do
 	go test -run '^$' -fuzz "^${target#*:}\$" -fuzztime 5s -fuzzminimizetime 1s "./internal/${target%%:*}"
 done
 
