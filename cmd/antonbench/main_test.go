@@ -5,6 +5,7 @@ import (
 	"os"
 	"path"
 	"regexp"
+	"runtime"
 	"strings"
 	"testing"
 )
@@ -48,6 +49,34 @@ func TestRunOneExperiment(t *testing.T) {
 	}
 	if !strings.HasPrefix(stdout.String(), "==================== table1 ====================\nTable 1:") {
 		t.Errorf("unexpected output:\n%s", stdout.String())
+	}
+}
+
+// TestCheapGolden pins the model reports: `-experiment cheap` prints
+// testdata/cheap.golden byte for byte. A change that moves a modelled
+// number must say so and re-record the file.
+func TestCheapGolden(t *testing.T) {
+	// Compilers that fuse multiply-adds (arm64, ppc64, s390x) round
+	// differently, so the recorded output holds on amd64 only.
+	if runtime.GOARCH != "amd64" {
+		t.Skip("golden output recorded on amd64")
+	}
+	want, err := os.ReadFile("testdata/cheap.golden")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var stdout, stderr bytes.Buffer
+	if code := run([]string{"-experiment", "cheap"}, &stdout, &stderr); code != 0 {
+		t.Fatalf("exit %d:\n%s", code, stderr.String())
+	}
+	if got := stdout.String(); got != string(want) {
+		gl, wl := strings.Split(got, "\n"), strings.Split(string(want), "\n")
+		for i := range min(len(gl), len(wl)) {
+			if gl[i] != wl[i] {
+				t.Fatalf("cheap output differs from testdata/cheap.golden at line %d:\n got: %q\nwant: %q", i+1, gl[i], wl[i])
+			}
+		}
+		t.Fatalf("cheap output has %d lines, testdata/cheap.golden %d", len(gl), len(wl))
 	}
 }
 

@@ -113,7 +113,7 @@ func (e *Engine) Comm() (*CommReport, error) {
 	net.Reset()
 
 	// Bond destinations.
-	assign := AssignBondTerms(e.Sys.Top, e.boxOf, e.grid, 8)
+	assign := AssignBondTerms(e.Sys.Top, e.boxOf, e.grid)
 	rep.GCLoad = assign.Stats()
 	for atom := range e.Pos {
 		home := e.boxOf[atom]

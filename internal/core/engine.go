@@ -12,9 +12,14 @@ import (
 	"anton/internal/machine"
 	"anton/internal/nt"
 	"anton/internal/obs"
+	"anton/internal/ppip"
 	"anton/internal/system"
 	"anton/internal/vec"
 )
+
+// EwaldTol is the real-space screening at the cutoff: the Ewald split's σ
+// makes erfc(R/(√2σ)) equal to it.
+const EwaldTol = 1e-5
 
 // Config tunes the Anton engine.
 type Config struct {
@@ -22,15 +27,11 @@ type Config struct {
 	Dt                float64 // time step, fs (paper: 2.5)
 	MTSInterval       int     // long-range every k steps (paper: 2)
 	MigrationInterval int     // steps between atom migrations (paper: 4-8)
-	Slack             float64 // import-region expansion, Å (§3.2.4)
 
 	// Berendsen temperature control; TauT <= 0 gives NVE (required for
 	// the exact-reversibility property).
 	TargetT float64
 	TauT    float64
-
-	// EwaldTol sets the real-space screening at the cutoff.
-	EwaldTol float64
 
 	// Workers caps the number of concurrent force workers (0 = use up to
 	// 16 or GOMAXPROCS, whichever is smaller). The trajectory and every
@@ -46,10 +47,8 @@ func DefaultConfig(nodes int) Config {
 		Dt:                2.5,
 		MTSInterval:       2,
 		MigrationInterval: 4,
-		Slack:             4.5,
 		TargetT:           300,
 		TauT:              100,
-		EwaldTol:          1e-5,
 	}
 }
 
@@ -212,18 +211,12 @@ func NewEngine(s *system.System, cfg Config) (*Engine, error) {
 	if cfg.MigrationInterval < 1 {
 		cfg.MigrationInterval = 1
 	}
-	if cfg.EwaldTol == 0 {
-		cfg.EwaldTol = 1e-5
-	}
-	if cfg.Slack <= 0 {
-		cfg.Slack = 4.5
-	}
 	m, err := machine.New(cfg.Nodes)
 	if err != nil {
 		return nil, err
 	}
 	split := ewald.Split{
-		Sigma:  ewald.SigmaForCutoff(s.Cutoff, cfg.EwaldTol),
+		Sigma:  ewald.SigmaForCutoff(s.Cutoff, EwaldTol),
 		Cutoff: s.Cutoff,
 	}
 	// The stored position format is 2*x/L (state.go), so one unit of a
@@ -416,6 +409,10 @@ func (e *Engine) endStep() {
 // an early re-migration. Diagnostics compare the measured per-interval
 // drift (trace.MaxDisplacementPBC) against this margin.
 func (e *Engine) MigrationSlack() float64 { return e.subSlack }
+
+// SpreadTable returns the mesh solver's PPIP table of the GSE spreading
+// kernel; the four range-limited tables are on Pipe.
+func (e *Engine) SpreadTable() *ppip.Table { return e.mesh.weightTab }
 
 // obsNow returns the observability clock (obs.Now), or 0 with
 // observability off. The nil checks are the entire cost of the disabled

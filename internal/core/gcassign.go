@@ -2,6 +2,7 @@ package core
 
 import (
 	"anton/internal/ff"
+	"anton/internal/machine"
 	"anton/internal/nt"
 )
 
@@ -19,8 +20,6 @@ var termCost = [...]int{2: 2, 3: 3, 4: 5}
 // GCAssignment is a complete static assignment of bonded terms to
 // geometry cores.
 type GCAssignment struct {
-	NumGCs int
-
 	// load[node][gc] is the summed term cost.
 	load [][]int
 
@@ -32,16 +31,17 @@ type GCAssignment struct {
 }
 
 // AssignBondTerms distributes all bonded terms of the topology across the
-// geometry cores of the machine: each term goes to the home node of its
-// first atom (the node already receiving that atom's position), then to
-// the least-loaded GC on that node (greedy longest-processing-time
-// balancing: terms are placed in decreasing cost order).
-func AssignBondTerms(top *ff.Topology, boxOf []int32, grid nt.Grid, numGCs int) *GCAssignment {
-	a := &GCAssignment{NumGCs: numGCs}
+// machine.NumGCs geometry cores of each node: each term goes to the home
+// node of its first atom (the node already receiving that atom's
+// position), then to the least-loaded GC on that node (greedy
+// longest-processing-time balancing: terms are placed in decreasing cost
+// order).
+func AssignBondTerms(top *ff.Topology, boxOf []int32, grid nt.Grid) *GCAssignment {
+	a := &GCAssignment{}
 	n := grid.NumBoxes()
 	a.load = make([][]int, n)
 	for i := range a.load {
-		a.load[i] = make([]int, numGCs)
+		a.load[i] = make([]int, machine.NumGCs)
 	}
 	a.destNodes = make([][]int32, top.NAtoms())
 
@@ -58,7 +58,7 @@ func AssignBondTerms(top *ff.Topology, boxOf []int32, grid nt.Grid, numGCs int) 
 			node := boxOf[atoms[0]]
 			// Least-loaded GC on the node.
 			best := 0
-			for gc := 1; gc < numGCs; gc++ {
+			for gc := 1; gc < machine.NumGCs; gc++ {
 				if a.load[node][gc] < a.load[node][best] {
 					best = gc
 				}

@@ -2,16 +2,30 @@ package core
 
 import (
 	"testing"
+
+	"anton/internal/machine"
 )
+
+// checkSpansGCs fails unless every node of the assignment has exactly
+// machine.NumGCs geometry cores.
+func checkSpansGCs(t *testing.T, a *GCAssignment) {
+	t.Helper()
+	for n, gcs := range a.load {
+		if len(gcs) != machine.NumGCs {
+			t.Fatalf("node %d spans %d GCs, want machine.NumGCs = %d", n, len(gcs), machine.NumGCs)
+		}
+	}
+}
 
 func TestAssignBondTermsCoversAllTerms(t *testing.T) {
 	e := smallWaterEngine(t, 8, nil)
 	top := e.Sys.Top
-	a := AssignBondTerms(top, e.boxOf, e.grid, 8)
+	a := AssignBondTerms(top, e.boxOf, e.grid)
 	want := len(top.Bonds) + len(top.Angles) + len(top.Dihedrals) + len(top.Impropers)
 	if a.Terms() != want {
 		t.Fatalf("terms assigned: %d, want %d", a.Terms(), want)
 	}
+	checkSpansGCs(t, a)
 	// Total load equals the summed term costs.
 	wantLoad := len(top.Bonds)*2 + len(top.Angles)*3 + (len(top.Dihedrals)+len(top.Impropers))*5
 	total := 0
@@ -26,8 +40,9 @@ func TestAssignBondTermsCoversAllTerms(t *testing.T) {
 func TestAssignBondTermsBalanced(t *testing.T) {
 	// Greedy LPT keeps the worst GC within ~2x of the mean (and typically
 	// much closer) — the §3.2.3 objective of minimizing worst-case load.
-	e := smallWaterEngine(t, 1, nil) // one node: all terms on 8 GCs
-	a := AssignBondTerms(e.Sys.Top, e.boxOf, e.grid, 8)
+	e := smallWaterEngine(t, 1, nil) // one node: all terms on its GCs
+	a := AssignBondTerms(e.Sys.Top, e.boxOf, e.grid)
+	checkSpansGCs(t, a)
 	s := a.Stats()
 	if s.Imbalance > 1.5 {
 		t.Errorf("GC imbalance %.2f too high (worst %d, mean %.1f)", s.Imbalance, s.WorstGC, s.MeanGC)
@@ -36,7 +51,7 @@ func TestAssignBondTermsBalanced(t *testing.T) {
 
 func TestBondDestinationsAreDeduplicated(t *testing.T) {
 	e := smallWaterEngine(t, 8, nil)
-	a := AssignBondTerms(e.Sys.Top, e.boxOf, e.grid, 8)
+	a := AssignBondTerms(e.Sys.Top, e.boxOf, e.grid)
 	for atom := 0; atom < e.Sys.NAtoms(); atom++ {
 		seen := map[int32]bool{}
 		for _, d := range a.BondDestinations(atom) {

@@ -10,7 +10,6 @@ import (
 	"anton/internal/core"
 	"anton/internal/ewald"
 	"anton/internal/ff"
-	"anton/internal/htis"
 	"anton/internal/machine"
 	"anton/internal/nt"
 	"anton/internal/ppip"
@@ -62,7 +61,7 @@ func AblationSubbox() (string, error) {
 	var b strings.Builder
 	fmt.Fprintf(&b, "Ablation: subbox division on the 512-node DHFR decomposition\n")
 	fmt.Fprintf(&b, "(box side %.2f Å, 13-Å cutoff; PPIPs stay fed while ME >= %.0f%%)\n",
-		62.2/8, htis.DefaultHardware.MinMatchEfficiency()*100)
+		62.2/8, machine.MinMatchEfficiency*100)
 	fmt.Fprintf(&b, "%-8s %12s %14s\n", "subdiv", "match eff", "PPIP util")
 	rng := rand.New(rand.NewSource(5))
 	prevUtil := 0.0
@@ -71,7 +70,7 @@ func AblationSubbox() (string, error) {
 		me := nt.MatchEfficiency(cfg, rng, 200000)
 		needed := nt.NecessaryPairsPerNode(cfg, 0.098)
 		considered := needed / me
-		tp := htis.DefaultHardware.Throughput(considered, needed)
+		tp := machine.PricePairs(considered, needed)
 		fmt.Fprintf(&b, "%-8d %11.0f%% %13.0f%%\n", subdiv, me*100, tp.Utilization*100)
 		if tp.Utilization+1e-9 < prevUtil {
 			return "", fmt.Errorf("utilization fell with subdivision")

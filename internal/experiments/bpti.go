@@ -24,7 +24,6 @@ func BPTI(steps int) (string, error) {
 	}
 	cfg := core.DefaultConfig(8)
 	cfg.MigrationInterval = 1
-	cfg.Slack = 2.8
 	eng, err := core.NewEngine(s, cfg)
 	if err != nil {
 		return "", err

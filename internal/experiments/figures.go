@@ -125,7 +125,6 @@ func Fig6(steps, sampleEvery int) (string, error) {
 	runAnton := func(seed int64) ([][]vec.V3, error) {
 		cfg := core.DefaultConfig(8)
 		cfg.MigrationInterval = 1
-		cfg.Slack = 2.8
 		eng, err := core.NewEngine(s, cfg)
 		if err != nil {
 			return nil, err

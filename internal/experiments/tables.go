@@ -281,7 +281,6 @@ func measureAccuracy(name string, driftSteps int) (drift, totErr, numErr float64
 	cfg := core.DefaultConfig(8)
 	cfg.MTSInterval = 1
 	cfg.MigrationInterval = 1
-	cfg.Slack = 2.8
 	eng, err := core.NewEngine(s, cfg)
 	if err != nil {
 		return 0, 0, 0, err
@@ -325,7 +324,6 @@ func measureAccuracy(name string, driftSteps int) (drift, totErr, numErr float64
 	dcfg := core.DefaultConfig(8)
 	dcfg.TauT = 0
 	dcfg.MigrationInterval = 1
-	dcfg.Slack = 2.8
 	deng, err := core.NewEngine(s, dcfg)
 	if err != nil {
 		return 0, 0, 0, err

@@ -1,9 +1,9 @@
-// Package htis models Anton's high-throughput interaction subsystem: the
-// array of 32 pairwise point interaction pipelines (PPIPs) per ASIC, the
-// eight match units feeding each PPIP with low-precision distance checks
-// (paper Figure 4b), the functional fixed-point pair-force pipeline built
-// on the ppip function tables, and a cycle-level utilization/performance
-// model.
+// Package htis models the datapath of Anton's high-throughput interaction
+// subsystem: the match unit's low-precision distance check (paper Figure
+// 4b), the functional fixed-point pair-force pipeline of one PPIP built on
+// the ppip function tables, and PairStats, the counts of the work they
+// did. The HTIS's clocks, PPIP count and throughput live in package
+// machine.
 package htis
 
 import (

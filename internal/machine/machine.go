@@ -4,10 +4,11 @@
 // each node an ASIC with the HTIS (32 PPIPs), the flexible subsystem
 // (8 geometry cores, 4 control processors, correction pipeline, DMA
 // engines) and 50.6 Gbit/s inter-node channels with tens-of-nanoseconds
-// latency. On top of the topology it provides the analytic per-time-step
-// performance model that reproduces the paper's Table 2 (Anton columns),
-// Table 4 / Figure 5 simulation rates, and the section 5.1 partitioning
-// behavior.
+// latency. It is the one home of the ASIC's numbers and of the HTIS
+// throughput model (htis.go). On top of the topology it provides the
+// analytic per-time-step performance model that reproduces the paper's
+// Table 2 (Anton columns), Table 4 / Figure 5 simulation rates, and the
+// section 5.1 partitioning behavior.
 package machine
 
 import (

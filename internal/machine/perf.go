@@ -105,18 +105,14 @@ func (mod Model) Estimate(m *Machine, w Workload) StepProfile {
 	var p StepProfile
 
 	// --- Range-limited forces on the HTIS (NT method, §3.2.1). ---
-	// Choose the smallest subbox division keeping the PPIPs fed: the
-	// match units deliver MatchPerPPIP candidates per base-clock cycle
-	// and the PPIPs retire PPIPClock/BaseClock per cycle, so full
-	// utilization needs ME >= 2/8 (Table 3's motivation).
+	// Choose the smallest subbox division keeping the PPIPs fed
+	// (ME >= MinMatchEfficiency, Table 3's motivation).
 	subdiv, me := chooseSubdiv(boxSide, w.Cutoff, rho)
 	p.Subdiv, p.MatchEfficiency = subdiv, me
 	cfg := nt.Config{BoxSide: boxSide, Cutoff: w.Cutoff, Subdiv: subdiv}
 	needed := nt.NecessaryPairsPerNode(cfg, rho)
 	considered := nt.PairsConsideredPerNode(cfg, rho)
-	tMatch := considered / (NumPPIPs * MatchPerPPIP * BaseClockHz)
-	tPpip := needed / (NumPPIPs * PPIPClockHz)
-	p.RangeLimited = mod.RangeFixed + math.Max(tMatch, tPpip)
+	p.RangeLimited = mod.RangeFixed + PricePairs(considered, needed).Seconds
 
 	// --- Mesh interpolation through the HTIS (GSE, §3.1/Figure 3c). ---
 	interactions := chargedPerNode * w.MeshPointsPerAtom()
@@ -163,10 +159,9 @@ func (mod Model) Estimate(m *Machine, w Workload) StepProfile {
 }
 
 // chooseSubdiv picks the smallest subbox division in {1,2,4} whose
-// estimated match efficiency reaches the PPIP full-utilization threshold,
-// or 4 if none does.
+// estimated match efficiency reaches MinMatchEfficiency, or 4 if none
+// does.
 func chooseSubdiv(boxSide, cutoff, rho float64) (int, float64) {
-	const threshold = float64(PPIPClockHz/BaseClockHz) / MatchPerPPIP
 	best, bestME := 4, 0.0
 	for _, s := range []int{1, 2, 4} {
 		cfg := nt.Config{BoxSide: boxSide, Cutoff: cutoff, Subdiv: s}
@@ -174,7 +169,7 @@ func chooseSubdiv(boxSide, cutoff, rho float64) (int, float64) {
 		if s == 1 || me > bestME {
 			bestME = me
 		}
-		if me >= threshold {
+		if me >= MinMatchEfficiency {
 			return s, me
 		}
 	}

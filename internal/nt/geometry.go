@@ -21,14 +21,7 @@ type Config struct {
 	BoxSide float64 // home-box edge length, Å (cubic boxes)
 	Cutoff  float64 // interaction cutoff radius R, Å
 	Subdiv  int     // subboxes per box edge (1, 2, or 4 in Table 3)
-	Slack   float64 // import-region expansion for constraint groups and
-	// deferred migration (paper §3.2.4), Å
 }
-
-// EffectiveCutoff returns the cutoff used for building import regions:
-// the physical cutoff plus the slack. Match units and PPIPs still apply
-// the physical cutoff, so the computed interactions are unchanged.
-func (c Config) EffectiveCutoff() float64 { return c.Cutoff + c.Slack }
 
 // subdiv returns the subdivision count, treating the zero value as 1.
 func (c Config) subdiv() int {
@@ -46,7 +39,7 @@ func (c Config) SubboxSide() float64 { return c.BoxSide / float64(c.subdiv()) }
 // the box footprint.
 func (c Config) TowerImportVolume() float64 {
 	b := c.BoxSide
-	return 2 * b * b * c.EffectiveCutoff()
+	return 2 * b * b * c.Cutoff
 }
 
 // PlateImportVolume returns the rounded volume imported for the plate
@@ -55,7 +48,7 @@ func (c Config) TowerImportVolume() float64 {
 // extruded over the box height.
 func (c Config) PlateImportVolume() float64 {
 	b := c.BoxSide
-	r := c.EffectiveCutoff()
+	r := c.Cutoff
 	halfAnnulus := 2*b*r + math.Pi*r*r/2
 	return b * halfAnnulus
 }
@@ -71,7 +64,7 @@ func (c Config) ImportVolume() float64 {
 // around the home box.
 func (c Config) HalfShellImportVolume() float64 {
 	b := c.BoxSide
-	r := c.EffectiveCutoff()
+	r := c.Cutoff
 	// Minkowski sum of a cube with a ball, minus the cube, halved:
 	// faces 6*b^2*r, edges 3*pi*r^2*b, corners (4/3)*pi*r^3.
 	shell := 6*b*b*r + 3*math.Pi*r*r*b + 4.0/3.0*math.Pi*r*r*r
@@ -100,7 +93,7 @@ func (c Config) MeshPlateImportVolume(rspread float64) float64 {
 func (c Config) SubboxImportVolume() float64 {
 	s := c.SubboxSide()
 	n := c.subdiv()
-	r := c.EffectiveCutoff()
+	r := c.Cutoff
 	nr := int(math.Ceil(r / s)) // subbox reach in units of subboxes
 	// Count unique subboxes in the union of all per-subbox import regions,
 	// relative to the home box [0,n)^3, excluding home subboxes.

@@ -26,7 +26,7 @@ type Regions struct {
 // half-plane.
 func BuildRegions(c Config) Regions {
 	s := c.SubboxSide()
-	r := c.EffectiveCutoff()
+	r := c.Cutoff
 	nr := int(math.Ceil(r / s))
 	var reg Regions
 	reg.Side = s
@@ -73,8 +73,8 @@ func sampleRegion(rng *rand.Rand, offsets [][3]int, s float64) point {
 // reproduces Table 3 across all nine box/subbox configurations.
 func MatchEfficiency(c Config, rng *rand.Rand, samples int) float64 {
 	s := c.SubboxSide()
-	r := c.EffectiveCutoff()
-	r2 := c.Cutoff * c.Cutoff // physical cutoff, not the slack-expanded one
+	r := c.Cutoff
+	r2 := r * r
 	hits := 0
 	for i := 0; i < samples; i++ {
 		t := sampleGranularTower(rng, s, r)
@@ -154,7 +154,7 @@ func MatchEfficiencyBoxGranular(c Config, rng *rand.Rand, samples int) float64 {
 // independently.
 func PairsConsideredPerNode(c Config, density float64) float64 {
 	s := c.SubboxSide()
-	r := c.EffectiveCutoff()
+	r := c.Cutoff
 	towerAtoms := s * s * (s + 2*math.Ceil(r/s)*s) * density
 	plateArea := s*s + 2*s*r + math.Pi*r*r/2
 	plateAtoms := s * plateArea * density

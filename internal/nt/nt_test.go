@@ -99,26 +99,6 @@ func TestImportVolumeComponents(t *testing.T) {
 	}
 }
 
-func TestSlackExpandsImportOnly(t *testing.T) {
-	// Section 3.2.4: slack for constraint groups / deferred migration
-	// expands the import region but leaves the match cutoff unchanged.
-	base := Config{BoxSide: 16, Cutoff: 13}
-	slacked := Config{BoxSide: 16, Cutoff: 13, Slack: 1.5}
-	if slacked.ImportVolume() <= base.ImportVolume() {
-		t.Error("slack did not expand import volume")
-	}
-	rng := rand.New(rand.NewSource(29))
-	meBase := MatchEfficiency(base, rng, 200000)
-	meSlack := MatchEfficiency(slacked, rng, 200000)
-	// Efficiency drops slightly (more candidates, same matches).
-	if meSlack >= meBase {
-		t.Errorf("slacked ME %.3f should be below base %.3f", meSlack, meBase)
-	}
-	if meBase-meSlack > 0.1 {
-		t.Errorf("slack cost too large: %.3f vs %.3f", meSlack, meBase)
-	}
-}
-
 func TestMeshPlateLargerThanHalfPlate(t *testing.T) {
 	// Figure 3c: the mesh variant needs a symmetric (full) plate.
 	c := Config{BoxSide: 16, Cutoff: 13}

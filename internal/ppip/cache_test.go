@@ -7,6 +7,8 @@ import (
 	"testing"
 
 	"anton/internal/core"
+	"anton/internal/ewald"
+	"anton/internal/htis"
 	"anton/internal/ppip"
 	"anton/internal/system"
 )
@@ -55,10 +57,10 @@ func digestAfter20(e *core.Engine) uint64 {
 }
 
 // TestTableCacheKeys: engines of one system share all five tables; a
-// system that differs in cutoff, Ewald tolerance or spreading radius gets
-// fresh tables for exactly the kernels that read the changed parameter
-// and shares the rest; and an engine on cached tables runs the same
-// trajectory as one on tables from the serial reference fit.
+// system that differs in cutoff or spreading radius, or a pipeline on
+// another Ewald σ, gets fresh tables for exactly the kernels that read the
+// changed parameter and shares the rest; and an engine on cached tables
+// runs the same trajectory as one on tables from the serial reference fit.
 func TestTableCacheKeys(t *testing.T) {
 	fits := countFits(t, ppip.Build)
 	base := smallEngine(t, nil)
@@ -77,7 +79,6 @@ func TestTableCacheKeys(t *testing.T) {
 	}{
 		// σ follows the cutoff, and the spreading σ₁ follows σ.
 		{"cutoff", func(s *system.System, _ *core.Config) { s.Cutoff = 6.5 }, 5, [4]bool{}},
-		{"EwaldTol", func(_ *system.System, cfg *core.Config) { cfg.EwaldTol = 1e-6 }, 3, [4]bool{false, false, true, true}},
 		{"RSpread", func(s *system.System, _ *core.Config) { s.RSpread *= 0.9 }, 1, [4]bool{true, true, true, true}},
 	} {
 		before := fits.Load()
@@ -90,6 +91,24 @@ func TestTableCacheKeys(t *testing.T) {
 			if (got[i] == want[i]) != c.shared[i] {
 				t.Errorf("%s: pipeline table %d shared = %v, want %v", c.name, i, got[i] == want[i], c.shared[i])
 			}
+		}
+	}
+
+	// σ alone (the engine's Ewald tolerance is a constant): a pipeline on a
+	// tighter tolerance refits the two erfc kernels and shares the LJ ones.
+	before := fits.Load()
+	tight := ewald.Split{Sigma: ewald.SigmaForCutoff(base.Split.Cutoff, 1e-6), Cutoff: base.Split.Cutoff}
+	p, err := htis.NewPipeline(base.Pipe.BoxL, tight)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := fits.Load() - before; n != 2 {
+		t.Errorf("sigma: %d tables fitted, want 2", n)
+	}
+	got, want := [4]*ppip.Table{p.Elec, p.ElecE, p.LJ12, p.LJ6}, pipeTables(base)
+	for i, shared := range [4]bool{false, false, true, true} {
+		if (got[i] == want[i]) != shared {
+			t.Errorf("sigma: pipeline table %d shared = %v, want %v", i, got[i] == want[i], shared)
 		}
 	}
 

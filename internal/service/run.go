@@ -54,13 +54,7 @@ type Run struct {
 // then overwrites the seeded state, exactly as the uninterrupted run
 // would have evolved it.
 func BuildSim(spec JobSpec) (core.Sim, *core.Engine, *core.Sharded, error) {
-	var s *system.System
-	var err error
-	if spec.System == "small" {
-		s, err = system.Small(true, 1)
-	} else {
-		s, err = system.ByName(spec.System)
-	}
+	s, err := system.ByName(spec.System)
 	if err != nil {
 		return nil, nil, nil, fmt.Errorf("service: building system: %w", err)
 	}

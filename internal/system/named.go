@@ -67,8 +67,12 @@ func Table4Names() []string {
 	return []string{"gpW", "DHFR", "aSFP", "NADHOx", "FtsZ", "T7Lig"}
 }
 
-// ByName builds the named system.
+// ByName builds the named system. "small" is Small(true, 1), the fast
+// demo system; it is not in the catalog, so Names does not list it.
 func ByName(name string) (*System, error) {
+	if name == "small" {
+		return Small(true, 1)
+	}
 	spec, ok := catalog[name]
 	if !ok {
 		return nil, fmt.Errorf("system: unknown system %q (have %v)", name, Names())

@@ -247,6 +247,32 @@ func TestBuildDeterministic(t *testing.T) {
 	}
 }
 
+// TestByNameSmall: "small" resolves to Small(true, 1) and stays out of
+// the catalog's listing.
+func TestByNameSmall(t *testing.T) {
+	a, err := ByName("small")
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := Small(true, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if a.Name != b.Name || len(a.R) != len(b.R) {
+		t.Fatalf("ByName(small) built %s (%d atoms), want %s (%d)", a.Name, len(a.R), b.Name, len(b.R))
+	}
+	for i := range a.R {
+		if a.R[i] != b.R[i] {
+			t.Fatalf("position %d differs from Small(true, 1)", i)
+		}
+	}
+	for _, n := range Names() {
+		if n == "small" {
+			t.Error("Names lists small")
+		}
+	}
+}
+
 func TestCATraceAndSelections(t *testing.T) {
 	s, err := Small(true, 3)
 	if err != nil {
