@@ -63,7 +63,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fl := flag.NewFlagSet("antonsim", flag.ContinueOnError)
 	fl.SetOutput(stderr)
 	var (
-		name    = fl.String("system", "gpW", "named system (see -list) or 'small'")
+		name    = fl.String("system", "gpW", "named system (see -list)")
 		nodes   = fl.Int("nodes", 8, "Anton node count to simulate (power of two, at most 512)")
 		shards  = fl.Int("shards", 0, "run the sharded virtual-node pipeline with this many shards (power of two, overrides -nodes; 0 = monolithic engine)")
 		steps   = fl.Int("steps", 20, "time steps to run")
@@ -109,12 +109,11 @@ func run(args []string, stdout, stderr io.Writer) int {
 
 	if *list {
 		fmt.Fprintln(stdout, "available systems:")
-		for _, n := range system.Names() {
+		for _, n := range system.Accepted() {
 			spec, _ := system.SpecFor(n)
 			fmt.Fprintf(stdout, "  %-8s %8d atoms, %6.1f Å box, cutoff %5.1f Å, mesh %d³\n",
 				n, spec.TotalAtoms, spec.Side, spec.Cutoff, spec.Mesh)
 		}
-		fmt.Fprintln(stdout, "  small       645 atoms (fast demo)")
 		return 0
 	}
 

@@ -3,7 +3,6 @@ package core
 import (
 	"fmt"
 	"math"
-	"sort"
 
 	"anton/internal/ewald"
 	"anton/internal/ff"
@@ -126,10 +125,9 @@ type Engine struct {
 	// groupCons caches, per constraint group, the group's constraints with
 	// the endpoint positions remapped to indices within the group's atom
 	// list, so SHAKE/RATTLE scratch is sized by the largest group instead
-	// of the whole system (and per-shard scratch stays small). consGroups
-	// lists the groups that have constraints, the index space the
-	// constraint phases chunk over. Built in
-	// NewEngine — never lazily, so concurrent shard use needs no locking.
+	// of the whole system. consGroups lists the groups that have
+	// constraints, the index space the constraint phases chunk over.
+	// Built in NewEngine.
 	groupCons    [][]groupCon
 	consGroups   []int32
 	maxGroupLen  int
@@ -155,8 +153,7 @@ type Engine struct {
 	meshMergeFn  func(w, lo, hi int)
 	meshInterpFn func(w, lo, hi int)
 
-	// Constraint-phase chunk closures and per-worker SHAKE/RATTLE scratch
-	// (shards carry their own consScratch).
+	// Constraint-phase chunk closures and per-worker SHAKE/RATTLE scratch.
 	shakeChunkFn  func(w, lo, hi int)
 	rattleChunkFn func(w, lo, hi int)
 	consWorkers   []consScratch
@@ -166,7 +163,7 @@ type Engine struct {
 	// mesh, residency checks) instead of per-phase decode passes.
 	posCache []vec.V3
 
-	// oldPos is the reusable pre-drift position snapshot of stepOnce.
+	// oldPos is the pre-drift position snapshot SHAKE reads (beforeForces).
 	oldPos []fixp.Vec3
 
 	// ljPairs caches the Lorentz-Berthelot combined parameters per
@@ -269,7 +266,7 @@ func NewEngine(s *system.System, cfg Config) (*Engine, error) {
 	}
 
 	// Group-local constraint views and the sizes of the SHAKE/RATTLE
-	// scratch (built eagerly: shards use these concurrently).
+	// scratch.
 	e.buildGroupCons()
 
 	// Subbox grid: each home box divided into a regular array of subboxes
@@ -292,6 +289,11 @@ func NewEngine(s *system.System, cfg Config) (*Engine, error) {
 	e.subGrid = nt.Grid{Nx: subDims[0], Ny: subDims[1], Nz: subDims[2]}
 	e.subSlack = 0.45*float64(cfg.MigrationInterval) + 0.45
 	reach := s.Cutoff + 2*e.subSlack
+	// Two walks, so the pair list (~13 MB on DHFR) is allocated once at
+	// its final length: the first counts the pairs, the second fills them.
+	npairs := 0
+	nt.BoxPairsWithinCutoff(e.subGrid, e.subSide, reach, func(_, _ nt.BoxCoord) { npairs++ })
+	e.subPairs = make([][2]int32, 0, npairs)
 	nt.BoxPairsWithinCutoff(e.subGrid, e.subSide, reach, func(a, b nt.BoxCoord) {
 		e.subPairs = append(e.subPairs, [2]int32{int32(e.subGrid.Index(a)), int32(e.subGrid.Index(b))})
 	})
@@ -323,6 +325,7 @@ func NewEngine(s *system.System, cfg Config) (*Engine, error) {
 	e.rattleChunkFn = e.rattleChunk
 
 	e.posCache = make([]vec.V3, s.NAtoms())
+	e.oldPos = make([]fixp.Vec3, s.NAtoms())
 	e.refreshPosCache()
 	e.migrate()
 	return e, nil
@@ -457,11 +460,11 @@ func (e *Engine) migrate() {
 		idx := int32(e.grid.Index(c))
 		for _, a := range g {
 			e.boxOf[a] = idx
-			e.boxAtoms[idx] = append(e.boxAtoms[idx], int32(a))
 		}
 	}
-	for i := range e.boxAtoms {
-		sort.Slice(e.boxAtoms[i], func(a, b int) bool { return e.boxAtoms[i][a] < e.boxAtoms[i][b] })
+	// Filled in atom order, so each box's list is sorted as built.
+	for a, b := range e.boxOf {
+		e.boxAtoms[b] = append(e.boxAtoms[b], int32(a))
 	}
 	// Subbox assignment is per atom (pair discovery does not depend on
 	// ownership), so the residency slack only has to cover inter-
@@ -509,24 +512,34 @@ func (e *Engine) totalForce(i int, withLong bool) Force3 {
 
 // stepOnce performs one velocity-Verlet step in fixed point.
 func (e *Engine) stepOnce() {
+	refresh := e.beforeForces()
+	e.computeForces(refresh)
+	if e.afterForces(refresh) {
+		e.migrate()
+	}
+	e.endStep()
+}
+
+// beforeForces runs a step up to its force evaluation: the first
+// half-kick, the drift, SHAKE and the virtual-site placement, then the
+// step count. It returns whether the coming evaluation refreshes the
+// long-range forces. The sharded step loop runs it too: each update is per
+// atom or per constraint group, with no accumulation and no message, so
+// one pass over the canonical state gives every layout the same bits.
+func (e *Engine) beforeForces() bool {
 	top := e.Sys.Top
 	dt := e.Cfg.Dt
 	// The long-range impulse is applied on the steps where it is
 	// (re)evaluated; with the Verlet splitting both half-kicks around the
 	// evaluation carry it.
-	withLongNow := e.step%e.Cfg.MTSInterval == 0
+	withLong := e.step%e.Cfg.MTSInterval == 0
 
-	// First half kick.
 	t0 := e.obsNow()
 	for i, a := range top.Atoms {
 		if a.Mass == 0 {
 			continue
 		}
-		e.kick(i, a.Mass, dt/2, withLongNow)
-	}
-	// Drift.
-	if len(e.oldPos) != len(e.Pos) {
-		e.oldPos = make([]fixp.Vec3, len(e.Pos))
+		e.kick(i, a.Mass, dt/2, withLong)
 	}
 	copy(e.oldPos, e.Pos)
 	cd := e.driftCoeff(dt)
@@ -544,16 +557,22 @@ func (e *Engine) stepOnce() {
 	e.obsPhase(obs.PhaseConstraints, t0)
 
 	e.step++
-	withLongNext := e.step%e.Cfg.MTSInterval == 0
-	e.computeForces(withLongNext)
+	return e.step%e.Cfg.MTSInterval == 0
+}
 
-	// Second half kick.
-	t0 = e.obsNow()
+// afterForces finishes a step after its force evaluation (refresh as
+// beforeForces returned it): the second half-kick, RATTLE and the
+// Berendsen thermostat. It returns whether the deferred migration
+// (§3.2.4) is due; the caller runs it, since the sharded loop also
+// rebuilds its views then.
+func (e *Engine) afterForces(refresh bool) bool {
+	top := e.Sys.Top
+	t0 := e.obsNow()
 	for i, a := range top.Atoms {
 		if a.Mass == 0 {
 			continue
 		}
-		e.kick(i, a.Mass, dt/2, withLongNext)
+		e.kick(i, a.Mass, e.Cfg.Dt/2, refresh)
 	}
 	e.obsPhase(obs.PhaseIntegration, t0)
 	t0 = e.obsNow()
@@ -562,12 +581,7 @@ func (e *Engine) stepOnce() {
 		e.berendsenFixed()
 	}
 	e.obsPhase(obs.PhaseConstraints, t0)
-
-	// Deferred migration (§3.2.4).
-	if e.step%e.Cfg.MigrationInterval == 0 {
-		e.migrate()
-	}
-	e.endStep()
+	return e.step%e.Cfg.MigrationInterval == 0
 }
 
 // driftCoeff returns the velocity-counts-to-position-counts conversion
@@ -929,15 +943,15 @@ const (
 	rattleMaxSweeps = 100
 )
 
-// consTally counts one worker's (or shard's) constraint work: sweeps over
-// a group's constraints, SHAKE's and RATTLE's together, and groups that
-// left a loop at its cap.
+// consTally counts one worker's constraint work: sweeps over a group's
+// constraints, SHAKE's and RATTLE's together, and groups that left a loop
+// at its cap.
 type consTally struct {
 	sweeps, unconverged int64
 }
 
-// consScratch is the SHAKE/RATTLE scratch of one worker or shard, sized by
-// the largest constraint group: group-local positions (cur doubles as
+// consScratch is the SHAKE/RATTLE scratch of one worker, sized by the
+// largest constraint group: group-local positions (cur doubles as
 // RATTLE's velocities), and per constraint the vector that stays fixed
 // over a group's sweeps — SHAKE's reference bond, RATTLE's bond — with
 // RATTLE's denominator |d|^2 (1/m_i + 1/m_j).
@@ -948,7 +962,7 @@ type consScratch struct {
 	tally    consTally
 }
 
-// newConsScratch allocates one holder's scratch. The arrays are a few
+// newConsScratch allocates one worker's scratch. The arrays are a few
 // dozen bytes and rewritten on every sweep, and the allocator lays equal-
 // sized blocks side by side, so each block ends in two cache lines of
 // padding: without it two workers' scratch shares a line and the parallel
@@ -1093,7 +1107,8 @@ func (e *Engine) shakeFixed() {
 }
 
 // constrain runs one constraint pass (SHAKE or RATTLE chunks) over the
-// constrained groups and books the workers' sweep tallies.
+// constrained groups and books the workers' sweep tallies into Stats and
+// the recorder.
 func (e *Engine) constrain(chunkFn func(w, lo, hi int)) {
 	if len(e.consGroups) == 0 {
 		return
@@ -1105,9 +1120,17 @@ func (e *Engine) constrain(chunkFn func(w, lo, hi int)) {
 	parallelChunks(len(e.consGroups), workers, chunkFn)
 	var t consTally
 	for w := range e.consWorkers[:workers] {
-		t.drain(&e.consWorkers[w].tally)
+		wt := &e.consWorkers[w].tally
+		t.sweeps += wt.sweeps
+		t.unconverged += wt.unconverged
+		*wt = consTally{}
 	}
-	e.noteConstraints(t)
+	e.Stats.ConstraintSweeps += t.sweeps
+	e.Stats.ConstraintUnconverged += t.unconverged
+	if e.rec != nil {
+		e.rec.Add(obs.CtrConstraintSweeps, t.sweeps)
+		e.rec.Add(obs.CtrConstraintUnconverged, t.unconverged)
+	}
 }
 
 // note books one group's pass.
@@ -1115,24 +1138,6 @@ func (t *consTally) note(sweeps int, converged bool) {
 	t.sweeps += int64(sweeps)
 	if !converged {
 		t.unconverged++
-	}
-}
-
-// drain moves src's counts into t.
-func (t *consTally) drain(src *consTally) {
-	t.sweeps += src.sweeps
-	t.unconverged += src.unconverged
-	*src = consTally{}
-}
-
-// noteConstraints books merged constraint tallies into Stats and the
-// recorder (driver-serial, in both the monolithic and the sharded loop).
-func (e *Engine) noteConstraints(t consTally) {
-	e.Stats.ConstraintSweeps += t.sweeps
-	e.Stats.ConstraintUnconverged += t.unconverged
-	if e.rec != nil {
-		e.rec.Add(obs.CtrConstraintSweeps, t.sweeps)
-		e.rec.Add(obs.CtrConstraintUnconverged, t.unconverged)
 	}
 }
 

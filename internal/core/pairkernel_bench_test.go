@@ -76,6 +76,26 @@ func BenchmarkStepSmall(b *testing.B) {
 	}
 }
 
+// BenchmarkNewEngineDHFR measures constructing a DHFR engine from a built
+// system, PPIP tables cached: the subbox pair walk, the migration and the
+// pair kernel gather. Its B/op is what one build allocates.
+func BenchmarkNewEngineDHFR(b *testing.B) {
+	s, err := system.ByName("DHFR")
+	if err != nil {
+		b.Fatal(err)
+	}
+	if _, err := NewEngine(s, DefaultConfig(8)); err != nil { // fits the tables
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := NewEngine(s, DefaultConfig(8)); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // BenchmarkNewEngineSmall measures what small_mono's setup_s repeats
 // after its first construction: build the system, construct the engine
 // and take the first step, with the PPIP tables already in the

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"slices"
 	"sync"
 	"time"
 
@@ -17,16 +18,17 @@ import (
 // owns the atoms homed in its box (internal/nt box assignment), computes
 // the range-limited pairs assigned to it as a neutral-territory node, the
 // bonded/1-4/exclusion terms whose first atom it owns, and its owned
-// atoms' mesh spreading, interpolation, integration, constraints and
-// virtual sites. All remote data arrives through explicit messages on a
-// channel transport: position imports (a box multicasts its atoms to the
-// nodes whose tower or plate needs them) and force exports (a computing
-// node returns its contributions to the home box; on refresh steps the
-// same frame also carries its long-range exclusion corrections). The FFT
-// convolution, the Berendsen kinetic-energy reduction, the residency
-// check and the migration decision run driver-serial as collectives,
-// exactly like the monolithic step — so the float operation sequences
-// they contain are identical by construction.
+// atoms' mesh spreading, interpolation and virtual-site force spreading.
+// All remote data arrives through explicit messages on a channel
+// transport: position imports (a box multicasts its atoms to the nodes
+// whose tower or plate needs them) and force exports (a computing node
+// returns its contributions to the home box; on refresh steps the same
+// frame also carries its long-range exclusion corrections). Everything
+// outside the force evaluation — integration, constraints, virtual-site
+// placement, the FFT convolution, the Berendsen thermostat, the residency
+// check and the migration decision — is the monolithic engine's own code
+// run by the driver, so the float operation sequences it contains are
+// identical by construction.
 //
 // Bitwise invariance across shard counts follows from the same property
 // that gives the monolithic engine its worker- and node-count invariance:
@@ -75,9 +77,11 @@ type Sharded struct {
 	// traffic pass parallelizes across shards without collisions).
 	meshCellRows [][]int64
 
-	// Rebuild scratch: epoch-stamped membership marks.
+	// Rebuild scratch: epoch-stamped membership marks, and each import
+	// source's index in the shard's impSrcs.
 	atomStamp []int32
 	boxStamp  []int32
+	boxSlot   []int32
 	epoch     int32
 
 	closeOnce sync.Once
@@ -144,8 +148,7 @@ type shardState struct {
 
 	// Per-migration views.
 	owned      []int32    // atoms homed here (= Engine.boxAtoms[id])
-	groups     []int32    // constraint groups led here
-	vsites     []int32    // virtual sites homed here
+	vsites     []int32    // virtual sites homed here (stage B spreads their forces)
 	bondTerms  []int32    // flat bonded term indices owned here
 	pair14Idx  []int32    // 1-4 pair indices owned here
 	exclTerms  [][2]int32 // exclusion-correction pairs owned here
@@ -176,9 +179,6 @@ type shardState struct {
 	bodyNs     int64    // wall of the last stage A/B body (driver-read)
 	meshNs     int64    // of which spread (stage A) / interpolate (stage B)
 
-	// SHAKE/RATTLE scratch and the step's sweep tally (driver-drained).
-	cons consScratch
-
 	// The evaluation's diagnostics (driver-merged after stage B).
 	diag evalDiag
 }
@@ -197,6 +197,7 @@ func NewSharded(s *system.System, cfg Config) (*Sharded, error) {
 	sh.prevBoxOf = make([]int32, len(e.Pos))
 	sh.atomStamp = make([]int32, len(e.Pos))
 	sh.boxStamp = make([]int32, n)
+	sh.boxSlot = make([]int32, n)
 	for i := range sh.atomStamp {
 		sh.atomStamp[i] = -1
 	}
@@ -247,24 +248,51 @@ func NewSharded(s *system.System, cfg Config) (*Sharded, error) {
 	}
 
 	// Static NT pair assignment: each interacting subbox pair belongs to
-	// the node given by AssignPairNode over the pair's home boxes.
-	for _, bp := range e.subPairs {
+	// the node given by AssignPairNode over the pair's home boxes. The
+	// first pass counts each node's pairs, so its list is allocated once
+	// at its final length, and marks the subboxes they touch, which are
+	// then listed in ascending order.
+	nsub := len(sh.subBox)
+	pairNode := make([]int32, len(e.subPairs))
+	perNode := make([]int, n)
+	touched := make([]bool, n*nsub)
+	for pi, bp := range e.subPairs {
 		ba, bb := sh.subBox[bp[0]], sh.subBox[bp[1]]
 		node := ba
 		if ba != bb {
 			c := nt.AssignPairNode(e.grid, e.grid.Coord(int(ba)), e.grid.Coord(int(bb)))
 			node = int32(e.grid.Index(c))
 		}
-		st := sh.shards[node]
-		st.myPairs = append(st.myPairs, bp)
-		st.touchedSubs = append(st.touchedSubs, bp[0], bp[1])
+		pairNode[pi] = node
+		perNode[node]++
+		touched[int(node)*nsub+int(bp[0])] = true
+		touched[int(node)*nsub+int(bp[1])] = true
 	}
-	for _, st := range sh.shards {
-		st.touchedSubs = sortDedupInt32(st.touchedSubs)
+	for i, st := range sh.shards {
+		st.myPairs = make([][2]int32, 0, perNode[i])
+		for sb, ok := range touched[i*nsub : (i+1)*nsub] {
+			if ok {
+				st.touchedSubs = append(st.touchedSubs, int32(sb))
+			}
+		}
+	}
+	for pi, bp := range e.subPairs {
+		st := sh.shards[pairNode[pi]]
+		st.myPairs = append(st.myPairs, bp)
 	}
 
-	if len(e.oldPos) != len(e.Pos) {
-		e.oldPos = make([]fixp.Vec3, len(e.Pos))
+	// Local buffers, indexed by atom or slot over the whole system
+	// (allocated once: the atom count is fixed).
+	natoms := len(e.Pos)
+	for _, st := range sh.shards {
+		st.lpos = make([]fixp.Vec3, natoms)
+		st.lposF = make([]vec.V3, natoms)
+		st.spos = make([]fixp.Vec3, natoms)
+		st.sbuf = make([]Force3, natoms)
+		st.lfShort = make([]Force3, natoms)
+		st.lfLong = make([]Force3, natoms)
+		st.scratch = make([]vec.V3, natoms)
+		st.meshCounts = make([]int64, len(e.mesh.counts))
 	}
 
 	sh.comm, err = newMeasuredComm([3]int{e.grid.Nx, e.grid.Ny, e.grid.Nz})
@@ -379,11 +407,9 @@ func (s *Sharded) Observe(r *obs.Recorder)         { s.E.Observe(r) }
 func (s *Sharded) rebuildViews() {
 	e := s.E
 	top := e.Sys.Top
-	natoms := len(e.Pos)
 
 	for _, st := range s.shards {
 		st.owned = e.boxAtoms[st.id]
-		st.groups = st.groups[:0]
 		st.vsites = st.vsites[:0]
 		st.bondTerms = st.bondTerms[:0]
 		st.pair14Idx = st.pair14Idx[:0]
@@ -393,12 +419,8 @@ func (s *Sharded) rebuildViews() {
 		clear(st.inFootFrom)
 	}
 
-	// Ownership sweeps (group leader rule for groups and virtual sites;
+	// Ownership sweeps (a virtual site goes with its constraint group;
 	// first-atom rule for interaction terms).
-	for gi, g := range e.groups {
-		st := s.shards[e.boxOf[g[0]]]
-		st.groups = append(st.groups, int32(gi))
-	}
 	for vi := range top.VSites {
 		st := s.shards[e.boxOf[top.VSites[vi].Site]]
 		st.vsites = append(st.vsites, int32(vi))
@@ -422,13 +444,7 @@ func (s *Sharded) rebuildViews() {
 	for _, st := range s.shards {
 		s.epoch++
 		ep := s.epoch
-		st.needAll = st.needAll[:0]
-		mark := func(a int32) {
-			if s.atomStamp[a] != ep {
-				s.atomStamp[a] = ep
-				st.needAll = append(st.needAll, a)
-			}
-		}
+		mark := func(a int32) { s.atomStamp[a] = ep }
 		for _, a := range st.owned {
 			mark(a)
 		}
@@ -452,7 +468,12 @@ func (s *Sharded) rebuildViews() {
 			mark(p[0])
 			mark(p[1])
 		}
-		st.needAll = sortDedupInt32(st.needAll)
+		st.needAll = st.needAll[:0]
+		for a, stamp := range s.atomStamp {
+			if stamp == ep {
+				st.needAll = append(st.needAll, int32(a))
+			}
+		}
 
 		// Import sources: every box owning a needed remote atom. The foot
 		// (force export) destinations are the same boxes: what we import
@@ -465,29 +486,17 @@ func (s *Sharded) rebuildViews() {
 				st.impSrcs = append(st.impSrcs, b)
 			}
 		}
-		st.impSrcs = sortDedupInt32(st.impSrcs)
+		slices.Sort(st.impSrcs)
 		st.footAtoms = resizeLists(st.footAtoms, len(st.impSrcs))
 		for di, src := range st.impSrcs {
-			lst := st.footAtoms[di][:0]
-			for _, a := range st.needAll {
-				if e.boxOf[a] == src {
-					lst = append(lst, a)
-				}
-			}
-			st.footAtoms[di] = lst
+			s.boxSlot[src] = int32(di)
+			st.footAtoms[di] = st.footAtoms[di][:0]
 		}
-
-		// Local buffers (allocated once; natoms is fixed).
-		if st.lpos == nil {
-			st.lpos = make([]fixp.Vec3, natoms)
-			st.lposF = make([]vec.V3, natoms)
-			st.spos = make([]fixp.Vec3, natoms)
-			st.sbuf = make([]Force3, natoms)
-			st.lfShort = make([]Force3, natoms)
-			st.lfLong = make([]Force3, natoms)
-			st.scratch = make([]vec.V3, natoms)
-			st.meshCounts = make([]int64, len(e.mesh.counts))
-			st.cons = e.newConsScratch()
+		for _, a := range st.needAll {
+			if b := e.boxOf[a]; b != st.id {
+				di := s.boxSlot[b]
+				st.footAtoms[di] = append(st.footAtoms[di], a)
+			}
 		}
 		st.footFrames = resizeBytes(st.footFrames, len(st.impSrcs))
 	}
@@ -528,35 +537,6 @@ func (s *Sharded) rebuildViews() {
 	}
 
 	s.comm.rebuildStatic(s)
-}
-
-// sortDedupInt32 sorts ascending and removes duplicates in place.
-func sortDedupInt32(a []int32) []int32 {
-	if len(a) < 2 {
-		return a
-	}
-	insertionSortInt32(a)
-	out := a[:1]
-	for _, v := range a[1:] {
-		if v != out[len(out)-1] {
-			out = append(out, v)
-		}
-	}
-	return out
-}
-
-func insertionSortInt32(a []int32) {
-	// Lists are short (imports, subboxes) or nearly sorted (needAll built
-	// from sorted sources); a simple sort keeps rebuild allocation-free.
-	for i := 1; i < len(a); i++ {
-		v := a[i]
-		j := i - 1
-		for j >= 0 && a[j] > v {
-			a[j+1] = a[j]
-			j--
-		}
-		a[j+1] = v
-	}
 }
 
 func resizeLists(ls [][]int32, n int) [][]int32 {

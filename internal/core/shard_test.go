@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"math"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -272,5 +273,61 @@ func TestShardMeasuredComm(t *testing.T) {
 	}
 	if rep.Measured.Evals != 11 {
 		t.Errorf("single-shard run measured %d evals, want 11", rep.Measured.Evals)
+	}
+}
+
+// TestShardedBuildDHFR: a sharded DHFR engine, at 8 and at 64 shards,
+// builds within 5x the time of the default monolithic DHFR engine (8
+// nodes, what antonsim and the benchmark build) and steps to its digest.
+// The views are derived from per-shard id lists of up to ~400k entries (8
+// shards), so a quadratic pass over them shows here as a build hundreds
+// of times slower than the monolithic one. Each build is timed as the best of three, the two kinds
+// alternating, so one noisy build on a shared host does not decide the
+// verdict.
+func TestShardedBuildDHFR(t *testing.T) {
+	skipShort(t)
+	const steps = 4
+	s, err := system.ByName("DHFR")
+	if err != nil {
+		t.Fatal(err)
+	}
+	vel := system.InitVelocities(s.Top, 300, rand.New(rand.NewSource(7)))
+	ref, err := NewEngine(s, DefaultConfig(8)) // also fits the PPIP tables
+	if err != nil {
+		t.Fatal(err)
+	}
+	ref.SetVelocities(vel)
+	ref.Step(steps)
+	want := ref.StateDigest()
+
+	for _, shards := range []int{8, 64} {
+		var sh *Sharded
+		mono, built := time.Duration(math.MaxInt64), time.Duration(math.MaxInt64)
+		for range 3 {
+			t0 := time.Now()
+			if _, err := NewEngine(s, DefaultConfig(8)); err != nil {
+				t.Fatal(err)
+			}
+			mono = min(mono, time.Since(t0))
+			if sh != nil {
+				sh.Close()
+			}
+			t0 = time.Now()
+			if sh, err = NewSharded(s, DefaultConfig(shards)); err != nil {
+				t.Fatal(err)
+			}
+			built = min(built, time.Since(t0))
+		}
+		t.Logf("shards=%d: NewSharded %v, NewEngine %v (%.1fx)",
+			shards, built, mono, float64(built)/float64(mono))
+		if built > 5*mono {
+			t.Errorf("shards=%d: NewSharded took %v, over 5x NewEngine's %v", shards, built, mono)
+		}
+		sh.SetVelocities(vel)
+		sh.Step(steps)
+		if got := sh.StateDigest(); got != want {
+			t.Errorf("shards=%d: digest at step %d = %016x, monolithic %016x", shards, steps, got, want)
+		}
+		sh.Close()
 	}
 }

@@ -1,47 +1,48 @@
 package core
 
 import (
-	"anton/internal/htis"
 	"anton/internal/obs"
 )
 
-// The sharded step pipeline. Each stage is a closure broadcast to every
-// shard through its command channel; the driver's wait between stages is
-// the barrier. Within a stage a shard first performs all its sends, then
-// receives its expected message count — the inboxes are buffered to hold
-// a whole evaluation's message set, so sends never block and a stage
-// cannot deadlock.
+// The sharded step. Only the force evaluation is distributed: it runs as
+// two stages, each a closure broadcast to every shard through its command
+// channel, with the driver's wait after each stage as the barrier. Within
+// a stage a shard first performs all its sends, then receives its
+// expected message count — the inboxes are buffered to hold a whole
+// evaluation's message set, so sends never block and a stage cannot
+// deadlock. Everything else is the monolithic engine's own code, run by
+// the driver (marked *):
 //
-// Stage map (driver-serial collectives marked *):
+//	 *  Engine.beforeForces  half-kick, drift, SHAKE, virtual-site
+//	                         placement, step count
+//	 *  decode/residency     position cache refresh, early-migration check
+//	A   streamBody           position frames out; owned canonical forces
+//	                         zeroed; every import in (force frames are
+//	                         added as they arrive), then range-limited
+//	                         pairs, bonded, 1-4 (refresh: exclusion
+//	                         corrections); one force frame out per import
+//	                         link (refresh: with a long-range section);
+//	                         (refresh) charge spreading
+//	 *  mergeMesh            wrapping merge of shard mesh counts; FFT
+//	                         convolve
+//	B   finishForces         (refresh) long-range interpolation (owned);
+//	                         own contributions added, remaining force
+//	                         frames in, vsite spread
+//	 *  publish              merge of the shards' fixed-point diagnostics
+//	 *  Engine.afterForces   half-kick, RATTLE, Berendsen, migration due?
+//	 *  migrate              deferred migration + view rebuild when due
 //
-//	S1  integratePre     half-kick, drift (owned atoms)
-//	S2  constrainPre     SHAKE + virtual-site placement (owned groups)
-//	 *  decode/residency position cache refresh, early-migration check
-//	A   streamBody       position frames out; owned canonical forces
-//	                     zeroed; every import in (force frames are added
-//	                     as they arrive), then range-limited pairs,
-//	                     bonded, 1-4 (refresh: exclusion corrections);
-//	                     one force frame out per import link (refresh:
-//	                     with a long-range section); (refresh) charge
-//	                     spreading
-//	 *  mergeMesh        wrapping merge of shard mesh counts; FFT convolve
-//	B   finishForces     (refresh) long-range interpolation (owned); own
-//	                     contributions added, remaining force frames in,
-//	                     vsite spread
-//	 *  publish          merge of the shards' fixed-point diagnostics
-//	S7  integratePost    half-kick (owned atoms)
-//	S8  constrainPost    RATTLE (owned groups); * Berendsen collective
-//	 *  migration        deferred migration + view rebuild when due
+// The kicks, the drift and the constraint sweeps accumulate nothing and
+// send nothing: each writes one atom or one constraint group of the
+// canonical state, so the engine's own parallel sections give the same
+// bits as any split over shards. Stages A and B are the force evaluation
+// (shardstream.go) and share one exchange id. The phases reported to the
+// observability layer are the monolithic engine's (no new phase enums):
+// the driver sections keep theirs, stage A's wall splits between
+// PairMatch and MeshSpread and stage B's between PairReduce and
+// MeshInterp in proportion to the shards' own timers (see obsStageSplit).
 //
-// Stages A and B are the force evaluation (shardstream.go) and share one
-// exchange id. The phases reported to the observability layer are the
-// monolithic engine's (no new phase enums): S1/S7 time as Integration,
-// S2/S8 as Constraints, stage A's wall splits between PairMatch and
-// MeshSpread and stage B's between PairReduce and MeshInterp in
-// proportion to the shards' own timers (see obsStageSplit), and the
-// collectives keep their monolithic phases.
-//
-// Under fault injection every stage can fail: a shard goroutine may have
+// Under fault injection either stage can fail: a shard goroutine may have
 // been crashed by the fault plane, leaving the stage barrier incomplete.
 // stepOnce/computeForces then return a non-nil *stageFail instead of
 // running the driver-serial collectives (whose inputs are garbage after a
@@ -52,18 +53,14 @@ import (
 // applies exactly the plain transport's message set (exactly-once) and
 // all accumulation is order-independent fixed-point.
 
-// Pipeline stage identifiers — the "phase" key of the fault plane's
-// deterministic draws (stalls are keyed by (step, stage, shard); crashes
-// fire at the position exchange, before or after its send half). The
-// values are part of every recorded campaign: 3 and 4 belonged to stages
-// that no longer exist and stay unused so the others keep their draws.
+// Stage identifiers — the "phase" key of the fault plane's deterministic
+// draws (stalls are keyed by (step, stage, shard); crashes fire at the
+// position exchange, before or after its send half). The values are part
+// of every recorded campaign: 0, 1, 3, 4, 6 and 7 belonged to stages that
+// no longer exist and stay unused so these two keep their draws.
 const (
-	stIntegratePre  uint8 = 0
-	stConstrainPre  uint8 = 1
-	stExchangePos   uint8 = 2 // stage A
-	stMergeForces   uint8 = 5 // stage B
-	stIntegratePost uint8 = 6
-	stConstrainPost uint8 = 7
+	stExchangePos uint8 = 2 // stage A
+	stMergeForces uint8 = 5 // stage B
 )
 
 // stageFail reports an incomplete stage barrier: the executors that never
@@ -117,51 +114,15 @@ func (s *Sharded) Step(n int) {
 	}
 }
 
+// stepOnce is Engine.stepOnce with the sharded force evaluation and
+// migration.
 func (s *Sharded) stepOnce() *stageFail {
 	e := s.E
-	dt := e.Cfg.Dt
-	withLongNow := e.step%e.Cfg.MTSInterval == 0
-	cd := e.driftCoeff(dt)
-
-	t0 := e.obsNow()
-	if f := s.runEach(stIntegratePre, nil, func(st *shardState) { st.integratePre(dt, cd, withLongNow) }); f != nil {
+	refresh := e.beforeForces()
+	if f := s.computeForces(refresh); f != nil {
 		return f
 	}
-	e.obsPhase(obs.PhaseIntegration, t0)
-	t0 = e.obsNow()
-	if f := s.runEach(stConstrainPre, nil, func(st *shardState) { st.constrainPre() }); f != nil {
-		return f
-	}
-	e.obsPhase(obs.PhaseConstraints, t0)
-
-	e.step++
-	withLongNext := e.step%e.Cfg.MTSInterval == 0
-	if f := s.computeForces(withLongNext); f != nil {
-		return f
-	}
-
-	t0 = e.obsNow()
-	if f := s.runEach(stIntegratePost, nil, func(st *shardState) { st.integratePost(dt, withLongNext) }); f != nil {
-		return f
-	}
-	e.obsPhase(obs.PhaseIntegration, t0)
-	t0 = e.obsNow()
-	if f := s.runEach(stConstrainPost, nil, func(st *shardState) { st.constrainPost() }); f != nil {
-		return f
-	}
-	if e.Cfg.TauT > 0 {
-		// Thermostat collective: the kinetic-energy sum runs in atom order
-		// on the driver, so the scale factor matches the monolithic step.
-		e.berendsenFixed()
-	}
-	var ct consTally
-	for _, st := range s.shards {
-		ct.drain(&st.cons.tally)
-	}
-	e.noteConstraints(ct)
-	e.obsPhase(obs.PhaseConstraints, t0)
-
-	if e.step%e.Cfg.MigrationInterval == 0 {
+	if e.afterForces(refresh) {
 		s.migrate()
 	}
 	e.endStep()
@@ -360,84 +321,4 @@ func (s *Sharded) migrate() {
 	}
 	s.rebuildViews()
 	e.obsPhase(obs.PhaseMigration, t0)
-}
-
-// --- Shard stage bodies. Each runs on the shard's goroutine and touches
-// only owned entries of the canonical arrays, its private buffers, and
-// read-only shared state. ---
-
-// integratePre: first half-kick, pre-drift snapshot, drift — owned atoms.
-func (st *shardState) integratePre(dt, cd float64, withLong bool) {
-	e := st.s.E
-	top := e.Sys.Top
-	for _, ai := range st.owned {
-		a := int(ai)
-		if top.Atoms[a].Mass == 0 {
-			continue
-		}
-		e.kick(a, top.Atoms[a].Mass, dt/2, withLong)
-	}
-	for _, ai := range st.owned {
-		a := int(ai)
-		e.oldPos[a] = e.Pos[a]
-		if top.Atoms[a].Mass == 0 {
-			continue
-		}
-		e.driftAtom(a, cd)
-	}
-}
-
-// constrainPre: SHAKE per owned group (group-local scratch), then owned
-// virtual-site placement (the site and its parents share a group, so all
-// reads are owner-local). The sweep tally restarts here, so a step that
-// is replayed after a failed stage is counted once.
-func (st *shardState) constrainPre() {
-	e := st.s.E
-	st.cons.tally = consTally{}
-	for _, gi := range st.groups {
-		e.shakeGroup(int(gi), &st.cons)
-	}
-	for _, vi := range st.vsites {
-		e.placeVSite(&e.Sys.Top.VSites[vi])
-	}
-}
-
-// interpolate (refresh steps): add the mesh interpolation for owned
-// charged atoms onto their long-range forces (zeroed at the start of
-// stage A). Reads only the shared post-convolution mesh.
-func (st *shardState) interpolate() {
-	e := st.s.E
-	ms := e.mesh
-	top := e.Sys.Top
-	for _, a := range st.owned {
-		q := top.Atoms[a].Charge
-		if q == 0 {
-			continue
-		}
-		en, fx, fy, fz, n := ms.interpAtom(q, st.lposF[a])
-		st.diag.mesh += htis.QuantizeEnergy(en)
-		e.fLong[a] = e.fLong[a].AddRaw(fx, fy, fz)
-		st.diag.interp += n
-	}
-}
-
-// integratePost: second half-kick — owned atoms.
-func (st *shardState) integratePost(dt float64, withLong bool) {
-	e := st.s.E
-	top := e.Sys.Top
-	for _, ai := range st.owned {
-		a := int(ai)
-		if top.Atoms[a].Mass == 0 {
-			continue
-		}
-		e.kick(a, top.Atoms[a].Mass, dt/2, withLong)
-	}
-}
-
-// constrainPost: RATTLE per owned group.
-func (st *shardState) constrainPost() {
-	e := st.s.E
-	for _, gi := range st.groups {
-		e.rattleGroup(int(gi), &st.cons)
-	}
 }

@@ -4,6 +4,7 @@ import (
 	"hash/crc32"
 	"time"
 
+	"anton/internal/htis"
 	"anton/internal/obs"
 )
 
@@ -387,6 +388,25 @@ func (st *shardState) sendForcesStream(x *xchg, refresh bool) {
 }
 
 // --- Stage B: force assembly. ---
+
+// interpolate (refresh steps): add the mesh interpolation for owned
+// charged atoms onto their long-range forces (zeroed at the start of
+// stage A). Reads only the shared post-convolution mesh.
+func (st *shardState) interpolate() {
+	e := st.s.E
+	ms := e.mesh
+	top := e.Sys.Top
+	for _, a := range st.owned {
+		q := top.Atoms[a].Charge
+		if q == 0 {
+			continue
+		}
+		en, fx, fy, fz, n := ms.interpAtom(q, st.lposF[a])
+		st.diag.mesh += htis.QuantizeEnergy(en)
+		e.fLong[a] = e.fLong[a].AddRaw(fx, fy, fz)
+		st.diag.interp += n
+	}
+}
 
 // finishForces is the evaluation's second stage: (refresh) mesh
 // interpolation, the shard's own contributions to its owned atoms, then

@@ -104,8 +104,8 @@ type JobSpec struct {
 	// Name is a human label carried through status reports (optional).
 	Name string `json:"name,omitempty"`
 
-	// System names the molecular system: "small" or a catalog name
-	// (gpW, DHFR, BPTI, ... — see system.Names).
+	// System names the molecular system: any of system.Accepted
+	// ("small", gpW, DHFR, BPTI, ...).
 	System string `json:"system"`
 
 	// Steps is the total step target of the job.
@@ -164,11 +164,9 @@ func (j *JobSpec) Normalize() error {
 	if j.System == "" {
 		return fmt.Errorf("service: job spec: system is required")
 	}
-	if j.System != "small" {
-		if _, ok := system.SpecFor(j.System); !ok {
-			return fmt.Errorf("service: job spec: unknown system %q (have small, %v)",
-				j.System, system.Names())
-		}
+	if _, ok := system.SpecFor(j.System); !ok {
+		return fmt.Errorf("service: job spec: unknown system %q (have %v)",
+			j.System, system.Accepted())
 	}
 	if j.Steps <= 0 {
 		return fmt.Errorf("service: job spec: steps must be positive, got %d", j.Steps)

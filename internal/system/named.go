@@ -67,22 +67,26 @@ func Table4Names() []string {
 	return []string{"gpW", "DHFR", "aSFP", "NADHOx", "FtsZ", "T7Lig"}
 }
 
-// ByName builds the named system. "small" is Small(true, 1), the fast
-// demo system; it is not in the catalog, so Names does not list it.
+// Accepted lists every name ByName builds: the catalog (Names), then
+// "small", the fast demo system Small(true, 1), which is not a paper
+// system and so not in Names.
+func Accepted() []string { return append(Names(), "small") }
+
+// ByName builds the named system (any of Accepted).
 func ByName(name string) (*System, error) {
-	if name == "small" {
-		return Small(true, 1)
-	}
-	spec, ok := catalog[name]
+	spec, ok := SpecFor(name)
 	if !ok {
-		return nil, fmt.Errorf("system: unknown system %q (have %v)", name, Names())
+		return nil, fmt.Errorf("system: unknown system %q (have %v)", name, Accepted())
 	}
 	return Build(spec)
 }
 
-// SpecFor returns the spec of a named system (for inspection without the
-// cost of building it).
+// SpecFor returns the spec ByName builds for name (for inspection without
+// the cost of building it), and whether the name is accepted.
 func SpecFor(name string) (Spec, bool) {
+	if name == "small" {
+		return smallSpec(true, 1), true
+	}
 	s, ok := catalog[name]
 	return s, ok
 }
@@ -90,6 +94,10 @@ func SpecFor(name string) (Spec, bool) {
 // Small builds a reduced system for fast tests: a water box with an
 // optional mini-protein, a few hundred atoms.
 func Small(protein bool, seed int64) (*System, error) {
+	return Build(smallSpec(protein, seed))
+}
+
+func smallSpec(protein bool, seed int64) Spec {
 	spec := Spec{
 		Name: "small", TotalAtoms: 645, Side: 18.6, Cutoff: 7.0, Mesh: 16,
 		Model: ff.TIP3P, Seed: seed,
@@ -98,5 +106,5 @@ func Small(protein bool, seed int64) (*System, error) {
 		spec.Name = "small-protein"
 		spec.ProteinAtoms = 45 // 4 residues + 1 cap
 	}
-	return Build(spec)
+	return spec
 }

@@ -247,8 +247,9 @@ func TestBuildDeterministic(t *testing.T) {
 	}
 }
 
-// TestByNameSmall: "small" resolves to Small(true, 1) and stays out of
-// the catalog's listing.
+// TestByNameSmall: "small" resolves to Small(true, 1), is accepted by
+// SpecFor and listed by Accepted, and stays out of the catalog's listing;
+// an unknown name is refused by both.
 func TestByNameSmall(t *testing.T) {
 	a, err := ByName("small")
 	if err != nil {
@@ -270,6 +271,15 @@ func TestByNameSmall(t *testing.T) {
 		if n == "small" {
 			t.Error("Names lists small")
 		}
+	}
+	if spec, ok := SpecFor("small"); !ok || spec.TotalAtoms != len(a.R) {
+		t.Errorf("SpecFor(small) = %+v, %v", spec, ok)
+	}
+	if acc := Accepted(); acc[len(acc)-1] != "small" || len(acc) != len(Names())+1 {
+		t.Errorf("Accepted() = %v", acc)
+	}
+	if _, ok := SpecFor("nonesuch"); ok {
+		t.Error("SpecFor accepted an unknown name")
 	}
 }
 

@@ -41,32 +41,21 @@ echo "== race: every package, short =="
 go test -race -short ./...
 
 echo "== race: long concurrency tests =="
-# The multi-second tests that skip under -short, named once. core: the
-# sharded pipeline (one goroutine per shard exchanging messages every
-# step) at its densest interleavings — invariance across shard counts,
-# concurrent mesh solves across engines, checkpoint restore across shard
-# counts (in memory and from a file), the streaming chaos campaigns at 8
-# shards (reorder and lossy-with-crash planes) and 64 shards (through a
-# crash, rollback and replay), the per-shard stage timers the driver reads
-# for phase attribution, the quiet reliable transport, single-shard crash
-# recovery and one shard crashing three times (alone, and as one of 8),
-# and — since stage A adds arriving force frames into the canonical force
-# arrays — a migration landing on a refresh step and the measured traffic;
-# also empty shards, a single shard on a degenerate transport, the
-# zero-perturbation shard check, the watchdog's transport retry rate and
-# its silence through a crash rollback, the stream wire bytes, the chaos
-# trajectory invariance and replay, and the ledger-replay audit of a
-# chaos campaign. service: the HTTP surface,
-# cancel, kill/restart and graceful-stop durability, per-job ledgers,
-# worker metrics, telemetry retention, and the whole hostile-disk
-# campaign. cmd: antonsim in process against an antond job and an
-# antonaudit replay of the same spec, and its stop/resume, monolithic and
-# at 8 shards. All but the retention test assert a bitwise trajectory.
-long='TestConcurrentShardMeshSolves|TestShardInvariance|TestShardCheckpointCrossShardCount|TestCheckpointFileCrossShardResume|TestStreamChaosReorder|TestShardPhaseAttribution|TestChaosReliableNoFaults|TestChaosSingleShard|TestChaosRepeatedCrash|TestShardMigrationCoincidesWithRefresh|TestShardMeasuredComm|TestServiceHTTP|TestCancel|TestDaemonKillRestartDurability|TestGracefulStopPersistsBoundary|TestJobLedger|TestDaemonWorkerMetrics|TestTelemetryRetention|TestServiceChaos|TestCLIDigestAgreement|TestCLIResume|TestShardEmptyShardExchanges|TestShardSingleDegenerateTransport|TestShardZeroPerturbation|TestWatchTransportRetryRate|TestStreamWireDeterminism|TestChaosTrajectoryInvariance|TestChaosReplayDeterminism|TestLedgerChaosReplayAudit|TestWatchRollbackNoFalseAlert'
-
-# Guard: a test in these packages that skips or shrinks itself under
-# -short gets no raced run unless `long` names it, so one added without a
-# `long` entry fails here. Deliberate exemptions, each with its reason:
+# The multi-second tests that skip or shrink themselves under -short get
+# one raced run here. They are found, not listed: the scan below names
+# every test in core, service and cmd whose body calls skipShort or
+# testing.Short, and all of them but the exemptions run. Among them, in
+# core: the sharded pipeline (one goroutine per shard exchanging messages
+# every step) at its densest interleavings — invariance across shard
+# counts, checkpoint restore across shard counts, the chaos campaigns at
+# 8 and 64 shards through crash, rollback and replay, migration landing
+# on a refresh step, empty shards, the measured traffic and wire bytes;
+# in service: the HTTP surface, cancel, kill/restart and graceful-stop
+# durability, per-job ledgers, worker metrics, telemetry retention and
+# the hostile-disk campaign; in cmd: antonsim in process against an
+# antond job and an antonaudit replay, and its stop/resume.
+#
+# Exemptions, each with its reason:
 # - TestConstraintCounters, TestConstraintHoistBitwise, TestMeshRowsBitwise
 #   and TestPrefilterBitwiseInvisible run in the -short pass above; -short
 #   only drops their DHFR case.
@@ -78,19 +67,21 @@ long='TestConcurrentShardMeshSolves|TestShardInvariance|TestShardCheckpointCross
 #   TestMTSIntervalKeepsStability and TestSoakNVEDriftQuality (hundreds of
 #   steps) check schedule balance and physics on one engine, through the
 #   same parallel sections the -short pass races.
-exempt='TestConstraintCounters|TestConstraintHoistBitwise|TestMeshRowsBitwise|TestPrefilterBitwiseInvisible|TestPairKernelWorkerInvarianceConstrained|TestPairKernelWorkerInvarianceOddCounts|TestPairScheduleBalanceDeterministic|TestMTSIntervalKeepsStability|TestSoakNVEDriftQuality'
-unraced="$(awk '
+# - TestShardedBuildDHFR times DHFR builds against each other (raced, the
+#   ratio would time the detector's instrumentation); the sharded
+#   pipeline it steps is raced on the small system by the tests above.
+exempt='TestConstraintCounters|TestConstraintHoistBitwise|TestMeshRowsBitwise|TestPrefilterBitwiseInvisible|TestPairKernelWorkerInvarianceConstrained|TestPairKernelWorkerInvarianceOddCounts|TestPairScheduleBalanceDeterministic|TestMTSIntervalKeepsStability|TestSoakNVEDriftQuality|TestShardedBuildDHFR'
+long="$(awk '
 	/^func Test[A-Za-z0-9_]*\(/ { name = $2; sub(/\(.*/, "", name); next }
 	/^func / { name = "" }
 	name != "" && /skipShort\(|testing\.Short\(\)/ { print name; name = "" }
 ' internal/core/*_test.go internal/service/*_test.go cmd/*/*_test.go |
-	grep -vE "$long" | grep -vxE "($exempt)" || true)"
-if [ -n "$unraced" ]; then
-	echo "verify: these tests skip under -short but are neither in long nor exempt:"
-	echo "$unraced"
+	grep -vxE "($exempt)" | sort -u | paste -sd '|' -)"
+if [ -z "$long" ]; then
+	echo "verify: the scan found no test that skips under -short"
 	exit 1
 fi
-go test -race -timeout 30m -run "$long" ./internal/core ./internal/service ./cmd/...
+go test -race -timeout 30m -run "^($long)\$" ./internal/core ./internal/service ./cmd/...
 
 echo "== determinism: repeated runs =="
 # -count=2 executes each determinism-sensitive test twice in one process,
