@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test test-short verify bench serve bench-pair bench-mesh bench-setup profile trace ledger
+.PHONY: build test test-short verify bench bench-ab serve bench-pair bench-mesh bench-setup profile trace ledger
 
 build:
 	$(GO) build ./...
@@ -21,6 +21,15 @@ verify:
 # correctness gate (see bench/README.md).
 bench:
 	bash bench/run.sh
+
+# Paired runs of the working tree against a parent ref on one workload,
+# alternated (see scripts/benchpair.go): per end-to-end metric the paired
+# median difference, the parent's quartile spread and the change's wins.
+PARENT ?= HEAD
+WORKLOAD ?= small_mono
+N ?= 10
+bench-ab:
+	$(GO) run scripts/benchpair.go -parent $(PARENT) -workload $(WORKLOAD) -n $(N)
 
 # Run the simulation daemon with durable job state under ./antond-state.
 # Submit jobs with curl (see README "Service quickstart"); kill and rerun

@@ -364,6 +364,9 @@ func (e *Engine) restoreV2(br *bufio.Reader) error {
 	copy(e.fLong, fLong)
 	e.longRangeEnergy = lre
 	e.step = int(step)
-	e.migrate()
+	// A step-0 image may predate the initial force evaluation (the
+	// supervisor's baseline): the next Step recomputes it.
+	e.primed = false
+	e.migrate(false)
 	return nil
 }

@@ -113,7 +113,7 @@ type Engine struct {
 	subSide  [3]float64 // subbox edge lengths
 	subSlack float64    // how far an atom may drift from its subbox
 	subOf    []int32    // subbox per atom (assigned individually)
-	subPairs [][2]int32 // interacting subbox pairs (linear ids)
+	subPairs [][2]int32 // interacting subbox pairs (linear ids), grouped by shard
 
 	// pk is the cache-resident cluster pair kernel: slot-indexed SoA
 	// gather of the subbox decomposition (pairkernel.go). Its exclusion
@@ -133,27 +133,26 @@ type Engine struct {
 	maxGroupLen  int
 	maxGroupCons int
 
-	// Per-worker accumulation state, reused across phases and steps.
-	workerF       [][]Force3 // force buffers
-	workerScratch [][]vec.V3 // bonded-force float scratch (sparsely zeroed)
-	workerDiag    []evalDiag // the evaluation's diagnostics, per worker
-	workerBusy    []busySpan // each worker's measured pair-section interval (observed runs)
+	// The force evaluation's shards (shard.go): one owning every home box
+	// and run inline (NewEngine), or one per box on its own goroutine
+	// (NewSharded, which sets net). primed is set once the initial force
+	// evaluation is done.
+	shards []*shardState
+	net    *Sharded
+	primed bool
+
+	// View-rebuild scratch: epoch-stamped membership marks per atom and
+	// per shard, and each import source's index in a shard's impSrcs.
+	viewStamp  []int32
+	shardStamp []int32
+	shardSlot  []int32
+	viewEpoch  int32
 
 	// Preallocated chunk closures for the steady-state phases (a closure
 	// passed to parallelChunks escapes; allocating them once keeps the
-	// per-step path allocation-free).
-	pairChunkFn   func(w, lo, hi int)
-	bondedChunkFn func(w, lo, hi int)
-	reduceChunkFn func(w, lo, hi int)
-	redu          forceReduction
-
-	// Mesh-phase chunk closures (spread, count merge, interpolate),
-	// preallocated for the same reason.
-	meshSpreadFn func(w, lo, hi int)
-	meshMergeFn  func(w, lo, hi int)
-	meshInterpFn func(w, lo, hi int)
-
-	// Constraint-phase chunk closures and per-worker SHAKE/RATTLE scratch.
+	// per-step path allocation-free): the mesh merge, and the constraint
+	// phases with their per-worker SHAKE/RATTLE scratch.
+	meshMergeFn   func(w, lo, hi int)
 	shakeChunkFn  func(w, lo, hi int)
 	rattleChunkFn func(w, lo, hi int)
 	consWorkers   []consScratch
@@ -197,8 +196,15 @@ type Engine struct {
 }
 
 // NewEngine builds the engine for a system on an Anton machine with the
-// given node count.
+// given node count. Its force evaluation runs on one shard over every
+// home box, inline on the caller.
 func NewEngine(s *system.System, cfg Config) (*Engine, error) {
+	return newEngine(s, cfg, false)
+}
+
+// newEngine builds the engine with one shard per home box (perBox, for
+// NewSharded) or one over every box.
+func newEngine(s *system.System, cfg Config, perBox bool) (*Engine, error) {
 	if cfg.Dt <= 0 {
 		return nil, fmt.Errorf("core: non-positive time step")
 	}
@@ -289,14 +295,6 @@ func NewEngine(s *system.System, cfg Config) (*Engine, error) {
 	e.subGrid = nt.Grid{Nx: subDims[0], Ny: subDims[1], Nz: subDims[2]}
 	e.subSlack = 0.45*float64(cfg.MigrationInterval) + 0.45
 	reach := s.Cutoff + 2*e.subSlack
-	// Two walks, so the pair list (~13 MB on DHFR) is allocated once at
-	// its final length: the first counts the pairs, the second fills them.
-	npairs := 0
-	nt.BoxPairsWithinCutoff(e.subGrid, e.subSide, reach, func(_, _ nt.BoxCoord) { npairs++ })
-	e.subPairs = make([][2]int32, 0, npairs)
-	nt.BoxPairsWithinCutoff(e.subGrid, e.subSide, reach, func(a, b nt.BoxCoord) {
-		e.subPairs = append(e.subPairs, [2]int32{int32(e.subGrid.Index(a)), int32(e.subGrid.Index(b))})
-	})
 
 	// Combined LJ parameter table.
 	e.nTypes = len(s.Params.LJTypes)
@@ -314,20 +312,18 @@ func NewEngine(s *system.System, cfg Config) (*Engine, error) {
 		return nil, err
 	}
 
+	// The shards and the subbox pair list grouped by them.
+	e.buildShards(reach, perBox)
+
 	// Steady-state phase closures (allocated once, see parallel.go).
-	e.pairChunkFn = e.pairChunk
-	e.bondedChunkFn = e.bondedChunk
-	e.reduceChunkFn = e.reduceChunk
-	e.meshSpreadFn = e.meshSpreadChunk
 	e.meshMergeFn = e.meshMergeChunk
-	e.meshInterpFn = e.meshInterpChunk
 	e.shakeChunkFn = e.shakeChunk
 	e.rattleChunkFn = e.rattleChunk
 
 	e.posCache = make([]vec.V3, s.NAtoms())
 	e.oldPos = make([]fixp.Vec3, s.NAtoms())
 	e.refreshPosCache()
-	e.migrate()
+	e.migrate(false)
 	return e, nil
 }
 
@@ -438,10 +434,18 @@ func (e *Engine) obsPhase(p obs.Phase, t0 int64) {
 // migrate reassigns constraint groups to home boxes based on the group
 // leader's current position (§3.2.4: all atoms of a constraint group
 // reside on the same node, which takes full responsibility for them),
-// then rebuilds the pair kernel's slot-indexed gather. Reads the decoded
-// position cache, which callers keep in sync with e.Pos.
-func (e *Engine) migrate() {
+// then rebuilds the pair kernel's slot-indexed gather and the shard
+// views. Reads the decoded position cache, which callers keep in sync
+// with e.Pos. Under NewSharded the traffic measured under the old
+// decomposition is settled first, and with traffic set (a migration of
+// the trajectory, not the re-layout of a restore) every atom that changed
+// home box is booked as a migration message.
+func (e *Engine) migrate(traffic bool) {
 	t0 := e.obsNow()
+	if e.net != nil {
+		e.net.comm.fold()
+		copy(e.net.prevBoxOf, e.boxOf)
+	}
 	n := e.grid.NumBoxes()
 	if e.boxAtoms == nil {
 		e.boxAtoms = make([][]int32, n)
@@ -483,6 +487,13 @@ func (e *Engine) migrate() {
 		e.subOf[i] = int32(e.subGrid.Index(c))
 	}
 	e.pk.rebuild(e)
+	e.rebuildViews()
+	if e.net != nil {
+		if traffic {
+			e.net.noteMigrations()
+		}
+		e.net.relink()
+	}
 	e.Stats.Migrations++
 	if e.rec != nil {
 		e.rec.Add(obs.CtrMigrations, 1)
@@ -492,8 +503,9 @@ func (e *Engine) migrate() {
 
 // Step advances n time steps.
 func (e *Engine) Step(n int) {
-	if e.step == 0 {
+	if e.step == 0 && !e.primed {
 		e.computeForces(true)
+		e.primed = true
 	}
 	for i := 0; i < n; i++ {
 		e.stepOnce()
@@ -510,22 +522,27 @@ func (e *Engine) totalForce(i int, withLong bool) Force3 {
 	return f
 }
 
-// stepOnce performs one velocity-Verlet step in fixed point.
-func (e *Engine) stepOnce() {
+// stepOnce performs one velocity-Verlet step in fixed point. It returns
+// the failed stage if a shard goroutine died in the force evaluation
+// (NewSharded under a fault plane; the step is then abandoned).
+func (e *Engine) stepOnce() *stageFail {
 	refresh := e.beforeForces()
-	e.computeForces(refresh)
+	if f := e.computeForces(refresh); f != nil {
+		return f
+	}
 	if e.afterForces(refresh) {
-		e.migrate()
+		e.migrate(true)
 	}
 	e.endStep()
+	return nil
 }
 
 // beforeForces runs a step up to its force evaluation: the first
 // half-kick, the drift, SHAKE and the virtual-site placement, then the
 // step count. It returns whether the coming evaluation refreshes the
-// long-range forces. The sharded step loop runs it too: each update is per
-// atom or per constraint group, with no accumulation and no message, so
-// one pass over the canonical state gives every layout the same bits.
+// long-range forces. Each update is per atom or per constraint group,
+// with no accumulation and no message, so one pass over the canonical
+// state gives every shard layout the same bits.
 func (e *Engine) beforeForces() bool {
 	top := e.Sys.Top
 	dt := e.Cfg.Dt
@@ -563,8 +580,7 @@ func (e *Engine) beforeForces() bool {
 // afterForces finishes a step after its force evaluation (refresh as
 // beforeForces returned it): the second half-kick, RATTLE and the
 // Berendsen thermostat. It returns whether the deferred migration
-// (§3.2.4) is due; the caller runs it, since the sharded loop also
-// rebuilds its views then.
+// (§3.2.4) is due.
 func (e *Engine) afterForces(refresh bool) bool {
 	top := e.Sys.Top
 	t0 := e.obsNow()
@@ -624,55 +640,8 @@ func (b EnergyBreakdown) Total() float64 {
 	return b.RangeLimited + b.Bonded + b.Mesh + b.Correction
 }
 
-// computeForces evaluates the short-range terms every step and the
-// long-range terms when refresh is true.
-func (e *Engine) computeForces(refreshLong bool) {
-	t0 := e.obsNow()
-	e.refreshPosCache()
-	viol := e.residencyViolated()
-	e.obsPhase(obs.PhaseDecode, t0)
-	if viol {
-		// A residency-slack violation could mean missed pairs, so the
-		// engine re-migrates immediately (deterministic: the decision
-		// depends only on positions).
-		if e.rec != nil {
-			e.rec.Add(obs.CtrResidencyMigrations, 1)
-		}
-		e.migrate()
-	}
-	for i := range e.fShort {
-		e.fShort[i] = Force3{}
-	}
-	workers := e.workers()
-	e.workerAccums(workers)
-	e.rangeLimitedForces()
-	t0 = e.obsNow()
-	e.bondedForces()
-	e.obsPhase(obs.PhaseBonded, t0)
-	// Scaled 1-4 interactions are stiff and short-range: fast loop.
-	t0 = e.obsNow()
-	e.pair14Forces()
-	e.obsPhase(obs.PhasePair14, t0)
-	if refreshLong {
-		for i := range e.fLong {
-			e.fLong[i] = Force3{}
-		}
-		e.meshForces()
-		t0 = e.obsNow()
-		e.exclusionCorrections()
-		e.obsPhase(obs.PhaseExclusion, t0)
-		e.spreadVSiteForceCounts(e.fLong)
-	}
-	e.spreadVSiteForceCounts(e.fShort)
-	var d evalDiag
-	for w := range e.workerDiag[:workers] {
-		d.merge(&e.workerDiag[w])
-	}
-	e.publish(&d, refreshLong)
-}
-
-// evalDiag accumulates one force evaluation's diagnostics as one worker
-// or one shard sees them: the energy of each EnergyBreakdown term, the
+// evalDiag accumulates one force evaluation's diagnostics as one shard
+// worker sees them: the energy of each EnergyBreakdown term, the
 // pair statistics and the atom-mesh interaction counts. Each
 // term's energy is quantized where it is computed (htis.QuantizeEnergy)
 // and summed with wrapping integer adds, like the forces, so partials
@@ -687,7 +656,7 @@ type evalDiag struct {
 	spread, interp int64 // atom-mesh interactions of spreading and interpolation
 }
 
-// merge adds another worker's or shard's partials.
+// merge adds another worker's partials.
 func (d *evalDiag) merge(o *evalDiag) {
 	d.rangeLimited += o.rangeLimited
 	d.bonded += o.bonded
@@ -736,27 +705,10 @@ func (e *Engine) publish(d *evalDiag, refresh bool) {
 	}
 }
 
-// bondedChunk evaluates bonded terms [lo, hi) of the flat term index as
-// worker w (installed once as Engine.bondedChunkFn). The flat index
-// covers bonds, then angles, then dihedrals, then impropers — mirroring
-// the static assignment of bond terms to geometry cores.
-func (e *Engine) bondedChunk(w, lo, hi int) {
-	r := e.posCache
-	buf := e.workerF[w]
-	scratch := e.workerScratch[w]
-	var energy int64
-	for t := lo; t < hi; t++ {
-		energy += e.bondedTerm(t, r, scratch, buf)
-	}
-	e.workerDiag[w].bonded += energy
-}
-
 // bondedTerm evaluates one bonded term by flat index (bonds, then angles,
 // then dihedrals, then impropers), reading float positions from r, using
 // the sparse-zeroed float scratch, and accumulating the quantized per-atom
 // contributions into buf. Returns the term energy in energy counts.
-// Shards call this for their owned term lists with their own views and
-// buffers.
 func (e *Engine) bondedTerm(t int, r, scratch []vec.V3, buf []Force3) int64 {
 	top := e.Sys.Top
 	eTerm := top.BondedTermForce(t, e.Sys.Box, r, scratch)
@@ -772,39 +724,12 @@ func (e *Engine) bondedTerm(t int, r, scratch []vec.V3, buf []Force3) int64 {
 	return htis.QuantizeEnergy(eTerm)
 }
 
-// bondedForces evaluates each bond term once (on its statically assigned
-// geometry core) from the cached decoded positions and accumulates the
-// quantized per-atom contributions.
-func (e *Engine) bondedForces() {
-	nTerms := e.Sys.Top.NumBondedTerms()
-	if nTerms == 0 {
-		return
-	}
-	workers := e.workers()
-	bufs := e.forceBuffers(workers, len(e.posCache))
-	e.scratchBuffers(workers, len(e.posCache))
-	parallelChunks(nTerms, workers, e.bondedChunkFn)
-	e.reduceForces(e.fShort, bufs, nil, workers)
-}
-
-// exclusionCorrections runs the correction pipeline's slow-cadence part:
-// subtract the mesh's smooth-component contribution for excluded pairs
-// (§3.2.3). The smooth kernel is bounded and slowly varying, so it
-// belongs with the long-range impulse. Accumulates into fLong.
-func (e *Engine) exclusionCorrections() {
-	workers := e.workers()
-	bufs := e.forceBuffers(workers, len(e.fLong))
-	excl := e.Sys.Top.Exclusions
-	parallelChunks(len(excl), workers, func(w, lo, hi int) {
-		e.workerDiag[w].mesh += e.exclScan(excl[lo:hi], e.Pos, bufs[w])
-	})
-	e.reduceForces(e.fLong, bufs, nil, workers)
-}
-
-// exclScan subtracts the mesh's smooth-component contribution for the
-// given excluded pairs, reading positions from pos and accumulating the
-// quantized corrections into dst. Returns the energy correction in
-// energy counts.
+// exclScan runs the correction pipeline's slow-cadence part: subtract
+// the mesh's smooth-component contribution for excluded pairs (§3.2.3).
+// The smooth kernel is bounded and slowly varying, so it belongs with the
+// long-range impulse. Reads positions from pos for the given excluded
+// pairs, accumulates the quantized corrections into dst and returns the
+// energy correction in energy counts.
 func (e *Engine) exclScan(list [][2]int32, pos []fixp.Vec3, dst []Force3) int64 {
 	top := e.Sys.Top
 	var energy int64
@@ -831,21 +756,11 @@ func (e *Engine) exclScan(list [][2]int32, pos []fixp.Vec3, dst []Force3) int64 
 	return energy
 }
 
-// pair14Forces installs the scaled 1-4 interactions minus the mesh's
-// smooth part for those pairs. These are stiff bonded-range forces, so
+// pair14One evaluates a single scaled 1-4 pair — with the mesh's smooth
+// part for it subtracted — reading positions from pos and accumulating
+// the quantized forces into dst. These are stiff bonded-range forces, so
 // they run in the fast loop (every step) on the correction pipeline.
-func (e *Engine) pair14Forces() {
-	var energy int64
-	pairs := e.Sys.Top.Pairs14
-	for i := range pairs {
-		energy += e.pair14One(&pairs[i], e.Pos, e.fShort)
-	}
-	e.workerDiag[0].correction += energy
-}
-
-// pair14One evaluates a single scaled 1-4 pair, reading positions from
-// pos and accumulating the quantized forces into dst. Returns the energy
-// in energy counts.
+// Returns the energy in energy counts.
 func (e *Engine) pair14One(p *ff.Pair14, pos []fixp.Vec3, dst []Force3) int64 {
 	top := e.Sys.Top
 	ps := e.Sys.Params
@@ -916,13 +831,6 @@ func spreadVSiteForce(f []Force3, v *ff.VSite) {
 	add(v.J, v.A)
 	add(v.K, v.B)
 	f[v.Site] = Force3{}
-}
-
-// spreadVSiteForceCounts redistributes every site's accumulated force.
-func (e *Engine) spreadVSiteForceCounts(f []Force3) {
-	for i := range e.Sys.Top.VSites {
-		spreadVSiteForce(f, &e.Sys.Top.VSites[i])
-	}
 }
 
 // groupCon is one constraint of a group with its endpoints remapped to

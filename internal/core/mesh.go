@@ -8,7 +8,6 @@ import (
 	"anton/internal/ff"
 	"anton/internal/fft"
 	"anton/internal/htis"
-	"anton/internal/obs"
 	"anton/internal/ppip"
 	"anton/internal/system"
 	"anton/internal/vec"
@@ -40,15 +39,6 @@ type meshSolver struct {
 	green     []float64   // Green's function on the k-mesh
 	counts    []int64     // fixed-point mesh charge accumulator
 	mesh      *fft.Grid3  // float mesh for the convolution
-
-	// workerCounts are the per-worker spreading buffers. They are zero
-	// between evaluations: the merge that reads a cell clears it.
-	workerCounts [][]int64
-
-	// activeMerge stages the number of worker buffers for the parallel
-	// count merge (the workers the spread pass ran a block on; the
-	// buffers past it are still zero).
-	activeMerge int
 }
 
 func newMeshSolver(s *system.System, split ewald.Split) (*meshSolver, error) {
@@ -114,101 +104,6 @@ func foldMode(k, n int) int {
 		return k - n
 	}
 	return k
-}
-
-// meshForces runs spread -> convolve -> interpolate on the engine state,
-// accumulating quantized forces into e.fLong and the interpolation
-// energies and interaction counts into the worker diagnostics (publish
-// adds the Ewald self term).
-func (e *Engine) meshForces() {
-	ms := e.mesh
-	top := e.Sys.Top
-
-	// --- Charge spreading (HTIS mesh variant of the NT method). ---
-	// Parallel across atoms with per-worker mesh-count buffers; the
-	// wrapping integer merge keeps the mesh contents independent of
-	// scheduling, exactly like the force accumulators.
-	t0 := e.obsNow()
-	workers := e.workers()
-	if len(ms.workerCounts) < workers {
-		ms.workerCounts = make([][]int64, workers)
-		for w := range ms.workerCounts {
-			ms.workerCounts[w] = make([]int64, len(ms.counts))
-		}
-	}
-	parallelChunks(len(top.Atoms), workers, e.meshSpreadFn)
-	// Merge the worker buffers into the mesh accumulator, parallel
-	// across disjoint cell ranges in fixed worker order. Only the workers
-	// the spread pass ran a block on hold live data.
-	ms.activeMerge = activeWorkers(len(top.Atoms), workers)
-	parallelChunks(len(ms.counts), workers, e.meshMergeFn)
-	e.obsPhase(obs.PhaseMeshSpread, t0)
-
-	// --- Convolution (distributed FFT; serial transform is bit-identical). ---
-	t0 = e.obsNow()
-	ms.convolve(e.workers())
-	e.obsPhase(obs.PhaseFFT, t0)
-
-	// --- Force interpolation + energy (parallel: each atom's force is
-	// written only by its owner). ---
-	t0 = e.obsNow()
-	parallelChunks(len(top.Atoms), workers, e.meshInterpFn)
-	e.obsPhase(obs.PhaseMeshInterp, t0)
-}
-
-// meshSpreadChunk spreads atoms [lo, hi) into worker w's private mesh
-// buffer, which holds only this evaluation's earlier blocks of worker w:
-// the previous merge left it zero.
-func (e *Engine) meshSpreadChunk(w, lo, hi int) {
-	ms := e.mesh
-	top := e.Sys.Top
-	counts := ms.workerCounts[w]
-	var tally int64
-	for i := lo; i < hi; i++ {
-		q := top.Atoms[i].Charge
-		if q == 0 {
-			continue
-		}
-		tally += ms.spreadAtom(q, e.posCache[i], counts)
-	}
-	e.workerDiag[w].spread += tally
-}
-
-// meshMergeChunk merges cell range [lo, hi) of the worker buffers into
-// the mesh accumulator and clears the cells it read, so the next spread
-// starts from zero. Each cell is written by exactly one block, and the
-// per-cell sum runs in fixed worker order.
-func (e *Engine) meshMergeChunk(_, lo, hi int) {
-	ms := e.mesh
-	for i := lo; i < hi; i++ {
-		var c int64
-		for _, counts := range ms.workerCounts[:ms.activeMerge] {
-			c += counts[i]
-			counts[i] = 0
-		}
-		ms.counts[i] = c
-	}
-}
-
-// meshInterpChunk interpolates long-range forces for atoms [lo, hi); each
-// atom's force entry is written only by its owning chunk.
-func (e *Engine) meshInterpChunk(w, lo, hi int) {
-	ms := e.mesh
-	top := e.Sys.Top
-	var energy, tally int64
-	for i := lo; i < hi; i++ {
-		q := top.Atoms[i].Charge
-		if q == 0 {
-			continue
-		}
-		en, fx, fy, fz, n := ms.interpAtom(q, e.posCache[i])
-		energy += htis.QuantizeEnergy(en)
-		e.fLong[i] = e.fLong[i].AddRaw(fx, fy, fz)
-		tally += n
-	}
-	d := &e.workerDiag[w]
-	d.mesh += energy
-	d.interp += tally
 }
 
 // meshAxisMax bounds the per-axis stack tables of the spread/interpolate
@@ -323,8 +218,8 @@ func (it *meshIter) row(ms *meshSolver, dyz2, rc2 float64) (lo, hi int) {
 
 // spreadAtom spreads one atom's charge onto the mesh, accumulating the
 // quantized contributions into counts (wrapping adds: order-independent)
-// and returning the number of atom-mesh interactions. counts may be a
-// worker buffer or a shard-private buffer — merges commute bitwise.
+// and returning the number of atom-mesh interactions. counts is a shard
+// worker's buffer — merges commute bitwise.
 func (ms *meshSolver) spreadAtom(q float64, r vec.V3, counts []int64) int64 {
 	var it meshIter
 	it.fill(ms, r)
@@ -367,7 +262,8 @@ func (ms *meshSolver) convolve(workers int) {
 // from the potential mesh, returning the energy (kcal/mol, for the caller
 // to quantize), the quantized raw force components, and the interaction
 // tally. Reads only the shared
-// post-convolution mesh, so concurrent shards may call it freely. The
+// post-convolution mesh, so concurrent shards and workers may call it
+// freely. The
 // float sums run over the accepted points in (k, j, i) order — the order
 // of the cube walk, which is what keeps their bits.
 func (ms *meshSolver) interpAtom(q float64, r vec.V3) (energy float64, fx, fy, fz int64, tally int64) {

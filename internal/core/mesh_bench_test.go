@@ -3,9 +3,9 @@ package core
 import "testing"
 
 // BenchmarkMeshForces measures one full long-range mesh evaluation
-// (spread -> FFT convolution -> interpolation) at DHFR scale. Plans,
-// tiles, worker buffers and per-atom axis tables are all preallocated or
-// stack-resident (TestForcePathsAllocationFree).
+// (spread -> merge -> FFT convolution -> interpolation) at DHFR scale.
+// Plans, tiles, worker buffers and per-atom axis tables are all
+// preallocated or stack-resident (TestForcePathsAllocationFree).
 func BenchmarkMeshForces(b *testing.B) {
 	e := dhfrBenchEngine(b)
 	b.ReportAllocs()
@@ -14,6 +14,6 @@ func BenchmarkMeshForces(b *testing.B) {
 		for j := range e.fLong {
 			e.fLong[j] = Force3{}
 		}
-		e.meshForces()
+		meshSections(e)
 	}
 }

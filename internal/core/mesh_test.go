@@ -43,25 +43,25 @@ func TestMeshPathWorkerInvariance(t *testing.T) {
 	}
 }
 
-// TestMeshSpreadStartsFromZero: a worker spreads its blocks into a
-// buffer the previous merge cleared, so evaluating the mesh twice at the
-// same positions — at a worker count that deals several blocks to each
-// worker — yields the same mesh charge, and every worker buffer is zero
-// once merged.
+// TestMeshSpreadStartsFromZero: a worker's spreading buffer is cleared
+// before each spread, so evaluating the mesh twice at the same positions
+// — at a worker count that deals several blocks to each worker — yields
+// the same mesh charge and long-range forces.
 func TestMeshSpreadStartsFromZero(t *testing.T) {
 	e := smallWaterEngine(t, 8, func(c *Config) { c.Workers = 3 })
 	e.Step(1)
 	ms := e.mesh
-	e.meshForces()
-	first := slices.Clone(ms.counts)
-	e.meshForces()
+	e.computeForces(true)
+	first, firstF := slices.Clone(ms.counts), slices.Clone(e.fLong)
+	if st := e.shards[0]; st.wps != 3 {
+		t.Fatalf("the one shard ran on %d workers, want 3", st.wps)
+	}
+	e.computeForces(true)
 	if !slices.Equal(ms.counts, first) {
 		t.Fatal("a second spread of the same positions changed the mesh charge")
 	}
-	for w, counts := range ms.workerCounts {
-		if slices.ContainsFunc(counts, func(c int64) bool { return c != 0 }) {
-			t.Fatalf("worker %d's spreading buffer is not zero after the merge", w)
-		}
+	if !slices.Equal(e.fLong, firstF) {
+		t.Fatal("a second evaluation at the same positions changed the long-range forces")
 	}
 }
 

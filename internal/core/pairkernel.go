@@ -41,17 +41,11 @@ type pairKernel struct {
 	ljRow []int32   // LJType * nTypes: row base into Engine.ljPairs
 	ljCol []int32   // LJType: column offset into Engine.ljPairs
 
-	// Per-slot fixed-point positions, refreshed once per force evaluation
-	// between migrations.
-	pos []fixp.Vec3
-
-	// Per-worker PPIP batch queues.
-	batches []pairBatch
-
 	counts []int32 // per-subbox atom counts (migration scratch)
 }
 
-// pairBatch queues matched pairs for one worker between pipeline calls.
+// pairBatch queues matched pairs for one shard worker between pipeline
+// calls.
 // Fixed-capacity arrays with an explicit fill cursor: the hot loop writes
 // by index instead of paying append's length/capacity bookkeeping.
 type pairBatch struct {
@@ -84,7 +78,6 @@ func (k *pairKernel) rebuild(e *Engine) {
 		k.q = make([]float64, n)
 		k.ljRow = make([]int32, n)
 		k.ljCol = make([]int32, n)
-		k.pos = make([]fixp.Vec3, n)
 		k.counts = make([]int32, ns)
 	}
 	counts := k.counts
@@ -116,24 +109,6 @@ func (k *pairKernel) rebuild(e *Engine) {
 		k.q[s] = a.Charge
 		k.ljRow[s] = int32(a.LJType * e.nTypes)
 		k.ljCol[s] = int32(a.LJType)
-	}
-}
-
-// refreshGather re-reads the gathered fixed-point positions from the
-// canonical per-atom state (cheap sequential writes, once per force
-// evaluation; slot assignments change only at migrations).
-func (k *pairKernel) refreshGather(pos []fixp.Vec3) {
-	for s, a := range k.atomOf {
-		k.pos[s] = pos[a]
-	}
-}
-
-// ensureBatches sizes the per-worker batch queues.
-func (k *pairKernel) ensureBatches(workers int) {
-	for len(k.batches) < workers {
-		var b pairBatch
-		b.init()
-		k.batches = append(k.batches, b)
 	}
 }
 
@@ -172,45 +147,12 @@ func (e *Engine) flushPairBatch(b *pairBatch, buf []Force3, d *evalDiag) {
 	b.n = 0
 }
 
-// busySpan is one worker's measured interval in a parallel section: the
-// start of its first block to the end of its last.
-type busySpan struct{ t0, end int64 }
-
-// pairChunk processes subbox pairs [lo, hi) as worker w: match-unit
-// prefilter, exclusion merge scan, batched PPIP evaluation. Installed
-// once as Engine.pairChunkFn so the steady-state path allocates nothing.
-// The scan accumulates on this goroutine's stack: neighbouring workers'
-// entries of Engine.workerDiag may share a cache line. With an observer
-// attached, the block also extends the worker's busy interval.
-func (e *Engine) pairChunk(w, lo, hi int) {
-	var t0 int64
-	if e.rec != nil {
-		t0 = obs.Now()
-	}
-	var d evalDiag
-	e.pairScan(e.subPairs[lo:hi], e.pk.pos, e.workerF[w], &e.pk.batches[w], &d)
-	e.workerDiag[w].merge(&d)
-	if e.rec != nil {
-		s := &e.workerBusy[w]
-		if s.end == 0 {
-			s.t0 = t0
-		}
-		s.end = obs.Now()
-	}
-}
-
-// pairScan runs the match units and batched PPIP evaluation over an
+// scanPairs runs the match units and batched PPIP evaluation over an
 // explicit list of subbox pairs, reading slot-indexed positions from pos
-// and scattering quantized forces into the slot-indexed buf. It is the
-// shared core of the monolithic worker chunks and the per-shard NT node
-// computation: a shard passes its assigned pair list, its own gathered
-// position view and its private accumulation buffers.
-func (e *Engine) pairScan(pairs [][2]int32, pos []fixp.Vec3, buf []Force3, b *pairBatch, d *evalDiag) {
-	e.scanPairs(pairs, pos, buf, b, d, true)
-}
-
-// scanPairs is pairScan with the bounding-box prefilter switchable, so a
-// test can show the prefilter changes nothing but Tested.
+// and scattering quantized forces into the slot-indexed buf: a shard
+// worker passes its blocks of the shard's pair list, the shard's gathered
+// position view and its own buffer and batch. The bounding-box prefilter
+// is switchable, so a test can show it changes nothing but Tested.
 //
 // The subbox-pair list is enumerated once with the worst-case reach, so
 // most of an atom's candidates in a partner subbox are far outside the
@@ -355,42 +297,4 @@ func axisGap(c, lo, hi int64, shift uint) int64 {
 		return min(-(far >> shift), (near+1<<32)>>shift)
 	}
 	return 0
-}
-
-// rangeLimitedForces runs the NT-decomposed HTIS computation: every
-// interacting subbox pair is processed by a worker standing in for its
-// neutral-territory node; match units prefilter, the batched PPIP path
-// computes, forces accumulate in wrapping counts and are reduced in
-// parallel over slot ranges.
-func (e *Engine) rangeLimitedForces() {
-	k := &e.pk
-	t0 := e.obsNow()
-	k.refreshGather(e.Pos)
-	e.obsPhase(obs.PhasePairGather, t0)
-	workers := e.workers()
-	e.forceBuffers(workers, len(k.pos))
-	k.ensureBatches(workers)
-	if e.rec != nil {
-		for len(e.workerBusy) < workers {
-			e.workerBusy = append(e.workerBusy, busySpan{})
-		}
-		clear(e.workerBusy[:workers])
-	}
-	t0 = e.obsNow()
-	parallelChunks(len(e.subPairs), workers, e.pairChunkFn)
-	e.obsPhase(obs.PhasePairMatch, t0)
-	t0 = e.obsNow()
-	e.reduceForces(e.fShort, e.workerF[:workers], k.atomOf, workers)
-	e.obsPhase(obs.PhasePairReduce, t0)
-	if e.rec != nil {
-		// Each worker lane is the worker's measured busy interval in the
-		// match section, so an idle tail shows as the gap to the section's
-		// end; its PPIP time and batch flushes ride along as arguments.
-		for w, s := range e.workerBusy[:workers] {
-			if s.end != 0 {
-				t := &e.workerDiag[w].pairs
-				e.rec.AddLane("worker", "pair-blocks", w, s.t0, s.end-s.t0, t.BatchFlushes, t.PPIPNs)
-			}
-		}
-	}
 }

@@ -27,17 +27,44 @@ func dhfrBenchEngine(b *testing.B) *Engine {
 	return e
 }
 
+// pairSections runs the range-limited sections of the one-shard engine's
+// stage A at the current positions — gather, pair scan (match ->
+// exclusion -> PPIP), slot-to-atom reduce — and returns the shard, whose
+// lfShort then holds the pair forces.
+func pairSections(e *Engine) *shardState {
+	st := e.shards[0]
+	st.begin(false)
+	copy(st.lpos, e.Pos)
+	st.gather()
+	st.section(len(st.myPairs), st.pairFn)
+	st.section(len(st.touchedSubs), st.pairReduceFn)
+	return st
+}
+
+// meshSections runs the mesh sections of the one-shard engine's refresh
+// evaluation at the positions of its last one: spread, merge, convolve,
+// and the interpolation, which adds into fLong.
+func meshSections(e *Engine) {
+	st := e.shards[0]
+	st.begin(true)
+	for _, wk := range st.wk[:st.wps] {
+		clear(wk.mesh)
+	}
+	st.section(len(st.owned), st.spreadFn)
+	e.mergeMesh()
+	e.mesh.convolve(e.workers())
+	st.section(len(st.owned), st.interpFn)
+}
+
 // BenchmarkRangeLimitedForces measures one full HTIS range-limited force
-// evaluation (match -> exclusion -> PPIP -> reduction) at DHFR scale.
+// evaluation (gather -> match -> exclusion -> PPIP -> reduction) at DHFR
+// scale.
 func BenchmarkRangeLimitedForces(b *testing.B) {
 	e := dhfrBenchEngine(b)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		for j := range e.fShort {
-			e.fShort[j] = Force3{}
-		}
-		e.rangeLimitedForces()
+		pairSections(e)
 	}
 }
 
@@ -159,10 +186,10 @@ func BenchmarkConstraintsDHFR(b *testing.B) {
 }
 
 // TestForcePathsAllocationFree holds the benchmarks' expectation as an
-// assertion: once warm, a range-limited evaluation, a mesh evaluation and
-// the two constraint passes allocate nothing. One worker, because a
-// parallel section's goroutines are the only steady-state allocations the
-// engine makes.
+// assertion: once warm, a force evaluation with and without the mesh
+// refresh and the two constraint passes allocate nothing. One worker,
+// because a parallel section's goroutines are the only steady-state
+// allocations the engine makes.
 func TestForcePathsAllocationFree(t *testing.T) {
 	e := smallWaterEngine(t, 8, func(c *Config) { c.Workers = 1 })
 	e.Step(1)
@@ -172,10 +199,10 @@ func TestForcePathsAllocationFree(t *testing.T) {
 	if n := testing.AllocsPerRun(5, func() { e.rattleFixed() }); n != 0 {
 		t.Errorf("RATTLE pass allocates %v times", n)
 	}
-	if n := testing.AllocsPerRun(5, func() { e.rangeLimitedForces() }); n != 0 {
-		t.Errorf("range-limited evaluation allocates %v times", n)
+	if n := testing.AllocsPerRun(5, func() { e.computeForces(false) }); n != 0 {
+		t.Errorf("short-range force evaluation allocates %v times", n)
 	}
-	if n := testing.AllocsPerRun(5, func() { e.meshForces() }); n != 0 {
-		t.Errorf("mesh evaluation allocates %v times", n)
+	if n := testing.AllocsPerRun(5, func() { e.computeForces(true) }); n != 0 {
+		t.Errorf("refresh force evaluation allocates %v times", n)
 	}
 }

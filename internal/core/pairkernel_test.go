@@ -101,7 +101,7 @@ func TestPairKernelWorkerInvarianceOddCounts(t *testing.T) {
 			}
 			ref := build(1)
 			many := len(ref.consGroups) + 1
-			if activeWorkers(len(ref.consGroups), many) >= many {
+			if _, blocks := blockLayout(len(ref.consGroups), many); blocks >= many {
 				t.Fatalf("%d workers do not outnumber the constraint section's blocks", many)
 			}
 			var engines []*Engine
@@ -148,9 +148,9 @@ func TestPairScheduleBalanceDeterministic(t *testing.T) {
 		t.Fatal(err)
 	}
 	computed := func() [2]int64 {
-		e.workerAccums(2)
-		e.rangeLimitedForces()
-		return [2]int64{e.workerDiag[0].pairs.Computed, e.workerDiag[1].pairs.Computed}
+		e.computeForces(false)
+		wk := e.shards[0].wk
+		return [2]int64{wk[0].diag.pairs.Computed, wk[1].diag.pairs.Computed}
 	}
 	first, second := computed(), computed()
 	if first != second {
@@ -264,14 +264,7 @@ func TestSlotMapsAreInverseBijections(t *testing.T) {
 func TestRangeLimitedForcesMatchAllPairs(t *testing.T) {
 	e := ionicEngine(t, 8, nil)
 	e.Step(3) // move off the lattice
-	// Engine path.
-	for i := range e.fShort {
-		e.fShort[i] = Force3{}
-	}
-	e.refreshPosCache()
-	e.rangeLimitedForces()
-	got := make([]Force3, len(e.fShort))
-	copy(got, e.fShort)
+	got := pairSections(e).lfShort
 
 	// Direct path: every pair once, fixed-point minimum-image displacement
 	// by wrapping subtraction, scalar PairForce. The match-unit prefilter
@@ -318,10 +311,14 @@ func TestRangeLimitedForcesMatchAllPairs(t *testing.T) {
 // scanOnce runs one serial pair scan over every subbox pair of the
 // engine's current state, with the bounding-box prefilter on or off.
 func scanOnce(e *Engine, prefilter bool) (buf []Force3, d evalDiag) {
-	e.pk.refreshGather(e.Pos)
-	e.pk.ensureBatches(1)
-	buf = make([]Force3, len(e.pk.pos))
-	e.scanPairs(e.subPairs, e.pk.pos, buf, &e.pk.batches[0], &d, prefilter)
+	pos := make([]fixp.Vec3, len(e.Pos))
+	for s, a := range e.pk.atomOf {
+		pos[s] = e.Pos[a]
+	}
+	var b pairBatch
+	b.init()
+	buf = make([]Force3, len(pos))
+	e.scanPairs(e.subPairs, pos, buf, &b, &d, prefilter)
 	return buf, d
 }
 

@@ -13,51 +13,56 @@ import (
 	"anton/internal/vec"
 )
 
-// Sharded executes the engine as N virtual nodes ("shards"), one per home
-// box of the NT decomposition, each running on its own goroutine. A shard
-// owns the atoms homed in its box (internal/nt box assignment), computes
-// the range-limited pairs assigned to it as a neutral-territory node, the
-// bonded/1-4/exclusion terms whose first atom it owns, and its owned
-// atoms' mesh spreading, interpolation and virtual-site force spreading.
-// All remote data arrives through explicit messages on a channel
-// transport: position imports (a box multicasts its atoms to the nodes
-// whose tower or plate needs them) and force exports (a computing node
-// returns its contributions to the home box; on refresh steps the same
-// frame also carries its long-range exclusion corrections). Everything
-// outside the force evaluation — integration, constraints, virtual-site
-// placement, the FFT convolution, the Berendsen thermostat, the residency
-// check and the migration decision — is the monolithic engine's own code
-// run by the driver, so the float operation sequences it contains are
-// identical by construction.
+// The force evaluation runs on shards. A shard owns the atoms homed in its
+// home boxes, computes the range-limited pairs assigned to it as a
+// neutral-territory node, the bonded/1-4/exclusion terms whose first atom
+// it owns, and its owned atoms' mesh spreading, interpolation and
+// virtual-site force spreading (shardstream.go). An engine has one of two
+// layouts, fixed at construction:
 //
-// Bitwise invariance across shard counts follows from the same property
-// that gives the monolithic engine its worker- and node-count invariance:
-// every force, mesh and energy accumulator is a wrapping fixed-point
-// integer, so accumulation is associative AND commutative — the order in
-// which messages arrive can never change a bit. Each interaction is
-// computed exactly once, by exactly one shard, from position values that
-// are bit-copies of the owner's canonical state; its quantized
-// contribution is therefore identical to the monolithic evaluation, and
-// the merged sums are identical regardless of N. The reported energies
-// are wrapping fixed-point sums too (evalDiag), so they do not depend on
-// N either.
+//   - NewEngine: one shard owns every home box and runs its stages inline
+//     on the caller. It sends and receives nothing.
+//   - NewSharded: one shard per home box, each on its own goroutine,
+//     exchanging position and force frames over the channel transport.
+//
+// Either way a shard runs each section of its stage bodies through
+// parallelChunks on max(1, workers/shards) workers, so the one-shard
+// engine deals the whole pair list block-cyclically over every worker.
+//
+// Bitwise invariance across shard and worker counts follows from every
+// force, mesh and energy accumulator being a wrapping fixed-point integer:
+// accumulation is associative AND commutative, so neither the order in
+// which messages arrive nor the split of a section over workers can
+// change a bit. Each interaction is computed exactly once, by exactly one
+// shard and worker, from position values that are bit-copies of the
+// owner's canonical state.
+
+// Sharded is the engine as N virtual nodes ("shards"), one per home box of
+// the NT decomposition, each running its stages on its own goroutine. All
+// remote data arrives through explicit messages on a channel transport:
+// position imports (a box multicasts its atoms to the nodes whose tower or
+// plate needs them) and force exports (a computing node returns its
+// contributions to the home box; on refresh steps the same frame also
+// carries its long-range exclusion corrections). Everything outside the
+// stage bodies — integration, constraints, virtual-site placement, the
+// mesh merge and FFT convolution, the Berendsen thermostat, the residency
+// check and migration — is the engine's own code, so its float operation
+// sequences are identical by construction.
 //
 // Memory: each shard carries atom- and slot-indexed views (~150 B/atom)
-// plus a dense mesh buffer on refresh steps. That is deliberate — the
-// views are the shard's "local memory", written only by owner writes and
-// received messages, never read through another shard's state.
+// plus a dense mesh buffer. That is deliberate — the views are the shard's
+// "local memory", written only by owner writes and received messages,
+// never read through another shard's state.
 type Sharded struct {
 	E *Engine
 
-	shards []*shardState
 	done   chan stageDone // stage-completion signals from the executors
 	closed chan struct{}  // closed by Close; releases helper goroutines
 
 	// Fault-tolerance state (nil/zero in plain runs; see EnableFaults).
-	sup    *supervisor
-	primed bool   // initial force evaluation done (step-0 compute)
-	xid    uint32 // last minted exchange id (driver-serial)
-	err    error  // sticky unrecoverable failure (see Err)
+	sup *supervisor
+	xid uint32 // last minted exchange id (driver-serial)
+	err error  // sticky unrecoverable failure (see Err)
 
 	comm *measuredComm
 
@@ -65,9 +70,8 @@ type Sharded struct {
 	// evaluation's delta can feed the obs counters.
 	lastTally transportTally
 
-	// subBox maps a subbox to its enclosing home box; cellBox maps a mesh
-	// cell to the home box covering its location. Both are static.
-	subBox  []int32
+	// cellBox maps a mesh cell to the home box covering its location
+	// (static).
 	cellBox []int32
 
 	prevBoxOf []int32 // boxOf snapshot for migration-traffic accounting
@@ -76,13 +80,6 @@ type Sharded struct {
 	// contributed to home box dst (merge scratch, one row per shard so the
 	// traffic pass parallelizes across shards without collisions).
 	meshCellRows [][]int64
-
-	// Rebuild scratch: epoch-stamped membership marks, and each import
-	// source's index in the shard's impSrcs.
-	atomStamp []int32
-	boxStamp  []int32
-	boxSlot   []int32
-	epoch     int32
 
 	closeOnce sync.Once
 }
@@ -124,93 +121,232 @@ type stageDone struct {
 	tick uint64
 }
 
-// shardState is one virtual node: its static work assignment, its
-// per-migration views of the decomposition, its local buffers, and its
-// per-step diagnostic outputs (read by the driver after a barrier).
+// shardState is one shard: its static work assignment, its per-migration
+// views of the decomposition, its local buffers and workers, and its
+// per-stage timers (read by the driver after a barrier).
 type shardState struct {
 	id int32
-	s  *Sharded
+	e  *Engine
 
+	// Transport state (NewSharded only; the one-shard engine's stay nil).
 	cmd    chan shardCmd
 	inbox  chan shardMsg
-	exited chan struct{} // closed when the current executor goroutine returns
-
-	// Reliable-transport state (allocated/used only under EnableFaults).
-	acks   chan shardAck  // acknowledgements for our in-flight sends
-	out    []outMsg       // in-flight sends of the current exchange
+	exited chan struct{}  // closed when the current executor goroutine returns
+	acks   chan shardAck  // acknowledgements for our in-flight sends (EnableFaults)
+	out    []outMsg       // in-flight sends of the current exchange (EnableFaults)
 	gotPos []uint32       // per-sender xid stamps: position import applied
 	gotF   []uint32       // per-sender xid stamps: force export applied
 	tstats transportTally // transport accounting (driver-read between stages)
 
-	// Static work assignment (NT pair node; set once at construction).
+	// Static work assignment (NT pair node; set once at construction):
+	// the shard's subslice of Engine.subPairs and the subboxes it touches.
 	myPairs     [][2]int32
 	touchedSubs []int32
 
 	// Per-migration views.
-	owned      []int32    // atoms homed here (= Engine.boxAtoms[id])
+	owned      []int32    // atoms homed here
 	vsites     []int32    // virtual sites homed here (stage B spreads their forces)
 	bondTerms  []int32    // flat bonded term indices owned here
 	pair14Idx  []int32    // 1-4 pair indices owned here
 	exclTerms  [][2]int32 // exclusion-correction pairs owned here
 	needAll    []int32    // sorted atoms this shard reads or touches
-	impSrcs    []int32    // boxes whose positions we import
-	expDsts    []int32    // boxes importing our positions
+	impSrcs    []int32    // shards whose positions we import
+	expDsts    []int32    // shards importing our positions
 	footAtoms  [][]int32  // per impSrcs entry: remote atoms we export forces for
 	inFoot     int        // expected incoming force frames per evaluation
 	inFootFrom [][]int32  // per sender: the owned atoms its force frame covers
 
 	// Local buffers (atom- or slot-indexed; valid only for the view sets).
-	lpos       []fixp.Vec3 // local fixed-point positions (owned + imported)
-	lposF      []vec.V3    // decoded float view of needAll
-	spos       []fixp.Vec3 // slot-indexed positions of touched subboxes
-	sbuf       []Force3    // slot-indexed pair-force accumulator
-	lfShort    []Force3    // atom-indexed short-range accumulator
-	lfLong     []Force3    // atom-indexed long-range correction accumulator
-	scratch    []vec.V3    // bonded float scratch (sparse-zero invariant)
-	meshCounts []int64     // dense mesh charge contribution (refresh steps)
-	batch      pairBatch
+	lpos    []fixp.Vec3 // local fixed-point positions (owned + imported)
+	lposF   []vec.V3    // decoded float view of needAll
+	spos    []fixp.Vec3 // slot-indexed positions of touched subboxes
+	lfShort []Force3    // atom-indexed short-range accumulator
+	lfLong  []Force3    // atom-indexed long-range correction accumulator
+
+	// wk are the workers of the current evaluation's sections (wps of
+	// them), each allocated when an evaluation first runs on it.
+	wk  []shardWorker
+	wps int
+
+	// The stage's refresh flag, for the section bodies, and the section
+	// bodies themselves, bound once (a closure passed to parallelChunks
+	// escapes; binding them at construction keeps the step path
+	// allocation-free).
+	refresh                                  bool
+	pairFn, pairReduceFn, bondedFn, pair14Fn func(w, lo, hi int)
+	exclFn, spreadFn, interpFn, assembleFn   func(w, lo, hi int)
 
 	// Force-evaluation state (see shardstream.go).
 	arrived    int      // pos imports applied this evaluation
 	footGot    int      // force frames applied this evaluation
 	posFrame   []byte   // encoded position frame (immutable per exchange)
 	footFrames [][]byte // per impSrcs entry: encoded force frame
-	bodyT0     int64    // start (obs.Now) of the last stage A body (driver-read)
-	bodyNs     int64    // wall of the last stage A/B body (driver-read)
-	meshNs     int64    // of which spread (stage A) / interpolate (stage B)
 
-	// The evaluation's diagnostics (driver-merged after stage B).
-	diag evalDiag
+	// Stage timers (obs.Now): the body's start and wall, and per phase
+	// the time its sections took (Engine.bookStage splits the stage wall
+	// by them). last is the end of the previous section.
+	bodyT0, bodyNs, last int64
+	secNs                [obs.NumPhases]int64
 }
 
-// NewSharded builds a sharded engine: the underlying Engine (whose node
-// count is the shard count) plus one goroutine-backed virtual node per
-// home box. The caller should Close() it when done.
+// shardWorker is one worker of a shard's parallel sections.
+type shardWorker struct {
+	// buf takes the worker's pair forces, slot-indexed; on workers past 0
+	// it then takes their bonded, 1-4 and exclusion partials, atom-indexed
+	// (worker 0 accumulates those into the shard's own lfShort/lfLong).
+	buf     []Force3
+	scratch []vec.V3 // bonded float scratch (sparse-zero invariant)
+	mesh    []int64  // dense charge-spreading buffer (refresh steps)
+	batch   pairBatch
+
+	// The evaluation's diagnostics (merged by the driver after stage B)
+	// and the worker's busy interval in the pair section.
+	diag evalDiag
+	busy busySpan
+}
+
+// busySpan is one worker's measured interval in a parallel section: the
+// start of its first block to the end of its last.
+type busySpan struct{ t0, end int64 }
+
+// newShard allocates shard id with its atom- and slot-indexed buffers,
+// and binds its section bodies.
+func newShard(e *Engine, id int32) *shardState {
+	n := len(e.Pos)
+	st := &shardState{
+		id:      id,
+		e:       e,
+		lpos:    make([]fixp.Vec3, n),
+		lposF:   make([]vec.V3, n),
+		spos:    make([]fixp.Vec3, n),
+		lfShort: make([]Force3, n),
+		lfLong:  make([]Force3, n),
+	}
+	if len(e.shards) > 1 {
+		st.inFootFrom = make([][]int32, len(e.shards))
+	}
+	st.pairFn = st.scanChunk
+	st.pairReduceFn = st.pairReduceChunk
+	st.bondedFn = st.bondedChunk
+	st.pair14Fn = st.pair14Chunk
+	st.exclFn = st.exclChunk
+	st.spreadFn = st.spreadChunk
+	st.interpFn = st.interpChunk
+	st.assembleFn = st.assembleChunk
+	return st
+}
+
+// ensureWorkers allocates the buffers of workers up to n.
+func (st *shardState) ensureWorkers(n int) {
+	atoms := len(st.e.Pos)
+	for len(st.wk) < n {
+		w := shardWorker{
+			buf:     make([]Force3, atoms),
+			scratch: make([]vec.V3, atoms),
+			mesh:    make([]int64, len(st.e.mesh.counts)),
+		}
+		w.batch.init()
+		st.wk = append(st.wk, w)
+	}
+}
+
+// shardOf maps a home box to the shard that owns it: every box to the one
+// shard of NewEngine, box i to shard i under NewSharded.
+func (e *Engine) shardOf(box int32) int32 {
+	if len(e.shards) == 1 {
+		return 0
+	}
+	return box
+}
+
+// buildShards creates the engine's shards (perBox: one per home box,
+// else one over every box) and fills e.subPairs grouped by the shard that
+// computes each pair — the NT node of the pair's home boxes — in two
+// walks of the subbox pairs, so the list is allocated once at its final
+// length. Each shard's pair list is its subslice; within it the pairs
+// keep the walk order, so the one shard's list is the whole array in walk
+// order.
+func (e *Engine) buildShards(reach float64, perBox bool) {
+	nsh := 1
+	var subBox []int32
+	if perBox {
+		nsh = e.grid.NumBoxes()
+		subBox = make([]int32, e.subGrid.NumBoxes())
+		for i := range subBox {
+			subBox[i] = int32(e.grid.Index(nt.SubToBox(e.subGrid, e.grid, e.subGrid.Coord(i))))
+		}
+	}
+	e.shards = make([]*shardState, nsh)
+	for i := range e.shards {
+		e.shards[i] = newShard(e, int32(i))
+	}
+	node := func(sa, sb int32) int32 {
+		if subBox == nil {
+			return 0
+		}
+		ba, bb := subBox[sa], subBox[sb]
+		if ba == bb {
+			return ba
+		}
+		return int32(e.grid.Index(nt.AssignPairNode(e.grid, e.grid.Coord(int(ba)), e.grid.Coord(int(bb)))))
+	}
+
+	// The first walk counts each shard's pairs and marks the subboxes they
+	// touch, which are then listed in ascending order.
+	nsub := e.subGrid.NumBoxes()
+	next := make([]int, nsh+1)
+	touched := make([]bool, nsh*nsub)
+	nt.BoxPairsWithinCutoff(e.subGrid, e.subSide, reach, func(a, b nt.BoxCoord) {
+		sa, sb := int32(e.subGrid.Index(a)), int32(e.subGrid.Index(b))
+		s := int(node(sa, sb))
+		next[s+1]++
+		touched[s*nsub+int(sa)] = true
+		touched[s*nsub+int(sb)] = true
+	})
+	for s := range nsh {
+		next[s+1] += next[s]
+	}
+	e.subPairs = make([][2]int32, next[nsh])
+	for s, st := range e.shards {
+		st.myPairs = e.subPairs[next[s]:next[s+1]:next[s+1]]
+		for sb, ok := range touched[s*nsub : (s+1)*nsub] {
+			if ok {
+				st.touchedSubs = append(st.touchedSubs, int32(sb))
+			}
+		}
+	}
+	nt.BoxPairsWithinCutoff(e.subGrid, e.subSide, reach, func(a, b nt.BoxCoord) {
+		sa, sb := int32(e.subGrid.Index(a)), int32(e.subGrid.Index(b))
+		s := node(sa, sb)
+		e.subPairs[next[s]] = [2]int32{sa, sb}
+		next[s]++
+	})
+
+	e.viewStamp = make([]int32, len(e.Pos))
+	e.shardStamp = make([]int32, nsh)
+	e.shardSlot = make([]int32, nsh)
+	for i := range e.viewStamp {
+		e.viewStamp[i] = -1
+	}
+	for i := range e.shardStamp {
+		e.shardStamp[i] = -1
+	}
+}
+
+// NewSharded builds a sharded engine: the engine (whose node count is the
+// shard count) with one goroutine-backed shard per home box. The caller
+// should Close() it when done.
 func NewSharded(s *system.System, cfg Config) (*Sharded, error) {
-	e, err := NewEngine(s, cfg)
+	e, err := newEngine(s, cfg, true)
 	if err != nil {
 		return nil, err
 	}
-	sh := &Sharded{E: e}
-	n := e.grid.NumBoxes()
-
-	sh.prevBoxOf = make([]int32, len(e.Pos))
-	sh.atomStamp = make([]int32, len(e.Pos))
-	sh.boxStamp = make([]int32, n)
-	sh.boxSlot = make([]int32, n)
-	for i := range sh.atomStamp {
-		sh.atomStamp[i] = -1
-	}
-	for i := range sh.boxStamp {
-		sh.boxStamp[i] = -1
+	sh := &Sharded{E: e, prevBoxOf: slices.Clone(e.boxOf)}
+	sh.comm, err = newMeasuredComm([3]int{e.grid.Nx, e.grid.Ny, e.grid.Nz})
+	if err != nil {
+		return nil, err
 	}
 
-	// Static subbox -> home box map.
-	sh.subBox = make([]int32, e.subGrid.NumBoxes())
-	for i := range sh.subBox {
-		c := nt.SubToBox(e.subGrid, e.grid, e.subGrid.Coord(i))
-		sh.subBox[i] = int32(e.grid.Index(c))
-	}
 	// Static mesh cell -> home box map (the node owning the cell's region
 	// of space receives that cell's charge contributions).
 	nm := e.mesh.n
@@ -227,80 +363,22 @@ func NewSharded(s *system.System, cfg Config) (*Sharded, error) {
 		}
 	}
 
-	// Shard goroutines.
-	// Sized past one signal per executor so stragglers from an aborted
-	// stage (and restarted executors' duplicates) never block on send.
+	// Shard goroutines. The done channel is sized past one signal per
+	// executor so stragglers from an aborted stage (and restarted
+	// executors' duplicates) never block on send.
+	n := len(e.shards)
 	sh.done = make(chan stageDone, 4*n)
 	sh.closed = make(chan struct{})
-	sh.shards = make([]*shardState, n)
-	for i := range sh.shards {
-		st := &shardState{
-			id:         int32(i),
-			s:          sh,
-			cmd:        make(chan shardCmd),
-			gotPos:     make([]uint32, n),
-			gotF:       make([]uint32, n),
-			inFootFrom: make([][]int32, n),
-		}
-		st.batch.init()
-		sh.shards[i] = st
+	for _, st := range e.shards {
+		st.cmd = make(chan shardCmd)
+		st.gotPos = make([]uint32, n)
+		st.gotF = make([]uint32, n)
+	}
+	e.net = sh
+	sh.relink()
+	for _, st := range e.shards {
 		sh.spawnShard(st)
 	}
-
-	// Static NT pair assignment: each interacting subbox pair belongs to
-	// the node given by AssignPairNode over the pair's home boxes. The
-	// first pass counts each node's pairs, so its list is allocated once
-	// at its final length, and marks the subboxes they touch, which are
-	// then listed in ascending order.
-	nsub := len(sh.subBox)
-	pairNode := make([]int32, len(e.subPairs))
-	perNode := make([]int, n)
-	touched := make([]bool, n*nsub)
-	for pi, bp := range e.subPairs {
-		ba, bb := sh.subBox[bp[0]], sh.subBox[bp[1]]
-		node := ba
-		if ba != bb {
-			c := nt.AssignPairNode(e.grid, e.grid.Coord(int(ba)), e.grid.Coord(int(bb)))
-			node = int32(e.grid.Index(c))
-		}
-		pairNode[pi] = node
-		perNode[node]++
-		touched[int(node)*nsub+int(bp[0])] = true
-		touched[int(node)*nsub+int(bp[1])] = true
-	}
-	for i, st := range sh.shards {
-		st.myPairs = make([][2]int32, 0, perNode[i])
-		for sb, ok := range touched[i*nsub : (i+1)*nsub] {
-			if ok {
-				st.touchedSubs = append(st.touchedSubs, int32(sb))
-			}
-		}
-	}
-	for pi, bp := range e.subPairs {
-		st := sh.shards[pairNode[pi]]
-		st.myPairs = append(st.myPairs, bp)
-	}
-
-	// Local buffers, indexed by atom or slot over the whole system
-	// (allocated once: the atom count is fixed).
-	natoms := len(e.Pos)
-	for _, st := range sh.shards {
-		st.lpos = make([]fixp.Vec3, natoms)
-		st.lposF = make([]vec.V3, natoms)
-		st.spos = make([]fixp.Vec3, natoms)
-		st.sbuf = make([]Force3, natoms)
-		st.lfShort = make([]Force3, natoms)
-		st.lfLong = make([]Force3, natoms)
-		st.scratch = make([]vec.V3, natoms)
-		st.meshCounts = make([]int64, len(e.mesh.counts))
-	}
-
-	sh.comm, err = newMeasuredComm([3]int{e.grid.Nx, e.grid.Ny, e.grid.Nz})
-	if err != nil {
-		return nil, err
-	}
-
-	sh.rebuildViews()
 	return sh, nil
 }
 
@@ -333,19 +411,19 @@ func (s *Sharded) spawnShard(st *shardState) {
 func (s *Sharded) Close() {
 	s.closeOnce.Do(func() {
 		close(s.closed)
-		for _, st := range s.shards {
+		for _, st := range s.E.shards {
 			close(st.cmd)
 		}
 	})
 }
 
-// runEach runs one pipeline stage — the send half, then the body half, on
-// every shard — and waits for all of them (the stage barrier). The fault
-// plane's stall and crash hooks wrap the halves (a nil plane, i.e. a plain
-// run, injects nothing); a plain run counts the completions, a supervised
-// one collects them under the heartbeat and reports dead executors
-// (non-nil return).
-func (s *Sharded) runEach(stage uint8, send, body func(*shardState)) *stageFail {
+// runEach runs one stage on every shard — for stage A the position send
+// half, then the body — and waits for all of them (the stage barrier). The
+// fault plane's stall and crash hooks wrap the halves (a nil plane, i.e. a
+// plain run, injects nothing); a plain run counts the completions, a
+// supervised one collects them under the heartbeat and reports dead
+// executors (non-nil return).
+func (s *Sharded) runEach(stage uint8, x *xchg, refresh bool) *stageFail {
 	var plane *faults.Plane
 	var tick uint64
 	if s.sup != nil {
@@ -358,26 +436,26 @@ func (s *Sharded) runEach(stage uint8, send, body func(*shardState)) *stageFail 
 		if ns := plane.StallNs(step, stage, st.id); ns > 0 {
 			time.Sleep(time.Duration(ns))
 		}
-		if stage == stExchangePos && plane.Crash(step, st.id, faults.CrashBeforeSend) {
+		if stage != stExchangePos {
+			st.finishForces(x, refresh)
+			return
+		}
+		if plane.Crash(step, st.id, faults.CrashBeforeSend) {
 			panic(errShardCrash)
 		}
-		if send != nil {
-			send(st)
-		}
-		if stage == stExchangePos && plane.Crash(step, st.id, faults.CrashAfterSend) {
+		st.sendPositionsStream(x)
+		if plane.Crash(step, st.id, faults.CrashAfterSend) {
 			panic(errShardCrash)
 		}
-		if body != nil {
-			body(st)
-		}
+		st.streamBody(x, refresh)
 	}
-	for _, st := range s.shards {
+	for _, st := range s.E.shards {
 		st.cmd <- shardCmd{fn: fn, tick: tick}
 	}
 	if s.sup != nil {
 		return s.sup.collect(tick)
 	}
-	for range s.shards {
+	for range s.E.shards {
 		<-s.done
 	}
 	return nil
@@ -393,7 +471,7 @@ func (s *Sharded) Engine() *Engine { return s.E }
 func (s *Sharded) SetOverlap(bool) {}
 
 // Shards returns the virtual node count.
-func (s *Sharded) Shards() int { return len(s.shards) }
+func (s *Sharded) Shards() int { return len(s.E.shards) }
 
 // Delegated state and observability access (same contracts as Engine).
 func (s *Sharded) StepCount() int                  { return s.E.StepCount() }
@@ -402,18 +480,20 @@ func (s *Sharded) SetVelocities(v []vec.V3)        { s.E.SetVelocities(v) }
 func (s *Sharded) Observe(r *obs.Recorder)         { s.E.Observe(r) }
 
 // rebuildViews recomputes every ownership-derived view after a migration
-// (or restore): owned atoms, term assignments, import/export sets, foot
-// lists, buffer sizes and the static traffic tallies. Driver-serial.
-func (s *Sharded) rebuildViews() {
-	e := s.E
+// (or restore): owned atoms, term assignments, import/export sets and foot
+// lists. Driver-serial.
+func (e *Engine) rebuildViews() {
 	top := e.Sys.Top
-
-	for _, st := range s.shards {
-		st.owned = e.boxAtoms[st.id]
+	// The lists start with room for a shard's share, so the first rebuild
+	// sizes them about once (for one shard exactly) instead of doubling up
+	// to their length.
+	nsh := len(e.shards)
+	for _, st := range e.shards {
+		st.owned = slices.Grow(st.owned[:0], len(e.boxOf)/nsh)
 		st.vsites = st.vsites[:0]
-		st.bondTerms = st.bondTerms[:0]
-		st.pair14Idx = st.pair14Idx[:0]
-		st.exclTerms = st.exclTerms[:0]
+		st.bondTerms = slices.Grow(st.bondTerms[:0], top.NumBondedTerms()/nsh)
+		st.pair14Idx = slices.Grow(st.pair14Idx[:0], len(top.Pairs14)/nsh)
+		st.exclTerms = slices.Grow(st.exclTerms[:0], len(top.Exclusions)/nsh)
 		st.expDsts = st.expDsts[:0]
 		st.inFoot = 0
 		clear(st.inFootFrom)
@@ -421,30 +501,35 @@ func (s *Sharded) rebuildViews() {
 
 	// Ownership sweeps (a virtual site goes with its constraint group;
 	// first-atom rule for interaction terms).
+	owner := func(a int) *shardState { return e.shards[e.shardOf(e.boxOf[a])] }
+	for a := range e.boxOf {
+		st := owner(a)
+		st.owned = append(st.owned, int32(a))
+	}
 	for vi := range top.VSites {
-		st := s.shards[e.boxOf[top.VSites[vi].Site]]
+		st := owner(top.VSites[vi].Site)
 		st.vsites = append(st.vsites, int32(vi))
 	}
 	for t := range top.NumBondedTerms() {
 		atoms, _ := top.BondedTermAtoms(t)
-		st := s.shards[e.boxOf[atoms[0]]]
+		st := owner(atoms[0])
 		st.bondTerms = append(st.bondTerms, int32(t))
 	}
 	for pi := range top.Pairs14 {
-		st := s.shards[e.boxOf[top.Pairs14[pi].I]]
+		st := owner(top.Pairs14[pi].I)
 		st.pair14Idx = append(st.pair14Idx, int32(pi))
 	}
 	for _, p := range top.Exclusions {
-		st := s.shards[e.boxOf[p[0]]]
+		st := owner(int(p[0]))
 		st.exclTerms = append(st.exclTerms, p)
 	}
 
 	// Per-shard read/touch sets, import sources and foot lists.
 	k := &e.pk
-	for _, st := range s.shards {
-		s.epoch++
-		ep := s.epoch
-		mark := func(a int32) { s.atomStamp[a] = ep }
+	for _, st := range e.shards {
+		e.viewEpoch++
+		ep := e.viewEpoch
+		mark := func(a int32) { e.viewStamp[a] = ep }
 		for _, a := range st.owned {
 			mark(a)
 		}
@@ -468,54 +553,57 @@ func (s *Sharded) rebuildViews() {
 			mark(p[0])
 			mark(p[1])
 		}
-		st.needAll = st.needAll[:0]
-		for a, stamp := range s.atomStamp {
+		st.needAll = slices.Grow(st.needAll[:0], len(st.owned))
+		for a, stamp := range e.viewStamp {
 			if stamp == ep {
 				st.needAll = append(st.needAll, int32(a))
 			}
 		}
 
-		// Import sources: every box owning a needed remote atom. The foot
-		// (force export) destinations are the same boxes: what we import
+		// Import sources: every shard owning a needed remote atom. The foot
+		// (force export) destinations are the same shards: what we import
 		// is exactly what we may accumulate forces for.
 		st.impSrcs = st.impSrcs[:0]
 		for _, a := range st.needAll {
-			b := e.boxOf[a]
-			if b != st.id && s.boxStamp[b] != ep {
-				s.boxStamp[b] = ep
-				st.impSrcs = append(st.impSrcs, b)
+			src := e.shardOf(e.boxOf[a])
+			if src != st.id && e.shardStamp[src] != ep {
+				e.shardStamp[src] = ep
+				st.impSrcs = append(st.impSrcs, src)
 			}
 		}
 		slices.Sort(st.impSrcs)
-		st.footAtoms = resizeLists(st.footAtoms, len(st.impSrcs))
+		st.footAtoms = resized(st.footAtoms, len(st.impSrcs))
 		for di, src := range st.impSrcs {
-			s.boxSlot[src] = int32(di)
+			e.shardSlot[src] = int32(di)
 			st.footAtoms[di] = st.footAtoms[di][:0]
 		}
 		for _, a := range st.needAll {
-			if b := e.boxOf[a]; b != st.id {
-				di := s.boxSlot[b]
+			if src := e.shardOf(e.boxOf[a]); src != st.id {
+				di := e.shardSlot[src]
 				st.footAtoms[di] = append(st.footAtoms[di], a)
 			}
 		}
-		st.footFrames = resizeBytes(st.footFrames, len(st.impSrcs))
+		st.footFrames = resized(st.footFrames, len(st.impSrcs))
 	}
 
 	// Invert imports into export destinations, and foot lists into the
 	// receive side. Iterating shards in ascending id keeps every derived
 	// list deterministic.
-	for _, st := range s.shards {
-		for _, src := range st.impSrcs {
-			from := s.shards[src]
+	for _, st := range e.shards {
+		for di, src := range st.impSrcs {
+			from := e.shards[src]
 			from.expDsts = append(from.expDsts, st.id)
-		}
-		for di, dst := range st.impSrcs {
-			d := s.shards[dst]
-			d.inFoot++
-			d.inFootFrom[st.id] = st.footAtoms[di]
+			from.inFoot++
+			from.inFootFrom[st.id] = st.footAtoms[di]
 		}
 	}
-	for _, st := range s.shards {
+}
+
+// relink sizes the transport for the current views and rebuilds the
+// measured traffic's static message lists. Driver-serial, after every
+// rebuildViews.
+func (s *Sharded) relink() {
+	for _, st := range s.E.shards {
 		// Early force frames can arrive while positions are still in
 		// flight, so size each inbox for a whole evaluation's message set —
 		// that is what keeps plain-mode sends non-blocking and deadlock-free.
@@ -535,18 +623,27 @@ func (s *Sharded) rebuildViews() {
 			st.inbox = make(chan shardMsg, need)
 		}
 	}
-
 	s.comm.rebuildStatic(s)
 }
 
-func resizeLists(ls [][]int32, n int) [][]int32 {
-	for len(ls) < n {
-		ls = append(ls, nil)
+// noteMigrations books every atom that changed home box since prevBoxOf
+// as one migration message.
+func (s *Sharded) noteMigrations() {
+	e := s.E
+	var moved int64
+	for i := range e.boxOf {
+		if e.boxOf[i] != s.prevBoxOf[i] {
+			s.comm.noteMigration(int(s.prevBoxOf[i]), int(e.boxOf[i]))
+			moved++
+		}
 	}
-	return ls[:n]
+	if e.rec != nil && moved > 0 {
+		e.rec.Add(obs.CtrShardMigrationMsgs, moved)
+	}
 }
 
-func resizeBytes(ls [][]byte, n int) [][]byte {
+// resized returns ls at length n, keeping the lists it already holds.
+func resized[T any](ls [][]T, n int) [][]T {
 	for len(ls) < n {
 		ls = append(ls, nil)
 	}

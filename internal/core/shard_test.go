@@ -2,9 +2,11 @@ package core
 
 import (
 	"bytes"
+	"fmt"
 	"math"
 	"math/rand"
 	"reflect"
+	"strings"
 	"testing"
 	"time"
 
@@ -174,39 +176,58 @@ func TestShardZeroPerturbation(t *testing.T) {
 	}
 }
 
-// TestShardPhaseAttribution: a sharded run books mesh time where it is
-// spent — spreading and interpolation happen inside the shard stages and
-// must still surface under the monolithic engine's mesh phases — and the
-// phases close the books: their sum is the wall of the steps.
+// TestShardPhaseAttribution: both layouts book a section's time where it
+// is spent — spreading, interpolation, bonded terms and the corrections
+// run inside the shard stages and surface under their own phases — and
+// the phases close the books: their sum is the wall of the steps.
 func TestShardPhaseAttribution(t *testing.T) {
 	skipShort(t)
-	sh := smallWaterSharded(t, 8, nil)
-	sh.Step(4) // prime and warm up outside the measured window
-	rec := obs.NewRecorder()
-	sh.Observe(rec)
-	const steps = 40
-	start := time.Now()
-	sh.Step(steps)
-	wall := time.Since(start).Nanoseconds()
-	snap := rec.Snapshot()
-
-	refreshes := int64(steps / sh.E.Cfg.MTSInterval)
-	for _, p := range []obs.Phase{obs.PhaseMeshSpread, obs.PhaseMeshInterp} {
-		ps := snap.Phases[p]
-		if ps.Ns == 0 || ps.Calls < refreshes {
-			t.Errorf("%s: %d ns over %d calls, want non-zero on each of %d refresh steps", ps.Name, ps.Ns, ps.Calls, refreshes)
+	for _, shards := range []int{0, 8} {
+		var sim interface {
+			Step(int)
+			Observe(*obs.Recorder)
 		}
-	}
-	if d := wall - snap.PhaseWallNs; d < 0 || float64(d) > 0.02*float64(wall) {
-		t.Errorf("phases sum to %d ns of %d ns step wall (%.2f%% unaccounted, want within 2%%)",
-			snap.PhaseWallNs, wall, 100*float64(d)/float64(wall))
+		if shards == 0 {
+			sim = smallWaterEngine(t, 8, nil)
+		} else {
+			sim = smallWaterSharded(t, shards, nil)
+		}
+		sim.Step(4) // prime and warm up outside the measured window
+		rec := obs.NewRecorder()
+		sim.Observe(rec)
+		const steps = 40
+		start := time.Now()
+		sim.Step(steps)
+		wall := time.Since(start).Nanoseconds()
+		snap := rec.Snapshot()
+
+		refreshes := int64(steps / DefaultConfig(8).MTSInterval)
+		for _, p := range []obs.Phase{obs.PhaseMeshSpread, obs.PhaseMeshInterp, obs.PhaseExclusion} {
+			ps := snap.Phases[p]
+			if ps.Ns == 0 || ps.Calls < refreshes {
+				t.Errorf("shards=%d: %s: %d ns over %d calls, want non-zero on each of %d refresh steps",
+					shards, ps.Name, ps.Ns, ps.Calls, refreshes)
+			}
+		}
+		for _, p := range []obs.Phase{obs.PhaseBonded, obs.PhasePair14} {
+			if ps := snap.Phases[p]; ps.Ns == 0 || ps.Calls < steps {
+				t.Errorf("shards=%d: %s: %d ns over %d calls, want non-zero on each of %d steps",
+					shards, ps.Name, ps.Ns, ps.Calls, steps)
+			}
+		}
+		if d := wall - snap.PhaseWallNs; d < 0 || float64(d) > 0.02*float64(wall) {
+			t.Errorf("shards=%d: phases sum to %d ns of %d ns step wall (%.2f%% unaccounted, want within 2%%)",
+				shards, snap.PhaseWallNs, wall, 100*float64(d)/float64(wall))
+		}
 	}
 }
 
 // TestShardMeasuredComm: the measured transport section of Comm() is
 // populated, internally consistent, and deterministic across identical
-// runs; every evaluation sends one force frame per export link, refresh
-// or not; a single-shard run carries no import/export messages at all.
+// runs; every evaluation sends one position and one force frame per link,
+// refresh or not, and the frames carry one atom record per foot atom
+// (force: twice on refresh), which the report prints per evaluation; a
+// single-shard run carries no import/export messages at all.
 func TestShardMeasuredComm(t *testing.T) {
 	skipShort(t)
 	run := func() *MeasuredComm {
@@ -240,11 +261,34 @@ func TestShardMeasuredComm(t *testing.T) {
 		t.Fatalf("%d migrations before the first migration step", n)
 	}
 	links := int64(len(early.comm.exportPairs))
-	if rep, err := early.Comm(); err != nil {
+	var posAtoms, footAtoms int64
+	for _, p := range early.comm.importPairs {
+		posAtoms += int64(p.bytes / shardPosBytes)
+	}
+	for _, p := range early.comm.exportPairs {
+		footAtoms += int64(p.bytes / shardForceBytes)
+	}
+	rep, err := early.Comm()
+	if err != nil {
 		t.Fatal(err)
-	} else if em := rep.Measured; em.Refreshes == 0 || em.ExportMsgs != em.Evals*links {
-		t.Errorf("%d export msgs over %d evals (%d refreshes), want one per evaluation on each of %d export links",
-			em.ExportMsgs, em.Evals, em.Refreshes, links)
+	}
+	em := rep.Measured
+	if em.Refreshes == 0 || em.ExportMsgs != em.Evals*links || em.ImportMsgs != em.Evals*int64(len(early.comm.importPairs)) {
+		t.Errorf("%d import and %d export msgs over %d evals (%d refreshes), want one per evaluation on each of %d links",
+			em.ImportMsgs, em.ExportMsgs, em.Evals, em.Refreshes, links)
+	}
+	posRecs, forceRecs := em.PosRawBytes/posRecord, em.ForceRawBytes/forceRawBytes(1)
+	if posRecs != em.Evals*posAtoms || forceRecs != (em.Evals+em.Refreshes)*footAtoms {
+		t.Errorf("%d position and %d force atom records over %d evals (%d refreshes), want %d and %d",
+			posRecs, forceRecs, em.Evals, em.Refreshes, em.Evals*posAtoms, (em.Evals+em.Refreshes)*footAtoms)
+	}
+	for _, want := range []string{
+		fmt.Sprintf("atom records %10.1f/eval (raw bytes / 12)", float64(posRecs)/float64(em.Evals)),
+		fmt.Sprintf("atom records %10.1f/eval (raw bytes / 24, long-range sections included)", float64(forceRecs)/float64(em.Evals)),
+	} {
+		if !strings.Contains(rep.String(), want) {
+			t.Errorf("measured report lacks %q:\n%s", want, rep)
+		}
 	}
 	if m.ImportMsgs == 0 || m.ExportMsgs == 0 || m.MeshMsgs == 0 {
 		t.Errorf("measured traffic missing: %+v", m)
@@ -264,7 +308,7 @@ func TestShardMeasuredComm(t *testing.T) {
 
 	solo := smallWaterSharded(t, 1, nil)
 	solo.Step(10)
-	rep, err := solo.Comm()
+	rep, err = solo.Comm()
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -75,7 +75,7 @@ func newMeasuredComm(dims [3]int) (*measuredComm, error) {
 func (c *measuredComm) rebuildStatic(s *Sharded) {
 	c.importPairs = c.importPairs[:0]
 	c.exportPairs = c.exportPairs[:0]
-	for _, st := range s.shards {
+	for _, st := range s.E.shards {
 		for _, dst := range st.expDsts {
 			c.importPairs = append(c.importPairs,
 				commPair{int(st.id), int(dst), len(st.owned) * shardPosBytes})
@@ -145,8 +145,8 @@ type MeasuredComm struct {
 	Evals     int64 // force evaluations measured
 	Refreshes int64 // long-range refreshes among them
 
-	ImportMsgs    int64 // position import messages
-	ExportMsgs    int64 // force export messages (refresh: with long-range section)
+	ImportMsgs    int64 // position import frames, one per link per evaluation
+	ExportMsgs    int64 // force export frames, one per link per evaluation (refresh: with long-range section)
 	MeshMsgs      int64 // mesh contribution messages
 	MigrationMsgs int64 // atoms that changed home box
 
@@ -192,9 +192,17 @@ func (m *MeasuredComm) String() string {
 		return fmt.Sprintf("    %-14s %8d msgs (%6.1f/eval)  %10d B  max hops %d  busiest link %d B\n",
 			name, msgs, float64(msgs)/float64(m.Evals), st.PayloadBytes, st.MaxHops, st.BusiestChannelBytes)
 	}
-	out := fmt.Sprintf("  measured transport over %d evals (%d refreshes):\n", m.Evals, m.Refreshes)
+	// Position and force messages are frames, one per link; the analytic
+	// section above counts atom records, which the raw bytes give.
+	records := func(raw, per int64, note string) string {
+		return fmt.Sprintf("      atom records %10.1f/eval (raw bytes / %d%s)\n", float64(raw/per)/float64(m.Evals), per, note)
+	}
+	out := fmt.Sprintf("  measured transport over %d evals (%d refreshes; pos and force msgs are frames, one per link):\n",
+		m.Evals, m.Refreshes)
 	out += f("pos import:", m.ImportMsgs, m.Import)
+	out += records(m.PosRawBytes, posRecord, "")
 	out += f("force export:", m.ExportMsgs, m.Export)
+	out += records(m.ForceRawBytes, forceRawBytes(1), ", long-range sections included")
 	out += f("mesh merge:", m.MeshMsgs, m.Mesh)
 	out += f("migration:", m.MigrationMsgs, m.Migration)
 	if m.PosRawBytes > 0 || m.ForceRawBytes > 0 {
@@ -233,21 +241,8 @@ func (s *Sharded) Comm() (*CommReport, error) {
 // per-shard gather would produce.
 func (s *Sharded) WriteCheckpoint(w io.Writer) error { return s.E.WriteCheckpoint(w) }
 
-// RestoreCheckpoint restores the canonical state and rebuilds every shard
-// view. Checkpoints carry no node count, so a checkpoint written at one
-// shard count restores at any other (and into the monolithic engine) with
-// a bitwise-identical continuation. Pending measured traffic is settled
-// under the old decomposition first.
-func (s *Sharded) RestoreCheckpoint(r io.Reader) error {
-	s.comm.fold()
-	if err := s.E.RestoreCheckpoint(r); err != nil {
-		return err
-	}
-	copy(s.prevBoxOf, s.E.boxOf)
-	s.rebuildViews()
-	// Recompute the initial forces if the restored state is at step 0 —
-	// the recompute is bitwise idempotent, and a restore elsewhere resumes
-	// from the checkpointed force arrays directly.
-	s.primed = false
-	return nil
-}
+// RestoreCheckpoint delegates to the engine, whose migration rebuilds
+// every shard view. Checkpoints carry no node count, so a checkpoint
+// written at one shard count restores at any other (and into the
+// monolithic engine) with a bitwise-identical continuation.
+func (s *Sharded) RestoreCheckpoint(r io.Reader) error { return s.E.RestoreCheckpoint(r) }

@@ -1,17 +1,19 @@
 package core
 
 import (
+	"math"
+
 	"anton/internal/obs"
 )
 
-// The sharded step. Only the force evaluation is distributed: it runs as
-// two stages, each a closure broadcast to every shard through its command
-// channel, with the driver's wait after each stage as the barrier. Within
-// a stage a shard first performs all its sends, then receives its
-// expected message count — the inboxes are buffered to hold a whole
-// evaluation's message set, so sends never block and a stage cannot
-// deadlock. Everything else is the monolithic engine's own code, run by
-// the driver (marked *):
+// The force evaluation. There is one: Engine.computeForces drives it for
+// both layouts (shard.go), as two stages over the engine's shards — run
+// inline on the caller for the one-shard engine, broadcast to every
+// shard's goroutine with the driver's wait as the barrier under
+// NewSharded. Within a stage a shard first performs all its sends, then
+// receives its expected message count — the inboxes are buffered to hold
+// a whole evaluation's message set, so sends never block and a stage
+// cannot deadlock. The step around it is the engine's own (marked *):
 //
 //	 *  Engine.beforeForces  half-kick, drift, SHAKE, virtual-site
 //	                         placement, step count
@@ -23,31 +25,30 @@ import (
 //	                         corrections); one force frame out per import
 //	                         link (refresh: with a long-range section);
 //	                         (refresh) charge spreading
-//	 *  mergeMesh            wrapping merge of shard mesh counts; FFT
-//	                         convolve
+//	 *  mergeMesh            wrapping merge of the shards' mesh buffers;
+//	                         FFT convolve
 //	B   finishForces         (refresh) long-range interpolation (owned);
 //	                         own contributions added, remaining force
 //	                         frames in, vsite spread
-//	 *  publish              merge of the shards' fixed-point diagnostics
+//	 *  publish              merge of the workers' fixed-point diagnostics
 //	 *  Engine.afterForces   half-kick, RATTLE, Berendsen, migration due?
 //	 *  migrate              deferred migration + view rebuild when due
 //
 // The kicks, the drift and the constraint sweeps accumulate nothing and
 // send nothing: each writes one atom or one constraint group of the
 // canonical state, so the engine's own parallel sections give the same
-// bits as any split over shards. Stages A and B are the force evaluation
-// (shardstream.go) and share one exchange id. The phases reported to the
-// observability layer are the monolithic engine's (no new phase enums):
-// the driver sections keep theirs, stage A's wall splits between
-// PairMatch and MeshSpread and stage B's between PairReduce and
-// MeshInterp in proportion to the shards' own timers (see obsStageSplit).
+// bits as any split over shards. Stages A and B share one exchange id. A
+// shard times each section of its stage body under the section's obs
+// phase, and one split books every stage wall by the shards' summed
+// timers (bookStage), so both layouts report Table 2's phases the same
+// way.
 //
 // Under fault injection either stage can fail: a shard goroutine may have
 // been crashed by the fault plane, leaving the stage barrier incomplete.
-// stepOnce/computeForces then return a non-nil *stageFail instead of
-// running the driver-serial collectives (whose inputs are garbage after a
-// partial stage), and the supervisor rolls the whole engine back to the
-// last checkpoint. That makes mid-step state after a failure irrelevant:
+// computeForces then returns a non-nil *stageFail instead of running the
+// driver-serial collectives (whose inputs are garbage after a partial
+// stage), and the supervisor rolls the whole engine back to the last
+// checkpoint. That makes mid-step state after a failure irrelevant:
 // correctness only requires that a *completed* step is bitwise identical
 // to the monolithic one, which holds because the reliable transport
 // applies exactly the plain transport's message set (exactly-once) and
@@ -88,11 +89,11 @@ func (s *Sharded) Step(n int) {
 	for {
 		var f *stageFail
 		switch {
-		case s.E.step == 0 && !s.primed:
-			f = s.computeForces(true)
-			s.primed = f == nil
+		case s.E.step == 0 && !s.E.primed:
+			f = s.E.computeForces(true)
+			s.E.primed = f == nil
 		case s.E.step < target:
-			f = s.stepOnce()
+			f = s.E.stepOnce()
 		default:
 			return
 		}
@@ -114,107 +115,135 @@ func (s *Sharded) Step(n int) {
 	}
 }
 
-// stepOnce is Engine.stepOnce with the sharded force evaluation and
-// migration.
-func (s *Sharded) stepOnce() *stageFail {
-	e := s.E
-	refresh := e.beforeForces()
-	if f := s.computeForces(refresh); f != nil {
-		return f
-	}
-	if e.afterForces(refresh) {
-		s.migrate()
-	}
-	e.endStep()
-	return nil
-}
-
-// computeForces runs one force evaluation through its two stages (one
-// exchange id shared by both): stage A sends the position frames,
-// computes once every import has arrived and ends with the force
-// exports, the driver runs the mesh collectives, and stage B assembles
-// the canonical forces. Stage A keeps the stExchangePos
-// fault-plane identity (crash points fire there), stage B keeps
-// stMergeForces.
-func (s *Sharded) computeForces(refresh bool) *stageFail {
-	e := s.E
-
+// computeForces runs one force evaluation: the short-range terms every
+// step, the long-range terms when refresh is true. Stage A keeps the
+// stExchangePos fault-plane identity (crash points fire there), stage B
+// keeps stMergeForces.
+func (e *Engine) computeForces(refresh bool) *stageFail {
 	t0 := e.obsNow()
 	e.refreshPosCache()
 	viol := e.residencyViolated()
 	e.obsPhase(obs.PhaseDecode, t0)
 	if viol {
+		// A residency-slack violation could mean missed pairs, so the
+		// engine re-migrates immediately (deterministic: the decision
+		// depends only on positions).
 		if e.rec != nil {
 			e.rec.Add(obs.CtrResidencyMigrations, 1)
 		}
-		s.migrate()
+		e.migrate(true)
 	}
 
-	t0 = e.obsNow()
-	x := s.newExchange()
-	if f := s.runEach(stExchangePos,
-		func(st *shardState) { st.sendPositionsStream(x) },
-		func(st *shardState) { st.streamBody(x, refresh) }); f != nil {
+	var x *xchg
+	if e.net != nil {
+		x = e.net.newExchange()
+	}
+	if f := e.runStage(stExchangePos, x, refresh); f != nil {
 		return f
 	}
-	s.obsStageSplit(t0, obs.PhaseMeshSpread, obs.PhasePairMatch)
-	if e.rec != nil {
-		for _, st := range s.shards {
-			e.rec.AddLane("shard", "stage-a", int(st.id), st.bodyT0, st.bodyNs, 1, 0)
-		}
+	e.bookStage(stageAPhases)
+	e.drawLanes()
+	if e.net != nil {
+		e.net.comm.noteImport(e.rec)
 	}
-	s.comm.noteImport(e.rec)
 
 	if refresh {
-		s.mergeMesh()
+		e.mergeMesh()
 		t0 = e.obsNow()
 		e.mesh.convolve(e.workers())
 		e.obsPhase(obs.PhaseFFT, t0)
 	}
 
-	t0 = e.obsNow()
-	if f := s.runEach(stMergeForces, nil,
-		func(st *shardState) { st.finishForces(x, refresh) }); f != nil {
+	if f := e.runStage(stMergeForces, x, refresh); f != nil {
 		return f
 	}
-	s.obsStageSplit(t0, obs.PhaseMeshInterp, obs.PhasePairReduce)
-	s.comm.noteExport(e.rec, refresh)
+	e.bookStage(stageBPhases)
 
 	var d evalDiag
-	for _, st := range s.shards {
-		d.merge(&st.diag)
+	for _, st := range e.shards {
+		for w := range st.wk[:st.wps] {
+			d.merge(&st.wk[w].diag)
+		}
 	}
 	e.publish(&d, refresh)
-	s.noteStream()
+	if e.net != nil {
+		e.net.comm.noteExport(e.rec, refresh)
+		e.net.noteStream()
+	}
 	return nil
 }
 
-// obsStageSplit closes a stage opened at t0 = obsNow(), booking its wall
-// to two phases: the share of their stage bodies the shards spent in mesh
-// work (summed meshNs over summed bodyNs, both stamped by the body) goes
-// to mesh, the remainder to rest. A sharded run thereby reports spreading
-// and interpolation under the monolithic engine's phases, and the phases
-// still sum to the stage wall. On the timeline the two shares lie back to
-// back across the stage's wall, rest first: they are shares of it, not
-// separately timed intervals.
-func (s *Sharded) obsStageSplit(t0 int64, mesh, rest obs.Phase) {
-	e := s.E
+// runStage runs one stage on every shard: inline on the caller for the
+// one-shard engine, on the shard goroutines under NewSharded.
+func (e *Engine) runStage(stage uint8, x *xchg, refresh bool) *stageFail {
+	if e.net != nil {
+		return e.net.runEach(stage, x, refresh)
+	}
+	st := e.shards[0]
+	if stage == stExchangePos {
+		st.streamBody(x, refresh)
+	} else {
+		st.finishForces(x, refresh)
+	}
+	return nil
+}
+
+// bookStage closes a stage, booking its wall to the phases of its
+// sections (in order): the shards' summed section timers, laid back to
+// back from the first body's start. For one shard these are the sections'
+// own intervals; when the summed timers exceed the stage's wall (shards
+// running side by side) each phase gets its share of the wall, so the
+// phases still sum to the stage wall.
+func (e *Engine) bookStage(phases []obs.Phase) {
 	if e.rec == nil {
 		return
 	}
-	wall := obs.Now() - t0
-	var meshNs, bodyNs int64
-	for _, st := range s.shards {
-		meshNs += st.meshNs
-		bodyNs += st.bodyNs
+	end := obs.Now()
+	start := int64(math.MaxInt64)
+	var tot [obs.NumPhases]int64
+	var sum int64
+	for _, st := range e.shards {
+		start = min(start, st.bodyT0)
+		for _, p := range phases {
+			tot[p] += st.secNs[p]
+			sum += st.secNs[p]
+		}
 	}
-	var share int64
-	if meshNs > 0 { // refresh evaluations only
-		share = int64(float64(wall) * float64(meshNs) / float64(bodyNs))
+	scale := 1.0
+	if wall := end - start; sum > wall {
+		scale = float64(wall) / float64(sum)
 	}
-	e.rec.AddPhase(rest, t0, wall-share)
-	if meshNs > 0 {
-		e.rec.AddPhase(mesh, t0+wall-share, share)
+	t := start
+	for _, p := range phases {
+		ns := int64(float64(tot[p]) * scale)
+		if tot[p] > 0 {
+			e.rec.AddPhase(p, t, ns)
+		}
+		t += ns
+	}
+}
+
+// drawLanes hands an attached tracer the stage-A lanes: each worker's
+// busy interval in the pair section ("worker N", with its PPIP time) for
+// the one-shard engine, each shard's stage-A body ("shard N") under
+// NewSharded.
+func (e *Engine) drawLanes() {
+	if e.rec == nil {
+		return
+	}
+	if e.net != nil {
+		for _, st := range e.shards {
+			e.rec.AddLane("shard", "stage-a", int(st.id), st.bodyT0, st.bodyNs, 1, 0)
+		}
+		return
+	}
+	st := e.shards[0]
+	for w := range st.wk[:st.wps] {
+		wk := &st.wk[w]
+		if wk.busy.end != 0 {
+			t := &wk.diag.pairs
+			e.rec.AddLane("worker", "pair-blocks", w, wk.busy.t0, wk.busy.end-wk.busy.t0, t.BatchFlushes, t.PPIPNs)
+		}
 	}
 }
 
@@ -235,47 +264,58 @@ func (s *Sharded) noteStream() {
 	e.rec.Add(obs.CtrForceWireBytes, t.ForceWireB-last.ForceWireB)
 }
 
-// mergeMesh merges the shards' fixed-point mesh contributions into the
-// canonical mesh (wrapping adds: order-independent) and measures the
-// resulting mesh traffic — for every shard, the count of nonzero cells it
-// contributed to each remote home box, one message per (src, dst) pair.
-func (s *Sharded) mergeMesh() {
-	e := s.E
-	ms := e.mesh
+// mergeMesh merges the shards' fixed-point mesh buffers into the
+// canonical mesh, parallel across disjoint cell ranges: each cell is
+// summed over shards and their workers in fixed order and written by
+// exactly one block (wrapping adds — order-independent anyway). Under
+// NewSharded it also measures the resulting mesh traffic.
+func (e *Engine) mergeMesh() {
 	t0 := e.obsNow()
-	workers := e.workers()
-	shards := s.shards
+	parallelChunks(len(e.mesh.counts), e.workers(), e.meshMergeFn)
+	if e.net != nil {
+		e.net.noteMeshTraffic()
+	}
+	e.obsPhase(obs.PhaseMeshSpread, t0)
+}
+
+// meshMergeChunk merges cells [lo, hi) of the shards' buffers.
+func (e *Engine) meshMergeChunk(_, lo, hi int) {
+	counts := e.mesh.counts
+	for i := lo; i < hi; i++ {
+		var c int64
+		for _, st := range e.shards {
+			for _, wk := range st.wk[:st.wps] {
+				c += wk.mesh[i]
+			}
+		}
+		counts[i] = c
+	}
+}
+
+// noteMeshTraffic measures the evaluation's mesh traffic: for every
+// shard, the count of nonzero cells it contributed to each remote home
+// box, one message per (src, dst) pair.
+func (s *Sharded) noteMeshTraffic() {
+	e := s.E
+	shards := e.shards
 	if len(s.meshCellRows) < len(shards) {
 		s.meshCellRows = make([][]int64, len(shards))
 		for i := range s.meshCellRows {
 			s.meshCellRows[i] = make([]int64, e.grid.NumBoxes())
 		}
 	}
-	// Canonical merge, parallel across disjoint cell ranges: each cell is
-	// summed over shards in fixed shard order and written by exactly one
-	// chunk (wrapping adds — order-independent anyway). Folded shards may
-	// have no mesh buffer yet.
-	parallelChunks(len(ms.counts), workers, func(_, lo, hi int) {
-		for i := lo; i < hi; i++ {
-			var c int64
-			for _, st := range shards {
-				if len(st.meshCounts) == 0 {
-					continue
-				}
-				c += st.meshCounts[i]
-			}
-			ms.counts[i] = c
-		}
-	})
-	// Traffic measurement, parallel across shards: each shard's
-	// per-destination row is written by exactly one chunk.
-	parallelChunks(len(shards), workers, func(_, lo, hi int) {
+	// Parallel across shards: each shard's per-destination row is written
+	// by exactly one block.
+	parallelChunks(len(shards), e.workers(), func(_, lo, hi int) {
 		for si := lo; si < hi; si++ {
 			row := s.meshCellRows[si]
-			for b := range row {
-				row[b] = 0
-			}
-			for i, c := range shards[si].meshCounts {
+			clear(row)
+			wk := shards[si].wk[:shards[si].wps]
+			for i := range wk[0].mesh {
+				c := wk[0].mesh[i]
+				for w := 1; w < len(wk); w++ {
+					c += wk[w].mesh[i]
+				}
 				if c != 0 {
 					row[s.cellBox[i]]++
 				}
@@ -296,29 +336,4 @@ func (s *Sharded) mergeMesh() {
 	if e.rec != nil && meshMsgs > 0 {
 		e.rec.Add(obs.CtrShardMeshMsgs, meshMsgs)
 	}
-	e.obsPhase(obs.PhaseMeshSpread, t0)
-}
-
-// migrate runs the migration collective: settle the measured traffic
-// accumulated under the old decomposition, migrate the monolithic state,
-// count the atoms that changed home box as migration messages, and
-// rebuild every shard view.
-func (s *Sharded) migrate() {
-	e := s.E
-	s.comm.fold()
-	copy(s.prevBoxOf, e.boxOf)
-	e.migrate()
-	t0 := e.obsNow()
-	var moved int64
-	for i := range e.boxOf {
-		if e.boxOf[i] != s.prevBoxOf[i] {
-			s.comm.noteMigration(int(s.prevBoxOf[i]), int(e.boxOf[i]))
-			moved++
-		}
-	}
-	if e.rec != nil && moved > 0 {
-		e.rec.Add(obs.CtrShardMigrationMsgs, moved)
-	}
-	s.rebuildViews()
-	e.obsPhase(obs.PhaseMigration, t0)
 }

@@ -16,13 +16,23 @@ import (
 //	   streamBody            zero the owned canonical forces; receive
 //	                         every import (force frames that arrive early
 //	                         are applied at once; pos sends settled), then
-//	                         range-limited pairs, bonded, 1-4, (refresh)
-//	                         exclusion corrections; one force frame out
-//	                         per import link; (refresh) charge spreading
+//	                         the sections: gather, pair scan, slot->atom
+//	                         reduce, bonded, 1-4, (refresh) exclusion
+//	                         corrections; one force frame out per import
+//	                         link; (refresh) charge spreading
 //	 * mergeMesh + convolve  (refresh) driver-serial collectives
 //	B  finishForces          interpolate, add the shard's own owned
 //	                         forces, apply the remaining force frames,
 //	                         vsites
+//
+// Every section but the gather and the vsite spread runs through
+// parallelChunks on the shard's wps workers. Worker w scans its blocks of
+// the pair list into its own slot-indexed buffer, and the reduce sums the
+// workers' buffers per slot; the bonded, 1-4 and exclusion sections
+// accumulate worker 0's terms straight into lfShort/lfLong and the other
+// workers' into their own buffers, added in after the section. A section
+// is timed into secNs under its obs phase, and the driver splits the stage
+// wall by those timers (Engine.bookStage).
 //
 // A force frame carries the short-range forces for the link's foot
 // atoms and, on refresh evaluations, a second section with their
@@ -40,12 +50,12 @@ import (
 // on every refresh. The stage ids are also keys of every recorded fault
 // campaign (stall draws; the crash points fire in stage A).
 //
-// Bitwise contract: arrival order varies, accumulation does not matter.
-// Every force/mesh/energy accumulator is wrapping fixed-point
-// (associative and commutative), each atom's position copy is written by
-// exactly one sender, and each interaction is computed once from
-// bit-copied positions — so any interleaving of frame arrivals produces
-// identical bits.
+// Bitwise contract: arrival order and the worker split vary, accumulation
+// does not matter. Every force/mesh/energy accumulator is wrapping
+// fixed-point (associative and commutative), each atom's position copy is
+// written by exactly one sender, and each interaction is computed once
+// from bit-copied positions — so any interleaving of frame arrivals, and
+// any worker count, produces identical bits.
 
 // --- Stage A: position send half. ---
 
@@ -54,7 +64,7 @@ import (
 // half (a global barrier away), so retransmissions and delayed
 // deliveries resend or alias identical bytes.
 func (st *shardState) sendPositionsStream(x *xchg) {
-	st.posFrame = appendPosFrame(st.posFrame[:0], st.s.E.Pos, st.owned)
+	st.posFrame = appendPosFrame(st.posFrame[:0], st.e.Pos, st.owned)
 	st.beginSend()
 	for _, dst := range st.expDsts {
 		st.sendStream(x, dst, msgPos, st.posFrame, posRawBytes(len(st.owned)))
@@ -73,7 +83,7 @@ func (st *shardState) sendStream(x *xchg, dst int32, kind uint8, frame []byte, r
 		st.tstats.ForceWireB += int64(len(frame))
 	}
 	if !x.reliable() {
-		st.s.shards[dst].inbox <- shardMsg{from: st.id, kind: kind, frame: frame}
+		st.e.shards[dst].inbox <- shardMsg{from: st.id, kind: kind, frame: frame}
 		return
 	}
 	m := shardMsg{from: st.id, kind: kind, epoch: x.epoch, xid: x.xid,
@@ -85,20 +95,72 @@ func (st *shardState) sendStream(x *xchg, dst int32, kind uint8, frame []byte, r
 
 // --- Stage A: body. ---
 
+// Section order of each stage body, the order Engine.bookStage lays the
+// stage's phases out in. Sends and receive waits are timed into the
+// section they precede or follow: the import wait into the gather, the
+// force sends and the wait for the remaining force frames into the
+// reduce.
+var (
+	stageAPhases = []obs.Phase{obs.PhasePairGather, obs.PhasePairMatch, obs.PhasePairReduce,
+		obs.PhaseBonded, obs.PhasePair14, obs.PhaseExclusion, obs.PhaseMeshSpread}
+	stageBPhases = []obs.Phase{obs.PhaseMeshInterp, obs.PhasePairReduce}
+)
+
+// startStage opens a stage body's timers.
+func (st *shardState) startStage() {
+	st.bodyT0 = obs.Now()
+	st.last = st.bodyT0
+	st.secNs = [obs.NumPhases]int64{}
+}
+
+// mark closes a section: the time since the previous one goes to phase p.
+func (st *shardState) mark(p obs.Phase) {
+	now := obs.Now()
+	st.secNs[p] += now - st.last
+	st.last = now
+}
+
+// section runs fn over [0, n) on the shard's workers.
+func (st *shardState) section(n int, fn func(w, lo, hi int)) {
+	parallelChunks(n, st.wps, fn)
+}
+
+// partial returns where worker w accumulates atom-indexed forces bound for
+// dst: dst itself for worker 0, its own buffer for the others.
+func (st *shardState) partial(w int, dst []Force3) []Force3 {
+	if w == 0 {
+		return dst
+	}
+	return st.wk[w].buf
+}
+
+// clearPartials zeroes the atom-indexed buffers of the workers past 0 over
+// needAll, the atoms a term of this shard can touch.
+func (st *shardState) clearPartials() {
+	for _, wk := range st.wk[1:st.wps] {
+		for _, a := range st.needAll {
+			wk.buf[a] = Force3{}
+		}
+	}
+}
+
+// addPartials adds the workers' atom-indexed partials into dst.
+func (st *shardState) addPartials(dst []Force3) {
+	for _, wk := range st.wk[1:st.wps] {
+		for _, a := range st.needAll {
+			dst[a] = dst[a].Add(wk.buf[a])
+		}
+	}
+}
+
 // streamBody is the evaluation's main stage: zero the owned canonical
 // forces, receive every import, then compute the shard's range-limited,
 // bonded, 1-4 and (refresh) exclusion terms, send the force exports, and
 // (refresh) spread the owned charges.
 func (st *shardState) streamBody(x *xchg, refresh bool) {
-	e := st.s.E
-	k := &e.pk
-	t0 := obs.Now()
-	st.bodyT0 = t0
-
-	// Per-evaluation reset.
-	st.meshNs = 0
-	st.diag = evalDiag{}
-	st.arrived, st.footGot = 0, 0
+	e := st.e
+	st.startStage()
+	st.begin(refresh)
 
 	// Owned positions come from the canonical state, the rest from the
 	// import frames, each atom's from its owner alone. The owned forces
@@ -114,73 +176,167 @@ func (st *shardState) streamBody(x *xchg, refresh bool) {
 		return // aborted: recovery restores everything from the checkpoint
 	}
 
-	// Every import is in: refresh the float and slot views, zero the
-	// accumulators, and compute.
+	// Every import is in: gather, then compute.
+	st.gather()
+	st.mark(obs.PhasePairGather)
+	st.section(len(st.myPairs), st.pairFn)
+	st.mark(obs.PhasePairMatch)
+	st.section(len(st.touchedSubs), st.pairReduceFn)
+	st.mark(obs.PhasePairReduce)
+
+	st.clearPartials()
+	st.section(len(st.bondTerms), st.bondedFn)
+	st.mark(obs.PhaseBonded)
+	st.section(len(st.pair14Idx), st.pair14Fn)
+	st.addPartials(st.lfShort)
+	st.mark(obs.PhasePair14)
+	if refresh {
+		st.clearPartials()
+		st.section(len(st.exclTerms), st.exclFn)
+		st.addPartials(st.lfLong)
+		st.mark(obs.PhaseExclusion)
+	}
+
+	// Force exports go out before the spread, so their flight overlaps it.
+	st.sendForcesStream(x, refresh)
+	st.mark(obs.PhasePairReduce)
+	if refresh {
+		for _, wk := range st.wk[:st.wps] {
+			clear(wk.mesh)
+		}
+		st.section(len(st.owned), st.spreadFn)
+		st.mark(obs.PhaseMeshSpread)
+	}
+	st.bodyNs = obs.Now() - st.bodyT0
+}
+
+// begin resets the shard for an evaluation: its refresh flag, its worker
+// count, and the workers' diagnostics.
+func (st *shardState) begin(refresh bool) {
+	st.refresh = refresh
+	st.wps = max(1, st.e.workers()/len(st.e.shards))
+	st.ensureWorkers(st.wps)
+	for w := range st.wk[:st.wps] {
+		st.wk[w].diag = evalDiag{}
+		st.wk[w].busy = busySpan{}
+	}
+	st.arrived, st.footGot = 0, 0
+}
+
+// gather refreshes the float and slot-indexed position views from lpos
+// and zeroes the accumulators the sections add into.
+func (st *shardState) gather() {
+	e := st.e
+	k := &e.pk
 	for _, a := range st.needAll {
 		st.lposF[a] = e.Coder.Decode(st.lpos[a])
 		st.lfShort[a] = Force3{}
-		if refresh {
+		if st.refresh {
 			st.lfLong[a] = Force3{}
 		}
 	}
+	wk := st.wk[:st.wps]
 	for _, sb := range st.touchedSubs {
 		for slot := k.subStart[sb]; slot < k.subStart[sb+1]; slot++ {
 			st.spos[slot] = st.lpos[k.atomOf[slot]]
-			st.sbuf[slot] = Force3{}
+			for w := range wk {
+				wk[w].buf[slot] = Force3{}
+			}
 		}
 	}
-	e.pairScan(st.myPairs, st.spos, st.sbuf, &st.batch, &st.diag)
-	for _, sb := range st.touchedSubs {
+}
+
+// scanChunk scans pairs [lo, hi) of the shard's list as worker w into the
+// worker's slot-indexed buffer: match-unit prefilter, exclusion merge
+// scan, batched PPIP evaluation. The scan accumulates on this goroutine's
+// stack (neighbouring workers' diagnostics may share a cache line); with
+// an observer attached the block also extends the worker's busy interval.
+func (st *shardState) scanChunk(w, lo, hi int) {
+	e := st.e
+	wk := &st.wk[w]
+	var t0 int64
+	if e.rec != nil {
+		t0 = obs.Now()
+	}
+	var d evalDiag
+	e.scanPairs(st.myPairs[lo:hi], st.spos, wk.buf, &wk.batch, &d, true)
+	wk.diag.merge(&d)
+	if e.rec != nil {
+		if wk.busy.end == 0 {
+			wk.busy.t0 = t0
+		}
+		wk.busy.end = obs.Now()
+	}
+}
+
+// pairReduceChunk adds the workers' slot-indexed pair forces of touched
+// subboxes [lo, hi) into lfShort, in fixed worker order. Slot to atom is a
+// bijection, so blocks never write the same atom.
+func (st *shardState) pairReduceChunk(_, lo, hi int) {
+	k := &st.e.pk
+	wk := st.wk[:st.wps]
+	for _, sb := range st.touchedSubs[lo:hi] {
 		for slot := k.subStart[sb]; slot < k.subStart[sb+1]; slot++ {
-			if f := st.sbuf[slot]; f != (Force3{}) {
+			f := wk[0].buf[slot]
+			for w := 1; w < len(wk); w++ {
+				f = f.Add(wk[w].buf[slot])
+			}
+			if f != (Force3{}) {
 				a := k.atomOf[slot]
 				st.lfShort[a] = st.lfShort[a].Add(f)
 			}
 		}
 	}
-
-	for _, t := range st.bondTerms {
-		st.diag.bonded += e.bondedTerm(int(t), st.lposF, st.scratch, st.lfShort)
-	}
-	for _, pi := range st.pair14Idx {
-		st.diag.correction += e.pair14One(&e.Sys.Top.Pairs14[pi], st.lpos, st.lfShort)
-	}
-	if refresh {
-		st.diag.mesh += e.exclScan(st.exclTerms, st.lpos, st.lfLong)
-	}
-
-	// Force exports go out before the spread, so their flight overlaps it.
-	st.sendForcesStream(x, refresh)
-	if refresh {
-		st.runSpread()
-	}
-	st.bodyNs = obs.Now() - t0
 }
 
-// runSpread spreads the owned atoms' charges onto the private mesh
+// bondedChunk evaluates owned bonded terms [lo, hi) as worker w.
+func (st *shardState) bondedChunk(w, lo, hi int) {
+	e := st.e
+	dst, scratch := st.partial(w, st.lfShort), st.wk[w].scratch
+	var energy int64
+	for _, t := range st.bondTerms[lo:hi] {
+		energy += e.bondedTerm(int(t), st.lposF, scratch, dst)
+	}
+	st.wk[w].diag.bonded += energy
+}
+
+// pair14Chunk evaluates owned scaled 1-4 pairs [lo, hi) as worker w.
+func (st *shardState) pair14Chunk(w, lo, hi int) {
+	e := st.e
+	dst := st.partial(w, st.lfShort)
+	var energy int64
+	for _, pi := range st.pair14Idx[lo:hi] {
+		energy += e.pair14One(&e.Sys.Top.Pairs14[pi], st.lpos, dst)
+	}
+	st.wk[w].diag.correction += energy
+}
+
+// exclChunk evaluates owned exclusion corrections [lo, hi) as worker w.
+func (st *shardState) exclChunk(w, lo, hi int) {
+	energy := st.e.exclScan(st.exclTerms[lo:hi], st.lpos, st.partial(w, st.lfLong))
+	st.wk[w].diag.mesh += energy
+}
+
+// spreadChunk spreads owned atoms [lo, hi)'s charges onto worker w's mesh
 // buffer (it reads only owned positions).
-func (st *shardState) runSpread() {
-	t0 := obs.Now()
-	e := st.s.E
+func (st *shardState) spreadChunk(w, lo, hi int) {
+	e := st.e
 	ms := e.mesh
 	top := e.Sys.Top
-	for i := range st.meshCounts {
-		st.meshCounts[i] = 0
-	}
-	for _, a := range st.owned {
-		q := top.Atoms[a].Charge
-		if q == 0 {
-			continue
+	wk := &st.wk[w]
+	var tally int64
+	for _, a := range st.owned[lo:hi] {
+		if q := top.Atoms[a].Charge; q != 0 {
+			tally += ms.spreadAtom(q, st.lposF[a], wk.mesh)
 		}
-		st.diag.spread += ms.spreadAtom(q, st.lposF[a], st.meshCounts)
 	}
-	st.meshNs = obs.Now() - t0
+	wk.diag.spread += tally
 }
 
 // applyImport decodes one position frame into the local copies of the
 // sender's owned atoms.
 func (st *shardState) applyImport(m *shardMsg) {
-	if err := decodePosFrame(m.frame, st.s.shards[m.from].owned, st.lpos); err != nil {
+	if err := decodePosFrame(m.frame, st.e.shards[m.from].owned, st.lpos); err != nil {
 		// A malformed frame cannot pass the CRC gate; reaching here means
 		// the codec itself broke its round-trip invariant.
 		panic("core: position frame round-trip violation: " + err.Error())
@@ -192,7 +348,7 @@ func (st *shardState) applyImport(m *shardMsg) {
 // owned atoms it covers (wrapping fixed-point adds: arrival order, and
 // the stage it lands in, are invisible).
 func (st *shardState) applyFoot(m *shardMsg, refresh bool) {
-	e := st.s.E
+	e := st.e
 	var long []Force3
 	if refresh {
 		long = e.fLong
@@ -389,22 +545,38 @@ func (st *shardState) sendForcesStream(x *xchg, refresh bool) {
 
 // --- Stage B: force assembly. ---
 
-// interpolate (refresh steps): add the mesh interpolation for owned
-// charged atoms onto their long-range forces (zeroed at the start of
-// stage A). Reads only the shared post-convolution mesh.
-func (st *shardState) interpolate() {
-	e := st.s.E
+// interpChunk (refresh steps) adds the mesh interpolation for owned atoms
+// [lo, hi) onto their long-range forces (zeroed at the start of stage A).
+// Reads only the shared post-convolution mesh.
+func (st *shardState) interpChunk(w, lo, hi int) {
+	e := st.e
 	ms := e.mesh
 	top := e.Sys.Top
-	for _, a := range st.owned {
+	var energy, tally int64
+	for _, a := range st.owned[lo:hi] {
 		q := top.Atoms[a].Charge
 		if q == 0 {
 			continue
 		}
 		en, fx, fy, fz, n := ms.interpAtom(q, st.lposF[a])
-		st.diag.mesh += htis.QuantizeEnergy(en)
+		energy += htis.QuantizeEnergy(en)
 		e.fLong[a] = e.fLong[a].AddRaw(fx, fy, fz)
-		st.diag.interp += n
+		tally += n
+	}
+	d := &st.wk[w].diag
+	d.mesh += energy
+	d.interp += tally
+}
+
+// assembleChunk adds the shard's own contributions to owned atoms [lo, hi)
+// into their canonical forces.
+func (st *shardState) assembleChunk(_, lo, hi int) {
+	e := st.e
+	for _, a := range st.owned[lo:hi] {
+		e.fShort[a] = e.fShort[a].Add(st.lfShort[a])
+		if st.refresh {
+			e.fLong[a] = e.fLong[a].Add(st.lfLong[a])
+		}
 	}
 }
 
@@ -413,25 +585,19 @@ func (st *shardState) interpolate() {
 // the receive loop for the force frames still to come (which also
 // settles the force sends), and finally the virtual-site spreads — only
 // after every contribution is merged, since the spread rounding is
-// nonlinear in the total.
+// nonlinear in the total. The spreads run serially: sites may share a
+// parent atom.
 func (st *shardState) finishForces(x *xchg, refresh bool) {
-	e := st.s.E
-	t0 := obs.Now()
-	st.meshNs = 0
+	e := st.e
+	st.startStage()
 	if refresh {
-		st.interpolate()
-		st.meshNs = obs.Now() - t0
+		st.section(len(st.owned), st.interpFn)
+		st.mark(obs.PhaseMeshInterp)
 	}
-	for _, a := range st.owned {
-		e.fShort[a] = e.fShort[a].Add(st.lfShort[a])
-		if refresh {
-			e.fLong[a] = e.fLong[a].Add(st.lfLong[a])
-		}
-	}
+	st.section(len(st.owned), st.assembleFn)
 	if !st.streamLoop(x, refresh, func() int { return st.inFoot - st.footGot }) {
 		return // aborted: recovery restores everything from the checkpoint
 	}
-
 	if refresh {
 		for _, vi := range st.vsites {
 			spreadVSiteForce(e.fLong, &e.Sys.Top.VSites[vi])
@@ -440,5 +606,6 @@ func (st *shardState) finishForces(x *xchg, refresh bool) {
 	for _, vi := range st.vsites {
 		spreadVSiteForce(e.fShort, &e.Sys.Top.VSites[vi])
 	}
-	st.bodyNs = obs.Now() - t0
+	st.mark(obs.PhasePairReduce)
+	st.bodyNs = obs.Now() - st.bodyT0
 }

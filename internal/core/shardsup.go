@@ -127,9 +127,9 @@ func (s *Sharded) EnableFaults(cfg FaultConfig) error {
 		cfg:   cfg,
 		epoch: 1,
 		abort: make(chan struct{}),
-		seen:  make([]bool, len(s.shards)),
+		seen:  make([]bool, len(s.E.shards)),
 	}
-	s.rebuildViews() // resize inboxes and allocate ack channels for reliable mode
+	s.relink() // resize inboxes and allocate ack channels for reliable mode
 	return nil
 }
 
@@ -232,14 +232,14 @@ func (sup *supervisor) recoverFrom(f *stageFail, streak int) bool {
 	sup.abort = make(chan struct{})
 
 	for _, id := range f.crashed {
-		st := s.shards[id]
+		st := s.E.shards[id]
 		select {
 		case <-st.exited: // orders the dead executor's last writes before the restore
 		default: // silent but alive (a stall past two heartbeats)
 		}
 		s.spawnShard(st)
 	}
-	for _, st := range s.shards {
+	for _, st := range s.E.shards {
 		drainMsgs(st.inbox)
 		drainAcks(st.acks)
 		st.out = st.out[:0]

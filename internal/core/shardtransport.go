@@ -59,8 +59,9 @@ type shardAck struct {
 }
 
 // xchg identifies one transport exchange: the driver mints a fresh xid
-// per stage so stale envelopes from earlier exchanges (or earlier
-// recovery epochs) are recognizable before their payloads are read.
+// per evaluation so stale envelopes from earlier exchanges (or earlier
+// recovery epochs) are recognizable before their payloads are read. The
+// one-shard engine exchanges nothing and passes nil.
 type xchg struct {
 	step  int64
 	xid   uint32
@@ -69,7 +70,7 @@ type xchg struct {
 	abort <-chan struct{}
 }
 
-func (x *xchg) reliable() bool { return x.plane != nil }
+func (x *xchg) reliable() bool { return x != nil && x.plane != nil }
 
 // newExchange mints the next exchange. Driver-serial.
 func (s *Sharded) newExchange() *xchg {
@@ -131,7 +132,7 @@ func (t *transportTally) add(o transportTally) {
 // tallyTotals sums the per-shard link tallies. Driver-serial.
 func (s *Sharded) tallyTotals() transportTally {
 	var t transportTally
-	for _, st := range s.shards {
+	for _, st := range s.E.shards {
 		t.add(st.tstats)
 	}
 	return t
@@ -208,7 +209,7 @@ func (st *shardState) deliver(x *xchg, o *outMsg) {
 	} else {
 		m.attempt = 255
 	}
-	dst := st.s.shards[o.dst]
+	dst := st.e.shards[o.dst]
 	switch v := x.plane.Message(x.step, x.xid, o.kind, st.id, o.dst, o.attempt); v.Act {
 	case faults.ActDrop:
 		return
@@ -237,7 +238,7 @@ func (st *shardState) deliver(x *xchg, o *outMsg) {
 				trySend(ch, m)
 			case <-closed:
 			}
-		}(dst.inbox, m, v.DelayNs, st.s.closed)
+		}(dst.inbox, m, v.DelayNs, st.e.net.closed)
 	default:
 		if !trySend(dst.inbox, m) {
 			st.tstats.FullDrops++
@@ -251,7 +252,7 @@ func (st *shardState) deliver(x *xchg, o *outMsg) {
 // those verdicts degrade to delivery).
 func (st *shardState) sendAck(x *xchg, m *shardMsg) {
 	a := shardAck{from: st.id, kind: m.kind, epoch: m.epoch, xid: m.xid}
-	dst := st.s.shards[m.from]
+	dst := st.e.shards[m.from]
 	switch v := x.plane.Message(x.step, m.xid, msgAck, st.id, m.from, int(m.attempt)); v.Act {
 	case faults.ActDrop:
 		return
@@ -267,7 +268,7 @@ func (st *shardState) sendAck(x *xchg, m *shardMsg) {
 				}
 			case <-closed:
 			}
-		}(dst.acks, a, v.DelayNs, st.s.closed)
+		}(dst.acks, a, v.DelayNs, st.e.net.closed)
 	default:
 		select {
 		case dst.acks <- a:

@@ -91,8 +91,11 @@ const (
 
 	// The shard transport counters: messages actually exchanged between
 	// virtual node shards over the channel transport (zero in monolithic
-	// runs). One message per atom per link, matching the per-atom message
-	// model of the analytic Comm() estimate.
+	// runs). A position or force message is one frame per (sender,
+	// receiver) link per evaluation, carrying every atom record of that
+	// link; the analytic Comm() estimate counts one message per atom per
+	// link instead (the measured atom records are the pos/force raw bytes
+	// over 12 and 24).
 	CtrShardImportMsgs    // position import messages (home box -> tower/plate importers)
 	CtrShardExportMsgs    // force export messages (computing shard -> home box)
 	CtrShardMeshMsgs      // mesh charge contributions sent to cell-owner nodes
