@@ -174,7 +174,7 @@ func replayAudit(recs []ledger.Record, target int64, dir string) error {
 		return fmt.Errorf("rebuilt engine fingerprint %s, ledger recorded %s", fp, g.Fingerprint)
 	}
 	if restored {
-		if got := fmt.Sprintf("%016x", r.Sim.StateDigest()); ck.Checkpoint.Digest != "" && got != ck.Checkpoint.Digest {
+		if got := fmt.Sprintf("%016x", r.Eng.StateDigest()); ck.Checkpoint.Digest != "" && got != ck.Checkpoint.Digest {
 			return fmt.Errorf("restored digest %s at step %d, checkpoint record says %s",
 				got, from, ck.Checkpoint.Digest)
 		}
@@ -187,7 +187,7 @@ func replayAudit(recs []ledger.Record, target int64, dir string) error {
 	if err := r.Advance(int(target - from)); err != nil {
 		return err
 	}
-	got := fmt.Sprintf("%016x", r.Sim.StateDigest())
+	got := fmt.Sprintf("%016x", r.Eng.StateDigest())
 	if got != want {
 		return fmt.Errorf("digest at step %d = %s, ledger recorded %s — trajectories diverge",
 			target, got, want)

@@ -268,7 +268,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 			reg.Worst(), reg.Fired(health.SevWarn), reg.Fired(health.SevCrit))
 	}
 	if spec.Chaos != "" {
-		rep := r.Sharded.FaultReport()
+		rep := eng.FaultReport()
 		fmt.Fprintf(stdout, "\nfault campaign over %d steps:\n", st.Steps)
 		fmt.Fprintf(stdout, "  injected: %d drops, %d dups, %d delays, %d corruptions, %d stalls, %d crashes\n",
 			rep.Injected.Drops, rep.Injected.Dups, rep.Injected.Delays,
@@ -301,11 +301,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 
 	if *comm {
-		commFn := eng.Comm
-		if *shards > 0 {
-			commFn = r.Sharded.Comm // includes the measured transport section
-		}
-		rep, err := commFn()
+		rep, err := eng.Comm() // sharded: with the measured transport section
 		if err != nil {
 			return fail("comm report", err)
 		}

@@ -40,7 +40,7 @@ func chaosConfig(plane *faults.Plane) FaultConfig {
 	}
 }
 
-func assertBitwise(t *testing.T, sh *Sharded, ref *Engine, label string) {
+func assertBitwise(t *testing.T, sh *Engine, ref *Engine, label string) {
 	t.Helper()
 	if err := sh.Err(); err != nil {
 		t.Fatalf("%s: engine parked: %v", label, err)
@@ -97,8 +97,8 @@ func TestChaosTrajectoryInvariance(t *testing.T) {
 			t.Fatalf("recovery restored forward: %+v", ev)
 		}
 	}
-	if sh.E.Stats.Migrations < 2 {
-		t.Fatalf("run crossed only %d migrations", sh.E.Stats.Migrations)
+	if sh.Stats.Migrations < 2 {
+		t.Fatalf("run crossed only %d migrations", sh.Stats.Migrations)
 	}
 }
 
@@ -242,10 +242,10 @@ func TestChaosReliableNoFaults(t *testing.T) {
 	}
 }
 
-// TestWatchTransportRetryRate: wiring TransportCounts into the health
-// watch feeds the retry-storm monitor. A mildly lossy plane produces a
-// measured retransmit ratio well under the warn threshold — the monitor
-// must have seen samples and stayed latched OK.
+// TestWatchTransportRetryRate: the health watch reads the engine's
+// transport counters into the retry-storm monitor. A mildly lossy plane
+// produces a measured retransmit ratio well under the warn threshold —
+// the monitor must have seen samples and stayed latched OK.
 func TestWatchTransportRetryRate(t *testing.T) {
 	skipShort(t)
 	sh := smallWaterSharded(t, 4, nil)
@@ -257,8 +257,7 @@ func TestWatchTransportRetryRate(t *testing.T) {
 	if err := sh.EnableFaults(chaosConfig(plane)); err != nil {
 		t.Fatal(err)
 	}
-	w := NewWatch(sh.E)
-	w.WatchTransport(sh.TransportCounts)
+	w := NewWatch(sh)
 	sh.Step(40)
 	if err := sh.Err(); err != nil {
 		t.Fatal(err)
@@ -290,7 +289,7 @@ func TestWatchRollbackNoFalseAlert(t *testing.T) {
 	skipShort(t)
 	const steps = 60
 	plain := smallWaterSharded(t, 8, nil)
-	pw := NewWatch(plain.E)
+	pw := NewWatch(plain)
 	plain.Step(steps)
 	want := pw.Drain()
 
@@ -304,7 +303,7 @@ func TestWatchRollbackNoFalseAlert(t *testing.T) {
 	if err := sh.EnableFaults(cfg); err != nil {
 		t.Fatal(err)
 	}
-	w := NewWatch(sh.E)
+	w := NewWatch(sh)
 	sh.Step(steps)
 	if err := sh.Err(); err != nil {
 		t.Fatal(err)

@@ -80,16 +80,3 @@ func CheckpointFileCRC(path string) (uint32, error) {
 	}
 	return stored, nil
 }
-
-// WriteCheckpointFile / RestoreCheckpointFile delegate like the stream
-// variants (see shardcomm.go for the shard-count-independence argument).
-func (s *Sharded) WriteCheckpointFile(path string) error { return s.E.WriteCheckpointFile(path) }
-
-func (s *Sharded) RestoreCheckpointFile(path string) error {
-	f, err := os.Open(path)
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-	return s.RestoreCheckpoint(f)
-}

@@ -34,12 +34,14 @@ type CommReport struct {
 	GCLoad          LoadStats
 
 	// Measured holds the transport traffic a sharded run actually carried
-	// (nil for the purely analytic report of a monolithic engine).
+	// (nil for the purely analytic report of an engine built by
+	// NewEngine, which sends nothing).
 	Measured *MeasuredComm
 }
 
 // Comm builds the per-step communication picture for the engine's
-// current decomposition.
+// current decomposition, plus, for a sharded engine, the traffic its
+// transport measured so far.
 func (e *Engine) Comm() (*CommReport, error) {
 	net, err := torus.New([3]int{e.grid.Nx, e.grid.Ny, e.grid.Nz})
 	if err != nil {
@@ -149,6 +151,9 @@ func (e *Engine) Comm() (*CommReport, error) {
 		float64(rep.BondMessages) +
 		float64(rep.FFTMessages*rep.Nodes)
 	rep.MessagesPerNode = total / float64(rep.Nodes)
+	if e.net != nil {
+		rep.Measured = e.net.comm.report(e.TransportStats())
+	}
 	return rep, nil
 }
 

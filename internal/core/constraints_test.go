@@ -177,7 +177,7 @@ func TestConstraintHoistBitwise(t *testing.T) {
 	}
 	sh := smallWaterSharded(t, 8, nil)
 	sh.Step(steps)
-	same("small, 8 shards", sh.E, ref)
+	same("small, 8 shards", sh, ref)
 
 	build := func(s *system.System, workers int) *Engine {
 		cfg := DefaultConfig(8)
@@ -240,8 +240,8 @@ func TestConstraintCounters(t *testing.T) {
 	if !testing.Short() {
 		sh := smallWaterSharded(t, 8, nil)
 		sh.Step(steps)
-		if sh.E.Stats != want {
-			t.Errorf("8 shards: stats %+v, monolithic %+v", sh.E.Stats, want)
+		if sh.Stats != want {
+			t.Errorf("8 shards: stats %+v, monolithic %+v", sh.Stats, want)
 		}
 		s, err := system.ByName("DHFR")
 		if err != nil {

@@ -138,21 +138,14 @@ func TestWorkerCountInvariance(t *testing.T) {
 	}
 }
 
-// reversibleRun is the engine surface a reversibility check drives: the
-// monolithic Engine, or a Sharded run through its engine.
-type reversibleRun interface {
-	Step(n int)
-	Snapshot() ([]fixp.Vec3, []Vel3)
-}
-
-// checkReversal runs r forward steps steps, negates the velocities of e
-// (r's engine), runs the same number of steps, and requires the start
-// p0, v0 back bit for bit with the velocities negated.
-func checkReversal(t *testing.T, r reversibleRun, e *Engine, p0 []fixp.Vec3, v0 []Vel3, steps int) {
+// checkReversal runs e forward steps steps, negates its velocities, runs
+// the same number of steps, and requires the start p0, v0 back bit for
+// bit with the velocities negated.
+func checkReversal(t *testing.T, e *Engine, p0 []fixp.Vec3, v0 []Vel3, steps int) {
 	t.Helper()
-	r.Step(steps)
+	e.Step(steps)
 	// The state must actually have moved.
-	pMid, _ := r.Snapshot()
+	pMid, _ := e.Snapshot()
 	moved := false
 	for i := range p0 {
 		if p0[i] != pMid[i] {
@@ -164,8 +157,8 @@ func checkReversal(t *testing.T, r reversibleRun, e *Engine, p0 []fixp.Vec3, v0 
 		t.Fatal("system did not move; reversibility test vacuous")
 	}
 	e.NegateVelocities()
-	r.Step(steps)
-	p1, v1 := r.Snapshot()
+	e.Step(steps)
+	p1, v1 := e.Snapshot()
 	for i := range p0 {
 		if p1[i] != p0[i] {
 			d := e.Coder.DeltaToPhys(p1[i].Sub(p0[i]))
@@ -186,7 +179,7 @@ func TestExactReversibility(t *testing.T) {
 	t.Run("monolithic", func(t *testing.T) {
 		e := ionicEngine(t, 8, nil)
 		p0, v0 := e.Snapshot()
-		checkReversal(t, e, e, p0, v0, 48)
+		checkReversal(t, e, p0, v0, 48)
 	})
 	// The same run through 8 shards: the exchange, the shard-local force
 	// sums and the migrations must reverse as exactly as one engine.
@@ -198,8 +191,8 @@ func TestExactReversibility(t *testing.T) {
 			t.Fatal(err)
 		}
 		defer sh.Close()
-		copy(sh.E.Vel, e.Vel)
-		checkReversal(t, sh, sh.E, p0, v0, 48)
+		copy(sh.Vel, e.Vel)
+		checkReversal(t, sh, p0, v0, 48)
 	})
 	// Forward 24 steps, through a checkpoint into a fresh engine, forward
 	// to step 48, then 48 steps back: the checkpoint carries everything

@@ -31,28 +31,23 @@ func TestEnergyInvariance(t *testing.T) {
 	const steps, more = 21, 4
 	type run struct {
 		name string
-		step func(int)
 		eng  *Engine
-		ckpt func(*bytes.Buffer) error
 	}
 	var runs []run
 	for _, w := range []int{1, 2, 3, 8} {
 		e := smallWaterEngine(t, 8, func(c *Config) { c.Workers = w })
-		runs = append(runs, run{fmt.Sprintf("workers=%d", w), e.Step, e,
-			func(b *bytes.Buffer) error { return e.WriteCheckpoint(b) }})
+		runs = append(runs, run{fmt.Sprintf("workers=%d", w), e})
 	}
 	for _, n := range []int{8, 64} {
-		sh := smallWaterSharded(t, n, nil)
-		runs = append(runs, run{fmt.Sprintf("shards=%d", n), sh.Step, sh.E,
-			func(b *bytes.Buffer) error { return sh.WriteCheckpoint(b) }})
+		runs = append(runs, run{fmt.Sprintf("shards=%d", n), smallWaterSharded(t, n, nil)})
 	}
 
 	var refBits [5]uint64
 	var refCkpt []byte
 	for i, r := range runs {
-		r.step(steps)
+		r.eng.Step(steps)
 		var buf bytes.Buffer
-		if err := r.ckpt(&buf); err != nil {
+		if err := r.eng.WriteCheckpoint(&buf); err != nil {
 			t.Fatal(err)
 		}
 		bits := energyBits(r.eng)
@@ -74,14 +69,14 @@ func TestEnergyInvariance(t *testing.T) {
 	ref := runs[0]
 	var want [more][5]uint64
 	for k := range want {
-		ref.step(1)
+		ref.eng.Step(1)
 		want[k] = energyBits(ref.eng)
 	}
 	mono := smallWaterEngine(t, 8, func(c *Config) { c.Workers = 3 })
 	sh := smallWaterSharded(t, 8, nil)
 	restored := []run{
-		{"restored workers=3", mono.Step, mono, nil},
-		{"restored shards=8", sh.Step, sh.E, nil},
+		{"restored workers=3", mono},
+		{"restored shards=8", sh},
 	}
 	if err := mono.RestoreCheckpoint(bytes.NewReader(refCkpt)); err != nil {
 		t.Fatal(err)
@@ -91,7 +86,7 @@ func TestEnergyInvariance(t *testing.T) {
 	}
 	for _, r := range restored {
 		for k := range want {
-			r.step(1)
+			r.eng.Step(1)
 			if got := energyBits(r.eng); got != want[k] {
 				t.Errorf("%s: step %d energies %x, uninterrupted run %x", r.name, steps+k+1, got, want[k])
 			}

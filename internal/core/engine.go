@@ -135,10 +135,10 @@ type Engine struct {
 
 	// The force evaluation's shards (shard.go): one owning every home box
 	// and run inline (NewEngine), or one per box on its own goroutine
-	// (NewSharded, which sets net). primed is set once the initial force
-	// evaluation is done.
+	// (NewSharded, which sets net, their transport and supervision state).
+	// primed is set once the initial force evaluation is done.
 	shards []*shardState
-	net    *Sharded
+	net    *network
 	primed bool
 
 	// View-rebuild scratch: epoch-stamped membership marks per atom and
@@ -156,11 +156,6 @@ type Engine struct {
 	shakeChunkFn  func(w, lo, hi int)
 	rattleChunkFn func(w, lo, hi int)
 	consWorkers   []consScratch
-
-	// posCache holds the decoded (float, Å) positions of the current
-	// force evaluation, shared by every float consumer (bonded terms,
-	// mesh, residency checks) instead of per-phase decode passes.
-	posCache []vec.V3
 
 	// oldPos is the pre-drift position snapshot SHAKE reads (beforeForces).
 	oldPos []fixp.Vec3
@@ -320,19 +315,9 @@ func newEngine(s *system.System, cfg Config, perBox bool) (*Engine, error) {
 	e.shakeChunkFn = e.shakeChunk
 	e.rattleChunkFn = e.rattleChunk
 
-	e.posCache = make([]vec.V3, s.NAtoms())
 	e.oldPos = make([]fixp.Vec3, s.NAtoms())
-	e.refreshPosCache()
 	e.migrate(false)
 	return e, nil
-}
-
-// refreshPosCache decodes the fixed-point positions into the shared float
-// cache (once per force evaluation; every float consumer reads it).
-func (e *Engine) refreshPosCache() {
-	for i, p := range e.Pos {
-		e.posCache[i] = e.Coder.Decode(p)
-	}
 }
 
 // SetVelocities quantizes and installs initial velocities.
@@ -381,10 +366,9 @@ func (e *Engine) Observe(r *obs.Recorder) { e.rec = r }
 func (e *Engine) Recorder() *obs.Recorder { return e.rec }
 
 // AddStepHook appends an end-of-step observer. Hooks run after each
-// completed step, after the recorder closes it, in both the monolithic
-// and the sharded step loop, and must not mutate dynamics state. There
-// is deliberately no removal: taps live for the engine's lifetime, like
-// the recorder.
+// completed step, after the recorder closes it, and must not mutate
+// dynamics state. There is deliberately no removal: taps live for the
+// engine's lifetime, like the recorder.
 func (e *Engine) AddStepHook(fn func()) {
 	if fn != nil {
 		e.stepHooks = append(e.stepHooks, fn)
@@ -392,7 +376,7 @@ func (e *Engine) AddStepHook(fn func()) {
 }
 
 // endStep closes a completed step: the step count, the recorder, then the
-// end-of-step observers (shared by the monolithic and sharded step loops).
+// end-of-step observers.
 func (e *Engine) endStep() {
 	e.Stats.Steps++
 	if e.rec != nil {
@@ -435,8 +419,7 @@ func (e *Engine) obsPhase(p obs.Phase, t0 int64) {
 // leader's current position (§3.2.4: all atoms of a constraint group
 // reside on the same node, which takes full responsibility for them),
 // then rebuilds the pair kernel's slot-indexed gather and the shard
-// views. Reads the decoded position cache, which callers keep in sync
-// with e.Pos. Under NewSharded the traffic measured under the old
+// views. Under NewSharded the traffic measured under the old
 // decomposition is settled first, and with traffic set (a migration of
 // the trajectory, not the re-layout of a restore) every atom that changed
 // home box is booked as a migration message.
@@ -455,8 +438,7 @@ func (e *Engine) migrate(traffic bool) {
 		e.boxAtoms[i] = e.boxAtoms[i][:0]
 	}
 	for _, g := range e.groups {
-		leader := g[0]
-		r := e.posCache[leader]
+		r := e.Coder.Decode(e.Pos[g[0]])
 		bx := int(r.X / e.boxSide[0])
 		by := int(r.Y / e.boxSide[1])
 		bz := int(r.Z / e.boxSide[2])
@@ -477,8 +459,8 @@ func (e *Engine) migrate(traffic bool) {
 	if e.subOf == nil {
 		e.subOf = make([]int32, len(e.Pos))
 	}
-	for i := range e.Pos {
-		r := e.posCache[i]
+	for i, p := range e.Pos {
+		r := e.Coder.Decode(p)
 		c := e.subGrid.Wrap(nt.BoxCoord{
 			X: int(r.X / e.subSide[0]),
 			Y: int(r.Y / e.subSide[1]),
@@ -490,9 +472,9 @@ func (e *Engine) migrate(traffic bool) {
 	e.rebuildViews()
 	if e.net != nil {
 		if traffic {
-			e.net.noteMigrations()
+			e.noteMigrations()
 		}
-		e.net.relink()
+		e.relink()
 	}
 	e.Stats.Migrations++
 	if e.rec != nil {
@@ -501,14 +483,51 @@ func (e *Engine) migrate(traffic bool) {
 	e.obsPhase(obs.PhaseMigration, t0)
 }
 
-// Step advances n time steps.
+// Step advances n time steps, priming the initial force evaluation
+// first. It is the one step loop: the trajectory is bitwise identical for
+// every layout, because all force and mesh accumulation is wrapping
+// fixed-point (order-independent), each interaction is computed by exactly
+// one shard from bit-copied positions, and every float collective runs
+// driver-serial in one operation order. Under EnableFaults a failed stage
+// rolls the engine back to the last rollback image and the loop replays
+// toward the same target, so the guarantee holds for every injected fault
+// schedule. A parked engine (Err set: an unrecoverable failure, or Close)
+// does not step.
 func (e *Engine) Step(n int) {
-	if e.step == 0 && !e.primed {
-		e.computeForces(true)
-		e.primed = true
+	var sup *supervisor
+	if e.net != nil {
+		sup = e.net.sup
+		if e.net.err != nil || sup != nil && sup.ckptImage == nil && !sup.checkpoint() {
+			return // parked already, or by a baseline rollback image that could not be taken
+		}
 	}
-	for i := 0; i < n; i++ {
-		e.stepOnce()
+	target := e.step + n
+	streak := 0 // recovery cycles since the last completed step
+	for {
+		var f *stageFail
+		switch {
+		case e.step == 0 && !e.primed:
+			f = e.computeForces(true)
+			e.primed = f == nil
+		case e.step < target:
+			f = e.stepOnce()
+		default:
+			return
+		}
+		// Only a supervised engine can fail a stage; it rolls back, or
+		// closes the step on the checkpoint cadence.
+		switch {
+		case f != nil:
+			streak++
+			if !sup.recoverFrom(f, streak) {
+				return
+			}
+		case sup != nil:
+			streak = 0
+			if !sup.stepDone() {
+				return
+			}
+		}
 	}
 }
 
@@ -1133,8 +1152,8 @@ func (e *Engine) berendsenFixed() {
 // cannot happen between its scheduled migrations (§3.2.4); the software
 // engine checks and re-migrates (see computeForces).
 func (e *Engine) residencyViolated() bool {
-	for i := range e.Pos {
-		r := e.posCache[i]
+	for i, p := range e.Pos {
+		r := e.Coder.Decode(p)
 		c := e.subGrid.Coord(int(e.subOf[i]))
 		if e.distToSubbox(r, c) > e.subSlack {
 			return true

@@ -31,8 +31,7 @@ type Watch struct {
 	lastMig int
 	drift   float64 // worst drift observed since the last eval
 
-	transport func() (sends, retransmits int64)
-	lastSends int64
+	lastSends int64 // transport totals at the last eval (retry-storm window)
 	lastRetx  int64
 
 	pending []health.Alert
@@ -59,8 +58,13 @@ func auditCadence(e *Engine) int {
 // NewWatch builds a watch evaluating on the audit cadence and installs it
 // as the engine's step hook. A thermostatted engine (Cfg.TauT > 0)
 // exchanges energy with the bath by design, so it gets no energy-drift
-// monitor.
+// monitor. Each evaluation also feeds the retry-storm monitor the
+// engine's retransmit-per-send ratio since the previous one, so a lossy
+// or saturated transport surfaces as a health alert rather than only as
+// silent retry latency. Only the reliable transport (EnableFaults)
+// counts sends, so other runs feed it no sample.
 func NewWatch(e *Engine) *Watch {
+	t := e.TransportStats()
 	w := &Watch{
 		e:       e,
 		reg:     health.New(e.Cfg.TauT <= 0),
@@ -69,6 +73,9 @@ func NewWatch(e *Engine) *Watch {
 		refPos:  e.Positions(),
 		curPos:  make([]vec.V3, len(e.Pos)),
 		lastMig: e.Stats.Migrations,
+
+		lastSends: t.Sends,
+		lastRetx:  t.Retransmits,
 	}
 	e.AddStepHook(w.tick)
 	return w
@@ -76,18 +83,6 @@ func NewWatch(e *Engine) *Watch {
 
 // Registry exposes the underlying watchdog registry.
 func (w *Watch) Registry() *health.Registry { return w.reg }
-
-// WatchTransport wires a transport-counter source (typically
-// Sharded.TransportCounts) into the watch: each evaluation computes the
-// retransmit-per-send ratio over the window since the previous one and
-// feeds it to the retry-storm monitor, so a lossy or saturated transport
-// surfaces as a health alert rather than only as silent retry latency.
-func (w *Watch) WatchTransport(src func() (sends, retransmits int64)) {
-	w.transport = src
-	if src != nil {
-		w.lastSends, w.lastRetx = src()
-	}
-}
 
 // Drain returns and clears the alerts fired since the last call.
 func (w *Watch) Drain() []health.Alert {
@@ -141,15 +136,12 @@ func (w *Watch) tick() {
 		Drift:           w.drift,
 		Slack:           e.MigrationSlack(),
 	}
-	if w.transport != nil {
-		sends, retx := w.transport()
-		dS, dR := sends-w.lastSends, retx-w.lastRetx
-		w.lastSends, w.lastRetx = sends, retx
-		if dS > 0 {
-			s.RetryRate = float64(dR) / float64(dS)
-			s.HaveRetry = true
-		}
+	t := e.TransportStats()
+	if dS := t.Sends - w.lastSends; dS > 0 {
+		s.RetryRate = float64(t.Retransmits-w.lastRetx) / float64(dS)
+		s.HaveRetry = true
 	}
+	w.lastSends, w.lastRetx = t.Sends, t.Retransmits
 	w.drift = 0
 	if alerts := w.reg.Eval(s); len(alerts) > 0 {
 		w.pending = append(w.pending, alerts...)

@@ -78,7 +78,7 @@ func TestLedgerZeroPerturbation(t *testing.T) {
 	// Sharded engine with a ledger attached: same contract.
 	sh := smallWaterSharded(t, 8, nil)
 	ws, _ := newTestLedger(t, 16)
-	AttachLedger(sh.E, ws)
+	AttachLedger(sh, ws)
 	sh.Step(steps)
 	ps, vs := sh.Snapshot()
 	for i := range pp {
@@ -159,7 +159,7 @@ func TestLedgerChaosReplayAudit(t *testing.T) {
 	}
 
 	w, path := newTestLedger(t, 8)
-	tap := AttachLedger(sh.E, w)
+	tap := AttachLedger(sh, w)
 	dir := t.TempDir()
 	for s := 0; s < steps; s += chunk {
 		sh.Step(chunk)

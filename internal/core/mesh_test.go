@@ -78,14 +78,14 @@ func TestConcurrentShardMeshSolves(t *testing.T) {
 	rp, rv := ref.Snapshot()
 
 	const engines = 3
-	shs := make([]*Sharded, engines)
+	shs := make([]*Engine, engines)
 	for i := range shs {
 		shs[i] = smallWaterSharded(t, 8, func(c *Config) { c.MTSInterval = 1 })
 	}
 	var wg sync.WaitGroup
 	for _, sh := range shs {
 		wg.Add(1)
-		go func(sh *Sharded) {
+		go func(sh *Engine) {
 			defer wg.Done()
 			sh.Step(steps)
 		}(sh)

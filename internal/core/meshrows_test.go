@@ -150,7 +150,7 @@ func TestMeshRowsBitwise(t *testing.T) {
 		var qs []float64
 		for i, a := range e.Sys.Top.Atoms {
 			if a.Charge != 0 {
-				pts = append(pts, e.posCache[i])
+				pts = append(pts, e.Coder.Decode(e.Pos[i]))
 				qs = append(qs, a.Charge)
 			}
 		}

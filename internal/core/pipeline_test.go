@@ -91,8 +91,7 @@ func TestShardPairListsPartitionSubPairs(t *testing.T) {
 	if p := mono.shards[0].myPairs; len(p) != len(mono.subPairs) || &p[0] != &mono.subPairs[0] {
 		t.Fatalf("the one shard's %d pairs are not e.subPairs' %d", len(p), len(mono.subPairs))
 	}
-	sh := smallWaterSharded(t, 8, nil)
-	e := sh.E
+	e := smallWaterSharded(t, 8, nil)
 	off := 0
 	for _, st := range e.shards {
 		if n := len(st.myPairs); n > 0 && (off+n > len(e.subPairs) || &st.myPairs[0] != &e.subPairs[off]) {

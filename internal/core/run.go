@@ -8,11 +8,11 @@ import (
 	"anton/internal/fixp"
 )
 
-// Sim is the uniform run/resume lifecycle shared by the monolithic Engine
-// and the sharded pipeline. It is the surface a run driver (service.Run)
-// needs to own a simulation end to end: advance it, persist it
+// Sim is the run/resume lifecycle of an engine: advance it, persist it
 // crash-consistently, restore it, and prove two runs reached the same
-// state without shipping the state itself.
+// state without shipping the state itself. *Engine, of either layout, is
+// its one implementation; it remains because the benchmark harness
+// (bench/engine.go, bench/service.go) still steps simulations through it.
 type Sim interface {
 	// Step advances the trajectory n steps.
 	Step(n int)
@@ -37,11 +37,7 @@ type Sim interface {
 	StateDigest() uint64
 }
 
-// Compile-time checks: both execution modes satisfy the lifecycle surface.
-var (
-	_ Sim = (*Engine)(nil)
-	_ Sim = (*Sharded)(nil)
-)
+var _ Sim = (*Engine)(nil)
 
 // StateDigest hashes the step counter and every dynamic fixed-point array
 // (positions, velocities, short- and long-range force accumulators) with
@@ -80,9 +76,3 @@ func (e *Engine) StateDigest() uint64 {
 	}
 	return h.Sum64()
 }
-
-// StateDigest delegates to the engine: the canonical arrays are the
-// merged, owner-written image (see the WriteCheckpoint delegation note in
-// shardcomm.go), so the digest is shard-count independent by the same
-// argument.
-func (s *Sharded) StateDigest() uint64 { return s.E.StateDigest() }

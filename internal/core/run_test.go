@@ -51,7 +51,7 @@ func TestCheckpointFileCrossShardResume(t *testing.T) {
 	want := src.StateDigest()
 	wantStep := src.StepCount()
 
-	resume := func(name string, sim Sim) {
+	resume := func(name string, sim *Engine) {
 		if err := sim.RestoreCheckpointFile(path); err != nil {
 			t.Fatalf("%s: restore: %v", name, err)
 		}

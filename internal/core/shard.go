@@ -1,6 +1,7 @@
 package core
 
 import (
+	"errors"
 	"slices"
 	"sync"
 	"time"
@@ -36,12 +37,14 @@ import (
 // change a bit. Each interaction is computed exactly once, by exactly one
 // shard and worker, from position values that are bit-copies of the
 // owner's canonical state.
-
-// Sharded is the engine as N virtual nodes ("shards"), one per home box of
-// the NT decomposition, each running its stages on its own goroutine. All
-// remote data arrives through explicit messages on a channel transport:
-// position imports (a box multicasts its atoms to the nodes whose tower or
-// plate needs them) and force exports (a computing node returns its
+//
+// Under NewSharded the engine is N virtual nodes ("shards"), one per home
+// box of the NT decomposition, each running its stages on its own
+// goroutine. It is the same *Engine: only its force evaluation's stages
+// run elsewhere, and Engine.net holds the transport. All remote data
+// arrives through explicit messages on a channel transport: position
+// imports (a box multicasts its atoms to the nodes whose tower or plate
+// needs them) and force exports (a computing node returns its
 // contributions to the home box; on refresh steps the same frame also
 // carries its long-range exclusion corrections). Everything outside the
 // stage bodies — integration, constraints, virtual-site placement, the
@@ -53,22 +56,28 @@ import (
 // plus a dense mesh buffer. That is deliberate — the views are the shard's
 // "local memory", written only by owner writes and received messages,
 // never read through another shard's state.
-type Sharded struct {
-	E *Engine
 
+// Sharded names the engine NewSharded returns. It remains only because
+// the benchmark harness (bench/engine.go, bench/service.go) still spells
+// that type; a sharded engine is an *Engine.
+type Sharded = Engine
+
+// network is the transport and supervision state of an engine built by
+// NewSharded (Engine.net; nil for NewEngine's one shard).
+type network struct {
 	done   chan stageDone // stage-completion signals from the executors
 	closed chan struct{}  // closed by Close; releases helper goroutines
 
 	// Fault-tolerance state (nil/zero in plain runs; see EnableFaults).
 	sup *supervisor
 	xid uint32 // last minted exchange id (driver-serial)
-	err error  // sticky unrecoverable failure (see Err)
+	err error  // sticky failure (see Err): unrecoverable fault, or Close
 
 	comm *measuredComm
 
 	// lastTally snapshots the summed per-shard transport tallies so each
 	// evaluation's delta can feed the obs counters.
-	lastTally transportTally
+	lastTally TransportStats
 
 	// cellBox maps a mesh cell to the home box covering its location
 	// (static).
@@ -83,6 +92,9 @@ type Sharded struct {
 
 	closeOnce sync.Once
 }
+
+// errClosed parks a closed sharded engine (see Close).
+var errClosed = errors.New("core: engine closed")
 
 // Message kinds on the shard transport.
 const (
@@ -136,7 +148,7 @@ type shardState struct {
 	out    []outMsg       // in-flight sends of the current exchange (EnableFaults)
 	gotPos []uint32       // per-sender xid stamps: position import applied
 	gotF   []uint32       // per-sender xid stamps: force export applied
-	tstats transportTally // transport accounting (driver-read between stages)
+	tstats TransportStats // transport accounting (driver-read between stages)
 
 	// Static work assignment (NT pair node; set once at construction):
 	// the shard's subslice of Engine.subPairs and the subboxes it touches.
@@ -336,13 +348,13 @@ func (e *Engine) buildShards(reach float64, perBox bool) {
 // NewSharded builds a sharded engine: the engine (whose node count is the
 // shard count) with one goroutine-backed shard per home box. The caller
 // should Close() it when done.
-func NewSharded(s *system.System, cfg Config) (*Sharded, error) {
+func NewSharded(s *system.System, cfg Config) (*Engine, error) {
 	e, err := newEngine(s, cfg, true)
 	if err != nil {
 		return nil, err
 	}
-	sh := &Sharded{E: e, prevBoxOf: slices.Clone(e.boxOf)}
-	sh.comm, err = newMeasuredComm([3]int{e.grid.Nx, e.grid.Ny, e.grid.Nz})
+	net := &network{prevBoxOf: slices.Clone(e.boxOf)}
+	net.comm, err = newMeasuredComm([3]int{e.grid.Nx, e.grid.Ny, e.grid.Nz})
 	if err != nil {
 		return nil, err
 	}
@@ -350,7 +362,7 @@ func NewSharded(s *system.System, cfg Config) (*Sharded, error) {
 	// Static mesh cell -> home box map (the node owning the cell's region
 	// of space receives that cell's charge contributions).
 	nm := e.mesh.n
-	sh.cellBox = make([]int32, nm*nm*nm)
+	net.cellBox = make([]int32, nm*nm*nm)
 	for kz := 0; kz < nm; kz++ {
 		bz := int(float64(kz) * e.mesh.h / e.boxSide[2])
 		for ky := 0; ky < nm; ky++ {
@@ -358,7 +370,7 @@ func NewSharded(s *system.System, cfg Config) (*Sharded, error) {
 			for kx := 0; kx < nm; kx++ {
 				bx := int(float64(kx) * e.mesh.h / e.boxSide[0])
 				c := e.grid.Wrap(nt.BoxCoord{X: bx, Y: by, Z: bz})
-				sh.cellBox[(kz*nm+ky)*nm+kx] = int32(e.grid.Index(c))
+				net.cellBox[(kz*nm+ky)*nm+kx] = int32(e.grid.Index(c))
 			}
 		}
 	}
@@ -367,19 +379,19 @@ func NewSharded(s *system.System, cfg Config) (*Sharded, error) {
 	// executor so stragglers from an aborted stage (and restarted
 	// executors' duplicates) never block on send.
 	n := len(e.shards)
-	sh.done = make(chan stageDone, 4*n)
-	sh.closed = make(chan struct{})
+	net.done = make(chan stageDone, 4*n)
+	net.closed = make(chan struct{})
 	for _, st := range e.shards {
 		st.cmd = make(chan shardCmd)
 		st.gotPos = make([]uint32, n)
 		st.gotF = make([]uint32, n)
 	}
-	e.net = sh
-	sh.relink()
+	e.net = net
+	e.relink()
 	for _, st := range e.shards {
-		sh.spawnShard(st)
+		e.spawnShard(st)
 	}
-	return sh, nil
+	return e, nil
 }
 
 // spawnShard starts (or restarts) the executor goroutine for st. The
@@ -390,9 +402,10 @@ func NewSharded(s *system.System, cfg Config) (*Sharded, error) {
 // like to the supervisor's heartbeat. st.exited closes as the goroutine
 // returns: recovery reads it before touching the state the dead executor
 // wrote last (detection stays the heartbeat's).
-func (s *Sharded) spawnShard(st *shardState) {
+func (e *Engine) spawnShard(st *shardState) {
 	exited := make(chan struct{})
 	st.exited = exited
+	done := e.net.done
 	go func() {
 		defer close(exited)
 		defer func() {
@@ -402,17 +415,27 @@ func (s *Sharded) spawnShard(st *shardState) {
 		}()
 		for c := range st.cmd {
 			c.fn(st)
-			s.done <- stageDone{id: st.id, tick: c.tick}
+			done <- stageDone{id: st.id, tick: c.tick}
 		}
 	}()
 }
 
-// Close stops the shard goroutines. The underlying Engine stays usable.
-func (s *Sharded) Close() {
-	s.closeOnce.Do(func() {
-		close(s.closed)
-		for _, st := range s.E.shards {
+// Close stops a sharded engine's shard goroutines and parks it: from then
+// on Step is a no-op and Err reports the closure. Its state stays
+// readable (digest, snapshot, checkpoint). Closing twice, or closing an
+// engine built by NewEngine, does nothing.
+func (e *Engine) Close() {
+	net := e.net
+	if net == nil {
+		return
+	}
+	net.closeOnce.Do(func() {
+		close(net.closed)
+		for _, st := range e.shards {
 			close(st.cmd)
+		}
+		if net.err == nil {
+			net.err = errClosed
 		}
 	})
 }
@@ -423,15 +446,16 @@ func (s *Sharded) Close() {
 // plain run, injects nothing); a plain run counts the completions, a
 // supervised one collects them under the heartbeat and reports dead
 // executors (non-nil return).
-func (s *Sharded) runEach(stage uint8, x *xchg, refresh bool) *stageFail {
+func (e *Engine) runEach(stage uint8, x *xchg, refresh bool) *stageFail {
+	sup := e.net.sup
 	var plane *faults.Plane
 	var tick uint64
-	if s.sup != nil {
-		plane = s.sup.plane
-		s.sup.tick++
-		tick = s.sup.tick
+	if sup != nil {
+		plane = sup.plane
+		sup.tick++
+		tick = sup.tick
 	}
-	step := int64(s.E.step)
+	step := int64(e.step)
 	fn := func(st *shardState) {
 		if ns := plane.StallNs(step, stage, st.id); ns > 0 {
 			time.Sleep(time.Duration(ns))
@@ -449,35 +473,31 @@ func (s *Sharded) runEach(stage uint8, x *xchg, refresh bool) *stageFail {
 		}
 		st.streamBody(x, refresh)
 	}
-	for _, st := range s.E.shards {
+	for _, st := range e.shards {
 		st.cmd <- shardCmd{fn: fn, tick: tick}
 	}
-	if s.sup != nil {
-		return s.sup.collect(tick)
+	if sup != nil {
+		return sup.collect(tick)
 	}
-	for range s.E.shards {
-		<-s.done
+	for range e.shards {
+		<-e.net.done
 	}
 	return nil
 }
 
-// Engine exposes the underlying engine for read-only reporting.
-func (s *Sharded) Engine() *Engine { return s.E }
+// Engine returns e. It remains only because the benchmark harness
+// (bench/engine.go) reaches the engine of a sharded run through it.
+func (e *Engine) Engine() *Engine { return e }
 
 // SetOverlap does nothing: stage A has one schedule (receive every
 // import, then compute). It remains because the benchmark harness
 // (bench/engine.go) still calls it around its core.shard.barrier_step_ms
 // segment, which now times that same schedule.
-func (s *Sharded) SetOverlap(bool) {}
+func (e *Engine) SetOverlap(bool) {}
 
-// Shards returns the virtual node count.
-func (s *Sharded) Shards() int { return len(s.E.shards) }
-
-// Delegated state and observability access (same contracts as Engine).
-func (s *Sharded) StepCount() int                  { return s.E.StepCount() }
-func (s *Sharded) Snapshot() ([]fixp.Vec3, []Vel3) { return s.E.Snapshot() }
-func (s *Sharded) SetVelocities(v []vec.V3)        { s.E.SetVelocities(v) }
-func (s *Sharded) Observe(r *obs.Recorder)         { s.E.Observe(r) }
+// Shards returns the virtual node count: 1 for NewEngine, the home-box
+// count for NewSharded.
+func (e *Engine) Shards() int { return len(e.shards) }
 
 // rebuildViews recomputes every ownership-derived view after a migration
 // (or restore): owned atoms, term assignments, import/export sets and foot
@@ -602,13 +622,13 @@ func (e *Engine) rebuildViews() {
 // relink sizes the transport for the current views and rebuilds the
 // measured traffic's static message lists. Driver-serial, after every
 // rebuildViews.
-func (s *Sharded) relink() {
-	for _, st := range s.E.shards {
+func (e *Engine) relink() {
+	for _, st := range e.shards {
 		// Early force frames can arrive while positions are still in
 		// flight, so size each inbox for a whole evaluation's message set —
 		// that is what keeps plain-mode sends non-blocking and deadlock-free.
 		need := len(st.impSrcs) + st.inFoot + 4
-		if s.sup != nil {
+		if e.net.sup != nil {
 			// Reliable mode: the inbox also absorbs duplicates, delayed
 			// stragglers from earlier exchanges and retransmissions, and the
 			// ack channel one ack per (possibly repeated) send. Size both
@@ -623,17 +643,17 @@ func (s *Sharded) relink() {
 			st.inbox = make(chan shardMsg, need)
 		}
 	}
-	s.comm.rebuildStatic(s)
+	e.net.comm.rebuildStatic(e)
 }
 
 // noteMigrations books every atom that changed home box since prevBoxOf
 // as one migration message.
-func (s *Sharded) noteMigrations() {
-	e := s.E
+func (e *Engine) noteMigrations() {
+	net := e.net
 	var moved int64
 	for i := range e.boxOf {
-		if e.boxOf[i] != s.prevBoxOf[i] {
-			s.comm.noteMigration(int(s.prevBoxOf[i]), int(e.boxOf[i]))
+		if e.boxOf[i] != net.prevBoxOf[i] {
+			net.comm.noteMigration(int(net.prevBoxOf[i]), int(e.boxOf[i]))
 			moved++
 		}
 	}

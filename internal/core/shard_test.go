@@ -10,6 +10,7 @@ import (
 	"testing"
 	"time"
 
+	"anton/internal/faults"
 	"anton/internal/obs"
 	"anton/internal/obs/health"
 	"anton/internal/system"
@@ -28,7 +29,7 @@ func skipShort(t *testing.T) {
 // smallWaterSharded builds the sharded engine for the small protein-in-
 // water system on the given virtual node count, with the same initial
 // conditions as smallWaterEngine.
-func smallWaterSharded(t *testing.T, shards int, edit func(*Config)) *Sharded {
+func smallWaterSharded(t *testing.T, shards int, edit func(*Config)) *Engine {
 	t.Helper()
 	s, err := system.Small(true, 21)
 	if err != nil {
@@ -69,9 +70,9 @@ func TestShardInvariance(t *testing.T) {
 				t.Fatalf("shards=%d: state of atom %d differs from monolithic run", shards, i)
 			}
 		}
-		if sh.E.Stats.Migrations < 2 {
+		if sh.Stats.Migrations < 2 {
 			t.Fatalf("shards=%d: run crossed only %d migrations, want >= 2",
-				shards, sh.E.Stats.Migrations)
+				shards, sh.Stats.Migrations)
 		}
 	}
 }
@@ -84,9 +85,94 @@ func TestShardStatsParity(t *testing.T) {
 	ref.Step(24)
 	sh := smallWaterSharded(t, 8, nil)
 	sh.Step(24)
-	if sh.E.Stats != ref.Stats {
-		t.Fatalf("sharded stats %+v differ from monolithic %+v", sh.E.Stats, ref.Stats)
+	if sh.Stats != ref.Stats {
+		t.Fatalf("sharded stats %+v differ from monolithic %+v", sh.Stats, ref.Stats)
 	}
+}
+
+// TestEngineLifecycleBothLayouts drives both layouts through the one
+// *Engine surface: equal digests and checkpoint bytes, a measured comm
+// section only where there is a transport, no fault statistics without a
+// plane, EnableFaults refused without a transport, and Close safe twice.
+func TestEngineLifecycleBothLayouts(t *testing.T) {
+	var image []byte
+	var digest uint64
+	for _, c := range []struct {
+		name  string
+		build func(*testing.T) *Engine
+		net   bool
+	}{
+		{"one shard", func(t *testing.T) *Engine { return smallWaterEngine(t, 8, nil) }, false},
+		{"8 shards", func(t *testing.T) *Engine { return smallWaterSharded(t, 8, nil) }, true},
+	} {
+		e := c.build(t)
+		e.Step(20)
+		var buf bytes.Buffer
+		if err := e.WriteCheckpoint(&buf); err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		fresh := c.build(t)
+		if err := fresh.RestoreCheckpoint(bytes.NewReader(buf.Bytes())); err != nil {
+			t.Fatalf("%s: restore: %v", c.name, err)
+		}
+		var again bytes.Buffer
+		if err := fresh.WriteCheckpoint(&again); err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		if !bytes.Equal(again.Bytes(), buf.Bytes()) {
+			t.Errorf("%s: checkpoint round-trip changed the bytes", c.name)
+		}
+		if image == nil {
+			image, digest = buf.Bytes(), e.StateDigest()
+		} else {
+			if d := e.StateDigest(); d != digest {
+				t.Errorf("%s: digest %016x at step 20, one shard %016x", c.name, d, digest)
+			}
+			if !bytes.Equal(buf.Bytes(), image) {
+				t.Errorf("%s: checkpoint bytes differ from the one-shard engine's", c.name)
+			}
+		}
+
+		rep, err := e.Comm()
+		if err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		if (rep.Measured != nil) != c.net {
+			t.Errorf("%s: measured comm section present = %v, want %v", c.name, rep.Measured != nil, c.net)
+		}
+		if fr := e.FaultReport(); fr != (FaultReport{}) {
+			t.Errorf("%s: fault report %+v without a plane", c.name, fr)
+		}
+		if !c.net {
+			if err := e.EnableFaults(FaultConfig{Plane: faults.New(faults.Spec{Seed: 1}, e.Shards())}); err == nil {
+				t.Errorf("%s: EnableFaults accepted an engine with no transport", c.name)
+			}
+			if ts := e.TransportStats(); ts != (TransportStats{}) {
+				t.Errorf("%s: transport stats %+v", c.name, ts)
+			}
+		}
+		if err := e.Err(); err != nil {
+			t.Errorf("%s: Err() = %v before Close", c.name, err)
+		}
+		e.Close()
+		e.Close()
+	}
+}
+
+// TestStepAfterClose: a closed sharded engine parks — Step neither panics
+// on the closed command channels nor advances — and Err says why.
+func TestStepAfterClose(t *testing.T) {
+	e := smallWaterSharded(t, 8, nil)
+	e.Step(1)
+	e.Close()
+	e.Step(1)
+	if n := e.StepCount(); n != 1 {
+		t.Errorf("closed engine stepped to %d, want 1", n)
+	}
+	if e.Err() == nil {
+		t.Error("closed engine reports no error")
+	}
+	e.Close()
 }
 
 // TestShardCheckpointCrossShardCount: a checkpoint written by an 8-shard
@@ -146,7 +232,7 @@ func TestShardZeroPerturbation(t *testing.T) {
 	rec, tr := tracedRecorder()
 	rec.EnableMemStats()
 	observed.Observe(rec)
-	w := NewWatch(observed.E)
+	w := NewWatch(observed)
 	observed.Step(60)
 	po, vo := observed.Snapshot()
 
@@ -183,10 +269,7 @@ func TestShardZeroPerturbation(t *testing.T) {
 func TestShardPhaseAttribution(t *testing.T) {
 	skipShort(t)
 	for _, shards := range []int{0, 8} {
-		var sim interface {
-			Step(int)
-			Observe(*obs.Recorder)
-		}
+		var sim *Engine
 		if shards == 0 {
 			sim = smallWaterEngine(t, 8, nil)
 		} else {
@@ -255,17 +338,17 @@ func TestShardMeasuredComm(t *testing.T) {
 	// Before the first migration the link set is fixed, so the count is
 	// exact: a refresh adds bytes to a frame, never a message.
 	early := smallWaterSharded(t, 8, nil)
-	built := early.E.Stats.Migrations // the construction's initial assignment
-	early.Step(early.E.Cfg.MigrationInterval - 1)
-	if n := early.E.Stats.Migrations - built; n != 0 {
+	built := early.Stats.Migrations // the construction's initial assignment
+	early.Step(early.Cfg.MigrationInterval - 1)
+	if n := early.Stats.Migrations - built; n != 0 {
 		t.Fatalf("%d migrations before the first migration step", n)
 	}
-	links := int64(len(early.comm.exportPairs))
+	links := int64(len(early.net.comm.exportPairs))
 	var posAtoms, footAtoms int64
-	for _, p := range early.comm.importPairs {
+	for _, p := range early.net.comm.importPairs {
 		posAtoms += int64(p.bytes / shardPosBytes)
 	}
-	for _, p := range early.comm.exportPairs {
+	for _, p := range early.net.comm.exportPairs {
 		footAtoms += int64(p.bytes / shardForceBytes)
 	}
 	rep, err := early.Comm()
@@ -273,7 +356,7 @@ func TestShardMeasuredComm(t *testing.T) {
 		t.Fatal(err)
 	}
 	em := rep.Measured
-	if em.Refreshes == 0 || em.ExportMsgs != em.Evals*links || em.ImportMsgs != em.Evals*int64(len(early.comm.importPairs)) {
+	if em.Refreshes == 0 || em.ExportMsgs != em.Evals*links || em.ImportMsgs != em.Evals*int64(len(early.net.comm.importPairs)) {
 		t.Errorf("%d import and %d export msgs over %d evals (%d refreshes), want one per evaluation on each of %d links",
 			em.ImportMsgs, em.ExportMsgs, em.Evals, em.Refreshes, links)
 	}
@@ -345,7 +428,7 @@ func TestShardedBuildDHFR(t *testing.T) {
 	want := ref.StateDigest()
 
 	for _, shards := range []int{8, 64} {
-		var sh *Sharded
+		var sh *Engine
 		mono, built := time.Duration(math.MaxInt64), time.Duration(math.MaxInt64)
 		for range 3 {
 			t0 := time.Now()

@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"io"
 
 	"anton/internal/obs"
 	"anton/internal/torus"
@@ -72,10 +71,10 @@ func newMeasuredComm(dims [3]int) (*measuredComm, error) {
 // rebuildStatic regenerates the per-exchange message lists from the
 // current shard views. Must run after rebuildViews, and only after fold()
 // has settled traffic accumulated under the previous views.
-func (c *measuredComm) rebuildStatic(s *Sharded) {
+func (c *measuredComm) rebuildStatic(e *Engine) {
 	c.importPairs = c.importPairs[:0]
 	c.exportPairs = c.exportPairs[:0]
-	for _, st := range s.E.shards {
+	for _, st := range e.shards {
 		for _, dst := range st.expDsts {
 			c.importPairs = append(c.importPairs,
 				commPair{int(st.id), int(dst), len(st.owned) * shardPosBytes})
@@ -166,8 +165,9 @@ type MeasuredComm struct {
 	ForceWireBytes int64 `json:"force_wire_bytes"`
 }
 
-// report folds and snapshots the cumulative measured traffic.
-func (c *measuredComm) report() *MeasuredComm {
+// report folds and snapshots the cumulative measured traffic, with the
+// wire bytes of the transport tallies t.
+func (c *measuredComm) report(t TransportStats) *MeasuredComm {
 	c.fold()
 	return &MeasuredComm{
 		Evals:         c.evals,
@@ -180,6 +180,11 @@ func (c *measuredComm) report() *MeasuredComm {
 		Export:        c.netExport.Collect(),
 		Mesh:          c.netMesh.Collect(),
 		Migration:     c.netMigrate.Collect(),
+
+		PosRawBytes:    t.PosRawBytes,
+		PosWireBytes:   t.PosWireBytes,
+		ForceRawBytes:  t.ForceRawBytes,
+		ForceWireBytes: t.ForceWireBytes,
 	}
 }
 
@@ -218,31 +223,3 @@ func (m *MeasuredComm) String() string {
 	}
 	return out
 }
-
-// Comm returns the analytic communication report for the sharded
-// decomposition plus the measured transport traffic.
-func (s *Sharded) Comm() (*CommReport, error) {
-	rep, err := s.E.Comm()
-	if err != nil {
-		return nil, err
-	}
-	rep.Measured = s.comm.report()
-	t := s.tallyTotals()
-	rep.Measured.PosRawBytes = t.PosRawB
-	rep.Measured.PosWireBytes = t.PosWireB
-	rep.Measured.ForceRawBytes = t.ForceRawB
-	rep.Measured.ForceWireBytes = t.ForceWireB
-	return rep, nil
-}
-
-// WriteCheckpoint delegates to the engine: the canonical arrays are the
-// deterministically gathered image (owner writes only, merged at stage
-// barriers), so the monolithic encoder already sees exactly the bytes a
-// per-shard gather would produce.
-func (s *Sharded) WriteCheckpoint(w io.Writer) error { return s.E.WriteCheckpoint(w) }
-
-// RestoreCheckpoint delegates to the engine, whose migration rebuilds
-// every shard view. Checkpoints carry no node count, so a checkpoint
-// written at one shard count restores at any other (and into the
-// monolithic engine) with a bitwise-identical continuation.
-func (s *Sharded) RestoreCheckpoint(r io.Reader) error { return s.E.RestoreCheckpoint(r) }

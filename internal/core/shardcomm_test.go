@@ -82,8 +82,8 @@ func TestShardMigrationCoincidesWithRefresh(t *testing.T) {
 	plain := smallWaterSharded(t, 8, edit)
 	plain.Step(steps)
 	assertBitwise(t, plain, ref, "migration-on-refresh plain")
-	if plain.E.Stats.Migrations < steps/plain.E.Cfg.MigrationInterval {
-		t.Fatalf("run crossed only %d migrations", plain.E.Stats.Migrations)
+	if plain.Stats.Migrations < steps/plain.Cfg.MigrationInterval {
+		t.Fatalf("run crossed only %d migrations", plain.Stats.Migrations)
 	}
 
 	rel := smallWaterSharded(t, 8, edit)

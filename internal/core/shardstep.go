@@ -17,7 +17,7 @@ import (
 //
 //	 *  Engine.beforeForces  half-kick, drift, SHAKE, virtual-site
 //	                         placement, step count
-//	 *  decode/residency     position cache refresh, early-migration check
+//	 *  decode/residency     early-migration check on the decoded positions
 //	A   streamBody           position frames out; owned canonical forces
 //	                         zeroed; every import in (force frames are
 //	                         added as they arrive), then range-limited
@@ -71,57 +71,12 @@ type stageFail struct {
 	crashed []int32
 }
 
-// Step advances n time steps on the sharded pipeline. The trajectory is
-// bitwise identical to Engine.Step for every shard count: all force and
-// mesh accumulation is wrapping fixed-point (order-independent), each
-// interaction is computed by exactly one shard from bit-copied positions,
-// and every float collective runs driver-serial in the monolithic
-// operation order. Under EnableFaults the same guarantee holds for every
-// injected fault schedule; an unrecoverable failure parks the engine with
-// Err() set.
-func (s *Sharded) Step(n int) {
-	sup := s.sup
-	if s.err != nil || sup != nil && sup.ckptImage == nil && !sup.checkpoint() {
-		return // parked already, or by a baseline rollback image that could not be taken
-	}
-	target := s.E.step + n
-	streak := 0 // recovery cycles since the last completed step
-	for {
-		var f *stageFail
-		switch {
-		case s.E.step == 0 && !s.E.primed:
-			f = s.E.computeForces(true)
-			s.E.primed = f == nil
-		case s.E.step < target:
-			f = s.E.stepOnce()
-		default:
-			return
-		}
-		// Plain runs never fail a stage and have nothing to close; under
-		// supervision a failed stage rolls back to the last image (the
-		// loop then replays toward the same target).
-		switch {
-		case f != nil:
-			streak++
-			if !sup.recoverFrom(f, streak) {
-				return
-			}
-		case sup != nil:
-			streak = 0
-			if !sup.stepDone() {
-				return
-			}
-		}
-	}
-}
-
 // computeForces runs one force evaluation: the short-range terms every
 // step, the long-range terms when refresh is true. Stage A keeps the
 // stExchangePos fault-plane identity (crash points fire there), stage B
 // keeps stMergeForces.
 func (e *Engine) computeForces(refresh bool) *stageFail {
 	t0 := e.obsNow()
-	e.refreshPosCache()
 	viol := e.residencyViolated()
 	e.obsPhase(obs.PhaseDecode, t0)
 	if viol {
@@ -136,7 +91,7 @@ func (e *Engine) computeForces(refresh bool) *stageFail {
 
 	var x *xchg
 	if e.net != nil {
-		x = e.net.newExchange()
+		x = e.newExchange()
 	}
 	if f := e.runStage(stExchangePos, x, refresh); f != nil {
 		return f
@@ -168,7 +123,7 @@ func (e *Engine) computeForces(refresh bool) *stageFail {
 	e.publish(&d, refresh)
 	if e.net != nil {
 		e.net.comm.noteExport(e.rec, refresh)
-		e.net.noteStream()
+		e.noteStream()
 	}
 	return nil
 }
@@ -177,7 +132,7 @@ func (e *Engine) computeForces(refresh bool) *stageFail {
 // one-shard engine, on the shard goroutines under NewSharded.
 func (e *Engine) runStage(stage uint8, x *xchg, refresh bool) *stageFail {
 	if e.net != nil {
-		return e.net.runEach(stage, x, refresh)
+		return e.runEach(stage, x, refresh)
 	}
 	st := e.shards[0]
 	if stage == stExchangePos {
@@ -250,18 +205,17 @@ func (e *Engine) drawLanes() {
 // noteStream folds the evaluation's wait and wire-byte deltas into the
 // obs counters. Driver-serial; the cumulative totals surface through
 // TransportStats and Comm().
-func (s *Sharded) noteStream() {
-	e := s.E
+func (e *Engine) noteStream() {
 	if e.rec == nil {
 		return
 	}
-	t, last := s.tallyTotals(), s.lastTally
-	s.lastTally = t
+	t, last := e.TransportStats(), e.net.lastTally
+	e.net.lastTally = t
 	e.rec.Add(obs.CtrStreamBlockedNs, t.BlockedNs-last.BlockedNs)
-	e.rec.Add(obs.CtrPosRawBytes, t.PosRawB-last.PosRawB)
-	e.rec.Add(obs.CtrPosWireBytes, t.PosWireB-last.PosWireB)
-	e.rec.Add(obs.CtrForceRawBytes, t.ForceRawB-last.ForceRawB)
-	e.rec.Add(obs.CtrForceWireBytes, t.ForceWireB-last.ForceWireB)
+	e.rec.Add(obs.CtrPosRawBytes, t.PosRawBytes-last.PosRawBytes)
+	e.rec.Add(obs.CtrPosWireBytes, t.PosWireBytes-last.PosWireBytes)
+	e.rec.Add(obs.CtrForceRawBytes, t.ForceRawBytes-last.ForceRawBytes)
+	e.rec.Add(obs.CtrForceWireBytes, t.ForceWireBytes-last.ForceWireBytes)
 }
 
 // mergeMesh merges the shards' fixed-point mesh buffers into the
@@ -273,7 +227,7 @@ func (e *Engine) mergeMesh() {
 	t0 := e.obsNow()
 	parallelChunks(len(e.mesh.counts), e.workers(), e.meshMergeFn)
 	if e.net != nil {
-		e.net.noteMeshTraffic()
+		e.noteMeshTraffic()
 	}
 	e.obsPhase(obs.PhaseMeshSpread, t0)
 }
@@ -295,20 +249,20 @@ func (e *Engine) meshMergeChunk(_, lo, hi int) {
 // noteMeshTraffic measures the evaluation's mesh traffic: for every
 // shard, the count of nonzero cells it contributed to each remote home
 // box, one message per (src, dst) pair.
-func (s *Sharded) noteMeshTraffic() {
-	e := s.E
+func (e *Engine) noteMeshTraffic() {
+	net := e.net
 	shards := e.shards
-	if len(s.meshCellRows) < len(shards) {
-		s.meshCellRows = make([][]int64, len(shards))
-		for i := range s.meshCellRows {
-			s.meshCellRows[i] = make([]int64, e.grid.NumBoxes())
+	if len(net.meshCellRows) < len(shards) {
+		net.meshCellRows = make([][]int64, len(shards))
+		for i := range net.meshCellRows {
+			net.meshCellRows[i] = make([]int64, e.grid.NumBoxes())
 		}
 	}
 	// Parallel across shards: each shard's per-destination row is written
 	// by exactly one block.
 	parallelChunks(len(shards), e.workers(), func(_, lo, hi int) {
 		for si := lo; si < hi; si++ {
-			row := s.meshCellRows[si]
+			row := net.meshCellRows[si]
 			clear(row)
 			wk := shards[si].wk[:shards[si].wps]
 			for i := range wk[0].mesh {
@@ -317,7 +271,7 @@ func (s *Sharded) noteMeshTraffic() {
 					c += wk[w].mesh[i]
 				}
 				if c != 0 {
-					row[s.cellBox[i]]++
+					row[net.cellBox[i]]++
 				}
 			}
 		}
@@ -326,9 +280,9 @@ func (s *Sharded) noteMeshTraffic() {
 	// order, keeping the traffic ledger deterministic.
 	var meshMsgs int64
 	for si, st := range shards {
-		for dst, cells := range s.meshCellRows[si] {
+		for dst, cells := range net.meshCellRows[si] {
 			if cells > 0 && int32(dst) != st.id {
-				s.comm.noteMesh(int(st.id), dst, int(cells))
+				net.comm.noteMesh(int(st.id), dst, int(cells))
 				meshMsgs++
 			}
 		}

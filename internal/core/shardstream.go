@@ -76,11 +76,11 @@ func (st *shardState) sendPositionsStream(x *xchg) {
 // until settled under the reliable transport.
 func (st *shardState) sendStream(x *xchg, dst int32, kind uint8, frame []byte, rawB int64) {
 	if kind == msgPos {
-		st.tstats.PosRawB += rawB
-		st.tstats.PosWireB += int64(len(frame))
+		st.tstats.PosRawBytes += rawB
+		st.tstats.PosWireBytes += int64(len(frame))
 	} else {
-		st.tstats.ForceRawB += rawB
-		st.tstats.ForceWireB += int64(len(frame))
+		st.tstats.ForceRawBytes += rawB
+		st.tstats.ForceWireBytes += int64(len(frame))
 	}
 	if !x.reliable() {
 		st.e.shards[dst].inbox <- shardMsg{from: st.id, kind: kind, frame: frame}

@@ -81,7 +81,7 @@ const (
 )
 
 type supervisor struct {
-	s     *Sharded
+	e     *Engine
 	plane *faults.Plane
 	cfg   FaultConfig
 
@@ -103,13 +103,17 @@ type supervisor struct {
 }
 
 // EnableFaults attaches a fault plane and the supervised recovery
-// machinery to the sharded engine. Call once, before Step, from the
-// driver. From then on Step runs the reliable transport, keeps a periodic
-// in-memory rollback image, and recovers from injected crashes;
-// unrecoverable failures park the engine with Err() set instead of
-// panicking.
-func (s *Sharded) EnableFaults(cfg FaultConfig) error {
-	if s.sup != nil {
+// machinery to a sharded engine (NewSharded; an engine built by NewEngine
+// has no transport to fault and returns an error). Call once, before
+// Step, from the driver. From then on Step runs the reliable transport,
+// keeps a periodic in-memory rollback image, and recovers from injected
+// crashes; unrecoverable failures park the engine with Err() set instead
+// of panicking.
+func (e *Engine) EnableFaults(cfg FaultConfig) error {
+	if e.net == nil {
+		return errors.New("core: EnableFaults needs a sharded engine (NewSharded)")
+	}
+	if e.net.sup != nil {
 		return errors.New("core: EnableFaults called twice")
 	}
 	if cfg.Plane == nil {
@@ -121,21 +125,27 @@ func (s *Sharded) EnableFaults(cfg FaultConfig) error {
 	if cfg.Heartbeat <= 0 {
 		cfg.Heartbeat = defaultHeartbeat
 	}
-	s.sup = &supervisor{
-		s:     s,
+	e.net.sup = &supervisor{
+		e:     e,
 		plane: cfg.Plane,
 		cfg:   cfg,
 		epoch: 1,
 		abort: make(chan struct{}),
-		seen:  make([]bool, len(s.E.shards)),
+		seen:  make([]bool, len(e.shards)),
 	}
-	s.relink() // resize inboxes and allocate ack channels for reliable mode
+	e.relink() // resize inboxes and allocate ack channels for reliable mode
 	return nil
 }
 
-// Err returns the engine's sticky unrecoverable failure, if any. Once
-// set, Step is a no-op.
-func (s *Sharded) Err() error { return s.err }
+// Err returns why a sharded engine parked, if it did: an unrecoverable
+// failure under EnableFaults, or Close. Once set, Step is a no-op. An
+// engine built by NewEngine never parks.
+func (e *Engine) Err() error {
+	if e.net == nil {
+		return nil
+	}
+	return e.net.err
+}
 
 // FaultReport summarizes a supervised run: recovery statistics, the
 // transport's reliability accounting, and the plane's injected tallies.
@@ -151,17 +161,17 @@ type FaultReport struct {
 
 // FaultReport snapshots the supervised run's fault statistics (zero value
 // when EnableFaults was never called). Driver-serial.
-func (s *Sharded) FaultReport() FaultReport {
-	sup := s.sup
-	if sup == nil {
+func (e *Engine) FaultReport() FaultReport {
+	if e.net == nil || e.net.sup == nil {
 		return FaultReport{}
 	}
+	sup := e.net.sup
 	return FaultReport{
 		Recoveries:  sup.recoveries,
 		Spurious:    sup.spurious,
 		ReplaySteps: sup.replaySteps,
 		RecoveryNs:  sup.recoveryNs,
-		Transport:   s.TransportStats(),
+		Transport:   e.TransportStats(),
 		Injected:    sup.plane.Counts(),
 	}
 }
@@ -171,7 +181,7 @@ func (s *Sharded) FaultReport() FaultReport {
 // parked in their protocol loops) and grants one more heartbeat of grace;
 // executors still silent after that are the crashed set.
 func (sup *supervisor) collect(tick uint64) *stageFail {
-	s := sup.s
+	done := sup.e.net.done
 	for i := range sup.seen {
 		sup.seen[i] = false
 	}
@@ -181,7 +191,7 @@ func (sup *supervisor) collect(tick uint64) *stageFail {
 	aborted := false
 	for got < len(sup.seen) {
 		select {
-		case d := <-s.done:
+		case d := <-done:
 			if d.tick != tick {
 				continue // straggler from an earlier aborted stage
 			}
@@ -216,11 +226,11 @@ func (sup *supervisor) collect(tick uint64) *stageFail {
 
 // recoverFrom runs one recovery cycle after a failed stage; streak counts
 // the cycles since the last completed step. Returns false when the
-// failure is unrecoverable (s.err is then set).
+// failure is unrecoverable (the engine's err is then set).
 func (sup *supervisor) recoverFrom(f *stageFail, streak int) bool {
-	s := sup.s
+	e := sup.e
 	start := time.Now()
-	detected := s.E.step
+	detected := e.step
 	if len(f.crashed) == 0 {
 		sup.spurious++
 	}
@@ -232,23 +242,23 @@ func (sup *supervisor) recoverFrom(f *stageFail, streak int) bool {
 	sup.abort = make(chan struct{})
 
 	for _, id := range f.crashed {
-		st := s.E.shards[id]
+		st := e.shards[id]
 		select {
 		case <-st.exited: // orders the dead executor's last writes before the restore
 		default: // silent but alive (a stall past two heartbeats)
 		}
-		s.spawnShard(st)
+		e.spawnShard(st)
 	}
-	for _, st := range s.E.shards {
+	for _, st := range e.shards {
 		drainMsgs(st.inbox)
 		drainAcks(st.acks)
 		st.out = st.out[:0]
 	}
-	if err := s.RestoreCheckpoint(bytes.NewReader(sup.ckptImage)); err != nil {
-		s.err = fmt.Errorf("core: recovery restore failed: %w", err)
+	if err := e.RestoreCheckpoint(bytes.NewReader(sup.ckptImage)); err != nil {
+		e.net.err = fmt.Errorf("core: recovery restore failed: %w", err)
 		return false
 	}
-	if rec := s.E.rec; rec != nil {
+	if rec := e.rec; rec != nil {
 		rec.Rewind(int64(sup.ckptStep))
 	}
 
@@ -266,22 +276,22 @@ func (sup *supervisor) recoverFrom(f *stageFail, streak int) bool {
 		})
 	}
 	if streak > maxConsecutiveRecoveries {
-		s.err = fmt.Errorf("core: %d consecutive recoveries without progress", streak)
+		e.net.err = fmt.Errorf("core: %d consecutive recoveries without progress", streak)
 		return false
 	}
 	return true
 }
 
 // checkpoint captures the engine image the next recovery rolls back to.
-// Driver-serial, between steps only. Returns false with s.err set when the
-// image could not be encoded.
+// Driver-serial, between steps only. Returns false with the engine's err
+// set when the image could not be encoded.
 func (sup *supervisor) checkpoint() bool {
 	buf := bytes.NewBuffer(sup.ckptImage[:0]) // the old image's storage, reused
-	if err := sup.s.WriteCheckpoint(buf); err != nil {
-		sup.s.err = fmt.Errorf("core: rollback checkpoint failed: %w", err)
+	if err := sup.e.WriteCheckpoint(buf); err != nil {
+		sup.e.net.err = fmt.Errorf("core: rollback checkpoint failed: %w", err)
 		return false
 	}
-	sup.ckptImage, sup.ckptStep = buf.Bytes(), sup.s.E.step
+	sup.ckptImage, sup.ckptStep = buf.Bytes(), sup.e.step
 	return true
 }
 
@@ -289,7 +299,7 @@ func (sup *supervisor) checkpoint() bool {
 // under supervision: refresh the rollback image on the checkpoint cadence
 // and fold the fault counters.
 func (sup *supervisor) stepDone() bool {
-	if step := sup.s.E.step; step%sup.cfg.CheckpointEvery == 0 && step != sup.ckptStep {
+	if step := sup.e.step; step%sup.cfg.CheckpointEvery == 0 && step != sup.ckptStep {
 		if !sup.checkpoint() {
 			return false
 		}
@@ -301,7 +311,7 @@ func (sup *supervisor) stepDone() bool {
 // foldFaultCounters delta-folds the plane's and the transport's tallies
 // into the obs recorder (driver-serial, once per completed step).
 func (sup *supervisor) foldFaultCounters() {
-	rec := sup.s.E.rec
+	rec := sup.e.rec
 	if rec == nil {
 		return
 	}
@@ -319,7 +329,7 @@ func (sup *supervisor) foldFaultCounters() {
 	add(obs.CtrFaultCrashes, fc.CrashesFired-sup.prevF.CrashesFired)
 	sup.prevF = fc
 
-	t := sup.s.TransportStats()
+	t := sup.e.TransportStats()
 	add(obs.CtrRetransmits, t.Retransmits-sup.prevT.Retransmits)
 	add(obs.CtrDupDiscards, t.DupDiscards-sup.prevT.DupDiscards)
 	add(obs.CtrCrcDiscards, t.CrcDiscards-sup.prevT.CrcDiscards)

@@ -72,14 +72,15 @@ type xchg struct {
 
 func (x *xchg) reliable() bool { return x != nil && x.plane != nil }
 
-// newExchange mints the next exchange. Driver-serial.
-func (s *Sharded) newExchange() *xchg {
-	s.xid++
-	x := &xchg{step: int64(s.E.step), xid: s.xid}
-	if s.sup != nil {
-		x.epoch = s.sup.epoch
-		x.plane = s.sup.plane
-		x.abort = s.sup.abort
+// newExchange mints the next exchange of a sharded engine. Driver-serial.
+func (e *Engine) newExchange() *xchg {
+	net := e.net
+	net.xid++
+	x := &xchg{step: int64(e.step), xid: net.xid}
+	if sup := net.sup; sup != nil {
+		x.epoch = sup.epoch
+		x.plane = sup.plane
+		x.abort = sup.abort
 	}
 	return x
 }
@@ -93,64 +94,22 @@ type outMsg struct {
 	m       shardMsg
 }
 
-// transportTally is one shard's cumulative link accounting, read by the
-// driver between stages only. The reliable-transport counts are zero in
-// plain runs; BlockedNs is wall clock (nondeterministic diagnostics); the
-// byte fields are functions of the trajectory alone and are therefore
-// deterministic for a fixed config.
-type transportTally struct {
-	Sends         int64 // data envelopes first-transmitted
-	Retransmits   int64 // timeout-driven re-sends
-	DupDiscards   int64 // duplicate envelopes dropped by the xid stamps
-	CrcDiscards   int64 // envelopes dropped by the payload CRC check
-	StaleDiscards int64 // envelopes from an earlier exchange or epoch
-	AckDrops      int64 // acks lost to a full ack channel
-	FullDrops     int64 // data envelopes lost to a full inbox
-
-	BlockedNs  int64 // ns blocked on a receive
-	PosRawB    int64 // position payload bytes
-	PosWireB   int64 // position frame bytes actually sent
-	ForceRawB  int64 // force payload bytes before varint packing
-	ForceWireB int64 // force frame bytes actually sent
-}
-
-func (t *transportTally) add(o transportTally) {
-	t.Sends += o.Sends
-	t.Retransmits += o.Retransmits
-	t.DupDiscards += o.DupDiscards
-	t.CrcDiscards += o.CrcDiscards
-	t.StaleDiscards += o.StaleDiscards
-	t.AckDrops += o.AckDrops
-	t.FullDrops += o.FullDrops
-	t.BlockedNs += o.BlockedNs
-	t.PosRawB += o.PosRawB
-	t.PosWireB += o.PosWireB
-	t.ForceRawB += o.ForceRawB
-	t.ForceWireB += o.ForceWireB
-}
-
-// tallyTotals sums the per-shard link tallies. Driver-serial.
-func (s *Sharded) tallyTotals() transportTally {
-	var t transportTally
-	for _, st := range s.E.shards {
-		t.add(st.tstats)
-	}
-	return t
-}
-
-// TransportStats is the summed reliable-transport accounting of a
-// supervised run (all fields zero in plain runs). The trajectory is
-// bitwise invariant under any schedule; these counts are not — spurious
-// retransmits depend on wall timing — so tests assert on the trajectory
-// and treat these as diagnostics.
+// TransportStats is the transport's link accounting: each shard keeps
+// its own tally (read by the driver between stages only), and
+// Engine.TransportStats sums them. The reliable-transport counts are zero
+// in plain runs, and every count is zero on an engine built by NewEngine,
+// which sends nothing. The trajectory is bitwise invariant under any
+// fault schedule; these counts are not — spurious retransmits depend on
+// wall timing — so tests assert on the trajectory and treat these as
+// diagnostics.
 type TransportStats struct {
-	Sends         int64 `json:"sends"`
-	Retransmits   int64 `json:"retransmits"`
-	DupDiscards   int64 `json:"dup_discards"`
-	CrcDiscards   int64 `json:"crc_discards"`
-	StaleDiscards int64 `json:"stale_discards"`
-	AckDrops      int64 `json:"ack_drops"`
-	FullDrops     int64 `json:"full_drops"`
+	Sends         int64 `json:"sends"`          // data envelopes first-transmitted
+	Retransmits   int64 `json:"retransmits"`    // timeout-driven re-sends
+	DupDiscards   int64 `json:"dup_discards"`   // duplicate envelopes dropped by the xid stamps
+	CrcDiscards   int64 `json:"crc_discards"`   // envelopes dropped by the payload CRC check
+	StaleDiscards int64 `json:"stale_discards"` // envelopes from an earlier exchange or epoch
+	AckDrops      int64 `json:"ack_drops"`      // acks lost to a full ack channel
+	FullDrops     int64 `json:"full_drops"`     // data envelopes lost to a full inbox
 
 	// Force-evaluation accounting: wall time blocked on a receive, and
 	// payload vs frame bytes per traffic class (a position frame is its
@@ -167,31 +126,29 @@ type TransportStats struct {
 	ForceWireBytes int64 `json:"force_wire_bytes"`
 }
 
-// TransportStats sums the per-shard link tallies. Call it between Step
-// calls (driver-serial), e.g. from an end-of-step hook.
-func (s *Sharded) TransportStats() TransportStats {
-	t := s.tallyTotals()
-	return TransportStats{
-		Sends:          t.Sends,
-		Retransmits:    t.Retransmits,
-		DupDiscards:    t.DupDiscards,
-		CrcDiscards:    t.CrcDiscards,
-		StaleDiscards:  t.StaleDiscards,
-		AckDrops:       t.AckDrops,
-		FullDrops:      t.FullDrops,
-		BlockedNs:      t.BlockedNs,
-		PosRawBytes:    t.PosRawB,
-		PosWireBytes:   t.PosWireB,
-		ForceRawBytes:  t.ForceRawB,
-		ForceWireBytes: t.ForceWireB,
-	}
+func (t *TransportStats) add(o TransportStats) {
+	t.Sends += o.Sends
+	t.Retransmits += o.Retransmits
+	t.DupDiscards += o.DupDiscards
+	t.CrcDiscards += o.CrcDiscards
+	t.StaleDiscards += o.StaleDiscards
+	t.AckDrops += o.AckDrops
+	t.FullDrops += o.FullDrops
+	t.BlockedNs += o.BlockedNs
+	t.PosRawBytes += o.PosRawBytes
+	t.PosWireBytes += o.PosWireBytes
+	t.ForceRawBytes += o.ForceRawBytes
+	t.ForceWireBytes += o.ForceWireBytes
 }
 
-// TransportCounts returns cumulative (sends, retransmits) — the health
-// watchdog's retry-storm source (see Watch.WatchTransport).
-func (s *Sharded) TransportCounts() (sends, retransmits int64) {
-	t := s.TransportStats()
-	return t.Sends, t.Retransmits
+// TransportStats sums the per-shard link tallies. Call it between Step
+// calls (driver-serial), e.g. from an end-of-step hook.
+func (e *Engine) TransportStats() TransportStats {
+	var t TransportStats
+	for _, st := range e.shards {
+		t.add(st.tstats)
+	}
+	return t
 }
 
 // beginSend resets the shard's in-flight send tracking for one exchange.

@@ -160,10 +160,7 @@ func TestTraceMeasuredTimeline(t *testing.T) {
 	}{{"monolithic", 0}, {"8 shards", 8}} {
 		t.Run(c.name, func(t *testing.T) {
 			rec, tr := tracedRecorder()
-			var sim interface {
-				Observe(*obs.Recorder)
-				Step(int)
-			}
+			var sim *Engine
 			if c.shards == 0 {
 				sim = smallWaterEngine(t, 8, nil)
 			} else {

@@ -29,10 +29,8 @@ var ErrDamaged = errors.New("service: run artifact damaged")
 // a simulation through it, so how a run is attached and how a boundary is
 // made durable is decided here and nowhere else.
 type Run struct {
-	Sim         core.Sim
-	Eng         *core.Engine
-	Sharded     *core.Sharded // nil on the monolithic engine
-	ResumedFrom int           // the restored step, -1 on a fresh run
+	Eng         *core.Engine // monolithic or sharded, as the spec says
+	ResumedFrom int          // the restored step, -1 on a fresh run
 
 	// Observers, on every run; attaching them never perturbs a bit of the
 	// trajectory.
@@ -53,6 +51,11 @@ type Run struct {
 // velocities. A resumed run builds the same way — the checkpoint restore
 // then overwrites the seeded state, exactly as the uninterrupted run
 // would have evolved it.
+//
+// The engine is the second result. The first is the same engine as a
+// core.Sim, and the third the same engine when sharded (nil otherwise):
+// both remain only because the benchmark harness (bench/service.go)
+// still reads them.
 func BuildSim(spec JobSpec) (core.Sim, *core.Engine, *core.Sharded, error) {
 	s, err := system.ByName(spec.System)
 	if err != nil {
@@ -70,12 +73,12 @@ func BuildSim(spec JobSpec) (core.Sim, *core.Engine, *core.Sharded, error) {
 	}
 	vel := system.InitVelocities(s.Top, 300, rand.New(rand.NewSource(spec.Seed)))
 	if spec.Shards > 0 {
-		sh, err := core.NewSharded(s, cfg)
+		eng, err := core.NewSharded(s, cfg)
 		if err != nil {
 			return nil, nil, nil, fmt.Errorf("service: building sharded engine: %w", err)
 		}
-		sh.Engine().SetVelocities(vel)
-		return sh, sh.Engine(), sh, nil
+		eng.SetVelocities(vel)
+		return eng, eng, eng, nil
 	}
 	eng, err := core.NewEngine(s, cfg)
 	if err != nil {
@@ -101,11 +104,11 @@ func OpenRun(spec JobSpec, resume, ckpt, ledgerPath string, fs *faults.FS, retry
 	if retry == nil {
 		retry = func(op func() error) error { return op() }
 	}
-	sim, eng, sh, err := BuildSim(spec)
+	_, eng, _, err := BuildSim(spec)
 	if err != nil {
 		return nil, err
 	}
-	r := &Run{Sim: sim, Eng: eng, Sharded: sh, ResumedFrom: -1, ckpt: ckpt, fs: fs, retry: retry}
+	r := &Run{Eng: eng, ResumedFrom: -1, ckpt: ckpt, fs: fs, retry: retry}
 	defer func() {
 		if err != nil {
 			r.Close()
@@ -117,10 +120,10 @@ func OpenRun(spec JobSpec, resume, ckpt, ledgerPath string, fs *faults.FS, retry
 		if err := retry(func() (rerr error) { blob, rerr = fs.ReadFile(resume); return }); err != nil {
 			return nil, fmt.Errorf("reading checkpoint: %w", err)
 		}
-		if err := sim.RestoreCheckpoint(bytes.NewReader(blob)); err != nil {
+		if err := eng.RestoreCheckpoint(bytes.NewReader(blob)); err != nil {
 			return nil, fmt.Errorf("%w: resuming from checkpoint %s: %w", ErrDamaged, resume, err)
 		}
-		r.ResumedFrom = sim.StepCount()
+		r.ResumedFrom = eng.StepCount()
 	}
 
 	if ledgerPath != "" {
@@ -139,8 +142,8 @@ func OpenRun(spec JobSpec, resume, ckpt, ledgerPath string, fs *faults.FS, retry
 		if err != nil {
 			return nil, err
 		}
-		if err := sh.EnableFaults(core.FaultConfig{
-			Plane:           faults.New(sp, sh.Shards()),
+		if err := eng.EnableFaults(core.FaultConfig{
+			Plane:           faults.New(sp, eng.Shards()),
 			CheckpointEvery: spec.CheckpointEvery,
 			OnRecovery: func(ev core.RecoveryEvent) {
 				if r.Ledger != nil {
@@ -152,7 +155,7 @@ func OpenRun(spec JobSpec, resume, ckpt, ledgerPath string, fs *faults.FS, retry
 			return nil, err
 		}
 		if r.Ledger != nil {
-			if err := r.Ledger.AppendFaults(int64(sim.StepCount()), sp.String(), sp.Seed); err != nil {
+			if err := r.Ledger.AppendFaults(int64(eng.StepCount()), sp.String(), sp.Seed); err != nil {
 				return nil, fmt.Errorf("run ledger: %w", err)
 			}
 		}
@@ -163,11 +166,6 @@ func OpenRun(spec JobSpec, resume, ckpt, ledgerPath string, fs *faults.FS, retry
 	r.Rec.Trace(r.Tracer)
 	eng.Observe(r.Rec)
 	r.Watch = core.NewWatch(eng)
-	if spec.Chaos != "" {
-		// A lossy campaign that pushes the retransmit ratio past the
-		// retry-storm thresholds surfaces as a watchdog alert.
-		r.Watch.WatchTransport(sh.TransportCounts)
-	}
 	return r, nil
 }
 
@@ -222,14 +220,12 @@ func (r *Run) openLedger(spec JobSpec, path string) error {
 	return r.Ledger.AppendResume(r.ResumedFrom, resumes)
 }
 
-// Advance steps the simulation n steps and reports a sharded pipeline
-// that parked itself (a fault campaign it could not recover from).
+// Advance steps the simulation n steps and reports a sharded engine that
+// parked itself (a fault campaign it could not recover from).
 func (r *Run) Advance(n int) error {
-	r.Sim.Step(n)
-	if r.Sharded != nil {
-		if err := r.Sharded.Err(); err != nil {
-			return fmt.Errorf("sharded engine parked: %w", err)
-		}
+	r.Eng.Step(n)
+	if err := r.Eng.Err(); err != nil {
+		return fmt.Errorf("sharded engine parked: %w", err)
 	}
 	return nil
 }
@@ -265,7 +261,7 @@ func (r *Run) DrainAlerts() ([]health.Alert, error) {
 func (r *Run) Persist() error {
 	if r.ckpt != "" {
 		var buf bytes.Buffer
-		if err := r.Sim.WriteCheckpoint(&buf); err != nil {
+		if err := r.Eng.WriteCheckpoint(&buf); err != nil {
 			return fmt.Errorf("serializing checkpoint: %w", err)
 		}
 		if err := r.retry(func() error { return r.fs.WriteFile(r.ckpt, buf.Bytes()) }); err != nil {
@@ -300,9 +296,7 @@ func (r *Run) Publish(tel *obs.Telemetry) error {
 // Close stops the shard goroutines and closes the ledger (which commits
 // its pending batch).
 func (r *Run) Close() error {
-	if r.Sharded != nil {
-		r.Sharded.Close()
-	}
+	r.Eng.Close()
 	if r.Ledger != nil {
 		return r.Ledger.Close()
 	}

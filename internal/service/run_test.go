@@ -59,7 +59,7 @@ func TestRunLedgerLifecycle(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				if err := r.Advance(l.to - r.Sim.StepCount()); err != nil {
+				if err := r.Advance(l.to - r.Eng.StepCount()); err != nil {
 					t.Fatal(err)
 				}
 				if err := r.Persist(); err != nil {

@@ -110,8 +110,8 @@ func (d *Daemon) runJob(id string) {
 	}
 	// refresh copies the live engine's progress into the status record.
 	refresh := func() {
-		js.Step = run.Sim.StepCount()
-		js.Digest = fmt.Sprintf("%016x", run.Sim.StateDigest())
+		js.Step = run.Eng.StepCount()
+		js.Digest = fmt.Sprintf("%016x", run.Eng.StateDigest())
 		js.Temperature = run.Eng.Temperature()
 		js.TotalEnergy = run.Eng.TotalEnergy()
 	}
@@ -127,7 +127,7 @@ func (d *Daemon) runJob(id string) {
 		return nil
 	}
 
-	for run.Sim.StepCount() < js.Spec.Steps {
+	for run.Eng.StepCount() < js.Spec.Steps {
 		// Daemon draining? A graceful stop persists the boundary we just
 		// reached; a kill persists nothing (the previous boundary's
 		// checkpoint is the resume point — that is the contract under
@@ -155,12 +155,12 @@ func (d *Daemon) runJob(id string) {
 			// Past the wall-clock budget: permanent failure, not a retry —
 			// requeueing a job that is out of time would spin forever.
 			d.finish(&js, StateFailed, fmt.Errorf("deadline exceeded after %s (at step %d of %d)",
-				time.Since(js.StartedAt).Round(time.Millisecond), run.Sim.StepCount(), js.Spec.Steps))
+				time.Since(js.StartedAt).Round(time.Millisecond), run.Eng.StepCount(), js.Spec.Steps))
 			publish()
 			return
 		}
 		chunk := js.Spec.CheckpointEvery
-		if rem := js.Spec.Steps - run.Sim.StepCount(); chunk > rem {
+		if rem := js.Spec.Steps - run.Eng.StepCount(); chunk > rem {
 			chunk = rem
 		}
 		if err := run.Advance(chunk); err != nil {
