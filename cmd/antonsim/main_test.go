@@ -2,6 +2,9 @@ package main
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"encoding/binary"
+	"fmt"
 	"io"
 	"log/slog"
 	"os"
@@ -9,6 +12,7 @@ import (
 	"path/filepath"
 	"reflect"
 	"regexp"
+	"runtime"
 	"strconv"
 	"strings"
 	"testing"
@@ -154,6 +158,36 @@ func TestCLIResume(t *testing.T) {
 				t.Fatalf("resume without a ledger file recorded %+v, want %+v", got, want)
 			}
 		})
+	}
+}
+
+// TestCLICheckpointBytes pins the checkpoint image of a 20-step `small`
+// run byte for byte: a change to the codec must not change the format.
+// Floating-point kernels may round differently off amd64, so the image
+// recorded there holds on amd64 only.
+func TestCLICheckpointBytes(t *testing.T) {
+	if runtime.GOARCH != "amd64" {
+		t.Skip("checkpoint image recorded on amd64")
+	}
+	path := filepath.Join(t.TempDir(), "run.ckpt")
+	antonsim(t, "-system", "small", "-steps", "20", "-checkpoint", path)
+	b, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const (
+		size = 54276
+		crc  = 0xe4be1e92
+		sum  = "bd9e1eb1687ea49c71102540263bd12e76f07f17a1b46b2e77befc52be55bf13"
+	)
+	if len(b) != size {
+		t.Fatalf("checkpoint is %d bytes, want %d", len(b), size)
+	}
+	if got := binary.LittleEndian.Uint32(b[len(b)-4:]); got != crc {
+		t.Errorf("trailing CRC %#x, want %#x", got, crc)
+	}
+	if got := fmt.Sprintf("%x", sha256.Sum256(b)); got != sum {
+		t.Errorf("checkpoint sha256 %s, want %s", got, sum)
 	}
 }
 

@@ -1,8 +1,6 @@
 package core
 
 import (
-	"bufio"
-	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -10,6 +8,7 @@ import (
 	"hash/fnv"
 	"io"
 	"math"
+	"slices"
 
 	"anton/internal/ff"
 	"anton/internal/fixp"
@@ -85,6 +84,35 @@ func (e *Engine) fingerprint() configFingerprint {
 	}
 }
 
+// appendTo appends the fingerprint's fixed little-endian layout
+// (ckptFingerprintLen bytes, fields in declaration order).
+func (fp configFingerprint) appendTo(b []byte) []byte {
+	le := binary.LittleEndian
+	b = le.AppendUint32(b, fp.FracBits)
+	b = le.AppendUint32(b, fp.Mesh)
+	for _, f := range [...]float64{fp.VelQuantum, fp.ForceQuantum, fp.ChargeQuantum, fp.Dt, fp.Cutoff, fp.BoxL} {
+		b = le.AppendUint64(b, math.Float64bits(f))
+	}
+	return le.AppendUint64(b, fp.TopoHash)
+}
+
+// decodeFingerprint reads the layout appendTo writes.
+func decodeFingerprint(b []byte) configFingerprint {
+	le := binary.LittleEndian
+	f := func(off int) float64 { return math.Float64frombits(le.Uint64(b[off:])) }
+	return configFingerprint{
+		FracBits:      le.Uint32(b),
+		Mesh:          le.Uint32(b[4:]),
+		VelQuantum:    f(8),
+		ForceQuantum:  f(16),
+		ChargeQuantum: f(24),
+		Dt:            f(32),
+		Cutoff:        f(40),
+		BoxL:          f(48),
+		TopoHash:      le.Uint64(b[56:]),
+	}
+}
+
 // FingerprintHex returns a stable hex digest of the engine's
 // configuration fingerprint — the same quantity checkpoint restores
 // validate (dt, cutoff, mesh, fixed-point quanta, box, topology hash).
@@ -92,13 +120,8 @@ func (e *Engine) fingerprint() configFingerprint {
 // prove a replay was configured identically before comparing state
 // digests.
 func (e *Engine) FingerprintHex() string {
-	fp := e.fingerprint()
 	h := fnv.New64a()
-	// configFingerprint is fixed-size (see ckptFingerprintLen), so the
-	// binary encoding — and therefore this digest — is stable.
-	if err := binary.Write(h, binary.LittleEndian, fp); err != nil {
-		panic(err) // unreachable: fixed-size struct of scalar fields
-	}
+	h.Write(e.fingerprint().appendTo(nil))
 	return fmt.Sprintf("%016x", h.Sum64())
 }
 
@@ -188,182 +211,139 @@ const (
 	ckptCRCLen         = 4
 )
 
+// ckptLen is the length of the image of an n-atom engine: header,
+// fingerprint, step and long-range energy, the per-atom arrays, CRC.
+func ckptLen(n int) int {
+	return ckptHeaderLen + ckptFingerprintLen + 8 + 8 + n*ckptPerAtomLen + ckptCRCLen
+}
+
 // WriteCheckpoint serializes the dynamic state (positions, velocities,
 // current forces, step counter) plus the configuration fingerprint,
 // and appends a CRC32 over everything written.
 func (e *Engine) WriteCheckpoint(w io.Writer) error {
-	var body bytes.Buffer
-	bw := bufio.NewWriter(&body)
-	hdr := []uint32{checkpointMagic, checkpointVersion, uint32(len(e.Pos))}
-	for _, h := range hdr {
-		if err := binary.Write(bw, binary.LittleEndian, h); err != nil {
-			return err
-		}
-	}
-	if err := binary.Write(bw, binary.LittleEndian, e.fingerprint()); err != nil {
-		return err
-	}
-	if err := binary.Write(bw, binary.LittleEndian, int64(e.step)); err != nil {
-		return err
-	}
-	if err := binary.Write(bw, binary.LittleEndian, e.longRangeEnergy); err != nil {
-		return err
-	}
+	_, err := w.Write(e.appendCheckpoint(nil))
+	return err
+}
+
+// appendCheckpoint appends the engine's checkpoint image to b, all
+// fields little-endian: magic, version, atom count, fingerprint, step,
+// long-range energy, then positions, velocities, short-range and
+// long-range forces per atom, and the CRC32 of everything before it.
+func (e *Engine) appendCheckpoint(b []byte) []byte {
+	le := binary.LittleEndian
+	start := len(b)
+	b = slices.Grow(b, ckptLen(len(e.Pos)))
+	b = le.AppendUint32(b, checkpointMagic)
+	b = le.AppendUint32(b, checkpointVersion)
+	b = le.AppendUint32(b, uint32(len(e.Pos)))
+	b = e.fingerprint().appendTo(b)
+	b = le.AppendUint64(b, uint64(int64(e.step)))
+	b = le.AppendUint64(b, math.Float64bits(e.longRangeEnergy))
 	for _, p := range e.Pos {
-		if err := binary.Write(bw, binary.LittleEndian, [3]int32{int32(p.X), int32(p.Y), int32(p.Z)}); err != nil {
-			return err
-		}
+		b = le.AppendUint32(b, uint32(p.X))
+		b = le.AppendUint32(b, uint32(p.Y))
+		b = le.AppendUint32(b, uint32(p.Z))
 	}
 	for _, v := range e.Vel {
-		if err := binary.Write(bw, binary.LittleEndian, [3]int64{v.X, v.Y, v.Z}); err != nil {
-			return err
-		}
+		b = appendTriple(b, v.X, v.Y, v.Z)
 	}
 	for _, f := range e.fShort {
-		if err := binary.Write(bw, binary.LittleEndian, [3]int64{f.X, f.Y, f.Z}); err != nil {
-			return err
-		}
+		b = appendTriple(b, f.X, f.Y, f.Z)
 	}
 	for _, f := range e.fLong {
-		if err := binary.Write(bw, binary.LittleEndian, [3]int64{f.X, f.Y, f.Z}); err != nil {
-			return err
-		}
+		b = appendTriple(b, f.X, f.Y, f.Z)
 	}
-	if err := bw.Flush(); err != nil {
-		return err
+	return le.AppendUint32(b, crc32.ChecksumIEEE(b[start:]))
+}
+
+// appendTriple appends three int64 values little-endian.
+func appendTriple(b []byte, x, y, z int64) []byte {
+	le := binary.LittleEndian
+	return le.AppendUint64(le.AppendUint64(le.AppendUint64(b, uint64(x)), uint64(y)), uint64(z))
+}
+
+// validateImage checks a checkpoint image before anything decodes it: the
+// magic and the version, then the atom count, which fixes the image's
+// length, then the length and the trailing CRC32. A reader that needs a
+// given count passes it as want (negative: any), and an image of another
+// count is a configuration mismatch whatever its length. It returns the
+// stored CRC.
+func validateImage(b []byte, want int) (crc uint32, err error) {
+	le := binary.LittleEndian
+	if len(b) < 8 {
+		return 0, fmt.Errorf("%w: short header (%d bytes)", ErrCheckpointTruncated, len(b))
 	}
-	crc := crc32.ChecksumIEEE(body.Bytes())
-	if _, err := w.Write(body.Bytes()); err != nil {
-		return err
+	if magic := le.Uint32(b); magic != checkpointMagic {
+		return 0, fmt.Errorf("%w: %#x", ErrCheckpointMagic, magic)
 	}
-	return binary.Write(w, binary.LittleEndian, crc)
+	if ver := le.Uint32(b[4:]); ver != checkpointVersion {
+		return 0, fmt.Errorf("%w: %d", ErrCheckpointVersion, ver)
+	}
+	if len(b) < ckptHeaderLen {
+		return 0, fmt.Errorf("%w: short header (%d bytes)", ErrCheckpointTruncated, len(b))
+	}
+	natoms := int64(le.Uint32(b[8:]))
+	if want >= 0 && natoms != int64(want) {
+		return 0, fmt.Errorf("%w: checkpoint has %d atoms, engine %d", ErrCheckpointConfig, natoms, want)
+	}
+	// In int64: a hostile count must not wrap the size where int is 32 bits.
+	switch size := int64(ckptLen(0)) + natoms*ckptPerAtomLen; {
+	case int64(len(b)) < size:
+		return 0, fmt.Errorf("%w: %d bytes, want %d", ErrCheckpointTruncated, len(b), size)
+	case int64(len(b)) > size:
+		return 0, fmt.Errorf("%w: %d trailing bytes", ErrCheckpointCorrupt, int64(len(b))-size)
+	}
+	body := b[:len(b)-ckptCRCLen]
+	crc = le.Uint32(b[len(body):])
+	if sum := crc32.ChecksumIEEE(body); sum != crc {
+		return 0, fmt.Errorf("%w: crc %#x, stored %#x", ErrCheckpointCorrupt, sum, crc)
+	}
+	return crc, nil
 }
 
 // RestoreCheckpoint loads state written by WriteCheckpoint into an
 // engine constructed over the same system and configuration, then
 // rebuilds the (position-derived) spatial assignment.
 //
-// The file is fully validated — version, length, checksum, and
-// configuration fingerprint — before any engine field is touched, so a
-// failed restore leaves the engine exactly as it was.
+// The image is fully validated — version, atom count, length, checksum,
+// and configuration fingerprint — before any engine field is touched, so
+// a failed restore leaves the engine exactly as it was.
 func (e *Engine) RestoreCheckpoint(r io.Reader) error {
-	br := bufio.NewReader(r)
-	var magicVer [2]uint32
-	for i := range magicVer {
-		if err := binary.Read(br, binary.LittleEndian, &magicVer[i]); err != nil {
-			return fmt.Errorf("%w: short header: %v", ErrCheckpointTruncated, err)
-		}
-	}
-	if magicVer[0] != checkpointMagic {
-		return fmt.Errorf("%w: %#x", ErrCheckpointMagic, magicVer[0])
-	}
-	if magicVer[1] != checkpointVersion {
-		return fmt.Errorf("%w: %d", ErrCheckpointVersion, magicVer[1])
-	}
-	return e.restoreV2(br)
-}
-
-func (e *Engine) restoreV2(br *bufio.Reader) error {
-	// Read the remainder of the file, then validate everything before
-	// decoding into live engine state.
-	rest, err := io.ReadAll(br)
+	b, err := io.ReadAll(r)
 	if err != nil {
 		return fmt.Errorf("core: reading checkpoint: %w", err)
 	}
-	expect := (ckptHeaderLen - 8) + ckptFingerprintLen + 8 + 8 +
-		len(e.Pos)*ckptPerAtomLen + ckptCRCLen
-	if len(rest) < expect {
-		// Could be a truncated file for our engine, or a complete file
-		// for a smaller system; disambiguate via the atom count if we
-		// got that far.
-		if len(rest) >= 4 {
-			if n := binary.LittleEndian.Uint32(rest[:4]); int(n) != len(e.Pos) {
-				return fmt.Errorf("%w: checkpoint has %d atoms, engine %d",
-					ErrCheckpointConfig, n, len(e.Pos))
-			}
-		}
-		return fmt.Errorf("%w: %d bytes, want %d", ErrCheckpointTruncated,
-			len(rest)+8, expect+8)
-	}
-	if len(rest) > expect {
-		return fmt.Errorf("%w: %d trailing bytes", ErrCheckpointCorrupt, len(rest)-expect)
-	}
-	// CRC covers magic+version (already consumed) plus everything up to
-	// the trailer.
-	var pre [8]byte
-	binary.LittleEndian.PutUint32(pre[0:], checkpointMagic)
-	binary.LittleEndian.PutUint32(pre[4:], checkpointVersion)
-	crc := crc32.ChecksumIEEE(pre[:])
-	crc = crc32.Update(crc, crc32.IEEETable, rest[:len(rest)-ckptCRCLen])
-	stored := binary.LittleEndian.Uint32(rest[len(rest)-ckptCRCLen:])
-	if crc != stored {
-		return fmt.Errorf("%w: crc %#x, stored %#x", ErrCheckpointCorrupt, crc, stored)
-	}
-	body := bytes.NewReader(rest[:len(rest)-ckptCRCLen])
-	var natoms uint32
-	if err := binary.Read(body, binary.LittleEndian, &natoms); err != nil {
+	return e.restoreImage(b)
+}
+
+// restoreImage validates and decodes one checkpoint image.
+func (e *Engine) restoreImage(b []byte) error {
+	if _, err := validateImage(b, len(e.Pos)); err != nil {
 		return err
 	}
-	if int(natoms) != len(e.Pos) {
-		return fmt.Errorf("%w: checkpoint has %d atoms, engine %d",
-			ErrCheckpointConfig, natoms, len(e.Pos))
-	}
-	var fp configFingerprint
-	if err := binary.Read(body, binary.LittleEndian, &fp); err != nil {
-		return err
-	}
-	if want := e.fingerprint(); fp != want {
+	le := binary.LittleEndian
+	b = b[ckptHeaderLen:]
+	if fp, want := decodeFingerprint(b), e.fingerprint(); fp != want {
 		return fmt.Errorf("%w: checkpoint %+v, engine %+v", ErrCheckpointConfig, fp, want)
 	}
-	var step int64
-	if err := binary.Read(body, binary.LittleEndian, &step); err != nil {
-		return err
+	b = b[ckptFingerprintLen:]
+	e.step = int(int64(le.Uint64(b)))
+	e.longRangeEnergy = math.Float64frombits(le.Uint64(b[8:]))
+	b = b[16:]
+	for i := range e.Pos {
+		e.Pos[i] = fixp.Vec3{X: fixp.F32(le.Uint32(b)), Y: fixp.F32(le.Uint32(b[4:])), Z: fixp.F32(le.Uint32(b[8:]))}
+		b = b[12:]
 	}
-	var lre float64
-	if err := binary.Read(body, binary.LittleEndian, &lre); err != nil {
-		return err
+	for i := range e.Vel {
+		e.Vel[i] = Vel3{X: int64(le.Uint64(b)), Y: int64(le.Uint64(b[8:])), Z: int64(le.Uint64(b[16:]))}
+		b = b[24:]
 	}
-	// Decode the per-atom arrays into scratch first, so the engine is
-	// untouched on any failure (none is expected past the CRC, but the
-	// invariant is cheap to keep).
-	pos := make([]fixp.Vec3, len(e.Pos))
-	vel := make([]Vel3, len(e.Vel))
-	fShort := make([]Force3, len(e.fShort))
-	fLong := make([]Force3, len(e.fLong))
-	for i := range pos {
-		var p [3]int32
-		if err := binary.Read(body, binary.LittleEndian, &p); err != nil {
-			return err
+	for _, dst := range [][]Force3{e.fShort, e.fLong} {
+		for i := range dst {
+			dst[i] = Force3{X: int64(le.Uint64(b)), Y: int64(le.Uint64(b[8:])), Z: int64(le.Uint64(b[16:]))}
+			b = b[24:]
 		}
-		pos[i] = fixp.Vec3{X: fixp.F32(p[0]), Y: fixp.F32(p[1]), Z: fixp.F32(p[2])}
 	}
-	for i := range vel {
-		var v [3]int64
-		if err := binary.Read(body, binary.LittleEndian, &v); err != nil {
-			return err
-		}
-		vel[i] = Vel3{X: v[0], Y: v[1], Z: v[2]}
-	}
-	for i := range fShort {
-		var f [3]int64
-		if err := binary.Read(body, binary.LittleEndian, &f); err != nil {
-			return err
-		}
-		fShort[i] = Force3{X: f[0], Y: f[1], Z: f[2]}
-	}
-	for i := range fLong {
-		var f [3]int64
-		if err := binary.Read(body, binary.LittleEndian, &f); err != nil {
-			return err
-		}
-		fLong[i] = Force3{X: f[0], Y: f[1], Z: f[2]}
-	}
-	copy(e.Pos, pos)
-	copy(e.Vel, vel)
-	copy(e.fShort, fShort)
-	copy(e.fLong, fLong)
-	e.longRangeEnergy = lre
-	e.step = int(step)
 	// A step-0 image may predate the initial force evaluation (the
 	// supervisor's baseline): the next Step recomputes it.
 	e.primed = false

@@ -48,14 +48,19 @@ func TestCheckpointRejectsMismatch(t *testing.T) {
 	if err := a.RestoreCheckpoint(bytes.NewReader(data)); !errors.Is(err, ErrCheckpointMagic) {
 		t.Errorf("bad magic: got %v, want ErrCheckpointMagic", err)
 	}
-	// Wrong system size.
+	// Wrong system size, in both directions: a complete image of a
+	// smaller or a larger system is a configuration mismatch, not a
+	// truncated or a corrupt file.
 	ion := ionicEngine(t, 8, nil)
 	var buf2 bytes.Buffer
 	if err := ion.WriteCheckpoint(&buf2); err != nil {
 		t.Fatal(err)
 	}
 	if err := a.RestoreCheckpoint(bytes.NewReader(buf2.Bytes())); !errors.Is(err, ErrCheckpointConfig) {
-		t.Errorf("different system: got %v, want ErrCheckpointConfig", err)
+		t.Errorf("smaller system: got %v, want ErrCheckpointConfig", err)
+	}
+	if err := ion.RestoreCheckpoint(bytes.NewReader(buf.Bytes())); !errors.Is(err, ErrCheckpointConfig) {
+		t.Errorf("larger system: got %v, want ErrCheckpointConfig", err)
 	}
 }
 

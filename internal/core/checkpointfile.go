@@ -1,10 +1,7 @@
 package core
 
 import (
-	"bytes"
-	"encoding/binary"
 	"fmt"
-	"hash/crc32"
 	"os"
 
 	"anton/internal/faults"
@@ -34,11 +31,7 @@ import (
 // WriteFile the service drives with a plane attached, so the storage
 // chaos campaign exercises exactly the sequence production runs.
 func (e *Engine) WriteCheckpointFile(path string) error {
-	var buf bytes.Buffer
-	if err := e.WriteCheckpoint(&buf); err != nil {
-		return err
-	}
-	if err := (*faults.FS)(nil).WriteFile(path, buf.Bytes()); err != nil {
+	if err := (*faults.FS)(nil).WriteFile(path, e.appendCheckpoint(nil)); err != nil {
 		return fmt.Errorf("core: writing checkpoint %s: %w", path, err)
 	}
 	return nil
@@ -48,35 +41,22 @@ func (e *Engine) WriteCheckpointFile(path string) error {
 // happens before any engine state is touched (format v2), so a torn or
 // corrupted file leaves the engine as it was.
 func (e *Engine) RestoreCheckpointFile(path string) error {
-	f, err := os.Open(path)
+	b, err := os.ReadFile(path)
 	if err != nil {
 		return err
 	}
-	defer f.Close()
-	return e.RestoreCheckpoint(f)
+	return e.restoreImage(b)
 }
 
-// CheckpointFileCRC reads the checkpoint at path, validates its
-// trailing CRC32, and returns the stored value. The run ledger records
-// it alongside each checkpoint write, so an audit can prove the file on
-// disk is the one the ledger describes without re-deriving any state.
+// CheckpointFileCRC reads the checkpoint at path, validates it as a
+// restore does (header, the length its atom count fixes, trailing CRC32)
+// and returns the stored CRC. The run ledger records it alongside each
+// checkpoint write, so an audit can prove the file on disk is the one the
+// ledger describes without re-deriving any state.
 func CheckpointFileCRC(path string) (uint32, error) {
 	b, err := os.ReadFile(path)
 	if err != nil {
 		return 0, err
 	}
-	if len(b) < ckptHeaderLen+ckptCRCLen {
-		return 0, fmt.Errorf("%w: %d bytes", ErrCheckpointTruncated, len(b))
-	}
-	if magic := binary.LittleEndian.Uint32(b); magic != checkpointMagic {
-		return 0, fmt.Errorf("%w: %#x", ErrCheckpointMagic, magic)
-	}
-	if ver := binary.LittleEndian.Uint32(b[4:]); ver != checkpointVersion {
-		return 0, fmt.Errorf("%w: %d", ErrCheckpointVersion, ver)
-	}
-	stored := binary.LittleEndian.Uint32(b[len(b)-ckptCRCLen:])
-	if crc := crc32.ChecksumIEEE(b[:len(b)-ckptCRCLen]); crc != stored {
-		return 0, fmt.Errorf("%w: crc %#x, stored %#x", ErrCheckpointCorrupt, crc, stored)
-	}
-	return stored, nil
+	return validateImage(b, -1)
 }

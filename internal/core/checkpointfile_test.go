@@ -1,6 +1,7 @@
 package core
 
 import (
+	"encoding/binary"
 	"errors"
 	"os"
 	"path/filepath"
@@ -136,5 +137,51 @@ func TestCheckpointFileTornWrite(t *testing.T) {
 	}
 	if victim.step != 20 {
 		t.Fatalf("restored step %d, want 20", victim.step)
+	}
+}
+
+// TestCheckpointFileCRC: the ledger's CRC read validates a file as a
+// restore does — a good file gives its trailing CRC, and a torn, padded,
+// flipped or foreign one fails with the restore's sentinel.
+func TestCheckpointFileCRC(t *testing.T) {
+	dir := t.TempDir()
+	e := smallWaterEngine(t, 8, nil)
+	e.Step(2)
+	path := filepath.Join(dir, "good.bin")
+	if err := e.WriteCheckpointFile(path); err != nil {
+		t.Fatal(err)
+	}
+	good, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	crc, err := CheckpointFileCRC(path)
+	if err != nil || crc != binary.LittleEndian.Uint32(good[len(good)-ckptCRCLen:]) {
+		t.Fatalf("good file: crc %#x, %v", crc, err)
+	}
+	flip := func(off int) []byte {
+		b := append([]byte(nil), good...)
+		b[off] ^= 0x40
+		return b
+	}
+	for name, c := range map[string]struct {
+		data []byte
+		want error
+	}{
+		"torn":     {good[:len(good)/2], ErrCheckpointTruncated},
+		"header":   {good[:10], ErrCheckpointTruncated},
+		"padded":   {append(append([]byte(nil), good...), 0), ErrCheckpointCorrupt},
+		"flipped":  {flip(len(good) - 20), ErrCheckpointCorrupt},
+		"magic":    {flip(0), ErrCheckpointMagic},
+		"version":  {flip(4), ErrCheckpointVersion},
+		"atom-cnt": {flip(8), ErrCheckpointTruncated},
+	} {
+		p := filepath.Join(dir, name+".bin")
+		if err := os.WriteFile(p, c.data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := CheckpointFileCRC(p); !errors.Is(err, c.want) {
+			t.Errorf("%s: got %v, want %v", name, err, c.want)
+		}
 	}
 }

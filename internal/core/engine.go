@@ -51,7 +51,11 @@ func DefaultConfig(nodes int) Config {
 	}
 }
 
-// Stats counts the work the simulated hardware performed.
+// Stats counts the work the simulated hardware performed on the
+// trajectory. A supervised rollback restores it with the state, so each
+// step counts once however often it was replayed; an attached recorder's
+// counters, folded from it (Engine.foldCounters), also keep the work of
+// the abandoned attempts.
 type Stats struct {
 	Steps            int
 	PairsConsidered  int64 // candidates the modelled match units examine
@@ -171,8 +175,10 @@ type Engine struct {
 	// rec is the optional observability registry (nil = disabled). It is
 	// strictly read-only with respect to dynamics state: the trajectory is
 	// bitwise identical with observability on or off, and the disabled
-	// path costs one nil check per phase — never per pair.
-	rec *obs.Recorder
+	// path costs one nil check per phase — never per pair. folded holds
+	// the engine's tallies as foldCounters last read them.
+	rec    *obs.Recorder
+	folded [obs.NumCounters]int64
 
 	// stepHooks are the end-of-step observers (the health watch and the
 	// run-ledger tap). Hooks must be read-only with respect to dynamics
@@ -360,7 +366,71 @@ func (e *Engine) StepCount() int { return e.step }
 // one is attached to it (obs.Recorder.Trace). Pass nil to detach. Must be
 // called between Step calls (the recorder is read by worker goroutines
 // during a step); attaching or detaching never perturbs the trajectory.
-func (e *Engine) Observe(r *obs.Recorder) { e.rec = r }
+// The recorder's tally counters count from the moment it is attached.
+func (e *Engine) Observe(r *obs.Recorder) {
+	e.rec = r
+	e.foldCounters(false)
+}
+
+// foldCounters adds to the attached recorder what each of the engine's
+// tallies gained since the last fold — Stats, and under NewSharded the
+// transport tallies, the measured-comm message counts and the
+// supervisor's and fault plane's counts — then makes the current values
+// the next fold's baseline (with add false it only does that). Step runs
+// it after the priming evaluation and after each completed step, and a
+// recovery before it restores Stats, so the recorder counts all the work
+// done, the abandoned attempts' included.
+func (e *Engine) foldCounters(add bool) {
+	if e.rec == nil {
+		return
+	}
+	var now [obs.NumCounters]int64
+	s := &e.Stats
+	now[obs.CtrPairsConsidered] = s.PairsConsidered
+	now[obs.CtrPairsTested] = s.PairsTested
+	now[obs.CtrPairsMatched] = s.PairsMatched
+	now[obs.CtrPairsComputed] = s.PairsComputed
+	now[obs.CtrMeshInteractions] = s.MeshInteractions
+	now[obs.CtrMigrations] = int64(s.Migrations)
+	now[obs.CtrConstraintSweeps] = s.ConstraintSweeps
+	now[obs.CtrConstraintUnconverged] = s.ConstraintUnconverged
+	if net := e.net; net != nil {
+		t := e.TransportStats()
+		now[obs.CtrStreamBlockedNs] = t.BlockedNs
+		now[obs.CtrPosRawBytes] = t.PosRawBytes
+		now[obs.CtrPosWireBytes] = t.PosWireBytes
+		now[obs.CtrForceRawBytes] = t.ForceRawBytes
+		now[obs.CtrForceWireBytes] = t.ForceWireBytes
+		now[obs.CtrRetransmits] = t.Retransmits
+		now[obs.CtrDupDiscards] = t.DupDiscards
+		now[obs.CtrCrcDiscards] = t.CrcDiscards
+		c := net.comm
+		now[obs.CtrShardImportMsgs] = c.importMsgs
+		now[obs.CtrShardExportMsgs] = c.exportMsgs
+		now[obs.CtrShardMeshMsgs] = c.meshMsgs
+		now[obs.CtrShardMigrationMsgs] = c.migrationMsgs
+		if sup := net.sup; sup != nil {
+			f := sup.plane.Counts()
+			now[obs.CtrFaultDrops] = f.Drops
+			now[obs.CtrFaultDups] = f.Dups
+			now[obs.CtrFaultDelays] = f.Delays
+			now[obs.CtrFaultCorrupts] = f.Corrupts
+			now[obs.CtrFaultStalls] = f.Stalls
+			now[obs.CtrFaultCrashes] = f.CrashesFired
+			now[obs.CtrRecoveries] = sup.recoveries
+			now[obs.CtrReplaySteps] = sup.replaySteps
+			now[obs.CtrRecoveryNs] = sup.recoveryNs
+		}
+	}
+	if add {
+		for c, v := range now {
+			if d := v - e.folded[c]; d != 0 {
+				e.rec.Add(obs.Counter(c), d)
+			}
+		}
+	}
+	e.folded = now
+}
 
 // Recorder returns the attached observability registry (nil if detached).
 func (e *Engine) Recorder() *obs.Recorder { return e.rec }
@@ -477,9 +547,6 @@ func (e *Engine) migrate(traffic bool) {
 		e.relink()
 	}
 	e.Stats.Migrations++
-	if e.rec != nil {
-		e.rec.Add(obs.CtrMigrations, 1)
-	}
 	e.obsPhase(obs.PhaseMigration, t0)
 }
 
@@ -496,9 +563,11 @@ func (e *Engine) migrate(traffic bool) {
 func (e *Engine) Step(n int) {
 	var sup *supervisor
 	if e.net != nil {
-		sup = e.net.sup
-		if e.net.err != nil || sup != nil && sup.ckptImage == nil && !sup.checkpoint() {
-			return // parked already, or by a baseline rollback image that could not be taken
+		if e.net.err != nil {
+			return // parked
+		}
+		if sup = e.net.sup; sup != nil && sup.ckptImage == nil {
+			sup.checkpoint() // the baseline rollback image
 		}
 	}
 	target := e.step + n
@@ -514,19 +583,20 @@ func (e *Engine) Step(n int) {
 		default:
 			return
 		}
-		// Only a supervised engine can fail a stage; it rolls back, or
-		// closes the step on the checkpoint cadence.
-		switch {
-		case f != nil:
+		// Only a supervised engine can fail a stage; it rolls back. A
+		// completed section folds the counters and, under supervision,
+		// takes the rollback image on the checkpoint cadence.
+		if f != nil {
 			streak++
 			if !sup.recoverFrom(f, streak) {
 				return
 			}
-		case sup != nil:
+			continue
+		}
+		e.foldCounters(true)
+		if sup != nil {
 			streak = 0
-			if !sup.stepDone() {
-				return
-			}
+			sup.stepDone()
 		}
 	}
 }
@@ -687,7 +757,8 @@ func (d *evalDiag) merge(o *evalDiag) {
 }
 
 // publish installs an evaluation's merged diagnostics: the energies and
-// their breakdown, Stats and the obs counters. On refresh
+// their breakdown, Stats, and the batch-queue counters that have no
+// Stats field (the rest reach the recorder by foldCounters). On refresh
 // evaluations the long-range energy (mesh, exclusion corrections and the
 // Ewald self term) is replaced; between refreshes the stale one persists.
 func (e *Engine) publish(d *evalDiag, refresh bool) {
@@ -710,16 +781,11 @@ func (e *Engine) publish(d *evalDiag, refresh bool) {
 	if e.rec == nil {
 		return
 	}
-	e.rec.Add(obs.CtrPairsConsidered, d.pairs.Considered)
-	e.rec.Add(obs.CtrPairsTested, d.pairs.Tested)
-	e.rec.Add(obs.CtrPairsMatched, d.pairs.Matched)
-	e.rec.Add(obs.CtrPairsComputed, d.pairs.Computed)
 	e.rec.Add(obs.CtrBatchFlushes, d.pairs.BatchFlushes)
 	e.rec.Add(obs.CtrBatchPairs, d.pairs.BatchPairs)
 	e.rec.AddOccupancy(d.pairs.Occupancy)
 	e.rec.AddPhaseBatch(obs.PhasePairPPIP, d.pairs.PPIPNs, d.pairs.BatchFlushes)
 	if refresh {
-		e.rec.Add(obs.CtrMeshInteractions, d.spread+d.interp)
 		e.rec.Add(obs.CtrLongRangeEvals, 1)
 	}
 }
@@ -1034,8 +1100,7 @@ func (e *Engine) shakeFixed() {
 }
 
 // constrain runs one constraint pass (SHAKE or RATTLE chunks) over the
-// constrained groups and books the workers' sweep tallies into Stats and
-// the recorder.
+// constrained groups and books the workers' sweep tallies into Stats.
 func (e *Engine) constrain(chunkFn func(w, lo, hi int)) {
 	if len(e.consGroups) == 0 {
 		return
@@ -1054,10 +1119,6 @@ func (e *Engine) constrain(chunkFn func(w, lo, hi int)) {
 	}
 	e.Stats.ConstraintSweeps += t.sweeps
 	e.Stats.ConstraintUnconverged += t.unconverged
-	if e.rec != nil {
-		e.rec.Add(obs.CtrConstraintSweeps, t.sweeps)
-		e.rec.Add(obs.CtrConstraintUnconverged, t.unconverged)
-	}
 }
 
 // note books one group's pass.

@@ -75,10 +75,6 @@ type network struct {
 
 	comm *measuredComm
 
-	// lastTally snapshots the summed per-shard transport tallies so each
-	// evaluation's delta can feed the obs counters.
-	lastTally TransportStats
-
 	// cellBox maps a mesh cell to the home box covering its location
 	// (static).
 	cellBox []int32
@@ -650,15 +646,10 @@ func (e *Engine) relink() {
 // as one migration message.
 func (e *Engine) noteMigrations() {
 	net := e.net
-	var moved int64
 	for i := range e.boxOf {
 		if e.boxOf[i] != net.prevBoxOf[i] {
 			net.comm.noteMigration(int(net.prevBoxOf[i]), int(e.boxOf[i]))
-			moved++
 		}
-	}
-	if e.rec != nil && moved > 0 {
-		e.rec.Add(obs.CtrShardMigrationMsgs, moved)
 	}
 }
 

@@ -221,7 +221,9 @@ func TestShardCheckpointCrossShardCount(t *testing.T) {
 
 // TestShardZeroPerturbation: the full observability stack — recorder,
 // tracer, and the health watch — attached to a sharded run must not
-// change a bit of the trajectory.
+// change a bit of the trajectory, and the recorder's shard-message
+// counters, folded from the measured-comm tallies at each completed
+// step, must have counted traffic.
 func TestShardZeroPerturbation(t *testing.T) {
 	skipShort(t)
 	plain := smallWaterSharded(t, 8, nil)

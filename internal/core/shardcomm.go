@@ -3,7 +3,6 @@ package core
 import (
 	"fmt"
 
-	"anton/internal/obs"
 	"anton/internal/torus"
 )
 
@@ -87,28 +86,20 @@ func (c *measuredComm) rebuildStatic(e *Engine) {
 }
 
 // noteImport records one position exchange (one per force evaluation).
-func (c *measuredComm) noteImport(rec *obs.Recorder) {
+func (c *measuredComm) noteImport() {
 	c.pendingEvals++
 	c.evals++
-	n := int64(len(c.importPairs))
-	c.importMsgs += n
-	if rec != nil && n > 0 {
-		rec.Add(obs.CtrShardImportMsgs, n)
-	}
+	c.importMsgs += int64(len(c.importPairs))
 }
 
 // noteExport records one force-export exchange: one frame per export
 // link, twice the bytes on refresh steps (the long-range section).
-func (c *measuredComm) noteExport(rec *obs.Recorder, refresh bool) {
-	n := int64(len(c.exportPairs))
+func (c *measuredComm) noteExport(refresh bool) {
 	if refresh {
 		c.pendingRefresh++
 		c.refreshes++
 	}
-	c.exportMsgs += n
-	if rec != nil && n > 0 {
-		rec.Add(obs.CtrShardExportMsgs, n)
-	}
+	c.exportMsgs += int64(len(c.exportPairs))
 }
 
 // noteMesh records one mesh contribution message: cells nonzero cells

@@ -99,7 +99,7 @@ func (e *Engine) computeForces(refresh bool) *stageFail {
 	e.bookStage(stageAPhases)
 	e.drawLanes()
 	if e.net != nil {
-		e.net.comm.noteImport(e.rec)
+		e.net.comm.noteImport()
 	}
 
 	if refresh {
@@ -122,8 +122,7 @@ func (e *Engine) computeForces(refresh bool) *stageFail {
 	}
 	e.publish(&d, refresh)
 	if e.net != nil {
-		e.net.comm.noteExport(e.rec, refresh)
-		e.noteStream()
+		e.net.comm.noteExport(refresh)
 	}
 	return nil
 }
@@ -202,22 +201,6 @@ func (e *Engine) drawLanes() {
 	}
 }
 
-// noteStream folds the evaluation's wait and wire-byte deltas into the
-// obs counters. Driver-serial; the cumulative totals surface through
-// TransportStats and Comm().
-func (e *Engine) noteStream() {
-	if e.rec == nil {
-		return
-	}
-	t, last := e.TransportStats(), e.net.lastTally
-	e.net.lastTally = t
-	e.rec.Add(obs.CtrStreamBlockedNs, t.BlockedNs-last.BlockedNs)
-	e.rec.Add(obs.CtrPosRawBytes, t.PosRawBytes-last.PosRawBytes)
-	e.rec.Add(obs.CtrPosWireBytes, t.PosWireBytes-last.PosWireBytes)
-	e.rec.Add(obs.CtrForceRawBytes, t.ForceRawBytes-last.ForceRawBytes)
-	e.rec.Add(obs.CtrForceWireBytes, t.ForceWireBytes-last.ForceWireBytes)
-}
-
 // mergeMesh merges the shards' fixed-point mesh buffers into the
 // canonical mesh, parallel across disjoint cell ranges: each cell is
 // summed over shards and their workers in fixed order and written by
@@ -278,16 +261,11 @@ func (e *Engine) noteMeshTraffic() {
 	})
 	// The measured-comm notes land serially in ascending (shard, dst)
 	// order, keeping the traffic ledger deterministic.
-	var meshMsgs int64
 	for si, st := range shards {
 		for dst, cells := range net.meshCellRows[si] {
 			if cells > 0 && int32(dst) != st.id {
 				net.comm.noteMesh(int(st.id), dst, int(cells))
-				meshMsgs++
 			}
 		}
-	}
-	if e.rec != nil && meshMsgs > 0 {
-		e.rec.Add(obs.CtrShardMeshMsgs, meshMsgs)
 	}
 }

@@ -1,13 +1,11 @@
 package core
 
 import (
-	"bytes"
 	"errors"
 	"fmt"
 	"time"
 
 	"anton/internal/faults"
-	"anton/internal/obs"
 )
 
 // The shard supervisor: crash detection and checkpoint-rollback recovery
@@ -23,10 +21,12 @@ import (
 //	    way, so recovery proceeds identically).
 //	RECOVERING: bump the epoch (in-flight messages become stale), respawn
 //	    every crashed executor (an executor is a goroutine; it can always
-//	    come back), drain every inbox and ack queue, restore the whole
-//	    engine from the in-memory checkpoint image, drop the trace spans
-//	    of the steps after it (the replay records them again), and
-//	    resume. A restore error parks the engine with Err() set.
+//	    come back), drain every inbox and ack queue, fold the counters
+//	    (the recorder keeps the abandoned work), restore the whole engine
+//	    from the in-memory checkpoint image and Stats from beside it, drop
+//	    the trace spans of the steps after it (the replay records them
+//	    again), and resume. A restore error parks the engine with Err()
+//	    set.
 //
 // Rollback-everyone (rather than surgical per-shard repair) is what makes
 // the recovery provably bitwise: the restored state is a complete, CRC-
@@ -91,15 +91,14 @@ type supervisor struct {
 
 	seen []bool // collect() scratch
 
-	ckptImage []byte // the rollback image (nil before the baseline)
+	// The rollback image (nil before the baseline), its step, and the
+	// engine's Stats when it was taken: Stats is not part of a checkpoint,
+	// and restoring it with the image makes it count the trajectory.
+	ckptImage []byte
 	ckptStep  int
+	ckptStats Stats
 
 	recoveries, spurious, replaySteps, recoveryNs int64
-
-	// Counter-fold deltas (obs counters are add-only).
-	prevT TransportStats
-	prevF faults.Counts
-	prevR [3]int64 // recoveries, replaySteps, recoveryNs folded
 }
 
 // EnableFaults attaches a fault plane and the supervised recovery
@@ -254,10 +253,13 @@ func (sup *supervisor) recoverFrom(f *stageFail, streak int) bool {
 		drainAcks(st.acks)
 		st.out = st.out[:0]
 	}
-	if err := e.RestoreCheckpoint(bytes.NewReader(sup.ckptImage)); err != nil {
+	e.foldCounters(true) // the abandoned attempt's work, before Stats rolls back
+	if err := e.restoreImage(sup.ckptImage); err != nil {
 		e.net.err = fmt.Errorf("core: recovery restore failed: %w", err)
 		return false
 	}
+	e.Stats = sup.ckptStats
+	e.foldCounters(false)
 	if rec := e.rec; rec != nil {
 		rec.Rewind(int64(sup.ckptStep))
 	}
@@ -282,61 +284,17 @@ func (sup *supervisor) recoverFrom(f *stageFail, streak int) bool {
 	return true
 }
 
-// checkpoint captures the engine image the next recovery rolls back to.
-// Driver-serial, between steps only. Returns false with the engine's err
-// set when the image could not be encoded.
-func (sup *supervisor) checkpoint() bool {
-	buf := bytes.NewBuffer(sup.ckptImage[:0]) // the old image's storage, reused
-	if err := sup.e.WriteCheckpoint(buf); err != nil {
-		sup.e.net.err = fmt.Errorf("core: rollback checkpoint failed: %w", err)
-		return false
-	}
-	sup.ckptImage, sup.ckptStep = buf.Bytes(), sup.e.step
-	return true
+// checkpoint captures the engine image the next recovery rolls back to,
+// in the old image's storage. Driver-serial, between steps only.
+func (sup *supervisor) checkpoint() {
+	e := sup.e
+	sup.ckptImage, sup.ckptStep, sup.ckptStats = e.appendCheckpoint(sup.ckptImage[:0]), e.step, e.Stats
 }
 
 // stepDone closes one completed step (or the step-0 force evaluation)
-// under supervision: refresh the rollback image on the checkpoint cadence
-// and fold the fault counters.
-func (sup *supervisor) stepDone() bool {
+// under supervision: refresh the rollback image on the checkpoint cadence.
+func (sup *supervisor) stepDone() {
 	if step := sup.e.step; step%sup.cfg.CheckpointEvery == 0 && step != sup.ckptStep {
-		if !sup.checkpoint() {
-			return false
-		}
+		sup.checkpoint()
 	}
-	sup.foldFaultCounters()
-	return true
-}
-
-// foldFaultCounters delta-folds the plane's and the transport's tallies
-// into the obs recorder (driver-serial, once per completed step).
-func (sup *supervisor) foldFaultCounters() {
-	rec := sup.e.rec
-	if rec == nil {
-		return
-	}
-	add := func(c obs.Counter, v int64) {
-		if v > 0 {
-			rec.Add(c, v)
-		}
-	}
-	fc := sup.plane.Counts()
-	add(obs.CtrFaultDrops, fc.Drops-sup.prevF.Drops)
-	add(obs.CtrFaultDups, fc.Dups-sup.prevF.Dups)
-	add(obs.CtrFaultDelays, fc.Delays-sup.prevF.Delays)
-	add(obs.CtrFaultCorrupts, fc.Corrupts-sup.prevF.Corrupts)
-	add(obs.CtrFaultStalls, fc.Stalls-sup.prevF.Stalls)
-	add(obs.CtrFaultCrashes, fc.CrashesFired-sup.prevF.CrashesFired)
-	sup.prevF = fc
-
-	t := sup.e.TransportStats()
-	add(obs.CtrRetransmits, t.Retransmits-sup.prevT.Retransmits)
-	add(obs.CtrDupDiscards, t.DupDiscards-sup.prevT.DupDiscards)
-	add(obs.CtrCrcDiscards, t.CrcDiscards-sup.prevT.CrcDiscards)
-	sup.prevT = t
-
-	add(obs.CtrRecoveries, sup.recoveries-sup.prevR[0])
-	add(obs.CtrReplaySteps, sup.replaySteps-sup.prevR[1])
-	add(obs.CtrRecoveryNs, sup.recoveryNs-sup.prevR[2])
-	sup.prevR = [3]int64{sup.recoveries, sup.replaySteps, sup.recoveryNs}
 }

@@ -286,7 +286,10 @@ func (r *Recorder) StepDone(step int64) {
 // Rewind marks a rollback to the end of step `step`: an attached tracer
 // drops the spans of the open step and of every later step, so the
 // replayed steps record theirs once. Phase times, counters and the step
-// count keep the abandoned work: it was done and it took that time.
+// count keep the abandoned work: it was done and it took that time. (The
+// engine folds its tallies into the counters before it rolls back and
+// counts the replay after; its own Stats, restored with the state, count
+// each trajectory step once.)
 func (r *Recorder) Rewind(step int64) {
 	if r.trc != nil {
 		r.trc.rewind(step)

@@ -136,7 +136,7 @@ echo "== trace export and watchdog: generate + validate =="
 # against a drift reference from before the rollback. The three runs'
 # checkpoints must be byte-identical: the state and the long-range energy
 # they carry do not depend on the execution mode, on faults or on the
-# host's worker count.
+# host's worker count. So must their hardware statistics blocks.
 tmpdir="$(mktemp -d /tmp/anton-verify-XXXXXX)"
 trap 'rm -rf "$tmpdir"' EXIT
 watchdog_ok() {
@@ -162,6 +162,14 @@ grep -qF 'recoveries: 1 ' "$tmpdir/chaos8.out" || { echo "verify: the crash camp
 go run scripts/validate_trace.go "$tmpdir/trace.json"
 cmp "$tmpdir/mono.ckpt" "$tmpdir/shard8.ckpt"
 cmp "$tmpdir/mono.ckpt" "$tmpdir/chaos8.ckpt"
+# The hardware statistics count the trajectory's work: the same block in
+# every layout, and under a rollback each replayed step counts once.
+for run in mono shard8 chaos8; do
+	sed -n '/^hardware statistics/,/unconverged/p' "$tmpdir/$run.out" >"$tmpdir/$run.stats"
+done
+grep -qF 'hardware statistics over 30 steps:' "$tmpdir/mono.stats" || { echo "verify: no 30-step statistics block in mono.out"; exit 1; }
+cmp "$tmpdir/mono.stats" "$tmpdir/shard8.stats"
+cmp "$tmpdir/mono.stats" "$tmpdir/chaos8.stats"
 
 echo "== antonbench: the cheap experiments, twice =="
 # README's first experiment command: every model-only table and figure.
