@@ -80,7 +80,7 @@ func (e *Engine) fingerprint() configFingerprint {
 		Dt:            e.Cfg.Dt,
 		Cutoff:        e.Sys.Cutoff,
 		BoxL:          e.Coder.L,
-		TopoHash:      topologyHash(e.Sys.Top),
+		TopoHash:      e.topoHash,
 	}
 }
 

@@ -98,6 +98,11 @@ type Engine struct {
 	Pos []fixp.Vec3
 	Vel []Vel3
 
+	// topoHash is topologyHash(Sys.Top), taken once: the topology does
+	// not change after construction, and every checkpoint write, restore
+	// and rollback image reads it through fingerprint.
+	topoHash uint64
+
 	fShort []Force3 // per-step range-limited + bonded forces
 	fLong  []Force3 // long-range impulse forces (unscaled), refreshed every MTS interval
 
@@ -243,6 +248,8 @@ func newEngine(s *system.System, cfg Config, perBox bool) (*Engine, error) {
 		fLong:  make([]Force3, s.NAtoms()),
 		grid:   m.Grid(),
 		mu:     htis.NewMatchUnit(s.Box.L.X/2, s.Cutoff, 8),
+
+		topoHash: topologyHash(s.Top),
 	}
 	e.boxSide = m.BoxSide(s.Box.L.X)
 

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"math"
 	"slices"
-	"sort"
 )
 
 // Atom describes one particle of the chemical system. A particle need not
@@ -170,32 +169,13 @@ func (t *Topology) BuildExclusions() {
 		excl[p] = struct{}{}
 	}
 	exclude := func(i, j int) { excl[orderedPair(i, j)] = struct{}{} }
-	// Adjacency from bonds and constraints (constrained bonds often replace
-	// the bond term, e.g. rigid water has constraints only).
-	adj := make(map[int][]int)
-	link := func(i, j int) {
-		adj[i] = append(adj[i], j)
-		adj[j] = append(adj[j], i)
-	}
-	for _, b := range t.Bonds {
-		link(b.I, b.J)
-	}
-	for _, c := range t.Constraints {
-		link(c.I, c.J)
-	}
-	// 1-2.
-	for _, b := range t.Bonds {
-		exclude(b.I, b.J)
-	}
-	for _, c := range t.Constraints {
-		exclude(c.I, c.J)
-	}
-	// 1-3 via shared neighbor.
-	for _, nbrs := range adj {
-		for a := 0; a < len(nbrs); a++ {
-			for b := a + 1; b < len(nbrs); b++ {
-				if nbrs[a] != nbrs[b] {
-					exclude(nbrs[a], nbrs[b])
+	adj := t.Adjacency()
+	for i, nbrs := range adj {
+		for a, j := range nbrs {
+			exclude(i, j) // 1-2
+			for _, k := range nbrs[a+1:] {
+				if k != j {
+					exclude(j, k) // 1-3, via i
 				}
 			}
 		}
@@ -265,6 +245,26 @@ func (t *Topology) BuildExclusions() {
 	t.constraintGroups = nil // invalidate cache
 }
 
+// Adjacency is the covalent graph: for each atom, the other atom of every
+// bond, then of every constraint, in term order (constrained bonds often
+// replace the bond term; rigid water has constraints only). The
+// exclusions, the 1-4 pairs and the protein builder's generated angles
+// and clash relaxation all read this one graph.
+func (t *Topology) Adjacency() [][]int {
+	adj := make([][]int, len(t.Atoms))
+	link := func(i, j int) {
+		adj[i] = append(adj[i], j)
+		adj[j] = append(adj[j], i)
+	}
+	for _, b := range t.Bonds {
+		link(b.I, b.J)
+	}
+	for _, c := range t.Constraints {
+		link(c.I, c.J)
+	}
+	return adj
+}
+
 // orderedPair is the {min, max} form of an atom pair.
 func orderedPair(i, j int) [2]int32 {
 	return [2]int32{int32(min(i, j)), int32(max(i, j))}
@@ -278,16 +278,17 @@ func (t *Topology) ConstraintGroups() [][]int {
 	if t.constraintGroups != nil {
 		return t.constraintGroups
 	}
-	parent := make(map[int]int)
+	parent := make([]int, len(t.Atoms))
+	for i := range parent {
+		parent[i] = -1 // not in any group
+	}
 	var find func(int) int
 	find = func(x int) int {
-		if p, ok := parent[x]; ok && p != x {
-			r := find(p)
-			parent[x] = r
-			return r
-		}
-		if _, ok := parent[x]; !ok {
+		if parent[x] < 0 {
 			parent[x] = x
+		}
+		if parent[x] != x {
+			parent[x] = find(parent[x])
 		}
 		return parent[x]
 	}
@@ -305,18 +306,22 @@ func (t *Topology) ConstraintGroups() [][]int {
 		union(v.I, v.J)
 		union(v.J, v.K)
 	}
-	groups := make(map[int][]int)
+	// One ascending pass: each group comes out sorted, and the groups in
+	// order of their first atom. slot maps a root to its group's index
+	// plus one.
+	out := make([][]int, 0)
+	slot := make([]int, len(t.Atoms))
 	for x := range parent {
+		if parent[x] < 0 {
+			continue
+		}
 		r := find(x)
-		groups[r] = append(groups[r], x)
+		if slot[r] == 0 {
+			out = append(out, nil)
+			slot[r] = len(out)
+		}
+		out[slot[r]-1] = append(out[slot[r]-1], x)
 	}
-	out := make([][]int, 0, len(groups))
-	for _, g := range groups {
-		sortInts(g)
-		out = append(out, g)
-	}
-	// Deterministic order: by first atom index.
-	sortGroups(out)
 	t.constraintGroups = out
 	return out
 }
@@ -392,10 +397,4 @@ func firstErr(errs ...error) error {
 		}
 	}
 	return nil
-}
-
-func sortInts(a []int) { sort.Ints(a) }
-
-func sortGroups(g [][]int) {
-	sort.Slice(g, func(i, j int) bool { return g[i][0] < g[j][0] })
 }

@@ -94,17 +94,36 @@ func TestConstraintGroups(t *testing.T) {
 	for i := range top.Atoms {
 		top.Atoms[i].Mass = 1
 	}
-	// Two disjoint groups: {0,1,2} (water-like triangle) and {5,6}.
+	// Three disjoint groups: {0,1,2} (water-like triangle), {5,6}, and
+	// {3,7,8}, whose constraints are listed out of atom order. Groups come
+	// out sorted, ordered by first atom.
 	top.Constraints = []Constraint{
+		{I: 8, J: 7, R: 1},
 		{I: 0, J: 1, R: 1}, {I: 0, J: 2, R: 1}, {I: 1, J: 2, R: 1.5},
-		{I: 5, J: 6, R: 1.1},
+		{I: 5, J: 6, R: 1.1}, {I: 3, J: 8, R: 1},
 	}
 	groups := top.ConstraintGroups()
-	if len(groups) != 2 {
-		t.Fatalf("groups: got %d, want 2: %v", len(groups), groups)
+	if len(groups) != 3 {
+		t.Fatalf("groups: got %d, want 3: %v", len(groups), groups)
 	}
-	if !equalInts(groups[0], []int{0, 1, 2}) || !equalInts(groups[1], []int{5, 6}) {
+	if !equalInts(groups[0], []int{0, 1, 2}) || !equalInts(groups[1], []int{3, 7, 8}) || !equalInts(groups[2], []int{5, 6}) {
 		t.Errorf("groups wrong: %v", groups)
+	}
+	// No constraints: an empty, non-nil result, so the cache holds.
+	if g := chainTopology().ConstraintGroups(); g == nil || len(g) != 0 {
+		t.Errorf("unconstrained topology: got %#v, want an empty non-nil slice", g)
+	}
+}
+
+// TestAdjacencyOrder: each atom lists the other atom of every bond, then
+// of every constraint, in term order.
+func TestAdjacencyOrder(t *testing.T) {
+	top := &Topology{Atoms: make([]Atom, 4)}
+	top.Constraints = []Constraint{{I: 2, J: 0, R: 1}}
+	top.Bonds = []Bond{{I: 1, J: 0, R0: 1, K: 1}, {I: 0, J: 3, R0: 1, K: 1}}
+	want := [][]int{{1, 3, 2}, {0}, {0}, {0}}
+	if got := top.Adjacency(); !slices.EqualFunc(got, want, slices.Equal[[]int]) {
+		t.Errorf("Adjacency: got %v, want %v", got, want)
 	}
 }
 

@@ -70,7 +70,7 @@ func Build(spec Spec) (*System, error) {
 
 	center := vec.V3{X: spec.Side / 2, Y: spec.Side / 2, Z: spec.Side / 2}
 	if spec.ProteinAtoms > 0 {
-		pr := BuildProtein(top, params, spec.ProteinAtoms, center, spec.Ions, 0)
+		pr := BuildProtein(top, params, spec.ProteinAtoms, center, spec.Ions)
 		r = append(r, pr...)
 	}
 

@@ -52,7 +52,8 @@ var AtomsPerResidue = len(residueTemplate)
 // caSpacing is the distance between consecutive alpha carbons.
 const caSpacing = 3.8
 
-// templateBonds are intra-residue bonds as template-index pairs.
+// templateBonds are intra-residue bonds as template-index pairs; a
+// hydrogen is always the second atom of its pair.
 var templateBonds = [][2]int{
 	{0, 1}, {0, 2}, {2, 3}, {2, 4}, {4, 5}, {2, 6}, {6, 7}, {6, 8}, {6, 9}, {9, 10},
 }
@@ -123,21 +124,23 @@ func backboneWalk(nRes int) []vec.V3 {
 	return pos
 }
 
-// BuildProtein appends a synthetic protein with exactly nAtoms atoms to
-// the topology, centered at `center`, and returns the atom positions. The
-// protein consists of nAtoms/AtomsPerResidue template residues plus
-// nAtoms%AtomsPerResidue carbon cap atoms chained to the final side chain,
-// so any target atom count is reachable. chargedResidues of the first
-// residues carry +1 (on the side-chain carbon), modelling basic residues
-// balanced by counterions elsewhere.
-func BuildProtein(t *ff.Topology, p *ff.ParamSet, nAtoms int, center vec.V3, chargedResidues int, firstResidue int) []vec.V3 {
+// BuildProtein fills an empty topology with a synthetic protein of
+// exactly nAtoms atoms, centered at `center`, and returns the atom
+// positions. The protein consists of nAtoms/AtomsPerResidue template
+// residues plus nAtoms%AtomsPerResidue carbon cap atoms chained to the
+// final side chain, so any target atom count is reachable.
+// chargedResidues of the first residues carry +1 (on the side-chain
+// carbon), modelling basic residues balanced by counterions elsewhere.
+func BuildProtein(t *ff.Topology, p *ff.ParamSet, nAtoms int, center vec.V3, chargedResidues int) []vec.V3 {
 	nRes := nAtoms / AtomsPerResidue
 	caps := nAtoms % AtomsPerResidue
 	if nRes == 0 {
 		panic("system: protein too small for one residue")
 	}
+	if len(t.Atoms) != 0 {
+		panic("system: BuildProtein needs an empty topology")
+	}
 	cas := backboneWalk(nRes)
-	base := len(t.Atoms)
 	r := make([]vec.V3, 0, nAtoms)
 
 	// Local frames: forward toward the next CA; up chosen stably.
@@ -170,110 +173,86 @@ func BuildProtein(t *ff.Topology, p *ff.ParamSet, nAtoms int, center vec.V3, cha
 				Mass:    ta.mass,
 				Charge:  q,
 				LJType:  ljClass(p, ta.lj),
-				Residue: firstResidue + i,
+				Residue: i,
 			})
 			r = append(r, frame(ta.pos))
 		}
 	}
 
-	// Cap atoms: a short carbon tail off the last residue's CG. Bond
-	// terms are created after the relaxation pass below.
-	lastCG := base + (nRes-1)*AtomsPerResidue + 9
-	var capPairs [][2]int
-	prev := lastCG
+	// The covalent graph, recorded once as topology terms at the built
+	// distances: each residue's template bonds, then its peptide link
+	// C(i)-N(i+1), then the cap chain. Bonds to hydrogens become
+	// constraints (Table 4: "bond lengths to hydrogen atoms were
+	// constrained"), parent first; every other pair is a harmonic bond.
+	link := func(i, j int) {
+		d := vec.Dist(r[i], r[j])
+		if t.Atoms[j].Name[0] == 'H' {
+			t.Constraints = append(t.Constraints, ff.Constraint{I: i, J: j, R: d})
+			return
+		}
+		t.Bonds = append(t.Bonds, ff.Bond{I: i, J: j, R0: d, K: 300})
+	}
+	for i := 0; i < nRes; i++ {
+		o := i * AtomsPerResidue
+		for _, tb := range templateBonds {
+			link(o+tb[0], o+tb[1])
+		}
+		if i+1 < nRes {
+			link(o+4, o+AtomsPerResidue)
+		}
+	}
+	// Cap atoms: a short carbon tail off the last residue's CG.
+	prev := (nRes-1)*AtomsPerResidue + 9
 	for c := 0; c < caps; c++ {
 		idx := len(t.Atoms)
 		t.Atoms = append(t.Atoms, ff.Atom{
 			Name: "CT", Mass: ff.MassC, Charge: 0,
-			LJType: ljClass(p, "C"), Residue: firstResidue + nRes - 1,
+			LJType: ljClass(p, "C"), Residue: nRes - 1,
 		})
 		dir := vec.V3{X: 1.25, Y: 0.45 * float64(1-2*(c%2)), Z: 0.3}
-		r = append(r, r[prev-base].Add(dir))
-		capPairs = append(capPairs, [2]int{prev, idx})
+		r = append(r, r[prev].Add(dir))
+		link(prev, idx)
 		prev = idx
 	}
+	adj := t.Adjacency()
 
 	// Push apart steric clashes between heavy atoms that are not covalent
 	// neighbors (local frames rotate at walk turns, where side chains can
-	// collide). Hydrogens ride rigidly on their parent heavy atom so the
-	// X-H geometry — and therefore the constraint lengths derived from it
-	// below — stays at the template values. This runs *before* bonded
-	// parameters are derived, so the relaxed geometry is the mechanical
-	// equilibrium of the topology.
+	// collide), holding the bonds at their built lengths. Hydrogens ride
+	// rigidly on their parent heavy atom so the X-H geometry stays at the
+	// template values. Then every R0 and constraint length is taken from
+	// the relaxed geometry, so it is the mechanical equilibrium of the
+	// topology.
 	prePos := append([]vec.V3(nil), r...)
-	isH := make([]bool, len(r))
-	hParent := make(map[int]int)
-	for i := 0; i < nRes; i++ {
-		o := i * AtomsPerResidue
-		for _, tb := range templateBonds {
-			a, bb := o+tb[0], o+tb[1]
-			switch {
-			case residueTemplate[tb[0]].name[0] == 'H':
-				isH[a] = true
-				hParent[a] = bb
-			case residueTemplate[tb[1]].name[0] == 'H':
-				isH[bb] = true
-				hParent[bb] = a
+	relaxProteinClashes(r, adj, t.Bonds, t.Constraints, 2.6, 60)
+	for _, c := range t.Constraints {
+		r[c.J] = prePos[c.J].Add(r[c.I].Sub(prePos[c.I]))
+	}
+	relaxHydrogens(r, adj, t.Constraints, 1.5, 40)
+	for k := range t.Bonds {
+		b := &t.Bonds[k]
+		b.R0 = vec.Dist(r[b.I], r[b.J])
+	}
+	for k := range t.Constraints {
+		c := &t.Constraints[k]
+		c.R = vec.Dist(r[c.I], r[c.J])
+	}
+
+	// Angles for every pair of covalent neighbors of a vertex, in
+	// adjacency order, with the equilibrium at the built geometry.
+	for j, nbrs := range adj {
+		for a, i := range nbrs {
+			for _, k := range nbrs[a+1:] {
+				t.Angles = append(t.Angles, ff.Angle{I: i, J: j, K: k, Theta0: vec.Angle(r[i], r[j], r[k]), KTheta: 50})
 			}
 		}
 	}
-	neighbors := proteinNeighborSet(nRes, capPairs, base)
-	var heavyBonds []bondTarget
-	for i := 0; i < nRes; i++ {
-		o := i * AtomsPerResidue
-		for _, tb := range templateBonds {
-			if residueTemplate[tb[0]].name[0] == 'H' || residueTemplate[tb[1]].name[0] == 'H' {
-				continue
-			}
-			heavyBonds = append(heavyBonds, bondTarget{o + tb[0], o + tb[1], vec.Dist(r[o+tb[0]], r[o+tb[1]])})
-		}
-		if i+1 < nRes {
-			heavyBonds = append(heavyBonds, bondTarget{o + 4, o + AtomsPerResidue, vec.Dist(r[o+4], r[o+AtomsPerResidue])})
-		}
-	}
-	for _, cp := range capPairs {
-		heavyBonds = append(heavyBonds, bondTarget{cp[0] - base, cp[1] - base, vec.Dist(r[cp[0]-base], r[cp[1]-base])})
-	}
-	relaxProteinClashes(r, neighbors, 2.6, 60, isH, heavyBonds)
-	for h, parent := range hParent {
-		r[h] = prePos[h].Add(r[parent].Sub(prePos[parent]))
-	}
-	relaxHydrogens(r, hParent, neighbors, 1.5, 40)
-
-	// Bonds: intra-residue templates plus peptide links, with equilibrium
-	// lengths taken from the built geometry so the initial structure is
-	// mechanically relaxed. Bonds to hydrogens become constraints
-	// (Table 4: "bond lengths to hydrogen atoms were constrained").
-	addBond := func(i, j int) {
-		ri, rj := r[i-base], r[j-base]
-		if t.Atoms[i].Name[0] == 'H' || t.Atoms[j].Name[0] == 'H' {
-			t.Constraints = append(t.Constraints, ff.Constraint{I: i, J: j, R: vec.Dist(ri, rj)})
-			return
-		}
-		t.Bonds = append(t.Bonds, bondFromGeometry(i, j, ri, rj, 300))
-	}
-	for i := 0; i < nRes; i++ {
-		o := base + i*AtomsPerResidue
-		for _, tb := range templateBonds {
-			addBond(o+tb[0], o+tb[1])
-		}
-		if i+1 < nRes {
-			addBond(o+4, o+AtomsPerResidue) // C(i) - N(i+1)
-		}
-	}
-	for _, cp := range capPairs {
-		addBond(cp[0], cp[1])
-	}
-
-	// Angles for every bonded-pair sharing an atom, equilibrium at the
-	// built geometry.
-	addGeneratedAngles(t, base, len(t.Atoms), r, base, 50)
 	// Carbonyl planarity: an improper torsion at each backbone C keeps
 	// (C, CA, N', O) planar, with the equilibrium at the built geometry.
 	for i := 0; i+1 < nRes; i++ {
-		o := base + i*AtomsPerResidue
+		o := i * AtomsPerResidue
 		quad := [4]int{o + 4, o + 2, o + AtomsPerResidue, o + 5} // C, CA, N', O
-		chi := vec.Dihedral(r[quad[0]-base], r[quad[1]-base], r[quad[2]-base], r[quad[3]-base])
+		chi := vec.Dihedral(r[quad[0]], r[quad[1]], r[quad[2]], r[quad[3]])
 		t.Impropers = append(t.Impropers, ff.Improper{
 			I: quad[0], J: quad[1], K: quad[2], L: quad[3], Chi0: chi, KChi: 10,
 		})
@@ -282,13 +261,13 @@ func BuildProtein(t *ff.Topology, p *ff.ParamSet, nAtoms int, center vec.V3, cha
 	// Backbone torsions with the phase chosen so the built geometry is a
 	// minimum: V = K*(1 + cos(n*phi - phase)) minimized at phase = n*phi - pi.
 	for i := 0; i+1 < nRes; i++ {
-		o := base + i*AtomsPerResidue
+		o := i * AtomsPerResidue
 		quads := [][4]int{
 			{o, o + 2, o + 4, o + AtomsPerResidue},                       // N-CA-C-N'
 			{o + 2, o + 4, o + AtomsPerResidue, o + AtomsPerResidue + 2}, // CA-C-N'-CA'
 		}
 		for _, q := range quads {
-			phi := vec.Dihedral(r[q[0]-base], r[q[1]-base], r[q[2]-base], r[q[3]-base])
+			phi := vec.Dihedral(r[q[0]], r[q[1]], r[q[2]], r[q[3]])
 			phase := math.Mod(3*phi-math.Pi, 2*math.Pi)
 			t.Dihedrals = append(t.Dihedrals, ff.Dihedral{
 				I: q[0], J: q[1], K: q[2], L: q[3], N: 3, Phase: phase, KPhi: 0.6,
@@ -296,41 +275,6 @@ func BuildProtein(t *ff.Topology, p *ff.ParamSet, nAtoms int, center vec.V3, cha
 		}
 	}
 	return r
-}
-
-func bondFromGeometry(i, j int, ri, rj vec.V3, k float64) ff.Bond {
-	return ff.Bond{I: i, J: j, R0: vec.Dist(ri, rj), K: k}
-}
-
-// addGeneratedAngles creates a harmonic angle for every pair of bonds or
-// constraints sharing a vertex within [lo, hi), with the equilibrium at
-// the current geometry.
-func addGeneratedAngles(t *ff.Topology, lo, hi int, r []vec.V3, base int, k float64) {
-	adj := make(map[int][]int)
-	link := func(i, j int) {
-		if i >= lo && i < hi && j >= lo && j < hi {
-			adj[i] = append(adj[i], j)
-			adj[j] = append(adj[j], i)
-		}
-	}
-	for _, b := range t.Bonds {
-		link(b.I, b.J)
-	}
-	for _, c := range t.Constraints {
-		link(c.I, c.J)
-	}
-	for j := lo; j < hi; j++ {
-		nbrs := adj[j]
-		for a := 0; a < len(nbrs); a++ {
-			for b := a + 1; b < len(nbrs); b++ {
-				i, kk := nbrs[a], nbrs[b]
-				// Skip pure H-H-vertex angles inside constrained groups;
-				// constraints already fix them.
-				theta := vec.Angle(r[i-base], r[j-base], r[kk-base])
-				t.Angles = append(t.Angles, ff.Angle{I: i, J: j, K: kk, Theta0: theta, KTheta: k})
-			}
-		}
-	}
 }
 
 // InitVelocities draws Maxwell-Boltzmann velocities at temperature T (K)

@@ -3,97 +3,137 @@ package system
 import (
 	"sort"
 
+	"anton/internal/ff"
 	"anton/internal/vec"
 )
 
-// proteinNeighborSet returns the set of atom pairs (keys i<<32|j, i<j)
-// within two covalent bonds of each other (1-2 and 1-3) for the standard
-// residue layout, which the clash relaxation must leave alone.
-func proteinNeighborSet(nRes int, capPairs [][2]int, base int) map[uint64]bool {
-	adj := make(map[int][]int)
-	link := func(i, j int) {
-		adj[i] = append(adj[i], j)
-		adj[j] = append(adj[j], i)
-	}
-	for i := 0; i < nRes; i++ {
-		o := base + i*AtomsPerResidue
-		for _, tb := range templateBonds {
-			link(o+tb[0], o+tb[1])
-		}
-		if i+1 < nRes {
-			link(o+4, o+AtomsPerResidue)
-		}
-	}
-	for _, cp := range capPairs {
-		link(cp[0], cp[1])
-	}
-	set := make(map[uint64]bool)
-	add := func(i, j int) {
-		if i == j {
-			return
-		}
-		if i > j {
-			i, j = j, i
-		}
-		set[uint64(i)<<32|uint64(uint32(j))] = true
-	}
-	for i, nbrs := range adj {
-		for _, j := range nbrs {
-			add(i, j) // 1-2
-			for _, k := range adj[j] {
-				add(i, k) // 1-3
+// cellIndex is a non-periodic cell list over a set of positions: cell
+// (a, b, c) holds, in ascending order, the atoms whose position p has
+// int(p.X/d) == a, int(p.Y/d) == b and int(p.Z/d) == c. The keys
+// truncate toward zero, so the cells straddling 0 are twice as wide; the
+// relaxation's pushes, and so the built geometry, depend on exactly these
+// cells and this order.
+type cellIndex struct {
+	d     float64
+	lo, n [3]int
+	start []int32 // cell l's atoms are atoms[start[l]:start[l+1]]
+	atoms []int32
+}
+
+func (c *cellIndex) key(p vec.V3) [3]int {
+	return [3]int{int(p.X / c.d), int(p.Y / c.d), int(p.Z / c.d)}
+}
+
+// newCellIndex indexes r on a d-sized grid spanning r's cells.
+func newCellIndex(r []vec.V3, d float64) *cellIndex {
+	c := &cellIndex{d: d}
+	keys := make([][3]int, len(r))
+	var hi [3]int
+	for i, p := range r {
+		keys[i] = c.key(p)
+		for a, k := range keys[i] {
+			if i == 0 || k < c.lo[a] {
+				c.lo[a] = k
+			}
+			if i == 0 || k > hi[a] {
+				hi[a] = k
 			}
 		}
 	}
-	return set
+	for a := range c.n {
+		c.n[a] = hi[a] - c.lo[a] + 1
+	}
+	cells := c.n[0] * c.n[1] * c.n[2]
+	c.start = make([]int32, cells+1)
+	for _, k := range keys {
+		c.start[c.lin(k)+1]++
+	}
+	for l := 0; l < cells; l++ {
+		c.start[l+1] += c.start[l]
+	}
+	c.atoms = make([]int32, len(r))
+	fill := append([]int32(nil), c.start[:cells]...)
+	for i, k := range keys {
+		l := c.lin(k)
+		c.atoms[fill[l]] = int32(i)
+		fill[l]++
+	}
+	return c
+}
+
+// lin is the cell number of key k, or -1 outside the indexed range.
+func (c *cellIndex) lin(k [3]int) int {
+	for a := range k {
+		k[a] -= c.lo[a]
+		if k[a] < 0 || k[a] >= c.n[a] {
+			return -1
+		}
+	}
+	return (k[0]*c.n[1]+k[1])*c.n[2] + k[2]
+}
+
+// near calls fn for every atom in the 27 cells around p's cell, walking
+// the offsets dx, dy, dz from -1 to 1 (dz fastest) and each cell in
+// ascending order.
+func (c *cellIndex) near(p vec.V3, fn func(j int)) {
+	k := c.key(p)
+	for dx := -1; dx <= 1; dx++ {
+		for dy := -1; dy <= 1; dy++ {
+			for dz := -1; dz <= 1; dz++ {
+				l := c.lin([3]int{k[0] + dx, k[1] + dy, k[2] + dz})
+				if l < 0 {
+					continue
+				}
+				for _, j := range c.atoms[c.start[l]:c.start[l+1]] {
+					fn(int(j))
+				}
+			}
+		}
+	}
+}
+
+// covalentNeighbors reports whether atoms i and j are within two
+// covalent bonds of each other (1-2 or 1-3), pairs the clash relaxation
+// leaves alone.
+func covalentNeighbors(adj [][]int, i, j int) bool {
+	for _, a := range adj[i] {
+		if a == j {
+			return true
+		}
+		for _, b := range adj[j] {
+			if a == b {
+				return true
+			}
+		}
+	}
+	return false
 }
 
 // relaxHydrogens resolves remaining hydrogen clashes by rotating each
 // hydrogen about its parent heavy atom (preserving the X-H distance that
 // the constraints will be derived from): the hydrogen is pushed away from
-// clash partners and re-projected onto its bond sphere.
-func relaxHydrogens(r []vec.V3, hParent map[int]int, neighbors map[uint64]bool, dmin float64, maxIter int) {
-	n := len(r)
-	hs := make([]int, 0, len(hParent))
-	for h := range hParent {
-		hs = append(hs, h)
-	}
-	sort.Ints(hs)
+// clash partners and re-projected onto its bond sphere. Each constraint
+// joins a parent I to its hydrogen J; the hydrogens are visited in
+// constraint order, which is ascending.
+func relaxHydrogens(r []vec.V3, adj [][]int, cons []ff.Constraint, dmin float64, maxIter int) {
 	for iter := 0; iter < maxIter; iter++ {
-		cells := make(map[[3]int][]int)
-		key := func(p vec.V3) [3]int {
-			return [3]int{int(p.X / dmin), int(p.Y / dmin), int(p.Z / dmin)}
-		}
-		for i := 0; i < n; i++ {
-			cells[key(r[i])] = append(cells[key(r[i])], i)
-		}
+		cells := newCellIndex(r, dmin)
 		moved := false
-		for _, h := range hs {
-			parent := hParent[h]
+		for _, c := range cons {
+			h, parent := c.J, c.I
 			bondLen := vec.Dist(r[h], r[parent])
 			var push vec.V3
-			k := key(r[h])
-			for dx := -1; dx <= 1; dx++ {
-				for dy := -1; dy <= 1; dy++ {
-					for dz := -1; dz <= 1; dz++ {
-						for _, j := range cells[[3]int{k[0] + dx, k[1] + dy, k[2] + dz}] {
-							if j == h {
-								continue
-							}
-							pk := pairKey64(h, j)
-							if neighbors[pk] {
-								continue
-							}
-							d := r[h].Sub(r[j])
-							dist := d.Norm()
-							if dist >= dmin || dist < 1e-9 {
-								continue
-							}
-							push = push.Add(d.Scale((dmin - dist) / dist))
-						}
-					}
+			cells.near(r[h], func(j int) {
+				if j == h {
+					return
 				}
-			}
+				d := r[h].Sub(r[j])
+				dist := d.Norm()
+				if dist >= dmin || dist < 1e-9 || covalentNeighbors(adj, h, j) {
+					return
+				}
+				push = push.Add(d.Scale((dmin - dist) / dist))
+			})
 			if push.Norm() == 0 {
 				continue
 			}
@@ -111,81 +151,48 @@ func relaxHydrogens(r []vec.V3, hParent map[int]int, neighbors map[uint64]bool, 
 	}
 }
 
-func pairKey64(i, j int) uint64 {
-	if i > j {
-		i, j = j, i
-	}
-	return uint64(i)<<32 | uint64(uint32(j))
-}
-
 // relaxProteinClashes iteratively pushes apart non-neighbor atom pairs
 // closer than dmin, moving both atoms symmetrically along their axis.
-// Atoms flagged in skip (hydrogens) take no part — they are repositioned
-// rigidly by the caller afterwards. Deterministic: pairs are processed in
-// sorted order each sweep.
-// bondTarget fixes the distance between two heavy atoms during clash
-// relaxation (the covalent skeleton).
-type bondTarget struct {
-	i, j int
-	r    float64
-}
-
-func relaxProteinClashes(r []vec.V3, neighbors map[uint64]bool, dmin float64, maxIter int, skip []bool, bonds []bondTarget) {
-	n := len(r)
+// Hydrogens (each constraint's J) take no part — they are repositioned
+// rigidly by the caller afterwards. After every sweep the bonds are
+// restored to their R0, so the pushes cannot stretch or collapse the
+// covalent skeleton. Deterministic: pairs are processed in sorted order
+// each sweep.
+func relaxProteinClashes(r []vec.V3, adj [][]int, bonds []ff.Bond, cons []ff.Constraint, dmin float64, maxIter int) {
+	isH := make([]bool, len(r))
+	for _, c := range cons {
+		isH[c.J] = true
+	}
 	restoreBonds := func() {
 		for pass := 0; pass < 8; pass++ {
 			for _, b := range bonds {
-				d := r[b.j].Sub(r[b.i])
+				d := r[b.J].Sub(r[b.I])
 				dist := d.Norm()
 				if dist < 1e-9 {
 					d = vec.V3{X: 1}
 					dist = 1
 				}
-				corr := (b.r - dist) / 2
+				corr := (b.R0 - dist) / 2
 				u := d.Scale(1 / dist)
-				r[b.i] = r[b.i].Sub(u.Scale(corr))
-				r[b.j] = r[b.j].Add(u.Scale(corr))
+				r[b.I] = r[b.I].Sub(u.Scale(corr))
+				r[b.J] = r[b.J].Add(u.Scale(corr))
 			}
 		}
 	}
+	type clash struct{ i, j int }
+	var clashes []clash
 	for iter := 0; iter < maxIter; iter++ {
-		// Spatial hash on a dmin-sized grid.
-		cells := make(map[[3]int][]int)
-		key := func(p vec.V3) [3]int {
-			return [3]int{int(p.X / dmin), int(p.Y / dmin), int(p.Z / dmin)}
-		}
-		for i := 0; i < n; i++ {
-			k := key(r[i])
-			cells[k] = append(cells[k], i)
-		}
-		type clash struct{ i, j int }
-		var clashes []clash
-		for i := 0; i < n; i++ {
-			if skip != nil && skip[i] {
+		cells := newCellIndex(r, dmin)
+		clashes = clashes[:0]
+		for i := range r {
+			if isH[i] {
 				continue
 			}
-			k := key(r[i])
-			for dx := -1; dx <= 1; dx++ {
-				for dy := -1; dy <= 1; dy++ {
-					for dz := -1; dz <= 1; dz++ {
-						for _, j := range cells[[3]int{k[0] + dx, k[1] + dy, k[2] + dz}] {
-							if j <= i {
-								continue
-							}
-							if skip != nil && skip[j] {
-								continue
-							}
-							pk := uint64(i)<<32 | uint64(uint32(j))
-							if neighbors[pk] {
-								continue
-							}
-							if vec.Dist2(r[i], r[j]) < dmin*dmin {
-								clashes = append(clashes, clash{i, j})
-							}
-						}
-					}
+			cells.near(r[i], func(j int) {
+				if j > i && !isH[j] && vec.Dist2(r[i], r[j]) < dmin*dmin && !covalentNeighbors(adj, i, j) {
+					clashes = append(clashes, clash{i, j})
 				}
-			}
+			})
 		}
 		if len(clashes) == 0 {
 			restoreBonds()
@@ -213,8 +220,6 @@ func relaxProteinClashes(r []vec.V3, neighbors map[uint64]bool, dmin float64, ma
 			r[c.i] = r[c.i].Sub(u.Scale(push))
 			r[c.j] = r[c.j].Add(u.Scale(push))
 		}
-		// Keep the covalent skeleton intact: clash pushes must not
-		// stretch or collapse bonded heavy-atom pairs.
 		restoreBonds()
 	}
 }

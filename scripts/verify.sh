@@ -97,12 +97,14 @@ echo "== determinism: repeated runs =="
 # against their reference implementations. Also the static topology
 # index (two builds give equal exclusion, skip and bonded-term tables)
 # and the reference engine, whose force, energy and trajectory bits
-# must repeat across engines at one pair worker.
+# must repeat across engines at one pair worker. And the system builder
+# (TestBuildBitwise pins its positions, terms and exclusions), so a
+# builder that depends on map order shows as two runs that disagree.
 det='TestCodecRoundTrip|TestCodecFramesSelfContained|TestFSLiveness|Deterministic|Determinism|Bitwise|Invariance'
 go test -count=2 -timeout 30m -run "$det" ./internal/core ./internal/fft \
 	./internal/torus ./internal/obs ./internal/ledger ./internal/faults \
 	./internal/ppip ./internal/fixp ./internal/htis ./internal/vec \
-	./internal/nt ./internal/ff ./internal/refmd
+	./internal/nt ./internal/ff ./internal/refmd ./internal/system
 
 echo "== fuzz: every decoder of untrusted bytes and the table lookup, 5 s per target =="
 # A short native-fuzz burst from each seeded corpus catches a decoder
