@@ -129,22 +129,18 @@ func (e *Engine) Comm() (*CommReport, error) {
 	rep.BondStats = net.Collect()
 	net.Reset()
 
-	// FFT: reuse the distributed plan's accounting.
-	if d, err := fft.NewDist3(e.mesh.n, e.mesh.n, e.mesh.n, e.grid.Nx, e.grid.Ny, e.grid.Nz); err == nil {
-		g := fft.NewGrid3(e.mesh.n, e.mesh.n, e.mesh.n)
-		if err := d.Scatter(g); err == nil {
-			d.Forward3()
-			d.Inverse3()
-			rep.FFTMessages = d.Stats.MessagesPerNode
-			// Model the per-phase row exchange on the torus for channel
-			// statistics.
-			seg := d.PointsPerNode() / maxI(1, e.grid.Nx) * 8
-			for axis := 0; axis < 3; axis++ {
-				net.AllToAllRow(axis, maxI(seg, 4))
-			}
-			rep.FFTStats = net.Collect()
-			net.Reset()
+	// FFT: the distributed plan's message count for one round trip.
+	m, g := e.mesh.n, e.grid
+	if fs, err := fft.RoundTripStats(m, m, m, g.Nx, g.Ny, g.Nz); err == nil {
+		rep.FFTMessages = fs.MessagesPerNode
+		// Model the per-phase row exchange on the torus for channel
+		// statistics.
+		seg := m * m * m / (g.Nx * g.Ny * g.Nz) / max(1, g.Nx) * 8
+		for axis := 0; axis < 3; axis++ {
+			net.AllToAllRow(axis, max(seg, 4))
 		}
+		rep.FFTStats = net.Collect()
+		net.Reset()
 	}
 
 	total := float64(rep.ImportStats.Messages+rep.ExportStats.Messages) +
@@ -155,13 +151,6 @@ func (e *Engine) Comm() (*CommReport, error) {
 		rep.Measured = e.net.comm.report(e.TransportStats())
 	}
 	return rep, nil
-}
-
-func maxI(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }
 
 // String formats the report.

@@ -798,20 +798,25 @@ func (e *Engine) publish(d *evalDiag, refresh bool) {
 }
 
 // bondedTerm evaluates one bonded term by flat index (bonds, then angles,
-// then dihedrals, then impropers), reading float positions from r, using
-// the sparse-zeroed float scratch, and accumulating the quantized per-atom
-// contributions into buf. Returns the term energy in energy counts.
-func (e *Engine) bondedTerm(t int, r, scratch []vec.V3, buf []Force3) int64 {
+// then dihedrals, then impropers): it reads its atoms' float positions
+// from the slot-indexed r, and adds each atom's returned force, quantized,
+// into the slot-indexed buf. Returns the term energy in energy counts.
+func (e *Engine) bondedTerm(t int, r []vec.V3, buf []Force3) int64 {
 	top := e.Sys.Top
-	eTerm := top.BondedTermForce(t, e.Sys.Box, r, scratch)
+	slotOf := e.pk.slotOf
 	atoms, n := top.BondedTermAtoms(t)
-	for _, a := range atoms[:n] {
-		buf[a] = buf[a].AddRaw(
-			htis.QuantizeForce(scratch[a].X),
-			htis.QuantizeForce(scratch[a].Y),
-			htis.QuantizeForce(scratch[a].Z),
+	var rt [4]vec.V3
+	for i, a := range atoms[:n] {
+		rt[i] = r[slotOf[a]]
+	}
+	eTerm, f := top.BondedTermForce(t, e.Sys.Box, &rt)
+	for i, a := range atoms[:n] {
+		s := slotOf[a]
+		buf[s] = buf[s].AddRaw(
+			htis.QuantizeForce(f[i].X),
+			htis.QuantizeForce(f[i].Y),
+			htis.QuantizeForce(f[i].Z),
 		)
-		scratch[a] = vec.Zero
 	}
 	return htis.QuantizeEnergy(eTerm)
 }
@@ -819,18 +824,19 @@ func (e *Engine) bondedTerm(t int, r, scratch []vec.V3, buf []Force3) int64 {
 // exclScan runs the correction pipeline's slow-cadence part: subtract
 // the mesh's smooth-component contribution for excluded pairs (§3.2.3).
 // The smooth kernel is bounded and slowly varying, so it belongs with the
-// long-range impulse. Reads positions from pos for the given excluded
-// pairs, accumulates the quantized corrections into dst and returns the
-// energy correction in energy counts.
+// long-range impulse. Reads the given excluded pairs' positions from the
+// slot-indexed pos, accumulates the quantized corrections into the
+// slot-indexed dst and returns the energy correction in energy counts.
 func (e *Engine) exclScan(list [][2]int32, pos []fixp.Vec3, dst []Force3) int64 {
 	top := e.Sys.Top
+	slotOf := e.pk.slotOf
 	var energy int64
 	for _, p := range list {
-		i, j := p[0], p[1]
-		qi, qj := top.Atoms[i].Charge, top.Atoms[j].Charge
+		qi, qj := top.Atoms[p[0]].Charge, top.Atoms[p[1]].Charge
 		if qi == 0 || qj == 0 {
 			continue
 		}
+		i, j := slotOf[p[0]], slotOf[p[1]]
 		d := e.Coder.DeltaToPhys(pos[i].Sub(pos[j]))
 		r2 := d.Norm2()
 		if r2 < 1e-12 {
@@ -849,16 +855,17 @@ func (e *Engine) exclScan(list [][2]int32, pos []fixp.Vec3, dst []Force3) int64 
 }
 
 // pair14One evaluates a single scaled 1-4 pair — with the mesh's smooth
-// part for it subtracted — reading positions from pos and accumulating
-// the quantized forces into dst. These are stiff bonded-range forces, so
-// they run in the fast loop (every step) on the correction pipeline.
-// Returns the energy in energy counts.
+// part for it subtracted — reading positions from the slot-indexed pos
+// and accumulating the quantized forces into the slot-indexed dst. These
+// are stiff bonded-range forces, so they run in the fast loop (every
+// step) on the correction pipeline. Returns the energy in energy counts.
 func (e *Engine) pair14One(p *ff.Pair14, pos []fixp.Vec3, dst []Force3) int64 {
 	top := e.Sys.Top
 	ps := e.Sys.Params
 	energy := 0.0
 	ai, aj := top.Atoms[p.I], top.Atoms[p.J]
-	d := e.Coder.DeltaToPhys(pos[p.I].Sub(pos[p.J]))
+	i, j := e.pk.slotOf[p.I], e.pk.slotOf[p.J]
+	d := e.Coder.DeltaToPhys(pos[i].Sub(pos[j]))
 	r2 := d.Norm2()
 	var fs float64
 	if qq := ai.Charge * aj.Charge; qq != 0 {
@@ -879,8 +886,8 @@ func (e *Engine) pair14One(p *ff.Pair14, pos []fixp.Vec3, dst []Force3) int64 {
 	fx := htis.QuantizeForce(fv.X)
 	fy := htis.QuantizeForce(fv.Y)
 	fz := htis.QuantizeForce(fv.Z)
-	dst[p.I] = dst[p.I].AddRaw(fx, fy, fz)
-	dst[p.J] = dst[p.J].AddRaw(-fx, -fy, -fz)
+	dst[i] = dst[i].AddRaw(fx, fy, fz)
+	dst[j] = dst[j].AddRaw(-fx, -fy, -fz)
 	return htis.QuantizeEnergy(energy)
 }
 

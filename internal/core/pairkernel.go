@@ -18,10 +18,11 @@ import (
 // over per-atom sorted partner lists (subbox slot order is atom order, so
 // the scan is linear), eliminating the per-pair hash lookup. Matched
 // pairs are queued and evaluated through the batched PPIP entry point,
-// and per-worker force partials are reduced in parallel over slot ranges
-// in fixed worker order — exact, because wrapping fixed-point addition is
-// associative, which is also why none of this changes the trajectory for
-// any worker count.
+// and their forces land in slot-indexed buffers: slots are the one index
+// space of a shard's views (shard.go), so nothing maps them back to
+// atoms. The per-worker partials add up exactly in any order, because
+// wrapping fixed-point addition is associative, which is also why none of
+// this changes the trajectory for any worker count.
 
 // pairBatchSize is the PPIP input queue depth of the software model: the
 // number of matched pairs accumulated before a batched pipeline call.

@@ -28,16 +28,20 @@ func dhfrBenchEngine(b *testing.B) *Engine {
 }
 
 // pairSections runs the range-limited sections of the one-shard engine's
-// stage A at the current positions — gather, pair scan (match ->
-// exclusion -> PPIP), slot-to-atom reduce — and returns the shard, whose
-// lfShort then holds the pair forces.
+// stage A at the current positions — owned copy into the slot view,
+// zeroed accumulator, gather, pair scan (match -> exclusion -> PPIP),
+// partials reduce — and returns the shard, whose slot-indexed lfShort
+// then holds the pair forces.
 func pairSections(e *Engine) *shardState {
 	st := e.shards[0]
 	st.begin(false)
-	copy(st.lpos, e.Pos)
+	for i, a := range st.owned {
+		st.spos[st.ownedSlots[i]] = e.Pos[a]
+	}
+	clear(st.lfShort)
 	st.gather()
 	st.section(len(st.myPairs), st.pairFn)
-	st.section(len(st.touchedSubs), st.pairReduceFn)
+	st.addPartials(st.lfShort)
 	return st
 }
 
@@ -57,7 +61,7 @@ func meshSections(e *Engine) {
 }
 
 // BenchmarkRangeLimitedForces measures one full HTIS range-limited force
-// evaluation (gather -> match -> exclusion -> PPIP -> reduction) at DHFR
+// evaluation (gather -> match -> exclusion -> PPIP -> partials reduce) at DHFR
 // scale.
 func BenchmarkRangeLimitedForces(b *testing.B) {
 	e := dhfrBenchEngine(b)

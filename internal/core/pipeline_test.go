@@ -9,7 +9,6 @@ import (
 
 	"anton/internal/nt"
 	"anton/internal/system"
-	"anton/internal/vec"
 )
 
 // TestOneNodeRunsOnEveryWorker is the 1-node probe of the one force
@@ -123,10 +122,10 @@ func TestShardPairListsPartitionSubPairs(t *testing.T) {
 	}
 }
 
-// TestShardWorkerBuffersReuseAndZeroing: a shard's worker buffers are
-// allocated once (growing the worker count keeps the existing ones), and
-// the gather zeroes every active worker's pair buffer over the touched
-// slots, whatever the previous evaluation left there.
+// TestShardWorkerBuffersReuseAndZeroing: growing the worker count keeps
+// the buffers already allocated, worker 0 has no buffer of its own (it
+// adds into the shard's accumulators), and the gather zeroes the other
+// workers' buffers at every slot the shard's sections can touch.
 func TestShardWorkerBuffersReuseAndZeroing(t *testing.T) {
 	e := smallWaterEngine(t, 8, func(c *Config) { c.Workers = 2 })
 	e.Step(1)
@@ -136,48 +135,29 @@ func TestShardWorkerBuffersReuseAndZeroing(t *testing.T) {
 	if len(st.wk) != 4 || &st.wk[1].buf[0] != prev {
 		t.Fatalf("growing to 4 workers: %d workers, worker 1's buffer reallocated: %v", len(st.wk), &st.wk[1].buf[0] != prev)
 	}
-	for w := range st.wk {
-		for i := range st.wk[w].buf {
-			st.wk[w].buf[i] = Force3{X: 7, Y: -7, Z: int64(w)}
+	if st.wk[0].buf != nil {
+		t.Fatalf("worker 0 holds a %d-entry buffer", len(st.wk[0].buf))
+	}
+	for w := range st.wk[1:] {
+		for i := range st.wk[1+w].buf {
+			st.wk[1+w].buf[i] = Force3{X: 7, Y: -7, Z: int64(w)}
 		}
 	}
+	e.Cfg.Workers = 4
 	st.begin(false)
 	st.gather()
-	k := &e.pk
-	for w := range st.wk[:st.wps] {
-		for _, sb := range st.touchedSubs {
-			for slot := k.subStart[sb]; slot < k.subStart[sb+1]; slot++ {
-				if f := st.wk[w].buf[slot]; f != (Force3{}) {
-					t.Fatalf("worker %d: touched slot %d holds %+v after the gather", w, slot, f)
-				}
+	for _, s := range st.needSlots {
+		for w := 1; w < st.wps; w++ {
+			if f := st.wk[w].buf[s]; f != (Force3{}) {
+				t.Fatalf("worker %d: slot %d holds %+v after the gather", w, s, f)
 			}
 		}
 	}
 }
 
-// TestShardScratchStaysZero: the bonded terms restore every scratch entry
-// they touch to zero (the scratch is zeroed only when allocated), so after
-// an evaluation on three workers each worker's scratch is all zero.
-func TestShardScratchStaysZero(t *testing.T) {
-	e := smallWaterEngine(t, 8, func(c *Config) { c.Workers = 3 })
-	e.Step(2)
-	st := e.shards[0]
-	if st.wps != 3 || len(st.bondTerms) == 0 {
-		t.Fatalf("%d workers over %d bonded terms, want 3 over some", st.wps, len(st.bondTerms))
-	}
-	for w, wk := range st.wk {
-		for i, v := range wk.scratch {
-			if v != (vec.V3{}) {
-				t.Fatalf("worker %d: scratch[%d] = %+v after an evaluation", w, i, v)
-			}
-		}
-	}
-}
-
-// TestShardReducesMatchSerialSum: the pair reduce sums the workers'
-// slot-indexed buffers into the atoms' accumulators, and the partials
-// reduce adds the workers past 0 into theirs, each equal to the obvious
-// serial loop.
+// TestShardReducesMatchSerialSum: the partials reduce adds the buffers of
+// the workers past 0 into the shard's accumulator at every needed slot,
+// equal to the obvious serial loop.
 func TestShardReducesMatchSerialSum(t *testing.T) {
 	e := smallWaterEngine(t, 8, func(c *Config) { c.Workers = 4 })
 	e.Step(1)
@@ -188,37 +168,20 @@ func TestShardReducesMatchSerialSum(t *testing.T) {
 	randForce := func() Force3 {
 		return Force3{X: rng.Int63n(1 << 30), Y: -rng.Int63n(1 << 30), Z: rng.Int63n(1 << 30)}
 	}
-	k := &e.pk
 	want := make([]Force3, len(e.Pos))
-	for _, sb := range st.touchedSubs {
-		for slot := k.subStart[sb]; slot < k.subStart[sb+1]; slot++ {
-			a := k.atomOf[slot]
-			for w := range st.wk[:st.wps] {
-				f := randForce()
-				st.wk[w].buf[slot] = f
-				want[a] = want[a].Add(f)
-			}
-		}
-	}
-	st.section(len(st.touchedSubs), st.pairReduceFn)
-	for _, a := range st.needAll {
-		if st.lfShort[a] != want[a] {
-			t.Fatalf("pair reduce: atom %d %+v, serial sum %+v", a, st.lfShort[a], want[a])
-		}
-	}
-
-	st.clearPartials()
-	for _, a := range st.needAll {
+	for _, s := range st.needSlots {
+		st.lfShort[s] = randForce()
+		want[s] = st.lfShort[s]
 		for w := 1; w < st.wps; w++ {
 			f := randForce()
-			st.wk[w].buf[a] = f
-			want[a] = want[a].Add(f)
+			st.wk[w].buf[s] = f
+			want[s] = want[s].Add(f)
 		}
 	}
 	st.addPartials(st.lfShort)
-	for _, a := range st.needAll {
-		if st.lfShort[a] != want[a] {
-			t.Fatalf("partials: atom %d %+v, serial sum %+v", a, st.lfShort[a], want[a])
+	for _, s := range st.needSlots {
+		if st.lfShort[s] != want[s] {
+			t.Fatalf("partials: slot %d %+v, serial sum %+v", s, st.lfShort[s], want[s])
 		}
 	}
 }

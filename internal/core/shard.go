@@ -52,10 +52,14 @@ import (
 // check and migration — is the engine's own code, so its float operation
 // sequences are identical by construction.
 //
-// Memory: each shard carries atom- and slot-indexed views (~150 B/atom)
-// plus a dense mesh buffer. That is deliberate — the views are the shard's
-// "local memory", written only by owner writes and received messages,
-// never read through another shard's state.
+// Memory: each shard works in one index space, the pair kernel's slots
+// (Engine.pk.slotOf): its position views, its force accumulators and its
+// workers' partial buffers are all slot-indexed, 84 B/atom at one worker
+// plus 24 B/atom per further worker, plus a dense mesh buffer per worker.
+// Only the canonical engine arrays (Pos, Vel, fShort, fLong) stay
+// atom-indexed. The views are the shard's "local memory", written only by
+// owner writes and received messages, never read through another shard's
+// state.
 
 // Sharded names the engine NewSharded returns. It remains only because
 // the benchmark harness (bench/engine.go, bench/service.go) still spells
@@ -153,23 +157,27 @@ type shardState struct {
 
 	// Per-migration views.
 	owned      []int32    // atoms homed here
+	ownedSlots []int32    // their slots, in owned order (importers decode our position frame through it)
 	vsites     []int32    // virtual sites homed here (stage B spreads their forces)
 	bondTerms  []int32    // flat bonded term indices owned here
 	pair14Idx  []int32    // 1-4 pair indices owned here
 	exclTerms  [][2]int32 // exclusion-correction pairs owned here
-	needAll    []int32    // sorted atoms this shard reads or touches
+	needSlots  []int32    // slots of the atoms this shard reads or touches, in ascending atom order
 	impSrcs    []int32    // shards whose positions we import
 	expDsts    []int32    // shards importing our positions
-	footAtoms  [][]int32  // per impSrcs entry: remote atoms we export forces for
+	footSlots  [][]int32  // per impSrcs entry: slots of the remote atoms we export forces for
 	inFoot     int        // expected incoming force frames per evaluation
-	inFootFrom [][]int32  // per sender: the owned atoms its force frame covers
+	inFootFrom [][]int32  // per sender: its footSlots entry for us, slots of our owned atoms
 
-	// Local buffers (atom- or slot-indexed; valid only for the view sets).
-	lpos    []fixp.Vec3 // local fixed-point positions (owned + imported)
-	lposF   []vec.V3    // decoded float view of needAll
-	spos    []fixp.Vec3 // slot-indexed positions of touched subboxes
-	lfShort []Force3    // atom-indexed short-range accumulator
-	lfLong  []Force3    // atom-indexed long-range correction accumulator
+	// Local views, slot-indexed and valid only at needSlots. The
+	// accumulators take worker 0's partials, then the other workers', and
+	// at owned slots the force frames received and (lfLong) the mesh
+	// interpolation; stage B copies the owned slots into the canonical
+	// forces.
+	spos    []fixp.Vec3 // fixed-point positions: owned copied from Pos, the rest decoded from imports
+	lposF   []vec.V3    // their float decode
+	lfShort []Force3    // short-range accumulator
+	lfLong  []Force3    // long-range accumulator (refresh evaluations)
 
 	// wk are the workers of the current evaluation's sections (wps of
 	// them), each allocated when an evaluation first runs on it.
@@ -180,9 +188,9 @@ type shardState struct {
 	// bodies themselves, bound once (a closure passed to parallelChunks
 	// escapes; binding them at construction keeps the step path
 	// allocation-free).
-	refresh                                  bool
-	pairFn, pairReduceFn, bondedFn, pair14Fn func(w, lo, hi int)
-	exclFn, spreadFn, interpFn, assembleFn   func(w, lo, hi int)
+	refresh                            bool
+	pairFn, bondedFn, pair14Fn, exclFn func(w, lo, hi int)
+	spreadFn, interpFn, assembleFn     func(w, lo, hi int)
 
 	// Force-evaluation state (see shardstream.go).
 	arrived    int      // pos imports applied this evaluation
@@ -199,13 +207,13 @@ type shardState struct {
 
 // shardWorker is one worker of a shard's parallel sections.
 type shardWorker struct {
-	// buf takes the worker's pair forces, slot-indexed; on workers past 0
-	// it then takes their bonded, 1-4 and exclusion partials, atom-indexed
-	// (worker 0 accumulates those into the shard's own lfShort/lfLong).
-	buf     []Force3
-	scratch []vec.V3 // bonded float scratch (sparse-zero invariant)
-	mesh    []int64  // dense charge-spreading buffer (refresh steps)
-	batch   pairBatch
+	// buf takes the partial forces of a worker past 0, slot-indexed: its
+	// pairs, bonded terms and 1-4 pairs, then (refresh) its exclusion
+	// corrections. Worker 0 has none: it adds into the shard's own
+	// lfShort/lfLong.
+	buf   []Force3
+	mesh  []int64 // dense charge-spreading buffer (refresh steps)
+	batch pairBatch
 
 	// The evaluation's diagnostics (merged by the driver after stage B)
 	// and the worker's busy interval in the pair section.
@@ -217,16 +225,15 @@ type shardWorker struct {
 // start of its first block to the end of its last.
 type busySpan struct{ t0, end int64 }
 
-// newShard allocates shard id with its atom- and slot-indexed buffers,
-// and binds its section bodies.
+// newShard allocates shard id with its slot-indexed views, and binds its
+// section bodies.
 func newShard(e *Engine, id int32) *shardState {
 	n := len(e.Pos)
 	st := &shardState{
 		id:      id,
 		e:       e,
-		lpos:    make([]fixp.Vec3, n),
-		lposF:   make([]vec.V3, n),
 		spos:    make([]fixp.Vec3, n),
+		lposF:   make([]vec.V3, n),
 		lfShort: make([]Force3, n),
 		lfLong:  make([]Force3, n),
 	}
@@ -234,7 +241,6 @@ func newShard(e *Engine, id int32) *shardState {
 		st.inFootFrom = make([][]int32, len(e.shards))
 	}
 	st.pairFn = st.scanChunk
-	st.pairReduceFn = st.pairReduceChunk
 	st.bondedFn = st.bondedChunk
 	st.pair14Fn = st.pair14Chunk
 	st.exclFn = st.exclChunk
@@ -244,14 +250,13 @@ func newShard(e *Engine, id int32) *shardState {
 	return st
 }
 
-// ensureWorkers allocates the buffers of workers up to n.
+// ensureWorkers allocates the buffers of workers up to n: a mesh buffer
+// and a pair batch for each, and a partial buffer for all but worker 0.
 func (st *shardState) ensureWorkers(n int) {
-	atoms := len(st.e.Pos)
 	for len(st.wk) < n {
-		w := shardWorker{
-			buf:     make([]Force3, atoms),
-			scratch: make([]vec.V3, atoms),
-			mesh:    make([]int64, len(st.e.mesh.counts)),
+		w := shardWorker{mesh: make([]int64, len(st.e.mesh.counts))}
+		if len(st.wk) > 0 {
+			w.buf = make([]Force3, len(st.e.Pos))
 		}
 		w.batch.init()
 		st.wk = append(st.wk, w)
@@ -506,6 +511,7 @@ func (e *Engine) rebuildViews() {
 	nsh := len(e.shards)
 	for _, st := range e.shards {
 		st.owned = slices.Grow(st.owned[:0], len(e.boxOf)/nsh)
+		st.ownedSlots = slices.Grow(st.ownedSlots[:0], len(e.boxOf)/nsh)
 		st.vsites = st.vsites[:0]
 		st.bondTerms = slices.Grow(st.bondTerms[:0], top.NumBondedTerms()/nsh)
 		st.pair14Idx = slices.Grow(st.pair14Idx[:0], len(top.Pairs14)/nsh)
@@ -517,10 +523,12 @@ func (e *Engine) rebuildViews() {
 
 	// Ownership sweeps (a virtual site goes with its constraint group;
 	// first-atom rule for interaction terms).
+	k := &e.pk
 	owner := func(a int) *shardState { return e.shards[e.shardOf(e.boxOf[a])] }
 	for a := range e.boxOf {
 		st := owner(a)
 		st.owned = append(st.owned, int32(a))
+		st.ownedSlots = append(st.ownedSlots, k.slotOf[a])
 	}
 	for vi := range top.VSites {
 		st := owner(top.VSites[vi].Site)
@@ -540,8 +548,8 @@ func (e *Engine) rebuildViews() {
 		st.exclTerms = append(st.exclTerms, p)
 	}
 
-	// Per-shard read/touch sets, import sources and foot lists.
-	k := &e.pk
+	// Per-shard read/touch sets, import sources and foot lists. Every
+	// list is in ascending atom order: a force frame's entries follow it.
 	for _, st := range e.shards {
 		e.viewEpoch++
 		ep := e.viewEpoch
@@ -569,10 +577,10 @@ func (e *Engine) rebuildViews() {
 			mark(p[0])
 			mark(p[1])
 		}
-		st.needAll = slices.Grow(st.needAll[:0], len(st.owned))
+		st.needSlots = slices.Grow(st.needSlots[:0], len(st.owned))
 		for a, stamp := range e.viewStamp {
 			if stamp == ep {
-				st.needAll = append(st.needAll, int32(a))
+				st.needSlots = append(st.needSlots, k.slotOf[a])
 			}
 		}
 
@@ -580,23 +588,23 @@ func (e *Engine) rebuildViews() {
 		// (force export) destinations are the same shards: what we import
 		// is exactly what we may accumulate forces for.
 		st.impSrcs = st.impSrcs[:0]
-		for _, a := range st.needAll {
-			src := e.shardOf(e.boxOf[a])
+		for _, s := range st.needSlots {
+			src := e.shardOf(e.boxOf[k.atomOf[s]])
 			if src != st.id && e.shardStamp[src] != ep {
 				e.shardStamp[src] = ep
 				st.impSrcs = append(st.impSrcs, src)
 			}
 		}
 		slices.Sort(st.impSrcs)
-		st.footAtoms = resized(st.footAtoms, len(st.impSrcs))
+		st.footSlots = resized(st.footSlots, len(st.impSrcs))
 		for di, src := range st.impSrcs {
 			e.shardSlot[src] = int32(di)
-			st.footAtoms[di] = st.footAtoms[di][:0]
+			st.footSlots[di] = st.footSlots[di][:0]
 		}
-		for _, a := range st.needAll {
-			if src := e.shardOf(e.boxOf[a]); src != st.id {
+		for _, s := range st.needSlots {
+			if src := e.shardOf(e.boxOf[k.atomOf[s]]); src != st.id {
 				di := e.shardSlot[src]
-				st.footAtoms[di] = append(st.footAtoms[di], a)
+				st.footSlots[di] = append(st.footSlots[di], s)
 			}
 		}
 		st.footFrames = resized(st.footFrames, len(st.impSrcs))
@@ -610,7 +618,7 @@ func (e *Engine) rebuildViews() {
 			from := e.shards[src]
 			from.expDsts = append(from.expDsts, st.id)
 			from.inFoot++
-			from.inFootFrom[st.id] = st.footAtoms[di]
+			from.inFootFrom[st.id] = st.footSlots[di]
 		}
 	}
 }

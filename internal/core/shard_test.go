@@ -460,3 +460,39 @@ func TestShardedBuildDHFR(t *testing.T) {
 		sh.Close()
 	}
 }
+
+// TestShardViewBytes: a shard works in one index space, the pair
+// kernel's slots, so the arrays it sizes to the whole system are its four
+// views (spos, lposF, lfShort, lfLong: 84 B/atom) and one partial buffer
+// per worker past 0. Every slice field of a shard and of its workers that
+// holds one entry per atom counts, less the lists of the shard's own and
+// needed atoms, whose length is that of the view set (at one shard, or on
+// a small system, it can be every atom).
+func TestShardViewBytes(t *testing.T) {
+	sh := smallWaterSharded(t, 8, func(c *Config) { c.Workers = 1 })
+	sh.Step(1)
+	n := len(sh.Pos)
+	lists := map[string]bool{"owned": true, "ownedSlots": true, "needSlots": true}
+	atomSized := func(v reflect.Value) int {
+		b := 0
+		for i := range v.NumField() {
+			f := v.Field(i)
+			if f.Kind() == reflect.Slice && f.Len() == n && !lists[v.Type().Field(i).Name] {
+				b += n * int(f.Type().Elem().Size())
+			}
+		}
+		return b
+	}
+	for _, st := range sh.shards {
+		if st.wps != 1 {
+			t.Fatalf("shard %d runs %d workers, want 1", st.id, st.wps)
+		}
+		b := atomSized(reflect.ValueOf(st).Elem())
+		for w := range st.wk {
+			b += atomSized(reflect.ValueOf(&st.wk[w]).Elem())
+		}
+		if per := float64(b) / float64(n); per > 84 {
+			t.Errorf("shard %d: %.0f B/atom in atom-sized arrays, want <= 84", st.id, per)
+		}
+	}
+}

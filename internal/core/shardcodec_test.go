@@ -132,7 +132,7 @@ func TestCodecFramesSelfContained(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	const n = 16
 	cur := make([]fixp.Vec3, n)
-	lpos := make([]fixp.Vec3, n) // receiver's copies
+	recv := make([]fixp.Vec3, n) // receiver's copies
 	atoms := make([]int32, n)
 	for i := range atoms {
 		atoms[i] = int32(i)
@@ -154,16 +154,16 @@ func TestCodecFramesSelfContained(t *testing.T) {
 			continue // a frame the receiver never sees
 		}
 		if ex%5 == 0 {
-			for i := range lpos {
-				lpos[i] = fixp.Vec3{X: fixp.F32(rng.Uint32()), Y: fixp.F32(rng.Uint32()), Z: fixp.F32(rng.Uint32())}
+			for i := range recv {
+				recv[i] = fixp.Vec3{X: fixp.F32(rng.Uint32()), Y: fixp.F32(rng.Uint32()), Z: fixp.F32(rng.Uint32())}
 			}
 		}
-		if err := decodePosFrame(frame, atoms, lpos); err != nil {
+		if err := decodePosFrame(frame, atoms, recv); err != nil {
 			t.Fatalf("exchange %d: %v", ex, err)
 		}
 		for i := 0; i < n; i++ {
-			if lpos[i] != cur[i] {
-				t.Fatalf("exchange %d: receiver drifted at atom %d: %+v want %+v", ex, i, lpos[i], cur[i])
+			if recv[i] != cur[i] {
+				t.Fatalf("exchange %d: receiver drifted at atom %d: %+v want %+v", ex, i, recv[i], cur[i])
 			}
 		}
 	}

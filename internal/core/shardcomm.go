@@ -80,7 +80,7 @@ func (c *measuredComm) rebuildStatic(e *Engine) {
 		}
 		for di, dst := range st.impSrcs {
 			c.exportPairs = append(c.exportPairs,
-				commPair{int(st.id), int(dst), len(st.footAtoms[di]) * shardForceBytes})
+				commPair{int(st.id), int(dst), len(st.footSlots[di]) * shardForceBytes})
 		}
 	}
 }

@@ -18,18 +18,18 @@ import (
 //	 *  Engine.beforeForces  half-kick, drift, SHAKE, virtual-site
 //	                         placement, step count
 //	 *  decode/residency     early-migration check on the decoded positions
-//	A   streamBody           position frames out; owned canonical forces
-//	                         zeroed; every import in (force frames are
-//	                         added as they arrive), then range-limited
-//	                         pairs, bonded, 1-4 (refresh: exclusion
-//	                         corrections); one force frame out per import
-//	                         link (refresh: with a long-range section);
-//	                         (refresh) charge spreading
+//	A   streamBody           position frames out; the shard's slot-indexed
+//	                         accumulators zeroed; every import in (force
+//	                         frames are added as they arrive), then
+//	                         range-limited pairs, bonded, 1-4 (refresh:
+//	                         exclusion corrections); one force frame out
+//	                         per import link (refresh: with a long-range
+//	                         section); (refresh) charge spreading
 //	 *  mergeMesh            wrapping merge of the shards' mesh buffers;
 //	                         FFT convolve
 //	B   finishForces         (refresh) long-range interpolation (owned);
-//	                         own contributions added, remaining force
-//	                         frames in, vsite spread
+//	                         remaining force frames in; owned forces
+//	                         written to the canonical arrays; vsite spread
 //	 *  publish              merge of the workers' fixed-point diagnostics
 //	 *  Engine.afterForces   half-kick, RATTLE, Berendsen, migration due?
 //	 *  migrate              deferred migration + view rebuild when due

@@ -13,36 +13,38 @@ import (
 // stages sharing one exchange id:
 //
 //	A  sendPositionsStream   one position frame out per importer
-//	   streamBody            zero the owned canonical forces; receive
-//	                         every import (force frames that arrive early
-//	                         are applied at once; pos sends settled), then
-//	                         the sections: gather, pair scan, slot->atom
-//	                         reduce, bonded, 1-4, (refresh) exclusion
+//	   streamBody            copy the owned positions into the slot view
+//	                         and zero the accumulators; receive every
+//	                         import (force frames that arrive early are
+//	                         added at once; pos sends settled), then the
+//	                         sections: gather, pair scan, bonded, 1-4,
+//	                         partials reduce, (refresh) exclusion
 //	                         corrections; one force frame out per import
 //	                         link; (refresh) charge spreading
 //	 * mergeMesh + convolve  (refresh) driver-serial collectives
-//	B  finishForces          interpolate, add the shard's own owned
-//	                         forces, apply the remaining force frames,
-//	                         vsites
+//	B  finishForces          interpolate, receive the remaining force
+//	                         frames, copy the owned slots' forces into
+//	                         the canonical arrays, vsites
 //
 // Every section but the gather and the vsite spread runs through
-// parallelChunks on the shard's wps workers. Worker w scans its blocks of
-// the pair list into its own slot-indexed buffer, and the reduce sums the
-// workers' buffers per slot; the bonded, 1-4 and exclusion sections
-// accumulate worker 0's terms straight into lfShort/lfLong and the other
-// workers' into their own buffers, added in after the section. A section
-// is timed into secNs under its obs phase, and the driver splits the stage
-// wall by those timers (Engine.bookStage).
+// parallelChunks on the shard's wps workers, in the shard's one index
+// space, the pair kernel's slots (shard.go, "Memory"). Worker 0
+// accumulates its pairs, bonded terms and 1-4 pairs straight into
+// lfShort, and each other worker into its own buffer, added in once after
+// the 1-4 section; the exclusion corrections go the same way into lfLong.
+// A section is timed into secNs under its obs phase, and the driver splits
+// the stage wall by those timers (Engine.bookStage).
 //
-// A force frame carries the short-range forces for the link's foot
-// atoms and, on refresh evaluations, a second section with their
-// long-range exclusion corrections. Every contribution to an owned
-// atom's canonical force is a wrapping add onto the zeroes stage A
-// starts from, so a frame is applied whenever it arrives, in either
-// stage. Force exports go out before the spread, so their flight
-// overlaps the spread. Between goroutines of one address space that is
-// all the overlap worth having: running pair work as its imports arrived
-// measured no faster (EXPERIMENTS.md, "One shard schedule").
+// A force frame carries the short-range forces at the link's foot slots
+// and, on refresh evaluations, a second section with their long-range
+// exclusion corrections; the owner adds it into its own accumulators at
+// the same slots, its owned ones. Every contribution is a wrapping add
+// onto the zeroes stage A starts from, so a frame is applied whenever it
+// arrives, in either stage. Force exports go out before the spread, so
+// their flight overlaps the spread. Between goroutines of one address
+// space that is all the overlap worth having: running pair work as its
+// imports arrived measured no faster (EXPERIMENTS.md, "One shard
+// schedule").
 //
 // Two stages, not one: the driver-serial mesh collective (merge, FFT
 // convolve) sits between the spread that ends stage A and the
@@ -52,7 +54,7 @@ import (
 //
 // Bitwise contract: arrival order and the worker split vary, accumulation
 // does not matter. Every force/mesh/energy accumulator is wrapping
-// fixed-point (associative and commutative), each atom's position copy is
+// fixed-point (associative and commutative), each slot's position copy is
 // written by exactly one sender, and each interaction is computed once
 // from bit-copied positions — so any interleaving of frame arrivals, and
 // any worker count, produces identical bits.
@@ -99,7 +101,7 @@ func (st *shardState) sendStream(x *xchg, dst int32, kind uint8, frame []byte, r
 // stage's phases out in. Sends and receive waits are timed into the
 // section they precede or follow: the import wait into the gather, the
 // force sends and the wait for the remaining force frames into the
-// reduce.
+// reduce, which also takes the workers' short-range partials.
 var (
 	stageAPhases = []obs.Phase{obs.PhasePairGather, obs.PhasePairMatch, obs.PhasePairReduce,
 		obs.PhaseBonded, obs.PhasePair14, obs.PhaseExclusion, obs.PhaseMeshSpread}
@@ -125,8 +127,8 @@ func (st *shardState) section(n int, fn func(w, lo, hi int)) {
 	parallelChunks(n, st.wps, fn)
 }
 
-// partial returns where worker w accumulates atom-indexed forces bound for
-// dst: dst itself for worker 0, its own buffer for the others.
+// partial returns where worker w accumulates slot-indexed forces bound
+// for dst: dst itself for worker 0, its own buffer for the others.
 func (st *shardState) partial(w int, dst []Force3) []Force3 {
 	if w == 0 {
 		return dst
@@ -134,42 +136,45 @@ func (st *shardState) partial(w int, dst []Force3) []Force3 {
 	return st.wk[w].buf
 }
 
-// clearPartials zeroes the atom-indexed buffers of the workers past 0 over
-// needAll, the atoms a term of this shard can touch.
+// clearPartials zeroes the buffers of the workers past 0 at needSlots,
+// the only slots a term of this shard can touch.
 func (st *shardState) clearPartials() {
 	for _, wk := range st.wk[1:st.wps] {
-		for _, a := range st.needAll {
-			wk.buf[a] = Force3{}
+		for _, s := range st.needSlots {
+			wk.buf[s] = Force3{}
 		}
 	}
 }
 
-// addPartials adds the workers' atom-indexed partials into dst.
+// addPartials adds the buffers of the workers past 0 into dst at
+// needSlots.
 func (st *shardState) addPartials(dst []Force3) {
 	for _, wk := range st.wk[1:st.wps] {
-		for _, a := range st.needAll {
-			dst[a] = dst[a].Add(wk.buf[a])
+		for _, s := range st.needSlots {
+			dst[s] = dst[s].Add(wk.buf[s])
 		}
 	}
 }
 
-// streamBody is the evaluation's main stage: zero the owned canonical
-// forces, receive every import, then compute the shard's range-limited,
-// bonded, 1-4 and (refresh) exclusion terms, send the force exports, and
-// (refresh) spread the owned charges.
+// streamBody is the evaluation's main stage: copy the owned positions in
+// and zero the accumulators, receive every import, then compute the
+// shard's range-limited, bonded, 1-4 and (refresh) exclusion terms, send
+// the force exports, and (refresh) spread the owned charges.
 func (st *shardState) streamBody(x *xchg, refresh bool) {
 	e := st.e
 	st.startStage()
 	st.begin(refresh)
 
 	// Owned positions come from the canonical state, the rest from the
-	// import frames, each atom's from its owner alone. The owned forces
-	// start from zero before the first force frame can be applied.
-	for _, a := range st.owned {
-		st.lpos[a] = e.Pos[a]
-		e.fShort[a] = Force3{}
+	// import frames, each atom's from its owner alone. The accumulators
+	// start from zero before the first force frame can be added in.
+	for i, a := range st.owned {
+		st.spos[st.ownedSlots[i]] = e.Pos[a]
+	}
+	for _, s := range st.needSlots {
+		st.lfShort[s] = Force3{}
 		if refresh {
-			e.fLong[a] = Force3{}
+			st.lfLong[s] = Force3{}
 		}
 	}
 	if !st.streamLoop(x, refresh, func() int { return len(st.impSrcs) - st.arrived }) {
@@ -181,15 +186,12 @@ func (st *shardState) streamBody(x *xchg, refresh bool) {
 	st.mark(obs.PhasePairGather)
 	st.section(len(st.myPairs), st.pairFn)
 	st.mark(obs.PhasePairMatch)
-	st.section(len(st.touchedSubs), st.pairReduceFn)
-	st.mark(obs.PhasePairReduce)
-
-	st.clearPartials()
 	st.section(len(st.bondTerms), st.bondedFn)
 	st.mark(obs.PhaseBonded)
 	st.section(len(st.pair14Idx), st.pair14Fn)
-	st.addPartials(st.lfShort)
 	st.mark(obs.PhasePair14)
+	st.addPartials(st.lfShort)
+	st.mark(obs.PhasePairReduce)
 	if refresh {
 		st.clearPartials()
 		st.section(len(st.exclTerms), st.exclFn)
@@ -223,31 +225,17 @@ func (st *shardState) begin(refresh bool) {
 	st.arrived, st.footGot = 0, 0
 }
 
-// gather refreshes the float and slot-indexed position views from lpos
-// and zeroes the accumulators the sections add into.
+// gather decodes the float view of needSlots from spos and zeroes the
+// buffers of the workers past 0.
 func (st *shardState) gather() {
-	e := st.e
-	k := &e.pk
-	for _, a := range st.needAll {
-		st.lposF[a] = e.Coder.Decode(st.lpos[a])
-		st.lfShort[a] = Force3{}
-		if st.refresh {
-			st.lfLong[a] = Force3{}
-		}
+	for _, s := range st.needSlots {
+		st.lposF[s] = st.e.Coder.Decode(st.spos[s])
 	}
-	wk := st.wk[:st.wps]
-	for _, sb := range st.touchedSubs {
-		for slot := k.subStart[sb]; slot < k.subStart[sb+1]; slot++ {
-			st.spos[slot] = st.lpos[k.atomOf[slot]]
-			for w := range wk {
-				wk[w].buf[slot] = Force3{}
-			}
-		}
-	}
+	st.clearPartials()
 }
 
-// scanChunk scans pairs [lo, hi) of the shard's list as worker w into the
-// worker's slot-indexed buffer: match-unit prefilter, exclusion merge
+// scanChunk scans pairs [lo, hi) of the shard's list as worker w into its
+// partial (lfShort for worker 0): match-unit prefilter, exclusion merge
 // scan, batched PPIP evaluation. The scan accumulates on this goroutine's
 // stack (neighbouring workers' diagnostics may share a cache line); with
 // an observer attached the block also extends the worker's busy interval.
@@ -259,7 +247,7 @@ func (st *shardState) scanChunk(w, lo, hi int) {
 		t0 = obs.Now()
 	}
 	var d evalDiag
-	e.scanPairs(st.myPairs[lo:hi], st.spos, wk.buf, &wk.batch, &d, true)
+	e.scanPairs(st.myPairs[lo:hi], st.spos, st.partial(w, st.lfShort), &wk.batch, &d, true)
 	wk.diag.merge(&d)
 	if e.rec != nil {
 		if wk.busy.end == 0 {
@@ -269,33 +257,13 @@ func (st *shardState) scanChunk(w, lo, hi int) {
 	}
 }
 
-// pairReduceChunk adds the workers' slot-indexed pair forces of touched
-// subboxes [lo, hi) into lfShort, in fixed worker order. Slot to atom is a
-// bijection, so blocks never write the same atom.
-func (st *shardState) pairReduceChunk(_, lo, hi int) {
-	k := &st.e.pk
-	wk := st.wk[:st.wps]
-	for _, sb := range st.touchedSubs[lo:hi] {
-		for slot := k.subStart[sb]; slot < k.subStart[sb+1]; slot++ {
-			f := wk[0].buf[slot]
-			for w := 1; w < len(wk); w++ {
-				f = f.Add(wk[w].buf[slot])
-			}
-			if f != (Force3{}) {
-				a := k.atomOf[slot]
-				st.lfShort[a] = st.lfShort[a].Add(f)
-			}
-		}
-	}
-}
-
 // bondedChunk evaluates owned bonded terms [lo, hi) as worker w.
 func (st *shardState) bondedChunk(w, lo, hi int) {
 	e := st.e
-	dst, scratch := st.partial(w, st.lfShort), st.wk[w].scratch
+	dst := st.partial(w, st.lfShort)
 	var energy int64
 	for _, t := range st.bondTerms[lo:hi] {
-		energy += e.bondedTerm(int(t), st.lposF, scratch, dst)
+		energy += e.bondedTerm(int(t), st.lposF, dst)
 	}
 	st.wk[w].diag.bonded += energy
 }
@@ -306,14 +274,14 @@ func (st *shardState) pair14Chunk(w, lo, hi int) {
 	dst := st.partial(w, st.lfShort)
 	var energy int64
 	for _, pi := range st.pair14Idx[lo:hi] {
-		energy += e.pair14One(&e.Sys.Top.Pairs14[pi], st.lpos, dst)
+		energy += e.pair14One(&e.Sys.Top.Pairs14[pi], st.spos, dst)
 	}
 	st.wk[w].diag.correction += energy
 }
 
 // exclChunk evaluates owned exclusion corrections [lo, hi) as worker w.
 func (st *shardState) exclChunk(w, lo, hi int) {
-	energy := st.e.exclScan(st.exclTerms[lo:hi], st.lpos, st.partial(w, st.lfLong))
+	energy := st.e.exclScan(st.exclTerms[lo:hi], st.spos, st.partial(w, st.lfLong))
 	st.wk[w].diag.mesh += energy
 }
 
@@ -322,21 +290,21 @@ func (st *shardState) exclChunk(w, lo, hi int) {
 func (st *shardState) spreadChunk(w, lo, hi int) {
 	e := st.e
 	ms := e.mesh
-	top := e.Sys.Top
+	k := &e.pk
 	wk := &st.wk[w]
 	var tally int64
-	for _, a := range st.owned[lo:hi] {
-		if q := top.Atoms[a].Charge; q != 0 {
-			tally += ms.spreadAtom(q, st.lposF[a], wk.mesh)
+	for _, s := range st.ownedSlots[lo:hi] {
+		if q := k.q[s]; q != 0 {
+			tally += ms.spreadAtom(q, st.lposF[s], wk.mesh)
 		}
 	}
 	wk.diag.spread += tally
 }
 
-// applyImport decodes one position frame into the local copies of the
-// sender's owned atoms.
+// applyImport decodes one position frame into the slot view, at the
+// sender's owned slots.
 func (st *shardState) applyImport(m *shardMsg) {
-	if err := decodePosFrame(m.frame, st.e.shards[m.from].owned, st.lpos); err != nil {
+	if err := decodePosFrame(m.frame, st.e.shards[m.from].ownedSlots, st.spos); err != nil {
 		// A malformed frame cannot pass the CRC gate; reaching here means
 		// the codec itself broke its round-trip invariant.
 		panic("core: position frame round-trip violation: " + err.Error())
@@ -344,16 +312,15 @@ func (st *shardState) applyImport(m *shardMsg) {
 	st.arrived++
 }
 
-// applyFoot adds one force frame into the canonical force arrays of the
-// owned atoms it covers (wrapping fixed-point adds: arrival order, and
-// the stage it lands in, are invisible).
+// applyFoot adds one force frame into the accumulators at the owned
+// slots it covers (wrapping fixed-point adds: arrival order, and the
+// stage it lands in, are invisible).
 func (st *shardState) applyFoot(m *shardMsg, refresh bool) {
-	e := st.e
 	var long []Force3
 	if refresh {
-		long = e.fLong
+		long = st.lfLong
 	}
-	if err := decodeForceFrame(m.frame, st.inFootFrom[m.from], e.fShort, long); err != nil {
+	if err := decodeForceFrame(m.frame, st.inFootFrom[m.from], st.lfShort, long); err != nil {
 		// As for positions: only a codec fault can get here past the CRC.
 		panic("core: force frame round-trip violation: " + err.Error())
 	}
@@ -361,8 +328,8 @@ func (st *shardState) applyFoot(m *shardMsg, refresh bool) {
 }
 
 // applyStream applies one fresh (non-stale, integrity-checked) envelope:
-// position frames land in the local copies, force frames in the
-// canonical force arrays. Returns false for duplicates.
+// position frames land in the slot view, force frames in the
+// accumulators. Returns false for duplicates.
 func (st *shardState) applyStream(x *xchg, m *shardMsg, refresh bool) bool {
 	stamp := st.gotPos
 	if m.kind == msgForce {
@@ -531,11 +498,11 @@ func (st *shardState) streamLoop(x *xchg, refresh bool, pending func() int) bool
 func (st *shardState) sendForcesStream(x *xchg, refresh bool) {
 	st.beginSend()
 	for di, dst := range st.impSrcs {
-		atoms := st.footAtoms[di]
-		frame := appendForceFrame(st.footFrames[di][:0], st.lfShort, atoms)
-		rawB := forceRawBytes(len(atoms))
+		slots := st.footSlots[di]
+		frame := appendForceFrame(st.footFrames[di][:0], st.lfShort, slots)
+		rawB := forceRawBytes(len(slots))
 		if refresh {
-			frame = appendForceFrame(frame, st.lfLong, atoms)
+			frame = appendForceFrame(frame, st.lfLong, slots)
 			rawB *= 2
 		}
 		st.footFrames[di] = frame
@@ -546,21 +513,21 @@ func (st *shardState) sendForcesStream(x *xchg, refresh bool) {
 // --- Stage B: force assembly. ---
 
 // interpChunk (refresh steps) adds the mesh interpolation for owned atoms
-// [lo, hi) onto their long-range forces (zeroed at the start of stage A).
-// Reads only the shared post-convolution mesh.
+// [lo, hi) into lfLong at their slots. Reads only the shared
+// post-convolution mesh.
 func (st *shardState) interpChunk(w, lo, hi int) {
 	e := st.e
 	ms := e.mesh
-	top := e.Sys.Top
+	k := &e.pk
 	var energy, tally int64
-	for _, a := range st.owned[lo:hi] {
-		q := top.Atoms[a].Charge
+	for _, s := range st.ownedSlots[lo:hi] {
+		q := k.q[s]
 		if q == 0 {
 			continue
 		}
-		en, fx, fy, fz, n := ms.interpAtom(q, st.lposF[a])
+		en, fx, fy, fz, n := ms.interpAtom(q, st.lposF[s])
 		energy += htis.QuantizeEnergy(en)
-		e.fLong[a] = e.fLong[a].AddRaw(fx, fy, fz)
+		st.lfLong[s] = st.lfLong[s].AddRaw(fx, fy, fz)
 		tally += n
 	}
 	d := &st.wk[w].diag
@@ -568,25 +535,25 @@ func (st *shardState) interpChunk(w, lo, hi int) {
 	d.interp += tally
 }
 
-// assembleChunk adds the shard's own contributions to owned atoms [lo, hi)
-// into their canonical forces.
+// assembleChunk writes owned atoms [lo, hi)'s forces, complete in the
+// accumulators at their slots, into the canonical arrays.
 func (st *shardState) assembleChunk(_, lo, hi int) {
 	e := st.e
-	for _, a := range st.owned[lo:hi] {
-		e.fShort[a] = e.fShort[a].Add(st.lfShort[a])
+	for i, a := range st.owned[lo:hi] {
+		s := st.ownedSlots[lo+i]
+		e.fShort[a] = st.lfShort[s]
 		if st.refresh {
-			e.fLong[a] = e.fLong[a].Add(st.lfLong[a])
+			e.fLong[a] = st.lfLong[s]
 		}
 	}
 }
 
 // finishForces is the evaluation's second stage: (refresh) mesh
-// interpolation, the shard's own contributions to its owned atoms, then
-// the receive loop for the force frames still to come (which also
-// settles the force sends), and finally the virtual-site spreads — only
-// after every contribution is merged, since the spread rounding is
-// nonlinear in the total. The spreads run serially: sites may share a
-// parent atom.
+// interpolation, the receive loop for the force frames still to come
+// (which also settles the force sends), the owned forces' assembly into
+// the canonical arrays, and finally the virtual-site spreads — only after
+// every contribution is merged, since the spread rounding is nonlinear in
+// the total. The spreads run serially: sites may share a parent atom.
 func (st *shardState) finishForces(x *xchg, refresh bool) {
 	e := st.e
 	st.startStage()
@@ -594,10 +561,10 @@ func (st *shardState) finishForces(x *xchg, refresh bool) {
 		st.section(len(st.owned), st.interpFn)
 		st.mark(obs.PhaseMeshInterp)
 	}
-	st.section(len(st.owned), st.assembleFn)
 	if !st.streamLoop(x, refresh, func() int { return st.inFoot - st.footGot }) {
 		return // aborted: recovery restores everything from the checkpoint
 	}
+	st.section(len(st.owned), st.assembleFn)
 	if refresh {
 		for _, vi := range st.vsites {
 			spreadVSiteForce(e.fLong, &e.Sys.Top.VSites[vi])

@@ -36,26 +36,27 @@ func (t *Topology) BondedTermAtoms(k int) (atoms [4]int, n int) {
 	}
 }
 
-// BondedTermForce evaluates flat term k, accumulating its forces into f
-// and returning its energy.
-func (t *Topology) BondedTermForce(k int, box vec.Box, r, f []vec.V3) float64 {
+// BondedTermForce evaluates flat term k at the positions r of its atoms,
+// given in BondedTermAtoms order, and returns its energy and the force on
+// each of those atoms, in the same order.
+func (t *Topology) BondedTermForce(k int, box vec.Box, r *[4]vec.V3) (float64, [4]vec.V3) {
 	switch nb, na, nd := len(t.Bonds), len(t.Angles), len(t.Dihedrals); {
 	case k < nb:
-		return BondForce(&t.Bonds[k], box, r, f)
+		return BondForce(&t.Bonds[k], box, r)
 	case k < nb+na:
-		return AngleForce(&t.Angles[k-nb], box, r, f)
+		return AngleForce(&t.Angles[k-nb], box, r)
 	case k < nb+na+nd:
-		return DihedralForce(&t.Dihedrals[k-nb-na], box, r, f)
+		return DihedralForce(&t.Dihedrals[k-nb-na], box, r)
 	default:
-		return ImproperForce(&t.Impropers[k-nb-na-nd], box, r, f)
+		return ImproperForce(&t.Impropers[k-nb-na-nd], box, r)
 	}
 }
 
 // BondedForces evaluates all bonded terms of the topology in flat-index
-// order, accumulating forces into f (which must have length NAtoms) and
-// returning the total bonded energy. Positions are taken minimum-image
-// in the given box, so bonded terms behave correctly for molecules
-// straddling the periodic boundary.
+// order, adding each term's forces into f (which must have length NAtoms)
+// in its atoms' order, and returns the total bonded energy. Positions are
+// taken minimum-image in the given box, so bonded terms behave correctly
+// for molecules straddling the periodic boundary.
 //
 // On Anton these terms run on the geometry cores of the flexible
 // subsystem; on commodity hardware they are a small part of the profile
@@ -63,29 +64,40 @@ func (t *Topology) BondedTermForce(k int, box vec.Box, r, f []vec.V3) float64 {
 func BondedForces(t *Topology, box vec.Box, r []vec.V3, f []vec.V3) float64 {
 	e := 0.0
 	for k := range t.NumBondedTerms() {
-		e += t.BondedTermForce(k, box, r, f)
+		atoms, n := t.BondedTermAtoms(k)
+		var rk [4]vec.V3
+		for i, a := range atoms[:n] {
+			rk[i] = r[a]
+		}
+		ek, fk := t.BondedTermForce(k, box, &rk)
+		for i, a := range atoms[:n] {
+			f[a] = f[a].Add(fk[i])
+		}
+		e += ek
 	}
 	return e
 }
 
+// The term kernels are pure: each takes the positions of its term's atoms
+// in the term's order (I, J, ... in r[0], r[1], ...) and returns the
+// energy and the force on each of those atoms, in the same order.
+
 // BondForce evaluates one harmonic bond, V = K*(r - R0)^2.
-func BondForce(b *Bond, box vec.Box, r []vec.V3, f []vec.V3) float64 {
-	d := box.MinImage(r[b.I].Sub(r[b.J]))
+func BondForce(b *Bond, box vec.Box, r *[4]vec.V3) (float64, [4]vec.V3) {
+	d := box.MinImage(r[0].Sub(r[1]))
 	dist := d.Norm()
 	dr := dist - b.R0
 	// F_i = -dV/dr_i = -2K*dr * d/|d|
 	scale := -2 * b.K * dr / dist
 	fv := d.Scale(scale)
-	f[b.I] = f[b.I].Add(fv)
-	f[b.J] = f[b.J].Sub(fv)
-	return b.K * dr * dr
+	return b.K * dr * dr, [4]vec.V3{fv, fv.Neg()}
 }
 
 // AngleForce evaluates one harmonic angle, V = K*(theta - Theta0)^2, with
 // J the vertex atom.
-func AngleForce(a *Angle, box vec.Box, r []vec.V3, f []vec.V3) float64 {
-	rij := box.MinImage(r[a.I].Sub(r[a.J]))
-	rkj := box.MinImage(r[a.K].Sub(r[a.J]))
+func AngleForce(a *Angle, box vec.Box, r *[4]vec.V3) (float64, [4]vec.V3) {
+	rij := box.MinImage(r[0].Sub(r[1]))
+	rkj := box.MinImage(r[2].Sub(r[1]))
 	lij, lkj := rij.Norm(), rkj.Norm()
 	c := rij.Dot(rkj) / (lij * lkj)
 	if c > 1 {
@@ -108,18 +120,15 @@ func AngleForce(a *Angle, box vec.Box, r []vec.V3, f []vec.V3) float64 {
 	dcdk := rij.Scale(1 / (lij * lkj)).Sub(rkj.Scale(c / (lkj * lkj)))
 	fi := dcdi.Scale(dVdT / s)
 	fk := dcdk.Scale(dVdT / s)
-	f[a.I] = f[a.I].Add(fi)
-	f[a.K] = f[a.K].Add(fk)
-	f[a.J] = f[a.J].Sub(fi.Add(fk))
-	return a.KTheta * dt * dt
+	return a.KTheta * dt * dt, [4]vec.V3{fi, fi.Add(fk).Neg(), fk}
 }
 
 // DihedralForce evaluates one periodic torsion, V = K*(1 + cos(n*phi - phase)),
 // using the standard analytic gradient decomposition.
-func DihedralForce(d *Dihedral, box vec.Box, r []vec.V3, f []vec.V3) float64 {
-	b1 := box.MinImage(r[d.J].Sub(r[d.I]))
-	b2 := box.MinImage(r[d.K].Sub(r[d.J]))
-	b3 := box.MinImage(r[d.L].Sub(r[d.K]))
+func DihedralForce(d *Dihedral, box vec.Box, r *[4]vec.V3) (float64, [4]vec.V3) {
+	b1 := box.MinImage(r[1].Sub(r[0]))
+	b2 := box.MinImage(r[2].Sub(r[1]))
+	b3 := box.MinImage(r[3].Sub(r[2]))
 
 	n1 := b1.Cross(b2) // normal of plane (i,j,k)
 	n2 := b2.Cross(b3) // normal of plane (j,k,l)
@@ -127,7 +136,7 @@ func DihedralForce(d *Dihedral, box vec.Box, r []vec.V3, f []vec.V3) float64 {
 	n2sq := n2.Norm2()
 	lb2 := b2.Norm()
 	if n1sq < 1e-12 || n2sq < 1e-12 {
-		return 0 // degenerate (collinear) configuration: no defined torque
+		return 0, [4]vec.V3{} // degenerate (collinear) configuration: no defined torque
 	}
 
 	x := n1.Dot(n2)
@@ -148,27 +157,22 @@ func DihedralForce(d *Dihedral, box vec.Box, r []vec.V3, f []vec.V3) float64 {
 	fj := sv.Sub(fi)
 	fk := sv.Neg().Sub(fl)
 
-	f[d.I] = f[d.I].Add(fi)
-	f[d.J] = f[d.J].Add(fj)
-	f[d.K] = f[d.K].Add(fk)
-	f[d.L] = f[d.L].Add(fl)
-
-	return d.KPhi * (1 + math.Cos(float64(d.N)*phi-d.Phase))
+	return d.KPhi * (1 + math.Cos(float64(d.N)*phi-d.Phase)), [4]vec.V3{fi, fj, fk, fl}
 }
 
 // ImproperForce evaluates one harmonic improper torsion,
 // V = K*(chi - Chi0)^2, sharing the dihedral-angle gradient machinery.
-func ImproperForce(im *Improper, box vec.Box, r []vec.V3, f []vec.V3) float64 {
-	b1 := box.MinImage(r[im.J].Sub(r[im.I]))
-	b2 := box.MinImage(r[im.K].Sub(r[im.J]))
-	b3 := box.MinImage(r[im.L].Sub(r[im.K]))
+func ImproperForce(im *Improper, box vec.Box, r *[4]vec.V3) (float64, [4]vec.V3) {
+	b1 := box.MinImage(r[1].Sub(r[0]))
+	b2 := box.MinImage(r[2].Sub(r[1]))
+	b3 := box.MinImage(r[3].Sub(r[2]))
 	n1 := b1.Cross(b2)
 	n2 := b2.Cross(b3)
 	n1sq := n1.Norm2()
 	n2sq := n2.Norm2()
 	lb2 := b2.Norm()
 	if n1sq < 1e-12 || n2sq < 1e-12 {
-		return 0
+		return 0, [4]vec.V3{}
 	}
 	x := n1.Dot(n2)
 	y := lb2 * b1.Dot(n2)
@@ -190,16 +194,5 @@ func ImproperForce(im *Improper, box vec.Box, r []vec.V3, f []vec.V3) float64 {
 	sv := fl.Scale(q).Sub(fi.Scale(p))
 	fj := sv.Sub(fi)
 	fk := sv.Neg().Sub(fl)
-
-	f[im.I] = f[im.I].Add(fi)
-	f[im.J] = f[im.J].Add(fj)
-	f[im.K] = f[im.K].Add(fk)
-	f[im.L] = f[im.L].Add(fl)
-	return im.KChi * dChi * dChi
-}
-
-// BondedEnergy evaluates the total bonded energy without touching forces.
-func BondedEnergy(t *Topology, box vec.Box, r []vec.V3) float64 {
-	scratch := make([]vec.V3, len(r))
-	return BondedForces(t, box, r, scratch)
+	return im.KChi * dChi * dChi, [4]vec.V3{fi, fj, fk, fl}
 }

@@ -42,19 +42,38 @@ func checkForcesMatchGradient(t *testing.T, name string, r []vec.V3,
 	}
 }
 
+// at returns the first (up to) four positions of r as a term kernel takes
+// them: the unit tests number a term's atoms 0, 1, ... in term order.
+func at(r []vec.V3) *[4]vec.V3 {
+	var rk [4]vec.V3
+	copy(rk[:], r)
+	return &rk
+}
+
+// pure adapts a term kernel over atoms 0, 1, ... to the accumulating form
+// checkForcesMatchGradient evaluates.
+func pure(kernel func(r *[4]vec.V3) (float64, [4]vec.V3)) func(r, f []vec.V3) float64 {
+	return func(r, f []vec.V3) float64 {
+		e, fk := kernel(at(r))
+		for i := range r {
+			f[i] = f[i].Add(fk[i])
+		}
+		return e
+	}
+}
+
 func TestBondForceGradient(t *testing.T) {
 	b := Bond{I: 0, J: 1, R0: 1.0, K: 300}
 	r := []vec.V3{{X: 0.1, Y: 0.2, Z: -0.1}, {X: 1.2, Y: -0.3, Z: 0.4}}
-	checkForcesMatchGradient(t, "bond", r, func(r, f []vec.V3) float64 {
-		return BondForce(&b, testBox, r, f)
-	}, 1e-5)
+	checkForcesMatchGradient(t, "bond", r, pure(func(r *[4]vec.V3) (float64, [4]vec.V3) {
+		return BondForce(&b, testBox, r)
+	}), 1e-5)
 }
 
 func TestBondEquilibriumZeroForce(t *testing.T) {
 	b := Bond{I: 0, J: 1, R0: 1.5, K: 300}
 	r := []vec.V3{{}, {X: 1.5}}
-	f := make([]vec.V3, 2)
-	e := BondForce(&b, testBox, r, f)
+	e, f := BondForce(&b, testBox, at(r))
 	if e != 0 {
 		t.Errorf("energy at equilibrium: %g", e)
 	}
@@ -68,8 +87,7 @@ func TestBondAcrossPeriodicBoundary(t *testing.T) {
 	b := Bond{I: 0, J: 1, R0: 1.0, K: 100}
 	// Atoms separated by 1 Å through the boundary.
 	r := []vec.V3{{X: 9.5}, {X: 0.5}}
-	f := make([]vec.V3, 2)
-	e := BondForce(&b, box, r, f)
+	e, _ := BondForce(&b, box, at(r))
 	if e > 1e-10 {
 		t.Errorf("bond across boundary should be at equilibrium, E=%g", e)
 	}
@@ -78,9 +96,9 @@ func TestBondAcrossPeriodicBoundary(t *testing.T) {
 func TestAngleForceGradient(t *testing.T) {
 	a := Angle{I: 0, J: 1, K: 2, Theta0: 109.5 * math.Pi / 180, KTheta: 50}
 	r := []vec.V3{{X: 1.1, Y: 0.1}, {}, {X: -0.3, Y: 1.0, Z: 0.2}}
-	checkForcesMatchGradient(t, "angle", r, func(r, f []vec.V3) float64 {
-		return AngleForce(&a, testBox, r, f)
-	}, 1e-5)
+	checkForcesMatchGradient(t, "angle", r, pure(func(r *[4]vec.V3) (float64, [4]vec.V3) {
+		return AngleForce(&a, testBox, r)
+	}), 1e-5)
 }
 
 func TestAngleEquilibrium(t *testing.T) {
@@ -91,8 +109,7 @@ func TestAngleEquilibrium(t *testing.T) {
 		{},
 		{X: math.Cos(theta0 / 2), Y: -math.Sin(theta0 / 2)},
 	}
-	f := make([]vec.V3, 3)
-	if e := AngleForce(&a, testBox, r, f); e > 1e-20 {
+	if e, _ := AngleForce(&a, testBox, at(r)); e > 1e-20 {
 		t.Errorf("energy at equilibrium: %g", e)
 	}
 }
@@ -106,9 +123,9 @@ func TestDihedralForceGradient(t *testing.T) {
 			{X: 1.5, Y: 0.1, Z: -0.1},
 			{X: 1.8, Y: 0.9, Z: 0.9},
 		}
-		checkForcesMatchGradient(t, "dihedral", r, func(r, f []vec.V3) float64 {
-			return DihedralForce(&d, testBox, r, f)
-		}, 1e-4)
+		checkForcesMatchGradient(t, "dihedral", r, pure(func(r *[4]vec.V3) (float64, [4]vec.V3) {
+			return DihedralForce(&d, testBox, r)
+		}), 1e-4)
 	}
 }
 
@@ -120,8 +137,7 @@ func TestDihedralNetForceAndTorqueZero(t *testing.T) {
 		for i := range r {
 			r[i] = vec.V3{X: rng.NormFloat64(), Y: rng.NormFloat64(), Z: rng.NormFloat64()}
 		}
-		f := make([]vec.V3, 4)
-		DihedralForce(&d, testBox, r, f)
+		_, f := DihedralForce(&d, testBox, at(r))
 		var net, torque vec.V3
 		for i := range f {
 			net = net.Add(f[i])
@@ -156,7 +172,7 @@ func TestBondedForcesSum(t *testing.T) {
 	checkForcesMatchGradient(t, "all bonded", r, func(r, f []vec.V3) float64 {
 		return BondedForces(top, testBox, r, f)
 	}, 1e-4)
-	if e := BondedEnergy(top, testBox, r); e <= 0 {
+	if e := BondedForces(top, testBox, r, make([]vec.V3, len(r))); e <= 0 {
 		t.Errorf("bonded energy should be positive off equilibrium: %g", e)
 	}
 }
@@ -246,9 +262,9 @@ func TestImproperForceGradient(t *testing.T) {
 		{X: 1.5, Y: 0.1, Z: -0.1},
 		{X: 1.8, Y: 0.9, Z: 0.9},
 	}
-	checkForcesMatchGradient(t, "improper", r, func(r, f []vec.V3) float64 {
-		return ImproperForce(&im, testBox, r, f)
-	}, 1e-4)
+	checkForcesMatchGradient(t, "improper", r, pure(func(r *[4]vec.V3) (float64, [4]vec.V3) {
+		return ImproperForce(&im, testBox, r)
+	}), 1e-4)
 }
 
 func TestImproperEquilibrium(t *testing.T) {
@@ -262,8 +278,8 @@ func TestImproperEquilibrium(t *testing.T) {
 	}
 	chi := vec.Dihedral(r[0], r[1], r[2], r[3])
 	im := Improper{I: 0, J: 1, K: 2, L: 3, Chi0: chi, KChi: 12}
-	f := make([]vec.V3, 4)
-	if e := ImproperForce(&im, testBox, r, f); e > 1e-18 {
+	e, f := ImproperForce(&im, testBox, at(r))
+	if e > 1e-18 {
 		t.Errorf("energy at equilibrium: %g", e)
 	}
 	for i := range f {
@@ -281,8 +297,7 @@ func TestImproperWrapsPeriodically(t *testing.T) {
 	}
 	chi := vec.Dihedral(r[0], r[1], r[2], r[3])
 	im := Improper{I: 0, J: 1, K: 2, L: 3, Chi0: -chi, KChi: 12} // opposite branch
-	f := make([]vec.V3, 4)
-	e := ImproperForce(&im, testBox, r, f)
+	e, _ := ImproperForce(&im, testBox, at(r))
 	// |chi - (-chi)| unwrapped would be ~2*pi -> energy ~ 12*(2pi)^2 = 474;
 	// wrapped it is tiny.
 	if e > 1.0 {

@@ -172,17 +172,38 @@ func TestBondedTermIndexBitwise(t *testing.T) {
 		}
 		fWant := make([]vec.V3, len(r))
 		eWant := 0.0
+		add := func(atoms []int, e float64, f [4]vec.V3) {
+			for i, a := range atoms {
+				fWant[a] = fWant[a].Add(f[i])
+			}
+			eWant += e
+		}
+		pos := func(atoms ...int) *[4]vec.V3 {
+			var rk [4]vec.V3
+			for i, a := range atoms {
+				rk[i] = r[a]
+			}
+			return &rk
+		}
 		for i := range top.Bonds {
-			eWant += ff.BondForce(&top.Bonds[i], s.Box, r, fWant)
+			b := &top.Bonds[i]
+			e, f := ff.BondForce(b, s.Box, pos(b.I, b.J))
+			add([]int{b.I, b.J}, e, f)
 		}
 		for i := range top.Angles {
-			eWant += ff.AngleForce(&top.Angles[i], s.Box, r, fWant)
+			a := &top.Angles[i]
+			e, f := ff.AngleForce(a, s.Box, pos(a.I, a.J, a.K))
+			add([]int{a.I, a.J, a.K}, e, f)
 		}
 		for i := range top.Dihedrals {
-			eWant += ff.DihedralForce(&top.Dihedrals[i], s.Box, r, fWant)
+			d := &top.Dihedrals[i]
+			e, f := ff.DihedralForce(d, s.Box, pos(d.I, d.J, d.K, d.L))
+			add([]int{d.I, d.J, d.K, d.L}, e, f)
 		}
 		for i := range top.Impropers {
-			eWant += ff.ImproperForce(&top.Impropers[i], s.Box, r, fWant)
+			im := &top.Impropers[i]
+			e, f := ff.ImproperForce(im, s.Box, pos(im.I, im.J, im.K, im.L))
+			add([]int{im.I, im.J, im.K, im.L}, e, f)
 		}
 		fGot := make([]vec.V3, len(r))
 		eGot := ff.BondedForces(top, s.Box, r, fGot)

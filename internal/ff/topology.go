@@ -164,11 +164,8 @@ func (t *Topology) TotalCharge() float64 {
 // after the topology's terms are assembled: it replaces Exclusions and
 // Skip with new tables, keeping the pairs Exclusions already held.
 func (t *Topology) BuildExclusions() {
-	excl := make(map[[2]int32]struct{}, len(t.Exclusions))
-	for _, p := range t.Exclusions {
-		excl[p] = struct{}{}
-	}
-	exclude := func(i, j int) { excl[orderedPair(i, j)] = struct{}{} }
+	excl := slices.Clone(t.Exclusions)
+	exclude := func(i, j int) { excl = append(excl, orderedPair(i, j)) }
 	adj := t.Adjacency()
 	for i, nbrs := range adj {
 		for a, j := range nbrs {
@@ -180,11 +177,14 @@ func (t *Topology) BuildExclusions() {
 			}
 		}
 	}
-	// 1-4: walk three bonds; skip pairs already excluded (rings) or already
-	// recorded (rebuild).
-	seen14 := make(map[[2]int32]struct{})
-	for _, p := range t.Pairs14 {
-		seen14[orderedPair(p.I, p.J)] = struct{}{}
+	excl = sortPairs(excl)
+	// 1-4: walk three bonds, listing each pair not already excluded
+	// (rings) after the pairs already recorded (rebuild); a pair listed
+	// more than once is recorded at its first listing only.
+	recorded := len(t.Pairs14)
+	found := make([][2]int32, recorded)
+	for n, p := range t.Pairs14 {
+		found[n] = orderedPair(p.I, p.J)
 	}
 	for _, b := range t.Bonds {
 		for _, end := range [2][2]int{{b.I, b.J}, {b.J, b.I}} {
@@ -198,17 +198,21 @@ func (t *Topology) BuildExclusions() {
 						continue
 					}
 					key := orderedPair(i, l)
-					if _, dup := seen14[key]; dup {
-						continue
+					if _, ex := slices.BinarySearchFunc(excl, key, comparePairs); !ex {
+						found = append(found, key)
 					}
-					if _, ex := excl[key]; ex {
-						continue
-					}
-					seen14[key] = struct{}{}
-					t.Pairs14 = append(t.Pairs14, Pair14{I: min(i, l), J: max(i, l)})
 				}
 			}
 		}
+	}
+	set := sortPairs(slices.Clone(found))
+	listed := make([]bool, len(set))
+	for n, p := range found {
+		k, _ := slices.BinarySearchFunc(set, p, comparePairs)
+		if !listed[k] && n >= recorded {
+			t.Pairs14 = append(t.Pairs14, Pair14{I: int(p[0]), J: int(p[1])})
+		}
+		listed[k] = true
 	}
 	// Each virtual site with its three parents.
 	for _, v := range t.VSites {
@@ -217,16 +221,7 @@ func (t *Topology) BuildExclusions() {
 		}
 	}
 
-	t.Exclusions = make([][2]int32, 0, len(excl))
-	for p := range excl {
-		t.Exclusions = append(t.Exclusions, p)
-	}
-	slices.SortFunc(t.Exclusions, func(a, b [2]int32) int {
-		if c := cmp.Compare(a[0], b[0]); c != 0 {
-			return c
-		}
-		return cmp.Compare(a[1], b[1])
-	})
+	t.Exclusions = sortPairs(excl)
 	t.Skip = make([][]int32, len(t.Atoms))
 	skip := func(i, j int32) {
 		t.Skip[i] = append(t.Skip[i], j)
@@ -243,6 +238,17 @@ func (t *Topology) BuildExclusions() {
 		t.Skip[i] = slices.Compact(l)
 	}
 	t.constraintGroups = nil // invalidate cache
+}
+
+// comparePairs orders atom pairs by first atom, then second.
+func comparePairs(a, b [2]int32) int {
+	return cmp.Or(cmp.Compare(a[0], b[0]), cmp.Compare(a[1], b[1]))
+}
+
+// sortPairs sorts ps ascending and drops repeats, in place.
+func sortPairs(ps [][2]int32) [][2]int32 {
+	slices.SortFunc(ps, comparePairs)
+	return slices.Compact(ps)
 }
 
 // Adjacency is the covalent graph: for each atom, the other atom of every
@@ -327,7 +333,8 @@ func (t *Topology) ConstraintGroups() [][]int {
 }
 
 // Validate checks internal consistency: indices in range, positive
-// parameters, vsites massless. It returns the first problem found.
+// parameters, no bonded term naming an atom twice, vsites massless. It
+// returns the first problem found.
 func (t *Topology) Validate() error {
 	n := len(t.Atoms)
 	chk := func(idx int, what string) error {
@@ -339,9 +346,6 @@ func (t *Topology) Validate() error {
 	for _, b := range t.Bonds {
 		if err := firstErr(chk(b.I, "bond"), chk(b.J, "bond")); err != nil {
 			return err
-		}
-		if b.I == b.J {
-			return fmt.Errorf("ff: bond connects atom %d to itself", b.I)
 		}
 		if b.R0 <= 0 || b.K < 0 {
 			return fmt.Errorf("ff: bond (%d,%d) has invalid parameters R0=%g K=%g", b.I, b.J, b.R0, b.K)
@@ -369,6 +373,17 @@ func (t *Topology) Validate() error {
 		}
 		if im.KChi < 0 {
 			return fmt.Errorf("ff: improper (%d,%d,%d,%d) has negative force constant", im.I, im.J, im.K, im.L)
+		}
+	}
+	// A bonded term's kernel returns one force per listed atom and the
+	// engine quantizes each on its own, so a term naming an atom twice
+	// would round that atom's force unlike the reference engine's one sum.
+	for k := range t.NumBondedTerms() {
+		atoms, n := t.BondedTermAtoms(k)
+		for i, a := range atoms[:n] {
+			if slices.Contains(atoms[i+1:n], a) {
+				return fmt.Errorf("ff: bonded term %d %v names atom %d twice", k, atoms[:n], a)
+			}
 		}
 	}
 	for _, c := range t.Constraints {

@@ -4,6 +4,7 @@ import (
 	"cmp"
 	"math"
 	"slices"
+	"strings"
 	"testing"
 
 	"anton/internal/vec"
@@ -169,6 +170,34 @@ func TestValidate(t *testing.T) {
 	bad3.Dihedrals = []Dihedral{{I: 0, J: 1, K: 2, L: 3, N: 9}}
 	if err := bad3.Validate(); err == nil {
 		t.Error("periodicity 9 accepted")
+	}
+}
+
+// TestValidateRejectsRepeatedAtoms: a bond, angle, dihedral or improper
+// that names one atom twice is refused. The engine quantizes each force a term
+// kernel returns on its own, so such a term's repeated atom would get a
+// force rounded differently from the reference engine's one sum.
+func TestValidateRejectsRepeatedAtoms(t *testing.T) {
+	for _, c := range []struct {
+		name string
+		edit func(*Topology)
+	}{
+		{"bond", func(top *Topology) { top.Bonds[2].J = top.Bonds[2].I }},
+		{"angle", func(top *Topology) {
+			top.Angles = []Angle{{I: 0, J: 1, K: 0, Theta0: 2, KTheta: 40}}
+		}},
+		{"dihedral", func(top *Topology) {
+			top.Dihedrals = []Dihedral{{I: 0, J: 1, K: 2, L: 1, N: 3, KPhi: 1}}
+		}},
+		{"improper", func(top *Topology) {
+			top.Impropers = []Improper{{I: 2, J: 1, K: 3, L: 2, KChi: 10}}
+		}},
+	} {
+		top := chainTopology()
+		c.edit(top)
+		if err := top.Validate(); err == nil || !strings.Contains(err.Error(), "names atom") {
+			t.Errorf("%s naming an atom twice: Validate returned %v", c.name, err)
+		}
 	}
 }
 

@@ -58,13 +58,8 @@ type Dist3 struct {
 // for all Anton configurations (e.g. 32^3 mesh on 8^3 nodes: 4^3 bricks,
 // 16 lines per row shared by 8 nodes).
 func NewDist3(nx, ny, nz, gx, gy, gz int) (*Dist3, error) {
-	for _, d := range [][2]int{{nx, gx}, {ny, gy}, {nz, gz}} {
-		if !IsPow2(d[0]) || !IsPow2(d[1]) {
-			return nil, fmt.Errorf("fft: dims must be powers of two, got mesh %d node %d", d[0], d[1])
-		}
-		if d[1] > d[0] {
-			return nil, fmt.Errorf("fft: node grid %d exceeds mesh %d along an axis", d[1], d[0])
-		}
+	if err := checkLayout(nx, ny, nz, gx, gy, gz); err != nil {
+		return nil, err
 	}
 	d := &Dist3{
 		Nx: nx, Ny: ny, Nz: nz,
@@ -93,6 +88,54 @@ func NewDist3(nx, ny, nz, gx, gy, gz int) (*Dist3, error) {
 	d.plans = [3]*Plan{PlanFor(nx), PlanFor(ny), PlanFor(nz)}
 	d.rows = [3][][]int{d.rowSets(0), d.rowSets(1), d.rowSets(2)}
 	return d, nil
+}
+
+// checkLayout refuses a mesh and node grid that do not split into equal
+// bricks: every dimension a power of two, no node axis longer than the
+// mesh's.
+func checkLayout(nx, ny, nz, gx, gy, gz int) error {
+	for _, d := range [][2]int{{nx, gx}, {ny, gy}, {nz, gz}} {
+		if !IsPow2(d[0]) || !IsPow2(d[1]) {
+			return fmt.Errorf("fft: dims must be powers of two, got mesh %d node %d", d[0], d[1])
+		}
+		if d[1] > d[0] {
+			return fmt.Errorf("fft: node grid %d exceeds mesh %d along an axis", d[1], d[0])
+		}
+	}
+	return nil
+}
+
+// RoundTripStats returns the per-node communication of one Forward3 and
+// one Inverse3 of an nx x ny x nz mesh on a gx x gy x gz node grid — what
+// such a round trip adds to Dist3.Stats — without building the plan or
+// moving any data. It refuses the layouts NewDist3 refuses.
+func RoundTripStats(nx, ny, nz, gx, gy, gz int) (CommStats, error) {
+	if err := checkLayout(nx, ny, nz, gx, gy, gz); err != nil {
+		return CommStats{}, err
+	}
+	bx, by, bz := nx/gx, ny/gy, nz/gz
+	var s CommStats
+	for range 2 {
+		s.Add(passStats(by*bz, gx, nx))
+		s.Add(passStats(bx*bz, gy, ny))
+		s.Add(passStats(bx*by, gz, nz))
+	}
+	return s, nil
+}
+
+// passStats is the per-node communication of one axis pass: each node of
+// a torus row of g nodes holds one segment of each of the row's lines
+// (n points long), the lines are dealt cyclically over the row, and every
+// segment of a line another node owns is one message there and one back.
+func passStats(lines, g, n int) CommStats {
+	// Segments of lines the node owns (every g-th line cyclically) stay
+	// local.
+	own := lines / g
+	if lines%g != 0 {
+		own++ // conservative: at most this many stay local
+	}
+	sent := lines - own
+	return CommStats{MessagesPerNode: 2 * sent, BytesPerNode: 2 * sent * (n / g) * complexBytes, Phases: 2}
 }
 
 // PointsPerNode returns the number of mesh points stored on each node (the
@@ -180,7 +223,6 @@ func (d *Dist3) passAxis(axis int, inverse bool) {
 	}
 	plan := d.plans[axis]
 	rows := d.rows[axis]
-	var msgs, bytes int // per-node counters (all nodes symmetric; count one row node)
 	// The bu*bv row lines of n points each live in the reusable scratch;
 	// every row of every pass overwrites them in full before transforming.
 	lines := d.lineHdrs[:bu*bv]
@@ -213,16 +255,8 @@ func (d *Dist3) passAxis(axis int, inverse bool) {
 			}
 		}
 	}
-	// Message accounting (per node): each node holds bu*bv line segments;
-	// segments of lines it owns (every g-th line cyclically) stay local.
-	ownSegs := bu * bv / g
-	if (bu*bv)%g != 0 {
-		ownSegs++ // conservative: at most this many stay local
-	}
-	sent := bu*bv - ownSegs
-	msgs = 2 * sent // out to owner, back from owner
-	bytes = 2 * sent * (n / g) * complexBytes
-	d.Stats.Add(CommStats{MessagesPerNode: msgs, BytesPerNode: bytes, Phases: 2})
+	// Message accounting (per node; all nodes are symmetric).
+	d.Stats.Add(passStats(bu*bv, g, n))
 }
 
 // localIndex maps (along-axis offset p, transverse u, v) to a brick index.

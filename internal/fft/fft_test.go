@@ -267,6 +267,37 @@ func TestDist3CommStats(t *testing.T) {
 	}
 }
 
+// TestRoundTripStatsMatchesDist3: the message-count function gives what
+// a forward and an inverse transform add to Dist3.Stats, on the 32^3 and
+// 64^3 meshes for node grids from one node to a 32^3 grid (one point per
+// node on the 32^3 mesh), cubic or not, and it refuses what NewDist3
+// refuses.
+func TestRoundTripStatsMatchesDist3(t *testing.T) {
+	for _, n := range []int{32, 64} {
+		for _, g := range [][3]int{{1, 1, 1}, {2, 1, 1}, {2, 2, 2}, {4, 2, 1}, {4, 4, 4}, {8, 8, 8}, {8, 4, 2}, {16, 8, 8}, {32, 32, 32}} {
+			d, err := NewDist3(n, n, n, g[0], g[1], g[2])
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := d.Scatter(NewGrid3(n, n, n)); err != nil {
+				t.Fatal(err)
+			}
+			d.Forward3()
+			d.Inverse3()
+			got, err := RoundTripStats(n, n, n, g[0], g[1], g[2])
+			if err != nil || got != d.Stats {
+				t.Errorf("%d^3 mesh on %v nodes: RoundTripStats = %+v, %v; Dist3.Stats = %+v", n, g, got, err, d.Stats)
+			}
+		}
+	}
+	if _, err := RoundTripStats(32, 32, 32, 64, 1, 1); err == nil {
+		t.Error("expected error: node grid exceeds mesh")
+	}
+	if _, err := RoundTripStats(24, 32, 32, 2, 2, 2); err == nil {
+		t.Error("expected error: non-power-of-two mesh")
+	}
+}
+
 func TestNewDist3Errors(t *testing.T) {
 	if _, err := NewDist3(32, 32, 32, 64, 1, 1); err == nil {
 		t.Error("expected error: node grid exceeds mesh")

@@ -129,7 +129,7 @@ func TestProteinTopologyConsistency(t *testing.T) {
 	}
 	// Initial bonded energy is essentially zero (relaxed geometry), and
 	// dihedrals are at their minima.
-	e := ff.BondedEnergy(top, s.Box, s.R)
+	e := ff.BondedForces(top, s.Box, s.R, make([]vec.V3, len(s.R)))
 	if e > 1e-6*float64(len(top.Bonds)+len(top.Angles)+1) {
 		t.Errorf("initial bonded energy %g not relaxed", e)
 	}
